@@ -7,7 +7,6 @@
 //! cargo run --release -p bench --bin route_bench           # full sweep
 //! cargo run --release -p bench --bin route_bench -- --quick
 //! cargo run --release -p bench --bin route_bench -- --no-batch   # A/B: wire batching off
-//! cargo run --release -p bench --bin route_bench -- --via-coordinator  # legacy routing
 //! cargo run --release -p bench --bin route_bench -- --threads 4  # sharded sim engine
 //! cargo run --release -p bench --bin route_bench -- --shards 4   # record kv_shards
 //! cargo run --release -p bench --bin route_bench -- --bench-json > BENCH_route.json
@@ -26,18 +25,14 @@
 //! Methodology note (changed with the smart-client work): all ops are
 //! submitted through a co-hosted [`rapid_route::KvClient`] actor — a
 //! view-subscribed client that routes each op directly to its partition
-//! leader (zero forwarding hops). `--via-coordinator` keeps the legacy
-//! architecture as an A/B baseline: the same client machinery, but
-//! view-blind and pinned to a fixed coordinator node that forwards
-//! server-side, so every op pays an extra wire hop each way.
-//! `steady_msgs_per_op_milli` (cluster + client data-plane messages per
-//! completed op, x1000) is the headline comparison between the two.
+//! leader (zero forwarding hops). `steady_msgs_per_op_milli` (cluster +
+//! client data-plane messages per completed op, x1000) is the routing-
+//! efficiency headline.
 //! Batches are pipelined (one outbox flush; ops sharing a leader share
 //! a wire frame) and an op window ends as soon as every submitted op
 //! resolved (capped at `OP_WINDOW_MS`). Latency percentiles are
 //! *client-observed*. Numbers are not comparable to pre-client
-//! BENCH_route.json files; A/B `--no-batch` / `--via-coordinator` on
-//! the same build instead.
+//! BENCH_route.json files; A/B `--no-batch` on the same build instead.
 //!
 //! `--shards N` sets `Settings::kv_shards`, the thread-per-core shard
 //! count of the *real* runtime's data plane, and stamps it into the
@@ -280,14 +275,12 @@ fn build(
     threads: usize,
     shards: usize,
     sample_ms: u64,
-    via: bool,
 ) -> Simulation<KvSimActor> {
     KvClusterBuilder::new(n, spec())
         .seed(seed)
         .settings(settings(batch_wire, threads, shards, sample_ms))
         .op_timeout_ms(OP_WINDOW_MS - 500)
         .clients(1)
-        .clients_via_seed(via)
         .build_static()
 }
 
@@ -298,10 +291,9 @@ fn run_scale(
     threads: usize,
     shards: usize,
     sample_ms: u64,
-    via: bool,
 ) -> (Json, Vec<String>) {
     // Steady state + throughput.
-    let mut sim = build(n, seed, batch_wire, threads, shards, sample_ms, via);
+    let mut sim = build(n, seed, batch_wire, threads, shards, sample_ms);
     sim.run_until(2_000);
     let acked = load_keys(&mut sim, KEYS);
 
@@ -358,9 +350,7 @@ fn run_scale(
     let steady_client_retries = client_after.retries - client_before.retries;
     // The routing-efficiency headline: every data-plane message the
     // steady window put on the wire (cluster forwards, replication,
-    // verdicts, plus the client's own sends), per completed op. The
-    // zero-hop path drops the coordinator forward/reply pair, so smart
-    // clients beat `--via-coordinator` here.
+    // verdicts, plus the client's own sends), per completed op.
     let steady_msgs_per_op_milli = ((steady_msgs + steady_client_msgs) * 1000)
         .checked_div(ops_done as u64)
         .unwrap_or(0);
@@ -379,7 +369,7 @@ fn run_scale(
     });
 
     // Fresh cluster for the partition fault (a clean baseline).
-    let mut sim = build(n, seed ^ 0x9E37, batch_wire, threads, shards, sample_ms, via);
+    let mut sim = build(n, seed ^ 0x9E37, batch_wire, threads, shards, sample_ms);
     sim.run_until(2_000);
     load_keys(&mut sim, KEYS);
     let part_count = (n / 64).max(1);
@@ -436,7 +426,6 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let json_out = args.iter().any(|a| a == "--bench-json");
     let batch_wire = !args.iter().any(|a| a == "--no-batch");
-    let via = args.iter().any(|a| a == "--via-coordinator");
     let threads = args
         .iter()
         .position(|a| a == "--threads")
@@ -471,8 +460,7 @@ fn main() {
     let mut results = Vec::new();
     let mut timeline = Vec::new();
     for (i, &n) in scales.iter().enumerate() {
-        let (row, lines) =
-            run_scale(n, 0xB0 + i as u64, batch_wire, threads, shards, sample_ms, via);
+        let (row, lines) = run_scale(n, 0xB0 + i as u64, batch_wire, threads, shards, sample_ms);
         results.push(row);
         timeline.extend(lines);
     }
@@ -487,7 +475,6 @@ fn main() {
     let doc = Json::obj(vec![
         ("bench", Json::Str("route_bench".into())),
         ("batch_wire", Json::Bool(batch_wire)),
-        ("via_coordinator", Json::Bool(via)),
         ("threads", Json::uint(threads as u64)),
         ("shards", Json::uint(shards as u64)),
         ("partitions", Json::uint(PARTITIONS as u64)),

@@ -102,9 +102,9 @@ pub struct Settings {
     pub obs_sample_ms: u64,
 
     /// Real-driver KV data-plane shards: the `KvRuntime` splits its
-    /// per-partition state across `kv_shards` worker threads, each owning
+    /// per-partition state across `kv_shards` shard threads, each owning
     /// the partitions a stable rendezvous hash assigns to it. `1` (the
-    /// default) runs the single-threaded sans-io oracle path unchanged.
+    /// default) is one shard that owns every partition.
     /// Must not exceed the KV partition count. Ignored by the simulator,
     /// whose actors are single-threaded by construction (use `threads`
     /// to shard the simulation engine instead).
@@ -212,9 +212,7 @@ impl Settings {
             return Err("client_window must be at least 1".into());
         }
         if self.kv_shards == 0 {
-            return Err(
-                "kv_shards must be at least 1 (1 = the single-threaded oracle data plane)".into(),
-            );
+            return Err("kv_shards must be at least 1 (1 = one data-plane shard)".into());
         }
         if self.peer_quota_interval_ms == 0
             && (self.peer_quota_frames > 0 || self.peer_quota_bytes > 0)

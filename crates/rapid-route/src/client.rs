@@ -137,12 +137,6 @@ pub struct KvClient {
     /// attempt so a dead seed cannot wedge the client.
     seeds: Vec<Endpoint>,
     seed_cursor: usize,
-    /// Legacy routing: ignore views entirely and pin every op to the
-    /// seed list (attempt `k` targets `seeds[k % len]`), modelling the
-    /// pre-client architecture where ops went through a fixed
-    /// coordinator that forwarded to the leader. Kept as the
-    /// `route_bench --via-coordinator` A/B baseline.
-    via_seed: bool,
     next_sub_at: u64,
     window: usize,
     op_timeout_ms: u64,
@@ -178,7 +172,6 @@ impl KvClient {
             view: None,
             seeds,
             seed_cursor: 0,
-            via_seed: false,
             next_sub_at: 0,
             window: window.max(1),
             op_timeout_ms,
@@ -197,15 +190,6 @@ impl KvClient {
     /// Enables or disables per-destination wire batching (on by default).
     pub fn with_batching(mut self, enabled: bool) -> KvClient {
         self.outbox = Outbox::new(enabled);
-        self
-    }
-
-    /// Routes every op via the seed list instead of the placement
-    /// leader, and stops subscribing to views: the legacy
-    /// via-coordinator architecture (every op pays a forwarding hop),
-    /// kept as an A/B baseline for the zero-hop path.
-    pub fn with_via_seed(mut self, enabled: bool) -> KvClient {
-        self.via_seed = enabled;
         self
     }
 
@@ -432,7 +416,7 @@ impl KvClient {
     /// due backoffs, and fills the in-flight window from the queue.
     pub fn on_tick(&mut self, now: u64, out: &mut Vec<KvOut>) {
         self.now = self.now.max(now);
-        if !self.via_seed && !self.seeds.is_empty() && now >= self.next_sub_at {
+        if !self.seeds.is_empty() && now >= self.next_sub_at {
             let seed = self.seeds[self.seed_cursor % self.seeds.len()];
             self.seed_cursor += 1;
             self.send(seed, KvMsg::Sub);
@@ -483,11 +467,7 @@ impl KvClient {
     /// the partition's replica set — any replica coordinator-forwards,
     /// which is the stale-view fallback.
     fn pump(&mut self, _out: &mut Vec<KvOut>) {
-        if self.via_seed {
-            if self.seeds.is_empty() {
-                return; // Misconfigured legacy client: nowhere to route.
-            }
-        } else if self.view.is_none() {
+        if self.view.is_none() {
             return; // Nothing to route with until the first view push.
         }
         while self.inflight < self.window {
@@ -500,19 +480,15 @@ impl KvClient {
             if op.phase != OpPhase::Queued {
                 continue;
             }
-            let target = if self.via_seed {
-                self.seeds[op.attempts as usize % self.seeds.len()]
+            let partition = partition_of(&op.key, self.spec.partitions);
+            let (cfg, pl) = self.view.as_ref().expect("checked above");
+            let replicas = pl.replicas(partition);
+            let target_rank = if op.attempts == 0 || replicas.is_empty() {
+                pl.leader(partition)
             } else {
-                let partition = partition_of(&op.key, self.spec.partitions);
-                let (cfg, pl) = self.view.as_ref().expect("checked above");
-                let replicas = pl.replicas(partition);
-                let target_rank = if op.attempts == 0 || replicas.is_empty() {
-                    pl.leader(partition)
-                } else {
-                    replicas[op.attempts as usize % replicas.len()]
-                };
-                cfg.members()[target_rank as usize].addr
+                replicas[op.attempts as usize % replicas.len()]
             };
+            let target = cfg.members()[target_rank as usize].addr;
             let msg = match &op.val {
                 Some(val) => KvMsg::CPut {
                     req,
@@ -631,44 +607,6 @@ mod tests {
         assert_eq!(wire[0].0, leader, "attempt 0 must hit the leader");
         assert!(matches!(&wire[0].1, KvMsg::CPut { req: r, .. } if *r == req));
         assert_eq!(c.stats().views_adopted, 1);
-    }
-
-    #[test]
-    fn via_seed_clients_skip_views_and_pin_ops_to_the_first_seed() {
-        let (_, eps) = cluster(5);
-        let mut c = new_client(eps.clone(), 8).with_via_seed(true);
-        let mut out = Vec::new();
-        c.on_tick(0, &mut out);
-        assert!(
-            sends(&out).is_empty(),
-            "legacy clients never subscribe: {out:?}"
-        );
-        // No view needed: the op goes straight to the first seed (the
-        // fixed coordinator), which forwards server-side.
-        let mut out = Vec::new();
-        let req = c.submit(ClientOp::Put { key: "k", val: "v" }, 10, &mut out);
-        let wire = sends(&out);
-        assert_eq!(wire.len(), 1, "{wire:?}");
-        assert_eq!(wire[0].0, eps[0], "attempt 0 targets seed 0");
-        assert!(matches!(&wire[0].1, KvMsg::CPut { req: r, .. } if *r == req));
-        // A retryable verdict rotates to the next seed.
-        let mut out = Vec::new();
-        c.on_message(
-            eps[0],
-            KvMsg::CResp {
-                req,
-                code: CRESP_FAILED,
-                val: String::new(),
-                version: 0,
-            },
-            20,
-            &mut out,
-        );
-        let mut out = Vec::new();
-        c.on_tick(2_000, &mut out);
-        let retry = sends(&out);
-        assert_eq!(retry.len(), 1, "{retry:?}");
-        assert_eq!(retry[0].0, eps[1], "retries rotate through the seeds");
     }
 
     #[test]

@@ -7,19 +7,26 @@
 //! data plane is the same state machine the simulator runs — only the
 //! clock and the wires differ.
 //!
-//! With `Settings::kv_shards == 1` (the default) a single worker thread
-//! hosts one [`KvNode`] — the sans-io oracle path, bit-identical to the
-//! pre-sharding runtime. With `kv_shards = W > 1` the data plane runs
-//! thread-per-core: `W` shard threads each own a [`KvNode`] restricted
-//! (via [`KvNode::with_shard`]) to the partitions
-//! [`shard_of`](crate::placement::shard_of) assigns them, while the
-//! membership plane stays on one worker that fans every view adoption
-//! out to all shards over sequenced FIFO channels and splits inbound
-//! frames with [`kv::shard_route`]. Shards share no mutable state; each
-//! sends through its own clone of the transport's
+//! Every process has one shape. A *membership pump* owns the transport:
+//! it fans each view adoption out to all shards over their FIFO input
+//! channels, splits inbound frames by owning shard with
+//! [`kv::shard_route`], and merges the shards' published snapshots into
+//! the process-level state the accessors read. Behind it run
+//! `Settings::kv_shards = W` shard threads, each hosting a [`KvNode`]
+//! restricted (via [`KvNode::with_shard`]) to the partitions
+//! [`shard_of`](crate::placement::shard_of) assigns it; `W = 1` (the
+//! default) is simply one shard that owns every partition. Shards share
+//! no mutable state; each sends through its own clone of the transport's
 //! [`AppSender`](rapid_transport::AppSender), which feeds the per-peer
 //! writer threads.
+//!
+//! A shard and a [`KvClientRuntime`] are the same host loop, [`pump`],
+//! around a different sans-io core ([`KvNode`], [`KvClient`]): wait for
+//! input until the next timer is due, take the queued client ops plus
+//! one wire input, submit the ops as one burst, tick, publish, encode
+//! and dispatch.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -39,17 +46,32 @@ use crate::client::{ClientStats, KvClient};
 use crate::kv::{self, ClientOp, KvMsg, KvNode, KvOut, KvOutcome, KvStats, PartitionDigest};
 use crate::placement::{partition_of, shard_of, PlacementConfig};
 
-/// A client operation submitted to the worker.
-enum RealOp {
-    Put {
-        key: String,
-        val: String,
-        reply: Sender<KvOutcome>,
-    },
-    Get {
-        key: String,
-        reply: Sender<KvOutcome>,
-    },
+/// Slots in a host pump's input channel.
+const CHAN_CAP: usize = 16 * 1024;
+
+/// Host timer cadence: the cores' `on_tick`, the shards' snapshot
+/// publication and the membership pump's merge.
+const TICK: Duration = Duration::from_millis(20);
+
+/// A client operation submitted to a host pump: a put when `val` is
+/// present, a get otherwise.
+struct RealOp {
+    key: String,
+    val: Option<String>,
+    reply: Sender<KvOutcome>,
+}
+
+impl RealOp {
+    /// The op plus the channel its outcome arrives on.
+    fn new(key: &str, val: Option<&str>) -> (RealOp, Receiver<KvOutcome>) {
+        let (reply, rx) = bounded(1);
+        let op = RealOp {
+            key: key.to_string(),
+            val: val.map(str::to_string),
+            reply,
+        };
+        (op, rx)
+    }
 }
 
 enum RealCtl {
@@ -58,8 +80,7 @@ enum RealCtl {
 }
 
 /// One per-shard observability sample, taken on the `obs_sample_ms`
-/// cadence by the membership worker (or the single worker when
-/// `kv_shards == 1`).
+/// cadence by the membership pump.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardPoint {
     /// Sample time on the process wall clock (ms since start).
@@ -70,99 +91,256 @@ pub struct ShardPoint {
     pub ops: u64,
 }
 
-/// Input to a shard thread. Views are broadcast by the membership
-/// worker with a monotone sequence number; the FIFO channel guarantees
-/// every shard adopts them in the same order, so all shards recompute
-/// the identical placement.
-enum ShardIn {
-    View(u64, Arc<Configuration>),
+/// Input to a host pump. A shard has one FIFO channel of these, fed by
+/// the membership pump (views, frames, the latency signal, stop) and by
+/// [`KvRuntime::begin_put`]/[`KvRuntime::begin_get`] (ops), so it
+/// sleeps on a single receive and wakes for whichever comes first. The
+/// FIFO order also guarantees every shard adopts views in the same
+/// order, so all shards recompute the identical placement.
+enum PumpIn {
+    View(Arc<Configuration>),
+    /// An app frame as it came off the wire; the pump decodes it.
+    Frame(Endpoint, Vec<u8>),
+    /// The part of a decoded frame that [`kv::shard_route`] assigned to
+    /// this shard.
     Msg(Endpoint, KvMsg),
     /// The merged interval quantiles, fed back as the admission
-    /// controller's latency signal (mirrors the unsharded sweep).
+    /// controller's latency signal (the simulator's metrics sweep does
+    /// the same).
     NoteInterval(u64, u64),
+    Op(RealOp),
     Stop,
 }
 
-/// Snapshot a shard thread publishes for the membership worker to merge.
-#[derive(Clone)]
-struct ShardPub {
-    stats: KvStats,
-    inbox_depth: usize,
-    client_conns: usize,
-    digests: Vec<(u32, PartitionDigest, bool)>,
-    op_hist: LatencyHist,
+/// What [`pump`] needs of a sans-io core.
+trait Core {
+    fn on_message(&mut self, from: Endpoint, msg: KvMsg, now: u64, out: &mut Vec<KvOut>);
+    /// Submits a burst through one outbox flush; one request id per op.
+    fn submit(&mut self, ops: &[ClientOp<'_>], now: u64, out: &mut Vec<KvOut>) -> Vec<u64>;
+    fn on_tick(&mut self, now: u64, out: &mut Vec<KvOut>);
+    /// Membership-fed inputs. Only a [`KvNode`] is sent them: a client
+    /// learns views from the wire and has no admission controller.
+    fn on_view(&mut self, _config: Arc<Configuration>, _now: u64, _out: &mut Vec<KvOut>) {}
+    fn note_interval(&mut self, _p50_ms: u64, _p99_ms: u64) {}
 }
 
-impl ShardPub {
-    fn new() -> ShardPub {
-        ShardPub {
-            stats: KvStats::default(),
-            inbox_depth: 0,
-            client_conns: 0,
-            digests: Vec::new(),
-            op_hist: LatencyHist::new(),
+impl Core for KvNode {
+    fn on_message(&mut self, from: Endpoint, msg: KvMsg, now: u64, out: &mut Vec<KvOut>) {
+        KvNode::on_message(self, from, msg, now, out)
+    }
+    fn submit(&mut self, ops: &[ClientOp<'_>], now: u64, out: &mut Vec<KvOut>) -> Vec<u64> {
+        self.client_ops(ops, now, out)
+    }
+    fn on_tick(&mut self, now: u64, out: &mut Vec<KvOut>) {
+        KvNode::on_tick(self, now, out)
+    }
+    fn on_view(&mut self, config: Arc<Configuration>, now: u64, out: &mut Vec<KvOut>) {
+        KvNode::on_view(self, config, now, out)
+    }
+    fn note_interval(&mut self, p50_ms: u64, p99_ms: u64) {
+        KvNode::note_interval(self, p50_ms, p99_ms)
+    }
+}
+
+impl Core for KvClient {
+    fn on_message(&mut self, from: Endpoint, msg: KvMsg, now: u64, out: &mut Vec<KvOut>) {
+        KvClient::on_message(self, from, msg, now, out)
+    }
+    fn submit(&mut self, ops: &[ClientOp<'_>], now: u64, out: &mut Vec<KvOut>) -> Vec<u64> {
+        self.submit_ops(ops, now, out)
+    }
+    fn on_tick(&mut self, now: u64, out: &mut Vec<KvOut>) {
+        KvClient::on_tick(self, now, out)
+    }
+}
+
+/// The one host loop: drives `core` until [`PumpIn::Stop`].
+///
+/// `next(budget)` blocks up to `budget` for an input (`None` on
+/// timeout); `send` queues an encoded frame on the transport;
+/// `publish(core, ticked)` runs every pass, after the timers and before
+/// any outcome is delivered, so whoever receives an outcome already
+/// finds it in the published counters.
+fn pump<C: Core>(
+    mut core: C,
+    mut next: impl FnMut(Duration) -> Option<PumpIn>,
+    send: impl Fn(Endpoint, Vec<u8>),
+    mut publish: impl FnMut(&C, bool),
+) {
+    let mut out: Vec<KvOut> = Vec::new();
+    let mut replies: DetHashMap<u64, Sender<KvOutcome>> = DetHashMap::default();
+    let mut burst: Vec<RealOp> = Vec::new();
+    // The core's clock: ms since this pump started.
+    let start = Instant::now();
+    let mut next_tick = start;
+    loop {
+        // Sleep until an input arrives or the tick is due. A pass takes
+        // the queued client ops (at most a channel's worth, so a flood
+        // cannot starve the timers) and one wire input: its outputs leave
+        // before the next is handled, so peers are not fed in waves.
+        let first = next(next_tick.saturating_duration_since(Instant::now()));
+        // Read the clock after the wait: inputs are stamped with when
+        // they are handled, not with when the pump went to sleep.
+        let now = start.elapsed().as_millis() as u64;
+        let rest = std::iter::from_fn(|| next(Duration::ZERO));
+        for input in first.into_iter().chain(rest).take(CHAN_CAP) {
+            match input {
+                PumpIn::Op(op) => {
+                    burst.push(op);
+                    continue;
+                }
+                PumpIn::View(config) => core.on_view(config, now, &mut out),
+                // Corrupt peer payloads are dropped, like the transport does.
+                PumpIn::Frame(from, bytes) => {
+                    if let Ok(msg) = kv::decode(&bytes) {
+                        core.on_message(from, msg, now, &mut out);
+                    }
+                }
+                PumpIn::Msg(from, msg) => core.on_message(from, msg, now, &mut out),
+                PumpIn::NoteInterval(p50, p99) => core.note_interval(p50, p99),
+                PumpIn::Stop => return,
+            }
+            break;
+        }
+        // Client submissions go in as one burst through a single outbox
+        // flush: ops sharing a leader leave in one app frame.
+        if !burst.is_empty() {
+            let ops: Vec<ClientOp<'_>> = burst
+                .iter()
+                .map(|op| match &op.val {
+                    Some(val) => ClientOp::Put { key: &op.key, val },
+                    None => ClientOp::Get { key: &op.key },
+                })
+                .collect();
+            let reqs = core.submit(&ops, now, &mut out);
+            for (req, op) in reqs.into_iter().zip(burst.drain(..)) {
+                replies.insert(req, op.reply);
+            }
+        }
+        let ticked = Instant::now() >= next_tick;
+        if ticked {
+            core.on_tick(now, &mut out);
+        }
+        publish(&core, ticked);
+        if ticked {
+            // Due `TICK` after this tick's work ended: a shard's publish
+            // hashes the whole store, which must not grow into the core.
+            next_tick = Instant::now() + TICK;
+        }
+        for item in out.drain(..) {
+            match item {
+                KvOut::Send(to, msg) => {
+                    let mut frame = Vec::with_capacity(kv::encoded_len(&msg));
+                    kv::encode(&msg, &mut frame);
+                    send(to, frame);
+                }
+                KvOut::Done(req, outcome) => {
+                    if let Some(reply) = replies.remove(&req) {
+                        let _ = reply.try_send(outcome);
+                    }
+                }
+            }
         }
     }
 }
 
-/// A running shard thread: its input channel and join handle.
-struct Shard {
-    tx: Sender<ShardIn>,
-    handle: JoinHandle<()>,
-}
-
-fn stop_shards(shards: &mut Vec<Shard>) {
-    for s in shards.iter() {
-        let _ = s.tx.send(ShardIn::Stop);
-    }
-    for s in shards.drain(..) {
-        let _ = s.handle.join();
-    }
-}
-
-/// Worker-published view of the node, for the scenario driver's polls.
-#[derive(Clone, Debug)]
-struct Mirror {
-    status: NodeStatus,
-    view_len: usize,
-    view_count: u64,
+/// A data-plane snapshot: what a shard publishes on its tick, and —
+/// merged over the shards by the membership pump — what the process
+/// reports.
+#[derive(Clone, Debug, Default)]
+struct KvSnapshot {
     stats: KvStats,
-    /// Remote client ops currently pending on this coordinator (the
-    /// admission-controlled inbox).
+    /// Remote client ops currently pending in the admission-controlled
+    /// inbox.
     inbox_depth: usize,
     /// Subscribed smart clients.
     client_conns: usize,
-    /// Inbound frames dropped by the transport's per-peer quota.
-    quota_dropped: u64,
     /// `(partition, digest, settled)` for every replicated partition —
     /// the scenario driver's `kv_converged` sweep compares these across
     /// processes.
     digests: Vec<(u32, PartitionDigest, bool)>,
     /// Coordinator-side latency histogram of successful client ops, on
-    /// the worker's wall clock (ms). Refreshed on the digest cadence.
+    /// the process wall clock (ms).
     op_hist: LatencyHist,
+}
+
+/// A running shard thread: its input channel, published snapshot and
+/// join handle.
+struct Shard {
+    tx: Sender<PumpIn>,
+    slot: Arc<Mutex<KvSnapshot>>,
+    handle: JoinHandle<()>,
+}
+
+/// A data-plane shard: [`pump`] around one partition-filtered [`KvNode`],
+/// fed from its input channel, sending through its own transport handle.
+fn shard_pump(kv: KvNode, rx: Receiver<PumpIn>, sender: AppSender, slot: Arc<Mutex<KvSnapshot>>) {
+    pump(
+        kv,
+        |budget| match rx.recv_timeout(budget) {
+            Ok(input) => Some(input),
+            Err(RecvTimeoutError::Timeout) => None,
+            Err(RecvTimeoutError::Disconnected) => Some(PumpIn::Stop),
+        },
+        |to, frame| sender.send_app(to, frame),
+        |kv, ticked| {
+            // On the tick cadence only: hashing the whole store is too
+            // heavy for every pass, and the merge reads no faster.
+            if ticked {
+                let snapshot = KvSnapshot {
+                    stats: *kv.stats(),
+                    inbox_depth: kv.inbox_depth(),
+                    client_conns: kv.client_conns(),
+                    digests: kv.digest_snapshot(),
+                    op_hist: kv.op_hist().clone(),
+                };
+                *slot.lock() = snapshot;
+            }
+        },
+    );
+}
+
+/// Pump-published view of the node, for the scenario driver's polls.
+#[derive(Clone, Debug)]
+struct Mirror {
+    status: NodeStatus,
+    view_len: usize,
+    view_count: u64,
+    /// The shards' snapshots merged (digests in partition order),
+    /// refreshed on the merge cadence.
+    kv: KvSnapshot,
+    /// Inbound frames dropped by the transport's per-peer quota.
+    quota_dropped: u64,
     /// Sampled metrics timeline (interval deltas on the wall clock),
     /// republished in full on every sweep. Empty when `obs_sample_ms`
     /// is 0.
     timeline: Vec<TimelinePoint>,
     /// Sweeps lost to the bounded timeline ring wrapping.
     timeline_dropped: u64,
-    /// Latest per-shard admission-inbox depths (one entry per shard;
-    /// a single entry on the unsharded path).
-    shard_depths: Vec<u64>,
-    /// Latest per-shard cumulative successful-op counts.
-    shard_ops: Vec<u64>,
+    /// Latest `(admission-inbox depth, cumulative successful ops)` per
+    /// shard.
+    per_shard: Vec<(u64, u64)>,
     /// Per-shard sampled series on the timeline cadence, oldest first.
-    shard_series: Vec<Vec<ShardPoint>>,
+    shard_series: Vec<VecDeque<ShardPoint>>,
+}
+
+impl Mirror {
+    /// Membership changes are published as they are handled, not on the
+    /// merge cadence: callers poll `view_len()` to learn a cluster formed.
+    fn publish_membership(&mut self, rt: &Runtime, view_count: u64) {
+        self.status = rt.status();
+        self.view_len = rt.view().len();
+        self.view_count = view_count;
+    }
 }
 
 /// A real process running membership + the KV data plane.
 pub struct KvRuntime {
     addr: Endpoint,
-    /// One submission channel per data-plane shard; ops route by
-    /// `shard_of(partition_of(key))`, so the shard that allocates a
-    /// request id is the shard that completes it.
-    ops_txs: Vec<Sender<RealOp>>,
+    /// One sender per data-plane shard, a clone of the shard's input
+    /// channel; ops route by `shard_of(partition_of(key))`, so the shard
+    /// that allocates a request id is the shard that completes it.
+    ops_txs: Vec<Sender<PumpIn>>,
     partitions: u32,
     ctl_tx: Sender<RealCtl>,
     mirror: Arc<Mutex<Mirror>>,
@@ -180,15 +358,15 @@ impl KvRuntime {
         op_timeout_ms: u64,
         repair_interval_ms: u64,
     ) -> std::io::Result<KvRuntime> {
-        let batch_wire = settings.batch_wire;
-        let obs_ring = settings.obs_ring;
-        let obs_sample_ms = settings.obs_sample_ms;
-        let admission = (settings.kv_inbox, settings.kv_shed_p99_ms);
-        let shards = Self::check_shards(settings.kv_shards, route)?;
-        let rt = Runtime::start_seed(listen, settings)?;
+        Self::check_shards(&settings, route)?;
+        let rt = Runtime::start_seed(listen, settings.clone())?;
         Ok(Self::wrap(
-            rt, route, op_timeout_ms, repair_interval_ms, false, batch_wire, obs_ring,
-            obs_sample_ms, admission, shards,
+            rt,
+            &settings,
+            route,
+            op_timeout_ms,
+            repair_interval_ms,
+            false,
         ))
     }
 
@@ -202,49 +380,44 @@ impl KvRuntime {
         op_timeout_ms: u64,
         repair_interval_ms: u64,
     ) -> std::io::Result<KvRuntime> {
-        let batch_wire = settings.batch_wire;
-        let obs_ring = settings.obs_ring;
-        let obs_sample_ms = settings.obs_sample_ms;
-        let admission = (settings.kv_inbox, settings.kv_shed_p99_ms);
-        let shards = Self::check_shards(settings.kv_shards, route)?;
-        let rt = Runtime::start_joiner(listen, seeds, settings, metadata)?;
+        Self::check_shards(&settings, route)?;
+        let rt = Runtime::start_joiner(listen, seeds, settings.clone(), metadata)?;
         Ok(Self::wrap(
-            rt, route, op_timeout_ms, repair_interval_ms, true, batch_wire, obs_ring,
-            obs_sample_ms, admission, shards,
+            rt,
+            &settings,
+            route,
+            op_timeout_ms,
+            repair_interval_ms,
+            true,
         ))
     }
 
     /// A shard with no partitions could never serve an op, so more
     /// shards than partitions is a configuration error, caught before
     /// any socket is bound.
-    fn check_shards(kv_shards: usize, route: PlacementConfig) -> std::io::Result<usize> {
-        let shards = kv_shards.max(1);
-        if shards > route.partitions as usize {
+    fn check_shards(settings: &Settings, route: PlacementConfig) -> std::io::Result<()> {
+        if settings.kv_shards > route.partitions as usize {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
                 format!(
-                    "kv_shards = {shards} exceeds the {} KV partitions; every shard must \
+                    "kv_shards = {} exceeds the {} KV partitions; every shard must \
                      own at least one partition (lower kv_shards or raise partitions)",
-                    route.partitions
+                    settings.kv_shards, route.partitions
                 ),
             ));
         }
-        Ok(shards)
+        Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn wrap(
         mut rt: Runtime,
+        settings: &Settings,
         route: PlacementConfig,
         op_timeout_ms: u64,
         repair_interval_ms: u64,
         joiner: bool,
-        batch_wire: bool,
-        obs_ring: usize,
-        obs_sample_ms: u64,
-        admission: (usize, u64),
-        shards: usize,
     ) -> KvRuntime {
+        let w = settings.kv_shards.max(1);
         let addr = *rt.addr();
         let me: Member = rt.member().clone();
         let (ctl_tx, ctl_rx) = bounded::<RealCtl>(16);
@@ -252,17 +425,12 @@ impl KvRuntime {
             status: rt.status(),
             view_len: rt.view().len(),
             view_count: 0,
-            stats: KvStats::default(),
-            inbox_depth: 0,
-            client_conns: 0,
+            kv: KvSnapshot::default(),
             quota_dropped: 0,
-            digests: Vec::new(),
-            op_hist: LatencyHist::new(),
             timeline: Vec::new(),
             timeline_dropped: 0,
-            shard_depths: vec![0; shards],
-            shard_ops: vec![0; shards],
-            shard_series: vec![Vec::new(); shards],
+            per_shard: vec![(0, 0); w],
+            shard_series: vec![VecDeque::new(); w],
         }));
         // Opt-in live introspection: with `RAPID_INTROSPECT=1` the
         // transport serves a one-line JSON status on a loopback side
@@ -274,92 +442,65 @@ impl KvRuntime {
             rt.serve_introspection(move |line| {
                 let m = probe_mirror.lock();
                 let (p50, p99) = (
-                    m.op_hist.quantile_ppm(500_000),
-                    m.op_hist.quantile_ppm(990_000),
+                    m.kv.op_hist.quantile_ppm(500_000),
+                    m.kv.op_hist.quantile_ppm(990_000),
                 );
-                let join = |v: &[u64]| {
-                    v.iter()
-                        .map(|x| x.to_string())
-                        .collect::<Vec<_>>()
-                        .join(",")
+                let join = |pick: fn(&(u64, u64)) -> u64| {
+                    let picked: Vec<String> =
+                        m.per_shard.iter().map(|s| pick(s).to_string()).collect();
+                    picked.join(",")
                 };
                 line.push_str(&format!(
                     ",\"puts_acked\":{},\"gets_ok\":{},\"bytes_moved\":{},\"repair_bytes\":{},\"op_p50_ms\":{},\"op_p99_ms\":{},\"inbox_depth\":{},\"shed_ops\":{},\"client_conns\":{},\"quota_dropped\":{},\"shards\":{},\"shard_depth\":[{}],\"shard_ops\":[{}]",
-                    m.stats.puts_acked, m.stats.gets_ok, m.stats.bytes_moved,
-                    m.stats.repair_bytes, p50, p99,
-                    m.inbox_depth, m.stats.ops_shed, m.client_conns, m.quota_dropped,
-                    m.shard_depths.len(), join(&m.shard_depths), join(&m.shard_ops),
+                    m.kv.stats.puts_acked, m.kv.stats.gets_ok, m.kv.stats.bytes_moved,
+                    m.kv.stats.repair_bytes, p50, p99,
+                    m.kv.inbox_depth, m.kv.stats.ops_shed, m.kv.client_conns, m.quota_dropped,
+                    m.per_shard.len(), join(|s| s.0), join(|s| s.1),
                 ));
             })
             .ok()
         } else {
             None
         };
-        let worker_mirror = Arc::clone(&mirror);
-        let build_kv = |index: usize| {
-            let mut kv = KvNode::new(me.clone(), route, op_timeout_ms, None)
-                .with_shard(index, shards)
-                .with_repair_interval(repair_interval_ms)
-                .with_batching(batch_wire)
-                .with_obs(obs_ring)
-                // Split the admission budget so the process-level bound
-                // stays put (exact on the unsharded path).
-                .with_admission(admission.0.div_ceil(shards), admission.1);
-            if joiner {
-                kv = kv.expect_initial_handoffs();
-            }
-            kv
-        };
-        let (ops_txs, handle) = if shards == 1 {
-            // Single-threaded oracle path: one worker drives membership
-            // and the data plane, exactly as before sharding existed.
-            let kv = build_kv(0);
-            let (ops_tx, ops_rx) = bounded::<RealOp>(16 * 1024);
-            let handle = std::thread::spawn(move || {
-                worker(rt, kv, ops_rx, ctl_rx, worker_mirror, obs_sample_ms);
-            });
-            (vec![ops_tx], handle)
-        } else {
-            // Thread-per-core path: W shard threads own the data plane;
-            // the membership worker owns the transport event stream and
-            // fans views/frames out to them.
-            let start = Instant::now();
-            let mut ops_txs = Vec::with_capacity(shards);
-            let mut shard_handles = Vec::with_capacity(shards);
-            let mut pubs = Vec::with_capacity(shards);
-            for i in 0..shards {
-                let kv = build_kv(i);
-                let (ops_tx, ops_rx) = bounded::<RealOp>(16 * 1024);
-                let (in_tx, in_rx) = bounded::<ShardIn>(16 * 1024);
-                let slot = Arc::new(Mutex::new(ShardPub::new()));
-                let sender = rt.app_sender();
-                let shard_slot = Arc::clone(&slot);
-                let handle = std::thread::spawn(move || {
-                    shard_worker(kv, in_rx, ops_rx, sender, shard_slot, start);
-                });
-                ops_txs.push(ops_tx);
-                pubs.push(slot);
-                shard_handles.push(Shard { tx: in_tx, handle });
-            }
-            let partitions = route.partitions;
-            let handle = std::thread::spawn(move || {
-                membership_worker(
-                    rt,
-                    shard_handles,
-                    ctl_rx,
-                    worker_mirror,
-                    pubs,
-                    partitions,
-                    obs_sample_ms,
-                    start,
-                );
-            });
-            (ops_txs, handle)
-        };
+        // W shard threads own the data plane; the membership pump owns
+        // the transport event stream and fans views/frames out to them.
+        // A seed's one-member view is installed already: queue it ahead
+        // of any op, so every shard subscribes before it serves.
+        let initial = (rt.status() == NodeStatus::Active)
+            .then(|| ViewChange::initial(rt.view()).configuration);
+        let shards: Vec<Shard> = (0..w)
+            .map(|i| {
+                let mut kv = KvNode::new(me.clone(), route, op_timeout_ms, None)
+                    .with_shard(i, w)
+                    .with_repair_interval(repair_interval_ms)
+                    .with_batching(settings.batch_wire)
+                    .with_obs(settings.obs_ring)
+                    // Split the admission budget so the process-level
+                    // bound stays put (exact at W = 1).
+                    .with_admission(settings.kv_inbox.div_ceil(w), settings.kv_shed_p99_ms);
+                if joiner {
+                    kv = kv.expect_initial_handoffs();
+                }
+                let (tx, rx) = bounded::<PumpIn>(CHAN_CAP);
+                if let Some(config) = &initial {
+                    let _ = tx.send(PumpIn::View(Arc::clone(config)));
+                }
+                let slot = Arc::new(Mutex::new(KvSnapshot::default()));
+                let (sender, shard_slot) = (rt.app_sender(), Arc::clone(&slot));
+                let handle = std::thread::spawn(move || shard_pump(kv, rx, sender, shard_slot));
+                Shard { tx, slot, handle }
+            })
+            .collect();
+        let ops_txs = shards.iter().map(|s| s.tx.clone()).collect();
+        let pump_mirror = Arc::clone(&mirror);
+        let (partitions, obs_sample_ms) = (route.partitions, settings.obs_sample_ms);
+        let handle = std::thread::spawn(move || {
+            membership_pump(rt, shards, ctl_rx, pump_mirror, partitions, obs_sample_ms);
+        });
         KvRuntime {
             addr,
             ops_txs,
-            partitions: route.partitions,
+            partitions,
             ctl_tx,
             mirror,
             handle: Some(handle),
@@ -389,18 +530,18 @@ impl KvRuntime {
 
     /// Latest published data-plane counters.
     pub fn stats(&self) -> KvStats {
-        self.mirror.lock().stats
+        self.mirror.lock().kv.stats
     }
 
     /// Latest published admission-inbox depth (remote client ops pending
     /// on this coordinator).
     pub fn inbox_depth(&self) -> usize {
-        self.mirror.lock().inbox_depth
+        self.mirror.lock().kv.inbox_depth
     }
 
     /// Latest published subscribed-client count.
     pub fn client_conns(&self) -> usize {
-        self.mirror.lock().client_conns
+        self.mirror.lock().kv.client_conns
     }
 
     /// Latest published per-peer-quota drop count from the transport.
@@ -410,17 +551,17 @@ impl KvRuntime {
 
     /// Latest published successful-op latency histogram (wall-clock ms).
     pub fn op_hist(&self) -> LatencyHist {
-        self.mirror.lock().op_hist.clone()
+        self.mirror.lock().kv.op_hist.clone()
     }
 
     /// Latest published `(partition, digest, settled)` snapshot of every
     /// partition this process replicates.
     pub fn digest_snapshot(&self) -> Vec<(u32, PartitionDigest, bool)> {
-        self.mirror.lock().digests.clone()
+        self.mirror.lock().kv.digests.clone()
     }
 
     /// Latest published metrics timeline: one interval-delta point per
-    /// elapsed `obs_sample_ms` on the worker's wall clock, oldest first.
+    /// elapsed `obs_sample_ms` on the process wall clock, oldest first.
     /// Empty when sampling is disabled (`obs_sample_ms == 0`).
     pub fn timeline(&self) -> Vec<TimelinePoint> {
         self.mirror.lock().timeline.clone()
@@ -431,16 +572,15 @@ impl KvRuntime {
         self.mirror.lock().timeline_dropped
     }
 
-    /// Number of data-plane shard threads (`1` = the single-threaded
-    /// oracle path).
+    /// Number of data-plane shard threads.
     pub fn shards(&self) -> usize {
         self.ops_txs.len()
     }
 
     /// Latest published per-shard admission-inbox depths, one entry per
-    /// shard (a single entry on the unsharded path).
+    /// shard.
     pub fn shard_depths(&self) -> Vec<u64> {
-        self.mirror.lock().shard_depths.clone()
+        self.mirror.lock().per_shard.iter().map(|s| s.0).collect()
     }
 
     /// Latest published per-shard sampled series: one
@@ -448,7 +588,11 @@ impl KvRuntime {
     /// first, one series per shard. Rides the same cadence as
     /// [`Self::timeline`] but is never part of any report schema.
     pub fn shard_timeline(&self) -> Vec<Vec<ShardPoint>> {
-        self.mirror.lock().shard_series.clone()
+        let m = self.mirror.lock();
+        m.shard_series
+            .iter()
+            .map(|series| series.iter().copied().collect())
+            .collect()
     }
 
     /// The loopback introspection listener's address, when enabled via
@@ -457,46 +601,41 @@ impl KvRuntime {
         self.introspect_addr
     }
 
-    /// The shard that coordinates `key`: the same rendezvous function
-    /// placement uses, over the key's partition.
-    fn shard_for(&self, key: &str) -> usize {
-        shard_of(partition_of(key, self.partitions), self.ops_txs.len())
+    /// Hands an op to the shard that coordinates `key`: the same
+    /// rendezvous function placement uses, over the key's partition.
+    fn begin(&self, key: &str, val: Option<&str>) -> Receiver<KvOutcome> {
+        let shard = shard_of(partition_of(key, self.partitions), self.ops_txs.len());
+        let (op, rx) = RealOp::new(key, val);
+        let _ = self.ops_txs[shard].try_send(PumpIn::Op(op));
+        rx
     }
 
     /// Begins a write through this process; the outcome arrives on the
     /// returned channel (dropped channel = op abandoned).
     pub fn begin_put(&self, key: &str, val: &str) -> Receiver<KvOutcome> {
-        let (reply, rx) = bounded(1);
-        let _ = self.ops_txs[self.shard_for(key)].try_send(RealOp::Put {
-            key: key.to_string(),
-            val: val.to_string(),
-            reply,
-        });
-        rx
+        self.begin(key, Some(val))
     }
 
     /// Begins a read through this process.
     pub fn begin_get(&self, key: &str) -> Receiver<KvOutcome> {
-        let (reply, rx) = bounded(1);
-        let _ = self.ops_txs[self.shard_for(key)].try_send(RealOp::Get {
-            key: key.to_string(),
-            reply,
-        });
-        rx
+        self.begin(key, None)
     }
 
     /// Announces a voluntary departure and stops the process.
     pub fn leave(mut self) {
-        let _ = self.ctl_tx.send(RealCtl::Leave);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        self.stop(RealCtl::Leave);
     }
 
     /// Hard-stops the process (a crash, as far as the cluster knows).
     pub fn shutdown_now(mut self) {
-        let _ = self.ctl_tx.send(RealCtl::Shutdown);
+        self.stop(RealCtl::Shutdown);
+    }
+
+    /// Asks the membership pump to wind the process down and waits for
+    /// it; a no-op once it has stopped.
+    fn stop(&mut self, ctl: RealCtl) {
         if let Some(h) = self.handle.take() {
+            let _ = self.ctl_tx.send(ctl);
             let _ = h.join();
         }
     }
@@ -504,472 +643,177 @@ impl KvRuntime {
 
 impl Drop for KvRuntime {
     fn drop(&mut self) {
-        let _ = self.ctl_tx.try_send(RealCtl::Shutdown);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-fn worker(
-    rt: Runtime,
-    mut kv: KvNode,
-    ops_rx: Receiver<RealOp>,
-    ctl_rx: Receiver<RealCtl>,
-    mirror: Arc<Mutex<Mirror>>,
-    obs_sample_ms: u64,
-) {
-    let mut out: Vec<KvOut> = Vec::new();
-    let mut replies: DetHashMap<u64, Sender<KvOutcome>> = DetHashMap::default();
-    let start = Instant::now();
-    let mut view_count = 0u64;
-    let mut next_tick = Instant::now();
-    // Metrics timeline: the same delta sampler the simulator runs, on
-    // the wall clock. Disabled (capacity 0, no deadline checks beyond
-    // one branch) when `obs_sample_ms` is 0.
-    let mut timeline = if obs_sample_ms > 0 {
-        Timeline::new(DEFAULT_TIMELINE_CAP)
-    } else {
-        Timeline::new(0)
-    };
-    let mut cursor = TimelinePoint::default();
-    let mut prev_hist = LatencyHist::new();
-    let mut next_sample = Instant::now() + Duration::from_millis(obs_sample_ms.max(1));
-    // If the process starts as an active seed, its one-member view is
-    // already installed — subscribe the data plane immediately.
-    if rt.status() == NodeStatus::Active {
-        let now = 0;
-        kv.on_view(ViewChange::initial(rt.view()).configuration, now, &mut out);
-    }
-    loop {
-        match ctl_rx.try_recv() {
-            Ok(RealCtl::Leave) => {
-                rt.leave();
-                let mut m = mirror.lock();
-                m.status = NodeStatus::Left;
-                return;
-            }
-            Ok(RealCtl::Shutdown) => {
-                rt.shutdown_now();
-                return;
-            }
-            Err(_) => {}
-        }
-        let now = start.elapsed().as_millis() as u64;
-        // Membership + app events.
-        match rt.events().recv_timeout(Duration::from_millis(5)) {
-            Ok(AppEvent::View(vc)) => {
-                view_count += 1;
-                kv.on_view(vc.configuration, now, &mut out);
-            }
-            Ok(AppEvent::Joined(config)) => {
-                kv.on_view(config, now, &mut out);
-            }
-            Ok(AppEvent::App(from, bytes)) => {
-                // Corrupt peer payloads are dropped, like the transport does.
-                if let Ok(msg) = kv::decode(&bytes) {
-                    kv.on_message(from, msg, now, &mut out);
-                }
-            }
-            Ok(AppEvent::Kicked) | Err(_) => {}
-        }
-        // Client submissions, drained as one burst and submitted through
-        // a single outbox flush: ops sharing a leader leave in one app
-        // frame.
-        let mut burst: Vec<RealOp> = Vec::new();
-        while let Ok(op) = ops_rx.try_recv() {
-            burst.push(op);
-        }
-        if !burst.is_empty() {
-            let client_ops: Vec<ClientOp<'_>> = burst
-                .iter()
-                .map(|op| match op {
-                    RealOp::Put { key, val, .. } => ClientOp::Put { key, val },
-                    RealOp::Get { key, .. } => ClientOp::Get { key },
-                })
-                .collect();
-            let reqs = kv.client_ops(&client_ops, now, &mut out);
-            for (req, op) in reqs.into_iter().zip(burst) {
-                let reply = match op {
-                    RealOp::Put { reply, .. } | RealOp::Get { reply, .. } => reply,
-                };
-                replies.insert(req, reply);
-            }
-        }
-        // Timers. The digest snapshot is refreshed here rather than on
-        // every (5 ms) loop pass: hashing the whole store is too heavy
-        // for the idle path, and the converged sweep polls no faster
-        // than this anyway.
-        let mut fresh_digests = None;
-        if Instant::now() >= next_tick {
-            kv.on_tick(now, &mut out);
-            next_tick = Instant::now() + Duration::from_millis(20);
-            fresh_digests = Some(kv.digest_snapshot());
-        }
-        // Dispatch.
-        for item in out.drain(..) {
-            match item {
-                KvOut::Send(to, msg) => {
-                    let mut buf = Vec::with_capacity(kv::encoded_len(&msg));
-                    kv::encode(&msg, &mut buf);
-                    rt.send_app(to, buf);
-                }
-                KvOut::Done(req, outcome) => {
-                    if let Some(reply) = replies.remove(&req) {
-                        let _ = reply.try_send(outcome);
-                    }
-                }
-            }
-        }
-        // Metrics sweep: record the deltas since the previous sweep.
-        // Membership wire counters live on the transport's driver
-        // thread, so the real-driver timeline carries the data plane
-        // (ops, handoff/repair bytes, view changes) — the simulator
-        // fills the network columns.
-        let mut fresh_timeline = false;
-        let mut fresh_shard_point = None;
-        if timeline.enabled() && Instant::now() >= next_sample {
-            let s = *kv.stats();
-            let ops = s.puts_acked + s.gets_ok;
-            let (_, p50, p99) = kv.op_hist().interval_quantiles(&prev_hist);
-            // Feed the admission controller its latency signal, same as
-            // the simulator's metrics sweep.
-            kv.note_interval(p50, p99);
-            let t_ms = start.elapsed().as_millis() as u64;
-            fresh_shard_point = Some(ShardPoint {
-                t_ms,
-                depth: kv.inbox_depth() as u64,
-                ops: ops - cursor.ops,
-            });
-            timeline.push(TimelinePoint {
-                t_ms,
-                msgs: 0,
-                bytes: 0,
-                alerts: 0,
-                view_changes: view_count - cursor.view_changes,
-                ops: ops - cursor.ops,
-                handoff_bytes: s.bytes_moved - cursor.handoff_bytes,
-                repair_bytes: s.repair_bytes - cursor.repair_bytes,
-                p50_ms: p50,
-                p99_ms: p99,
-            });
-            cursor = TimelinePoint {
-                t_ms,
-                msgs: 0,
-                bytes: 0,
-                alerts: 0,
-                view_changes: view_count,
-                ops,
-                handoff_bytes: s.bytes_moved,
-                repair_bytes: s.repair_bytes,
-                p50_ms: 0,
-                p99_ms: 0,
-            };
-            prev_hist = kv.op_hist().clone();
-            next_sample += Duration::from_millis(obs_sample_ms);
-            fresh_timeline = true;
-        }
-        // Publish.
-        {
-            let mut m = mirror.lock();
-            m.status = rt.status();
-            m.view_len = rt.view().len();
-            m.view_count = view_count;
-            m.stats = *kv.stats();
-            m.inbox_depth = kv.inbox_depth();
-            m.client_conns = kv.client_conns();
-            m.quota_dropped = rt.quota_dropped();
-            m.shard_depths[0] = m.inbox_depth as u64;
-            m.shard_ops[0] = m.stats.puts_acked + m.stats.gets_ok;
-            if let Some(d) = fresh_digests {
-                m.digests = d;
-                m.op_hist = kv.op_hist().clone();
-            }
-            if fresh_timeline {
-                m.timeline = timeline.iter_in_order().copied().collect();
-                m.timeline_dropped = timeline.dropped();
-            }
-            if let Some(pt) = fresh_shard_point {
-                push_shard_point(&mut m.shard_series[0], pt);
-            }
-        }
+        self.stop(RealCtl::Shutdown);
     }
 }
 
 /// Appends a shard sample, bounding the series like the timeline ring.
-fn push_shard_point(series: &mut Vec<ShardPoint>, pt: ShardPoint) {
+fn push_shard_point(series: &mut VecDeque<ShardPoint>, pt: ShardPoint) {
     if series.len() >= DEFAULT_TIMELINE_CAP {
-        series.remove(0);
+        series.pop_front();
     }
-    series.push(pt);
+    series.push_back(pt);
 }
 
-/// A data-plane shard thread: drives one partition-filtered [`KvNode`]
-/// from its sequenced input channel, submits local client ops, ticks
-/// timers, and sends outbound frames through its own transport handle.
-/// Mirrors the unsharded `worker` loop minus the membership plumbing.
-fn shard_worker(
-    mut kv: KvNode,
-    in_rx: Receiver<ShardIn>,
-    ops_rx: Receiver<RealOp>,
-    sender: AppSender,
-    slot: Arc<Mutex<ShardPub>>,
-    start: Instant,
-) {
-    let mut out: Vec<KvOut> = Vec::new();
-    let mut replies: DetHashMap<u64, Sender<KvOutcome>> = DetHashMap::default();
-    let mut next_tick = Instant::now();
-    loop {
-        let now = start.elapsed().as_millis() as u64;
-        match in_rx.recv_timeout(Duration::from_millis(5)) {
-            Ok(ShardIn::View(_seq, cfg)) => kv.on_view(cfg, now, &mut out),
-            Ok(ShardIn::Msg(from, msg)) => kv.on_message(from, msg, now, &mut out),
-            Ok(ShardIn::NoteInterval(p50, p99)) => kv.note_interval(p50, p99),
-            Ok(ShardIn::Stop) | Err(RecvTimeoutError::Disconnected) => return,
-            Err(RecvTimeoutError::Timeout) => {}
-        }
-        // Drain queued inputs before sleeping again: view fanout and
-        // routed frames arrive in bursts.
-        while let Ok(input) = in_rx.try_recv() {
-            match input {
-                ShardIn::View(_seq, cfg) => kv.on_view(cfg, now, &mut out),
-                ShardIn::Msg(from, msg) => kv.on_message(from, msg, now, &mut out),
-                ShardIn::NoteInterval(p50, p99) => kv.note_interval(p50, p99),
-                ShardIn::Stop => return,
-            }
-        }
-        // Client submissions, one outbox-coalesced burst per pass.
-        let mut burst: Vec<RealOp> = Vec::new();
-        while let Ok(op) = ops_rx.try_recv() {
-            burst.push(op);
-        }
-        if !burst.is_empty() {
-            let client_ops: Vec<ClientOp<'_>> = burst
-                .iter()
-                .map(|op| match op {
-                    RealOp::Put { key, val, .. } => ClientOp::Put { key, val },
-                    RealOp::Get { key, .. } => ClientOp::Get { key },
-                })
-                .collect();
-            let reqs = kv.client_ops(&client_ops, now, &mut out);
-            for (req, op) in reqs.into_iter().zip(burst) {
-                let reply = match op {
-                    RealOp::Put { reply, .. } | RealOp::Get { reply, .. } => reply,
-                };
-                replies.insert(req, reply);
-            }
-        }
-        // Timers + snapshot publication on the digest cadence.
-        if Instant::now() >= next_tick {
-            kv.on_tick(now, &mut out);
-            next_tick = Instant::now() + Duration::from_millis(20);
-            let mut p = slot.lock();
-            p.stats = *kv.stats();
-            p.inbox_depth = kv.inbox_depth();
-            p.client_conns = kv.client_conns();
-            p.digests = kv.digest_snapshot();
-            p.op_hist = kv.op_hist().clone();
-        }
-        for item in out.drain(..) {
-            match item {
-                KvOut::Send(to, msg) => {
-                    let mut buf = Vec::with_capacity(kv::encoded_len(&msg));
-                    kv::encode(&msg, &mut buf);
-                    sender.send_app(to, buf);
-                }
-                KvOut::Done(req, outcome) => {
-                    if let Some(reply) = replies.remove(&req) {
-                        let _ = reply.try_send(outcome);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The membership plane of a sharded process: owns the transport, fans
-/// sequenced view adoptions out to every shard, splits inbound app
-/// frames by owning shard with [`kv::shard_route`], and merges the
-/// shards' published snapshots into the process-level [`Mirror`] (plus
-/// per-shard depth/ops series on the timeline cadence).
-#[allow(clippy::too_many_arguments)]
-fn membership_worker(
+/// The membership plane of a process: owns the transport, fans view
+/// adoptions out to every shard, splits inbound app frames by owning
+/// shard with [`kv::shard_route`], and merges the shards' published
+/// snapshots into the process-level [`Mirror`] (plus the metrics
+/// timeline and per-shard depth/ops series on the sample cadence).
+fn membership_pump(
     rt: Runtime,
-    mut shards: Vec<Shard>,
+    shards: Vec<Shard>,
     ctl_rx: Receiver<RealCtl>,
     mirror: Arc<Mutex<Mirror>>,
-    pubs: Vec<Arc<Mutex<ShardPub>>>,
     partitions: u32,
     obs_sample_ms: u64,
-    start: Instant,
 ) {
     let w = shards.len();
-    let mut view_count = 0u64;
-    let mut view_seq = 0u64;
-    let mut timeline = if obs_sample_ms > 0 {
-        Timeline::new(DEFAULT_TIMELINE_CAP)
-    } else {
-        Timeline::new(0)
+    let start = Instant::now();
+    let fan_out = |config: &Arc<Configuration>| {
+        for s in &shards {
+            let _ = s.tx.send(PumpIn::View(Arc::clone(config)));
+        }
     };
+    let mut view_count = 0u64;
+    // Metrics timeline: the same delta sampler the simulator runs, on
+    // the wall clock. Capacity 0 (`obs_sample_ms == 0`) disables it.
+    let mut timeline = Timeline::new(if obs_sample_ms > 0 {
+        DEFAULT_TIMELINE_CAP
+    } else {
+        0
+    });
+    // Cumulative totals as of the previous sample.
     let mut cursor = TimelinePoint::default();
     let mut shard_ops_cursor = vec![0u64; w];
     let mut prev_hist = LatencyHist::new();
     let mut next_sample = Instant::now() + Duration::from_millis(obs_sample_ms.max(1));
     let mut next_merge = Instant::now();
-    // A seed's one-member view is installed before the shards spawn;
-    // broadcast it as adoption #1 so every shard subscribes immediately.
-    if rt.status() == NodeStatus::Active {
-        view_seq += 1;
-        let cfg = ViewChange::initial(rt.view()).configuration;
-        for s in &shards {
-            let _ = s.tx.send(ShardIn::View(view_seq, Arc::clone(&cfg)));
-        }
-    }
     loop {
-        match ctl_rx.try_recv() {
-            Ok(RealCtl::Leave) => {
-                stop_shards(&mut shards);
-                rt.leave();
-                mirror.lock().status = NodeStatus::Left;
-                return;
+        if let Ok(ctl) = ctl_rx.try_recv() {
+            for s in shards {
+                let _ = s.tx.send(PumpIn::Stop);
+                let _ = s.handle.join();
             }
-            Ok(RealCtl::Shutdown) => {
-                stop_shards(&mut shards);
-                rt.shutdown_now();
-                return;
+            match ctl {
+                RealCtl::Leave => {
+                    rt.leave();
+                    mirror.lock().status = NodeStatus::Left;
+                }
+                RealCtl::Shutdown => rt.shutdown_now(),
             }
-            Err(_) => {}
+            return;
         }
-        match rt.events().recv_timeout(Duration::from_millis(5)) {
-            Ok(AppEvent::View(vc)) => {
-                view_count += 1;
-                view_seq += 1;
-                for s in &shards {
-                    let _ = s
-                        .tx
-                        .send(ShardIn::View(view_seq, Arc::clone(&vc.configuration)));
-                }
-            }
-            Ok(AppEvent::Joined(config)) => {
-                view_seq += 1;
-                for s in &shards {
-                    let _ = s.tx.send(ShardIn::View(view_seq, Arc::clone(&config)));
-                }
-            }
+        // Wake for a transport event or for the merge, whichever is due
+        // first; a stop request is seen on the next wake.
+        let budget = next_merge.saturating_duration_since(Instant::now());
+        let membership_changed = match rt.events().recv_timeout(budget) {
             Ok(AppEvent::App(from, bytes)) => {
-                // Corrupt peer payloads are dropped, like the transport
-                // does. Routed sends block on a full shard inbox — data
-                // frames are never silently dropped here.
-                if let Ok(msg) = kv::decode(&bytes) {
+                // Sends block on a full shard channel — data frames are
+                // never silently dropped here. A lone shard needs no
+                // routing and decodes the frame itself: handing decoded
+                // 1 KiB-value batches across threads cost ~10 % of put
+                // throughput in the benchmark.
+                if w == 1 {
+                    let _ = shards[0].tx.send(PumpIn::Frame(from, bytes));
+                } else if let Ok(msg) = kv::decode(&bytes) {
                     for (idx, part) in kv::shard_route(msg, partitions, w) {
-                        let _ = shards[idx].tx.send(ShardIn::Msg(from, part));
+                        let _ = shards[idx].tx.send(PumpIn::Msg(from, part));
                     }
                 }
+                false
             }
-            Ok(AppEvent::Kicked) | Err(_) => {}
+            Ok(AppEvent::View(vc)) => {
+                view_count += 1;
+                fan_out(&vc.configuration);
+                true
+            }
+            Ok(AppEvent::Joined(config)) => {
+                fan_out(&config);
+                true
+            }
+            Ok(AppEvent::Kicked) => true,
+            Err(_) => false,
+        };
+        if membership_changed {
+            mirror.lock().publish_membership(&rt, view_count);
         }
-        // Merge + publish on the digest cadence, not every pass: the
-        // shard snapshots only refresh that often anyway.
-        if Instant::now() >= next_merge {
-            next_merge = Instant::now() + Duration::from_millis(20);
-            let mut stats = KvStats::default();
-            let mut inbox_depth = 0usize;
-            let mut client_conns = 0usize;
-            let mut digests: Vec<(u32, PartitionDigest, bool)> = Vec::new();
-            let mut hist = LatencyHist::new();
-            // (depth, cumulative ops) per shard, for the series below.
-            let mut per_shard: Vec<(u64, u64)> = Vec::with_capacity(w);
-            for slot in &pubs {
-                let p = slot.lock();
-                stats.absorb(&p.stats);
-                inbox_depth += p.inbox_depth;
-                client_conns += p.client_conns;
-                digests.extend_from_slice(&p.digests);
-                hist.merge(&p.op_hist);
-                per_shard.push((p.inbox_depth as u64, p.stats.puts_acked + p.stats.gets_ok));
+        if Instant::now() < next_merge {
+            continue;
+        }
+        next_merge = Instant::now() + TICK;
+        let mut kv = KvSnapshot::default();
+        // (depth, cumulative ops) per shard.
+        let mut per_shard: Vec<(u64, u64)> = Vec::with_capacity(w);
+        for s in &shards {
+            let p = s.slot.lock();
+            kv.stats.absorb(&p.stats);
+            kv.inbox_depth += p.inbox_depth;
+            kv.client_conns += p.client_conns;
+            kv.digests.extend_from_slice(&p.digests);
+            kv.op_hist.merge(&p.op_hist);
+            per_shard.push((p.inbox_depth as u64, p.stats.puts_acked + p.stats.gets_ok));
+        }
+        kv.digests.sort_unstable_by_key(|&(p, _, _)| p);
+        // Metrics sweep: record the deltas since the previous sample.
+        // Membership wire counters live on the transport's driver
+        // thread, so the real-driver timeline carries the data plane
+        // (ops, handoff/repair bytes, view changes) — the simulator
+        // fills the network columns.
+        let sampled = timeline.enabled() && Instant::now() >= next_sample;
+        if sampled {
+            let (_, p50, p99) = kv.op_hist.interval_quantiles(&prev_hist);
+            // Every shard's admission controller sees the same
+            // process-level latency signal.
+            for s in &shards {
+                let _ = s.tx.send(PumpIn::NoteInterval(p50, p99));
             }
-            digests.sort_unstable_by_key(|&(p, _, _)| p);
-            let ops = stats.puts_acked + stats.gets_ok;
-            let mut fresh_timeline = false;
-            let mut shard_points: Vec<ShardPoint> = Vec::new();
-            if timeline.enabled() && Instant::now() >= next_sample {
-                let (_, p50, p99) = hist.interval_quantiles(&prev_hist);
-                // Broadcast the merged latency signal so every shard's
-                // admission controller sees the same process-level p99.
-                for s in &shards {
-                    let _ = s.tx.send(ShardIn::NoteInterval(p50, p99));
-                }
-                let t_ms = start.elapsed().as_millis() as u64;
-                timeline.push(TimelinePoint {
-                    t_ms,
-                    msgs: 0,
-                    bytes: 0,
-                    alerts: 0,
-                    view_changes: view_count - cursor.view_changes,
-                    ops: ops - cursor.ops,
-                    handoff_bytes: stats.bytes_moved - cursor.handoff_bytes,
-                    repair_bytes: stats.repair_bytes - cursor.repair_bytes,
-                    p50_ms: p50,
-                    p99_ms: p99,
-                });
-                cursor = TimelinePoint {
-                    t_ms,
-                    msgs: 0,
-                    bytes: 0,
-                    alerts: 0,
-                    view_changes: view_count,
-                    ops,
-                    handoff_bytes: stats.bytes_moved,
-                    repair_bytes: stats.repair_bytes,
-                    p50_ms: 0,
-                    p99_ms: 0,
-                };
-                prev_hist = hist.clone();
-                next_sample += Duration::from_millis(obs_sample_ms);
-                fresh_timeline = true;
-                // Series carry interval deltas, like the timeline.
-                shard_points = per_shard
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(depth, cum))| {
-                        let delta = cum.saturating_sub(shard_ops_cursor[i]);
-                        shard_ops_cursor[i] = cum;
-                        ShardPoint {
-                            t_ms,
-                            depth,
-                            ops: delta,
-                        }
-                    })
-                    .collect();
-            }
-            let mut m = mirror.lock();
-            m.status = rt.status();
-            m.view_len = rt.view().len();
-            m.view_count = view_count;
-            m.stats = stats;
-            m.inbox_depth = inbox_depth;
-            m.client_conns = client_conns;
-            m.quota_dropped = rt.quota_dropped();
-            m.digests = digests;
-            m.op_hist = hist;
+            let total = TimelinePoint {
+                t_ms: start.elapsed().as_millis() as u64,
+                view_changes: view_count,
+                ops: kv.stats.puts_acked + kv.stats.gets_ok,
+                handoff_bytes: kv.stats.bytes_moved,
+                repair_bytes: kv.stats.repair_bytes,
+                ..TimelinePoint::default()
+            };
+            timeline.push(TimelinePoint {
+                view_changes: total.view_changes - cursor.view_changes,
+                ops: total.ops - cursor.ops,
+                handoff_bytes: total.handoff_bytes - cursor.handoff_bytes,
+                repair_bytes: total.repair_bytes - cursor.repair_bytes,
+                p50_ms: p50,
+                p99_ms: p99,
+                ..total
+            });
+            cursor = total;
+            prev_hist = kv.op_hist.clone();
+            next_sample += Duration::from_millis(obs_sample_ms);
+        }
+        let mut m = mirror.lock();
+        m.publish_membership(&rt, view_count);
+        m.kv = kv;
+        m.quota_dropped = rt.quota_dropped();
+        if sampled {
+            m.timeline = timeline.iter_in_order().copied().collect();
+            m.timeline_dropped = timeline.dropped();
             for (i, &(depth, ops)) in per_shard.iter().enumerate() {
-                m.shard_depths[i] = depth;
-                m.shard_ops[i] = ops;
-            }
-            if fresh_timeline {
-                m.timeline = timeline.iter_in_order().copied().collect();
-                m.timeline_dropped = timeline.dropped();
-                for (i, pt) in shard_points.into_iter().enumerate() {
-                    push_shard_point(&mut m.shard_series[i], pt);
-                }
+                // Series carry interval deltas, like the timeline.
+                let pt = ShardPoint {
+                    t_ms: cursor.t_ms,
+                    depth,
+                    ops: ops.saturating_sub(shard_ops_cursor[i]),
+                };
+                shard_ops_cursor[i] = ops;
+                push_shard_point(&mut m.shard_series[i], pt);
             }
         }
+        m.per_shard = per_shard;
     }
 }
 
 /// A smart client hosted on the real transport: a [`KvClient`] state
 /// machine driven from an [`AppPeer`]'s event stream on a dedicated
-/// worker thread. The `AppPeer` keeps one pooled TCP stream per
+/// pump thread. The `AppPeer` keeps one pooled TCP stream per
 /// destination, so steady-state traffic holds exactly one connection per
 /// partition leader — the per-leader connection pooling the client plane
 /// promises. The client never joins the membership; it learns views
@@ -983,7 +827,7 @@ pub struct KvClientRuntime {
 }
 
 impl KvClientRuntime {
-    /// Starts a client worker subscribing through `seeds` (cluster
+    /// Starts a client pump subscribing through `seeds` (cluster
     /// listen addresses), with placement spec `route` (must match the
     /// cluster's), an in-flight window, and a per-op deadline.
     pub fn start(
@@ -995,17 +839,16 @@ impl KvClientRuntime {
         let peer = AppPeer::start(Endpoint::new("127.0.0.1", 0))?;
         let addr = *peer.addr();
         let client = KvClient::new(addr, route, seeds, window, op_timeout_ms);
-        let (ops_tx, ops_rx) = bounded::<RealOp>(16 * 1024);
+        let (ops_tx, ops_rx) = bounded::<RealOp>(CHAN_CAP);
         let (ctl_tx, ctl_rx) = bounded::<RealCtl>(16);
         let published = Arc::new(Mutex::new((
             ClientStats::default(),
             LatencyHist::new(),
             None,
         )));
-        let worker_pub = Arc::clone(&published);
-        let handle = std::thread::spawn(move || {
-            client_worker(peer, client, ops_rx, ctl_rx, worker_pub);
-        });
+        let pump_pub = Arc::clone(&published);
+        let handle =
+            std::thread::spawn(move || client_pump(peer, client, ops_rx, ctl_rx, pump_pub));
         Ok(KvClientRuntime {
             addr,
             ops_tx,
@@ -1035,34 +878,26 @@ impl KvClientRuntime {
         self.published.lock().2
     }
 
+    fn begin(&self, key: &str, val: Option<&str>) -> Receiver<KvOutcome> {
+        let (op, rx) = RealOp::new(key, val);
+        let _ = self.ops_tx.try_send(op);
+        rx
+    }
+
     /// Begins a write through the smart client; the outcome arrives on
     /// the returned channel.
     pub fn begin_put(&self, key: &str, val: &str) -> Receiver<KvOutcome> {
-        let (reply, rx) = bounded(1);
-        let _ = self.ops_tx.try_send(RealOp::Put {
-            key: key.to_string(),
-            val: val.to_string(),
-            reply,
-        });
-        rx
+        self.begin(key, Some(val))
     }
 
     /// Begins a read through the smart client.
     pub fn begin_get(&self, key: &str) -> Receiver<KvOutcome> {
-        let (reply, rx) = bounded(1);
-        let _ = self.ops_tx.try_send(RealOp::Get {
-            key: key.to_string(),
-            reply,
-        });
-        rx
+        self.begin(key, None)
     }
 
-    /// Stops the worker and the peer's sockets.
-    pub fn shutdown_now(mut self) {
-        let _ = self.ctl_tx.send(RealCtl::Shutdown);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+    /// Stops the pump and the peer's sockets.
+    pub fn shutdown_now(self) {
+        drop(self);
     }
 }
 
@@ -1075,75 +910,40 @@ impl Drop for KvClientRuntime {
     }
 }
 
-fn client_worker(
+/// The smart client's host: [`pump`] around a [`KvClient`], fed from the
+/// peer's inbound frames and the submission channel.
+fn client_pump(
     peer: AppPeer,
-    mut client: KvClient,
+    client: KvClient,
     ops_rx: Receiver<RealOp>,
     ctl_rx: Receiver<RealCtl>,
     published: Arc<Mutex<(ClientStats, LatencyHist, Option<u64>)>>,
 ) {
-    let mut out: Vec<KvOut> = Vec::new();
-    let mut replies: DetHashMap<u64, Sender<KvOutcome>> = DetHashMap::default();
-    let start = Instant::now();
-    let mut next_tick = Instant::now();
-    loop {
-        if ctl_rx.try_recv().is_ok() {
-            peer.shutdown_now();
-            return;
-        }
-        let now = start.elapsed().as_millis() as u64;
-        // Inbound view pushes and verdicts.
-        if let Ok((from, bytes)) = peer.events().recv_timeout(Duration::from_millis(5)) {
-            if let Ok(msg) = kv::decode(&bytes) {
-                client.on_message(from, msg, now, &mut out);
+    pump(
+        client,
+        |budget| {
+            if ctl_rx.try_recv().is_ok() {
+                return Some(PumpIn::Stop);
             }
-        }
-        // Client submissions, one pipelined burst per pass.
-        let mut burst: Vec<RealOp> = Vec::new();
-        while let Ok(op) = ops_rx.try_recv() {
-            burst.push(op);
-        }
-        if !burst.is_empty() {
-            let client_ops: Vec<ClientOp<'_>> = burst
-                .iter()
-                .map(|op| match op {
-                    RealOp::Put { key, val, .. } => ClientOp::Put { key, val },
-                    RealOp::Get { key, .. } => ClientOp::Get { key },
-                })
-                .collect();
-            let reqs = client.submit_ops(&client_ops, now, &mut out);
-            for (req, op) in reqs.into_iter().zip(burst) {
-                let reply = match op {
-                    RealOp::Put { reply, .. } | RealOp::Get { reply, .. } => reply,
-                };
-                replies.insert(req, reply);
+            if let Ok(op) = ops_rx.try_recv() {
+                return Some(PumpIn::Op(op));
             }
-        }
-        if Instant::now() >= next_tick {
-            client.on_tick(now, &mut out);
-            next_tick = Instant::now() + Duration::from_millis(20);
-        }
-        for item in out.drain(..) {
-            match item {
-                KvOut::Send(to, msg) => {
-                    let mut buf = Vec::with_capacity(kv::encoded_len(&msg));
-                    kv::encode(&msg, &mut buf);
-                    peer.send_app(to, buf);
-                }
-                KvOut::Done(req, outcome) => {
-                    if let Some(reply) = replies.remove(&req) {
-                        let _ = reply.try_send(outcome);
-                    }
-                }
-            }
-        }
-        {
+            // Three sources and no select: wait on the wire (view pushes
+            // and verdicts) in short slices, so a submission or a stop
+            // queued meanwhile is picked up within one.
+            let slice = budget.min(Duration::from_millis(5));
+            let (from, bytes) = peer.events().recv_timeout(slice).ok()?;
+            Some(PumpIn::Frame(from, bytes))
+        },
+        |to, frame| peer.send_app(to, frame),
+        |client, _ticked| {
             let mut p = published.lock();
             p.0 = *client.stats();
             p.1 = client.op_hist().clone();
             p.2 = client.view_seq();
-        }
-    }
+        },
+    );
+    peer.shutdown_now();
 }
 
 #[cfg(test)]
@@ -1236,6 +1036,8 @@ mod tests {
         assert!(body.contains("\"shed_ops\":0"), "{body:?}");
         assert!(body.contains("\"client_conns\":"), "{body:?}");
         assert!(body.contains("\"quota_dropped\":0"), "{body:?}");
+        // The default process is one shard behind the membership pump.
+        assert!(body.contains("\"shards\":1"), "{body:?}");
         seed.shutdown_now();
     }
 
@@ -1414,8 +1216,15 @@ mod tests {
 
     #[test]
     fn real_sharded_runtime_serves_ops_and_publishes_per_shard_series() {
+        // W = 1 and W = 2 run the same pumps; only the shard count differs.
+        for w in [1, 2] {
+            sharded_runtime_serves_ops_and_publishes_per_shard_series(w);
+        }
+    }
+
+    fn sharded_runtime_serves_ops_and_publishes_per_shard_series(w: usize) {
         let settings = Settings {
-            kv_shards: 2,
+            kv_shards: w,
             obs_sample_ms: 100,
             ..fast_settings()
         };
@@ -1438,13 +1247,13 @@ mod tests {
             500,
         )
         .unwrap();
-        assert_eq!(seed.shards(), 2);
+        assert_eq!(seed.shards(), w);
         assert!(
             wait_for(
                 || seed.view_len() == 2 && joiner.view_len() == 2,
                 Duration::from_secs(30)
             ),
-            "2-node sharded cluster must form"
+            "2-node cluster of {w}-shard processes must form"
         );
         // Writes through both coordinators, reads through the other.
         for i in 0..16 {
@@ -1455,14 +1264,14 @@ mod tests {
                     rx.recv_timeout(Duration::from_secs(5)),
                     Ok(KvOutcome::Acked { .. })
                 ),
-                "sharded put {i} must ack"
+                "W={w}: put {i} must ack"
             );
         }
         for i in 0..16 {
             let rx = joiner.begin_get(&format!("shk{i}"));
             match rx.recv_timeout(Duration::from_secs(5)) {
                 Ok(KvOutcome::Found { val, .. }) => assert_eq!(val, format!("shv{i}")),
-                other => panic!("sharded get {i} failed: {other:?}"),
+                other => panic!("W={w}: get {i} failed: {other:?}"),
             }
         }
         // Merged stats must cover every acked op across both processes.
@@ -1473,20 +1282,18 @@ mod tests {
             ),
             "merged per-shard stats must cover all acked puts"
         );
-        assert_eq!(seed.shard_depths().len(), 2);
+        assert_eq!(seed.shard_depths().len(), w);
         assert!(
             wait_for(
                 || {
-                    seed.shard_timeline()
-                        .iter()
-                        .flatten()
-                        .map(|p| p.ops)
-                        .sum::<u64>()
-                        >= 1
+                    let series = seed.shard_timeline();
+                    series.len() == w
+                        && series.iter().all(|s| !s.is_empty())
+                        && series.iter().flatten().map(|p| p.ops).sum::<u64>() >= 1
                 },
                 Duration::from_secs(10)
             ),
-            "per-shard series must record completed ops"
+            "W={w}: every shard's series must fill and record completed ops"
         );
         // The merged digest snapshot lists each partition exactly once.
         assert!(
@@ -1499,9 +1306,31 @@ mod tests {
                 },
                 Duration::from_secs(10)
             ),
-            "sharded digest snapshot must merge without duplicates"
+            "W={w}: merged digest snapshot must list each partition once"
         );
         joiner.shutdown_now();
         seed.shutdown_now();
+    }
+
+    #[test]
+    fn shard_series_stays_at_the_cap_and_keeps_the_newest_points() {
+        let mut series = VecDeque::new();
+        let total = DEFAULT_TIMELINE_CAP as u64 + 10;
+        for t_ms in 0..total {
+            push_shard_point(
+                &mut series,
+                ShardPoint {
+                    t_ms,
+                    ..ShardPoint::default()
+                },
+            );
+        }
+        assert_eq!(series.len(), DEFAULT_TIMELINE_CAP);
+        assert_eq!(
+            series.front().map(|p| p.t_ms),
+            Some(10),
+            "oldest dropped first"
+        );
+        assert_eq!(series.back().map(|p| p.t_ms), Some(total - 1));
     }
 }

@@ -390,7 +390,6 @@ pub struct KvClusterBuilder {
     op_timeout_ms: u64,
     repair_interval_ms: Option<u64>,
     clients: usize,
-    clients_via_seed: bool,
 }
 
 /// The simulated endpoint of smart client `i` (clients live outside the
@@ -408,7 +407,6 @@ impl KvClusterBuilder {
             op_timeout_ms: 2_500,
             repair_interval_ms: None,
             clients: 0,
-            clients_via_seed: false,
         }
     }
 
@@ -417,14 +415,6 @@ impl KvClusterBuilder {
     /// endpoint and windowed per `Settings::client_window`.
     pub fn clients(mut self, clients: usize) -> Self {
         self.clients = clients;
-        self
-    }
-
-    /// Routes co-hosted clients via the seed list instead of placement
-    /// leaders (the legacy fixed-coordinator architecture) — the
-    /// `route_bench --via-coordinator` baseline.
-    pub fn clients_via_seed(mut self, enabled: bool) -> Self {
-        self.clients_via_seed = enabled;
         self
     }
 
@@ -483,8 +473,7 @@ impl KvClusterBuilder {
                 self.inner.settings.client_window,
                 self.op_timeout_ms,
             )
-            .with_batching(self.inner.settings.batch_wire)
-            .with_via_seed(self.clients_via_seed);
+            .with_batching(self.inner.settings.batch_wire);
             sim.add_actor(ep, KvSimActor::new_client(client));
         }
     }

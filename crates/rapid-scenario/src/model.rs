@@ -144,8 +144,8 @@ pub struct SettingsPatch {
     /// default). When on, every report phase carries a `timeline`
     /// object and `--metrics FILE` exports the merged per-node series.
     pub obs_sample_ms: Option<u64>,
-    /// Real-driver KV data-plane shard count (`1` = single-threaded
-    /// oracle path; ignored by the simulator).
+    /// Real-driver KV data-plane shard count (`1` = one shard owning
+    /// every partition; ignored by the simulator).
     pub kv_shards: Option<usize>,
     /// Smart-client in-flight op window.
     pub client_window: Option<usize>,
