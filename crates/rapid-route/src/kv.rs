@@ -37,7 +37,7 @@
 use std::sync::Arc;
 
 use rapid_core::config::{Configuration, Member};
-use rapid_core::hash::{DetHashMap, DetHashSet, StableHasher};
+use rapid_core::hash::{DetHashMap, DetHashSet};
 use rapid_core::id::Endpoint;
 use rapid_core::obs::{EventKind, LatencyHist, TraceRing};
 use rapid_core::outbox::{BatchMessage, Outbox};
@@ -45,46 +45,8 @@ use rapid_core::outbox::{BatchMessage, Outbox};
 use crate::placement::{
     partition_of, shard_of, Placement, PlacementCache, PlacementConfig, RebalancePlan,
 };
-
-/// One stored entry: value plus its replication version.
-pub type Entry = (String, u64);
-
-/// A compact, order-independent summary of one partition's contents.
-///
-/// Two replicas hold byte-identical partition stores iff their digests
-/// match (up to the negligible collision probability of the 64-bit
-/// entry hash — pinned by a proptest). Cheap to compute at `P = 256`
-/// (a linear scan of a few keys), so no Merkle trees are needed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PartitionDigest {
-    /// Highest entry version held ("leader version floor"): any replica
-    /// that served every acked write is at least this new.
-    pub floor: u64,
-    /// Number of entries.
-    pub count: u64,
-    /// XOR of per-entry hashes over `(key, value, version)` —
-    /// order-independent, so map iteration order cannot leak in.
-    pub xor: u64,
-}
-
-fn entry_hash(key: &str, val: &str, version: u64) -> u64 {
-    StableHasher::new("kv-repair-entry")
-        .write_bytes(key.as_bytes())
-        .write_bytes(val.as_bytes())
-        .write_u64(version)
-        .finish()
-}
-
-/// Digest of a raw partition map (shared by [`KvNode`] and tests).
-pub fn digest_of(entries: &DetHashMap<String, Entry>) -> PartitionDigest {
-    let mut d = PartitionDigest::default();
-    for (k, (v, ver)) in entries {
-        d.floor = d.floor.max(*ver);
-        d.count += 1;
-        d.xor ^= entry_hash(k, v, *ver);
-    }
-    d
-}
+use crate::store::Store;
+pub use crate::store::{digest_of, Entry, PartitionDigest};
 
 // ---------------------------------------------------------------------------
 // Wire messages
@@ -750,13 +712,14 @@ fn decode_one(r: &mut KvReader<'_>, allow_batch: bool) -> Result<KvMsg, String> 
                 return Err("kv decode: nested batch".into());
             }
             let count = r.u32()? as usize;
-            // Smallest message is 5 bytes (a tag + an empty list): a
-            // forged count cannot out-size the buffer or drive a huge
-            // allocation.
-            if count > r.buf.len() / 5 + 1 {
+            // Smallest message is 1 byte (a bare `Sub` tag), so a forged
+            // count cannot out-size the buffer; every other family takes
+            // 5 bytes or more, and the reservation assumes those, so it
+            // cannot drive a huge allocation either.
+            if count > r.buf.len() {
                 return Err(format!("kv decode: absurd batch count {count}"));
             }
-            let mut msgs = Vec::with_capacity(count);
+            let mut msgs = Vec::with_capacity(count.min(r.buf.len() / 5 + 1));
             for _ in 0..count {
                 msgs.push(decode_one(r, false)?);
             }
@@ -963,7 +926,7 @@ pub struct KvNode {
     repair_round: u64,
     cache: Option<PlacementCache>,
     view: Option<(Arc<Configuration>, Arc<Placement>)>,
-    store: DetHashMap<u32, DetHashMap<String, Entry>>,
+    store: Store,
     /// Partitions this node was assigned whose handoff has not arrived:
     /// reads fail retryably instead of serving emptiness, until the
     /// handoff lands or repair confirms the contents from a settled
@@ -1058,7 +1021,7 @@ impl KvNode {
             repair_round: 0,
             cache,
             view: None,
-            store: DetHashMap::default(),
+            store: Store::default(),
             awaiting: DetHashSet::default(),
             acked_floors: DetHashMap::default(),
             expect_initial_handoffs: false,
@@ -1203,7 +1166,7 @@ impl KvNode {
 
     /// Number of keys currently stored locally (all partitions).
     pub fn local_keys(&self) -> usize {
-        self.store.values().map(|m| m.len()).sum()
+        self.store.key_count()
     }
 
     /// Whether any partition is still awaiting a rebalance handoff.
@@ -1271,21 +1234,9 @@ impl KvNode {
                 // guard with wrong (missing) data. The receiver repairs
                 // from a settled replica instead.
                 if mv.source == self.me.addr && !self.awaiting.contains(&mv.partition) {
-                    let entries: Vec<(String, String, u64)> = self
-                        .store
-                        .get(&mv.partition)
-                        .map(|m| {
-                            let mut v: Vec<_> = m
-                                .iter()
-                                .map(|(k, (val, ver))| (k.clone(), val.clone(), *ver))
-                                .collect();
-                            v.sort();
-                            v
-                        })
-                        .unwrap_or_default();
                     let msg = KvMsg::Handoff {
                         partition: mv.partition,
-                        entries,
+                        entries: self.store.sorted_entries(mv.partition),
                     };
                     self.stats.handoffs_sent += 1;
                     self.stats.bytes_moved += encoded_len(&msg) as u64;
@@ -1314,7 +1265,7 @@ impl KvNode {
                     .filter(|&p| self.owns_partition(p))
                     .filter(|&p| placement.replicas(p).contains(&(my_rank as u32)))
                     .collect();
-                self.store.retain(|p, _| keep.contains(p));
+                self.store.retain(|p| keep.contains(&p));
                 self.awaiting.retain(|p| keep.contains(p));
                 self.awaiting_since.retain(|p, _| keep.contains(p));
             } else {
@@ -1706,9 +1657,7 @@ impl KvNode {
         }
         let version = (config_seq << 32) | *seq;
         self.store
-            .entry(partition)
-            .or_default()
-            .insert(key.to_string(), (val.to_string(), version));
+            .put(partition, key.to_string(), val.to_string(), version);
         let others = self.replica_addrs_except_me(partition);
         if others.is_empty() {
             return self.put_ack(req, origin, version, out);
@@ -1754,7 +1703,7 @@ impl KvNode {
                 version: 0,
             };
         }
-        match self.store.get(&partition).and_then(|m| m.get(key)) {
+        match self.store.get(partition, key) {
             Some((val, version)) => KvMsg::GetResp {
                 req,
                 ok: true,
@@ -1804,16 +1753,6 @@ impl KvNode {
         self.resolve_client(req, outcome, out);
     }
 
-    fn merge(&mut self, partition: u32, key: String, val: String, version: u64) {
-        let slot = self.store.entry(partition).or_default();
-        match slot.get(&key) {
-            Some((_, existing)) if *existing >= version => {}
-            _ => {
-                slot.insert(key, (val, version));
-            }
-        }
-    }
-
     /// Handles a data-plane message from a peer. Everything the message
     /// triggers is flushed through the per-peer outbox on return: one
     /// wire frame per destination, however many messages the frame
@@ -1858,7 +1797,7 @@ impl KvNode {
                 val,
                 version,
             } => {
-                self.merge(partition, key, val, version);
+                self.store.merge(partition, key, val, version);
                 self.send(leader, KvMsg::RepAck { req });
             }
             KvMsg::RepAck { req } => {
@@ -1876,7 +1815,7 @@ impl KvNode {
             }
             KvMsg::Handoff { partition, entries } => {
                 for (k, v, ver) in entries {
-                    self.merge(partition, k, v, ver);
+                    self.store.merge(partition, k, v, ver);
                 }
                 if self.awaiting.remove(&partition) {
                     if let Some(t0) = self.awaiting_since.remove(&partition) {
@@ -1920,7 +1859,7 @@ impl KvNode {
             } => {
                 if self.replicates(partition) {
                     for (k, v, ver) in entries {
-                        self.merge(partition, k, v, ver);
+                        self.store.merge(partition, k, v, ver);
                     }
                     // Only a settled sender vouches for completeness; a
                     // push from a replica that is itself awaiting merges
@@ -1956,10 +1895,7 @@ impl KvNode {
 
     /// Digest of one partition's local store (empty store = zero digest).
     pub fn partition_digest(&self, partition: u32) -> PartitionDigest {
-        self.store
-            .get(&partition)
-            .map(digest_of)
-            .unwrap_or_default()
+        self.store.digest(partition)
     }
 
     /// `(partition, digest, settled)` for every partition this node
@@ -2108,22 +2044,10 @@ impl KvNode {
             if !self.replicates(p) {
                 continue;
             }
-            let entries: Vec<(String, String, u64)> = self
-                .store
-                .get(&p)
-                .map(|m| {
-                    let mut v: Vec<_> = m
-                        .iter()
-                        .map(|(k, (val, ver))| (k.clone(), val.clone(), *ver))
-                        .collect();
-                    v.sort();
-                    v
-                })
-                .unwrap_or_default();
             let msg = KvMsg::RepairPush {
                 partition: p,
                 settled: !self.awaiting.contains(&p),
-                entries,
+                entries: self.store.sorted_entries(p),
             };
             self.stats.repair_bytes += encoded_len(&msg) as u64;
             self.send(from, msg);
@@ -2518,8 +2442,7 @@ mod tests {
             let node = &mesh.nodes[mesh.idx_of(mesh.config.members()[rank as usize].addr)];
             let entry = node
                 .store
-                .get(&partition)
-                .and_then(|m| m.get("k"))
+                .get(partition, "k")
                 .unwrap_or_else(|| panic!("replica rank {rank} missing the write"));
             assert_eq!(entry, &("v".to_string(), version));
         }
@@ -2724,26 +2647,6 @@ mod tests {
         assert!(err.contains("nested"), "got: {err}");
     }
 
-    #[test]
-    fn digests_are_order_independent_and_detect_divergence() {
-        let mut a: DetHashMap<String, Entry> = DetHashMap::default();
-        let mut b: DetHashMap<String, Entry> = DetHashMap::default();
-        for i in 0..20 {
-            a.insert(format!("k{i}"), (format!("v{i}"), i));
-        }
-        for i in (0..20).rev() {
-            b.insert(format!("k{i}"), (format!("v{i}"), i));
-        }
-        assert_eq!(digest_of(&a), digest_of(&b), "insertion order must not matter");
-        assert_eq!(digest_of(&a).floor, 19);
-        assert_eq!(digest_of(&a).count, 20);
-        b.insert("k3".into(), ("v3".into(), 99)); // one newer version
-        assert_ne!(digest_of(&a), digest_of(&b));
-        assert_eq!(digest_of(&b).floor, 99);
-        b.remove("k3");
-        assert_ne!(digest_of(&a), digest_of(&b), "a missing entry must show");
-    }
-
     /// Satellite pin for the pending-client map: every client op is
     /// accounted exactly once in the coordinator counters, with no O(n)
     /// scan resolving them.
@@ -2850,10 +2753,9 @@ mod tests {
             "the shed op gets a typed verdict immediately"
         );
         assert!(
-            !node
-                .store
-                .values()
-                .any(|m| m.contains_key(&led[2])),
+            node.store
+                .get(partition_of(&led[2], spec().partitions), &led[2])
+                .is_none(),
             "a shed op must not touch the store"
         );
         // Drive the admitted ops to their deadline: they fail (their
@@ -3070,8 +2972,7 @@ mod tests {
         );
         let entry = mesh.nodes[receiver_idx]
             .store
-            .get(&partition)
-            .and_then(|m| m.get(key))
+            .get(partition, key)
             .expect("repair must recover the acked key");
         assert_eq!(entry.0, "precious");
         assert!(entry.1 >= acked_version, "version went backwards");

@@ -20,6 +20,9 @@
 //!   (digest exchange + rendezvous-ranked re-pull) recovers handoffs
 //!   lost to mid-push source crashes. Coordinators enforce
 //!   read-your-writes via per-key acked version floors.
+//! * [`store`] — the partition store behind [`kv`]: `partition →
+//!   entries` with each partition's repair digest cached behind a dirty
+//!   bit, hashed only when a reader asks.
 //! * [`client`] — the smart-client plane ([`client::KvClient`]): a
 //!   sans-io state machine that subscribes to view pushes, caches the
 //!   placement function's output, and routes each op directly to the
@@ -45,6 +48,7 @@ pub mod kv;
 pub mod placement;
 pub mod real;
 pub mod sim;
+pub mod store;
 
 pub use client::{ClientStats, KvClient};
 pub use kv::{

@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use parking_lot::Mutex;
 use rapid_core::config::{Configuration, Member};
 use rapid_core::hash::DetHashMap;
@@ -52,6 +52,15 @@ const CHAN_CAP: usize = 16 * 1024;
 /// Host timer cadence: the cores' `on_tick`, the shards' snapshot
 /// publication and the membership pump's merge.
 const TICK: Duration = Duration::from_millis(20);
+
+/// How long [`KvRuntime::digest_snapshot`] waits for the shards to
+/// answer. A live shard answers as soon as it reaches the request in its
+/// FIFO input channel (at worst a channel's worth of inputs away).
+const DIGEST_WAIT: Duration = Duration::from_secs(1);
+
+/// `(partition, digest, settled)` rows, as [`KvNode::digest_snapshot`]
+/// returns them.
+type Digests = Vec<(u32, PartitionDigest, bool)>;
 
 /// A client operation submitted to a host pump: a put when `val` is
 /// present, a get otherwise.
@@ -74,6 +83,46 @@ impl RealOp {
     }
 }
 
+/// Queues an op on a host pump's input channel; the outcome arrives on
+/// the returned channel. A full channel completes the op right here with
+/// the retryable [`KvOutcome::Failed`], so overload is a typed outcome
+/// the caller can count; only a stopped pump leaves the channel
+/// disconnected.
+fn begin_op(tx: &Sender<PumpIn>, key: &str, val: Option<&str>) -> Receiver<KvOutcome> {
+    let (op, rx) = RealOp::new(key, val);
+    if let Err(TrySendError::Full(PumpIn::Op(op))) = tx.try_send(PumpIn::Op(op)) {
+        let _ = op.reply.try_send(KvOutcome::Failed);
+    }
+    rx
+}
+
+/// Asks every shard for its [`KvNode::digest_snapshot`] over its input
+/// channel and concatenates the answers in partition order. The request
+/// queues like a frame does (behind a full channel it waits for the pump
+/// to drain a slot); a shard whose pump has returned, or that does not
+/// answer within [`DIGEST_WAIT`], contributes nothing.
+fn ask_digests(shards: &[Sender<PumpIn>]) -> Digests {
+    let deadline = Instant::now() + DIGEST_WAIT;
+    // Ask everyone before waiting on anyone: the shards answer in parallel.
+    let asked: Vec<Receiver<Digests>> = shards
+        .iter()
+        .filter_map(|tx| {
+            let (reply, rx) = bounded(1);
+            tx.send(PumpIn::Digests(reply)).ok().map(|()| rx)
+        })
+        .collect();
+    let mut digests: Digests = asked
+        .iter()
+        .filter_map(|rx| {
+            let budget = deadline.saturating_duration_since(Instant::now());
+            rx.recv_timeout(budget).ok()
+        })
+        .flatten()
+        .collect();
+    digests.sort_unstable_by_key(|&(p, _, _)| p);
+    digests
+}
+
 enum RealCtl {
     Leave,
     Shutdown,
@@ -93,7 +142,8 @@ pub struct ShardPoint {
 
 /// Input to a host pump. A shard has one FIFO channel of these, fed by
 /// the membership pump (views, frames, the latency signal, stop) and by
-/// [`KvRuntime::begin_put`]/[`KvRuntime::begin_get`] (ops), so it
+/// [`KvRuntime::begin_put`]/[`KvRuntime::begin_get`] (ops) and
+/// [`KvRuntime::digest_snapshot`] (digest requests), so it
 /// sleeps on a single receive and wakes for whichever comes first. The
 /// FIFO order also guarantees every shard adopts views in the same
 /// order, so all shards recompute the identical placement.
@@ -109,6 +159,9 @@ enum PumpIn {
     /// the same).
     NoteInterval(u64, u64),
     Op(RealOp),
+    /// A request for the core's digest snapshot, answered on the enclosed
+    /// channel ([`KvRuntime::digest_snapshot`]).
+    Digests(Sender<Digests>),
     Stop,
 }
 
@@ -122,6 +175,10 @@ trait Core {
     /// learns views from the wire and has no admission controller.
     fn on_view(&mut self, _config: Arc<Configuration>, _now: u64, _out: &mut Vec<KvOut>) {}
     fn note_interval(&mut self, _p50_ms: u64, _p99_ms: u64) {}
+    /// Only a [`KvNode`] holds partitions to digest.
+    fn digest_snapshot(&self) -> Digests {
+        Vec::new()
+    }
 }
 
 impl Core for KvNode {
@@ -139,6 +196,9 @@ impl Core for KvNode {
     }
     fn note_interval(&mut self, p50_ms: u64, p99_ms: u64) {
         KvNode::note_interval(self, p50_ms, p99_ms)
+    }
+    fn digest_snapshot(&self) -> Digests {
+        KvNode::digest_snapshot(self)
     }
 }
 
@@ -198,6 +258,11 @@ fn pump<C: Core>(
                 }
                 PumpIn::Msg(from, msg) => core.on_message(from, msg, now, &mut out),
                 PumpIn::NoteInterval(p50, p99) => core.note_interval(p50, p99),
+                // Hashes only the partitions written since they were last
+                // read; the asker may have given up waiting.
+                PumpIn::Digests(reply) => {
+                    let _ = reply.try_send(core.digest_snapshot());
+                }
                 PumpIn::Stop => return,
             }
             break;
@@ -223,8 +288,9 @@ fn pump<C: Core>(
         }
         publish(&core, ticked);
         if ticked {
-            // Due `TICK` after this tick's work ended: a shard's publish
-            // hashes the whole store, which must not grow into the core.
+            // Due `TICK` after this tick's work ended: a long tick (a
+            // repair round rehashing freshly written partitions) stretches
+            // the period instead of eating into the next one.
             next_tick = Instant::now() + TICK;
         }
         for item in out.drain(..) {
@@ -255,10 +321,6 @@ struct KvSnapshot {
     inbox_depth: usize,
     /// Subscribed smart clients.
     client_conns: usize,
-    /// `(partition, digest, settled)` for every replicated partition —
-    /// the scenario driver's `kv_converged` sweep compares these across
-    /// processes.
-    digests: Vec<(u32, PartitionDigest, bool)>,
     /// Coordinator-side latency histogram of successful client ops, on
     /// the process wall clock (ms).
     op_hist: LatencyHist,
@@ -284,14 +346,12 @@ fn shard_pump(kv: KvNode, rx: Receiver<PumpIn>, sender: AppSender, slot: Arc<Mut
         },
         |to, frame| sender.send_app(to, frame),
         |kv, ticked| {
-            // On the tick cadence only: hashing the whole store is too
-            // heavy for every pass, and the merge reads no faster.
+            // On the tick cadence only: the merge reads no faster.
             if ticked {
                 let snapshot = KvSnapshot {
                     stats: *kv.stats(),
                     inbox_depth: kv.inbox_depth(),
                     client_conns: kv.client_conns(),
-                    digests: kv.digest_snapshot(),
                     op_hist: kv.op_hist().clone(),
                 };
                 *slot.lock() = snapshot;
@@ -306,8 +366,7 @@ struct Mirror {
     status: NodeStatus,
     view_len: usize,
     view_count: u64,
-    /// The shards' snapshots merged (digests in partition order),
-    /// refreshed on the merge cadence.
+    /// The shards' snapshots merged, refreshed on the merge cadence.
     kv: KvSnapshot,
     /// Inbound frames dropped by the transport's per-peer quota.
     quota_dropped: u64,
@@ -554,10 +613,13 @@ impl KvRuntime {
         self.mirror.lock().kv.op_hist.clone()
     }
 
-    /// Latest published `(partition, digest, settled)` snapshot of every
-    /// partition this process replicates.
+    /// `(partition, digest, settled)` for every partition this process
+    /// replicates, in partition order — computed on demand by the shards
+    /// (the scenario driver's `kv_converged` sweep compares these across
+    /// processes). Shards that do not answer in time are left out, so a
+    /// stopped process reports nothing.
     pub fn digest_snapshot(&self) -> Vec<(u32, PartitionDigest, bool)> {
-        self.mirror.lock().kv.digests.clone()
+        ask_digests(&self.ops_txs)
     }
 
     /// Latest published metrics timeline: one interval-delta point per
@@ -605,9 +667,7 @@ impl KvRuntime {
     /// rendezvous function placement uses, over the key's partition.
     fn begin(&self, key: &str, val: Option<&str>) -> Receiver<KvOutcome> {
         let shard = shard_of(partition_of(key, self.partitions), self.ops_txs.len());
-        let (op, rx) = RealOp::new(key, val);
-        let _ = self.ops_txs[shard].try_send(PumpIn::Op(op));
-        rx
+        begin_op(&self.ops_txs[shard], key, val)
     }
 
     /// Begins a write through this process; the outcome arrives on the
@@ -750,11 +810,9 @@ fn membership_pump(
             kv.stats.absorb(&p.stats);
             kv.inbox_depth += p.inbox_depth;
             kv.client_conns += p.client_conns;
-            kv.digests.extend_from_slice(&p.digests);
             kv.op_hist.merge(&p.op_hist);
             per_shard.push((p.inbox_depth as u64, p.stats.puts_acked + p.stats.gets_ok));
         }
-        kv.digests.sort_unstable_by_key(|&(p, _, _)| p);
         // Metrics sweep: record the deltas since the previous sample.
         // Membership wire counters live on the transport's driver
         // thread, so the real-driver timeline carries the data plane
@@ -820,7 +878,7 @@ fn membership_pump(
 /// purely from `Sub`/`View` push frames.
 pub struct KvClientRuntime {
     addr: Endpoint,
-    ops_tx: Sender<RealOp>,
+    ops_tx: Sender<PumpIn>,
     ctl_tx: Sender<RealCtl>,
     published: Arc<Mutex<(ClientStats, LatencyHist, Option<u64>)>>,
     handle: Option<JoinHandle<()>>,
@@ -839,7 +897,7 @@ impl KvClientRuntime {
         let peer = AppPeer::start(Endpoint::new("127.0.0.1", 0))?;
         let addr = *peer.addr();
         let client = KvClient::new(addr, route, seeds, window, op_timeout_ms);
-        let (ops_tx, ops_rx) = bounded::<RealOp>(CHAN_CAP);
+        let (ops_tx, ops_rx) = bounded::<PumpIn>(CHAN_CAP);
         let (ctl_tx, ctl_rx) = bounded::<RealCtl>(16);
         let published = Arc::new(Mutex::new((
             ClientStats::default(),
@@ -879,9 +937,7 @@ impl KvClientRuntime {
     }
 
     fn begin(&self, key: &str, val: Option<&str>) -> Receiver<KvOutcome> {
-        let (op, rx) = RealOp::new(key, val);
-        let _ = self.ops_tx.try_send(op);
-        rx
+        begin_op(&self.ops_tx, key, val)
     }
 
     /// Begins a write through the smart client; the outcome arrives on
@@ -915,7 +971,7 @@ impl Drop for KvClientRuntime {
 fn client_pump(
     peer: AppPeer,
     client: KvClient,
-    ops_rx: Receiver<RealOp>,
+    ops_rx: Receiver<PumpIn>,
     ctl_rx: Receiver<RealCtl>,
     published: Arc<Mutex<(ClientStats, LatencyHist, Option<u64>)>>,
 ) {
@@ -926,7 +982,7 @@ fn client_pump(
                 return Some(PumpIn::Stop);
             }
             if let Ok(op) = ops_rx.try_recv() {
-                return Some(PumpIn::Op(op));
+                return Some(op);
             }
             // Three sources and no select: wait on the wire (view pushes
             // and verdicts) in short slices, so a submission or a stop
@@ -1295,21 +1351,49 @@ mod tests {
             ),
             "W={w}: every shard's series must fill and record completed ops"
         );
-        // The merged digest snapshot lists each partition exactly once.
-        assert!(
-            wait_for(
-                || {
-                    let d = seed.digest_snapshot();
-                    let mut parts: Vec<u32> = d.iter().map(|&(p, _, _)| p).collect();
-                    parts.dedup();
-                    !d.is_empty() && parts.len() == d.len()
-                },
-                Duration::from_secs(10)
-            ),
-            "W={w}: merged digest snapshot must list each partition once"
+        // Asked on demand, the shards together list each partition once
+        // (RF = 2 over two members: both replicate all eight), and the
+        // written ones hash to something.
+        let d = seed.digest_snapshot();
+        let parts: Vec<u32> = d.iter().map(|&(p, _, _)| p).collect();
+        assert_eq!(parts, (0..8).collect::<Vec<u32>>(), "W={w}: {d:?}");
+        assert_eq!(
+            d.iter().map(|&(_, digest, _)| digest.count).sum::<u64>(),
+            16,
+            "W={w}: the 16 written keys must show in the digests: {d:?}"
         );
         joiner.shutdown_now();
         seed.shutdown_now();
+    }
+
+    #[test]
+    fn a_full_input_channel_fails_the_op_instead_of_dropping_it() {
+        // A pump that stopped draining: the receiver is alive, the
+        // channel is full.
+        let (tx, _rx) = bounded::<PumpIn>(CHAN_CAP);
+        for _ in 0..CHAN_CAP {
+            tx.try_send(PumpIn::NoteInterval(0, 0)).unwrap();
+        }
+        let rx = begin_op(&tx, "k", Some("v"));
+        assert_eq!(rx.try_recv(), Ok(KvOutcome::Failed));
+    }
+
+    #[test]
+    fn digest_requests_to_a_stopped_or_stalled_shard_come_back_empty() {
+        // The shard's pump has returned: its receiver is gone.
+        let (tx, rx) = bounded::<PumpIn>(CHAN_CAP);
+        drop(rx);
+        let asked = Instant::now();
+        assert!(ask_digests(&[tx]).is_empty());
+        assert!(
+            asked.elapsed() < DIGEST_WAIT,
+            "a stopped shard costs no wait"
+        );
+        // The request is queued but never served: the wait is bounded.
+        let (tx, _rx) = bounded::<PumpIn>(CHAN_CAP);
+        let asked = Instant::now();
+        assert!(ask_digests(&[tx]).is_empty());
+        assert!(asked.elapsed() < 2 * DIGEST_WAIT);
     }
 
     #[test]
