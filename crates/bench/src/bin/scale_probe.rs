@@ -1,47 +1,20 @@
 //! Utility: measures wall-clock cost and event counts of bootstrapping
 //! one system at one size (`scale_probe <n> <rapid|rc|zk|ml>`), for sizing
-//! `--full` runs.
-//!
-//! `scale_probe --bench-json [path]` instead runs the Rapid hot-path
-//! benchmark matrix (N ∈ {256, 1024, 4096, 16384}, K = 10) and writes
-//! `BENCH_sim.json` with events/sec for the current build next to the
-//! frozen baseline recorded from the seed implementation. Each row also
-//! carries a `steady` object: events/sec over a 60 s-virtual window
-//! *after* convergence, metered separately so the bootstrap join storm
-//! does not skew the steady-state figure.
-//!
-//! `--no-batch` disables the per-peer wire outbox (one frame per logical
-//! message, the pre-batching framing) for A/B runs; batching is on by
-//! default, matching production settings.
+//! `--full` runs. The steady-state rate is metered over a 60 s-virtual
+//! window *after* convergence, so the bootstrap join storm does not skew
+//! it.
 //!
 //! `--threads N` runs the simulation on N worker shards (the engine's
 //! conservative-lookahead parallel mode). The trace — and therefore the
 //! event count — is bit-identical at any thread count; only wall-clock
-//! changes. The JSON records the thread count used.
+//! changes.
 //!
-//! `--timeline FILE` (single-probe mode) turns on the deterministic
-//! metrics plane at a 1 s cadence and writes the merged per-node
-//! timeline as JSONL — one line per (sample instant, node) in `(t,
-//! node)` order, bit-identical at any thread count.
+//! `--timeline FILE` turns on the deterministic metrics plane at a 1 s
+//! cadence and writes the merged per-node timeline as JSONL — one line
+//! per (sample instant, node) in `(t, node)` order, bit-identical at any
+//! thread count.
 use bench::{SystemKind, World};
 use rapid_core::settings::Settings;
-
-/// Baseline recorded from the seed implementation (pre zero-clone
-/// refactor) on the reference machine, same workload and seed. The seed
-/// build drew per-process-random map iteration orders, so its event count
-/// per run varied; these are representative single runs. The N = 16384
-/// point postdates the seed, so it has no baseline (`None`).
-///
-/// Speedups computed against this table are only meaningful on hardware
-/// comparable to the reference machine (and on a quiet one — wall-clock
-/// measurements are load-sensitive); on other hosts they mix the hardware
-/// ratio into the figure. `bench_json` prints a reminder.
-const BASELINE: [(usize, Option<(u64, f64)>); 4] = [
-    (256, Some((17_777, 0.1538))),
-    (1024, Some((81_533, 3.3596))),
-    (4096, Some((264_915, 45.2565))),
-    (16384, None),
-];
 
 /// How much virtual time the steady-state window simulates after
 /// convergence (failure-detector probes, batching flushes, no churn).
@@ -70,19 +43,12 @@ fn events_of(w: &World) -> u64 {
     }
 }
 
-fn probe(
-    n: usize,
-    kind: SystemKind,
-    batch_wire: bool,
-    threads: usize,
-    sample_ms: u64,
-) -> (Probe, Vec<String>) {
+fn probe(n: usize, kind: SystemKind, threads: usize, sample_ms: u64) -> (Probe, Vec<String>) {
     let t0 = std::time::Instant::now();
-    let settings = if batch_wire && threads <= 1 && sample_ms == 0 {
+    let settings = if threads <= 1 && sample_ms == 0 {
         None // Protocol defaults: identical construction path.
     } else if matches!(kind, SystemKind::Rapid | SystemKind::RapidC) {
         Some(Settings {
-            batch_wire,
             threads,
             obs_sample_ms: sample_ms,
             ..Settings::default()
@@ -90,7 +56,7 @@ fn probe(
     } else {
         // The baselines have no Rapid wire framing or sim settings to tune.
         eprintln!(
-            "note: --no-batch/--threads/--timeline only affect the Rapid drivers; ignored for {}",
+            "note: --threads/--timeline only affect the Rapid drivers; ignored for {}",
             kind.label()
         );
         None
@@ -117,104 +83,43 @@ fn probe(
     (p, timeline)
 }
 
-fn bench_json(path: &str, batch_wire: bool, threads: usize) {
-    eprintln!(
-        "note: baseline wall-clock was recorded on the reference machine; \
-speedups on other hardware (or a loaded machine) mix in the hardware ratio"
-    );
-    let mut rows = String::new();
-    for &(n, baseline) in &BASELINE {
-        let (p, _) = probe(n, SystemKind::Rapid, batch_wire, threads, 0);
-        assert!(p.converged_at.is_some(), "bootstrap at n={n} must converge");
-        let (events, wall) = (p.boot_events, p.boot_wall);
-        let rate = events as f64 / wall;
-        let steady_rate = p.steady_events as f64 / p.steady_wall.max(1e-9);
-        let (base_json, speedup_json) = match baseline {
-            Some((base_events, base_wall)) => {
-                let base_rate = base_events as f64 / base_wall;
-                eprintln!(
-                    "n={n}: {events} events in {wall:.4}s = {rate:.0} events/s ({:.2}x baseline), \
-                     steady {steady_rate:.0} events/s",
-                    rate / base_rate
-                );
-                (
-                    format!(
-                        "{{\"events\": {base_events}, \"wall_s\": {base_wall:.4}, \
-\"events_per_s\": {base_rate:.1}}}"
-                    ),
-                    format!("{:.2}", rate / base_rate),
-                )
-            }
-            None => {
-                eprintln!(
-                    "n={n}: {events} events in {wall:.4}s = {rate:.0} events/s (no seed baseline), \
-                     steady {steady_rate:.0} events/s"
-                );
-                ("null".to_string(), "null".to_string())
-            }
-        };
-        if !rows.is_empty() {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&format!(
-            "    {{\"n\": {n}, \"k\": 10, \"workload\": \"bootstrap-to-convergence\", \
-\"baseline\": {base_json}, \
-\"current\": {{\"events\": {events}, \"wall_s\": {wall:.4}, \"events_per_s\": {rate:.1}}}, \
-\"steady\": {{\"events\": {}, \"wall_s\": {:.4}, \"events_per_s\": {steady_rate:.1}, \
-\"window_virtual_ms\": {STEADY_WINDOW_MS}}}, \
-\"speedup_events_per_s\": {speedup_json}}}",
-            p.steady_events, p.steady_wall
-        ));
-    }
-    let json = format!(
-        "{{\n  \"benchmark\": \"rapid-sim bootstrap events/sec\",\n  \
-\"note\": \"baseline = seed implementation before the zero-clone refactor (interned endpoints, Arc fan-out, index-routed engine, deterministic hashing, shared view caches); N=16384 postdates the seed and has no baseline; regenerate with `cargo run --release -p bench --bin scale_probe -- --bench-json`\",\n  \
-\"batch_wire\": {batch_wire},\n  \"threads\": {threads},\n  \"seed\": 42,\n  \"results\": [\n{rows}\n  ]\n}}\n"
-    );
-    std::fs::write(path, json).expect("write BENCH_sim.json");
-    eprintln!("wrote {path}");
+/// Prints the usage line and exits with status 2.
+fn usage() -> ! {
+    eprintln!("usage: scale_probe <n> [rapid|rc|zk|ml] [--threads N] [--timeline FILE]");
+    std::process::exit(2)
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().collect();
-    let batch_wire = !args.iter().any(|a| a == "--no-batch");
-    args.retain(|a| a != "--no-batch");
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut threads = 1usize;
     if let Some(pos) = args.iter().position(|a| a == "--threads") {
         threads = args
             .get(pos + 1)
             .and_then(|s| s.parse().ok())
             .filter(|&t| t >= 1)
-            .expect("--threads needs a positive integer");
+            .unwrap_or_else(|| usage());
         args.drain(pos..=pos + 1);
     }
     let mut timeline_path = None;
     if let Some(pos) = args.iter().position(|a| a == "--timeline") {
-        timeline_path = Some(
-            args.get(pos + 1)
-                .cloned()
-                .expect("--timeline needs a file path"),
-        );
+        timeline_path = Some(args.get(pos + 1).cloned().unwrap_or_else(|| usage()));
         args.drain(pos..=pos + 1);
     }
-    if args.get(1).map(|s| s.as_str()) == Some("--bench-json") {
-        let path = args.get(2).map(|s| s.as_str()).unwrap_or("BENCH_sim.json");
-        bench_json(path, batch_wire, threads);
-        return;
-    }
-    let n: usize = args
-        .get(1)
-        .expect("usage: scale_probe <n> [system] [--no-batch] [--threads N] [--timeline FILE]")
-        .parse()
-        .unwrap();
-    let kind = match args.get(2).map(|s| s.as_str()).unwrap_or("rapid") {
+    let (n, kind) = match args.as_slice() {
+        [n] => (n, "rapid"),
+        [n, kind] => (n, kind.as_str()),
+        _ => usage(),
+    };
+    let n: usize = n.parse().unwrap_or_else(|_| usage());
+    let kind = match kind {
+        "rapid" => SystemKind::Rapid,
+        "rc" => SystemKind::RapidC,
         "zk" => SystemKind::ZooKeeper,
         "ml" => SystemKind::Memberlist,
-        "rc" => SystemKind::RapidC,
-        _ => SystemKind::Rapid,
+        _ => usage(),
     };
     let sample_ms = if timeline_path.is_some() { 1_000 } else { 0 };
-    let (p, timeline) = probe(n, kind, batch_wire, threads, sample_ms);
+    let (p, timeline) = probe(n, kind, threads, sample_ms);
     if let Some(path) = &timeline_path {
         let mut out = timeline.join("\n");
         if !out.is_empty() {

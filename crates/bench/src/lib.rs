@@ -16,8 +16,6 @@
 
 use std::fmt::Display;
 
-pub mod diff;
-
 pub use rapid_scenario::{aggregate_timeseries, SystemKind, World};
 
 /// Command-line arguments shared by all experiment binaries.

@@ -93,7 +93,7 @@ impl EnsembleNode {
         let classic = ClassicPaxos::new(ensemble.len(), my_rank);
         let rng = Xoshiro256::seed_from_u64(me.id.digest() ^ 0xC3);
         EnsembleNode {
-            outbox: Outbox::new(settings.batch_wire),
+            outbox: Outbox::new(true),
             settings,
             me,
             my_rank,
@@ -669,7 +669,7 @@ impl EdgeAgent {
             rng,
             now: 0,
             metrics: NodeMetrics::default(),
-            outbox: Outbox::new(settings.batch_wire),
+            outbox: Outbox::new(true),
             settings,
         }
     }

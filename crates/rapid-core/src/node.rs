@@ -230,7 +230,7 @@ impl Node {
             }),
             metrics: NodeMetrics::default(),
             view_log: Vec::new(),
-            outbox: Outbox::new(settings.batch_wire),
+            outbox: Outbox::new(true),
             scratch_fresh: Vec::new(),
             trace: TraceRing::new(settings.obs_ring),
             first_alert_at: None,

@@ -19,10 +19,10 @@
 //!   is itself a pure function of push order. Simulated traces stay
 //!   bit-identical across runs.
 //!
-//! With batching disabled the outbox degrades to a flat FIFO: every push
-//! is flushed as its own frame in global push order, reproducing the
-//! pre-batching wire trace exactly (the trace-equivalence golden pins
-//! this).
+//! `Outbox::new(false)` degrades to a flat FIFO: every push is flushed
+//! as its own frame in global push order. No host can select it — every
+//! node, client and agent constructs `Outbox::new(true)`; the flat mode
+//! is what the `fd.rs` / `broadcast.rs` unit tests drain through.
 //!
 //! Per-peer buffers are recycled across flushes (no steady-state
 //! allocation for singleton flushes, per the zero-clone discipline of the

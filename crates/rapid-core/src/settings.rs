@@ -66,12 +66,6 @@ pub struct Settings {
     /// Use the epidemic gossip broadcaster instead of unicast-to-all.
     pub use_gossip_broadcast: bool,
 
-    /// Coalesce all messages a node emits per event into one wire frame
-    /// per destination (`Message::Batch`). Disable for A/B benchmarking
-    /// and for reproducing pre-batching wire traces; the protocol outcome
-    /// is identical either way (per-peer order is preserved).
-    pub batch_wire: bool,
-
     /// Simulator worker threads. `1` (the default) runs the sequential
     /// reference engine; `>= 2` shards the simulation across cores under
     /// a conservative-lookahead barrier. The trace is bit-identical
@@ -163,7 +157,6 @@ impl Default for Settings {
             bootstrap_batch: 4,
             centralized_poll_interval_ms: 5_000,
             use_gossip_broadcast: true,
-            batch_wire: true,
             threads: 1,
             obs_ring: 0,
             obs_sample_ms: 0,

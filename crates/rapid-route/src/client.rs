@@ -187,12 +187,6 @@ impl KvClient {
         }
     }
 
-    /// Enables or disables per-destination wire batching (on by default).
-    pub fn with_batching(mut self, enabled: bool) -> KvClient {
-        self.outbox = Outbox::new(enabled);
-        self
-    }
-
     /// This client's endpoint.
     pub fn me(&self) -> Endpoint {
         self.me

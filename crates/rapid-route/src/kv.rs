@@ -1064,13 +1064,6 @@ impl KvNode {
         shard_of(partition, self.shard.1) == self.shard.0
     }
 
-    /// Enables or disables per-peer wire batching (enabled by default;
-    /// disable for A/B benchmarking — the protocol outcome is identical).
-    pub fn with_batching(mut self, enabled: bool) -> KvNode {
-        self.outbox = Outbox::new(enabled);
-        self
-    }
-
     /// Sets the flight-recorder ring capacity (`Settings::obs_ring`;
     /// 0 = off, the default). Latency histograms are always maintained —
     /// they are fixed-size inline state with one-increment recording.

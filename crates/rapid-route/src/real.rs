@@ -532,7 +532,6 @@ impl KvRuntime {
                 let mut kv = KvNode::new(me.clone(), route, op_timeout_ms, None)
                     .with_shard(i, w)
                     .with_repair_interval(repair_interval_ms)
-                    .with_batching(settings.batch_wire)
                     .with_obs(settings.obs_ring)
                     // Split the admission budget so the process-level
                     // bound stays put (exact at W = 1).

@@ -191,9 +191,9 @@ impl KvSimActor {
         self.apply_actions(actions, now, out);
     }
 
-    /// Starts a client write with this process as coordinator (the
-    /// legacy via-coordinator path); the result lands in
-    /// [`KvSimActor::completed`].
+    /// Starts a client write with this process as coordinator (it
+    /// forwards to the partition leader when it is not one); the result
+    /// lands in [`KvSimActor::completed`].
     pub fn begin_put(&mut self, key: &str, val: &str, now: u64, out: &mut Outbox<RouteMsg>) -> u64 {
         let Plane::Node { kv, .. } = &mut self.plane else {
             panic!("begin_put on a client actor");
@@ -213,24 +213,6 @@ impl KvSimActor {
         let req = kv.client_get(key, now, &mut kv_out);
         self.drain_kv(kv_out, out);
         req
-    }
-
-    /// Starts a burst of client operations with one outbox flush (ops to
-    /// one leader share a wire frame); results land in
-    /// [`KvSimActor::completed`].
-    pub fn begin_ops(
-        &mut self,
-        ops: &[ClientOp<'_>],
-        now: u64,
-        out: &mut Outbox<RouteMsg>,
-    ) -> Vec<u64> {
-        let Plane::Node { kv, .. } = &mut self.plane else {
-            panic!("begin_ops on a client actor");
-        };
-        let mut kv_out = std::mem::take(&mut self.kv_out);
-        let reqs = kv.client_ops(ops, now, &mut kv_out);
-        self.drain_kv(kv_out, out);
-        reqs
     }
 
     fn drain_kv(&mut self, mut kv_out: Vec<KvOut>, out: &mut Outbox<RouteMsg>) {
@@ -450,7 +432,6 @@ impl KvClusterBuilder {
             self.op_timeout_ms,
             Some(cache.clone()),
         )
-        .with_batching(self.inner.settings.batch_wire)
         .with_obs(self.inner.settings.obs_ring)
         .with_admission(self.inner.settings.kv_inbox, self.inner.settings.kv_shed_p99_ms);
         match self.repair_interval_ms {
@@ -472,8 +453,7 @@ impl KvClusterBuilder {
                 seeds.clone(),
                 self.inner.settings.client_window,
                 self.op_timeout_ms,
-            )
-            .with_batching(self.inner.settings.batch_wire);
+            );
             sim.add_actor(ep, KvSimActor::new_client(client));
         }
     }

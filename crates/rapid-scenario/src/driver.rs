@@ -25,7 +25,7 @@ use rapid_route::{ClientStats, KvOutcome, KvRuntime, KvStats};
 use rapid_sim::Fault;
 use rapid_transport::{AppEvent, Runtime};
 
-use crate::model::{KvSpec, Scenario, SubmitMode, Topology};
+use crate::model::{KvSpec, Scenario, Topology};
 use crate::world::{KvOp, SystemKind, TrafficTotals, World};
 
 /// A workload action with targets resolved to cluster-process indices.
@@ -81,9 +81,9 @@ pub trait Driver {
     /// Whether all view histories agree, where inspectable.
     fn consistent_histories(&self) -> Option<bool>;
 
-    /// Runs a batch of KV client operations through coordinator `via`
-    /// (`None` = driver's choice of a live process) and returns one
-    /// outcome per op. Only drivers hosting the `[kv]` data plane
+    /// Runs a batch of KV client operations through smart client `via`
+    /// (modulo the hosted client count; `None` = client 0) and returns
+    /// one outcome per op. Only drivers hosting the `[kv]` data plane
     /// support this.
     fn kv_batch(&mut self, via: Option<usize>, ops: &[KvOp]) -> Result<Vec<KvOutcome>, Unsupported> {
         let _ = (via, ops);
@@ -100,9 +100,7 @@ pub trait Driver {
     }
 
     /// Smart-client plane counters and the merged client-observed
-    /// op-latency histogram, where ops are submitted through
-    /// view-subscribed clients (`None` in coordinator mode or when no
-    /// client plane is hosted).
+    /// op-latency histogram (`None` when no client plane is hosted).
     fn kv_client_stats(&self) -> Option<(ClientStats, LatencyHist)> {
         None
     }
@@ -680,83 +678,53 @@ impl Driver for RealDriver {
         None
     }
 
-    fn kv_batch(&mut self, via: Option<usize>, ops: &[KvOp]) -> Result<Vec<KvOutcome>, Unsupported> {
+    fn kv_batch(&mut self, _via: Option<usize>, ops: &[KvOp]) -> Result<Vec<KvOutcome>, Unsupported> {
         let Some(spec) = self.kv else {
             return Err(Unsupported(
                 "this scenario has no [kv] table; the real driver hosts no data plane"
                     .into(),
             ));
         };
-        // Collect one outcome per submitted op within the op window.
-        let collect = |rxs: Vec<crossbeam::channel::Receiver<KvOutcome>>| -> Vec<KvOutcome> {
-            let deadline = Instant::now() + Duration::from_millis(spec.op_window_ms);
-            rxs.into_iter()
-                .map(|rx| {
-                    let budget = deadline.saturating_duration_since(Instant::now());
-                    rx.recv_timeout(budget.max(Duration::from_millis(1)))
-                        .unwrap_or(KvOutcome::Failed)
+        // One smart client serves every batch, whatever `via` says:
+        // subscribe once, then route every op directly to its partition
+        // leader.
+        if self.client.is_none() {
+            let seeds: Vec<Endpoint> = self
+                .nodes
+                .iter()
+                .flatten()
+                .filter_map(|p| match p {
+                    Proc::Kv(rt) => Some(rt.addr()),
+                    Proc::Plain(_) => None,
                 })
-                .collect()
-        };
-        let outcomes = match spec.submit {
-            SubmitMode::Client => {
-                // Smart-client path: subscribe once, then route every op
-                // directly to its partition leader.
-                if self.client.is_none() {
-                    let seeds: Vec<Endpoint> = self
-                        .nodes
-                        .iter()
-                        .flatten()
-                        .filter_map(|p| match p {
-                            Proc::Kv(rt) => Some(rt.addr()),
-                            Proc::Plain(_) => None,
-                        })
-                        .collect();
-                    let client = KvClientRuntime::start(
-                        seeds,
-                        spec.placement(),
-                        self.settings.client_window,
-                        spec.op_timeout_ms(),
-                    )
-                    .map_err(|e| Unsupported(format!("smart client start failed: {e}")))?;
-                    self.client = Some(client);
-                }
-                let rt = self.client.as_ref().expect("started above");
-                let rxs: Vec<_> = ops
-                    .iter()
-                    .map(|op| match &op.put_val {
-                        Some(v) => rt.begin_put(&op.key, v),
-                        None => rt.begin_get(&op.key),
-                    })
-                    .collect();
-                collect(rxs)
-            }
-            SubmitMode::Coordinator => {
-                let idx = match via {
-                    Some(i) => i,
-                    None => self
-                        .nodes
-                        .iter()
-                        .position(Option::is_some)
-                        .ok_or_else(|| {
-                            Unsupported("no live process to coordinate kv ops".into())
-                        })?,
-                };
-                let Some(Proc::Kv(rt)) = self.nodes.get(idx).and_then(Option::as_ref) else {
-                    return Err(Unsupported(format!(
-                        "kv coordinator {idx} is out of range or crashed"
-                    )));
-                };
-                let rxs: Vec<_> = ops
-                    .iter()
-                    .map(|op| match &op.put_val {
-                        Some(v) => rt.begin_put(&op.key, v),
-                        None => rt.begin_get(&op.key),
-                    })
-                    .collect();
-                collect(rxs)
-            }
-        };
+                .collect();
+            let client = KvClientRuntime::start(
+                seeds,
+                spec.placement(),
+                self.settings.client_window,
+                spec.op_timeout_ms(),
+            )
+            .map_err(|e| Unsupported(format!("smart client start failed: {e}")))?;
+            self.client = Some(client);
+        }
+        let rt = self.client.as_ref().expect("started above");
+        let rxs: Vec<_> = ops
+            .iter()
+            .map(|op| match &op.put_val {
+                Some(v) => rt.begin_put(&op.key, v),
+                None => rt.begin_get(&op.key),
+            })
+            .collect();
+        // Collect one outcome per submitted op within the op window.
+        let deadline = Instant::now() + Duration::from_millis(spec.op_window_ms);
+        let outcomes = rxs
+            .into_iter()
+            .map(|rx| {
+                let budget = deadline.saturating_duration_since(Instant::now());
+                rx.recv_timeout(budget.max(Duration::from_millis(1)))
+                    .unwrap_or(KvOutcome::Failed)
+            })
+            .collect();
         self.poll();
         Ok(outcomes)
     }

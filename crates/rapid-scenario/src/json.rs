@@ -2,9 +2,8 @@
 //!
 //! Reports must serialize to *byte-identical* JSON across runs of the same
 //! seed (the golden tests pin this), so the writer emits keys in exactly
-//! the order the caller supplies them and formats floats via Rust's
-//! shortest-roundtrip `Display` — no external serializer, no map ordering
-//! surprises.
+//! the order the caller supplies them — no external serializer, no map
+//! ordering surprises.
 
 use std::fmt::Write as _;
 
@@ -15,11 +14,9 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// An integer (kept separate from floats so counters never grow a
-    /// `.0` suffix).
+    /// An integer (every number a report carries is a counter or a
+    /// millisecond instant).
     Int(i64),
-    /// A finite float; non-finite values serialize as `null`.
-    Float(f64),
     /// A string.
     Str(String),
     /// An array.
@@ -66,13 +63,6 @@ impl Json {
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Int(i) => {
                 let _ = write!(out, "{i}");
-            }
-            Json::Float(f) => {
-                if f.is_finite() {
-                    let _ = write!(out, "{f}");
-                } else {
-                    out.push_str("null");
-                }
             }
             Json::Str(s) => write_escaped(out, s),
             Json::Array(items) => {
@@ -156,14 +146,13 @@ mod tests {
         let v = Json::obj(vec![
             ("name", Json::Str("s\"1\"".into())),
             ("n", Json::Int(200)),
-            ("ratio", Json::Float(0.5)),
             ("ok", Json::Bool(true)),
             ("none", Json::Null),
             ("xs", Json::Array(vec![Json::Int(1), Json::Int(2)])),
         ]);
         assert_eq!(
             v.to_string(),
-            r#"{"name":"s\"1\"","n":200,"ratio":0.5,"ok":true,"none":null,"xs":[1,2]}"#
+            r#"{"name":"s\"1\"","n":200,"ok":true,"none":null,"xs":[1,2]}"#
         );
         assert!(v.to_pretty(2).contains("\n  \"n\": 200"));
     }

@@ -5,7 +5,7 @@ use rapid_sim::LatencyDist;
 
 use crate::model::{
     Expect, FaultSpec, FullOverrides, Group, Inject, KeyDist, KvSpec, Phase, Repeat, Scenario,
-    SettingsPatch, SizeExpr, SubmitMode, Target, Topology, Workload, WorkloadAction,
+    SettingsPatch, SizeExpr, Target, Topology, Workload, WorkloadAction,
 };
 use crate::toml::Value;
 
@@ -175,13 +175,6 @@ fn settings_from_value(v: &Value) -> Result<SettingsPatch, String> {
             "peer_quota_interval_ms" => {
                 patch.peer_quota_interval_ms = Some(req_uint(v, key, ctx)?)
             }
-            "batch_wire" => {
-                patch.batch_wire = Some(
-                    v.get(key)
-                        .and_then(Value::as_bool)
-                        .ok_or_else(|| format!("{ctx}: {key:?} must be a boolean"))?,
-                )
-            }
             other => return Err(format!("{ctx}: unknown settings key {other:?}")),
         }
     }
@@ -212,17 +205,6 @@ fn kv_from_value(v: &Value) -> Result<KvSpec, String> {
             "op_window_ms" => spec.op_window_ms = req_uint(v, key, ctx)?,
             "repair_interval_ms" => spec.repair_interval_ms = req_uint(v, key, ctx)?,
             "value_size" => spec.value_size = req_usize(v, key, ctx)?,
-            "submit" => {
-                spec.submit = match req_str(v, key, ctx)? {
-                    "client" => SubmitMode::Client,
-                    "coordinator" => SubmitMode::Coordinator,
-                    other => {
-                        return Err(format!(
-                            "{ctx}: submit must be \"client\" or \"coordinator\", got {other:?}"
-                        ))
-                    }
-                }
-            }
             "clients" => spec.clients = req_usize(v, key, ctx)?,
             other => return Err(format!("{ctx}: unknown kv key {other:?}")),
         }
@@ -233,10 +215,8 @@ fn kv_from_value(v: &Value) -> Result<KvSpec, String> {
     if spec.replication == 0 {
         return Err(format!("{ctx}: replication must be at least 1"));
     }
-    if spec.submit == SubmitMode::Client && spec.clients == 0 {
-        return Err(format!(
-            "{ctx}: submit = \"client\" needs at least one client process"
-        ));
+    if spec.clients == 0 {
+        return Err(format!("{ctx}: clients must be at least 1"));
     }
     Ok(spec)
 }
@@ -668,7 +648,6 @@ replication = 3
 op_window_ms = 4000
 repair_interval_ms = 750
 value_size = 128
-submit = "coordinator"
 
 [[phase]]
 name = "load"
@@ -702,7 +681,7 @@ name = "load"
         let kv = s.kv.unwrap();
         assert_eq!((kv.partitions, kv.replication, kv.op_window_ms), (16, 3, 4000));
         assert_eq!((kv.repair_interval_ms, kv.value_size), (750, 128));
-        assert_eq!((kv.submit, kv.clients), (SubmitMode::Coordinator, 1));
+        assert_eq!(kv.clients, 1);
         assert_eq!(
             s.phases[0].workloads[0].action,
             WorkloadAction::Put { count: 50, via: Some(0), value_size: None, key_dist: KeyDist::Sequential }
@@ -726,9 +705,12 @@ name = "load"
             s.phases[0].expects[5],
             Expect::OpsRecover { within_samples: 5, min_ops: 2 }
         );
-        let bad_submit =
-            "name=\"x\"\nn=5\n[kv]\nsubmit = \"postcard\"\n[[phase]]\nname=\"p\"\nrun_ms=1\n";
-        assert!(Scenario::from_toml(bad_submit).unwrap_err().contains("submit"));
+        // There is one submit path, so `[kv] submit` is not a key.
+        let old_submit =
+            "name=\"x\"\nn=5\n[kv]\nsubmit = \"client\"\n[[phase]]\nname=\"p\"\nrun_ms=1\n";
+        assert!(Scenario::from_toml(old_submit)
+            .unwrap_err()
+            .contains("unknown kv key \"submit\""));
         let no_clients =
             "name=\"x\"\nn=5\n[kv]\nclients = 0\n[[phase]]\nname=\"p\"\nrun_ms=1\n";
         assert!(Scenario::from_toml(no_clients).unwrap_err().contains("client"));

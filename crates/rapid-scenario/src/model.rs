@@ -15,19 +15,6 @@ use rapid_core::settings::Settings;
 use rapid_route::PlacementConfig;
 use rapid_sim::LatencyDist;
 
-/// How `[kv]` workloads reach the cluster.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SubmitMode {
-    /// Through view-subscribed smart clients ([`rapid_route::KvClient`]):
-    /// each op routed directly to the partition leader, any-replica
-    /// fallback on a stale view, bounded in-flight window. The default.
-    #[default]
-    Client,
-    /// Legacy raw coordinator submission: ops handed to a member node
-    /// which forwards to leaders (one extra hop per remote op).
-    Coordinator,
-}
-
 /// Configuration of the replicated KV data plane (`[kv]` TOML table).
 /// Present on a scenario ⇒ every cluster process hosts a
 /// `rapid-route` KV node next to its membership node, and `put`
@@ -51,11 +38,9 @@ pub struct KvSpec {
     /// something real. 0 keeps the natural few-byte values. Individual
     /// `put` workloads can override it.
     pub value_size: usize,
-    /// How workload ops reach the cluster (`submit = "client"` |
-    /// `"coordinator"` in TOML). Smart clients by default.
-    pub submit: SubmitMode,
-    /// Number of smart-client processes attached to the cluster when
-    /// `submit = "client"` (ignored in coordinator mode).
+    /// Number of smart-client processes ([`rapid_route::KvClient`])
+    /// attached to the simulated cluster; every workload op goes through
+    /// one of them. The real driver hosts one `KvClientRuntime`.
     pub clients: usize,
 }
 
@@ -67,7 +52,6 @@ impl Default for KvSpec {
             op_window_ms: 5_000,
             repair_interval_ms: 1_000,
             value_size: 0,
-            submit: SubmitMode::Client,
             clients: 1,
         }
     }
@@ -129,8 +113,6 @@ pub struct SettingsPatch {
     pub bootstrap_batch: Option<usize>,
     /// Gossip vs unicast-to-all broadcaster.
     pub use_gossip_broadcast: Option<bool>,
-    /// Per-peer wire batching (one frame per destination per event).
-    pub batch_wire: Option<bool>,
     /// Simulator worker threads (`1` = sequential reference engine;
     /// traces are bit-identical at any count). Ignored by the real
     /// driver.
@@ -181,7 +163,7 @@ impl SettingsPatch {
             fd_window, fd_fail_fraction, reinforce_timeout_ms, consensus_fallback_base_ms,
             consensus_fallback_jitter_ms, classic_round_timeout_ms, gossip_fanout,
             gossip_interval_ms, join_timeout_ms, bootstrap_batch, use_gossip_broadcast,
-            batch_wire, threads, obs_ring, obs_sample_ms, kv_shards, client_window, kv_inbox,
+            threads, obs_ring, obs_sample_ms, kv_shards, client_window, kv_inbox,
             kv_shed_p99_ms, peer_quota_frames, peer_quota_bytes, peer_quota_interval_ms
         );
         base.validate()
@@ -394,7 +376,9 @@ pub enum WorkloadAction {
     Put {
         /// Number of keys written.
         count: usize,
-        /// Coordinator process index (`None` = first live process).
+        /// Which smart client submits the batch: client `via` modulo
+        /// `[kv] clients` (`None` = client 0). Ignored by the real
+        /// driver, which hosts one `KvClientRuntime`.
         via: Option<usize>,
         /// Minimum value size in bytes for this workload, overriding the
         /// `[kv]` table's `value_size` (`None` = inherit).

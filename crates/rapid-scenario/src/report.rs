@@ -288,8 +288,8 @@ fn phase_json(p: &PhaseReport) -> Json {
             ("msgs_per_frame_milli", Json::uint(kv.msgs_per_frame_milli())),
             ("shed", Json::uint(kv.shed)),
         ];
-        // The client object appears only on smart-client submissions, so
-        // coordinator-mode runs keep their exact pre-client shape.
+        // The client object appears once a client plane exists (the
+        // real driver starts its client with the first batch).
         if let Some(c) = kv.client {
             kv_fields.push((
                 "client",

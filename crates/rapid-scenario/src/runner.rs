@@ -505,15 +505,14 @@ fn validate(scenario: &Scenario) -> Result<(), String> {
                     &format!("phase {:?} leave", phase.name),
                     &scenario.resolve_target(t)?,
                 )?,
-                WorkloadAction::Put { via, .. } => {
+                // `via` needs no range check: it picks a smart client
+                // modulo `[kv] clients`, not a cluster process.
+                WorkloadAction::Put { .. } => {
                     if scenario.kv.is_none() {
                         return Err(format!(
                             "phase {:?}: put workload requires a [kv] table on the scenario",
                             phase.name
                         ));
-                    }
-                    if let Some(i) = via {
-                        check(&format!("phase {:?} put via", phase.name), &[*i])?;
                     }
                 }
                 WorkloadAction::Join { .. } => {}
@@ -791,10 +790,10 @@ mod tests {
             crash_kv.bytes_moved > 500,
             "value_size padding must show up in bytes_moved: {crash_kv:?}"
         );
-        // The default submit mode drives everything through a smart
-        // client, so client-observed metrics must be present and account
-        // for at least the put workload.
-        let client = load_kv.client.expect("client metrics present in client mode");
+        // Everything goes through a smart client, so client-observed
+        // metrics must be present and account for at least the put
+        // workload.
+        let client = load_kv.client.expect("client metrics present");
         assert!(client.submitted >= 20, "client saw the puts: {client:?}");
         assert!(client.completed >= 20, "client completed the puts: {client:?}");
         // The kv object must appear in the JSON, and runs are byte-stable.
@@ -802,6 +801,24 @@ mod tests {
         assert!(json.contains("\"kv\":{\"puts\":20"), "kv json missing: {json}");
         assert!(json.contains("\"repair_bytes\":"), "repair metrics missing: {json}");
         assert!(json.contains("\"client\":{\"submitted\":"), "client json missing: {json}");
+    }
+
+    #[test]
+    fn put_via_picks_a_client_not_a_process() {
+        // via = 6 names no process of a 5-node cluster, but it does name
+        // smart client 6 of 8.
+        let put = WorkloadAction::Put { count: 10, via: Some(6), value_size: None, key_dist: KeyDist::Sequential };
+        let s = Scenario::build("kv-via", 5)
+            .topology(Topology::Static)
+            .kv(crate::model::KvSpec { partitions: 8, clients: 8, ..Default::default() })
+            .phase(Phase::new("load").workload(1_000, put))
+            .finish();
+        let mut driver = SimDriver::new(SystemKind::Rapid, &s).unwrap();
+        let report = run(&s, &mut driver).unwrap();
+        assert_eq!(report.phases[0].kv.expect("kv metrics").acked, 10);
+        let crate::world::World::RapidKv(w) = driver.world() else { unreachable!() };
+        let submitted = |c: usize| w.sim.actor(5 + c).client_stats().expect("client").submitted;
+        assert_eq!((submitted(6), submitted(0)), (10, 0));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use rapid_sim::cluster::{sim_member, RapidActor, RapidClusterBuilder};
 use rapid_sim::{Fault, Sample, Simulation};
 use swim_member::{SwimConfig, SwimNode};
 
-use crate::model::{KvSpec, SubmitMode, Topology};
+use crate::model::{KvSpec, Topology};
 
 /// The membership systems compared in the paper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -119,10 +119,10 @@ pub struct KvOp {
 }
 
 /// A Rapid deployment with the `rapid-route` KV data plane co-hosted on
-/// every cluster process. When the spec's submit mode is `Client`, the
-/// simulation additionally hosts `spec.clients` smart-client actors at
-/// actor indices `n0..n0+clients` (joiners land after them); clients are
-/// excluded from every cluster-process measurement.
+/// every cluster process. The simulation additionally hosts
+/// `spec.clients` smart-client actors at actor indices `n0..n0+clients`
+/// (joiners land after them); clients are excluded from every
+/// cluster-process measurement.
 pub struct KvWorld {
     /// The underlying simulation (public for post-run analysis).
     pub sim: Simulation<KvSimActor>,
@@ -132,13 +132,6 @@ pub struct KvWorld {
 }
 
 impl KvWorld {
-    fn client_count(&self) -> usize {
-        match self.spec.submit {
-            SubmitMode::Client => self.spec.clients,
-            SubmitMode::Coordinator => 0,
-        }
-    }
-
     /// Actor index of cluster process `p`: the client actors sit between
     /// the initial members and any later joiners, so processes joined
     /// after build time shift past them.
@@ -146,7 +139,7 @@ impl KvWorld {
         if p < self.n0 {
             p
         } else {
-            p + self.client_count()
+            p + self.spec.clients
         }
     }
 }
@@ -194,12 +187,10 @@ impl World {
         }
         let mut builder = KvClusterBuilder::new(n, spec.placement())
             .seed(seed)
-            .op_timeout_ms(spec.op_timeout_ms());
+            .op_timeout_ms(spec.op_timeout_ms())
+            .clients(spec.clients);
         if let Some(s) = settings {
             builder = builder.settings(s);
-        }
-        if spec.submit == SubmitMode::Client {
-            builder = builder.clients(spec.clients);
         }
         let sim = match topology {
             Topology::Bootstrap => builder.build_bootstrap(),
@@ -432,7 +423,7 @@ impl World {
         if let World::RapidKv(w) = self {
             // Client actors sit between the initial members and later
             // joiners, so post-build process indices shift past them.
-            let (n0, c) = (w.n0, w.client_count());
+            let (n0, c) = (w.n0, w.spec.clients);
             let m = |i: usize| if i < n0 { i } else { i + c };
             let shifted = match fault {
                 Fault::Crash(i) => Fault::Crash(m(i)),
@@ -789,10 +780,9 @@ impl World {
     /// once, the simulation advances one op-window, and unresolved ops
     /// score as failed. Requires the KV-hosting world.
     ///
-    /// In the default `submit = "client"` mode the batch goes through a
-    /// smart-client actor (`via` only picks which client, round-robin);
-    /// in `"coordinator"` mode it goes through member node `via`
-    /// (`None` = first live process), which forwards to leaders.
+    /// The batch goes through one smart-client actor (`via` picks which,
+    /// modulo `[kv] clients`), which routes each op straight to its
+    /// partition leader from the cached placement.
     pub fn kv_batch(&mut self, via: Option<usize>, ops: &[KvOp]) -> Result<Vec<KvOutcome>, String> {
         let World::RapidKv(w) = self else {
             return Err(format!(
@@ -808,34 +798,12 @@ impl World {
                 None => rapid_route::ClientOp::Get { key: &op.key },
             })
             .collect();
-        let submitter = match w.spec.submit {
-            // Smart-client path: the client routes each op straight to
-            // its partition leader from the cached placement.
-            SubmitMode::Client => w.n0 + via.unwrap_or(0) % w.client_count(),
-            // Legacy path: one member node coordinates, forwarding
-            // remote ops (one extra hop each).
-            SubmitMode::Coordinator => {
-                let n = w.sim.len();
-                match via {
-                    Some(i) if w.actor_idx(i) < n && !w.sim.net.is_crashed(w.actor_idx(i)) => {
-                        w.actor_idx(i)
-                    }
-                    Some(i) => {
-                        return Err(format!("kv coordinator {i} is out of range or crashed"))
-                    }
-                    None => (0..n)
-                        .find(|&i| !w.sim.net.is_crashed(i) && !w.sim.actor(i).is_client())
-                        .ok_or("no live process to coordinate kv ops")?,
-                }
-            }
-        };
+        let submitter = w.n0 + via.unwrap_or(0) % w.spec.clients;
         // One pipelined submission: the submitter's outbox coalesces ops
         // sharing a destination into single wire frames.
-        let mode = w.spec.submit;
-        let reqs: Vec<u64> = w.sim.with_actor(submitter, |a, out| match mode {
-            SubmitMode::Client => a.client_submit_ops(&client_ops, now, out),
-            SubmitMode::Coordinator => a.begin_ops(&client_ops, now, out),
-        });
+        let reqs: Vec<u64> = w
+            .sim
+            .with_actor(submitter, |a, out| a.client_submit_ops(&client_ops, now, out));
         w.sim.run_until(now + w.spec.op_window_ms);
         let completed = std::mem::take(&mut w.sim.actor_mut(submitter).completed);
         Ok(reqs
@@ -854,11 +822,11 @@ impl World {
     /// when this world hosts no client plane).
     pub fn kv_client_stats(&self) -> Option<ClientStats> {
         let World::RapidKv(w) = self else { return None };
-        if w.client_count() == 0 {
+        if w.spec.clients == 0 {
             return None;
         }
         let mut stats = ClientStats::default();
-        for i in w.n0..w.n0 + w.client_count() {
+        for i in w.n0..w.n0 + w.spec.clients {
             if let Some(cs) = w.sim.actor(i).client_stats() {
                 stats.absorb(cs);
             }
@@ -870,11 +838,11 @@ impl World {
     /// actors (`None` when this world hosts no client plane).
     pub fn kv_client_hist(&self) -> Option<LatencyHist> {
         let World::RapidKv(w) = self else { return None };
-        if w.client_count() == 0 {
+        if w.spec.clients == 0 {
             return None;
         }
         let mut hist = LatencyHist::new();
-        for i in w.n0..w.n0 + w.client_count() {
+        for i in w.n0..w.n0 + w.spec.clients {
             if let Some(c) = w.sim.actor(i).client() {
                 hist.merge(c.op_hist());
             }
