@@ -1,4 +1,5 @@
-//! Error types.
+//! Error types. Wire decoding has its own `Copy` error,
+//! [`crate::codec::DecodeError`].
 
 use core::fmt;
 
@@ -7,24 +8,12 @@ use core::fmt;
 pub enum RapidError {
     /// An endpoint string could not be parsed as `host:port`.
     InvalidEndpoint(String),
-    /// A wire message could not be decoded.
-    Decode(String),
-    /// A join attempt was rejected (e.g. configuration changed mid-join).
-    JoinRejected(String),
-    /// An operation was attempted in a node state that does not allow it.
-    InvalidState(String),
-    /// Settings validation failed.
-    InvalidSettings(String),
 }
 
 impl fmt::Display for RapidError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RapidError::InvalidEndpoint(s) => write!(f, "invalid endpoint: {s}"),
-            RapidError::Decode(s) => write!(f, "decode error: {s}"),
-            RapidError::JoinRejected(s) => write!(f, "join rejected: {s}"),
-            RapidError::InvalidState(s) => write!(f, "invalid state: {s}"),
-            RapidError::InvalidSettings(s) => write!(f, "invalid settings: {s}"),
         }
     }
 }
@@ -37,7 +26,7 @@ mod tests {
 
     #[test]
     fn display_includes_detail() {
-        let e = RapidError::Decode("truncated".into());
-        assert!(e.to_string().contains("truncated"));
+        let e = RapidError::InvalidEndpoint("nocolon".into());
+        assert!(e.to_string().contains("nocolon"));
     }
 }

@@ -184,7 +184,7 @@ impl Endpoint {
     /// already interned always succeed; on refusal, returns the current
     /// table size. This is the decoder-facing guard against a peer
     /// streaming unique host names to grow the interner without bound
-    /// (see [`crate::wire::DecodeLimits`]).
+    /// (see [`crate::codec::DecodeLimits`]).
     pub fn new_bounded(
         host: impl AsRef<str>,
         port: u16,

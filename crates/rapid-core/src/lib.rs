@@ -54,6 +54,7 @@
 pub mod alert;
 pub mod broadcast;
 pub mod centralized;
+pub mod codec;
 pub mod config;
 pub mod cut;
 pub mod error;

@@ -55,7 +55,7 @@ impl BatchMessage for crate::wire::Message {
 /// would encode past this is split into several frames (order
 /// preserved), so a flush can never assemble a frame the receiving side
 /// refuses: it stays far below both the TCP transport's 32 MiB frame cap
-/// and the decoder's [`crate::wire::MAX_BATCH_BYTES`]. A single message
+/// and the decoder's [`crate::codec::MAX_BATCH_BYTES`]. A single message
 /// larger than this still goes out alone — exactly what the unbatched
 /// path would have done with it.
 pub const MAX_FRAME_BATCH_BYTES: usize = 4 * 1024 * 1024;
@@ -173,9 +173,9 @@ impl<M: BatchMessage> Outbox<M> {
     /// preserved across the split. Returns the number of frames emitted.
     fn emit_lane(to: Endpoint, lane: Vec<M>, emit: &mut impl FnMut(Endpoint, M)) -> usize {
         // The decoder refuses frames beyond this many messages (see
-        // `wire::MAX_BATCH_MSGS`), and the batch count rides a u16 on the
+        // `codec::MAX_BATCH_MSGS`), and the batch count rides a u16 on the
         // membership wire — an honest sender must split first.
-        const MAX_FRAME_MSGS: usize = crate::wire::MAX_BATCH_MSGS;
+        const MAX_FRAME_MSGS: usize = crate::codec::MAX_BATCH_MSGS;
         let mut frames = 0usize;
         let mut run: Vec<M> = Vec::new();
         let mut run_bytes = 0usize;
@@ -271,7 +271,7 @@ mod tests {
         // frame may carry must split into several decodable frames, in
         // order — not assemble one frame the receiver refuses.
         let mut ob = Outbox::new(true);
-        let total = crate::wire::MAX_BATCH_MSGS + 10;
+        let total = crate::codec::MAX_BATCH_MSGS + 10;
         for seq in 0..total as u64 {
             ob.push(ep(1), Message::Probe { seq });
         }
@@ -282,7 +282,7 @@ mod tests {
             let Message::Batch { msgs } = frame else {
                 panic!("expected Batch, got {}", frame.kind());
             };
-            assert!(msgs.len() <= crate::wire::MAX_BATCH_MSGS);
+            assert!(msgs.len() <= crate::codec::MAX_BATCH_MSGS);
             for m in msgs {
                 assert!(
                     matches!(m, Message::Probe { seq } if *seq == next),

@@ -3,9 +3,11 @@
 //! The paper's implementation uses gRPC/Netty for RPC and UDP for alert and
 //! vote dissemination (§6). We define one [`Message`] enum covering the
 //! whole protocol and a compact hand-rolled binary encoding (length-
-//! prefixed, little-endian) over [`bytes`]. The same encoding is used by
-//! the real TCP/UDP transport and by the simulator's bandwidth accounting,
-//! so Table 2's byte counts reflect real message sizes.
+//! prefixed, little-endian) built from the [`crate::codec`] kit, which
+//! also owns the hostile-input rules the decoder applies. The same
+//! encoding is used by the real TCP/UDP transport and by the simulator's
+//! bandwidth accounting, so Table 2's byte counts reflect real message
+//! sizes.
 //!
 //! Large payloads (alert batches, proposal bodies) are wrapped in [`Arc`]
 //! so that broadcasting to thousands of simulated recipients clones a
@@ -13,11 +15,14 @@
 
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 
 use crate::alert::{Alert, EdgeStatus};
+use crate::codec::{
+    endpoint_len, put_bytes32, put_endpoint, put_str16, str16_len, DecodeError, DecodeLimits,
+    Reader,
+};
 use crate::config::{ConfigId, Member};
-use crate::error::RapidError;
 use crate::id::{Endpoint, NodeId};
 use crate::membership::{Proposal, ProposalHash, ProposalItem};
 use crate::metadata::Metadata;
@@ -245,23 +250,11 @@ impl Message {
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    debug_assert!(s.len() <= u16::MAX as usize);
-    buf.put_u16_le(s.len() as u16);
-    buf.put_slice(s.as_bytes());
-}
-
-fn put_endpoint(buf: &mut Vec<u8>, ep: &Endpoint) {
-    put_str(buf, ep.host());
-    buf.put_u16_le(ep.port());
-}
-
 fn put_metadata(buf: &mut Vec<u8>, md: &Metadata) {
     buf.put_u16_le(md.len() as u16);
     for (k, v) in md.iter() {
-        put_str(buf, k);
-        buf.put_u32_le(v.len() as u32);
-        buf.put_slice(v);
+        put_str16(buf, k);
+        put_bytes32(buf, v);
     }
 }
 
@@ -358,13 +351,18 @@ fn join_status_to_u8(s: JoinStatus) -> u8 {
     }
 }
 
-fn join_status_from_u8(v: u8) -> Result<JoinStatus, RapidError> {
-    Ok(match v {
+fn join_status_from_u8(value: u8) -> Result<JoinStatus, DecodeError> {
+    Ok(match value {
         0 => JoinStatus::SafeToJoin,
         1 => JoinStatus::ConfigChanged,
         2 => JoinStatus::AlreadyMember,
         3 => JoinStatus::NotReady,
-        _ => return Err(RapidError::Decode(format!("bad JoinStatus {v}"))),
+        _ => {
+            return Err(DecodeError::BadValue {
+                field: "join status",
+                value,
+            })
+        }
     })
 }
 
@@ -559,16 +557,8 @@ pub fn encode_to_vec(msg: &Message) -> Vec<u8> {
 // function below must stay in lockstep with its `put_*` counterpart (the
 // codec tests assert exact agreement over every message family).
 
-fn str_len(s: &str) -> usize {
-    2 + s.len()
-}
-
-fn endpoint_len(ep: &Endpoint) -> usize {
-    2 + ep.host_len() + 2
-}
-
 fn metadata_len(md: &Metadata) -> usize {
-    2 + md.iter().map(|(k, v)| str_len(k) + 4 + v.len()).sum::<usize>()
+    2 + md.iter().map(|(k, v)| str16_len(k) + 4 + v.len()).sum::<usize>()
 }
 
 fn member_len(m: &Member) -> usize {
@@ -664,66 +654,10 @@ pub fn encoded_len(msg: &Message) -> usize {
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// Decode-side cap on host-name length. The wire format can carry up to
-/// 65535 bytes, but no legitimate DNS name or IP literal exceeds 255 —
-/// and every decoded host is *interned permanently* (see
-/// [`crate::id::Endpoint`]), so a hostile peer streaming unique oversized
-/// names would grow the interner without bound. Rejecting before
-/// `Endpoint::new` keeps garbage out of the table entirely.
-pub const MAX_WIRE_HOST_LEN: usize = 255;
-
 /// Decode-side cap on repeated-item counts (alerts, members, proposal
 /// items). A 5000-member deployment — 5× the paper's largest — stays an
 /// order of magnitude below this; a count above it is hostile or corrupt.
 pub const MAX_WIRE_ITEMS: usize = 65_536;
-
-/// Default cap on *distinct* host names the decoder will ever intern,
-/// process-wide. The per-name length cap ([`MAX_WIRE_HOST_LEN`]) stops a
-/// peer interning huge strings; this cap stops a peer interning *many*
-/// short, valid, unique strings — each one permanent (the interner is
-/// append-only). 4096 is double the paper's largest deployment, and a
-/// real transport sees only the hosts it actually talks to.
-pub const MAX_DISTINCT_WIRE_HOSTS: usize = 4_096;
-
-/// Default cap on the number of messages one [`Message::Batch`] frame may
-/// carry. An honest outbox flush coalesces at most a few hundred messages
-/// per peer (bounded by what one event can generate); a count beyond this
-/// is hostile or corrupt.
-pub const MAX_BATCH_MSGS: usize = 4_096;
-
-/// Default cap on the encoded bytes a single [`Message::Batch`] frame may
-/// occupy. Matches the real transport's frame ceiling, so an adversarial
-/// batch is refused up front instead of driving a long decode loop whose
-/// every iteration allocates.
-pub const MAX_BATCH_BYTES: usize = 32 * 1024 * 1024;
-
-/// Resource limits applied while decoding untrusted bytes.
-///
-/// [`decode`] uses [`DecodeLimits::default`]; transports exposed to
-/// less-trusted peers can tighten (or loosen, for genuinely huge
-/// cooperative clusters) the caps via [`decode_with_limits`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DecodeLimits {
-    /// Maximum total distinct host names the process-wide interner may
-    /// hold after this decode; a message introducing a host beyond the
-    /// cap fails to decode (already-known hosts always pass).
-    pub max_distinct_hosts: usize,
-    /// Maximum messages a single [`Message::Batch`] frame may carry.
-    pub max_batch_msgs: usize,
-    /// Maximum encoded bytes a single [`Message::Batch`] frame may
-    /// occupy (checked before any nested message is decoded).
-    pub max_batch_bytes: usize,
-}
-
-impl Default for DecodeLimits {
-    fn default() -> Self {
-        DecodeLimits {
-            max_distinct_hosts: MAX_DISTINCT_WIRE_HOSTS,
-            max_batch_msgs: MAX_BATCH_MSGS,
-            max_batch_bytes: MAX_BATCH_BYTES,
-        }
-    }
-}
 
 /// Per-peer decode budget per accounting interval, layered on top of
 /// [`DecodeLimits`]: the static limits bound what one *frame* may carry,
@@ -832,329 +766,213 @@ impl QuotaTracker {
     }
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    limits: DecodeLimits,
+// Domain readers: each assembles one protocol type from kit fields. The
+// minimum item sizes handed to `items` are the smallest encoding of one
+// item, so a forged count is refused before anything is reserved.
+
+/// A membership list: at most [`MAX_WIRE_ITEMS`] items, each at least
+/// `min_item_len` bytes on the wire.
+fn items<'a, T>(
+    r: &mut Reader<'a>,
+    n: usize,
+    min_item_len: usize,
+    read: impl FnMut(&mut Reader<'a>) -> Result<T, DecodeError>,
+) -> Result<Vec<T>, DecodeError> {
+    if n > MAX_WIRE_ITEMS {
+        return Err(DecodeError::TooMany {
+            count: n,
+            cap: MAX_WIRE_ITEMS,
+        });
+    }
+    r.list(n, min_item_len, read)
 }
 
-impl<'a> Reader<'a> {
-    fn need(&self, n: usize) -> Result<(), RapidError> {
-        if self.buf.remaining() < n {
-            Err(RapidError::Decode(format!(
-                "truncated: need {n}, have {}",
-                self.buf.remaining()
-            )))
-        } else {
-            Ok(())
-        }
+fn metadata(r: &mut Reader<'_>) -> Result<Metadata, DecodeError> {
+    let count = r.u16()?;
+    let mut md = Metadata::new();
+    for _ in 0..count {
+        let k = r.str16()?;
+        md.insert(k, r.bytes32()?);
     }
-    fn u8(&mut self) -> Result<u8, RapidError> {
-        self.need(1)?;
-        Ok(self.buf.get_u8())
-    }
-    fn u16(&mut self) -> Result<u16, RapidError> {
-        self.need(2)?;
-        Ok(self.buf.get_u16_le())
-    }
-    fn u32(&mut self) -> Result<u32, RapidError> {
-        self.need(4)?;
-        Ok(self.buf.get_u32_le())
-    }
-    fn u64(&mut self) -> Result<u64, RapidError> {
-        self.need(8)?;
-        Ok(self.buf.get_u64_le())
-    }
-    fn u128(&mut self) -> Result<u128, RapidError> {
-        self.need(16)?;
-        Ok(self.buf.get_u128_le())
-    }
-    /// Borrows a length-prefixed string straight out of the input buffer,
-    /// so interned lookups (endpoints) never allocate.
-    fn str_slice(&mut self) -> Result<&'a str, RapidError> {
-        let len = self.u16()? as usize;
-        self.need(len)?;
-        let (head, tail) = self.buf.split_at(len);
-        self.buf = tail;
-        std::str::from_utf8(head).map_err(|_| RapidError::Decode("invalid utf8".into()))
-    }
-    fn str(&mut self) -> Result<String, RapidError> {
-        Ok(self.str_slice()?.to_string())
-    }
-    fn bytes_vec(&mut self) -> Result<Vec<u8>, RapidError> {
-        let len = self.u32()? as usize;
-        self.need(len)?;
-        let v = self.buf[..len].to_vec();
-        self.buf.advance(len);
-        Ok(v)
-    }
-    /// Validates an item count against [`MAX_WIRE_ITEMS`] *and* against the
-    /// bytes actually remaining (each item encodes to at least
-    /// `min_item_len` bytes), so a forged count can neither trigger a huge
-    /// allocation nor run a long decode loop over a short buffer.
-    fn count(&self, count: usize, min_item_len: usize) -> Result<(), RapidError> {
-        if count > MAX_WIRE_ITEMS {
-            return Err(RapidError::Decode(format!(
-                "item count {count} exceeds cap {MAX_WIRE_ITEMS}"
-            )));
-        }
-        self.need(count.saturating_mul(min_item_len))
-    }
-    fn endpoint(&mut self) -> Result<Endpoint, RapidError> {
-        let host = self.str_slice()?;
-        if host.len() > MAX_WIRE_HOST_LEN {
-            return Err(RapidError::Decode(format!(
-                "host name of {} bytes exceeds cap {MAX_WIRE_HOST_LEN}",
-                host.len()
-            )));
-        }
-        let port = self.u16()?;
-        Endpoint::new_bounded(host, port, self.limits.max_distinct_hosts).map_err(|n| {
-            RapidError::Decode(format!(
-                "sender-supplied host {host:?} would grow the interner past \
-                 the max_distinct_hosts cap ({n} >= {})",
-                self.limits.max_distinct_hosts
-            ))
-        })
-    }
-    fn metadata(&mut self) -> Result<Metadata, RapidError> {
-        let count = self.u16()? as usize;
-        let mut md = Metadata::new();
-        for _ in 0..count {
-            let k = self.str()?;
-            let v = self.bytes_vec()?;
-            md.insert(k, v);
-        }
-        Ok(md)
-    }
-    fn member(&mut self) -> Result<Member, RapidError> {
-        let id = NodeId::from_u128(self.u128()?);
-        let addr = self.endpoint()?;
-        let metadata = self.metadata()?;
-        Ok(Member::with_metadata(id, addr, metadata))
-    }
-    fn alert(&mut self) -> Result<Alert, RapidError> {
-        let observer = NodeId::from_u128(self.u128()?);
-        let subject_id = NodeId::from_u128(self.u128()?);
-        let subject_addr = self.endpoint()?;
-        let status = if self.u8()? == 1 {
+    Ok(md)
+}
+
+fn member(r: &mut Reader<'_>) -> Result<Member, DecodeError> {
+    let id = NodeId::from_u128(r.u128()?);
+    let addr = r.endpoint()?;
+    Ok(Member::with_metadata(id, addr, metadata(r)?))
+}
+
+fn alert(r: &mut Reader<'_>) -> Result<Alert, DecodeError> {
+    Ok(Alert {
+        observer: NodeId::from_u128(r.u128()?),
+        subject_id: NodeId::from_u128(r.u128()?),
+        subject_addr: r.endpoint()?,
+        status: if r.u8()? == 1 {
             EdgeStatus::Up
         } else {
             EdgeStatus::Down
-        };
-        let config_id = ConfigId(self.u64()?);
-        let ring = self.u8()?;
-        let metadata = self.metadata()?;
-        Ok(Alert {
-            observer,
-            subject_id,
-            subject_addr,
-            status,
-            config_id,
-            ring,
-            metadata,
+        },
+        config_id: ConfigId(r.u64()?),
+        ring: r.u8()?,
+        metadata: metadata(r)?,
+    })
+}
+
+fn alerts(r: &mut Reader<'_>) -> Result<Arc<[Alert]>, DecodeError> {
+    let n = r.u32()? as usize;
+    // two ids + empty endpoint + status + config + ring + empty metadata
+    Ok(items(r, n, 48, alert)?.into())
+}
+
+fn rank(r: &mut Reader<'_>) -> Result<Rank, DecodeError> {
+    Ok(Rank {
+        round: r.u32()?,
+        coordinator: r.u32()?,
+    })
+}
+
+fn proposal(r: &mut Reader<'_>) -> Result<Proposal, DecodeError> {
+    let config_id = ConfigId(r.u64()?);
+    let n = r.u32()? as usize;
+    // id + empty endpoint + flag + empty metadata
+    let items = items(r, n, 23, |r| {
+        Ok(ProposalItem {
+            id: NodeId::from_u128(r.u128()?),
+            addr: r.endpoint()?,
+            join: r.u8()? == 1,
+            metadata: metadata(r)?,
         })
+    })?;
+    Ok(Proposal::from_items(config_id, items))
+}
+
+fn bitvec(r: &mut Reader<'_>) -> Result<BitVec, DecodeError> {
+    const MAX_BITS: usize = 1 << 24;
+    let len = r.u32()? as usize;
+    if len > MAX_BITS {
+        return Err(DecodeError::TooMany {
+            count: len,
+            cap: MAX_BITS,
+        });
     }
-    fn rank(&mut self) -> Result<Rank, RapidError> {
-        let round = self.u32()?;
-        let coordinator = self.u32()?;
-        Ok(Rank { round, coordinator })
-    }
-    fn proposal(&mut self) -> Result<Proposal, RapidError> {
-        let config_id = ConfigId(self.u64()?);
-        let count = self.u32()? as usize;
-        self.count(count, 23)?; // id + empty endpoint + flag + empty metadata
-        let mut items = Vec::with_capacity(count);
-        for _ in 0..count {
-            let id = NodeId::from_u128(self.u128()?);
-            let addr = self.endpoint()?;
-            let join = self.u8()? == 1;
-            let metadata = self.metadata()?;
-            items.push(ProposalItem {
-                id,
-                addr,
-                join,
-                metadata,
-            });
-        }
-        Ok(Proposal::from_items(config_id, items))
-    }
-    fn bitvec(&mut self) -> Result<BitVec, RapidError> {
-        let len = self.u32()? as usize;
-        if len > 1 << 24 {
-            return Err(RapidError::Decode("bitvec too large".into()));
-        }
-        let words = len.div_ceil(64);
-        let mut w = Vec::with_capacity(words);
-        for _ in 0..words {
-            w.push(self.u64()?);
-        }
-        Ok(BitVec::from_words(len, w))
-    }
-    fn vote_state(&mut self) -> Result<VoteState, RapidError> {
-        let hash = ProposalHash(self.u64()?);
-        let bitmap = self.bitvec()?;
-        Ok(VoteState { hash, bitmap })
-    }
-    fn snapshot(&mut self) -> Result<ConfigSnapshot, RapidError> {
-        let id = ConfigId(self.u64()?);
-        let seq = self.u64()?;
-        let count = self.u32()? as usize;
-        self.count(count, 22)?; // id + empty endpoint + empty metadata
-        let mut members = Vec::with_capacity(count);
-        for _ in 0..count {
-            members.push(self.member()?);
-        }
-        Ok(ConfigSnapshot {
-            id,
-            seq,
-            members: Arc::new(members),
-        })
-    }
-    fn opt<T>(
-        &mut self,
-        read: impl FnOnce(&mut Self) -> Result<T, RapidError>,
-    ) -> Result<Option<T>, RapidError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(read(self)?)),
-            v => Err(RapidError::Decode(format!("bad option tag {v}"))),
-        }
-    }
+    let words = r.list(len.div_ceil(64), 8, Reader::u64)?;
+    Ok(BitVec::from_words(len, words))
+}
+
+fn vote_state(r: &mut Reader<'_>) -> Result<VoteState, DecodeError> {
+    Ok(VoteState {
+        hash: ProposalHash(r.u64()?),
+        bitmap: bitvec(r)?,
+    })
+}
+
+fn snapshot(r: &mut Reader<'_>) -> Result<ConfigSnapshot, DecodeError> {
+    let id = ConfigId(r.u64()?);
+    let seq = r.u64()?;
+    let n = r.u32()? as usize;
+    // id + empty endpoint + empty metadata
+    let members = items(r, n, 22, member)?;
+    Ok(ConfigSnapshot {
+        id,
+        seq,
+        members: Arc::new(members),
+    })
 }
 
 /// Decodes one message from `buf` under [`DecodeLimits::default`].
-pub fn decode(buf: &[u8]) -> Result<Message, RapidError> {
+pub fn decode(buf: &[u8]) -> Result<Message, DecodeError> {
     decode_with_limits(buf, DecodeLimits::default())
 }
 
 /// Decodes one message from `buf` under explicit resource limits.
-pub fn decode_with_limits(buf: &[u8], limits: DecodeLimits) -> Result<Message, RapidError> {
-    let mut r = Reader { buf, limits };
-    decode_one(&mut r, true)
+pub fn decode_with_limits(buf: &[u8], limits: DecodeLimits) -> Result<Message, DecodeError> {
+    decode_one(&mut Reader::new(buf, limits), false)
 }
 
-/// Decodes one message from the reader. `allow_batch` is true only at the
-/// top level: batches never nest, so a hostile frame cannot drive the
-/// decoder into deep recursion.
-fn decode_one(r: &mut Reader<'_>, allow_batch: bool) -> Result<Message, RapidError> {
-    let tag = r.u8()?;
-    let msg = match tag {
-        TAG_PRE_JOIN_REQ => Message::PreJoinReq { joiner: r.member()? },
+/// Decodes one message from the reader. `nested` is true inside a batch:
+/// batches never nest, so a hostile frame cannot drive the decoder into
+/// deep recursion.
+fn decode_one(r: &mut Reader<'_>, nested: bool) -> Result<Message, DecodeError> {
+    let msg = match r.u8()? {
+        TAG_PRE_JOIN_REQ => Message::PreJoinReq { joiner: member(r)? },
         TAG_PRE_JOIN_RESP => {
             let status = join_status_from_u8(r.u8()?)?;
             let config_id = ConfigId(r.u64()?);
-            let count = r.u16()? as usize;
-            r.count(count, 4)?; // empty host + port
-            let mut observers = Vec::with_capacity(count);
-            for _ in 0..count {
-                observers.push(r.endpoint()?);
-            }
-            let snapshot = r.opt(|r| r.snapshot())?;
+            let n = r.u16()? as usize;
+            // empty host + port
+            let observers = items(r, n, 4, Reader::endpoint)?;
             Message::PreJoinResp {
                 status,
                 config_id,
                 observers,
-                snapshot,
+                snapshot: r.opt(snapshot)?,
             }
         }
-        TAG_JOIN_REQ => {
-            let joiner = r.member()?;
-            let config_id = ConfigId(r.u64()?);
-            let ring = r.u8()?;
-            Message::JoinReq {
-                joiner,
-                config_id,
-                ring,
-            }
-        }
-        TAG_JOIN_RESP => {
-            let status = join_status_from_u8(r.u8()?)?;
-            let snapshot = r.opt(|r| r.snapshot())?;
-            Message::JoinResp { status, snapshot }
-        }
-        TAG_ALERT_BATCH => {
-            let config_id = ConfigId(r.u64()?);
-            let count = r.u32()? as usize;
-            r.count(count, 48)?; // two ids + endpoint + status + config + ring
-            let mut alerts = Vec::with_capacity(count);
-            for _ in 0..count {
-                alerts.push(r.alert()?);
-            }
-            Message::AlertBatch {
-                config_id,
-                alerts: alerts.into(),
-            }
-        }
+        TAG_JOIN_REQ => Message::JoinReq {
+            joiner: member(r)?,
+            config_id: ConfigId(r.u64()?),
+            ring: r.u8()?,
+        },
+        TAG_JOIN_RESP => Message::JoinResp {
+            status: join_status_from_u8(r.u8()?)?,
+            snapshot: r.opt(snapshot)?,
+        },
+        TAG_ALERT_BATCH => Message::AlertBatch {
+            config_id: ConfigId(r.u64()?),
+            alerts: alerts(r)?,
+        },
         TAG_GOSSIP => {
             let config_id = ConfigId(r.u64()?);
             let config_seq = r.u64()?;
-            let count = r.u32()? as usize;
-            r.count(count, 48)?;
-            let mut alerts = Vec::with_capacity(count);
-            for _ in 0..count {
-                alerts.push(r.alert()?);
-            }
-            let vcount = r.u16()? as usize;
-            let mut votes = Vec::with_capacity(vcount);
-            for _ in 0..vcount {
-                votes.push(r.vote_state()?);
-            }
+            let alerts = alerts(r)?;
+            let n = r.u16()? as usize;
+            // proposal hash + empty bitmap
+            let votes = r.list(n, 12, vote_state)?;
             Message::Gossip {
                 config_id,
                 config_seq,
-                alerts: alerts.into(),
+                alerts,
                 votes: votes.into(),
             }
         }
-        TAG_VOTE => {
-            let config_id = ConfigId(r.u64()?);
-            let state = Arc::new(r.vote_state()?);
-            let body = r.opt(|r| r.proposal())?.map(Arc::new);
-            Message::Vote {
-                config_id,
-                state,
-                body,
-            }
-        }
+        TAG_VOTE => Message::Vote {
+            config_id: ConfigId(r.u64()?),
+            state: Arc::new(vote_state(r)?),
+            body: r.opt(proposal)?.map(Arc::new),
+        },
         TAG_NEED_PROPOSAL => Message::NeedProposal {
             config_id: ConfigId(r.u64()?),
             hash: ProposalHash(r.u64()?),
         },
         TAG_PROPOSAL_BODY => Message::ProposalBody {
             config_id: ConfigId(r.u64()?),
-            proposal: Arc::new(r.proposal()?),
+            proposal: Arc::new(proposal(r)?),
         },
         TAG_PHASE1A => Message::Phase1a {
             config_id: ConfigId(r.u64()?),
-            rank: r.rank()?,
+            rank: rank(r)?,
         },
-        TAG_PHASE1B => {
-            let config_id = ConfigId(r.u64()?);
-            let rank = r.rank()?;
-            let sender = r.u32()?;
-            let vrnd = r.opt(|r| r.rank())?;
-            let vval = r.opt(|r| r.proposal())?.map(Arc::new);
-            Message::Phase1b {
-                config_id,
-                rank,
-                sender,
-                vrnd,
-                vval,
-            }
-        }
+        TAG_PHASE1B => Message::Phase1b {
+            config_id: ConfigId(r.u64()?),
+            rank: rank(r)?,
+            sender: r.u32()?,
+            vrnd: r.opt(rank)?,
+            vval: r.opt(proposal)?.map(Arc::new),
+        },
         TAG_PHASE2A => Message::Phase2a {
             config_id: ConfigId(r.u64()?),
-            rank: r.rank()?,
-            value: Arc::new(r.proposal()?),
+            rank: rank(r)?,
+            value: Arc::new(proposal(r)?),
         },
         TAG_PHASE2B => Message::Phase2b {
             config_id: ConfigId(r.u64()?),
-            rank: r.rank()?,
+            rank: rank(r)?,
             sender: r.u32()?,
         },
         TAG_DECISION => Message::Decision {
             config_id: ConfigId(r.u64()?),
-            proposal: Arc::new(r.proposal()?),
+            proposal: Arc::new(proposal(r)?),
         },
         TAG_PROBE => Message::Probe { seq: r.u64()? },
         TAG_PROBE_ACK => Message::ProbeAck {
@@ -1166,39 +984,16 @@ fn decode_one(r: &mut Reader<'_>, allow_batch: bool) -> Result<Message, RapidErr
         },
         TAG_CONFIG_PULL => Message::ConfigPull { have_seq: r.u64()? },
         TAG_CONFIG_PUSH => Message::ConfigPush {
-            snapshot: r.snapshot()?,
+            snapshot: snapshot(r)?,
         },
         TAG_BATCH => {
-            if !allow_batch {
-                return Err(RapidError::Decode("nested batch".into()));
-            }
-            // The bytes cap is checked against everything still in the
-            // buffer *before* any nested decode, so an oversized batch is
-            // refused without allocating for its contents.
-            if r.buf.remaining() > r.limits.max_batch_bytes {
-                return Err(RapidError::Decode(format!(
-                    "batch of {} bytes exceeds cap {}",
-                    r.buf.remaining(),
-                    r.limits.max_batch_bytes
-                )));
-            }
-            let count = r.u16()? as usize;
-            if count > r.limits.max_batch_msgs {
-                return Err(RapidError::Decode(format!(
-                    "batch of {count} messages exceeds cap {}",
-                    r.limits.max_batch_msgs
-                )));
-            }
+            let n = r.open_batch(nested, |r| r.u16().map(usize::from))?;
             // Every message encodes to at least 3 bytes (a tag plus the
             // smallest body, a snapshot-less JoinResp).
-            r.count(count, 3)?;
-            let mut msgs = Vec::with_capacity(count);
-            for _ in 0..count {
-                msgs.push(decode_one(r, false)?);
-            }
+            let msgs = r.list(n, 3, |r| decode_one(r, true))?;
             Message::Batch { msgs }
         }
-        other => return Err(RapidError::Decode(format!("unknown tag {other}"))),
+        tag => return Err(DecodeError::UnknownTag(tag)),
     };
     Ok(msg)
 }
@@ -1206,6 +1001,7 @@ fn decode_one(r: &mut Reader<'_>, allow_batch: bool) -> Result<Message, RapidErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{MAX_BATCH_MSGS, MAX_WIRE_HOST_LEN};
 
     fn member(i: u128) -> Member {
         Member::with_metadata(
@@ -1545,7 +1341,12 @@ mod tests {
         };
         let bytes = encode_to_vec(&msg);
         let err = decode(&bytes).expect_err("oversized host must be rejected");
-        assert!(err.to_string().contains("exceeds cap"), "got: {err}");
+        assert_eq!(
+            err,
+            DecodeError::HostTooLong {
+                len: MAX_WIRE_HOST_LEN + 1
+            }
+        );
         // The cap itself is accepted.
         let ok_host = "h".repeat(MAX_WIRE_HOST_LEN);
         let msg = Message::PreJoinReq {
@@ -1599,7 +1400,10 @@ mod tests {
         assert!(decode_with_limits(&raw_pre_join_req("flood-known.example"), tight).is_ok());
         let err = decode_with_limits(&raw_pre_join_req("flood-never-seen"), tight)
             .expect_err("fresh host must be refused at cap 0");
-        assert!(err.to_string().contains("max_distinct_hosts"), "got: {err}");
+        assert!(
+            matches!(err, DecodeError::TooManyHosts { cap: 0, .. }),
+            "got: {err}"
+        );
     }
 
     #[test]
@@ -1609,7 +1413,13 @@ mod tests {
         bytes.extend_from_slice(&7u64.to_le_bytes()); // config_id
         bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // count
         let err = decode(&bytes).expect_err("absurd count must be rejected");
-        assert!(err.to_string().contains("exceeds cap"), "got: {err}");
+        assert_eq!(
+            err,
+            DecodeError::TooMany {
+                count: u32::MAX as usize,
+                cap: MAX_WIRE_ITEMS
+            }
+        );
 
         // A count under the cap but impossible for the remaining bytes is
         // rejected up front (truncation guard), not after a decode loop.
@@ -1617,14 +1427,50 @@ mod tests {
         bytes.extend_from_slice(&7u64.to_le_bytes());
         bytes.extend_from_slice(&1_000u32.to_le_bytes());
         bytes.extend_from_slice(&[0u8; 32]); // far fewer than 1000 alerts
-        assert!(decode(&bytes).is_err());
+        assert_eq!(
+            decode(&bytes).unwrap_err(),
+            DecodeError::Truncated {
+                need: 1_000 * 48,
+                have: 32
+            }
+        );
 
         // Snapshot member counts get the same treatment.
         let mut bytes = vec![TAG_CONFIG_PUSH];
         bytes.extend_from_slice(&7u64.to_le_bytes()); // id
         bytes.extend_from_slice(&1u64.to_le_bytes()); // seq
         bytes.extend_from_slice(&(MAX_WIRE_ITEMS as u32 + 1).to_le_bytes());
-        assert!(decode(&bytes).is_err());
+        assert!(matches!(decode(&bytes), Err(DecodeError::TooMany { .. })));
+
+        // A Gossip frame of a few dozen bytes claiming u16::MAX votes: at
+        // 12 bytes per vote it is refused before ~2.6 MB is reserved.
+        let mut bytes = vec![TAG_GOSSIP];
+        bytes.extend_from_slice(&7u64.to_le_bytes()); // config_id
+        bytes.extend_from_slice(&1u64.to_le_bytes()); // config_seq
+        bytes.extend_from_slice(&0u32.to_le_bytes()); // no alerts
+        bytes.extend_from_slice(&u16::MAX.to_le_bytes()); // vote count
+        bytes.extend_from_slice(&[0u8; 12]); // one vote's worth
+        assert_eq!(
+            decode(&bytes).unwrap_err(),
+            DecodeError::Truncated {
+                need: u16::MAX as usize * 12,
+                have: 12
+            }
+        );
+
+        // A Vote whose bitmap claims 2^24 bits (262,144 words, 2 MiB) in
+        // a frame that carries none of them.
+        let mut bytes = vec![TAG_VOTE];
+        bytes.extend_from_slice(&7u64.to_le_bytes()); // config_id
+        bytes.extend_from_slice(&9u64.to_le_bytes()); // proposal hash
+        bytes.extend_from_slice(&(1u32 << 24).to_le_bytes()); // bit length
+        assert_eq!(
+            decode(&bytes).unwrap_err(),
+            DecodeError::Truncated {
+                need: (1 << 24) / 64 * 8,
+                have: 0
+            }
+        );
     }
 
     /// One message of every family, for batch nesting tests.
@@ -1764,7 +1610,7 @@ mod tests {
         bytes.extend_from_slice(&1u16.to_le_bytes());
         encode(&inner, &mut bytes);
         let err = decode(&bytes).expect_err("nested batch must be refused");
-        assert!(err.to_string().contains("nested batch"), "got: {err}");
+        assert_eq!(err, DecodeError::NestedBatch);
     }
 
     #[test]
@@ -1773,7 +1619,13 @@ mod tests {
         let mut bytes = vec![TAG_BATCH];
         bytes.extend_from_slice(&u16::MAX.to_le_bytes());
         let err = decode(&bytes).expect_err("absurd batch count must be refused");
-        assert!(err.to_string().contains("exceeds cap"), "got: {err}");
+        assert_eq!(
+            err,
+            DecodeError::TooMany {
+                count: u16::MAX as usize,
+                cap: MAX_BATCH_MSGS
+            }
+        );
 
         // A count within the cap but impossible for the bytes present.
         let mut bytes = vec![TAG_BATCH];
@@ -1791,7 +1643,10 @@ mod tests {
         };
         let err = decode_with_limits(&bytes, tight)
             .expect_err("oversized batch bytes must be refused");
-        assert!(err.to_string().contains("exceeds cap"), "got: {err}");
+        assert!(
+            matches!(err, DecodeError::BatchTooLarge { cap: 8, .. }),
+            "got: {err}"
+        );
         assert!(decode(&bytes).is_ok(), "default limits accept it");
 
         // The per-batch message cap applies even when the bytes fit.
@@ -1801,7 +1656,7 @@ mod tests {
         };
         let err = decode_with_limits(&bytes, small)
             .expect_err("over-count batch must be refused");
-        assert!(err.to_string().contains("exceeds cap"), "got: {err}");
+        assert_eq!(err, DecodeError::TooMany { count: 4, cap: 3 });
     }
 
     #[test]

@@ -40,194 +40,18 @@ use rapid_core::config::{Configuration, Member};
 use rapid_core::hash::{DetHashMap, DetHashSet};
 use rapid_core::id::Endpoint;
 use rapid_core::obs::{EventKind, LatencyHist, TraceRing};
-use rapid_core::outbox::{BatchMessage, Outbox};
+use rapid_core::outbox::Outbox;
 
 use crate::placement::{
     partition_of, shard_of, Placement, PlacementCache, PlacementConfig, RebalancePlan,
 };
 use crate::store::Store;
 pub use crate::store::{digest_of, Entry, PartitionDigest};
-
-// ---------------------------------------------------------------------------
-// Wire messages
-// ---------------------------------------------------------------------------
-
-/// Data-plane messages exchanged between KV nodes. On the real transport
-/// these ride in opaque app frames; in the simulator they share the
-/// simulated network with membership traffic.
-#[derive(Clone, Debug, PartialEq)]
-pub enum KvMsg {
-    /// Client write, forwarded from the coordinator to the leader.
-    Put {
-        /// Coordinator-local request id.
-        req: u64,
-        /// The coordinator to ack.
-        origin: Endpoint,
-        /// Key.
-        key: String,
-        /// Value.
-        val: String,
-    },
-    /// Leader's write verdict, routed back to the coordinator.
-    PutAck {
-        /// Request id.
-        req: u64,
-        /// Whether the write was fully replicated.
-        ok: bool,
-        /// Version assigned to the write (0 when `!ok`).
-        version: u64,
-    },
-    /// Client read, forwarded from the coordinator to the leader.
-    Get {
-        /// Coordinator-local request id.
-        req: u64,
-        /// The coordinator to answer.
-        origin: Endpoint,
-        /// Key.
-        key: String,
-    },
-    /// Leader's read answer.
-    GetResp {
-        /// Request id.
-        req: u64,
-        /// `false` when the receiver could not serve (not the leader, or
-        /// still awaiting a handoff) — a retryable failure, not a miss.
-        ok: bool,
-        /// Whether the key exists.
-        found: bool,
-        /// The value (empty when absent).
-        val: String,
-        /// The value's version (0 when absent).
-        version: u64,
-    },
-    /// Leader-to-replica write propagation.
-    Replicate {
-        /// Partition of the key.
-        partition: u32,
-        /// Leader-local request id.
-        req: u64,
-        /// The leader to confirm to.
-        leader: Endpoint,
-        /// Key.
-        key: String,
-        /// Value.
-        val: String,
-        /// Version assigned by the leader.
-        version: u64,
-    },
-    /// Replica's write confirmation.
-    RepAck {
-        /// Leader-local request id.
-        req: u64,
-    },
-    /// Bulk partition transfer during rebalance.
-    Handoff {
-        /// The partition being transferred.
-        partition: u32,
-        /// `(key, value, version)` triples; receivers merge by highest
-        /// version, so handoffs commute with concurrent writes.
-        entries: Vec<(String, String, u64)>,
-    },
-    /// Anti-entropy: the sender's digests for partitions both ends
-    /// replicate (one batched message per peer per repair tick).
-    DigestReq {
-        /// `(partition, sender's digest)` pairs.
-        digests: Vec<(u32, PartitionDigest)>,
-    },
-    /// Anti-entropy: the responder's digests for the subset of a
-    /// [`KvMsg::DigestReq`] that did not match its own stores.
-    DigestResp {
-        /// `(partition, responder's digest)` pairs, mismatches only.
-        digests: Vec<(u32, PartitionDigest)>,
-    },
-    /// Anti-entropy: request the full contents of these partitions from
-    /// a replica believed to be ahead.
-    RepairPull {
-        /// Partitions to transfer back.
-        partitions: Vec<u32>,
-    },
-    /// Anti-entropy: one partition's full contents, answering a
-    /// [`KvMsg::RepairPull`]. Receivers merge by highest version (the
-    /// version floor itself rides the digest messages, not the push).
-    RepairPush {
-        /// The partition.
-        partition: u32,
-        /// Whether the sender itself is *settled* (not awaiting a
-        /// handoff) for this partition — only a settled sender's push
-        /// clears the receiver's awaiting guard, since an unsettled
-        /// sender may hold partial data.
-        settled: bool,
-        /// `(key, value, version)` triples.
-        entries: Vec<(String, String, u64)>,
-    },
-    /// A smart client subscribing to view pushes from this node. The
-    /// sender endpoint identifies the client; the node answers with the
-    /// current [`KvMsg::View`] immediately and pushes every later one.
-    Sub,
-    /// A membership view pushed to a subscribed client: enough to
-    /// reconstruct the exact server-side [`Configuration`] (same id,
-    /// same seq, same member order) so the client's cached placement is
-    /// byte-for-byte the server's.
-    View {
-        /// The configuration id (trusted, as in wire snapshots).
-        config_id: u64,
-        /// Monotone view sequence number — clients adopt only newer.
-        seq: u64,
-        /// `(node id, address)` per member; metadata does not influence
-        /// placement so it stays off the client wire.
-        members: Vec<(u128, Endpoint)>,
-    },
-    /// A client write, routed directly to the partition leader (or to
-    /// any replica on a stale view — the receiver coordinator-forwards).
-    CPut {
-        /// Client-local request id, echoed in [`KvMsg::CResp`].
-        req: u64,
-        /// Key.
-        key: String,
-        /// Value.
-        val: String,
-    },
-    /// A client read. Carries the client's acked-version floor so
-    /// read-your-writes holds across whichever node coordinates.
-    CGet {
-        /// Client-local request id.
-        req: u64,
-        /// Key.
-        key: String,
-        /// Lowest version the client will accept for this key (0 = any).
-        floor: u64,
-    },
-    /// The node's verdict on a client op, addressed to the client.
-    CResp {
-        /// The client's request id.
-        req: u64,
-        /// Outcome discriminant — see the `CRESP_*` constants.
-        code: u8,
-        /// The value (reads that found the key; empty otherwise).
-        val: String,
-        /// The version (acked writes / found reads), or the suggested
-        /// retry delay in ms when `code` is [`CRESP_OVERLOADED`].
-        version: u64,
-    },
-    /// Several data-plane messages for one destination, coalesced into a
-    /// single wire frame by the per-peer outbox. Delivered in order;
-    /// batches never nest.
-    Batch(Vec<KvMsg>),
-}
-
-/// [`KvMsg::CResp`] code: write fully replicated; `version` is the
-/// assigned version.
-pub const CRESP_ACKED: u8 = 0;
-/// [`KvMsg::CResp`] code: read found the key; `val`/`version` carry it.
-pub const CRESP_FOUND: u8 = 1;
-/// [`KvMsg::CResp`] code: read completed, key absent.
-pub const CRESP_MISSING: u8 = 2;
-/// [`KvMsg::CResp`] code: op failed or timed out (retryable).
-pub const CRESP_FAILED: u8 = 3;
-/// [`KvMsg::CResp`] code: shed by admission control before any work;
-/// `version` carries the suggested retry delay in ms. Shed ops are
-/// never applied, so they can never be acked.
-pub const CRESP_OVERLOADED: u8 = 4;
+// The wire vocabulary and its codec live in `codec.rs`.
+pub use crate::codec::{
+    decode, encode, encoded_len, KvMsg, CRESP_ACKED, CRESP_FAILED, CRESP_FOUND, CRESP_MISSING,
+    CRESP_OVERLOADED,
+};
 
 /// Typed data-plane errors surfaced to clients.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -249,485 +73,6 @@ impl std::fmt::Display for KvError {
             }
         }
     }
-}
-
-impl BatchMessage for KvMsg {
-    fn batch(msgs: Vec<KvMsg>) -> KvMsg {
-        KvMsg::Batch(msgs)
-    }
-
-    fn encoded_size(&self) -> usize {
-        encoded_len(self)
-    }
-}
-
-const TAG_PUT: u8 = 1;
-const TAG_PUT_ACK: u8 = 2;
-const TAG_GET: u8 = 3;
-const TAG_GET_RESP: u8 = 4;
-const TAG_REPLICATE: u8 = 5;
-const TAG_REP_ACK: u8 = 6;
-const TAG_HANDOFF: u8 = 7;
-const TAG_DIGEST_REQ: u8 = 8;
-const TAG_DIGEST_RESP: u8 = 9;
-const TAG_REPAIR_PULL: u8 = 10;
-const TAG_REPAIR_PUSH: u8 = 11;
-const TAG_KV_BATCH: u8 = 12;
-const TAG_SUB: u8 = 13;
-const TAG_VIEW: u8 = 14;
-const TAG_CPUT: u8 = 15;
-const TAG_CGET: u8 = 16;
-const TAG_CRESP: u8 = 17;
-
-/// Encoded size of one `(partition, digest)` pair.
-const DIGEST_PAIR_LEN: usize = 4 + 8 + 8 + 8;
-
-fn put_ep(buf: &mut Vec<u8>, ep: &Endpoint) {
-    let host = ep.host().as_bytes();
-    buf.extend_from_slice(&(host.len() as u16).to_le_bytes());
-    buf.extend_from_slice(host);
-    buf.extend_from_slice(&ep.port().to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn ep_len(ep: &Endpoint) -> usize {
-    2 + ep.host_len() + 2
-}
-
-fn str_len(s: &str) -> usize {
-    4 + s.len()
-}
-
-/// Encoded size of a message, for simulator bandwidth accounting and
-/// rebalance byte metering — kept in lockstep with [`encode`].
-pub fn encoded_len(msg: &KvMsg) -> usize {
-    1 + match msg {
-        KvMsg::Put { origin, key, val, .. } => 8 + ep_len(origin) + str_len(key) + str_len(val),
-        KvMsg::PutAck { .. } => 8 + 1 + 8,
-        KvMsg::Get { origin, key, .. } => 8 + ep_len(origin) + str_len(key),
-        KvMsg::GetResp { val, .. } => 8 + 1 + 1 + str_len(val) + 8,
-        KvMsg::Replicate {
-            leader, key, val, ..
-        } => 4 + 8 + ep_len(leader) + str_len(key) + str_len(val) + 8,
-        KvMsg::RepAck { .. } => 8,
-        KvMsg::Handoff { entries, .. } => {
-            4 + 4
-                + entries
-                    .iter()
-                    .map(|(k, v, _)| str_len(k) + str_len(v) + 8)
-                    .sum::<usize>()
-        }
-        KvMsg::DigestReq { digests } | KvMsg::DigestResp { digests } => {
-            4 + digests.len() * DIGEST_PAIR_LEN
-        }
-        KvMsg::RepairPull { partitions } => 4 + partitions.len() * 4,
-        KvMsg::RepairPush { entries, .. } => {
-            4 + 1
-                + 4
-                + entries
-                    .iter()
-                    .map(|(k, v, _)| str_len(k) + str_len(v) + 8)
-                    .sum::<usize>()
-        }
-        KvMsg::Sub => 0,
-        KvMsg::View { members, .. } => {
-            8 + 8 + 4 + members.iter().map(|(_, ep)| 16 + ep_len(ep)).sum::<usize>()
-        }
-        KvMsg::CPut { key, val, .. } => 8 + str_len(key) + str_len(val),
-        KvMsg::CGet { key, .. } => 8 + str_len(key) + 8,
-        KvMsg::CResp { val, .. } => 8 + 1 + str_len(val) + 8,
-        KvMsg::Batch(msgs) => 4 + msgs.iter().map(encoded_len).sum::<usize>(),
-    }
-}
-
-/// Encodes a message into `buf` (appended).
-pub fn encode(msg: &KvMsg, buf: &mut Vec<u8>) {
-    match msg {
-        KvMsg::Put {
-            req,
-            origin,
-            key,
-            val,
-        } => {
-            buf.push(TAG_PUT);
-            buf.extend_from_slice(&req.to_le_bytes());
-            put_ep(buf, origin);
-            put_str(buf, key);
-            put_str(buf, val);
-        }
-        KvMsg::PutAck { req, ok, version } => {
-            buf.push(TAG_PUT_ACK);
-            buf.extend_from_slice(&req.to_le_bytes());
-            buf.push(*ok as u8);
-            buf.extend_from_slice(&version.to_le_bytes());
-        }
-        KvMsg::Get { req, origin, key } => {
-            buf.push(TAG_GET);
-            buf.extend_from_slice(&req.to_le_bytes());
-            put_ep(buf, origin);
-            put_str(buf, key);
-        }
-        KvMsg::GetResp {
-            req,
-            ok,
-            found,
-            val,
-            version,
-        } => {
-            buf.push(TAG_GET_RESP);
-            buf.extend_from_slice(&req.to_le_bytes());
-            buf.push(*ok as u8);
-            buf.push(*found as u8);
-            put_str(buf, val);
-            buf.extend_from_slice(&version.to_le_bytes());
-        }
-        KvMsg::Replicate {
-            partition,
-            req,
-            leader,
-            key,
-            val,
-            version,
-        } => {
-            buf.push(TAG_REPLICATE);
-            buf.extend_from_slice(&partition.to_le_bytes());
-            buf.extend_from_slice(&req.to_le_bytes());
-            put_ep(buf, leader);
-            put_str(buf, key);
-            put_str(buf, val);
-            buf.extend_from_slice(&version.to_le_bytes());
-        }
-        KvMsg::RepAck { req } => {
-            buf.push(TAG_REP_ACK);
-            buf.extend_from_slice(&req.to_le_bytes());
-        }
-        KvMsg::Handoff { partition, entries } => {
-            buf.push(TAG_HANDOFF);
-            buf.extend_from_slice(&partition.to_le_bytes());
-            buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-            for (k, v, ver) in entries {
-                put_str(buf, k);
-                put_str(buf, v);
-                buf.extend_from_slice(&ver.to_le_bytes());
-            }
-        }
-        KvMsg::DigestReq { digests } | KvMsg::DigestResp { digests } => {
-            buf.push(if matches!(msg, KvMsg::DigestReq { .. }) {
-                TAG_DIGEST_REQ
-            } else {
-                TAG_DIGEST_RESP
-            });
-            buf.extend_from_slice(&(digests.len() as u32).to_le_bytes());
-            for (p, d) in digests {
-                buf.extend_from_slice(&p.to_le_bytes());
-                buf.extend_from_slice(&d.floor.to_le_bytes());
-                buf.extend_from_slice(&d.count.to_le_bytes());
-                buf.extend_from_slice(&d.xor.to_le_bytes());
-            }
-        }
-        KvMsg::RepairPull { partitions } => {
-            buf.push(TAG_REPAIR_PULL);
-            buf.extend_from_slice(&(partitions.len() as u32).to_le_bytes());
-            for p in partitions {
-                buf.extend_from_slice(&p.to_le_bytes());
-            }
-        }
-        KvMsg::RepairPush {
-            partition,
-            settled,
-            entries,
-        } => {
-            buf.push(TAG_REPAIR_PUSH);
-            buf.extend_from_slice(&partition.to_le_bytes());
-            buf.push(*settled as u8);
-            buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-            for (k, v, ver) in entries {
-                put_str(buf, k);
-                put_str(buf, v);
-                buf.extend_from_slice(&ver.to_le_bytes());
-            }
-        }
-        KvMsg::Sub => buf.push(TAG_SUB),
-        KvMsg::View {
-            config_id,
-            seq,
-            members,
-        } => {
-            buf.push(TAG_VIEW);
-            buf.extend_from_slice(&config_id.to_le_bytes());
-            buf.extend_from_slice(&seq.to_le_bytes());
-            buf.extend_from_slice(&(members.len() as u32).to_le_bytes());
-            for (id, ep) in members {
-                buf.extend_from_slice(&id.to_le_bytes());
-                put_ep(buf, ep);
-            }
-        }
-        KvMsg::CPut { req, key, val } => {
-            buf.push(TAG_CPUT);
-            buf.extend_from_slice(&req.to_le_bytes());
-            put_str(buf, key);
-            put_str(buf, val);
-        }
-        KvMsg::CGet { req, key, floor } => {
-            buf.push(TAG_CGET);
-            buf.extend_from_slice(&req.to_le_bytes());
-            put_str(buf, key);
-            buf.extend_from_slice(&floor.to_le_bytes());
-        }
-        KvMsg::CResp {
-            req,
-            code,
-            val,
-            version,
-        } => {
-            buf.push(TAG_CRESP);
-            buf.extend_from_slice(&req.to_le_bytes());
-            buf.push(*code);
-            put_str(buf, val);
-            buf.extend_from_slice(&version.to_le_bytes());
-        }
-        KvMsg::Batch(msgs) => {
-            debug_assert!(
-                !msgs.iter().any(|m| matches!(m, KvMsg::Batch(_))),
-                "batches must not nest"
-            );
-            buf.push(TAG_KV_BATCH);
-            buf.extend_from_slice(&(msgs.len() as u32).to_le_bytes());
-            for m in msgs {
-                encode(m, buf);
-            }
-        }
-    }
-}
-
-struct KvReader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> KvReader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.buf.len() < n {
-            return Err(format!("kv decode: need {n}, have {}", self.buf.len()));
-        }
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        Ok(head)
-    }
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn ep(&mut self) -> Result<Endpoint, String> {
-        let len = self.u16()? as usize;
-        // Same hostile-peer hygiene as the membership decoder: cap the
-        // per-name length and refuse to grow the process-wide interner
-        // past the distinct-hosts limit (interning is permanent).
-        if len > rapid_core::wire::MAX_WIRE_HOST_LEN {
-            return Err(format!(
-                "kv decode: host name of {len} bytes exceeds cap {}",
-                rapid_core::wire::MAX_WIRE_HOST_LEN
-            ));
-        }
-        let host = std::str::from_utf8(self.take(len)?).map_err(|_| "kv decode: bad host")?;
-        let port = self.u16()?;
-        Endpoint::new_bounded(host, port, rapid_core::wire::MAX_DISTINCT_WIRE_HOSTS).map_err(
-            |n| {
-                format!(
-                    "kv decode: host {host:?} would grow the interner past the \
-                     distinct-hosts cap ({n} >= {})",
-                    rapid_core::wire::MAX_DISTINCT_WIRE_HOSTS
-                )
-            },
-        )
-    }
-    fn str(&mut self) -> Result<String, String> {
-        let len = self.u32()? as usize;
-        // Item guard: a forged length cannot out-size the buffer.
-        let s = std::str::from_utf8(self.take(len)?).map_err(|_| "kv decode: bad utf8")?;
-        Ok(s.to_string())
-    }
-}
-
-/// Decodes one message.
-pub fn decode(bytes: &[u8]) -> Result<KvMsg, String> {
-    let mut r = KvReader { buf: bytes };
-    decode_one(&mut r, true)
-}
-
-/// Decodes one message from the reader; `allow_batch` is true only at
-/// the top level (batches never nest).
-fn decode_one(r: &mut KvReader<'_>, allow_batch: bool) -> Result<KvMsg, String> {
-    let msg = match r.u8()? {
-        TAG_PUT => KvMsg::Put {
-            req: r.u64()?,
-            origin: r.ep()?,
-            key: r.str()?,
-            val: r.str()?,
-        },
-        TAG_PUT_ACK => KvMsg::PutAck {
-            req: r.u64()?,
-            ok: r.u8()? == 1,
-            version: r.u64()?,
-        },
-        TAG_GET => KvMsg::Get {
-            req: r.u64()?,
-            origin: r.ep()?,
-            key: r.str()?,
-        },
-        TAG_GET_RESP => KvMsg::GetResp {
-            req: r.u64()?,
-            ok: r.u8()? == 1,
-            found: r.u8()? == 1,
-            val: r.str()?,
-            version: r.u64()?,
-        },
-        TAG_REPLICATE => KvMsg::Replicate {
-            partition: r.u32()?,
-            req: r.u64()?,
-            leader: r.ep()?,
-            key: r.str()?,
-            val: r.str()?,
-            version: r.u64()?,
-        },
-        TAG_REP_ACK => KvMsg::RepAck { req: r.u64()? },
-        TAG_HANDOFF => {
-            let partition = r.u32()?;
-            let count = r.u32()? as usize;
-            if count > r.buf.len() / 16 + 1 {
-                return Err(format!("kv decode: absurd handoff count {count}"));
-            }
-            let mut entries = Vec::with_capacity(count);
-            for _ in 0..count {
-                let k = r.str()?;
-                let v = r.str()?;
-                let ver = r.u64()?;
-                entries.push((k, v, ver));
-            }
-            KvMsg::Handoff { partition, entries }
-        }
-        tag @ (TAG_DIGEST_REQ | TAG_DIGEST_RESP) => {
-            let count = r.u32()? as usize;
-            if count > r.buf.len() / DIGEST_PAIR_LEN + 1 {
-                return Err(format!("kv decode: absurd digest count {count}"));
-            }
-            let mut digests = Vec::with_capacity(count);
-            for _ in 0..count {
-                let p = r.u32()?;
-                let d = PartitionDigest {
-                    floor: r.u64()?,
-                    count: r.u64()?,
-                    xor: r.u64()?,
-                };
-                digests.push((p, d));
-            }
-            if tag == TAG_DIGEST_REQ {
-                KvMsg::DigestReq { digests }
-            } else {
-                KvMsg::DigestResp { digests }
-            }
-        }
-        TAG_REPAIR_PULL => {
-            let count = r.u32()? as usize;
-            if count > r.buf.len() / 4 + 1 {
-                return Err(format!("kv decode: absurd pull count {count}"));
-            }
-            let mut partitions = Vec::with_capacity(count);
-            for _ in 0..count {
-                partitions.push(r.u32()?);
-            }
-            KvMsg::RepairPull { partitions }
-        }
-        TAG_REPAIR_PUSH => {
-            let partition = r.u32()?;
-            let settled = r.u8()? == 1;
-            let count = r.u32()? as usize;
-            if count > r.buf.len() / 16 + 1 {
-                return Err(format!("kv decode: absurd repair count {count}"));
-            }
-            let mut entries = Vec::with_capacity(count);
-            for _ in 0..count {
-                let k = r.str()?;
-                let v = r.str()?;
-                let ver = r.u64()?;
-                entries.push((k, v, ver));
-            }
-            KvMsg::RepairPush {
-                partition,
-                settled,
-                entries,
-            }
-        }
-        TAG_SUB => KvMsg::Sub,
-        TAG_VIEW => {
-            let config_id = r.u64()?;
-            let seq = r.u64()?;
-            let count = r.u32()? as usize;
-            // Smallest member is 16 (id) + 4 (empty host + port) bytes:
-            // a forged count cannot out-size the buffer.
-            if count > r.buf.len() / 20 + 1 {
-                return Err(format!("kv decode: absurd view member count {count}"));
-            }
-            let mut members = Vec::with_capacity(count);
-            for _ in 0..count {
-                let id = u128::from_le_bytes(r.take(16)?.try_into().unwrap());
-                let ep = r.ep()?;
-                members.push((id, ep));
-            }
-            KvMsg::View {
-                config_id,
-                seq,
-                members,
-            }
-        }
-        TAG_CPUT => KvMsg::CPut {
-            req: r.u64()?,
-            key: r.str()?,
-            val: r.str()?,
-        },
-        TAG_CGET => KvMsg::CGet {
-            req: r.u64()?,
-            key: r.str()?,
-            floor: r.u64()?,
-        },
-        TAG_CRESP => KvMsg::CResp {
-            req: r.u64()?,
-            code: r.u8()?,
-            val: r.str()?,
-            version: r.u64()?,
-        },
-        TAG_KV_BATCH => {
-            if !allow_batch {
-                return Err("kv decode: nested batch".into());
-            }
-            let count = r.u32()? as usize;
-            // Smallest message is 1 byte (a bare `Sub` tag), so a forged
-            // count cannot out-size the buffer; every other family takes
-            // 5 bytes or more, and the reservation assumes those, so it
-            // cannot drive a huge allocation either.
-            if count > r.buf.len() {
-                return Err(format!("kv decode: absurd batch count {count}"));
-            }
-            let mut msgs = Vec::with_capacity(count.min(r.buf.len() / 5 + 1));
-            for _ in 0..count {
-                msgs.push(decode_one(r, false)?);
-            }
-            KvMsg::Batch(msgs)
-        }
-        other => return Err(format!("kv decode: unknown tag {other}")),
-    };
-    Ok(msg)
 }
 
 // ---------------------------------------------------------------------------
@@ -2504,140 +1849,6 @@ mod tests {
             matches!(&dones[..], [KvOut::Done(r, KvOutcome::Failed)] if *r == req),
             "{tick_out:?}"
         );
-    }
-
-    #[test]
-    fn codec_roundtrips_and_sizes_match() {
-        let msgs = vec![
-            KvMsg::Put {
-                req: 9,
-                origin: Endpoint::new("kv-0", 7100),
-                key: "k".into(),
-                val: "v".into(),
-            },
-            KvMsg::PutAck {
-                req: 9,
-                ok: true,
-                version: 77,
-            },
-            KvMsg::Get {
-                req: 10,
-                origin: Endpoint::new("kv-1", 7100),
-                key: "k".into(),
-            },
-            KvMsg::GetResp {
-                req: 10,
-                ok: true,
-                found: false,
-                val: String::new(),
-                version: 0,
-            },
-            KvMsg::Replicate {
-                partition: 3,
-                req: 11,
-                leader: Endpoint::new("kv-2", 7100),
-                key: "k".into(),
-                val: "v".into(),
-                version: 78,
-            },
-            KvMsg::RepAck { req: 11 },
-            KvMsg::Handoff {
-                partition: 4,
-                entries: vec![("a".into(), "1".into(), 5), ("b".into(), "2".into(), 6)],
-            },
-            KvMsg::DigestReq {
-                digests: vec![(
-                    3,
-                    PartitionDigest {
-                        floor: 9,
-                        count: 2,
-                        xor: 0xDEAD,
-                    },
-                )],
-            },
-            KvMsg::DigestResp {
-                digests: vec![
-                    (3, PartitionDigest::default()),
-                    (
-                        7,
-                        PartitionDigest {
-                            floor: 1,
-                            count: 1,
-                            xor: 42,
-                        },
-                    ),
-                ],
-            },
-            KvMsg::RepairPull {
-                partitions: vec![3, 7, 11],
-            },
-            KvMsg::RepairPush {
-                partition: 7,
-                settled: true,
-                entries: vec![("k".into(), "v".into(), 12)],
-            },
-            KvMsg::Sub,
-            KvMsg::View {
-                config_id: 0xFEED,
-                seq: 3,
-                members: vec![
-                    (1, Endpoint::new("kv-0", 7100)),
-                    (2, Endpoint::new("kv-1", 7100)),
-                ],
-            },
-            KvMsg::CPut {
-                req: 21,
-                key: "k".into(),
-                val: "v".into(),
-            },
-            KvMsg::CGet {
-                req: 22,
-                key: "k".into(),
-                floor: 5,
-            },
-            KvMsg::CResp {
-                req: 21,
-                code: CRESP_OVERLOADED,
-                val: String::new(),
-                version: 250,
-            },
-        ];
-        // Every family also survives nested in one batch frame, in order.
-        let batch = KvMsg::Batch(msgs.clone());
-        let mut buf = Vec::new();
-        encode(&batch, &mut buf);
-        assert_eq!(buf.len(), encoded_len(&batch), "batch size mismatch");
-        assert_eq!(decode(&buf).unwrap(), batch);
-        for msg in msgs {
-            let mut buf = Vec::new();
-            encode(&msg, &mut buf);
-            assert_eq!(buf.len(), encoded_len(&msg), "size mismatch for {msg:?}");
-            assert_eq!(decode(&buf).unwrap(), msg);
-        }
-        assert!(decode(&[99, 0, 0]).is_err());
-        assert!(decode(&[]).is_err());
-        // Forged counts cannot out-size the buffer.
-        assert!(decode(&[TAG_DIGEST_REQ, 255, 255, 255, 255]).is_err());
-        assert!(decode(&[TAG_REPAIR_PULL, 255, 255, 255, 255]).is_err());
-        let mut forged_view = vec![TAG_VIEW];
-        forged_view.extend_from_slice(&1u64.to_le_bytes());
-        forged_view.extend_from_slice(&1u64.to_le_bytes());
-        forged_view.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(
-            decode(&forged_view).is_err(),
-            "absurd view member count must be refused"
-        );
-        assert!(
-            decode(&[TAG_KV_BATCH, 255, 255, 255, 255]).is_err(),
-            "absurd batch count must be refused"
-        );
-        // Nested batches are refused.
-        let inner = KvMsg::Batch(vec![KvMsg::RepAck { req: 1 }]);
-        let mut nested = vec![TAG_KV_BATCH];
-        nested.extend_from_slice(&1u32.to_le_bytes());
-        encode(&inner, &mut nested);
-        let err = decode(&nested).expect_err("nested kv batch must be refused");
-        assert!(err.contains("nested"), "got: {err}");
     }
 
     /// Satellite pin for the pending-client map: every client op is

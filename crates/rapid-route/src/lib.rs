@@ -19,7 +19,9 @@
 //!   deterministic push handoffs, and periodic anti-entropy repair
 //!   (digest exchange + rendezvous-ranked re-pull) recovers handoffs
 //!   lost to mid-push source crashes. Coordinators enforce
-//!   read-your-writes via per-key acked version floors.
+//!   read-your-writes via per-key acked version floors. Its wire
+//!   vocabulary ([`kv::KvMsg`], [`kv::encode`] / [`kv::decode`]) is built
+//!   from the [`rapid_core::codec`] kit in the private `codec` module.
 //! * [`store`] — the partition store behind [`kv`]: `partition →
 //!   entries` with each partition's repair digest cached behind a dirty
 //!   bit, hashed only when a reader asks.
@@ -44,6 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod codec;
 pub mod kv;
 pub mod placement;
 pub mod real;

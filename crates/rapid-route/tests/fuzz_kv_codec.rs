@@ -1,10 +1,12 @@
 //! Robustness properties of the KV wire codec (the data-plane sibling of
 //! `rapid-core/tests/fuzz_codec.rs`): decoding never panics on arbitrary
 //! or mutated input, every message family round-trips exactly with
-//! `encoded_len` in lockstep, and batches never nest.
+//! `encoded_len` in lockstep, batches never nest, and the batch caps of
+//! `DecodeLimits` apply before anything nested is decoded.
 
 use proptest::prelude::*;
 
+use rapid_core::codec::{DecodeError, DecodeLimits};
 use rapid_core::id::Endpoint;
 use rapid_core::rng::Xoshiro256;
 use rapid_route::kv::{self, KvMsg, PartitionDigest};
@@ -69,9 +71,51 @@ proptest! {
         let mut nested = vec![bytes[0]];
         nested.extend_from_slice(&1u32.to_le_bytes());
         nested.extend_from_slice(&bytes);
-        let err = kv::decode(&nested).expect_err("a nested batch must be refused");
-        prop_assert!(err.contains("nested"), "got: {}", err);
+        prop_assert_eq!(kv::decode(&nested), Err(DecodeError::NestedBatch));
     }
+}
+
+/// The batch tag, read off an honest encoding.
+fn batch_tag() -> u8 {
+    encode_to_vec(&KvMsg::Batch(Vec::new()))[0]
+}
+
+/// A batch declaring more messages than `DecodeLimits::max_batch_msgs`
+/// is refused on its count, before any nested decode: the items are
+/// unknown tags, which a nested decode would report instead.
+#[test]
+fn over_count_batch_is_refused_before_nested_decode() {
+    let cap = DecodeLimits::default().max_batch_msgs;
+    let mut bytes = vec![batch_tag()];
+    bytes.extend_from_slice(&(cap as u32 + 1).to_le_bytes());
+    bytes.resize(bytes.len() + cap + 1, 0xFF);
+    assert_eq!(
+        kv::decode(&bytes),
+        Err(DecodeError::TooMany {
+            count: cap + 1,
+            cap
+        })
+    );
+    // At the cap, the same frame reaches the nested decoder.
+    bytes[1..5].copy_from_slice(&(cap as u32).to_le_bytes());
+    assert_eq!(kv::decode(&bytes), Err(DecodeError::UnknownTag(0xFF)));
+}
+
+/// A batch spanning more than `DecodeLimits::max_batch_bytes` is refused
+/// on its size, before its count is even read.
+#[test]
+fn over_bytes_batch_is_refused_before_nested_decode() {
+    let cap = DecodeLimits::default().max_batch_bytes;
+    let mut bytes = vec![batch_tag()];
+    bytes.extend_from_slice(&1u32.to_le_bytes());
+    bytes.resize(1 + cap + 1, 0xFF);
+    assert_eq!(
+        kv::decode(&bytes),
+        Err(DecodeError::BatchTooLarge {
+            bytes: cap + 1,
+            cap
+        })
+    );
 }
 
 /// One message, or a batch when several seeds are given.

@@ -13,7 +13,9 @@
 //! Framing: every message is `[u32 total_len][u16 host_len][host bytes]
 //! [u16 port][rapid_core::wire body]`, where `host:port` is the *logical*
 //! listen address of the sender (connections are unidirectional and
-//! ephemeral; the protocol addresses peers by listen address).
+//! ephemeral; the protocol addresses peers by listen address). The header
+//! endpoint is written and read by [`rapid_core::codec`], under the same
+//! host-length and distinct-hosts caps as every endpoint in a body.
 //!
 //! Delivery is best effort, like the UDP the paper uses for gossip: a
 //! failed connect or write simply drops the message — Rapid's dissemination
@@ -32,6 +34,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 
+use rapid_core::codec::{self, DecodeError, DecodeLimits, Reader};
 use rapid_core::config::Configuration;
 use rapid_core::id::{Endpoint, NodeId};
 use rapid_core::membership::ViewChange;
@@ -74,61 +77,75 @@ const APP_FRAME_TAG: u8 = 0xA5;
 const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(1);
 const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(100);
 
-/// A decoded inbound frame body: either a membership-protocol message or
-/// an opaque application payload.
-enum Inbound {
+/// One frame's body: a membership-protocol message or an opaque
+/// application payload. Queued per peer on the way out, decoded on the
+/// way in.
+enum Frame {
     Proto(Message),
     App(Vec<u8>),
 }
 
-/// Writes the shared `[len][host][port]` header into `buf` (cleared
-/// first), leaving the body to the caller, then returns nothing — callers
-/// patch the length and flush.
-fn begin_frame(from: &Endpoint, buf: &mut Vec<u8>) {
-    let host = from.host().as_bytes();
+/// Encodes `[u32 len][sender endpoint][body]` into `buf` (cleared first),
+/// so the steady-state send path reuses one scratch buffer.
+fn encode_frame(from: &Endpoint, frame: &Frame, buf: &mut Vec<u8>) {
     buf.clear();
     buf.extend_from_slice(&[0u8; 4]); // Length placeholder, patched below.
-    buf.extend_from_slice(&(host.len() as u16).to_le_bytes());
-    buf.extend_from_slice(host);
-    buf.extend_from_slice(&from.port().to_le_bytes());
-}
-
-fn finish_frame(stream: &mut TcpStream, buf: &mut [u8]) -> std::io::Result<()> {
+    codec::put_endpoint(buf, from);
+    match frame {
+        Frame::Proto(msg) => wire::encode(msg, buf),
+        Frame::App(payload) => {
+            buf.push(APP_FRAME_TAG);
+            buf.extend_from_slice(payload);
+        }
+    }
     let total = (buf.len() - 4) as u32;
     buf[..4].copy_from_slice(&total.to_le_bytes());
-    stream.write_all(buf)
 }
 
-/// Writes one protocol frame, encoding straight into the caller's scratch
-/// buffer (cleared first) so the steady-state send path allocates nothing.
+/// Writes one frame in a single `write_all`.
 fn write_frame(
     stream: &mut TcpStream,
     from: &Endpoint,
-    msg: &Message,
+    frame: &Frame,
     buf: &mut Vec<u8>,
 ) -> std::io::Result<()> {
-    begin_frame(from, buf);
-    wire::encode(msg, buf);
-    finish_frame(stream, buf)
+    encode_frame(from, frame, buf);
+    stream.write_all(buf)
 }
 
-/// Writes one application-payload frame.
-fn write_app_frame(
-    stream: &mut TcpStream,
-    from: &Endpoint,
-    payload: &[u8],
-    buf: &mut Vec<u8>,
-) -> std::io::Result<()> {
-    begin_frame(from, buf);
-    buf.push(APP_FRAME_TAG);
-    buf.extend_from_slice(payload);
-    finish_frame(stream, buf)
+/// Decodes one frame read off the socket (everything after the length
+/// prefix): the sender endpoint from the header, then the body. An app
+/// payload is the frame's own buffer with the header drained off, so it
+/// is never copied into a second allocation. The sender's host is
+/// borrowed from the frame and interned only after the body decoded, so
+/// a frame refused for its body never grows the interner.
+fn decode_frame(
+    mut frame: Vec<u8>,
+    limits: DecodeLimits,
+) -> Result<(Endpoint, Frame), DecodeError> {
+    let mut r = Reader::new(&frame, limits);
+    let (host, port) = r.host_port()?;
+    let body = r.rest();
+    let proto = match body.first() {
+        Some(&APP_FRAME_TAG) => None,
+        _ => Some(wire::decode_with_limits(body, limits)?),
+    };
+    let from = r.intern(host, port)?;
+    let decoded = match proto {
+        Some(msg) => Frame::Proto(msg),
+        None => {
+            let header = frame.len() - body.len() + 1;
+            frame.drain(..header);
+            Frame::App(frame)
+        }
+    };
+    Ok((from, decoded))
 }
 
 /// Reads one frame, returning the sender, the decoded body, and the
 /// frame's wire size in bytes (header included — the unit the per-peer
 /// byte quota meters).
-fn read_frame(stream: &mut TcpStream) -> std::io::Result<(Endpoint, Inbound, u64)> {
+fn read_frame(stream: &mut TcpStream) -> std::io::Result<(Endpoint, Frame, u64)> {
     let mut len_buf = [0u8; 4];
     stream.read_exact(&mut len_buf)?;
     let len = u32::from_le_bytes(len_buf);
@@ -140,48 +157,9 @@ fn read_frame(stream: &mut TcpStream) -> std::io::Result<(Endpoint, Inbound, u64
     }
     let mut frame = vec![0u8; len as usize];
     stream.read_exact(&mut frame)?;
-    if frame.len() < 4 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "short frame",
-        ));
-    }
-    let host_len = u16::from_le_bytes([frame[0], frame[1]]) as usize;
-    if host_len > wire::MAX_WIRE_HOST_LEN {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "sender host name exceeds cap",
-        ));
-    }
-    if frame.len() < 2 + host_len + 2 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "short frame header",
-        ));
-    }
-    let host = std::str::from_utf8(&frame[2..2 + host_len])
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad host"))?
-        .to_string();
-    let port = u16::from_le_bytes([frame[2 + host_len], frame[3 + host_len]]);
-    let body = &frame[4 + host_len..];
-    let inbound = if body.first() == Some(&APP_FRAME_TAG) {
-        Inbound::App(body[1..].to_vec())
-    } else {
-        Inbound::Proto(
-            wire::decode(body)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?,
-        )
-    };
-    // The frame-header sender address is peer-supplied too: apply the
-    // same distinct-hosts cap the body decoder enforces.
-    let from = Endpoint::new_bounded(host, port, wire::MAX_DISTINCT_WIRE_HOSTS)
-        .map_err(|_| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "sender host would exceed the distinct-hosts cap",
-            )
-        })?;
-    Ok((from, inbound, 4 + len as u64))
+    let (from, decoded) = decode_frame(frame, DecodeLimits::default())
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+    Ok((from, decoded, 4 + len as u64))
 }
 
 /// A lazily connected pool of outbound streams.
@@ -189,7 +167,7 @@ struct StreamPool {
     me: Endpoint,
     streams: std::collections::HashMap<Endpoint, TcpStream>,
     connect_timeout: Duration,
-    /// Reused frame-encode buffer (see [`write_frame`]).
+    /// Reused frame-encode buffer (see [`encode_frame`]).
     encode_buf: Vec<u8>,
 }
 
@@ -222,36 +200,17 @@ impl StreamPool {
         true
     }
 
-    fn after_write(&mut self, to: &Endpoint, failed: bool) {
-        if failed {
+    /// Best-effort send; drops the frame (and the stream) on any error.
+    fn send(&mut self, to: &Endpoint, frame: &Frame) {
+        if !self.ensure(to) {
+            return;
+        }
+        let stream = self.streams.get_mut(to).expect("just inserted");
+        if write_frame(stream, &self.me, frame, &mut self.encode_buf).is_err() {
             if let Some(s) = self.streams.remove(to) {
                 let _ = s.shutdown(Shutdown::Both);
             }
         }
-    }
-
-    /// Best-effort send; drops the message on any error.
-    fn send(&mut self, to: &Endpoint, msg: &Message) {
-        if !self.ensure(to) {
-            return;
-        }
-        let failed = {
-            let stream = self.streams.get_mut(to).expect("just inserted");
-            write_frame(stream, &self.me, msg, &mut self.encode_buf).is_err()
-        };
-        self.after_write(to, failed);
-    }
-
-    /// Best-effort application-payload send; drops the payload on error.
-    fn send_app(&mut self, to: &Endpoint, payload: &[u8]) {
-        if !self.ensure(to) {
-            return;
-        }
-        let failed = {
-            let stream = self.streams.get_mut(to).expect("just inserted");
-            write_app_frame(stream, &self.me, payload, &mut self.encode_buf).is_err()
-        };
-        self.after_write(to, failed);
     }
 }
 
@@ -261,12 +220,6 @@ impl StreamPool {
 /// frames are dropped exactly as a write timeout would have dropped
 /// them.
 const PEER_QUEUE_DEPTH: usize = 4 * 1024;
-
-/// One queued outbound frame for a peer's writer thread.
-enum WriteJob {
-    Proto(Message),
-    App(Vec<u8>),
-}
 
 /// One writer thread per peer socket, fed by bounded per-peer queues.
 ///
@@ -281,7 +234,7 @@ struct PeerWriters {
     me: Endpoint,
     connect_timeout: Duration,
     shutdown: Arc<AtomicBool>,
-    peers: std::collections::HashMap<Endpoint, Sender<WriteJob>>,
+    peers: std::collections::HashMap<Endpoint, Sender<Frame>>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -299,9 +252,9 @@ impl PeerWriters {
     /// The peer's queue, spawning its writer thread on first use. Each
     /// writer owns a single-entry [`StreamPool`], so connect/write
     /// blocking stays on that thread.
-    fn queue_for(&mut self, to: Endpoint) -> &Sender<WriteJob> {
+    fn queue_for(&mut self, to: Endpoint) -> &Sender<Frame> {
         if !self.peers.contains_key(&to) {
-            let (tx, rx) = bounded::<WriteJob>(PEER_QUEUE_DEPTH);
+            let (tx, rx) = bounded::<Frame>(PEER_QUEUE_DEPTH);
             let me = self.me;
             let connect_timeout = self.connect_timeout;
             let stop = Arc::clone(&self.shutdown);
@@ -309,8 +262,7 @@ impl PeerWriters {
                 let mut pool = StreamPool::new(me, connect_timeout);
                 while !stop.load(Ordering::Relaxed) {
                     match rx.recv_timeout(Duration::from_millis(100)) {
-                        Ok(WriteJob::Proto(msg)) => pool.send(&to, &msg),
-                        Ok(WriteJob::App(payload)) => pool.send_app(&to, &payload),
+                        Ok(frame) => pool.send(&to, &frame),
                         Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
                         Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
                     }
@@ -321,17 +273,10 @@ impl PeerWriters {
         self.peers.get(&to).expect("just inserted")
     }
 
-    /// Best-effort protocol send: queued to the peer's writer, dropped
-    /// when its queue is full.
-    fn send(&mut self, to: Endpoint, msg: Message) {
-        let _ = self.queue_for(to).try_send(WriteJob::Proto(msg));
-    }
-
-    /// Best-effort app-payload send, same queueing rules as [`send`].
-    ///
-    /// [`send`]: PeerWriters::send
-    fn send_app(&mut self, to: Endpoint, payload: Vec<u8>) {
-        let _ = self.queue_for(to).try_send(WriteJob::App(payload));
+    /// Best-effort send: queued to the peer's writer, dropped when its
+    /// queue is full.
+    fn send(&mut self, to: Endpoint, frame: Frame) {
+        let _ = self.queue_for(to).try_send(frame);
     }
 
     /// Drops every queue (each writer drains frames it already accepted,
@@ -401,7 +346,7 @@ impl Runtime {
             Node::new_joiner(me.clone(), settings.clone(), seeds)
         };
 
-        let (inbound_tx, inbound_rx) = bounded::<(Endpoint, Inbound, u64)>(64 * 1024);
+        let (inbound_tx, inbound_rx) = bounded::<(Endpoint, Frame, u64)>(64 * 1024);
         let (events_tx, events_rx) = bounded::<AppEvent>(16 * 1024);
         let (control_tx, control_rx) = bounded::<Control>(4 * 1024);
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -493,7 +438,7 @@ impl Runtime {
                     while let Ok(cmd) = control_rx.try_recv() {
                         match cmd {
                             Control::Leave => node.leave(&mut actions),
-                            Control::SendApp(to, payload) => writers.send_app(to, payload),
+                            Control::SendApp(to, payload) => writers.send(to, Frame::App(payload)),
                         }
                     }
                     // Inbound frames until the next tick is due.
@@ -508,10 +453,10 @@ impl Runtime {
                                 quota_dropped.store(quotas.dropped(), Ordering::Relaxed);
                             } else {
                                 match inbound {
-                                    Inbound::Proto(msg) => {
+                                    Frame::Proto(msg) => {
                                         node.handle(Event::Receive { from, msg }, &mut actions);
                                     }
-                                    Inbound::App(payload) => {
+                                    Frame::App(payload) => {
                                         let _ = events_tx.try_send(AppEvent::App(from, payload));
                                     }
                                 }
@@ -527,7 +472,7 @@ impl Runtime {
                     // Dispatch actions.
                     for action in actions.drain(..) {
                         match action {
-                            Action::Send { to, msg } => writers.send(to, msg),
+                            Action::Send { to, msg } => writers.send(to, Frame::Proto(msg)),
                             Action::View(vc) => {
                                 *view.lock() = Arc::clone(&vc.configuration);
                                 *status.lock() = node.status();
@@ -746,14 +691,14 @@ impl AppPeer {
                                 let mut stream = stream;
                                 while !stop.load(Ordering::Relaxed) {
                                     match read_frame(&mut stream) {
-                                        Ok((from, Inbound::App(payload), _)) => {
+                                        Ok((from, Frame::App(payload), _)) => {
                                             if tx.send((from, payload)).is_err() {
                                                 break;
                                             }
                                         }
                                         // Membership traffic aimed at a
                                         // client is a peer bug; drop it.
-                                        Ok((_, Inbound::Proto(_), _)) => continue,
+                                        Ok((_, Frame::Proto(_), _)) => continue,
                                         Err(e)
                                             if e.kind() == std::io::ErrorKind::WouldBlock
                                                 || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -792,7 +737,7 @@ impl AppPeer {
                         break;
                     }
                     match control_rx.recv_timeout(Duration::from_millis(100)) {
-                        Ok((to, payload)) => writers.send_app(to, payload),
+                        Ok((to, payload)) => writers.send(to, Frame::App(payload)),
                         Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
                         Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
                     }
@@ -912,7 +857,7 @@ mod tests {
             write_frame(
                 &mut stream,
                 &Endpoint::new("me", 42),
-                &Message::Probe { seq: 7 },
+                &Frame::Proto(Message::Probe { seq: 7 }),
                 &mut Vec::new(),
             )
             .unwrap();
@@ -920,7 +865,7 @@ mod tests {
         let (mut conn, _) = listener.accept().unwrap();
         let (from, inbound, _) = read_frame(&mut conn).unwrap();
         assert_eq!(from, Endpoint::new("me", 42));
-        assert!(matches!(inbound, Inbound::Proto(Message::Probe { seq: 7 })));
+        assert!(matches!(inbound, Frame::Proto(Message::Probe { seq: 7 })));
         sender.join().unwrap();
     }
 
@@ -936,13 +881,13 @@ mod tests {
             write_frame(
                 &mut stream,
                 &Endpoint::new("me", 44),
-                &Message::Batch {
+                &Frame::Proto(Message::Batch {
                     msgs: vec![
                         Message::Probe { seq: 1 },
                         Message::ProbeAck { seq: 2, config_seq: 3 },
                         Message::ConfigPull { have_seq: 4 },
                     ],
-                },
+                }),
                 &mut Vec::new(),
             )
             .unwrap();
@@ -951,7 +896,7 @@ mod tests {
         let (from, inbound, _) = read_frame(&mut conn).unwrap();
         assert_eq!(from, Endpoint::new("me", 44));
         match inbound {
-            Inbound::Proto(Message::Batch { msgs }) => {
+            Frame::Proto(Message::Batch { msgs }) => {
                 assert_eq!(msgs.len(), 3);
                 assert!(matches!(msgs[0], Message::Probe { seq: 1 }));
                 assert!(matches!(msgs[1], Message::ProbeAck { seq: 2, .. }));
@@ -968,10 +913,10 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let sender = std::thread::spawn(move || {
             let mut stream = TcpStream::connect(addr).unwrap();
-            write_app_frame(
+            write_frame(
                 &mut stream,
                 &Endpoint::new("me", 43),
-                b"kv: hello",
+                &Frame::App(b"kv: hello".to_vec()),
                 &mut Vec::new(),
             )
             .unwrap();
@@ -980,10 +925,115 @@ mod tests {
         let (from, inbound, _) = read_frame(&mut conn).unwrap();
         assert_eq!(from, Endpoint::new("me", 43));
         match inbound {
-            Inbound::App(payload) => assert_eq!(payload, b"kv: hello"),
-            Inbound::Proto(_) => panic!("app frame decoded as protocol frame"),
+            Frame::App(payload) => assert_eq!(payload, b"kv: hello"),
+            Frame::Proto(_) => panic!("app frame decoded as protocol frame"),
         }
         sender.join().unwrap();
+    }
+
+    /// The frame header parse is a pure function of the bytes read off a
+    /// socket; these properties pin it without one.
+    mod frame_header {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A frame as `read_frame` hands it to `decode_frame`: what
+        /// `encode_frame` wrote, length prefix stripped.
+        fn framed(from: &Endpoint, frame: &Frame) -> Vec<u8> {
+            let mut buf = Vec::new();
+            encode_frame(from, frame, &mut buf);
+            buf.split_off(4)
+        }
+
+        /// No headroom for fresh hosts: garbage can never intern one.
+        fn no_fresh_hosts() -> DecodeLimits {
+            DecodeLimits {
+                max_distinct_hosts: 0,
+                ..DecodeLimits::default()
+            }
+        }
+
+        proptest! {
+            /// Arbitrary bytes, bare or behind a valid header, never panic.
+            #[test]
+            fn garbage_never_panics(
+                bytes in prop::collection::vec(any::<u8>(), 0..512),
+                app in any::<bool>(),
+            ) {
+                let _ = decode_frame(bytes.clone(), no_fresh_hosts());
+                let mut framed = Vec::new();
+                codec::put_endpoint(&mut framed, &Endpoint::new("frame-garbage", 1));
+                if app {
+                    framed.push(APP_FRAME_TAG);
+                }
+                framed.extend_from_slice(&bytes);
+                let _ = decode_frame(framed, no_fresh_hosts());
+            }
+
+            /// `encode_frame` output decodes to the same sender and body.
+            #[test]
+            fn encoded_header_roundtrips(
+                host in 0u8..8,
+                port in any::<u16>(),
+                payload in prop::collection::vec(any::<u8>(), 0..256),
+                seq in any::<u64>(),
+            ) {
+                let from = Endpoint::new(format!("frame-host-{host}"), port);
+                let app = framed(&from, &Frame::App(payload.clone()));
+                match decode_frame(app, DecodeLimits::default()) {
+                    Ok((got, Frame::App(body))) => {
+                        prop_assert_eq!(got, from);
+                        prop_assert_eq!(body, payload);
+                    }
+                    _ => prop_assert!(false, "app frame must decode as an app payload"),
+                }
+                let probe = framed(&from, &Frame::Proto(Message::Probe { seq }));
+                match decode_frame(probe, DecodeLimits::default()) {
+                    Ok((got, Frame::Proto(Message::Probe { seq: s }))) => {
+                        prop_assert_eq!(got, from);
+                        prop_assert_eq!(s, seq);
+                    }
+                    _ => prop_assert!(false, "protocol frame must decode as a probe"),
+                }
+            }
+        }
+
+        #[test]
+        fn host_over_255_bytes_is_refused() {
+            let app = Frame::App(Vec::new());
+            let ok = Endpoint::new("h".repeat(codec::MAX_WIRE_HOST_LEN), 1);
+            assert!(decode_frame(framed(&ok, &app), DecodeLimits::default()).is_ok());
+            let long = Endpoint::new("h".repeat(256), 1);
+            assert!(matches!(
+                decode_frame(framed(&long, &app), DecodeLimits::default()),
+                Err(DecodeError::HostTooLong { len: 256 })
+            ));
+        }
+
+        #[test]
+        fn fresh_host_beyond_the_cap_is_refused_after_the_body() {
+            // Hand-encoded, so the test itself never interns the host.
+            let fresh = |body: u8| {
+                let mut frame = Vec::new();
+                codec::put_str16(&mut frame, "frame-never-interned");
+                frame.extend_from_slice(&1u16.to_le_bytes());
+                frame.push(body);
+                frame
+            };
+            assert!(matches!(
+                decode_frame(fresh(APP_FRAME_TAG), no_fresh_hosts()),
+                Err(DecodeError::TooManyHosts { cap: 0, .. })
+            ));
+            // A body that does not decode is refused first: the host is
+            // interned only once the rest of the frame is known good.
+            assert_eq!(
+                decode_frame(fresh(250), no_fresh_hosts()).err(),
+                Some(DecodeError::UnknownTag(250))
+            );
+            let known = Endpoint::new("frame-known", 2);
+            let app = Frame::App(Vec::new());
+            assert!(decode_frame(framed(&known, &app), no_fresh_hosts()).is_ok());
+        }
     }
 
     #[test]
