@@ -1,24 +1,22 @@
 //! Hosting the KV data plane on the real TCP transport.
 //!
-//! [`KvRuntime`] owns a [`rapid_transport::Runtime`] and drives the KV
-//! data plane from its event stream: view changes feed placement, app
-//! frames carry [`KvMsg`](crate::kv::KvMsg)s, and client operations
-//! arrive over channels and resolve through per-op reply channels. The
-//! data plane is the same state machine the simulator runs — only the
-//! clock and the wires differ.
+//! [`KvRuntime`] runs a [`rapid_transport::Runtime`] with a KV
+//! [`Host`]: view changes feed placement, app frames carry
+//! [`KvMsg`](crate::kv::KvMsg)s, and client operations arrive over
+//! channels and resolve through per-op reply channels. The data plane is
+//! the same state machine the simulator runs — only the clock and the
+//! wires differ.
 //!
-//! Every process has one shape. A *membership pump* owns the transport:
-//! it fans each view adoption out to all shards over their FIFO input
-//! channels, splits inbound frames by owning shard with
-//! [`kv::shard_route`], and merges the shards' published snapshots into
-//! the process-level state the accessors read. Behind it run
-//! `Settings::kv_shards = W` shard threads, each hosting a [`KvNode`]
-//! restricted (via [`KvNode::with_shard`]) to the partitions
-//! [`shard_of`](crate::placement::shard_of) assigns it; `W = 1` (the
-//! default) is simply one shard that owns every partition. Shards share
-//! no mutable state; each sends through its own clone of the transport's
-//! [`AppSender`](rapid_transport::AppSender), which feeds the per-peer
-//! writer threads.
+//! Every process has one shape: `Settings::kv_shards = W` shard threads,
+//! each hosting a [`KvNode`] restricted (via [`KvNode::with_shard`]) to
+//! the partitions [`shard_of`](crate::placement::shard_of) assigns it;
+//! `W = 1` (the default) is simply one shard that owns every partition.
+//! Every input reaches a shard in one hop over its one FIFO channel: the
+//! transport's readers hand it app frames (split by [`kv::shard_route`]
+//! at `W > 1`), and the transport's node loop queues each view to every
+//! shard before its next input and merges the shards' snapshots every
+//! 20 ms. Shards share no mutable state; each sends straight into the
+//! writer queues through its own [`AppSender`].
 //!
 //! A shard and a [`KvClientRuntime`] are the same host loop, [`pump`],
 //! around a different sans-io core ([`KvNode`], [`KvClient`]): wait for
@@ -33,14 +31,14 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use parking_lot::Mutex;
-use rapid_core::config::{Configuration, Member};
+use rapid_core::config::Configuration;
 use rapid_core::hash::DetHashMap;
 use rapid_core::id::Endpoint;
 use rapid_core::membership::ViewChange;
-use rapid_core::node::NodeStatus;
+use rapid_core::node::{Node, NodeStatus};
 use rapid_core::obs::{LatencyHist, Timeline, TimelinePoint, DEFAULT_TIMELINE_CAP};
 use rapid_core::settings::Settings;
-use rapid_transport::{AppEvent, AppPeer, AppSender, Runtime};
+use rapid_transport::{AppEvent, AppPeer, AppSender, Host, Runtime, TimerHook};
 
 use crate::client::{ClientStats, KvClient};
 use crate::kv::{self, ClientOp, KvMsg, KvNode, KvOut, KvOutcome, KvStats, PartitionDigest};
@@ -50,7 +48,7 @@ use crate::placement::{partition_of, shard_of, PlacementConfig};
 const CHAN_CAP: usize = 16 * 1024;
 
 /// Host timer cadence: the cores' `on_tick`, the shards' snapshot
-/// publication and the membership pump's merge.
+/// publication and the node loop's merge.
 const TICK: Duration = Duration::from_millis(20);
 
 /// How long [`KvRuntime::digest_snapshot`] waits for the shards to
@@ -123,13 +121,8 @@ fn ask_digests(shards: &[Sender<PumpIn>]) -> Digests {
     digests
 }
 
-enum RealCtl {
-    Leave,
-    Shutdown,
-}
-
 /// One per-shard observability sample, taken on the `obs_sample_ms`
-/// cadence by the membership pump.
+/// cadence by the node loop's merge.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardPoint {
     /// Sample time on the process wall clock (ms since start).
@@ -141,9 +134,9 @@ pub struct ShardPoint {
 }
 
 /// Input to a host pump. A shard has one FIFO channel of these, fed by
-/// the membership pump (views, frames, the latency signal, stop) and by
-/// [`KvRuntime::begin_put`]/[`KvRuntime::begin_get`] (ops) and
-/// [`KvRuntime::digest_snapshot`] (digest requests), so it
+/// the transport's readers (frames), the node loop (views, the latency
+/// signal), [`KvRuntime::begin_put`]/[`KvRuntime::begin_get`] (ops),
+/// [`KvRuntime::digest_snapshot`] (digest requests) and the stop, so it
 /// sleeps on a single receive and wakes for whichever comes first. The
 /// FIFO order also guarantees every shard adopts views in the same
 /// order, so all shards recompute the identical placement.
@@ -214,19 +207,24 @@ impl Core for KvClient {
     }
 }
 
-/// The one host loop: drives `core` until [`PumpIn::Stop`].
+/// The one host loop: drives `core` from its input channel until
+/// [`PumpIn::Stop`] (or until every sender is gone), pushing each frame
+/// it emits straight into the destination's writer queue.
 ///
-/// `next(budget)` blocks up to `budget` for an input (`None` on
-/// timeout); `send` queues an encoded frame on the transport;
 /// `publish(core, ticked)` runs every pass, after the timers and before
 /// any outcome is delivered, so whoever receives an outcome already
 /// finds it in the published counters.
 fn pump<C: Core>(
     mut core: C,
-    mut next: impl FnMut(Duration) -> Option<PumpIn>,
-    send: impl Fn(Endpoint, Vec<u8>),
+    inputs: Receiver<PumpIn>,
+    sender: AppSender,
     mut publish: impl FnMut(&C, bool),
 ) {
+    let next = |budget| match inputs.recv_timeout(budget) {
+        Ok(input) => Some(input),
+        Err(RecvTimeoutError::Timeout) => None,
+        Err(RecvTimeoutError::Disconnected) => Some(PumpIn::Stop),
+    };
     let mut out: Vec<KvOut> = Vec::new();
     let mut replies: DetHashMap<u64, Sender<KvOutcome>> = DetHashMap::default();
     let mut burst: Vec<RealOp> = Vec::new();
@@ -298,7 +296,7 @@ fn pump<C: Core>(
                 KvOut::Send(to, msg) => {
                     let mut frame = Vec::with_capacity(kv::encoded_len(&msg));
                     kv::encode(&msg, &mut frame);
-                    send(to, frame);
+                    sender.send_app(to, frame);
                 }
                 KvOut::Done(req, outcome) => {
                     if let Some(reply) = replies.remove(&req) {
@@ -311,8 +309,7 @@ fn pump<C: Core>(
 }
 
 /// A data-plane snapshot: what a shard publishes on its tick, and —
-/// merged over the shards by the membership pump — what the process
-/// reports.
+/// merged over the shards by the node loop — what the process reports.
 #[derive(Clone, Debug, Default)]
 struct KvSnapshot {
     stats: KvStats,
@@ -326,41 +323,8 @@ struct KvSnapshot {
     op_hist: LatencyHist,
 }
 
-/// A running shard thread: its input channel, published snapshot and
-/// join handle.
-struct Shard {
-    tx: Sender<PumpIn>,
-    slot: Arc<Mutex<KvSnapshot>>,
-    handle: JoinHandle<()>,
-}
-
-/// A data-plane shard: [`pump`] around one partition-filtered [`KvNode`],
-/// fed from its input channel, sending through its own transport handle.
-fn shard_pump(kv: KvNode, rx: Receiver<PumpIn>, sender: AppSender, slot: Arc<Mutex<KvSnapshot>>) {
-    pump(
-        kv,
-        |budget| match rx.recv_timeout(budget) {
-            Ok(input) => Some(input),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => Some(PumpIn::Stop),
-        },
-        |to, frame| sender.send_app(to, frame),
-        |kv, ticked| {
-            // On the tick cadence only: the merge reads no faster.
-            if ticked {
-                let snapshot = KvSnapshot {
-                    stats: *kv.stats(),
-                    inbox_depth: kv.inbox_depth(),
-                    client_conns: kv.client_conns(),
-                    op_hist: kv.op_hist().clone(),
-                };
-                *slot.lock() = snapshot;
-            }
-        },
-    );
-}
-
-/// Pump-published view of the node, for the scenario driver's polls.
+/// The node loop's published view of the process, for the scenario
+/// driver's polls.
 #[derive(Clone, Debug)]
 struct Mirror {
     status: NodeStatus,
@@ -368,8 +332,6 @@ struct Mirror {
     view_count: u64,
     /// The shards' snapshots merged, refreshed on the merge cadence.
     kv: KvSnapshot,
-    /// Inbound frames dropped by the transport's per-peer quota.
-    quota_dropped: u64,
     /// Sampled metrics timeline (interval deltas on the wall clock),
     /// republished in full on every sweep. Empty when `obs_sample_ms`
     /// is 0.
@@ -384,26 +346,40 @@ struct Mirror {
 }
 
 impl Mirror {
+    /// Empty until [`kv_host`] publishes the new node's membership.
+    fn new(shards: usize) -> Mirror {
+        Mirror {
+            status: NodeStatus::Joining,
+            view_len: 0,
+            view_count: 0,
+            kv: KvSnapshot::default(),
+            timeline: Vec::new(),
+            timeline_dropped: 0,
+            per_shard: vec![(0, 0); shards],
+            shard_series: vec![VecDeque::new(); shards],
+        }
+    }
+
     /// Membership changes are published as they are handled, not on the
     /// merge cadence: callers poll `view_len()` to learn a cluster formed.
-    fn publish_membership(&mut self, rt: &Runtime, view_count: u64) {
-        self.status = rt.status();
-        self.view_len = rt.view().len();
-        self.view_count = view_count;
+    fn publish_membership(&mut self, node: &Node) {
+        self.status = node.status();
+        self.view_len = node.configuration().len();
     }
 }
 
 /// A real process running membership + the KV data plane.
 pub struct KvRuntime {
     addr: Endpoint,
+    /// The transport, whose node loop also runs the merge; taken on stop.
+    rt: Option<Runtime>,
     /// One sender per data-plane shard, a clone of the shard's input
     /// channel; ops route by `shard_of(partition_of(key))`, so the shard
     /// that allocates a request id is the shard that completes it.
     ops_txs: Vec<Sender<PumpIn>>,
+    shards: Vec<JoinHandle<()>>,
     partitions: u32,
-    ctl_tx: Sender<RealCtl>,
     mirror: Arc<Mutex<Mirror>>,
-    handle: Option<JoinHandle<()>>,
     introspect_addr: Option<std::net::SocketAddr>,
 }
 
@@ -417,38 +393,9 @@ impl KvRuntime {
         op_timeout_ms: u64,
         repair_interval_ms: u64,
     ) -> std::io::Result<KvRuntime> {
-        Self::check_shards(&settings, route)?;
-        let rt = Runtime::start_seed(listen, settings.clone())?;
-        Ok(Self::wrap(
-            rt,
-            &settings,
-            route,
-            op_timeout_ms,
-            repair_interval_ms,
-            false,
-        ))
-    }
-
-    /// Starts a joining process with the data plane attached.
-    pub fn start_joiner(
-        listen: Endpoint,
-        seeds: Vec<Endpoint>,
-        settings: Settings,
-        metadata: rapid_core::Metadata,
-        route: PlacementConfig,
-        op_timeout_ms: u64,
-        repair_interval_ms: u64,
-    ) -> std::io::Result<KvRuntime> {
-        Self::check_shards(&settings, route)?;
-        let rt = Runtime::start_joiner(listen, seeds, settings.clone(), metadata)?;
-        Ok(Self::wrap(
-            rt,
-            &settings,
-            route,
-            op_timeout_ms,
-            repair_interval_ms,
-            true,
-        ))
+        let metadata = rapid_core::Metadata::new();
+        let (timeout, repair) = (op_timeout_ms, repair_interval_ms);
+        Self::start_joiner(listen, Vec::new(), settings, metadata, route, timeout, repair)
     }
 
     /// A shard with no partitions could never serve an op, so more
@@ -468,29 +415,26 @@ impl KvRuntime {
         Ok(())
     }
 
-    fn wrap(
-        mut rt: Runtime,
-        settings: &Settings,
+    /// Starts a joining process with the data plane attached (a seed when
+    /// `seeds` is empty).
+    pub fn start_joiner(
+        listen: Endpoint,
+        seeds: Vec<Endpoint>,
+        settings: Settings,
+        metadata: rapid_core::Metadata,
         route: PlacementConfig,
         op_timeout_ms: u64,
         repair_interval_ms: u64,
-        joiner: bool,
-    ) -> KvRuntime {
+    ) -> std::io::Result<KvRuntime> {
+        Self::check_shards(&settings, route)?;
         let w = settings.kv_shards.max(1);
-        let addr = *rt.addr();
-        let me: Member = rt.member().clone();
-        let (ctl_tx, ctl_rx) = bounded::<RealCtl>(16);
-        let mirror = Arc::new(Mutex::new(Mirror {
-            status: rt.status(),
-            view_len: rt.view().len(),
-            view_count: 0,
-            kv: KvSnapshot::default(),
-            quota_dropped: 0,
-            timeline: Vec::new(),
-            timeline_dropped: 0,
-            per_shard: vec![(0, 0); w],
-            shard_series: vec![VecDeque::new(); w],
-        }));
+        let joiner = !seeds.is_empty();
+        let (ops_txs, inputs): (Vec<_>, Vec<_>) = (0..w).map(|_| bounded(CHAN_CAP)).unzip();
+        let slots: Vec<Arc<Mutex<KvSnapshot>>> = (0..w).map(|_| Arc::default()).collect();
+        let mirror = Arc::new(Mutex::new(Mirror::new(w)));
+        let (partitions, sample_ms) = (route.partitions, settings.obs_sample_ms);
+        let host = |node: &Node| kv_host(node, &ops_txs, &slots, &mirror, partitions, sample_ms);
+        let mut rt = Runtime::start_hosted(listen, settings.clone(), seeds, metadata, host)?;
         // Opt-in live introspection: with `RAPID_INTROSPECT=1` the
         // transport serves a one-line JSON status on a loopback side
         // listener, and the KV layer appends its published data-plane
@@ -510,10 +454,10 @@ impl KvRuntime {
                     picked.join(",")
                 };
                 line.push_str(&format!(
-                    ",\"puts_acked\":{},\"gets_ok\":{},\"bytes_moved\":{},\"repair_bytes\":{},\"op_p50_ms\":{},\"op_p99_ms\":{},\"inbox_depth\":{},\"shed_ops\":{},\"client_conns\":{},\"quota_dropped\":{},\"shards\":{},\"shard_depth\":[{}],\"shard_ops\":[{}]",
+                    ",\"puts_acked\":{},\"gets_ok\":{},\"bytes_moved\":{},\"repair_bytes\":{},\"op_p50_ms\":{},\"op_p99_ms\":{},\"inbox_depth\":{},\"shed_ops\":{},\"client_conns\":{},\"shards\":{},\"shard_depth\":[{}],\"shard_ops\":[{}]",
                     m.kv.stats.puts_acked, m.kv.stats.gets_ok, m.kv.stats.bytes_moved,
                     m.kv.stats.repair_bytes, p50, p99,
-                    m.kv.inbox_depth, m.kv.stats.ops_shed, m.kv.client_conns, m.quota_dropped,
+                    m.kv.inbox_depth, m.kv.stats.ops_shed, m.kv.client_conns,
                     m.per_shard.len(), join(|s| s.0), join(|s| s.1),
                 ));
             })
@@ -521,14 +465,12 @@ impl KvRuntime {
         } else {
             None
         };
-        // W shard threads own the data plane; the membership pump owns
-        // the transport event stream and fans views/frames out to them.
-        // A seed's one-member view is installed already: queue it ahead
-        // of any op, so every shard subscribes before it serves.
-        let initial = (rt.status() == NodeStatus::Active)
-            .then(|| ViewChange::initial(rt.view()).configuration);
-        let shards: Vec<Shard> = (0..w)
-            .map(|i| {
+        let me = rt.member().clone();
+        let shards = inputs
+            .into_iter()
+            .zip(slots)
+            .enumerate()
+            .map(|(i, (rx, slot))| {
                 let mut kv = KvNode::new(me.clone(), route, op_timeout_ms, None)
                     .with_shard(i, w)
                     .with_repair_interval(repair_interval_ms)
@@ -539,31 +481,31 @@ impl KvRuntime {
                 if joiner {
                     kv = kv.expect_initial_handoffs();
                 }
-                let (tx, rx) = bounded::<PumpIn>(CHAN_CAP);
-                if let Some(config) = &initial {
-                    let _ = tx.send(PumpIn::View(Arc::clone(config)));
-                }
-                let slot = Arc::new(Mutex::new(KvSnapshot::default()));
-                let (sender, shard_slot) = (rt.app_sender(), Arc::clone(&slot));
-                let handle = std::thread::spawn(move || shard_pump(kv, rx, sender, shard_slot));
-                Shard { tx, slot, handle }
+                let sender = rt.app_sender();
+                // Publishes on the tick cadence only: the merge reads no faster.
+                std::thread::spawn(move || {
+                    pump(kv, rx, sender, |kv, ticked| {
+                        if ticked {
+                            *slot.lock() = KvSnapshot {
+                                stats: *kv.stats(),
+                                inbox_depth: kv.inbox_depth(),
+                                client_conns: kv.client_conns(),
+                                op_hist: kv.op_hist().clone(),
+                            };
+                        }
+                    })
+                })
             })
             .collect();
-        let ops_txs = shards.iter().map(|s| s.tx.clone()).collect();
-        let pump_mirror = Arc::clone(&mirror);
-        let (partitions, obs_sample_ms) = (route.partitions, settings.obs_sample_ms);
-        let handle = std::thread::spawn(move || {
-            membership_pump(rt, shards, ctl_rx, pump_mirror, partitions, obs_sample_ms);
-        });
-        KvRuntime {
-            addr,
+        Ok(KvRuntime {
+            addr: *rt.addr(),
+            rt: Some(rt),
             ops_txs,
-            partitions,
-            ctl_tx,
+            shards,
+            partitions: route.partitions,
             mirror,
-            handle: Some(handle),
             introspect_addr,
-        }
+        })
     }
 
     /// The node's listen address.
@@ -602,9 +544,21 @@ impl KvRuntime {
         self.mirror.lock().kv.client_conns
     }
 
-    /// Latest published per-peer-quota drop count from the transport.
+    /// Inbound frames the transport's per-peer quota dropped so far.
     pub fn quota_dropped(&self) -> u64 {
-        self.mirror.lock().quota_dropped
+        self.rt.as_ref().map_or(0, Runtime::quota_dropped)
+    }
+
+    /// Outbound frames the transport dropped so far on a full per-peer
+    /// writer queue.
+    pub fn send_dropped(&self) -> u64 {
+        self.rt.as_ref().map_or(0, Runtime::send_dropped)
+    }
+
+    /// Events the transport dropped on a full `events()` channel: always
+    /// 0 here, where every frame goes straight to a shard.
+    pub fn event_dropped(&self) -> u64 {
+        self.rt.as_ref().map_or(0, Runtime::event_dropped)
     }
 
     /// Latest published successful-op latency histogram (wall-clock ms).
@@ -682,27 +636,37 @@ impl KvRuntime {
 
     /// Announces a voluntary departure and stops the process.
     pub fn leave(mut self) {
-        self.stop(RealCtl::Leave);
+        self.stop(true);
     }
 
     /// Hard-stops the process (a crash, as far as the cluster knows).
     pub fn shutdown_now(mut self) {
-        self.stop(RealCtl::Shutdown);
+        self.stop(false);
     }
 
-    /// Asks the membership pump to wind the process down and waits for
-    /// it; a no-op once it has stopped.
-    fn stop(&mut self, ctl: RealCtl) {
-        if let Some(h) = self.handle.take() {
-            let _ = self.ctl_tx.send(ctl);
-            let _ = h.join();
+    /// Stops the transport (sockets and node loop), then the shards; a
+    /// no-op once stopped.
+    fn stop(&mut self, leave: bool) {
+        let Some(rt) = self.rt.take() else { return };
+        if leave {
+            rt.leave();
+            self.mirror.lock().status = NodeStatus::Left;
+        } else {
+            rt.shutdown_now();
+        }
+        // No reader or node loop is left to queue anything behind this.
+        for tx in &self.ops_txs {
+            let _ = tx.send(PumpIn::Stop);
+        }
+        for shard in self.shards.drain(..) {
+            let _ = shard.join();
         }
     }
 }
 
 impl Drop for KvRuntime {
     fn drop(&mut self) {
-        self.stop(RealCtl::Shutdown);
+        self.stop(false);
     }
 }
 
@@ -714,27 +678,80 @@ fn push_shard_point(series: &mut VecDeque<ShardPoint>, pt: ShardPoint) {
     series.push_back(pt);
 }
 
-/// The membership plane of a process: owns the transport, fans view
-/// adoptions out to every shard, splits inbound app frames by owning
-/// shard with [`kv::shard_route`], and merges the shards' published
-/// snapshots into the process-level [`Mirror`] (plus the metrics
-/// timeline and per-shard depth/ops series on the sample cadence).
-fn membership_pump(
-    rt: Runtime,
-    shards: Vec<Shard>,
-    ctl_rx: Receiver<RealCtl>,
-    mirror: Arc<Mutex<Mirror>>,
+/// Queues a view adoption to every shard. Blocks on a full channel: a
+/// view is never dropped.
+fn fan_out(shards: &[Sender<PumpIn>], config: &Arc<Configuration>) {
+    for tx in shards {
+        let _ = tx.send(PumpIn::View(Arc::clone(config)));
+    }
+}
+
+/// The process's transport hooks: readers hand app frames straight to
+/// the owning shard, the node loop queues every membership event to each
+/// shard, and every [`TICK`] it runs [`merge_timer`].
+fn kv_host(
+    node: &Node,
+    shards: &[Sender<PumpIn>],
+    slots: &[Arc<Mutex<KvSnapshot>>],
+    mirror: &Arc<Mutex<Mirror>>,
     partitions: u32,
     obs_sample_ms: u64,
-) {
+) -> Host {
+    // A seed's one-member view is installed already: queue it ahead of
+    // any frame or op, so every shard subscribes before it serves.
+    if node.status() == NodeStatus::Active {
+        fan_out(shards, &node.configuration());
+    }
+    mirror.lock().publish_membership(node);
     let w = shards.len();
-    let start = Instant::now();
-    let fan_out = |config: &Arc<Configuration>| {
-        for s in &shards {
-            let _ = s.tx.send(PumpIn::View(Arc::clone(config)));
+    let frames = shards.to_vec();
+    // Sends block on a full shard channel — data frames are never
+    // silently dropped here; the reader pushes back on its connection. A
+    // lone shard needs no routing and decodes the frame itself: handing
+    // decoded 1 KiB-value batches across threads cost ~10 % of put
+    // throughput in the benchmark.
+    let app = move |from: Endpoint, bytes: Vec<u8>| {
+        if w == 1 {
+            let _ = frames[0].send(PumpIn::Frame(from, bytes));
+        } else if let Ok(msg) = kv::decode(&bytes) {
+            for (idx, part) in kv::shard_route(msg, partitions, w) {
+                let _ = frames[idx].send(PumpIn::Msg(from, part));
+            }
         }
     };
-    let mut view_count = 0u64;
+    let (views, view_mirror) = (shards.to_vec(), Arc::clone(mirror));
+    let membership = move |node: &Node, event: AppEvent| {
+        if let AppEvent::View(ViewChange { configuration, .. }) | AppEvent::Joined(configuration) =
+            &event
+        {
+            fan_out(&views, configuration);
+        }
+        let mut m = view_mirror.lock();
+        m.view_count += u64::from(matches!(event, AppEvent::View(_)));
+        m.publish_membership(node);
+    };
+    Host {
+        app: Box::new(app),
+        membership: Box::new(membership),
+        timer: Some((
+            TICK,
+            merge_timer(shards.to_vec(), slots.to_vec(), Arc::clone(mirror), obs_sample_ms),
+        )),
+    }
+}
+
+/// The node loop's merge: folds the shards' published snapshots into the
+/// process-level [`Mirror`] and, on the `obs_sample_ms` cadence, records
+/// the metrics timeline and the per-shard depth/ops series and feeds the
+/// interval quantiles back to every shard.
+fn merge_timer(
+    shards: Vec<Sender<PumpIn>>,
+    slots: Vec<Arc<Mutex<KvSnapshot>>>,
+    mirror: Arc<Mutex<Mirror>>,
+    obs_sample_ms: u64,
+) -> TimerHook {
+    let w = shards.len();
+    let start = Instant::now();
     // Metrics timeline: the same delta sampler the simulator runs, on
     // the wall clock. Capacity 0 (`obs_sample_ms == 0`) disables it.
     let mut timeline = Timeline::new(if obs_sample_ms > 0 {
@@ -747,87 +764,32 @@ fn membership_pump(
     let mut shard_ops_cursor = vec![0u64; w];
     let mut prev_hist = LatencyHist::new();
     let mut next_sample = Instant::now() + Duration::from_millis(obs_sample_ms.max(1));
-    let mut next_merge = Instant::now();
-    loop {
-        if let Ok(ctl) = ctl_rx.try_recv() {
-            for s in shards {
-                let _ = s.tx.send(PumpIn::Stop);
-                let _ = s.handle.join();
-            }
-            match ctl {
-                RealCtl::Leave => {
-                    rt.leave();
-                    mirror.lock().status = NodeStatus::Left;
-                }
-                RealCtl::Shutdown => rt.shutdown_now(),
-            }
-            return;
-        }
-        // Wake for a transport event or for the merge, whichever is due
-        // first; a stop request is seen on the next wake.
-        let budget = next_merge.saturating_duration_since(Instant::now());
-        let membership_changed = match rt.events().recv_timeout(budget) {
-            Ok(AppEvent::App(from, bytes)) => {
-                // Sends block on a full shard channel — data frames are
-                // never silently dropped here. A lone shard needs no
-                // routing and decodes the frame itself: handing decoded
-                // 1 KiB-value batches across threads cost ~10 % of put
-                // throughput in the benchmark.
-                if w == 1 {
-                    let _ = shards[0].tx.send(PumpIn::Frame(from, bytes));
-                } else if let Ok(msg) = kv::decode(&bytes) {
-                    for (idx, part) in kv::shard_route(msg, partitions, w) {
-                        let _ = shards[idx].tx.send(PumpIn::Msg(from, part));
-                    }
-                }
-                false
-            }
-            Ok(AppEvent::View(vc)) => {
-                view_count += 1;
-                fan_out(&vc.configuration);
-                true
-            }
-            Ok(AppEvent::Joined(config)) => {
-                fan_out(&config);
-                true
-            }
-            Ok(AppEvent::Kicked) => true,
-            Err(_) => false,
-        };
-        if membership_changed {
-            mirror.lock().publish_membership(&rt, view_count);
-        }
-        if Instant::now() < next_merge {
-            continue;
-        }
-        next_merge = Instant::now() + TICK;
+    Box::new(move |node| {
         let mut kv = KvSnapshot::default();
         // (depth, cumulative ops) per shard.
         let mut per_shard: Vec<(u64, u64)> = Vec::with_capacity(w);
-        for s in &shards {
-            let p = s.slot.lock();
+        for slot in &slots {
+            let p = slot.lock();
             kv.stats.absorb(&p.stats);
             kv.inbox_depth += p.inbox_depth;
             kv.client_conns += p.client_conns;
             kv.op_hist.merge(&p.op_hist);
             per_shard.push((p.inbox_depth as u64, p.stats.puts_acked + p.stats.gets_ok));
         }
-        // Metrics sweep: record the deltas since the previous sample.
-        // Membership wire counters live on the transport's driver
-        // thread, so the real-driver timeline carries the data plane
-        // (ops, handoff/repair bytes, view changes) — the simulator
-        // fills the network columns.
+        // Metrics sweep: record the deltas since the previous sample. The
+        // real-driver timeline carries the data plane (ops, handoff/repair
+        // bytes, view changes) — the simulator fills the network columns.
         let sampled = timeline.enabled() && Instant::now() >= next_sample;
         if sampled {
             let (_, p50, p99) = kv.op_hist.interval_quantiles(&prev_hist);
             // Every shard's admission controller sees the same
             // process-level latency signal.
-            for s in &shards {
-                let _ = s.tx.send(PumpIn::NoteInterval(p50, p99));
+            for tx in &shards {
+                let _ = tx.send(PumpIn::NoteInterval(p50, p99));
             }
             let total = TimelinePoint {
                 t_ms: start.elapsed().as_millis() as u64,
-                view_changes: view_count,
+                view_changes: mirror.lock().view_count,
                 ops: kv.stats.puts_acked + kv.stats.gets_ok,
                 handoff_bytes: kv.stats.bytes_moved,
                 repair_bytes: kv.stats.repair_bytes,
@@ -847,9 +809,8 @@ fn membership_pump(
             next_sample += Duration::from_millis(obs_sample_ms);
         }
         let mut m = mirror.lock();
-        m.publish_membership(&rt, view_count);
+        m.publish_membership(node);
         m.kv = kv;
-        m.quota_dropped = rt.quota_dropped();
         if sampled {
             m.timeline = timeline.iter_in_order().copied().collect();
             m.timeline_dropped = timeline.dropped();
@@ -865,22 +826,22 @@ fn membership_pump(
             }
         }
         m.per_shard = per_shard;
-    }
+    })
 }
 
 /// A smart client hosted on the real transport: a [`KvClient`] state
-/// machine driven from an [`AppPeer`]'s event stream on a dedicated
-/// pump thread. The `AppPeer` keeps one pooled TCP stream per
-/// destination, so steady-state traffic holds exactly one connection per
-/// partition leader — the per-leader connection pooling the client plane
-/// promises. The client never joins the membership; it learns views
-/// purely from `Sub`/`View` push frames.
+/// machine on a dedicated pump thread, fed straight by an [`AppPeer`]'s
+/// readers. The `AppPeer` keeps one pooled TCP stream per destination,
+/// so steady-state traffic holds exactly one connection per partition
+/// leader — the per-leader connection pooling the client plane promises.
+/// The client never joins the membership; it learns views purely from
+/// `Sub`/`View` push frames.
 pub struct KvClientRuntime {
     addr: Endpoint,
     ops_tx: Sender<PumpIn>,
-    ctl_tx: Sender<RealCtl>,
     published: Arc<Mutex<(ClientStats, LatencyHist, Option<u64>)>>,
-    handle: Option<JoinHandle<()>>,
+    /// The client's sockets and its pump thread; taken when it stops.
+    running: Option<(AppPeer, JoinHandle<()>)>,
 }
 
 impl KvClientRuntime {
@@ -893,25 +854,34 @@ impl KvClientRuntime {
         window: usize,
         op_timeout_ms: u64,
     ) -> std::io::Result<KvClientRuntime> {
-        let peer = AppPeer::start(Endpoint::new("127.0.0.1", 0))?;
+        let (ops_tx, inputs) = bounded::<PumpIn>(CHAN_CAP);
+        let frames = ops_tx.clone();
+        // A full pump channel pushes back on the connection.
+        let peer = AppPeer::start_with(Endpoint::new("127.0.0.1", 0), move |from, bytes| {
+            let _ = frames.send(PumpIn::Frame(from, bytes));
+        })?;
         let addr = *peer.addr();
         let client = KvClient::new(addr, route, seeds, window, op_timeout_ms);
-        let (ops_tx, ops_rx) = bounded::<PumpIn>(CHAN_CAP);
-        let (ctl_tx, ctl_rx) = bounded::<RealCtl>(16);
         let published = Arc::new(Mutex::new((
             ClientStats::default(),
             LatencyHist::new(),
             None,
         )));
         let pump_pub = Arc::clone(&published);
-        let handle =
-            std::thread::spawn(move || client_pump(peer, client, ops_rx, ctl_rx, pump_pub));
+        let sender = peer.app_sender();
+        let handle = std::thread::spawn(move || {
+            pump(client, inputs, sender, |client, _ticked| {
+                let mut p = pump_pub.lock();
+                p.0 = *client.stats();
+                p.1 = client.op_hist().clone();
+                p.2 = client.view_seq();
+            })
+        });
         Ok(KvClientRuntime {
             addr,
             ops_tx,
-            ctl_tx,
             published,
-            handle: Some(handle),
+            running: Some((peer, handle)),
         })
     }
 
@@ -950,7 +920,7 @@ impl KvClientRuntime {
         self.begin(key, None)
     }
 
-    /// Stops the pump and the peer's sockets.
+    /// Stops the peer's sockets and the pump.
     pub fn shutdown_now(self) {
         drop(self);
     }
@@ -958,47 +928,12 @@ impl KvClientRuntime {
 
 impl Drop for KvClientRuntime {
     fn drop(&mut self) {
-        let _ = self.ctl_tx.try_send(RealCtl::Shutdown);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
+        if let Some((peer, pump)) = self.running.take() {
+            peer.shutdown_now();
+            let _ = self.ops_tx.send(PumpIn::Stop);
+            let _ = pump.join();
         }
     }
-}
-
-/// The smart client's host: [`pump`] around a [`KvClient`], fed from the
-/// peer's inbound frames and the submission channel.
-fn client_pump(
-    peer: AppPeer,
-    client: KvClient,
-    ops_rx: Receiver<PumpIn>,
-    ctl_rx: Receiver<RealCtl>,
-    published: Arc<Mutex<(ClientStats, LatencyHist, Option<u64>)>>,
-) {
-    pump(
-        client,
-        |budget| {
-            if ctl_rx.try_recv().is_ok() {
-                return Some(PumpIn::Stop);
-            }
-            if let Ok(op) = ops_rx.try_recv() {
-                return Some(op);
-            }
-            // Three sources and no select: wait on the wire (view pushes
-            // and verdicts) in short slices, so a submission or a stop
-            // queued meanwhile is picked up within one.
-            let slice = budget.min(Duration::from_millis(5));
-            let (from, bytes) = peer.events().recv_timeout(slice).ok()?;
-            Some(PumpIn::Frame(from, bytes))
-        },
-        |to, frame| peer.send_app(to, frame),
-        |client, _ticked| {
-            let mut p = published.lock();
-            p.0 = *client.stats();
-            p.1 = client.op_hist().clone();
-            p.2 = client.view_seq();
-        },
-    );
-    peer.shutdown_now();
 }
 
 #[cfg(test)]
@@ -1091,7 +1026,11 @@ mod tests {
         assert!(body.contains("\"shed_ops\":0"), "{body:?}");
         assert!(body.contains("\"client_conns\":"), "{body:?}");
         assert!(body.contains("\"quota_dropped\":0"), "{body:?}");
-        // The default process is one shard behind the membership pump.
+        // The transport's drop counters ride the same line.
+        assert!(body.contains("\"send_dropped\":0"), "{body:?}");
+        assert!(body.contains("\"event_dropped\":0"), "{body:?}");
+        assert_eq!((seed.send_dropped(), seed.event_dropped()), (0, 0));
+        // The default process is one shard.
         assert!(body.contains("\"shards\":1"), "{body:?}");
         seed.shutdown_now();
     }

@@ -2,13 +2,17 @@
 //!
 //! The paper's implementation runs over gRPC/Netty; this crate provides the
 //! equivalent plumbing with `std::net` TCP and threads, with no async
-//! runtime dependency. The sans-io [`rapid_core::node::Node`] is driven by
-//! a single driver thread that multiplexes inbound frames (from a
-//! listener + per-connection reader threads) with periodic ticks, and
-//! queues outbound frames to one writer thread per peer socket (bounded
-//! per-peer queues over a lazily connected stream each), so a slow or
-//! dead peer backs up only its own queue instead of head-of-line
-//! blocking every destination.
+//! runtime dependency. It is a socket layer ([`AppPeer`]): one accept
+//! loop spawning a reader thread per inbound connection, and one writer
+//! thread per peer fed by a bounded queue behind one cloneable handle
+//! ([`AppSender`]), so a slow or dead peer backs up only its own queue.
+//! A reader hands each frame straight to its consumer and every sender
+//! pushes straight into the peer's queue. A [`Runtime`] adds the node
+//! loop, which drives the sans-io [`Node`]: readers give it membership
+//! frames, and app payloads go to the sink chosen at start (a [`Host`]
+//! or `events()`). Only the node loop wakes on a timer; stopping is
+//! channel disconnect plus `TcpStream::shutdown`, and queued frames are
+//! discarded rather than drained to a stalled peer.
 //!
 //! Framing: every message is `[u32 total_len][u16 host_len][host bytes]
 //! [u16 port][rapid_core::wire body]`, where `host:port` is the *logical*
@@ -19,19 +23,21 @@
 //!
 //! Delivery is best effort, like the UDP the paper uses for gossip: a
 //! failed connect or write simply drops the message — Rapid's dissemination
-//! and failure detection are built to tolerate exactly that.
+//! and failure detection are built to tolerate exactly that. A frame
+//! dropped on a full queue is counted (`send_dropped`, `event_dropped`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::HashMap;
+use std::io::{IoSlice, Read, Write};
+use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 
 use rapid_core::codec::{self, DecodeError, DecodeLimits, Reader};
@@ -70,12 +76,21 @@ const MAX_FRAME: u32 = 32 * 1024 * 1024;
 /// or vice versa.
 const APP_FRAME_TAG: u8 = 0xA5;
 
-/// Listener idle-poll backoff bounds. The non-blocking accept loop
-/// sleeps `min` after the first empty poll and doubles up to `max`, so a
-/// bursty joiner wave is accepted with ~1 ms latency while an idle
-/// listener wakes only ten times a second instead of fifty.
-const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(1);
-const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(100);
+/// Depth of each per-peer send queue — the backpressure bound. At the
+/// default tick cadence this is several seconds of protocol traffic;
+/// overflowing it means the peer is effectively unreachable, so further
+/// frames are dropped exactly as a write timeout would have dropped
+/// them.
+const PEER_QUEUE_DEPTH: usize = 4 * 1024;
+
+/// Slots in the node loop's input channel, all allocated up front. It
+/// carries membership frames only, so one peer queue's worth is ample.
+const NODE_QUEUE_DEPTH: usize = PEER_QUEUE_DEPTH;
+
+/// How long a connect, and one frame's write, may take before the frame
+/// is dropped.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
+const WRITE_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// One frame's body: a membership-protocol message or an opaque
 /// application payload. Queued per peer on the way out, decoded on the
@@ -86,31 +101,46 @@ enum Frame {
 }
 
 /// Encodes `[u32 len][sender endpoint][body]` into `buf` (cleared first),
-/// so the steady-state send path reuses one scratch buffer.
-fn encode_frame(from: &Endpoint, frame: &Frame, buf: &mut Vec<u8>) {
+/// except an app payload: that is returned to be written from its own
+/// buffer, so the writer's `buf` never grows to the largest payload.
+fn encode_head<'f>(from: &Endpoint, frame: &'f Frame, buf: &mut Vec<u8>) -> &'f [u8] {
     buf.clear();
     buf.extend_from_slice(&[0u8; 4]); // Length placeholder, patched below.
     codec::put_endpoint(buf, from);
-    match frame {
-        Frame::Proto(msg) => wire::encode(msg, buf),
+    let tail: &[u8] = match frame {
+        Frame::Proto(msg) => {
+            wire::encode(msg, buf);
+            &[]
+        }
         Frame::App(payload) => {
             buf.push(APP_FRAME_TAG);
-            buf.extend_from_slice(payload);
+            payload
         }
-    }
-    let total = (buf.len() - 4) as u32;
+    };
+    let total = (buf.len() - 4 + tail.len()) as u32;
     buf[..4].copy_from_slice(&total.to_le_bytes());
+    tail
 }
 
-/// Writes one frame in a single `write_all`.
+/// Writes one frame, head and payload in one `writev` when they fit.
 fn write_frame(
     stream: &mut TcpStream,
     from: &Endpoint,
     frame: &Frame,
     buf: &mut Vec<u8>,
 ) -> std::io::Result<()> {
-    encode_frame(from, frame, buf);
-    stream.write_all(buf)
+    let tail = encode_head(from, frame, buf);
+    let mut parts = [IoSlice::new(buf), IoSlice::new(tail)];
+    let mut left = &mut parts[..];
+    while !left.is_empty() {
+        match stream.write_vectored(left) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut left, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Decodes one frame read off the socket (everything after the length
@@ -162,164 +192,225 @@ fn read_frame(stream: &mut TcpStream) -> std::io::Result<(Endpoint, Frame, u64)>
     Ok((from, decoded, 4 + len as u64))
 }
 
-/// A lazily connected pool of outbound streams.
-struct StreamPool {
-    me: Endpoint,
-    streams: std::collections::HashMap<Endpoint, TcpStream>,
-    connect_timeout: Duration,
-    /// Reused frame-encode buffer (see [`encode_frame`]).
-    encode_buf: Vec<u8>,
+/// Frames dropped: by the decode quota, on a full writer queue, on a
+/// full `events()` channel.
+#[derive(Default)]
+struct Drops {
+    quota: AtomicU64,
+    send: AtomicU64,
+    event: AtomicU64,
 }
 
-impl StreamPool {
-    fn new(me: Endpoint, connect_timeout: Duration) -> Self {
-        StreamPool {
-            me,
-            streams: std::collections::HashMap::new(),
-            connect_timeout,
-            encode_buf: Vec::new(),
-        }
+/// Queues without blocking; a full channel drops the item and counts it.
+fn offer<T>(tx: &Sender<T>, item: T, dropped: &AtomicU64) {
+    if tx.try_send(item).is_err() {
+        dropped.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// The per-peer writer queues behind one cloneable handle, which every
+/// sender of a process pushes into. A push never blocks: the first frame
+/// to a peer spawns its writer thread, and a full queue drops the frame
+/// and counts it — the same best-effort contract as a failed write.
+#[derive(Clone)]
+pub struct AppSender(Arc<Writers>);
+
+struct Writers {
+    me: Endpoint,
+    drops: Arc<Drops>,
+    /// `None` once the process stopped: later frames are discarded.
+    peers: Mutex<Option<HashMap<Endpoint, Writer>>>,
+}
+
+/// One peer's queue, a clone of its writer's current stream (so a stop
+/// can shut the socket down under a blocked write), and the writer.
+struct Writer {
+    queue: Sender<Frame>,
+    stream: Option<TcpStream>,
+    thread: JoinHandle<()>,
+}
+
+impl AppSender {
+    /// Queues an app payload for best-effort delivery to `to`.
+    pub fn send_app(&self, to: Endpoint, payload: Vec<u8>) {
+        self.send(to, Frame::App(payload));
     }
 
-    /// Connects lazily; `false` means the peer is unreachable right now.
-    fn ensure(&mut self, to: &Endpoint) -> bool {
-        if self.streams.contains_key(to) {
-            return true;
-        }
-        let addr = match format!("{to}").to_socket_addrs() {
-            Ok(mut addrs) => addrs.next(),
-            Err(_) => None,
-        };
-        let Some(addr) = addr else { return false };
-        let Ok(stream) = TcpStream::connect_timeout(&addr, self.connect_timeout) else {
-            return false;
-        };
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
-        self.streams.insert(*to, stream);
-        true
+    fn send(&self, to: Endpoint, frame: Frame) {
+        let mut peers = self.0.peers.lock();
+        let Some(peers) = peers.as_mut() else { return };
+        let writer = peers.entry(to).or_insert_with(|| {
+            let (queue, frames) = bounded(PEER_QUEUE_DEPTH);
+            let writers = Arc::clone(&self.0);
+            let thread = std::thread::spawn(move || write_loop(&writers, to, frames));
+            Writer {
+                queue,
+                stream: None,
+                thread,
+            }
+        });
+        offer(&writer.queue, frame, &self.0.drops.send);
     }
 
-    /// Best-effort send; drops the frame (and the stream) on any error.
-    fn send(&mut self, to: &Endpoint, frame: &Frame) {
-        if !self.ensure(to) {
-            return;
+    /// Stops every writer without draining its queue, and joins them.
+    fn close(&self) {
+        let peers = self.0.peers.lock().take().unwrap_or_default();
+        for stream in peers.values().filter_map(|w| w.stream.as_ref()) {
+            let _ = stream.shutdown(Shutdown::Both);
         }
-        let stream = self.streams.get_mut(to).expect("just inserted");
-        if write_frame(stream, &self.me, frame, &mut self.encode_buf).is_err() {
-            if let Some(s) = self.streams.remove(to) {
-                let _ = s.shutdown(Shutdown::Both);
+        for writer in peers.into_values() {
+            drop(writer.queue);
+            let _ = writer.thread.join();
+        }
+    }
+}
+
+/// Connects to a peer's listen address; `None` when it is unreachable
+/// right now.
+fn connect(to: &Endpoint) -> Option<TcpStream> {
+    let addr = format!("{to}").to_socket_addrs().ok()?.next()?;
+    let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT).ok()?;
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+    Some(stream)
+}
+
+/// One peer's writer: connects lazily; an error drops the frame and the
+/// stream, and the next frame reconnects. Returns when the queue
+/// disconnects, or at its first connect or failed write after a stop.
+fn write_loop(writers: &Writers, to: Endpoint, frames: Receiver<Frame>) {
+    let mut stream: Option<TcpStream> = None;
+    let mut buf = Vec::new();
+    while let Ok(frame) = frames.recv() {
+        if stream.is_none() {
+            stream = connect(&to);
+            let mut peers = writers.peers.lock();
+            let Some(writer) = peers.as_mut().and_then(|p| p.get_mut(&to)) else {
+                return;
+            };
+            writer.stream = stream.as_ref().and_then(|s| s.try_clone().ok());
+        }
+        let Some(s) = stream.as_mut() else { continue };
+        if write_frame(s, &writers.me, &frame, &mut buf).is_err() {
+            stream = None;
+            if writers.peers.lock().is_none() {
+                return;
             }
         }
     }
 }
 
-/// Depth of each per-peer send queue — the backpressure bound. At the
-/// default tick cadence this is several seconds of protocol traffic;
-/// overflowing it means the peer is effectively unreachable, so further
-/// frames are dropped exactly as a write timeout would have dropped
-/// them.
-const PEER_QUEUE_DEPTH: usize = 4 * 1024;
-
-/// One writer thread per peer socket, fed by bounded per-peer queues.
-///
-/// The dispatcher (the runtime's driver thread, or an [`AppPeer`]'s
-/// queue drain) never blocks on the network: enqueueing to a full peer
-/// queue drops the frame — the same best-effort semantics as a failed
-/// write. A peer whose socket stalls (slow reader, connect timeout to a
-/// dead host) backs up only its own queue; it can no longer
-/// head-of-line-block frames bound for every other destination, which
-/// is what the old single shared writer serialized on.
-struct PeerWriters {
-    me: Endpoint,
-    connect_timeout: Duration,
-    shutdown: Arc<AtomicBool>,
-    peers: std::collections::HashMap<Endpoint, Sender<Frame>>,
-    handles: Vec<JoinHandle<()>>,
+/// The accept loop, a thread blocked in `accept`. Stopping drops `stop`
+/// and connects once, so `accept` returns and sees the disconnect.
+struct Acceptor {
+    wake: SocketAddr,
+    stop: Sender<()>,
+    thread: JoinHandle<()>,
 }
 
-impl PeerWriters {
-    fn new(me: Endpoint, connect_timeout: Duration, shutdown: Arc<AtomicBool>) -> PeerWriters {
-        PeerWriters {
-            me,
-            connect_timeout,
-            shutdown,
-            peers: std::collections::HashMap::new(),
-            handles: Vec::new(),
+impl Acceptor {
+    fn spawn(
+        listener: TcpListener,
+        mut on_conn: impl FnMut(TcpStream) + Send + 'static,
+    ) -> std::io::Result<Acceptor> {
+        let mut wake = listener.local_addr()?;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(Ipv4Addr::LOCALHOST.into());
         }
-    }
-
-    /// The peer's queue, spawning its writer thread on first use. Each
-    /// writer owns a single-entry [`StreamPool`], so connect/write
-    /// blocking stays on that thread.
-    fn queue_for(&mut self, to: Endpoint) -> &Sender<Frame> {
-        if !self.peers.contains_key(&to) {
-            let (tx, rx) = bounded::<Frame>(PEER_QUEUE_DEPTH);
-            let me = self.me;
-            let connect_timeout = self.connect_timeout;
-            let stop = Arc::clone(&self.shutdown);
-            self.handles.push(std::thread::spawn(move || {
-                let mut pool = StreamPool::new(me, connect_timeout);
-                while !stop.load(Ordering::Relaxed) {
-                    match rx.recv_timeout(Duration::from_millis(100)) {
-                        Ok(frame) => pool.send(&to, &frame),
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-                        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
-                    }
+        // Never sent on: only its disconnect matters.
+        let (stop, stopped) = bounded::<()>(0);
+        let thread = std::thread::spawn(move || {
+            for conn in listener.incoming() {
+                match (stopped.try_recv(), conn) {
+                    (Err(TryRecvError::Empty), Ok(stream)) => on_conn(stream),
+                    _ => return,
                 }
-            }));
-            self.peers.insert(to, tx);
-        }
-        self.peers.get(&to).expect("just inserted")
+            }
+        });
+        Ok(Acceptor { wake, stop, thread })
     }
 
-    /// Best-effort send: queued to the peer's writer, dropped when its
-    /// queue is full.
-    fn send(&mut self, to: Endpoint, frame: Frame) {
-        let _ = self.queue_for(to).try_send(frame);
-    }
-
-    /// Drops every queue (each writer drains frames it already accepted,
-    /// then sees the disconnect) and joins the writer threads.
-    fn join_all(&mut self) {
-        self.peers.clear();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
+    fn stop(self) {
+        drop(self.stop);
+        // If even a loopback connect fails, leave the thread blocked in
+        // `accept` rather than hang the caller.
+        if TcpStream::connect_timeout(&self.wake, CONNECT_TIMEOUT).is_ok() {
+            let _ = self.thread.join();
         }
     }
 }
 
-/// A running Rapid node bound to a real TCP socket.
+/// Where a reader hands each frame, with its sender and wire size.
+type Deliver = dyn Fn(Endpoint, Frame, u64) + Send + Sync;
+
+/// [`Host::membership`]: a hook run on the node loop.
+pub type MembershipHook = Box<dyn FnMut(&Node, AppEvent) + Send>;
+
+/// [`Host::timer`]: a hook run on the node loop.
+pub type TimerHook = Box<dyn FnMut(&Node) + Send>;
+
+/// What a process runs beside its membership node, in place of the
+/// `events()` channel ([`Runtime::start_hosted`]).
+pub struct Host {
+    /// Takes each app payload that passed the quota, on the reader thread
+    /// that read it; blocking here pushes back on that one connection.
+    pub app: Box<dyn Fn(Endpoint, Vec<u8>) + Send + Sync>,
+    /// Runs on the node loop for each view change, join and kick, before
+    /// the loop takes its next input.
+    pub membership: MembershipHook,
+    /// Runs on the node loop every `.0` after its previous run ended.
+    pub timer: Option<(Duration, TimerHook)>,
+}
+
+/// The node loop's input.
+enum NodeIn {
+    Receive(Endpoint, Message),
+    Leave,
+}
+
+/// A running Rapid node bound to a real TCP socket: the socket layer (an
+/// [`AppPeer`]) plus the node loop.
 pub struct Runtime {
     me: Member,
     events_rx: Receiver<AppEvent>,
     view: Arc<Mutex<Arc<Configuration>>>,
     status: Arc<Mutex<NodeStatus>>,
-    shutdown: Arc<AtomicBool>,
-    control_tx: Sender<Control>,
-    quota_dropped: Arc<AtomicU64>,
-    threads: Vec<JoinHandle<()>>,
-}
-
-enum Control {
-    Leave,
-    SendApp(Endpoint, Vec<u8>),
+    peer: AppPeer,
+    /// Dropped after the readers, it stops the node loop.
+    node_tx: Sender<NodeIn>,
+    node_loop: JoinHandle<()>,
+    introspection: Vec<Acceptor>,
 }
 
 impl Runtime {
     /// Starts a seed node bootstrapping a fresh cluster on `listen`.
     pub fn start_seed(listen: Endpoint, settings: Settings) -> std::io::Result<Runtime> {
-        Self::start(listen, settings, Vec::new(), rapid_core::Metadata::new())
+        Self::start_joiner(listen, Vec::new(), settings, rapid_core::Metadata::new())
     }
 
-    /// Starts a node that joins an existing cluster through `seeds`.
+    /// Starts a node that joins an existing cluster through `seeds` (a
+    /// seed when `seeds` is empty).
     pub fn start_joiner(
         listen: Endpoint,
         seeds: Vec<Endpoint>,
         settings: Settings,
         metadata: rapid_core::Metadata,
     ) -> std::io::Result<Runtime> {
-        Self::start(listen, settings, seeds, metadata)
+        Self::start(listen, settings, seeds, metadata, None::<fn(&Node) -> Host>)
+    }
+
+    /// Starts a node (a seed when `seeds` is empty) whose payloads and
+    /// membership events go to the [`Host`] that `host` builds, not to
+    /// [`Runtime::events`]. `host` runs before any frame is read, so what
+    /// it queues comes first.
+    pub fn start_hosted(
+        listen: Endpoint,
+        settings: Settings,
+        seeds: Vec<Endpoint>,
+        metadata: rapid_core::Metadata,
+        host: impl FnOnce(&Node) -> Host,
+    ) -> std::io::Result<Runtime> {
+        Self::start(listen, settings, seeds, metadata, Some(host))
     }
 
     fn start(
@@ -327,6 +418,7 @@ impl Runtime {
         settings: Settings,
         seeds: Vec<Endpoint>,
         metadata: rapid_core::Metadata,
+        host: Option<impl FnOnce(&Node) -> Host>,
     ) -> std::io::Result<Runtime> {
         let listener = TcpListener::bind(format!("{listen}"))?;
         let actual: SocketAddr = listener.local_addr()?;
@@ -346,164 +438,67 @@ impl Runtime {
             Node::new_joiner(me.clone(), settings.clone(), seeds)
         };
 
-        let (inbound_tx, inbound_rx) = bounded::<(Endpoint, Frame, u64)>(64 * 1024);
-        let (events_tx, events_rx) = bounded::<AppEvent>(16 * 1024);
-        let (control_tx, control_rx) = bounded::<Control>(4 * 1024);
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let drops = Arc::new(Drops::default());
+        let (host, events_rx) = match host {
+            Some(make) => (make(&node), bounded(0).1),
+            // A plain runtime: everything goes to `events()`.
+            None => {
+                let (tx, rx) = bounded::<AppEvent>(16 * 1024);
+                let (app_tx, d1, d2) = (tx.clone(), Arc::clone(&drops), Arc::clone(&drops));
+                let host = Host {
+                    app: Box::new(move |from, p| offer(&app_tx, AppEvent::App(from, p), &d1.event)),
+                    membership: Box::new(move |_, event| offer(&tx, event, &d2.event)),
+                    timer: None,
+                };
+                (host, rx)
+            }
+        };
         let view = Arc::new(Mutex::new(node.configuration()));
         let status = Arc::new(Mutex::new(node.status()));
-
-        let mut threads = Vec::new();
-
-        // Listener thread: accept connections, spawn frame readers.
-        {
-            let inbound_tx = inbound_tx.clone();
-            let shutdown = Arc::clone(&shutdown);
-            listener.set_nonblocking(true)?;
-            threads.push(std::thread::spawn(move || {
-                let mut readers: Vec<JoinHandle<()>> = Vec::new();
-                // Idle-poll backoff: start fast so a fresh connection is
-                // picked up promptly, back off exponentially while the
-                // socket stays quiet so an idle node does not spin at a
-                // fixed cadence, and reset on every accepted connection.
-                let mut backoff = ACCEPT_BACKOFF_MIN;
-                while !shutdown.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            backoff = ACCEPT_BACKOFF_MIN;
-                            let tx = inbound_tx.clone();
-                            let stop = Arc::clone(&shutdown);
-                            let _ = stream.set_nodelay(true);
-                            let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-                            readers.push(std::thread::spawn(move || {
-                                let mut stream = stream;
-                                while !stop.load(Ordering::Relaxed) {
-                                    match read_frame(&mut stream) {
-                                        Ok((from, msg, size)) => {
-                                            if tx.send((from, msg, size)).is_err() {
-                                                break;
-                                            }
-                                        }
-                                        Err(e)
-                                            if e.kind() == std::io::ErrorKind::WouldBlock
-                                                || e.kind() == std::io::ErrorKind::TimedOut =>
-                                        {
-                                            continue
-                                        }
-                                        Err(_) => break,
-                                    }
-                                }
-                            }));
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(backoff);
-                            backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
-                        }
-                        Err(_) => break,
-                    }
+        let (node_tx, node_rx) = bounded::<NodeIn>(NODE_QUEUE_DEPTH);
+        let quota = PeerQuota {
+            frames_per_interval: settings.peer_quota_frames,
+            bytes_per_interval: settings.peer_quota_bytes,
+            interval_ms: settings.peer_quota_interval_ms,
+        };
+        let quotas = (!quota.is_unlimited()).then(|| Mutex::new(QuotaTracker::new(quota)));
+        let (clock, counted) = (Instant::now(), Arc::clone(&drops));
+        let (app, to_node) = (host.app, node_tx.clone());
+        // The reader hand-off: the per-peer quota (keyed by sender, across
+        // connections), then membership frames to the node loop.
+        let deliver = move |from: Endpoint, frame: Frame, size: u64| {
+            if let Some(quotas) = &quotas {
+                let now_ms = clock.elapsed().as_millis() as u64;
+                if quotas.lock().admit(from, size as usize, now_ms).is_err() {
+                    counted.quota.fetch_add(1, Ordering::Relaxed);
+                    return;
                 }
-                for r in readers {
-                    let _ = r.join();
+            }
+            match frame {
+                Frame::Proto(msg) => {
+                    let _ = to_node.send(NodeIn::Receive(from, msg));
                 }
-            }));
-        }
-
-        // Driver thread: ticks + message dispatch.
-        let quota_dropped = Arc::new(AtomicU64::new(0));
-        {
-            let shutdown = Arc::clone(&shutdown);
-            let view = Arc::clone(&view);
-            let status = Arc::clone(&status);
+                Frame::App(payload) => app(from, payload),
+            }
+        };
+        let peer = AppPeer::serve(listener, me_ep, drops, bounded(0).1, Arc::new(deliver))?;
+        let node_loop = {
+            let shared = (Arc::clone(&view), Arc::clone(&status));
             let tick = Duration::from_millis(settings.tick_interval_ms);
-            let me_ep2 = me_ep;
-            let quota_dropped = Arc::clone(&quota_dropped);
-            let quota = PeerQuota {
-                frames_per_interval: settings.peer_quota_frames,
-                bytes_per_interval: settings.peer_quota_bytes,
-                interval_ms: settings.peer_quota_interval_ms,
-            };
-            threads.push(std::thread::spawn(move || {
-                let mut node = node;
-                let mut writers =
-                    PeerWriters::new(me_ep2, Duration::from_millis(250), Arc::clone(&shutdown));
-                let mut quotas = QuotaTracker::new(quota);
-                let start = Instant::now();
-                let mut next_tick = Instant::now();
-                let mut actions = Vec::new();
-                loop {
-                    if shutdown.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    // Control commands.
-                    while let Ok(cmd) = control_rx.try_recv() {
-                        match cmd {
-                            Control::Leave => node.leave(&mut actions),
-                            Control::SendApp(to, payload) => writers.send(to, Frame::App(payload)),
-                        }
-                    }
-                    // Inbound frames until the next tick is due.
-                    let budget = next_tick.saturating_duration_since(Instant::now());
-                    match inbound_rx.recv_timeout(budget) {
-                        Ok((from, inbound, size)) => {
-                            let now_ms = start.elapsed().as_millis() as u64;
-                            // Per-peer rate limit: a peer over its frame
-                            // or byte budget for this interval has the
-                            // frame dropped before any decode dispatch.
-                            if quotas.admit(from, size as usize, now_ms).is_err() {
-                                quota_dropped.store(quotas.dropped(), Ordering::Relaxed);
-                            } else {
-                                match inbound {
-                                    Frame::Proto(msg) => {
-                                        node.handle(Event::Receive { from, msg }, &mut actions);
-                                    }
-                                    Frame::App(payload) => {
-                                        let _ = events_tx.try_send(AppEvent::App(from, payload));
-                                    }
-                                }
-                            }
-                        }
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                            let now_ms = start.elapsed().as_millis() as u64;
-                            node.handle(Event::Tick { now_ms }, &mut actions);
-                            next_tick += tick;
-                        }
-                        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
-                    }
-                    // Dispatch actions.
-                    for action in actions.drain(..) {
-                        match action {
-                            Action::Send { to, msg } => writers.send(to, Frame::Proto(msg)),
-                            Action::View(vc) => {
-                                *view.lock() = Arc::clone(&vc.configuration);
-                                *status.lock() = node.status();
-                                let _ = events_tx.try_send(AppEvent::View(vc));
-                            }
-                            Action::Joined { config } => {
-                                *view.lock() = Arc::clone(&config);
-                                *status.lock() = node.status();
-                                let _ = events_tx.try_send(AppEvent::Joined(config));
-                            }
-                            Action::Kicked => {
-                                *status.lock() = NodeStatus::Kicked;
-                                let _ = events_tx.try_send(AppEvent::Kicked);
-                            }
-                        }
-                    }
-                    *status.lock() = node.status();
-                }
-                writers.join_all();
-            }));
-        }
-
+            let (out, membership, timer) = (peer.app_sender(), host.membership, host.timer);
+            std::thread::spawn(move || {
+                run_node(node, node_rx, tick, out, shared, membership, timer)
+            })
+        };
         Ok(Runtime {
             me,
             events_rx,
             view,
             status,
-            shutdown,
-            control_tx,
-            quota_dropped,
-            threads,
+            peer,
+            node_tx,
+            node_loop,
+            introspection: Vec::new(),
         })
     }
 
@@ -511,7 +506,19 @@ impl Runtime {
     /// (`Settings::peer_quota_frames` / `peer_quota_bytes`; 0 when
     /// quotas are disabled).
     pub fn quota_dropped(&self) -> u64 {
-        self.quota_dropped.load(Ordering::Relaxed)
+        self.peer.drops.quota.load(Ordering::Relaxed)
+    }
+
+    /// Outbound frames dropped so far because their peer's writer queue
+    /// was full.
+    pub fn send_dropped(&self) -> u64 {
+        self.peer.send_dropped()
+    }
+
+    /// Events and app payloads dropped so far because [`Self::events`]
+    /// was full (always 0 for a hosted runtime).
+    pub fn event_dropped(&self) -> u64 {
+        self.peer.event_dropped()
     }
 
     /// This node's identity.
@@ -541,17 +548,16 @@ impl Runtime {
     }
 
     /// Sends an opaque application payload to a peer runtime, best
-    /// effort, via the peer's writer thread. The peer surfaces it as
-    /// [`AppEvent::App`].
+    /// effort, via the peer's writer queue. The peer surfaces it as
+    /// [`AppEvent::App`] (or hands it to its [`Host`]).
     pub fn send_app(&self, to: Endpoint, payload: Vec<u8>) {
-        let _ = self.control_tx.try_send(Control::SendApp(to, payload));
+        self.peer.send_app(to, payload);
     }
 
-    /// A cloneable handle for queueing app payloads from any thread —
-    /// the hook sharded data planes use so every shard worker can emit
-    /// frames without owning the runtime.
+    /// A cloneable handle for sending app payloads from threads that do
+    /// not own the runtime (e.g. KV shard workers).
     pub fn app_sender(&self) -> AppSender {
-        AppSender(self.control_tx.clone())
+        self.peer.app_sender()
     }
 
     /// Starts a loopback introspection listener and returns its bound
@@ -559,94 +565,134 @@ impl Runtime {
     ///
     /// Every accepted connection receives exactly one line of JSON —
     /// `{"node":"host:port","status":"Active","view_id":<u64>,
-    /// "members":<n>, ...}` — and is then closed, so `nc 127.0.0.1 PORT`
-    /// or a scraper can poll liveness without speaking the membership
-    /// protocol. The `extra` hook appends data-plane fields (the caller
-    /// writes `,"key":value` pairs into the line) so hosts like
-    /// `rapid-route` can expose KV stats and op-latency quantiles
-    /// through the same socket.
+    /// "members":<n>,"quota_dropped":<n>,"send_dropped":<n>,
+    /// "event_dropped":<n>, ...}` — and is then closed, so
+    /// `nc 127.0.0.1 PORT` or a scraper can poll liveness without
+    /// speaking the membership protocol. The `extra` hook appends
+    /// data-plane fields (the caller writes `,"key":value` pairs into the
+    /// line) so hosts like `rapid-route` can expose KV stats and
+    /// op-latency quantiles through the same socket.
     ///
     /// The listener binds `127.0.0.1:0` (loopback only, ephemeral port),
-    /// runs on its own thread with the same idle-poll backoff as the
-    /// main accept loop, and stops with the runtime's shutdown flag.
+    /// blocks in `accept` on its own thread, and stops with the runtime.
     pub fn serve_introspection<F>(&mut self, extra: F) -> std::io::Result<SocketAddr>
     where
         F: Fn(&mut String) + Send + 'static,
     {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let bound = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let me = self.me.addr;
         let view = Arc::clone(&self.view);
         let status = Arc::clone(&self.status);
-        let shutdown = Arc::clone(&self.shutdown);
-        self.threads.push(std::thread::spawn(move || {
-            let mut backoff = ACCEPT_BACKOFF_MIN;
-            while !shutdown.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((mut stream, _)) => {
-                        backoff = ACCEPT_BACKOFF_MIN;
-                        let (view_id, members) = {
-                            let v = view.lock();
-                            (v.id().0, v.len())
-                        };
-                        let st = *status.lock();
-                        let mut line = format!(
-                            "{{\"node\":\"{me}\",\"status\":\"{st:?}\",\"view_id\":{view_id},\"members\":{members}"
-                        );
-                        extra(&mut line);
-                        line.push_str("}\n");
-                        let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
-                        let _ = stream.write_all(line.as_bytes());
-                        let _ = stream.shutdown(Shutdown::Both);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(backoff);
-                        backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
-                    }
-                    Err(_) => break,
-                }
-            }
-        }));
+        let drops = Arc::clone(&self.peer.drops);
+        self.introspection.push(Acceptor::spawn(listener, move |mut stream| {
+            let (view_id, members) = {
+                let v = view.lock();
+                (v.id().0, v.len())
+            };
+            let st = *status.lock();
+            let mut line = format!(
+                "{{\"node\":\"{me}\",\"status\":\"{st:?}\",\"view_id\":{view_id},\"members\":{members},\"quota_dropped\":{},\"send_dropped\":{},\"event_dropped\":{}",
+                drops.quota.load(Ordering::Relaxed),
+                drops.send.load(Ordering::Relaxed),
+                drops.event.load(Ordering::Relaxed),
+            );
+            extra(&mut line);
+            line.push_str("}\n");
+            let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+            let _ = stream.write_all(line.as_bytes());
+            let _ = stream.shutdown(Shutdown::Both);
+        })?);
         Ok(bound)
     }
 
     /// Announces a voluntary departure, then shuts the runtime down.
     pub fn leave(self) {
-        let _ = self.control_tx.send(Control::Leave);
+        let _ = self.node_tx.send(NodeIn::Leave);
         std::thread::sleep(Duration::from_millis(200));
         self.shutdown_now();
     }
 
     /// Stops all threads without announcing departure (a crash, as far as
     /// the cluster is concerned).
-    pub fn shutdown_now(mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+    pub fn shutdown_now(self) {
+        for listener in self.introspection {
+            listener.stop();
+        }
+        self.peer.shutdown_now();
+        // The readers held the node loop's other input senders.
+        drop(self.node_tx);
+        let _ = self.node_loop.join();
+    }
+}
+
+/// The node loop: drives the [`Node`] from its input channel and its
+/// tick, queues what it sends, publishes view and status, and runs the
+/// host's hooks. Returns once every input sender is gone.
+fn run_node(
+    mut node: Node,
+    inputs: Receiver<NodeIn>,
+    tick: Duration,
+    out: AppSender,
+    (view, status): (Arc<Mutex<Arc<Configuration>>>, Arc<Mutex<NodeStatus>>),
+    mut membership: MembershipHook,
+    mut timer: Option<(Duration, TimerHook)>,
+) {
+    let start = Instant::now();
+    let mut next_tick = start;
+    let mut next_timer = timer.as_ref().map(|(every, _)| start + *every);
+    let mut actions = Vec::new();
+    loop {
+        let due = next_timer.map_or(next_tick, |t| t.min(next_tick));
+        match inputs.recv_timeout(due.saturating_duration_since(Instant::now())) {
+            Ok(NodeIn::Receive(from, msg)) => {
+                node.handle(Event::Receive { from, msg }, &mut actions)
+            }
+            Ok(NodeIn::Leave) => node.leave(&mut actions),
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => return,
+        }
+        if Instant::now() >= next_tick {
+            let now_ms = start.elapsed().as_millis() as u64;
+            node.handle(Event::Tick { now_ms }, &mut actions);
+            next_tick += tick;
+        }
+        for action in actions.drain(..) {
+            let event = match action {
+                Action::Send { to, msg } => {
+                    out.send(to, Frame::Proto(msg));
+                    continue;
+                }
+                Action::View(vc) => {
+                    *view.lock() = Arc::clone(&vc.configuration);
+                    AppEvent::View(vc)
+                }
+                Action::Joined { config } => {
+                    *view.lock() = Arc::clone(&config);
+                    AppEvent::Joined(config)
+                }
+                Action::Kicked => AppEvent::Kicked,
+            };
+            *status.lock() = node.status();
+            membership(&node, event);
+        }
+        *status.lock() = node.status();
+        if let (Some((every, run)), Some(at)) = (timer.as_mut(), next_timer) {
+            if Instant::now() >= at {
+                run(&node);
+                next_timer = Some(Instant::now() + *every);
+            }
         }
     }
 }
 
-/// A cloneable handle for [`Runtime::send_app`]-style sends from threads
-/// that do not own the [`Runtime`] (e.g. KV shard workers). Delivery is
-/// best effort: the payload is dropped if the control queue is full.
-#[derive(Clone)]
-pub struct AppSender(Sender<Control>);
-
-impl AppSender {
-    /// Queues an app payload for best-effort delivery to `to`.
-    pub fn send_app(&self, to: Endpoint, payload: Vec<u8>) {
-        let _ = self.0.try_send(Control::SendApp(to, payload));
-    }
-}
-
 /// A standalone application-frame endpoint for processes *outside* the
-/// membership — the smart-client plane's transport. It speaks only the
-/// opaque app-frame subset of the wire format: inbound protocol frames
-/// are ignored, outbound sends go through its own lazily connected
-/// per-peer [`StreamPool`] (one pooled TCP stream per leader), and every
-/// received app payload is surfaced as `(sender, payload)`.
+/// membership — the smart-client plane's transport, and the socket layer
+/// under every [`Runtime`]. It speaks only the opaque app-frame subset of
+/// the wire format (inbound protocol frames are ignored), sends through
+/// the per-peer writer queues, and surfaces every received app payload
+/// as `(sender, payload)` on [`AppPeer::events`] or to the sink given to
+/// [`AppPeer::start_with`].
 ///
 /// Unlike [`Runtime`], an `AppPeer` never joins, probes, or votes — it
 /// holds no `Node` at all. A `rapid-route` smart client built on it
@@ -654,104 +700,99 @@ impl AppSender {
 pub struct AppPeer {
     me: Endpoint,
     events_rx: Receiver<(Endpoint, Vec<u8>)>,
-    control_tx: Sender<(Endpoint, Vec<u8>)>,
-    shutdown: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
+    drops: Arc<Drops>,
+    out: AppSender,
+    acceptor: Acceptor,
+    readers: Arc<Readers>,
 }
 
+/// One reader per accepted connection: a clone of its stream, to shut the
+/// socket down under the blocking read, and its thread.
+type Readers = Mutex<Vec<(TcpStream, JoinHandle<()>)>>;
+
 impl AppPeer {
-    /// Binds `listen` (port 0 for ephemeral) and starts the accept and
-    /// writer threads.
+    /// Binds `listen` (port 0 for ephemeral) and starts the accept loop;
+    /// inbound payloads arrive on [`Self::events`].
     pub fn start(listen: Endpoint) -> std::io::Result<AppPeer> {
+        let (tx, events_rx) = bounded(64 * 1024);
+        let drops = Arc::new(Drops::default());
+        let counted = Arc::clone(&drops);
+        Self::bind(listen, drops, events_rx, move |from, payload| {
+            offer(&tx, (from, payload), &counted.event)
+        })
+    }
+
+    /// Binds `listen` and hands every inbound payload to `app`, on the
+    /// reader's thread, instead of to [`Self::events`].
+    pub fn start_with(
+        listen: Endpoint,
+        app: impl Fn(Endpoint, Vec<u8>) + Send + Sync + 'static,
+    ) -> std::io::Result<AppPeer> {
+        Self::bind(listen, Arc::default(), bounded(0).1, app)
+    }
+
+    fn bind(
+        listen: Endpoint,
+        drops: Arc<Drops>,
+        events_rx: Receiver<(Endpoint, Vec<u8>)>,
+        app: impl Fn(Endpoint, Vec<u8>) + Send + Sync + 'static,
+    ) -> std::io::Result<AppPeer> {
         let listener = TcpListener::bind(format!("{listen}"))?;
-        let actual: SocketAddr = listener.local_addr()?;
-        let me = Endpoint::new(listen.host(), actual.port());
-        let (events_tx, events_rx) = bounded::<(Endpoint, Vec<u8>)>(64 * 1024);
-        let (control_tx, control_rx) = bounded::<(Endpoint, Vec<u8>)>(64 * 1024);
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let mut threads = Vec::new();
+        let me = Endpoint::new(listen.host(), listener.local_addr()?.port());
+        // Membership traffic aimed at a client is a peer bug; drop it.
+        let deliver = move |from, frame, _| {
+            if let Frame::App(payload) = frame {
+                app(from, payload);
+            }
+        };
+        Self::serve(listener, me, drops, events_rx, Arc::new(deliver))
+    }
 
-        // Accept loop: same reader-thread-per-connection pattern as the
-        // runtime's listener, app frames only.
-        {
-            let shutdown = Arc::clone(&shutdown);
-            listener.set_nonblocking(true)?;
-            threads.push(std::thread::spawn(move || {
-                let mut readers: Vec<JoinHandle<()>> = Vec::new();
-                let mut backoff = ACCEPT_BACKOFF_MIN;
-                while !shutdown.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            backoff = ACCEPT_BACKOFF_MIN;
-                            let tx = events_tx.clone();
-                            let stop = Arc::clone(&shutdown);
-                            let _ = stream.set_nodelay(true);
-                            let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-                            readers.push(std::thread::spawn(move || {
-                                let mut stream = stream;
-                                while !stop.load(Ordering::Relaxed) {
-                                    match read_frame(&mut stream) {
-                                        Ok((from, Frame::App(payload), _)) => {
-                                            if tx.send((from, payload)).is_err() {
-                                                break;
-                                            }
-                                        }
-                                        // Membership traffic aimed at a
-                                        // client is a peer bug; drop it.
-                                        Ok((_, Frame::Proto(_), _)) => continue,
-                                        Err(e)
-                                            if e.kind() == std::io::ErrorKind::WouldBlock
-                                                || e.kind() == std::io::ErrorKind::TimedOut =>
-                                        {
-                                            continue
-                                        }
-                                        Err(_) => break,
-                                    }
-                                }
-                            }));
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(backoff);
-                            backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
-                        }
-                        Err(_) => break,
-                    }
+    /// Starts the accept loop, whose readers hand frames to `deliver`.
+    fn serve(
+        listener: TcpListener,
+        me: Endpoint,
+        drops: Arc<Drops>,
+        events_rx: Receiver<(Endpoint, Vec<u8>)>,
+        deliver: Arc<Deliver>,
+    ) -> std::io::Result<AppPeer> {
+        let readers: Arc<Readers> = Arc::default();
+        let registry = Arc::clone(&readers);
+        let acceptor = Acceptor::spawn(listener, move |mut stream| {
+            let Ok(handle) = stream.try_clone() else {
+                return;
+            };
+            let _ = stream.set_nodelay(true);
+            let deliver = Arc::clone(&deliver);
+            // Blocks with no timeout: a stop shuts the socket down.
+            let reader = std::thread::spawn(move || {
+                while let Ok((from, frame, size)) = read_frame(&mut stream) {
+                    deliver(from, frame, size);
                 }
-                for r in readers {
-                    let _ = r.join();
-                }
-            }));
-        }
-
-        // Dispatcher thread: fans queued sends out to one writer thread
-        // per peer, so one stalled leader connection cannot delay
-        // frames bound for the others.
-        {
-            let shutdown = Arc::clone(&shutdown);
-            let me2 = me;
-            threads.push(std::thread::spawn(move || {
-                let mut writers =
-                    PeerWriters::new(me2, Duration::from_millis(250), Arc::clone(&shutdown));
-                loop {
-                    if shutdown.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    match control_rx.recv_timeout(Duration::from_millis(100)) {
-                        Ok((to, payload)) => writers.send(to, Frame::App(payload)),
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-                        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-                writers.join_all();
-            }));
-        }
-
+            });
+            let mut readers = registry.lock();
+            // Join finished readers, so reconnects do not pile them up.
+            let (done, live) = std::mem::take(&mut *readers)
+                .into_iter()
+                .partition(|(_, t)| t.is_finished());
+            *readers = live;
+            for (_, t) in done {
+                let _ = t.join();
+            }
+            readers.push((handle, reader));
+        })?;
+        let out = AppSender(Arc::new(Writers {
+            me,
+            drops: Arc::clone(&drops),
+            peers: Mutex::new(Some(HashMap::new())),
+        }));
         Ok(AppPeer {
             me,
             events_rx,
-            control_tx,
-            shutdown,
-            threads,
+            drops,
+            out,
+            acceptor,
+            readers,
         })
     }
 
@@ -768,14 +809,33 @@ impl AppPeer {
     /// Queues an app payload for best-effort delivery over the pooled
     /// per-peer stream.
     pub fn send_app(&self, to: Endpoint, payload: Vec<u8>) {
-        let _ = self.control_tx.try_send((to, payload));
+        self.out.send_app(to, payload);
     }
 
-    /// Stops all threads.
-    pub fn shutdown_now(mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+    /// A cloneable handle for sending from other threads.
+    pub fn app_sender(&self) -> AppSender {
+        self.out.clone()
+    }
+
+    /// Outbound frames dropped so far because their peer's writer queue
+    /// was full.
+    pub fn send_dropped(&self) -> u64 {
+        self.drops.send.load(Ordering::Relaxed)
+    }
+
+    /// Inbound payloads dropped so far because [`Self::events`] was full.
+    pub fn event_dropped(&self) -> u64 {
+        self.drops.event.load(Ordering::Relaxed)
+    }
+
+    /// Stops all threads: writers first, then the accept loop and readers.
+    pub fn shutdown_now(self) {
+        self.out.close();
+        self.acceptor.stop();
+        let readers = std::mem::take(&mut *self.readers.lock());
+        for (stream, reader) in readers {
+            let _ = stream.shutdown(Shutdown::Both);
+            let _ = reader.join();
         }
     }
 }
@@ -783,6 +843,12 @@ impl AppPeer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The whole frame in one buffer, as the wire carries it.
+    fn encode_frame(from: &Endpoint, frame: &Frame, buf: &mut Vec<u8>) {
+        let tail = encode_head(from, frame, buf);
+        buf.extend_from_slice(tail);
+    }
 
     fn fast_settings() -> Settings {
         Settings {
@@ -811,9 +877,9 @@ mod tests {
     #[test]
     fn per_peer_writers_preserve_order_across_interleaved_destinations() {
         // Frames to one peer stay FIFO through its dedicated writer even
-        // when the dispatcher interleaves them with frames for other
-        // peers (and for a dead endpoint, whose connect attempts now
-        // block only that peer's own writer thread).
+        // when the sender interleaves them with frames for other peers
+        // (and for a dead endpoint, whose connect attempts block only
+        // that peer's own writer thread).
         let a = AppPeer::start(Endpoint::new("127.0.0.1", 0)).unwrap();
         let b = AppPeer::start(Endpoint::new("127.0.0.1", 0)).unwrap();
         let c = AppPeer::start(Endpoint::new("127.0.0.1", 0)).unwrap();
@@ -1082,7 +1148,6 @@ mod tests {
         // Poll twice: each connection gets exactly one line and a close.
         for _ in 0..2 {
             let mut conn = TcpStream::connect(probe_addr).unwrap();
-            conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
             let mut body = String::new();
             conn.read_to_string(&mut body).unwrap();
             assert!(body.ends_with("}\n"), "one newline-terminated line: {body:?}");
@@ -1255,5 +1320,116 @@ mod tests {
         assert!(delivered <= 2, "budget of 2 frames, {delivered} delivered");
         peer.shutdown_now();
         seed.shutdown_now();
+    }
+
+    /// A listen address whose connections complete (the kernel accepts
+    /// them into the backlog) but are never read from.
+    fn stalled_peer() -> (TcpListener, Endpoint) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let port = listener.local_addr().unwrap().port();
+        (listener, Endpoint::new("127.0.0.1", port))
+    }
+
+    fn app_frame(from: &Endpoint, payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_frame(from, &Frame::App(payload.to_vec()), &mut buf);
+        buf
+    }
+
+    #[test]
+    fn a_pause_inside_a_frame_does_not_desynchronise_the_stream() {
+        // A sender that stalls half way through a frame: the reader must
+        // keep waiting for the rest, not parse the next length from the
+        // middle of the body.
+        let peer = AppPeer::start(Endpoint::new("127.0.0.1", 0)).unwrap();
+        let from = Endpoint::new("127.0.0.1", 9);
+        let first = app_frame(&from, b"first-payload");
+        let mut conn = TcpStream::connect(format!("{}", peer.addr())).unwrap();
+        let half = first.len() / 2;
+        conn.write_all(&first[..half]).unwrap();
+        std::thread::sleep(Duration::from_millis(400));
+        conn.write_all(&first[half..]).unwrap();
+        conn.write_all(&app_frame(&from, b"second")).unwrap();
+        for want in [&b"first-payload"[..], b"second"] {
+            let got = peer.events().recv_timeout(Duration::from_secs(5));
+            assert_eq!(got, Ok((from, want.to_vec())));
+        }
+        peer.shutdown_now();
+    }
+
+    #[test]
+    fn finished_readers_are_joined_as_new_connections_arrive() {
+        let peer = AppPeer::start(Endpoint::new("127.0.0.1", 0)).unwrap();
+        let from = Endpoint::new("127.0.0.1", 9);
+        for i in 0..50u8 {
+            let mut conn = TcpStream::connect(format!("{}", peer.addr())).unwrap();
+            conn.write_all(&app_frame(&from, &[i])).unwrap();
+            // Its reader is running once the frame arrives; dropping the
+            // connection then ends it.
+            assert_eq!(
+                peer.events().recv_timeout(Duration::from_secs(5)),
+                Ok((from, vec![i]))
+            );
+        }
+        let live = peer.readers.lock().len();
+        assert!(live <= 5, "{live} reader handles held after 50 connections");
+        peer.shutdown_now();
+    }
+
+    #[test]
+    fn a_full_writer_queue_counts_its_drops() {
+        let (_listener, stalled) = stalled_peer();
+        let peer = AppPeer::start(Endpoint::new("127.0.0.1", 0)).unwrap();
+        assert_eq!(peer.send_dropped(), 0);
+        for _ in 0..3 * PEER_QUEUE_DEPTH {
+            peer.send_app(stalled, vec![0; 1024]);
+        }
+        assert!(
+            peer.send_dropped() > 0,
+            "a queue past its depth must count drops"
+        );
+        assert_eq!(peer.event_dropped(), 0);
+        peer.shutdown_now();
+    }
+
+    #[test]
+    fn an_app_frame_leaves_without_waiting_for_a_tick() {
+        let settings = Settings {
+            tick_interval_ms: 5_000,
+            ..fast_settings()
+        };
+        let seed = Runtime::start_seed(Endpoint::new("127.0.0.1", 0), settings).unwrap();
+        let peer = AppPeer::start(Endpoint::new("127.0.0.1", 0)).unwrap();
+        // Past the node loop's first tick; the next one is 5 s away and
+        // nothing arrives meanwhile.
+        std::thread::sleep(Duration::from_millis(100));
+        let sent = Instant::now();
+        seed.send_app(*peer.addr(), b"now".to_vec());
+        let got = peer.events().recv_timeout(Duration::from_secs(10));
+        let waited = sent.elapsed();
+        assert_eq!(got, Ok((*seed.addr(), b"now".to_vec())));
+        assert!(waited < Duration::from_millis(200), "waited {waited:?}");
+        peer.shutdown_now();
+        seed.shutdown_now();
+    }
+
+    #[test]
+    fn shutdown_does_not_drain_a_queue_towards_a_stalled_peer() {
+        let (listener, stalled) = stalled_peer();
+        let seed = Runtime::start_seed(Endpoint::new("127.0.0.1", 0), fast_settings()).unwrap();
+        // More than the socket buffers hold: the writer blocks in a write
+        // with most of its queue still behind it.
+        for _ in 0..PEER_QUEUE_DEPTH {
+            seed.send_app(stalled, vec![0; 4096]);
+        }
+        std::thread::sleep(Duration::from_millis(100));
+        let stopping = Instant::now();
+        seed.shutdown_now();
+        let took = stopping.elapsed();
+        assert!(took < Duration::from_secs(2), "shutdown took {took:?}");
+        // A stopped writer never reconnects to push the rest of its queue.
+        listener.set_nonblocking(true).unwrap();
+        let conns = std::iter::from_fn(|| listener.accept().ok()).count();
+        assert_eq!(conns, 1, "the writer reconnected after the stop");
     }
 }
