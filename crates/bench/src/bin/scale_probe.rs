@@ -4,15 +4,15 @@
 //! window *after* convergence, so the bootstrap join storm does not skew
 //! it.
 //!
-//! `--threads N` runs the simulation on N worker shards (the engine's
-//! conservative-lookahead parallel mode). The trace — and therefore the
-//! event count — is bit-identical at any thread count; only wall-clock
-//! changes.
+//! `--threads N` runs the simulation on N shards (large
+//! conservative-lookahead epochs fan out to N threads), for every
+//! system. The trace — and therefore the event count — is bit-identical
+//! at any thread count; only wall-clock changes.
 //!
 //! `--timeline FILE` turns on the deterministic metrics plane at a 1 s
 //! cadence and writes the merged per-node timeline as JSONL — one line
 //! per (sample instant, node) in `(t, node)` order, bit-identical at any
-//! thread count.
+//! thread count (Rapid drivers only; the baselines keep no timeline).
 use bench::{SystemKind, World};
 use rapid_core::settings::Settings;
 
@@ -45,21 +45,25 @@ fn events_of(w: &World) -> u64 {
 
 fn probe(n: usize, kind: SystemKind, threads: usize, sample_ms: u64) -> (Probe, Vec<String>) {
     let t0 = std::time::Instant::now();
+    let sample_ms = if matches!(kind, SystemKind::Rapid | SystemKind::RapidC) {
+        sample_ms
+    } else {
+        if sample_ms > 0 {
+            eprintln!(
+                "note: --timeline only affects the Rapid drivers; ignored for {}",
+                kind.label()
+            );
+        }
+        0
+    };
     let settings = if threads <= 1 && sample_ms == 0 {
         None // Protocol defaults: identical construction path.
-    } else if matches!(kind, SystemKind::Rapid | SystemKind::RapidC) {
+    } else {
         Some(Settings {
             threads,
             obs_sample_ms: sample_ms,
             ..Settings::default()
         })
-    } else {
-        // The baselines have no Rapid wire framing or sim settings to tune.
-        eprintln!(
-            "note: --threads/--timeline only affect the Rapid drivers; ignored for {}",
-            kind.label()
-        );
-        None
     };
     let mut w = World::bootstrap_cfg(kind, n, 42, settings, None)
         .expect("bootstrap world");

@@ -66,11 +66,13 @@ pub struct Settings {
     /// Use the epidemic gossip broadcaster instead of unicast-to-all.
     pub use_gossip_broadcast: bool,
 
-    /// Simulator worker threads. `1` (the default) runs the sequential
-    /// reference engine; `>= 2` shards the simulation across cores under
-    /// a conservative-lookahead barrier. The trace is bit-identical
-    /// either way, so this is purely a wall-clock knob. Ignored by the
-    /// real (wall-clock) driver.
+    /// Simulator shards: the one epoch engine splits the actors into
+    /// this many shards. `1` (the default) is one shard on the driving
+    /// thread; `>= 2` runs large epochs' shards on that many cores under
+    /// a conservative-lookahead barrier. The trace is bit-identical at
+    /// every count, so this is purely a wall-clock knob. An engine
+    /// setting, so it applies to every simulated system, baselines
+    /// included. Ignored by the real (wall-clock) driver.
     pub threads: usize,
 
     /// Per-node flight-recorder capacity: each node keeps the last

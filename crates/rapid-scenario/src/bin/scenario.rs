@@ -7,8 +7,9 @@
 //!     [--seed N] [--threads N] [--shards N] [--full] [--json] \
 //!     [--trace FILE] [--metrics FILE]
 //!
-//! `--threads N` overrides the simulator worker-thread count (the
-//! `[settings] threads` key); reports are bit-identical at any count.
+//! `--threads N` overrides the simulator's shard count (the
+//! `[settings] threads` key) for every system, the baselines included;
+//! reports are bit-identical at any count.
 //! `--shards N` overrides the real driver's per-process KV shard count
 //! (the `[settings] kv_shards` key): N worker threads per process, each
 //! owning a rendezvous-assigned slice of the partitions. The sans-io

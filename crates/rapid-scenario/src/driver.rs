@@ -202,8 +202,8 @@ impl SimDriver {
         } else {
             Some(scenario.settings.apply(Settings::default())?)
         };
-        // Baselines reject explicit settings entirely, so the recorder
-        // default applies only to the rapid family.
+        // Baselines refuse every explicit setting but `threads`, so the
+        // recorder default applies only to the rapid family.
         if matches!(kind, SystemKind::Rapid | SystemKind::RapidC)
             && scenario.settings.obs_ring.is_none()
         {

@@ -113,9 +113,9 @@ pub struct SettingsPatch {
     pub bootstrap_batch: Option<usize>,
     /// Gossip vs unicast-to-all broadcaster.
     pub use_gossip_broadcast: Option<bool>,
-    /// Simulator worker threads (`1` = sequential reference engine;
-    /// traces are bit-identical at any count). Ignored by the real
-    /// driver.
+    /// Simulator shards (`1` = one shard on the driving thread; traces
+    /// are bit-identical at any count). The one key the baseline systems
+    /// accept too. Ignored by the real driver.
     pub threads: Option<usize>,
     /// Per-node flight-recorder ring capacity (`0` = off). Rapid-family
     /// sim runs default this on (see `SimDriver::new`) so a failed

@@ -9,6 +9,7 @@
 
 use central_config::world::{build_world as build_zk, ZkProc};
 use gossip_member::{AkkaConfig, AkkaNode};
+use rapid_core::config::ConfigId;
 use rapid_core::id::Endpoint;
 use rapid_core::node::{Node, NodeStatus};
 use rapid_core::settings::Settings;
@@ -199,10 +200,11 @@ impl World {
         Ok(World::RapidKv(KvWorld { sim, spec, n0: n }))
     }
 
-    /// Builds a bootstrap deployment with protocol-settings overrides
-    /// and/or the KV data plane attached. Settings overrides apply to the
-    /// Rapid-protocol systems (the baselines run their own native
-    /// configurations); the KV data plane requires decentralized Rapid.
+    /// Builds a bootstrap deployment with settings overrides and/or the
+    /// KV data plane attached. Protocol overrides apply to the
+    /// Rapid-protocol systems; the baselines run their own native
+    /// configurations and take only the engine's `threads`. The KV data
+    /// plane requires decentralized Rapid.
     pub fn bootstrap_cfg(
         kind: SystemKind,
         n: usize,
@@ -225,11 +227,7 @@ impl World {
                     .build_centralized(ENSEMBLE);
                 Ok(World::RapidC(sim))
             }
-            (other, Some(_)) => Err(format!(
-                "[settings] overrides Rapid-protocol parameters; system {:?} runs its \
-                 own native configuration",
-                other.label()
-            )),
+            (other, Some(s)) => World::bootstrap(other, n, seed).with_baseline_settings(&s),
         }
     }
 
@@ -256,12 +254,35 @@ impl World {
             (SystemKind::RapidC | SystemKind::ZooKeeper, Some(_)) => {
                 World::static_cluster(kind, n, seed)
             }
-            (other, Some(_)) => Err(format!(
-                "[settings] overrides Rapid-protocol parameters; system {:?} runs its \
-                 own native configuration",
-                other.label()
-            )),
+            (other, Some(s)) => World::static_cluster(other, n, seed)?.with_baseline_settings(&s),
         }
+    }
+
+    /// Applies explicit settings to a baseline deployment. `threads` is
+    /// an engine setting and applies to every simulation; every other
+    /// field is a Rapid-protocol parameter the baselines do not run, so
+    /// an override of one is refused.
+    fn with_baseline_settings(mut self, settings: &Settings) -> Result<World, String> {
+        let engine_only = Settings {
+            threads: settings.threads,
+            ..Settings::default()
+        };
+        if *settings != engine_only {
+            return Err(format!(
+                "[settings] overrides Rapid-protocol parameters; system {:?} runs its \
+                 own native configuration (only `threads` applies to it)",
+                self.kind_label()
+            ));
+        }
+        match &mut self {
+            World::Swim(s) => s.set_threads(settings.threads),
+            World::Zk(s) => s.set_threads(settings.threads),
+            World::Akka(s) => s.set_threads(settings.threads),
+            World::Rapid(_) | World::RapidKv(_) | World::RapidC(_) => {
+                unreachable!("the rapid family takes its settings through its builders")
+            }
+        }
+        Ok(self)
     }
 
     /// Builds a bootstrap deployment: cluster process 0 (or the auxiliary
@@ -642,58 +663,23 @@ impl World {
     /// Whether every active Rapid node installed the same view-change
     /// sequence, prefix-wise (`None` for systems without view histories).
     pub fn consistent_histories(&self) -> Option<bool> {
-        match self {
-            World::Rapid(s) => {
-                let mut histories = Vec::new();
-                for i in 0..s.len() {
-                    if s.net.is_crashed(i) {
-                        continue;
-                    }
-                    if let Some(node) = s.actor(i).as_node() {
-                        if node.status() == NodeStatus::Active {
-                            histories.push(node.view_history().to_vec());
-                        }
-                    }
-                }
-                // Strong consistency means every node's history is a
-                // contiguous window of one global configuration chain: a
-                // laggard's window ends early, a late joiner's starts
-                // late. Check every history against the longest one.
-                let reference = histories
-                    .iter()
-                    .max_by_key(|h| h.len())
-                    .cloned()
-                    .unwrap_or_default();
-                Some(histories.iter().all(|h| {
-                    h.len() <= reference.len()
-                        && (h.is_empty()
-                            || reference.windows(h.len()).any(|w| w == &h[..]))
-                }))
-            }
-            World::RapidKv(w) => {
-                let mut histories = Vec::new();
-                for i in 0..w.sim.len() {
-                    if w.sim.net.is_crashed(i) || w.sim.actor(i).is_client() {
-                        continue;
-                    }
-                    let node = w.sim.actor(i).as_node();
-                    if node.status() == NodeStatus::Active {
-                        histories.push(node.view_history().to_vec());
-                    }
-                }
-                let reference = histories
-                    .iter()
-                    .max_by_key(|h| h.len())
-                    .cloned()
-                    .unwrap_or_default();
-                Some(histories.iter().all(|h| {
-                    h.len() <= reference.len()
-                        && (h.is_empty()
-                            || reference.windows(h.len()).any(|w| w == &h[..]))
-                }))
-            }
-            _ => None,
-        }
+        let nodes: Vec<&Node> = match self {
+            World::Rapid(s) => (0..s.len())
+                .filter(|&i| !s.net.is_crashed(i))
+                .filter_map(|i| s.actor(i).as_node())
+                .collect(),
+            World::RapidKv(w) => (0..w.sim.len())
+                .filter(|&i| !w.sim.net.is_crashed(i) && !w.sim.actor(i).is_client())
+                .map(|i| w.sim.actor(i).as_node())
+                .collect(),
+            _ => return None,
+        };
+        let histories: Vec<&[ConfigId]> = nodes
+            .iter()
+            .filter(|node| node.status() == NodeStatus::Active)
+            .map(|node| node.view_history())
+            .collect();
+        Some(one_chain(&histories))
     }
 
     /// Voluntary departure of cluster process `idx` (decentralized Rapid
@@ -963,6 +949,17 @@ impl World {
     }
 }
 
+/// Whether every history is a contiguous window of one global
+/// configuration chain, which is what strong consistency means for view
+/// histories: a laggard's window ends early, a late joiner's starts
+/// late. Every history is checked against the longest one.
+fn one_chain(histories: &[&[ConfigId]]) -> bool {
+    let reference = histories.iter().copied().max_by_key(|h| h.len()).unwrap_or_default();
+    histories
+        .iter()
+        .all(|h| h.is_empty() || reference.windows(h.len()).any(|w| w == *h))
+}
+
 /// Aggregates a sample timeseries into per-second rows of
 /// `(t_s, min, median, max, distinct)` over cluster processes.
 pub fn aggregate_timeseries(samples: &[Sample], offset: usize) -> Vec<(u64, f64, f64, f64, usize)> {
@@ -1074,6 +1071,40 @@ mod tests {
         w.join(2).unwrap();
         assert!(w.converge(13, 240_000).is_some(), "joiners must be admitted");
         assert_eq!(w.consistent_histories(), Some(true));
+    }
+
+    #[test]
+    fn one_chain_accepts_windows_and_rejects_forks() {
+        let ids = |v: &[u64]| v.iter().map(|&i| ConfigId(i)).collect::<Vec<_>>();
+        let (full, laggard, joiner) = (ids(&[1, 2, 3, 4]), ids(&[1, 2]), ids(&[3, 4]));
+        let fresh: &[ConfigId] = &[];
+        assert!(one_chain(&[full.as_slice(), laggard.as_slice(), joiner.as_slice(), fresh]));
+        let fork = ids(&[1, 2, 5]);
+        assert!(!one_chain(&[full.as_slice(), fork.as_slice()]));
+        let gap = ids(&[1, 3]);
+        assert!(!one_chain(&[laggard.as_slice(), gap.as_slice()]));
+    }
+
+    #[test]
+    fn baselines_take_the_engine_thread_count_and_refuse_protocol_overrides() {
+        let samples = |threads: usize| {
+            let settings = Settings { threads, ..Settings::default() };
+            let mut w = World::static_cfg(SystemKind::Memberlist, 15, 9, Some(settings), None)
+                .expect("threads is accepted");
+            w.schedule_cluster_fault(2_000, Fault::Crash(7));
+            w.run_until(30_000);
+            w.samples().to_vec()
+        };
+        let one = samples(1);
+        assert!(!one.is_empty());
+        assert_eq!(samples(2), one, "memberlist samples must not depend on the shard count");
+        let k = Settings { k: 8, h: 7, threads: 2, ..Settings::default() };
+        for kind in [SystemKind::Memberlist, SystemKind::AkkaLike, SystemKind::ZooKeeper] {
+            let err = World::bootstrap_cfg(kind, 5, 1, Some(k.clone()), None)
+                .err()
+                .expect("a K override is refused");
+            assert!(err.contains("native configuration"), "{}: {err}", kind.label());
+        }
     }
 
     #[test]

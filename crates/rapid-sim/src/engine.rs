@@ -169,8 +169,8 @@ enum Entry<M> {
     Fault(Fault),
     SampleAll,
     /// Fixed-cadence metrics sweep (timeline sampling). A boundary event
-    /// like `SampleAll`: it touches every slot, so the parallel engine
-    /// runs it alone on the driving thread.
+    /// like `SampleAll`: it touches every slot, so the engine runs it
+    /// alone on the driving thread, between epochs.
     MetricsSweep,
 }
 
@@ -288,14 +288,9 @@ impl<M> EventQueue<M> {
     }
 
     /// Pops the next event with `time <= until`, if any, returning its
-    /// virtual time.
-    fn pop(&mut self, until: u64) -> Option<(u64, Entry<M>)> {
-        self.pop_traced(until).map(|(at, entry, _)| (at, entry))
-    }
-
-    /// Like [`pop`](Self::pop), but also reports which tier the event
-    /// came from so [`unpop`](Self::unpop) can restore it exactly.
-    fn pop_traced(&mut self, until: u64) -> Option<(u64, Entry<M>, PopSrc)> {
+    /// virtual time and the tier it came from, so
+    /// [`unpop`](Self::unpop) can restore it exactly.
+    fn pop(&mut self, until: u64) -> Option<(u64, Entry<M>, PopSrc)> {
         // Overdue events first: their times precede every wheel bucket
         // (`at < cursor`), exactly as the old global heap ordered them.
         if let Some(top) = self.overdue.peek() {
@@ -330,8 +325,8 @@ impl<M> EventQueue<M> {
 
     /// Restores the most recently popped event unchanged: the next pop
     /// returns it again in the same global `(time, seq)` position. Used
-    /// by the parallel engine when epoch collection overshoots onto a
-    /// boundary event (fault, sample sweep).
+    /// when epoch collection overshoots onto a boundary event (fault,
+    /// sample sweep).
     fn unpop(&mut self, at: u64, entry: Entry<M>, src: PopSrc) {
         match src {
             // A wheel pop leaves the cursor at the popped time, so
@@ -372,20 +367,21 @@ pub struct Simulation<A: Actor> {
     metrics_interval_ms: u64,
     samples: Vec<Sample>,
     events_processed: u64,
-    /// Reusable outbox backing store: every tick/delivery borrows this
-    /// buffer instead of allocating a fresh `Vec`, so the steady-state
-    /// delivery path performs no heap allocation in the engine.
-    outbox_scratch: Vec<(Endpoint, A::Msg, u64)>,
-    /// Reusable per-outbox message-size buffer (see `route_outbox`).
-    size_scratch: Vec<u32>,
-    /// Worker threads for `run_until`: `1` selects the sequential
-    /// reference engine, `>= 2` the sharded lookahead engine (same
-    /// trace, bit for bit).
+    /// Shards `run_until` splits the actors into (capped at the actor
+    /// count). Every count runs the same epoch engine and yields the
+    /// same trace, bit for bit.
     threads: usize,
-    /// Minimum epoch batch size before the parallel engine fans out to
-    /// worker threads; smaller epochs run the identical shard code
-    /// serially (spawn overhead would dominate).
+    /// Minimum epoch batch size before the engine fans out to worker
+    /// threads; smaller epochs run the identical shard code on the
+    /// driving thread (spawn overhead would dominate).
     par_batch_min: usize,
+    /// Per-shard epoch buffers, retained across epochs and runs so the
+    /// steady state allocates nothing. Never empty: shard 0's buffers
+    /// also route [`with_actor`](Self::with_actor)'s outbox.
+    shards: Vec<ShardBufs<A::Msg>>,
+    /// The owning shard of each event of the current epoch, in global
+    /// `(time, seq)` order (retained like `shards`).
+    shard_order: Vec<u32>,
 }
 
 impl<A: Actor> Simulation<A> {
@@ -402,27 +398,22 @@ impl<A: Actor> Simulation<A> {
             metrics_interval_ms: 0,
             samples: Vec::new(),
             events_processed: 0,
-            outbox_scratch: Vec::new(),
-            size_scratch: Vec::new(),
             threads: 1,
             par_batch_min: 192,
+            shards: vec![ShardBufs::default()],
+            shard_order: Vec::new(),
         };
         sim.push(1_000, Entry::SampleAll);
         sim
     }
 
-    /// Sets the number of worker threads used by `run_until`. `1` (the
-    /// default) is the sequential reference engine; any higher count
-    /// runs the sharded conservative-lookahead engine, which produces a
-    /// bit-identical trace (same events, same RNG stream, same
-    /// counters) — parallelism is purely a wall-clock optimisation.
+    /// Sets how many shards `run_until` splits the actors into. `1` (the
+    /// default) is one shard on the driving thread; a higher count runs
+    /// large epochs' shards on that many threads. The trace (same
+    /// events, same RNG stream, same counters) is bit-identical at every
+    /// count — parallelism is purely a wall-clock optimisation.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
-    }
-
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Enables fixed-cadence metrics sweeps: every `ms` virtual
@@ -438,10 +429,10 @@ impl<A: Actor> Simulation<A> {
         }
     }
 
-    /// Sets the minimum epoch batch size at which the parallel engine
-    /// fans out to OS threads (below it the same shard code runs
-    /// serially). Results are identical at any value; exposed so tests
-    /// can force the cross-thread path on small clusters.
+    /// Sets the minimum epoch batch size at which the engine fans out to
+    /// OS threads (below it the same shard code runs on the driving
+    /// thread). Results are identical at any value; exposed so tests can
+    /// force the cross-thread path on small clusters.
     pub fn set_parallel_batch_min(&mut self, events: usize) {
         self.par_batch_min = events.max(1);
     }
@@ -529,74 +520,57 @@ impl<A: Actor> Simulation<A> {
 
     /// Lets an actor interact with the outside world (application-level
     /// sends, voluntary leave): runs `f` with the actor and an outbox, then
-    /// routes the produced messages.
+    /// routes the produced messages exactly as an event's outbox is
+    /// routed.
     pub fn with_actor<R>(&mut self, idx: usize, f: impl FnOnce(&mut A, &mut Outbox<A::Msg>) -> R) -> R {
-        let mut out = self.take_outbox();
+        let mut bufs = std::mem::take(&mut self.shards[0]);
+        let mut out = Outbox {
+            msgs: std::mem::take(&mut bufs.outbox),
+        };
         let r = f(&mut self.slots[idx].actor, &mut out);
-        self.route_outbox(idx, out);
+        let slot = &mut self.slots[idx];
+        record_outbox::<A>(slot, idx, self.now, out, NO_TICK, &self.by_addr, &mut bufs);
+        self.replay(&mut bufs);
+        self.shards[0] = bufs;
         r
     }
 
-    /// Borrows the reusable outbox buffer.
-    fn take_outbox(&mut self) -> Outbox<A::Msg> {
-        Outbox {
-            msgs: std::mem::take(&mut self.outbox_scratch),
-        }
-    }
-
-    fn route_outbox(&mut self, src: usize, mut out: Outbox<A::Msg>) {
-        // Measure messages first: adjacent fan-out copies sharing one
-        // payload are measured once (`Actor::same_size`).
-        self.size_scratch.clear();
-        for i in 0..out.msgs.len() {
-            let size = if i > 0 && A::same_size(&out.msgs[i - 1].1, &out.msgs[i].1) {
-                self.size_scratch[i - 1]
-            } else {
-                A::msg_size(&out.msgs[i].1) as u32
+    /// Phase (b) for one processed event: pops `bufs`' next record and
+    /// replays its route/duplicate draws and queue pushes, then its tick
+    /// reschedule. Called in global `(time, seq)` order, this is the
+    /// sequence one-event-at-a-time processing would produce, so the RNG
+    /// stream and the seq assignment — hence the whole trace — are the
+    /// same at every shard count.
+    fn replay(&mut self, bufs: &mut ShardBufs<A::Msg>) {
+        let rec = bufs.recs.pop_front().expect("one record per processed event");
+        let src = rec.actor as usize;
+        for m in bufs.msgs.drain(..rec.n_msgs as usize) {
+            let Some(latency) = self.net.route(src, m.dst as usize) else {
+                continue;
             };
-            self.size_scratch.push(size);
-        }
-        for (i, (to, msg, delay)) in out.msgs.drain(..).enumerate() {
-            let size = self.size_scratch[i] as u64;
-            {
-                let t = &mut self.slots[src].traffic;
-                t.roll_to(self.now / 1_000);
-                t.bytes_out += size;
-                t.msgs_out += 1;
-                t.sec_out += size;
+            // A duplicated packet is a *network* artifact: the sender
+            // paid for one transmission (already counted), the receiver
+            // sees two deliveries. Duplicate first, original second.
+            if let Some(dup_latency) = self.net.maybe_duplicate(src, m.dst as usize) {
+                let dup = Entry::Deliver {
+                    dst: m.dst,
+                    src: rec.actor,
+                    size: m.size,
+                    msg: m.msg.clone(),
+                };
+                self.push(rec.at + m.delay + dup_latency, dup);
             }
-            let Some(&dst) = self.by_addr.get(&to) else {
-                continue; // Unknown destination: dropped.
+            let original = Entry::Deliver {
+                dst: m.dst,
+                src: rec.actor,
+                size: m.size,
+                msg: m.msg,
             };
-            if let Some(latency) = self.net.route(src, dst) {
-                // A duplicated packet is a *network* artifact: the sender
-                // paid for one transmission (bytes_out above), the
-                // receiver sees two deliveries.
-                if let Some(dup_latency) = self.net.maybe_duplicate(src, dst) {
-                    self.push(
-                        self.now + delay + dup_latency,
-                        Entry::Deliver {
-                            dst: dst as u32,
-                            src: src as u32,
-                            size: size as u32,
-                            msg: msg.clone(),
-                        },
-                    );
-                }
-                let at = self.now + delay + latency;
-                self.push(
-                    at,
-                    Entry::Deliver {
-                        dst: dst as u32,
-                        src: src as u32,
-                        size: size as u32,
-                        msg,
-                    },
-                );
-            }
+            self.push(rec.at + m.delay + latency, original);
         }
-        // Return the (now empty) buffer for the next event.
-        self.outbox_scratch = out.msgs;
+        if rec.next_tick != NO_TICK {
+            self.push(rec.next_tick, Entry::Tick { idx: src });
+        }
     }
 
     fn apply_fault(&mut self, fault: Fault) {
@@ -619,52 +593,6 @@ impl<A: Actor> Simulation<A> {
             Fault::Reorder(p, extra) => self.net.set_reordering(p, extra),
             Fault::Latency(dist) => self.net.set_latency(dist),
         }
-    }
-
-    /// The sequential reference engine: processes events one at a time
-    /// in exact `(time, seq)` order. This is the golden oracle the
-    /// parallel engine is pinned against.
-    fn run_until_seq(&mut self, until_ms: u64) {
-        while let Some((at, entry)) = self.queue.pop(until_ms) {
-            self.now = at;
-            self.events_processed += 1;
-            match entry {
-                Entry::Start { idx } => {
-                    if !self.net.is_crashed(idx) {
-                        self.slots[idx].started = true;
-                        self.dispatch_tick(idx);
-                    }
-                }
-                Entry::Tick { idx } => {
-                    if self.slots[idx].started && !self.net.is_crashed(idx) {
-                        self.dispatch_tick(idx);
-                    }
-                }
-                Entry::Deliver { dst, src, size, msg } => {
-                    let dst = dst as usize;
-                    if self.slots[dst].started && !self.net.is_crashed(dst) {
-                        let size = size as u64;
-                        {
-                            let t = &mut self.slots[dst].traffic;
-                            t.roll_to(self.now / 1_000);
-                            t.bytes_in += size;
-                            t.msgs_in += 1;
-                            t.sec_in += size;
-                        }
-                        let from = self.slots[src as usize].addr;
-                        let mut out = self.take_outbox();
-                        self.slots[dst]
-                            .actor
-                            .on_message(from, msg, self.now, &mut out);
-                        self.route_outbox(dst, out);
-                    }
-                }
-                Entry::Fault(f) => self.apply_fault(f),
-                Entry::SampleAll => self.sample_all(),
-                Entry::MetricsSweep => self.metrics_sweep(),
-            }
-        }
-        self.now = self.now.max(until_ms);
     }
 
     /// Samples every live actor's observed cluster size (in slot order)
@@ -706,14 +634,6 @@ impl<A: Actor> Simulation<A> {
         let next = self.now + self.metrics_interval_ms;
         self.push(next, Entry::MetricsSweep);
     }
-
-    fn dispatch_tick(&mut self, idx: usize) {
-        let mut out = self.take_outbox();
-        self.slots[idx].actor.on_tick(self.now, &mut out);
-        self.route_outbox(idx, out);
-        let next = self.now + self.tick_interval_ms;
-        self.push(next, Entry::Tick { idx });
-    }
 }
 
 impl<A: Actor + Send> Simulation<A>
@@ -722,17 +642,60 @@ where
 {
     /// Runs the simulation until virtual time `until_ms`.
     ///
-    /// With `threads <= 1` (the default) this is the sequential
-    /// reference engine. With more threads, actors are sharded across
-    /// cores and advanced in conservative-lookahead epochs; the
-    /// resulting trace — every delivery, RNG draw, counter, and sample
-    /// — is bit-identical to the sequential run.
+    /// The run advances in epochs. Each epoch drains every queued
+    /// actor event in the window `[T, T + H)`, where `T` is the next
+    /// event time and the lookahead `H` is the minimum one-way link
+    /// latency ([`NetworkModel::min_latency_ms`], clipped to the tick
+    /// interval and floored at 1 ms): nothing processed inside the
+    /// window can schedule new work before `T + H`, so the window's
+    /// event set is closed and can execute out of order. Events are
+    /// bucketed by owning shard (a contiguous block partition of slot
+    /// indices into `threads` shards, one by default) and each shard
+    /// replays its bucket — on its own core when the epoch is large
+    /// enough — running actor callbacks, per-actor traffic counters and
+    /// message sizing, and recording what it did. The driving thread
+    /// then merges the records back in exact global `(time, seq)`
+    /// order, replaying every RNG draw (`route`, `maybe_duplicate`) and
+    /// queue push in the sequence one-event-at-a-time processing would
+    /// use, so the trace — every delivery, RNG draw, counter and sample
+    /// — is bit-identical at every shard count.
+    ///
+    /// Fault applications and sample sweeps touch global state (the
+    /// RNG, the fault tables, every slot), so they bound epochs and run
+    /// alone on the driving thread.
     pub fn run_until(&mut self, until_ms: u64) {
-        if self.threads <= 1 || self.slots.len() <= 1 {
-            self.run_until_seq(until_ms);
-        } else {
-            self.run_until_par(until_ms);
+        let nshards = self.threads.min(self.slots.len()).max(1);
+        let mut bufs = std::mem::take(&mut self.shards);
+        bufs.resize_with(nshards, ShardBufs::default);
+        let mut shard_order = std::mem::take(&mut self.shard_order);
+        while let Some((at, entry, _)) = self.queue.pop(until_ms) {
+            match entry {
+                Entry::Fault(f) => {
+                    self.now = at;
+                    self.events_processed += 1;
+                    self.apply_fault(f);
+                }
+                Entry::SampleAll => {
+                    self.now = at;
+                    self.events_processed += 1;
+                    self.sample_all();
+                }
+                Entry::MetricsSweep => {
+                    self.now = at;
+                    self.events_processed += 1;
+                    self.metrics_sweep();
+                }
+                first => {
+                    let last_at = self.collect_epoch(at, first, until_ms, &mut bufs, &mut shard_order);
+                    self.execute_epoch(&mut bufs, &shard_order);
+                    self.events_processed += shard_order.len() as u64;
+                    self.now = last_at;
+                }
+            }
         }
+        self.shards = bufs;
+        self.shard_order = shard_order;
+        self.now = self.now.max(until_ms);
     }
 
     /// Runs until `until_ms`, checking `pred` every virtual second;
@@ -753,68 +716,6 @@ where
         None
     }
 
-    /// The sharded engine (`threads >= 2`).
-    ///
-    /// The run advances in epochs. Each epoch drains every queued
-    /// actor event in the window `[T, T + H)`, where `T` is the next
-    /// event time and the lookahead `H` is the minimum one-way link
-    /// latency ([`NetworkModel::min_latency_ms`], clipped to the tick
-    /// interval and floored at 1 ms): nothing processed inside the
-    /// window can schedule new work before `T + H`, so the window's
-    /// event set is closed and can execute out of order. Events are
-    /// bucketed by owning shard (a contiguous block partition of slot
-    /// indices) and each shard replays its bucket on its own core —
-    /// actor callbacks, per-actor traffic counters, message sizing —
-    /// recording what it did. The driving thread then merges the
-    /// records back in exact global `(time, seq)` order, replaying
-    /// every RNG draw (`route`, `maybe_duplicate`) and queue push in
-    /// the same sequence the sequential engine would have used, which
-    /// is what makes the trace bit-identical rather than merely
-    /// equivalent.
-    ///
-    /// Fault applications and sample sweeps touch global state (the
-    /// RNG, the fault tables, every slot), so they bound epochs and run
-    /// alone on the driving thread, exactly as in the sequential
-    /// engine.
-    fn run_until_par(&mut self, until_ms: u64) {
-        let nshards = self.threads.min(self.slots.len()).max(1);
-        let mut bufs: Vec<ShardBufs<A::Msg>> =
-            (0..nshards).map(|_| ShardBufs::default()).collect();
-        let mut shard_order: Vec<u32> = Vec::new();
-        let mut rec_cursor: Vec<usize> = vec![0; nshards];
-
-        loop {
-            let Some((at, entry, _src)) = self.queue.pop_traced(until_ms) else {
-                break;
-            };
-            match entry {
-                Entry::Fault(f) => {
-                    self.now = at;
-                    self.events_processed += 1;
-                    self.apply_fault(f);
-                }
-                Entry::SampleAll => {
-                    self.now = at;
-                    self.events_processed += 1;
-                    self.sample_all();
-                }
-                Entry::MetricsSweep => {
-                    self.now = at;
-                    self.events_processed += 1;
-                    self.metrics_sweep();
-                }
-                first => {
-                    let last_at =
-                        self.collect_epoch(at, first, until_ms, nshards, &mut bufs, &mut shard_order);
-                    self.execute_epoch(nshards, &mut bufs, &shard_order, &mut rec_cursor);
-                    self.events_processed += shard_order.len() as u64;
-                    self.now = last_at;
-                }
-            }
-        }
-        self.now = self.now.max(until_ms);
-    }
-
     /// Collects one epoch's batch: every queued actor event in
     /// `[at0, at0 + H)` (clipped to `until_ms`), in global `(time, seq)`
     /// order. A fault or sample sweep inside the window ends the batch
@@ -825,7 +726,6 @@ where
         at0: u64,
         first: Entry<A::Msg>,
         until_ms: u64,
-        nshards: usize,
         bufs: &mut [ShardBufs<A::Msg>],
         shard_order: &mut Vec<u32>,
     ) -> u64 {
@@ -833,24 +733,21 @@ where
         // millisecond; that still closes the batch, because anything a
         // batched event generates at the same time gets a higher seq
         // than the whole batch (it is pushed later) and lands in the
-        // *next* epoch — the same relative order the sequential engine
-        // produces.
+        // *next* epoch — the same relative order one-event-at-a-time
+        // processing produces.
         let lookahead = self.net.min_latency_ms().min(self.tick_interval_ms).max(1);
         let limit = (at0 + lookahead - 1).min(until_ms);
         shard_order.clear();
-        for b in bufs.iter_mut() {
-            b.events.clear();
-        }
-        self.stage(at0, first, nshards, bufs, shard_order);
+        self.stage(at0, first, bufs, shard_order);
         let mut last_at = at0;
-        while let Some((at, entry, src)) = self.queue.pop_traced(limit) {
+        while let Some((at, entry, src)) = self.queue.pop(limit) {
             match entry {
                 e @ (Entry::Fault(_) | Entry::SampleAll | Entry::MetricsSweep) => {
                     self.queue.unpop(at, e, src);
                     break;
                 }
                 e => {
-                    self.stage(at, e, nshards, bufs, shard_order);
+                    self.stage(at, e, bufs, shard_order);
                     last_at = at;
                 }
             }
@@ -865,71 +762,55 @@ where
         &self,
         at: u64,
         entry: Entry<A::Msg>,
-        nshards: usize,
         bufs: &mut [ShardBufs<A::Msg>],
         shard_order: &mut Vec<u32>,
     ) {
-        let len = self.slots.len();
-        let (shard, ev) = match entry {
-            Entry::Start { idx } => (shard_of(len, nshards, idx), ShardEvent::Start { idx, at }),
-            Entry::Tick { idx } => (shard_of(len, nshards, idx), ShardEvent::Tick { idx, at }),
-            Entry::Deliver { dst, src, size, msg } => (
-                shard_of(len, nshards, dst as usize),
-                ShardEvent::Deliver {
-                    dst: dst as usize,
-                    from: self.slots[src as usize].addr,
-                    size,
-                    msg,
-                    at,
-                },
-            ),
+        let (idx, kind) = match entry {
+            Entry::Start { idx } => (idx, EventKind::Start),
+            Entry::Tick { idx } => (idx, EventKind::Tick),
+            Entry::Deliver { dst, src, size, msg } => {
+                let from = self.slots[src as usize].addr;
+                (dst as usize, EventKind::Deliver { from, size, msg })
+            }
             Entry::Fault(_) | Entry::SampleAll | Entry::MetricsSweep => {
                 unreachable!("boundary events are never staged")
             }
         };
-        bufs[shard].events.push(ev);
+        let shard = shard_of(self.slots.len(), bufs.len(), idx);
+        bufs[shard].events.push(ShardEvent { idx, at, kind });
         shard_order.push(shard as u32);
     }
 
     /// Executes one collected epoch: phase (a) runs every shard's actor
-    /// callbacks (in parallel when the batch is large enough to pay for
-    /// the fan-out), phase (b) merges the shard records sequentially in
-    /// global order, replaying RNG draws and queue pushes.
-    fn execute_epoch(
-        &mut self,
-        nshards: usize,
-        bufs: &mut [ShardBufs<A::Msg>],
-        shard_order: &[u32],
-        rec_cursor: &mut [usize],
-    ) {
+    /// callbacks (on worker threads when there are several shards and
+    /// the batch is large enough to pay for the fan-out), phase (b)
+    /// merges the shard records on the driving thread in global order,
+    /// replaying RNG draws and queue pushes.
+    fn execute_epoch(&mut self, bufs: &mut [ShardBufs<A::Msg>], shard_order: &[u32]) {
+        let nshards = bufs.len();
+        let inline = nshards == 1 || shard_order.len() < self.par_batch_min;
+        let len = self.slots.len();
+        let Simulation {
+            slots,
+            net,
+            by_addr,
+            tick_interval_ms,
+            ..
+        } = self;
+        let net: &NetworkModel = net;
+        let by_addr: &DetHashMap<Endpoint, usize> = by_addr;
+        let tick = *tick_interval_ms;
         // Phase (a): actor callbacks, disjoint state per shard, no RNG.
-        if shard_order.len() < self.par_batch_min || nshards == 1 {
-            // Small epoch: thread fan-out would cost more than the
-            // work. Same code, same results (shards are independent in
-            // this phase), run serially — the whole slice stands in for
-            // every shard's block with `first = 0`.
-            let Simulation {
-                slots,
-                net,
-                by_addr,
-                tick_interval_ms,
-                ..
-            } = self;
+        if inline {
+            // One shard, or a small epoch where thread fan-out would cost
+            // more than the work. Same code, same results (shards are
+            // independent in this phase), run on the driving thread —
+            // the whole slice stands in for every shard's block with
+            // `first = 0`.
             for b in bufs.iter_mut() {
-                process_shard_events(slots, 0, net, by_addr, *tick_interval_ms, b);
+                process_shard_events(slots, 0, net, by_addr, tick, b);
             }
         } else {
-            let len = self.slots.len();
-            let Simulation {
-                slots,
-                net,
-                by_addr,
-                tick_interval_ms,
-                ..
-            } = self;
-            let net: &NetworkModel = net;
-            let by_addr: &DetHashMap<Endpoint, usize> = by_addr;
-            let tick = *tick_interval_ms;
             // Split the slot array into per-shard blocks (shard s owns
             // `shard_of(i) == s`, a contiguous range).
             let mut blocks: Vec<(usize, &mut [Slot<A>])> = Vec::with_capacity(nshards);
@@ -953,58 +834,9 @@ where
             });
         }
 
-        // Phase (b): sequential merge in global (time, seq) order. Each
-        // record replays exactly the route/duplicate draws and queue
-        // pushes the sequential engine performed at that point, so the
-        // RNG stream and the seq assignment are preserved bit for bit.
-        let recs: Vec<Vec<EventRec>> = bufs
-            .iter_mut()
-            .map(|b| std::mem::take(&mut b.recs))
-            .collect();
-        let mut msgs: Vec<_> = bufs.iter_mut().map(|b| b.msgs.drain(..)).collect();
-        for c in rec_cursor.iter_mut() {
-            *c = 0;
-        }
+        // Phase (b): merge in global (time, seq) order.
         for &sh in shard_order {
-            let sh = sh as usize;
-            let rec = recs[sh][rec_cursor[sh]];
-            rec_cursor[sh] += 1;
-            let src = rec.actor as usize;
-            for _ in 0..rec.n_msgs {
-                let m = msgs[sh].next().expect("every recorded message is merged");
-                let dst = m.dst as usize;
-                if let Some(latency) = self.net.route(src, dst) {
-                    // Duplicate first, original second — the sequential
-                    // engine's push order (see `route_outbox`).
-                    if let Some(dup_latency) = self.net.maybe_duplicate(src, dst) {
-                        self.queue.push(
-                            rec.at + m.delay + dup_latency,
-                            Entry::Deliver {
-                                dst: m.dst,
-                                src: rec.actor,
-                                size: m.size,
-                                msg: m.msg.clone(),
-                            },
-                        );
-                    }
-                    self.queue.push(
-                        rec.at + m.delay + latency,
-                        Entry::Deliver {
-                            dst: m.dst,
-                            src: rec.actor,
-                            size: m.size,
-                            msg: m.msg,
-                        },
-                    );
-                }
-            }
-            if rec.next_tick != NO_TICK {
-                self.queue.push(rec.next_tick, Entry::Tick { idx: src });
-            }
-        }
-        drop(msgs);
-        for (b, r) in bufs.iter_mut().zip(recs) {
-            b.recs = r;
+            self.replay(&mut bufs[sh as usize]);
         }
     }
 }
@@ -1012,27 +844,29 @@ where
 /// `EventRec::next_tick` sentinel: the event schedules no tick.
 const NO_TICK: u64 = u64::MAX;
 
-/// One event routed to a shard: the queue's `Entry` with everything the
-/// owning shard cannot resolve itself (the sender's endpoint lives in
-/// another shard's slot) already looked up.
-enum ShardEvent<M> {
-    /// First activation of an actor.
-    Start { idx: usize, at: u64 },
-    /// Periodic tick.
-    Tick { idx: usize, at: u64 },
-    /// Message delivery to `dst`.
-    Deliver {
-        dst: usize,
-        from: Endpoint,
-        size: u32,
-        msg: M,
-        at: u64,
-    },
+/// One event routed to a shard: the queue's `Entry` for actor `idx` at
+/// time `at`, with everything the owning shard cannot resolve itself
+/// (the sender's endpoint lives in another shard's slot) already looked
+/// up.
+struct ShardEvent<M> {
+    idx: usize,
+    at: u64,
+    kind: EventKind<M>,
 }
 
-/// What one event did during phase (a), recorded for the sequential
-/// merge: `n_msgs` routable messages appended to the shard's message
-/// list, plus an optional tick reschedule.
+/// What happens to a [`ShardEvent`]'s actor.
+enum EventKind<M> {
+    /// First activation.
+    Start,
+    /// Periodic tick.
+    Tick,
+    /// Message delivery.
+    Deliver { from: Endpoint, size: u32, msg: M },
+}
+
+/// What one event did during phase (a), recorded for the merge:
+/// `n_msgs` routable messages appended to the shard's message queue,
+/// plus an optional tick reschedule.
 #[derive(Clone, Copy)]
 struct EventRec {
     /// Slot index of the actor that processed the event.
@@ -1068,12 +902,12 @@ struct OutMsg<M> {
 }
 
 /// Per-shard reusable buffers: the epoch's input events and the
-/// recorded outputs, all retained across epochs so the steady state
-/// allocates nothing.
+/// recorded outputs, which the merge consumes front to back. All are
+/// retained across epochs, so the steady state allocates nothing.
 struct ShardBufs<M> {
     events: Vec<ShardEvent<M>>,
-    recs: Vec<EventRec>,
-    msgs: Vec<OutMsg<M>>,
+    recs: VecDeque<EventRec>,
+    msgs: VecDeque<OutMsg<M>>,
     sizes: Vec<u32>,
     outbox: Vec<(Endpoint, M, u64)>,
 }
@@ -1082,8 +916,8 @@ impl<M> Default for ShardBufs<M> {
     fn default() -> Self {
         ShardBufs {
             events: Vec::new(),
-            recs: Vec::new(),
-            msgs: Vec::new(),
+            recs: VecDeque::new(),
+            msgs: VecDeque::new(),
             sizes: Vec::new(),
             outbox: Vec::new(),
         }
@@ -1112,9 +946,9 @@ fn shard_of(len: usize, nshards: usize, idx: usize) -> usize {
 
 /// Phase (a) of an epoch, one shard's worth: runs the actor callbacks
 /// for every staged event, in stage order, mutating only this shard's
-/// slots (`slots[idx - first]`), and records everything the sequential
-/// merge must replay. Draws no randomness — the network model is read
-/// only for crash gating, so concurrent shards observe identical state.
+/// slots (`slots[idx - first]`), and records everything the merge must
+/// replay. Draws no randomness — the network model is read only for
+/// crash gating, so concurrent shards observe identical state.
 fn process_shard_events<A: Actor>(
     slots: &mut [Slot<A>],
     first: usize,
@@ -1123,75 +957,47 @@ fn process_shard_events<A: Actor>(
     tick_interval_ms: u64,
     bufs: &mut ShardBufs<A::Msg>,
 ) {
-    bufs.recs.clear();
-    bufs.msgs.clear();
     let mut events = std::mem::take(&mut bufs.events);
-    for ev in events.drain(..) {
-        match ev {
-            ShardEvent::Start { idx, at } => {
-                if net.is_crashed(idx) {
-                    bufs.recs.push(EventRec::inert(idx, at));
-                } else {
-                    let slot = &mut slots[idx - first];
-                    slot.started = true;
-                    let mut out = Outbox {
-                        msgs: std::mem::take(&mut bufs.outbox),
-                    };
-                    slot.actor.on_tick(at, &mut out);
-                    record_outbox::<A>(slot, idx, at, out, at + tick_interval_ms, by_addr, bufs);
-                }
-            }
-            ShardEvent::Tick { idx, at } => {
-                let slot = &mut slots[idx - first];
-                if slot.started && !net.is_crashed(idx) {
-                    let mut out = Outbox {
-                        msgs: std::mem::take(&mut bufs.outbox),
-                    };
-                    slot.actor.on_tick(at, &mut out);
-                    record_outbox::<A>(slot, idx, at, out, at + tick_interval_ms, by_addr, bufs);
-                } else {
-                    // The tick chain dies with the actor, exactly as in
-                    // the sequential engine (no reschedule).
-                    bufs.recs.push(EventRec::inert(idx, at));
-                }
-            }
-            ShardEvent::Deliver {
-                dst,
-                from,
-                size,
-                msg,
-                at,
-            } => {
-                let slot = &mut slots[dst - first];
-                if slot.started && !net.is_crashed(dst) {
-                    let sz = size as u64;
-                    {
-                        let t = &mut slot.traffic;
-                        t.roll_to(at / 1_000);
-                        t.bytes_in += sz;
-                        t.msgs_in += 1;
-                        t.sec_in += sz;
-                    }
-                    let mut out = Outbox {
-                        msgs: std::mem::take(&mut bufs.outbox),
-                    };
-                    slot.actor.on_message(from, msg, at, &mut out);
-                    record_outbox::<A>(slot, dst, at, out, NO_TICK, by_addr, bufs);
-                } else {
-                    bufs.recs.push(EventRec::inert(dst, at));
-                }
-            }
+    for ShardEvent { idx, at, kind } in events.drain(..) {
+        let slot = &mut slots[idx - first];
+        // A start activates its actor; every other event needs it active
+        // already. A crashed actor does nothing, and its tick chain dies
+        // (no reschedule).
+        let live = !net.is_crashed(idx) && (slot.started || matches!(kind, EventKind::Start));
+        if !live {
+            bufs.recs.push_back(EventRec::inert(idx, at));
+            continue;
         }
+        let mut out = Outbox {
+            msgs: std::mem::take(&mut bufs.outbox),
+        };
+        let next_tick = match kind {
+            EventKind::Start | EventKind::Tick => {
+                slot.started = true;
+                slot.actor.on_tick(at, &mut out);
+                at + tick_interval_ms
+            }
+            EventKind::Deliver { from, size, msg } => {
+                let t = &mut slot.traffic;
+                t.roll_to(at / 1_000);
+                t.bytes_in += size as u64;
+                t.msgs_in += 1;
+                t.sec_in += size as u64;
+                slot.actor.on_message(from, msg, at, &mut out);
+                NO_TICK
+            }
+        };
+        record_outbox::<A>(slot, idx, at, out, next_tick, by_addr, bufs);
     }
     bufs.events = events;
 }
 
-/// The shard-local half of `route_outbox`: sizes the messages
+/// The shard-local half of routing an outbox: sizes the messages
 /// (adjacent fan-out copies sharing a payload are measured once),
 /// accounts the sender's egress traffic, resolves destinations, and
-/// queues `OutMsg`s for the merge. The RNG half (`route`,
-/// `maybe_duplicate`, the actual pushes) runs later on the driving
-/// thread, in global order.
+/// queues `OutMsg`s for the merge. The RNG half
+/// ([`Simulation::replay`]) runs later on the driving thread, in global
+/// order.
 fn record_outbox<A: Actor>(
     slot: &mut Slot<A>,
     actor: usize,
@@ -1214,8 +1020,7 @@ fn record_outbox<A: Actor>(
     for (i, (to, msg, delay)) in out.msgs.drain(..).enumerate() {
         let size = bufs.sizes[i] as u64;
         {
-            // Senders pay for every transmission, deliverable or not —
-            // identical to the sequential accounting.
+            // Senders pay for every transmission, deliverable or not.
             let t = &mut slot.traffic;
             t.roll_to(at / 1_000);
             t.bytes_out += size;
@@ -1225,7 +1030,7 @@ fn record_outbox<A: Actor>(
         let Some(&dst) = by_addr.get(&to) else {
             continue; // Unknown destination: dropped, no RNG consumed.
         };
-        bufs.msgs.push(OutMsg {
+        bufs.msgs.push_back(OutMsg {
             dst: dst as u32,
             size: size as u32,
             delay,
@@ -1234,7 +1039,7 @@ fn record_outbox<A: Actor>(
         n_msgs += 1;
     }
     bufs.outbox = out.msgs;
-    bufs.recs.push(EventRec {
+    bufs.recs.push_back(EventRec {
         actor: actor as u32,
         at,
         n_msgs,
@@ -1441,29 +1246,31 @@ mod tests {
         }
     }
 
-    /// Full trace of a counter sim: per-actor `(pings_sent, pings_got)`,
-    /// event count, traffic totals, per-second rates, and samples.
-    type CounterTrace = (
-        Vec<(u64, u64)>,
-        u64,
-        Vec<(u64, u64, u64, u64)>,
-        Vec<Vec<(u64, u64)>>,
-        Vec<Sample>,
-    );
-
-    fn counter_trace(sim: &Simulation<Counter>) -> CounterTrace {
-        (
-            (0..sim.len()).map(|i| (sim.actor(i).pings_sent, sim.actor(i).pings_got)).collect(),
-            sim.events_processed(),
-            (0..sim.len())
-                .map(|i| {
-                    let t = sim.traffic(i);
-                    (t.msgs_in, t.msgs_out, t.bytes_in, t.bytes_out)
-                })
-                .collect(),
-            (0..sim.len()).map(|i| sim.traffic(i).per_second.clone()).collect(),
-            sim.samples().to_vec(),
-        )
+    /// Order-sensitive fingerprint of a counter sim's full trace: event
+    /// count, per-actor `(pings_sent, pings_got)`, traffic totals and
+    /// per-second rates, and every sample.
+    fn counter_trace(sim: &Simulation<Counter>) -> u64 {
+        let mut h = rapid_core::hash::StableHasher::new("engine-counter-trace");
+        h.write_u64(sim.events_processed());
+        for i in 0..sim.len() {
+            let (a, t) = (sim.actor(i), sim.traffic(i));
+            h.write_u64(a.pings_sent)
+                .write_u64(a.pings_got)
+                .write_u64(t.msgs_in)
+                .write_u64(t.msgs_out)
+                .write_u64(t.bytes_in)
+                .write_u64(t.bytes_out)
+                .write_u64(t.per_second.len() as u64);
+            for &(b_in, b_out) in &t.per_second {
+                h.write_u64(b_in).write_u64(b_out);
+            }
+        }
+        for s in sim.samples() {
+            h.write_u64(s.t_ms)
+                .write_u64(s.actor as u64)
+                .write_u64(s.value.to_bits());
+        }
+        h.finish()
     }
 
     /// A 6-counter ring with a fault schedule touching every RNG-drawing
@@ -1492,14 +1299,19 @@ mod tests {
         sim
     }
 
+    /// `counter_trace(&faulted_ring(91, ..))`, recorded while
+    /// `threads = 1` still ran a separate one-event-at-a-time loop.
+    const GOLDEN_FAULTED_RING: u64 = 0x1889_22f1_e64a_c55c;
+
     #[test]
-    fn parallel_trace_is_bit_identical_to_sequential() {
-        let oracle = counter_trace(&faulted_ring(91, 1, false));
-        for threads in [2usize, 3, 4] {
+    fn faulted_ring_trace_is_pinned_at_every_shard_count() {
+        for threads in 1..=4usize {
             // Inline path (small epochs stay on the driving thread)...
-            assert_eq!(counter_trace(&faulted_ring(91, threads, false)), oracle, "{threads} threads, inline");
+            let inline = counter_trace(&faulted_ring(91, threads, false));
+            assert_eq!(inline, GOLDEN_FAULTED_RING, "{threads} threads, inline");
             // ...and the cross-thread fan-out path must agree too.
-            assert_eq!(counter_trace(&faulted_ring(91, threads, true)), oracle, "{threads} threads, fan-out");
+            let fanout = counter_trace(&faulted_ring(91, threads, true));
+            assert_eq!(fanout, GOLDEN_FAULTED_RING, "{threads} threads, fan-out");
         }
     }
 
@@ -1585,11 +1397,11 @@ mod tests {
 
     #[test]
     fn metrics_sweeps_are_identical_across_thread_counts() {
-        let seq = sweeper_pair(1);
+        let one = sweeper_pair(1);
         for threads in [2usize, 4] {
             let par = sweeper_pair(threads);
             for i in 0..2 {
-                assert_eq!(par.actor(i).sweeps, seq.actor(i).sweeps, "{threads} threads, actor {i}");
+                assert_eq!(par.actor(i).sweeps, one.actor(i).sweeps, "{threads} threads, actor {i}");
             }
         }
     }

@@ -1,16 +1,17 @@
-//! Property pin of the sharded engine: for *random* fault schedules the
-//! parallel engine must reproduce the sequential reference trace
-//! **bit-identically** — same per-second samples, same view-id chains,
-//! same event count, same per-actor traffic counters (totals and
-//! per-second rates), same merged metrics timeline (every run samples
-//! at a 1 s cadence and compares the JSONL dump byte-for-byte) — at
-//! every thread count.
+//! Shard-count invariance of the epoch engine: a simulation must fold
+//! to the same trace **bit-identically** at every thread count — same
+//! per-second samples, same view-id chains, same event count, same
+//! per-actor traffic counters (totals and per-second rates), same merged
+//! metrics timeline (every run samples at a 1 s cadence and compares the
+//! JSONL dump byte-for-byte).
 //!
-//! The sequential engine (`threads = 1`) is the golden oracle; each case
-//! replays the identical schedule at 2 and 4 shards, both through the
-//! inline small-epoch path and with the cross-thread fan-out forced
-//! (`set_parallel_batch_min(1)`), so the scoped-thread code itself is
-//! exercised even when the epochs are small.
+//! `threads = 1` is one shard on the driving thread. One fixed schedule
+//! is pinned as a fingerprint recorded while that setting still ran a
+//! separate one-event-at-a-time loop. Random schedules compare one shard
+//! against 2 and 4, both through the inline small-epoch path and with
+//! the cross-thread fan-out forced (`set_parallel_batch_min(1)`), so the
+//! scoped-thread code itself is exercised even when the epochs are
+//! small.
 
 use proptest::prelude::*;
 
@@ -18,7 +19,7 @@ use rapid_core::config::ConfigId;
 use rapid_core::hash::StableHasher;
 use rapid_core::settings::Settings;
 use rapid_sim::cluster::{RapidActor, RapidClusterBuilder};
-use rapid_sim::{Fault, Simulation};
+use rapid_sim::{Fault, Sample, Simulation};
 
 /// One raw generated fault: `(at_ms, kind, a, b, p)` decoded against the
 /// cluster size. Covers every RNG-drawing fault class plus structural
@@ -46,9 +47,9 @@ fn decode(n: usize, (at, kind, a, b, p): RawFault) -> (u64, Fault) {
 /// a fingerprint of every traffic counter (totals and per-second
 /// rates), all per-second samples, every actor's view-id chain, and the
 /// merged `(t, node)`-ordered timeline as JSONL bytes.
-fn trace(
-    sim: &Simulation<RapidActor>,
-) -> (u64, u64, Vec<rapid_sim::Sample>, Vec<Vec<ConfigId>>, Vec<String>) {
+type Trace = (u64, u64, Vec<Sample>, Vec<Vec<ConfigId>>, Vec<String>);
+
+fn trace(sim: &Simulation<RapidActor>) -> Trace {
     let mut h = StableHasher::new("parallel-equivalence");
     for i in 0..sim.len() {
         let t = sim.traffic(i);
@@ -87,7 +88,7 @@ fn run(
     horizon: u64,
     threads: usize,
     force_fanout: bool,
-) -> (u64, u64, Vec<rapid_sim::Sample>, Vec<Vec<ConfigId>>, Vec<String>) {
+) -> Trace {
     let settings = Settings {
         threads,
         obs_sample_ms: 1_000,
@@ -108,11 +109,80 @@ fn run(
     trace(&sim)
 }
 
+/// Order-sensitive fingerprint of a whole [`Trace`].
+fn fingerprint((events, traffic, samples, views, timeline): &Trace) -> u64 {
+    let mut h = StableHasher::new("parallel-equivalence-pin");
+    h.write_u64(*events)
+        .write_u64(*traffic)
+        .write_u64(samples.len() as u64);
+    for s in samples {
+        h.write_u64(s.t_ms)
+            .write_u64(s.actor as u64)
+            .write_u64(s.value.to_bits());
+    }
+    for chain in views {
+        h.write_u64(chain.len() as u64);
+        for id in chain {
+            h.write_u64(id.0);
+        }
+    }
+    for line in timeline {
+        h.write_bytes(line.as_bytes());
+    }
+    h.finish()
+}
+
+/// One fault from each of the eight `decode` classes, in class order:
+/// crash, ingress drop, egress drop, link loss, slow node, duplication,
+/// reordering, blackhole.
+const PINNED_SCHEDULE: [RawFault; 8] = [
+    (2_000, 0, 5, 0, 0.5),
+    (3_000, 1, 9, 0, 0.3),
+    (4_000, 2, 13, 0, 0.3),
+    (5_000, 3, 17, 4, 0.6),
+    (6_000, 4, 21, 0, 0.5),
+    (7_000, 5, 0, 0, 0.5),
+    (8_000, 6, 0, 7, 0.5),
+    (9_000, 7, 29, 11, 0.5),
+];
+
+/// `fingerprint` of [`PINNED_SCHEDULE`] on 64 nodes, seed 77, to 20 s,
+/// recorded while `threads = 1` still ran a separate
+/// one-event-at-a-time loop.
+const GOLDEN_PINNED_TRACE: u64 = 0x06ef_63b6_93e7_86ca;
+
+#[test]
+fn pinned_schedule_folds_to_its_golden_trace() {
+    let pinned = |threads, force_fanout| {
+        fingerprint(&run(
+            64,
+            77,
+            &PINNED_SCHEDULE,
+            20_000,
+            threads,
+            force_fanout,
+        ))
+    };
+    assert_eq!(pinned(1, false), GOLDEN_PINNED_TRACE, "one shard");
+    for threads in [2usize, 4] {
+        assert_eq!(
+            pinned(threads, false),
+            GOLDEN_PINNED_TRACE,
+            "{threads} threads, inline path"
+        );
+        assert_eq!(
+            pinned(threads, true),
+            GOLDEN_PINNED_TRACE,
+            "{threads} threads, forced fan-out"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// N = 64: random schedules must fold to the oracle trace at 2 and
-    /// 4 shards, inline and with the fan-out forced.
+    /// N = 64: random schedules must fold to the one-shard trace at 2
+    /// and 4 shards, inline and with the fan-out forced.
     #[test]
     fn random_schedules_are_thread_count_invariant_n64(
         seed in 1u64..1_000_000,
@@ -122,16 +192,16 @@ proptest! {
         ),
     ) {
         let horizon = 20_000;
-        let oracle = run(64, seed, &schedule, horizon, 1, false);
+        let one_shard = run(64, seed, &schedule, horizon, 1, false);
         for threads in [2usize, 4] {
             prop_assert_eq!(
                 &run(64, seed, &schedule, horizon, threads, false),
-                &oracle,
+                &one_shard,
                 "{} threads, inline path, seed {}", threads, seed
             );
             prop_assert_eq!(
                 &run(64, seed, &schedule, horizon, threads, true),
-                &oracle,
+                &one_shard,
                 "{} threads, forced fan-out, seed {}", threads, seed
             );
         }
@@ -153,11 +223,11 @@ proptest! {
         ),
     ) {
         let horizon = 10_000;
-        let oracle = run(256, seed, &schedule, horizon, 1, false);
+        let one_shard = run(256, seed, &schedule, horizon, 1, false);
         for threads in [2usize, 4] {
             prop_assert_eq!(
                 &run(256, seed, &schedule, horizon, threads, true),
-                &oracle,
+                &one_shard,
                 "{} threads, forced fan-out, seed {}", threads, seed
             );
         }

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # CI equivalence checks: run the release `scenario` binary in two
-# configurations and require byte-identical output.
+# configurations and require byte-identical output. The simulator runs
+# one epoch engine at every thread count, so `--threads 1 vs 2` is one
+# shard against two.
 #
-#   scripts/equivalence.sh report    every shipped scenario, sim report JSON, --threads 1 vs 2
+#   scripts/equivalence.sh report    every shipped scenario plus smoke_crash on each
+#                                    baseline system, sim report JSON, --threads 1 vs 2
 #   scripts/equivalence.sh trace     smoke_crash flight-recorder trace,       --threads 1 vs 2
 #   scripts/equivalence.sh metrics   every shipped scenario, metrics JSONL,   --threads 1 vs 2
 #   scripts/equivalence.sh shards    kv_churn + kv_overload real-driver verdicts, --shards 1 vs 2
@@ -43,7 +46,11 @@ case "${1:-}" in
   report)
     for f in scenarios/*.toml; do
       threads_1_vs_2 "$f" --json
-      echo "$f: parallel report byte-identical"
+      echo "$f: two-shard report byte-identical"
+    done
+    for sys in memberlist akka zookeeper; do
+      threads_1_vs_2 scenarios/smoke_crash.toml --json --system "$sys"
+      echo "scenarios/smoke_crash.toml --system $sys: two-shard report byte-identical"
     done
     ;;
   trace)
