@@ -7,25 +7,29 @@
 //! membership node straight into the data plane via the action stream —
 //! the paper's view-change callback, wired to placement.
 //!
-//! The same actor type also hosts the smart-client plane: a
-//! [`KvSimActor`] built with [`KvSimActor::new_client`] wraps a
-//! [`KvClient`] instead of a node pair, sharing the simulated network
-//! (and its faults) with the cluster it drives. Client actors report no
-//! membership sample, keep empty trace/timeline rings, and ignore
-//! membership traffic, so adding them never perturbs convergence
-//! predicates or metrics artifacts.
+//! This is a thin host on top of `rapid_sim::cluster`: the membership
+//! nodes come from [`RapidClusterBuilder`], the metrics sweep is its
+//! [`TimelineSampler`], and [`KvSimActor`] implements [`RapidHost`], so
+//! the cluster-wide queries and the trace/timeline mergers there serve
+//! both hosts (the data plane's ring is the `"kv"` trace plane).
+//!
+//! The same actor type also hosts the smart-client plane: a client
+//! actor wraps a [`KvClient`] instead of a node pair, sharing the
+//! simulated network (and its faults) with the cluster it drives. Client
+//! actors report no membership sample, keep empty trace/timeline rings,
+//! and ignore membership traffic, so adding them never perturbs
+//! convergence predicates or metrics artifacts.
 
 use std::sync::Arc;
 
-use rapid_core::config::Configuration;
 use rapid_core::id::Endpoint;
-use rapid_core::membership::ViewChange;
 use rapid_core::node::{Action, Event, Node, NodeStatus};
-use rapid_core::obs::{timeline_jsonl, LatencyHist, Timeline, TimelinePoint, DEFAULT_TIMELINE_CAP};
-use rapid_core::ring::TopologyCache;
+use rapid_core::obs::{TimelinePoint, TraceRing};
 use rapid_core::settings::Settings;
 use rapid_core::wire::{self, Message};
-use rapid_sim::cluster::{sim_member, ActorLog, RapidActor, RapidClusterBuilder};
+use rapid_sim::cluster::{
+    sim_member, ActorLog, RapidActor, RapidClusterBuilder, RapidHost, TimelineSampler,
+};
 use rapid_sim::engine::NetSample;
 use rapid_sim::{Actor, Outbox, Simulation};
 
@@ -66,49 +70,23 @@ pub struct KvSimActor {
     pub completed: Vec<(u64, KvOutcome)>,
     actions: Vec<Action>,
     kv_out: Vec<KvOut>,
-    /// Sampled metrics timeline (lazily allocated on the first sweep;
-    /// sweeps only fire when `Settings::obs_sample_ms > 0`).
-    timeline: Timeline,
-    /// Cumulative counter values as of the last sweep, in point layout.
-    cursor: TimelinePoint,
-    /// Snapshot of the coordinator op histogram at the last sweep.
-    prev_hist: LatencyHist,
+    sampler: TimelineSampler,
 }
 
 impl KvSimActor {
-    /// Wraps a membership node and its data plane.
-    pub fn new(node: Node, kv: KvNode) -> KvSimActor {
+    fn new(plane: Plane) -> KvSimActor {
         KvSimActor {
-            plane: Plane::Node {
-                node: Box::new(node),
-                kv: Box::new(kv),
-            },
+            plane,
             log: ActorLog::default(),
             completed: Vec::new(),
             actions: Vec::new(),
             kv_out: Vec::new(),
-            timeline: Timeline::new(0),
-            cursor: TimelinePoint::default(),
-            prev_hist: LatencyHist::new(),
-        }
-    }
-
-    /// Wraps a smart client as a simulated process of its own.
-    pub fn new_client(client: KvClient) -> KvSimActor {
-        KvSimActor {
-            plane: Plane::Client(Box::new(client)),
-            log: ActorLog::default(),
-            completed: Vec::new(),
-            actions: Vec::new(),
-            kv_out: Vec::new(),
-            timeline: Timeline::new(0),
-            cursor: TimelinePoint::default(),
-            prev_hist: LatencyHist::new(),
+            sampler: TimelineSampler::default(),
         }
     }
 
     /// Whether this actor hosts a smart client rather than a cluster
-    /// member. Cluster-wide sweeps (traces, stats, convergence) must
+    /// member. Cluster-wide sweeps (stats, traffic, convergence) must
     /// skip client actors.
     pub fn is_client(&self) -> bool {
         matches!(self.plane, Plane::Client(_))
@@ -144,28 +122,6 @@ impl KvSimActor {
         reqs
     }
 
-    /// The sampled metrics timeline (empty unless the cluster ran with
-    /// `Settings::obs_sample_ms > 0`).
-    pub fn timeline(&self) -> &Timeline {
-        &self.timeline
-    }
-
-    /// Cumulative counters as of the last metrics sweep, in point
-    /// layout — the sum of all emitted point deltas (see the membership
-    /// actor's equivalent for the invariant the tests pin).
-    pub fn sampled_totals(&self) -> &TimelinePoint {
-        &self.cursor
-    }
-
-    /// The membership node. Panics on client actors — gate call sites
-    /// with [`KvSimActor::is_client`].
-    pub fn as_node(&self) -> &Node {
-        match &self.plane {
-            Plane::Node { node, .. } => node,
-            Plane::Client(_) => panic!("client actor has no membership node"),
-        }
-    }
-
     /// The data plane. Panics on client actors — gate call sites with
     /// [`KvSimActor::is_client`].
     pub fn kv(&self) -> &KvNode {
@@ -178,17 +134,6 @@ impl KvSimActor {
     /// Data-plane counters (panics on client actors).
     pub fn kv_stats(&self) -> &KvStats {
         self.kv().stats()
-    }
-
-    /// Voluntary departure (scenario `leave` workloads; panics on client
-    /// actors).
-    pub fn leave(&mut self, now: u64, out: &mut Outbox<RouteMsg>) {
-        let mut actions = std::mem::take(&mut self.actions);
-        match &mut self.plane {
-            Plane::Node { node, .. } => node.leave(&mut actions),
-            Plane::Client(_) => panic!("client actor cannot leave the membership"),
-        }
-        self.apply_actions(actions, now, out);
     }
 
     /// Starts a client write with this process as coordinator (it
@@ -248,6 +193,41 @@ impl KvSimActor {
         }
         self.actions = actions;
         self.drain_kv(kv_out, out);
+    }
+}
+
+impl RapidHost for KvSimActor {
+    fn rapid_node(&self) -> Option<&Node> {
+        match &self.plane {
+            Plane::Node { node, .. } => Some(node),
+            Plane::Client(_) => None,
+        }
+    }
+
+    fn log(&self) -> &ActorLog {
+        &self.log
+    }
+
+    fn sampler(&self) -> &TimelineSampler {
+        &self.sampler
+    }
+
+    fn traces(&self) -> impl Iterator<Item = (&'static str, &TraceRing)> {
+        let rings = match &self.plane {
+            Plane::Node { node, kv } => Some([("m", node.trace()), ("kv", kv.trace())]),
+            Plane::Client(_) => None,
+        };
+        rings.into_iter().flatten()
+    }
+
+    /// Panics on client actors.
+    fn leave(&mut self, now: u64, out: &mut Outbox<RouteMsg>) {
+        let mut actions = std::mem::take(&mut self.actions);
+        match &mut self.plane {
+            Plane::Node { node, .. } => node.leave(&mut actions),
+            Plane::Client(_) => panic!("client actor cannot leave the membership"),
+        }
+        self.apply_actions(actions, now, out);
     }
 }
 
@@ -323,60 +303,42 @@ impl Actor for KvSimActor {
         let Plane::Node { node, kv } = &mut self.plane else {
             return;
         };
-        if !self.timeline.enabled() {
-            self.timeline = Timeline::new(DEFAULT_TIMELINE_CAP);
-        }
-        let m = node.metrics();
-        let s = *kv.stats();
-        // KV actors report coordinator op latency as the interval
-        // quantiles (the data-plane signal); membership-only actors
-        // report detection→install instead.
-        let (_, p50, p99) = kv.op_hist().interval_quantiles(&self.prev_hist);
-        // Feed the admission controller its latency signal: shedding
-        // thresholds key off the sampled interval p99.
-        kv.note_interval(p50, p99);
-        let ops = s.puts_acked + s.gets_ok;
-        self.timeline.push(TimelinePoint {
-            t_ms: now_ms,
-            msgs: net.msgs_out - self.cursor.msgs,
-            bytes: net.bytes_out - self.cursor.bytes,
-            alerts: m.alerts_applied - self.cursor.alerts,
-            view_changes: m.view_changes - self.cursor.view_changes,
-            ops: ops - self.cursor.ops,
-            handoff_bytes: s.bytes_moved - self.cursor.handoff_bytes,
-            repair_bytes: s.repair_bytes - self.cursor.repair_bytes,
-            p50_ms: p50,
-            p99_ms: p99,
-        });
-        self.cursor = TimelinePoint {
-            t_ms: now_ms,
-            msgs: net.msgs_out,
-            bytes: net.bytes_out,
-            alerts: m.alerts_applied,
-            view_changes: m.view_changes,
-            ops,
+        let s = kv.stats();
+        let data = TimelinePoint {
+            ops: s.puts_acked + s.gets_ok,
             handoff_bytes: s.bytes_moved,
             repair_bytes: s.repair_bytes,
-            p50_ms: 0,
-            p99_ms: 0,
+            ..TimelinePoint::default()
         };
-        self.prev_hist = kv.op_hist().clone();
+        // KV actors report coordinator op latency as the interval
+        // quantiles (the data-plane signal); membership-only actors
+        // report detection→install instead. The same interval p99 feeds
+        // the admission controller's shedding threshold.
+        let (p50, p99) = self
+            .sampler
+            .record(now_ms, net, node.metrics(), data, kv.op_hist());
+        kv.note_interval(p50, p99);
     }
 }
 
-/// Builder for simulated routed (membership + KV) deployments, mirroring
-/// [`RapidClusterBuilder`] with the data plane attached.
+/// Builder for simulated routed (membership + KV) deployments: a
+/// [`RapidClusterBuilder`] whose every membership node is wrapped with
+/// its data plane ([`KvClusterBuilder::member`]), plus the smart-client
+/// actors appended after the members.
 pub struct KvClusterBuilder {
     inner: RapidClusterBuilder,
     route: PlacementConfig,
     op_timeout_ms: u64,
     repair_interval_ms: Option<u64>,
     clients: usize,
+    /// Shared by every member: placement is a pure function of the view,
+    /// the cache only memoizes it.
+    cache: PlacementCache,
 }
 
 /// The simulated endpoint of smart client `i` (clients live outside the
 /// membership namespace, so they never collide with `sim_member`).
-pub fn client_endpoint(i: usize) -> Endpoint {
+fn client_endpoint(i: usize) -> Endpoint {
     Endpoint::new(format!("client-{i}"), 9000)
 }
 
@@ -389,6 +351,7 @@ impl KvClusterBuilder {
             op_timeout_ms: 2_500,
             repair_interval_ms: None,
             clients: 0,
+            cache: PlacementCache::new(),
         }
     }
 
@@ -425,25 +388,40 @@ impl KvClusterBuilder {
         self
     }
 
-    fn kv_node(&self, i: usize, cache: &PlacementCache) -> KvNode {
-        let node = KvNode::new(
+    /// Wraps process `i`'s membership node with its data plane. An active
+    /// node's configuration is the data plane's first view; a joining
+    /// node's data plane waits for the initial handoffs. Runtime joiners
+    /// are built here too, so every member is configured alike.
+    pub fn member(&self, i: usize, node: Node) -> KvSimActor {
+        let settings = &self.inner.settings;
+        let mut kv = KvNode::new(
             sim_member(i),
             self.route,
             self.op_timeout_ms,
-            Some(cache.clone()),
+            Some(self.cache.clone()),
         )
-        .with_obs(self.inner.settings.obs_ring)
-        .with_admission(self.inner.settings.kv_inbox, self.inner.settings.kv_shed_p99_ms);
-        match self.repair_interval_ms {
-            Some(ms) => node.with_repair_interval(ms),
-            None => node,
+        .with_obs(settings.obs_ring)
+        .with_admission(settings.kv_inbox, settings.kv_shed_p99_ms);
+        if let Some(ms) = self.repair_interval_ms {
+            kv = kv.with_repair_interval(ms);
         }
+        if node.status() == NodeStatus::Active {
+            let mut out = Vec::new();
+            kv.on_view(node.configuration(), 0, &mut out);
+            debug_assert!(out.is_empty(), "initial view emits nothing");
+        } else {
+            kv = kv.expect_initial_handoffs();
+        }
+        KvSimActor::new(Plane::Node {
+            node: Box::new(node),
+            kv: Box::new(kv),
+        })
     }
 
     /// Appends the configured client actors (sharing the members'
     /// placement cache is deliberately avoided: clients must *derive*
     /// the same placement independently, which the proptest pins).
-    fn add_clients(&self, sim: &mut Simulation<KvSimActor>) {
+    fn with_clients(&self, mut sim: Simulation<KvSimActor>) -> Simulation<KvSimActor> {
         let seeds: Vec<Endpoint> = (0..self.inner.n).map(|i| sim_member(i).addr).collect();
         for c in 0..self.clients {
             let ep = client_endpoint(c);
@@ -454,169 +432,31 @@ impl KvClusterBuilder {
                 self.inner.settings.client_window,
                 self.op_timeout_ms,
             );
-            sim.add_actor(ep, KvSimActor::new_client(client));
+            sim.add_actor(ep, KvSimActor::new(Plane::Client(Box::new(client))));
         }
+        sim
     }
 
     /// All `n` processes pre-formed into one static configuration, data
     /// plane live from t=0 (the failure experiments' starting state).
     pub fn build_static(&self) -> Simulation<KvSimActor> {
-        let mut sim = Simulation::new(self.inner.seed, self.inner.settings.tick_interval_ms);
-        sim.set_threads(self.inner.settings.threads);
-        sim.set_metrics_interval(self.inner.settings.obs_sample_ms);
-        let members: Vec<_> = (0..self.inner.n).map(sim_member).collect();
-        let cfg = Configuration::bootstrap(members.clone());
-        let topo = TopologyCache::new();
-        let cache = PlacementCache::new();
-        for (i, m) in members.iter().enumerate() {
-            let node = Node::with_parts(
-                m.clone(),
-                self.inner.settings.clone(),
-                NodeStatus::Active,
-                Arc::clone(&cfg),
-                None,
-                None,
-                Some(topo.clone()),
-                Some(self.inner.seed.wrapping_add(i as u64)),
-            );
-            let mut kv = self.kv_node(i, &cache);
-            let mut out = Vec::new();
-            kv.on_view(Arc::clone(&cfg), 0, &mut out);
-            debug_assert!(out.is_empty(), "initial view emits nothing");
-            sim.add_actor(m.addr, KvSimActor::new(node, kv));
-        }
-        self.add_clients(&mut sim);
-        sim
+        self.with_clients(self.inner.build_static_with(|i, node| self.member(i, node)))
     }
 
     /// Seed at t=0, the rest joining at t=10 s; the data plane on each
     /// process activates when its join completes.
     pub fn build_bootstrap(&self) -> Simulation<KvSimActor> {
-        let mut sim = Simulation::new(self.inner.seed, self.inner.settings.tick_interval_ms);
-        sim.set_threads(self.inner.settings.threads);
-        sim.set_metrics_interval(self.inner.settings.obs_sample_ms);
-        let topo = TopologyCache::new();
-        let cache = PlacementCache::new();
-        let seed_member = sim_member(0);
-        let seed_cfg = Configuration::bootstrap(vec![seed_member.clone()]);
-        let seed_node = Node::with_parts(
-            seed_member.clone(),
-            self.inner.settings.clone(),
-            NodeStatus::Active,
-            Arc::clone(&seed_cfg),
-            None,
-            None,
-            Some(topo.clone()),
-            Some(self.inner.seed ^ 0xBEEF),
-        );
-        let mut seed_kv = self.kv_node(0, &cache);
-        let mut out = Vec::new();
-        seed_kv.on_view(ViewChange::initial(seed_cfg).configuration, 0, &mut out);
-        debug_assert!(out.is_empty(), "initial view emits nothing");
-        sim.add_actor(seed_member.addr, KvSimActor::new(seed_node, seed_kv));
-        for i in 1..self.inner.n {
-            let m = sim_member(i);
-            let node = Node::with_parts(
-                m.clone(),
-                self.inner.settings.clone(),
-                NodeStatus::Joining,
-                Configuration::bootstrap(Vec::new()),
-                Some(vec![seed_member.addr]),
-                None,
-                Some(topo.clone()),
-                Some(self.inner.seed.wrapping_add(i as u64)),
-            );
-            sim.add_actor_at(
-                m.addr,
-                KvSimActor::new(node, self.kv_node(i, &cache).expect_initial_handoffs()),
-                self.inner.join_delay_ms,
-            );
-        }
-        self.add_clients(&mut sim);
-        sim
+        self.with_clients(
+            self.inner
+                .build_bootstrap_with(|i, node| self.member(i, node)),
+        )
     }
-}
-
-/// Merged flight-recorder dump across every actor and both co-hosted
-/// planes (`"m"` = membership, `"kv"` = data plane): one JSONL line per
-/// held trace event, ordered by `(t, node index, plane, node-local
-/// seq)`. Deterministic across `Settings::threads` values for the same
-/// reason the engine's trace is. Empty unless built with
-/// `Settings::obs_ring > 0`.
-pub fn trace_lines(sim: &Simulation<KvSimActor>) -> Vec<String> {
-    let mut tagged: Vec<(u64, usize, u8, u32, String)> = Vec::new();
-    let mut dropped = 0u64;
-    for i in 0..sim.len() {
-        let actor = sim.actor(i);
-        if actor.is_client() {
-            continue; // Clients record no protocol trace.
-        }
-        let label = sim.addr_of(i).host();
-        for ev in actor.as_node().trace().iter_in_order() {
-            tagged.push((ev.t_ms, i, 0, ev.seq, rapid_core::obs::event_jsonl(label, "m", ev)));
-        }
-        for ev in actor.kv().trace().iter_in_order() {
-            tagged.push((ev.t_ms, i, 1, ev.seq, rapid_core::obs::event_jsonl(label, "kv", ev)));
-        }
-        dropped += actor.as_node().trace().dropped() + actor.kv().trace().dropped();
-    }
-    tagged.sort_by_key(|a| (a.0, a.1, a.2, a.3));
-    let mut lines: Vec<String> = tagged.into_iter().map(|(_, _, _, _, line)| line).collect();
-    if dropped > 0 {
-        lines.push(format!("{{\"dropped\":{dropped}}}"));
-    }
-    lines
-}
-
-/// Total trace events lost to ring wrap-around across all actors and
-/// both planes.
-pub fn trace_dropped(sim: &Simulation<KvSimActor>) -> u64 {
-    (0..sim.len())
-        .filter(|&i| !sim.actor(i).is_client())
-        .map(|i| {
-            let a = sim.actor(i);
-            a.as_node().trace().dropped() + a.kv().trace().dropped()
-        })
-        .sum()
-}
-
-/// Merged metrics timeline across every actor, ordered by `(t, actor
-/// index)` — the routed-deployment analogue of
-/// `rapid_sim::cluster::timeline_points`. Empty unless built with
-/// `Settings::obs_sample_ms > 0`.
-pub fn timeline_points(sim: &Simulation<KvSimActor>) -> Vec<(u64, usize, TimelinePoint)> {
-    let mut tagged: Vec<(u64, usize, TimelinePoint)> = Vec::new();
-    for i in 0..sim.len() {
-        for p in sim.actor(i).timeline().iter_in_order() {
-            tagged.push((p.t_ms, i, *p));
-        }
-    }
-    tagged.sort_by_key(|a| (a.0, a.1));
-    tagged
-}
-
-/// Total timeline points lost to ring wrap-around across all actors.
-pub fn timeline_dropped(sim: &Simulation<KvSimActor>) -> u64 {
-    (0..sim.len()).map(|i| sim.actor(i).timeline().dropped()).sum()
-}
-
-/// [`timeline_points`] rendered as JSONL, with a `{"dropped":N}`
-/// trailer when any ring wrapped.
-pub fn timeline_lines(sim: &Simulation<KvSimActor>) -> Vec<String> {
-    let mut lines: Vec<String> = timeline_points(sim)
-        .iter()
-        .map(|(_, i, p)| timeline_jsonl(sim.addr_of(*i).host(), p))
-        .collect();
-    let dropped = timeline_dropped(sim);
-    if dropped > 0 {
-        lines.push(format!("{{\"dropped\":{dropped}}}"));
-    }
-    lines
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rapid_sim::cluster::{all_report, timeline_lines, timeline_points, trace_lines};
     use rapid_sim::Fault;
 
     fn quick_settings() -> Settings {
@@ -632,21 +472,6 @@ mod tests {
             partitions: 16,
             replication: 3,
         }
-    }
-
-    fn all_report(sim: &Simulation<KvSimActor>, target: usize) -> bool {
-        let mut seen = 0;
-        for i in 0..sim.len() {
-            if sim.net.is_crashed(i) {
-                continue;
-            }
-            match sim.actor(i).sample() {
-                Some(v) if (v - target as f64).abs() < 0.5 => seen += 1,
-                Some(_) => return false,
-                None => {}
-            }
-        }
-        seen > 0
     }
 
     /// Issues a put via actor `via` and runs until it completes.
@@ -787,14 +612,14 @@ mod tests {
         assert!(total_ops >= 12, "op deltas must cover the workload, got {total_ops}");
         // Delta-sampling sums exactly back to the cumulative counters.
         for i in 0..seq.len() {
-            let a = seq.actor(i);
+            let a = seq.actor(i).sampler();
             let (mut ops, mut hb, mut rb) = (0u64, 0u64, 0u64);
             for p in a.timeline().iter_in_order() {
                 ops += p.ops;
                 hb += p.handoff_bytes;
                 rb += p.repair_bytes;
             }
-            let tot = a.sampled_totals();
+            let tot = a.totals();
             assert_eq!(
                 (ops, hb, rb),
                 (tot.ops, tot.handoff_bytes, tot.repair_bytes),
@@ -883,5 +708,62 @@ mod tests {
             fp.finish()
         };
         assert_eq!(run(), run(), "KV trace must be deterministic");
+    }
+
+    /// The two-plane dump pin: 6 members + 2 client actors, small trace
+    /// rings (so the `dropped` trailer is part of the bytes), sampling
+    /// on, client traffic and one crash. The merged trace and timeline
+    /// each fold to a recorded fingerprint at one shard and at two.
+    #[test]
+    fn kv_trace_and_timeline_dumps_are_pinned() {
+        const GOLDEN_TRACE: u64 = 0x1503_d7ac_bc50_4a0c;
+        const GOLDEN_TIMELINE: u64 = 0xfdbc_175b_5d28_2b69;
+        let fold = |lines: Vec<String>| {
+            assert!(!lines.is_empty());
+            let mut fp = rapid_core::hash::StableHasher::new("kv-dump");
+            for l in &lines {
+                fp.write_bytes(l.as_bytes()).write_bytes(b"\n");
+            }
+            fp.finish()
+        };
+        let run = |threads: usize| {
+            let mut sim = KvClusterBuilder::new(6, spec())
+                .settings(Settings {
+                    obs_ring: 64,
+                    obs_sample_ms: 1_000,
+                    threads,
+                    ..quick_settings()
+                })
+                .seed(53)
+                .clients(2)
+                .build_static();
+            sim.run_until(2_000);
+            let keys: Vec<String> = (0..128).map(|i| format!("pk{i}")).collect();
+            let ops: Vec<ClientOp<'_>> = keys
+                .iter()
+                .map(|k| ClientOp::Put { key: k, val: "pv" })
+                .collect();
+            let now = sim.now();
+            sim.with_actor(6, |a, out| a.client_submit_ops(&ops, now, out));
+            sim.schedule_fault(now + 500, Fault::Crash(2));
+            sim.run_until(now + 30_000);
+            let gets: Vec<ClientOp<'_>> = keys.iter().map(|k| ClientOp::Get { key: k }).collect();
+            let now = sim.now();
+            sim.with_actor(7, |a, out| a.client_submit_ops(&gets, now, out));
+            sim.run_until(now + 5_000);
+            let trace = trace_lines(&sim);
+            assert!(trace.iter().any(|l| l.contains("\"plane\":\"kv\"")));
+            assert!(trace.last().is_some_and(|l| l.starts_with("{\"dropped\":")));
+            (fold(trace), fold(timeline_lines(&sim)))
+        };
+        let one = run(1);
+        assert_eq!(
+            one,
+            (GOLDEN_TRACE, GOLDEN_TIMELINE),
+            "kv dumps moved: trace {:#018x}, timeline {:#018x}",
+            one.0,
+            one.1
+        );
+        assert_eq!(run(2), one, "two shards");
     }
 }

@@ -407,9 +407,9 @@ pub struct RealDriver {
     /// handoffs happened; the cumulative aggregate must not shrink.
     retired_kv_stats: KvStats,
     seed_addr: Endpoint,
-    /// The smart client hosting `submit = "client"` batches, started on
-    /// first use (one per driver: real scenarios submit batches
-    /// sequentially, so one window-bounded client is representative).
+    /// The smart client every KV batch goes through, started on first
+    /// use (one per driver: real scenarios submit batches sequentially,
+    /// so one window-bounded client is representative).
     client: Option<KvClientRuntime>,
 }
 

@@ -4,20 +4,18 @@
 //! (decentralized), Rapid-C (logically centralized), Memberlist (SWIM),
 //! ZooKeeper-like, and Akka-like — on the identical simulated network, so
 //! cross-system scenarios share fault injection and measurement code.
-//! This lived in the `bench` crate until the scenario subsystem landed;
-//! `bench` now re-exports it from here.
 
 use central_config::world::{build_world as build_zk, ZkProc};
 use gossip_member::{AkkaConfig, AkkaNode};
 use rapid_core::config::ConfigId;
 use rapid_core::id::Endpoint;
 use rapid_core::node::{Node, NodeStatus};
+use rapid_core::obs::{LatencyHist, TimelinePoint};
 use rapid_core::settings::Settings;
-use rapid_core::obs::LatencyHist;
 use rapid_route::sim::{KvClusterBuilder, KvSimActor};
 use rapid_route::{ClientStats, KvOutcome, KvStats};
-use rapid_sim::cluster::{sim_member, RapidActor, RapidClusterBuilder};
-use rapid_sim::{Fault, Sample, Simulation};
+use rapid_sim::cluster::{self, sim_member, RapidActor, RapidClusterBuilder, RapidHost};
+use rapid_sim::{Actor, Fault, Sample, Simulation};
 use swim_member::{SwimConfig, SwimNode};
 
 use crate::model::{KvSpec, Topology};
@@ -127,22 +125,11 @@ pub struct KvOp {
 pub struct KvWorld {
     /// The underlying simulation (public for post-run analysis).
     pub sim: Simulation<KvSimActor>,
+    /// What built the members; runtime joiners are built by it too.
+    builder: Box<KvClusterBuilder>,
     spec: KvSpec,
     /// Cluster processes at build time — the client actors' offset.
     n0: usize,
-}
-
-impl KvWorld {
-    /// Actor index of cluster process `p`: the client actors sit between
-    /// the initial members and any later joiners, so processes joined
-    /// after build time shift past them.
-    fn actor_idx(&self, p: usize) -> usize {
-        if p < self.n0 {
-            p
-        } else {
-            p + self.spec.clients
-        }
-    }
 }
 
 /// A simulated deployment of one membership system with `n` cluster
@@ -160,6 +147,20 @@ pub enum World {
     Zk(Simulation<ZkProc>),
     /// Akka-like.
     Akka(Simulation<AkkaNode>),
+}
+
+/// Evaluates `$body` with `$s` bound to the world's simulation, whatever
+/// actor type it hosts (by reference or mutably, following `$world`).
+macro_rules! each_sim {
+    ($world:expr, $s:ident => $body:expr) => {
+        match $world {
+            World::Rapid($s) | World::RapidC($s) => $body,
+            World::RapidKv(KvWorld { sim: $s, .. }) => $body,
+            World::Swim($s) => $body,
+            World::Zk($s) => $body,
+            World::Akka($s) => $body,
+        }
+    };
 }
 
 fn swim_ep(i: usize) -> Endpoint {
@@ -186,18 +187,22 @@ impl World {
                 kind.label()
             ));
         }
-        let mut builder = KvClusterBuilder::new(n, spec.placement())
+        let builder = KvClusterBuilder::new(n, spec.placement())
             .seed(seed)
             .op_timeout_ms(spec.op_timeout_ms())
-            .clients(spec.clients);
-        if let Some(s) = settings {
-            builder = builder.settings(s);
-        }
+            .repair_interval_ms(spec.repair_interval_ms)
+            .clients(spec.clients)
+            .settings(settings.unwrap_or_default());
         let sim = match topology {
             Topology::Bootstrap => builder.build_bootstrap(),
             Topology::Static => builder.build_static(),
         };
-        Ok(World::RapidKv(KvWorld { sim, spec, n0: n }))
+        Ok(World::RapidKv(KvWorld {
+            sim,
+            builder: Box::new(builder),
+            spec,
+            n0: n,
+        }))
     }
 
     /// Builds a bootstrap deployment with settings overrides and/or the
@@ -274,14 +279,7 @@ impl World {
                 self.kind_label()
             ));
         }
-        match &mut self {
-            World::Swim(s) => s.set_threads(settings.threads),
-            World::Zk(s) => s.set_threads(settings.threads),
-            World::Akka(s) => s.set_threads(settings.threads),
-            World::Rapid(_) | World::RapidKv(_) | World::RapidC(_) => {
-                unreachable!("the rapid family takes its settings through its builders")
-            }
-        }
+        each_sim!(&mut self, s => s.set_threads(settings.threads));
         Ok(self)
     }
 
@@ -404,107 +402,70 @@ impl World {
         }
     }
 
+    /// Actor index of cluster process `p`: past any auxiliary ensemble,
+    /// and past the smart-client actors, which sit between the initial
+    /// members and any later joiners.
+    fn actor_index(&self, p: usize) -> usize {
+        match self {
+            World::RapidKv(w) if p >= w.n0 => p + w.spec.clients,
+            _ => p + self.cluster_offset(),
+        }
+    }
+
+    /// Actor indices of the cluster processes, in order: everything but
+    /// the auxiliary ensemble and the smart clients.
+    fn cluster_actors(&self) -> impl Iterator<Item = usize> {
+        let clients = match self {
+            World::RapidKv(w) => w.n0..w.n0 + w.spec.clients,
+            _ => 0..0,
+        };
+        (self.cluster_offset()..self.actors()).filter(move |i| !clients.contains(i))
+    }
+
     /// Number of actors (including auxiliary ensembles).
     pub fn actors(&self) -> usize {
-        match self {
-            World::Rapid(s) | World::RapidC(s) => s.len(),
-            World::RapidKv(w) => w.sim.len(),
-            World::Swim(s) => s.len(),
-            World::Zk(s) => s.len(),
-            World::Akka(s) => s.len(),
-        }
+        each_sim!(self, s => s.len())
     }
 
     /// Current virtual time.
     pub fn now(&self) -> u64 {
-        match self {
-            World::Rapid(s) | World::RapidC(s) => s.now(),
-            World::RapidKv(w) => w.sim.now(),
-            World::Swim(s) => s.now(),
-            World::Zk(s) => s.now(),
-            World::Akka(s) => s.now(),
-        }
+        each_sim!(self, s => s.now())
     }
 
     /// Runs until virtual time `until_ms`.
     pub fn run_until(&mut self, until_ms: u64) {
-        match self {
-            World::Rapid(s) | World::RapidC(s) => s.run_until(until_ms),
-            World::RapidKv(w) => w.sim.run_until(until_ms),
-            World::Swim(s) => s.run_until(until_ms),
-            World::Zk(s) => s.run_until(until_ms),
-            World::Akka(s) => s.run_until(until_ms),
-        }
+        each_sim!(self, s => s.run_until(until_ms))
     }
 
     /// Schedules a fault on a *cluster process index* (auxiliary ensembles
     /// are shielded, as in the paper, which injects faults only on cluster
     /// processes — and client actors likewise cannot be targeted).
     pub fn schedule_cluster_fault(&mut self, at: u64, fault: Fault) {
-        if let World::RapidKv(w) = self {
-            // Client actors sit between the initial members and later
-            // joiners, so post-build process indices shift past them.
-            let (n0, c) = (w.n0, w.spec.clients);
-            let m = |i: usize| if i < n0 { i } else { i + c };
-            let shifted = match fault {
-                Fault::Crash(i) => Fault::Crash(m(i)),
-                Fault::IngressDrop(i, p) => Fault::IngressDrop(m(i), p),
-                Fault::EgressDrop(i, p) => Fault::EgressDrop(m(i), p),
-                Fault::BlackholePair(a, b) => Fault::BlackholePair(m(a), m(b)),
-                Fault::ClearBlackholePair(a, b) => Fault::ClearBlackholePair(m(a), m(b)),
-                Fault::Partition(g) => Fault::Partition(g.into_iter().map(m).collect()),
-                Fault::LinkLoss(a, b, p) => Fault::LinkLoss(m(a), m(b), p),
-                Fault::SlowNode(i, f) => Fault::SlowNode(m(i), f),
-                other @ (Fault::Duplicate(_) | Fault::Reorder(_, _) | Fault::Latency(_)) => other,
-            };
-            w.sim.schedule_fault(at, shifted);
-            return;
-        }
-        let off = self.cluster_offset();
+        let m = |p: usize| self.actor_index(p);
         let shifted = match fault {
-            Fault::Crash(i) => Fault::Crash(i + off),
-            Fault::IngressDrop(i, p) => Fault::IngressDrop(i + off, p),
-            Fault::EgressDrop(i, p) => Fault::EgressDrop(i + off, p),
-            Fault::BlackholePair(a, b) => Fault::BlackholePair(a + off, b + off),
-            Fault::ClearBlackholePair(a, b) => Fault::ClearBlackholePair(a + off, b + off),
-            Fault::Partition(g) => Fault::Partition(g.into_iter().map(|i| i + off).collect()),
-            Fault::LinkLoss(a, b, p) => Fault::LinkLoss(a + off, b + off, p),
-            Fault::SlowNode(i, f) => Fault::SlowNode(i + off, f),
-            Fault::Duplicate(p) => Fault::Duplicate(p),
-            Fault::Reorder(p, extra) => Fault::Reorder(p, extra),
-            Fault::Latency(d) => Fault::Latency(d),
+            Fault::Crash(i) => Fault::Crash(m(i)),
+            Fault::IngressDrop(i, p) => Fault::IngressDrop(m(i), p),
+            Fault::EgressDrop(i, p) => Fault::EgressDrop(m(i), p),
+            Fault::BlackholePair(a, b) => Fault::BlackholePair(m(a), m(b)),
+            Fault::ClearBlackholePair(a, b) => Fault::ClearBlackholePair(m(a), m(b)),
+            Fault::Partition(g) => Fault::Partition(g.into_iter().map(m).collect()),
+            Fault::LinkLoss(a, b, p) => Fault::LinkLoss(m(a), m(b), p),
+            Fault::SlowNode(i, f) => Fault::SlowNode(m(i), f),
+            other @ (Fault::Duplicate(_) | Fault::Reorder(_, _) | Fault::Latency(_)) => other,
         };
-        match self {
-            World::Rapid(s) | World::RapidC(s) => s.schedule_fault(at, shifted),
-            World::RapidKv(w) => w.sim.schedule_fault(at, shifted),
-            World::Swim(s) => s.schedule_fault(at, shifted),
-            World::Zk(s) => s.schedule_fault(at, shifted),
-            World::Akka(s) => s.schedule_fault(at, shifted),
-        }
+        each_sim!(self, s => s.schedule_fault(at, shifted))
     }
 
     /// The current cluster-size observation of each live cluster process
-    /// (`None` while a process has no view).
+    /// (`None` while a process has no view). Client actors never report a
+    /// size and must not hold up convergence predicates, so they are not
+    /// cluster processes.
     pub fn observations(&self) -> Vec<Option<f64>> {
-        fn collect<A: rapid_sim::Actor>(s: &Simulation<A>, off: usize) -> Vec<Option<f64>> {
-            (off..s.len())
-                .filter(|&i| !s.net.is_crashed(i))
-                .map(|i| s.actor(i).sample())
-                .collect()
-        }
-        let off = self.cluster_offset();
-        match self {
-            World::Rapid(s) | World::RapidC(s) => collect(s, off),
-            // Client actors are not cluster members: they never report a
-            // size and must not hold up convergence predicates.
-            World::RapidKv(w) => (0..w.sim.len())
-                .filter(|&i| !w.sim.net.is_crashed(i) && !w.sim.actor(i).is_client())
-                .map(|i| rapid_sim::Actor::sample(w.sim.actor(i)))
-                .collect(),
-            World::Swim(s) => collect(s, off),
-            World::Zk(s) => collect(s, off),
-            World::Akka(s) => collect(s, off),
-        }
+        let procs = self.cluster_actors();
+        each_sim!(self, s => procs
+            .filter(|&i| !s.net.is_crashed(i))
+            .map(|i| s.actor(i).sample())
+            .collect())
     }
 
     /// Whether every live cluster process currently reports exactly
@@ -530,47 +491,17 @@ impl World {
     /// All per-second cluster-size samples collected so far (actor indices
     /// are raw; subtract [`World::cluster_offset`] for process numbering).
     pub fn samples(&self) -> &[Sample] {
-        match self {
-            World::Rapid(s) | World::RapidC(s) => s.samples(),
-            World::RapidKv(w) => w.sim.samples(),
-            World::Swim(s) => s.samples(),
-            World::Zk(s) => s.samples(),
-            World::Akka(s) => s.samples(),
-        }
+        each_sim!(self, s => s.samples())
     }
 
     /// Per-second `(bytes_in, bytes_out)` rates of every cluster process,
     /// skipping each process' first `skip_secs` seconds (e.g. to exclude
     /// bootstrap traffic from a steady-state measurement).
     pub fn per_second_rates(&self, skip_secs: usize) -> Vec<(u64, u64)> {
-        fn collect<A: rapid_sim::Actor>(
-            s: &Simulation<A>,
-            off: usize,
-            skip: usize,
-        ) -> Vec<(u64, u64)> {
-            let mut v = Vec::new();
-            for i in off..s.len() {
-                v.extend(s.traffic(i).per_second.iter().skip(skip).copied());
-            }
-            v
-        }
-        let off = self.cluster_offset();
-        match self {
-            World::Rapid(s) | World::RapidC(s) => collect(s, off, skip_secs),
-            World::RapidKv(w) => {
-                let mut v = Vec::new();
-                for i in 0..w.sim.len() {
-                    if w.sim.actor(i).is_client() {
-                        continue;
-                    }
-                    v.extend(w.sim.traffic(i).per_second.iter().skip(skip_secs).copied());
-                }
-                v
-            }
-            World::Swim(s) => collect(s, off, skip_secs),
-            World::Zk(s) => collect(s, off, skip_secs),
-            World::Akka(s) => collect(s, off, skip_secs),
-        }
+        let procs = self.cluster_actors();
+        each_sim!(self, s => procs
+            .flat_map(|i| s.traffic(i).per_second.iter().skip(skip_secs).copied())
+            .collect())
     }
 
     /// Per-process convergence times: the first instant each cluster
@@ -592,70 +523,32 @@ impl World {
     }
 
     /// Aggregate traffic counters over all cluster processes (phase
-    /// deltas come from subtracting two snapshots).
+    /// deltas come from subtracting two snapshots). What smart clients
+    /// send is reported through the client plane, not the node totals.
     pub fn traffic_totals(&self) -> TrafficTotals {
-        fn collect<A: rapid_sim::Actor>(s: &Simulation<A>, off: usize) -> TrafficTotals {
-            let mut t = TrafficTotals::default();
-            for i in off..s.len() {
-                let tr = s.traffic(i);
-                t.bytes_in += tr.bytes_in;
-                t.bytes_out += tr.bytes_out;
-                t.msgs_in += tr.msgs_in;
-                t.msgs_out += tr.msgs_out;
-            }
+        let procs = self.cluster_actors();
+        each_sim!(self, s => procs.fold(TrafficTotals::default(), |mut t, i| {
+            let tr = s.traffic(i);
+            t.bytes_in += tr.bytes_in;
+            t.bytes_out += tr.bytes_out;
+            t.msgs_in += tr.msgs_in;
+            t.msgs_out += tr.msgs_out;
             t
-        }
-        let off = self.cluster_offset();
-        match self {
-            World::Rapid(s) | World::RapidC(s) => collect(s, off),
-            // Cluster traffic only: what the clients themselves send is
-            // reported through the client plane, not the node totals.
-            World::RapidKv(w) => {
-                let mut t = TrafficTotals::default();
-                for i in 0..w.sim.len() {
-                    if w.sim.actor(i).is_client() {
-                        continue;
-                    }
-                    let tr = w.sim.traffic(i);
-                    t.bytes_in += tr.bytes_in;
-                    t.bytes_out += tr.bytes_out;
-                    t.msgs_in += tr.msgs_in;
-                    t.msgs_out += tr.msgs_out;
-                }
-                t
-            }
-            World::Swim(s) => collect(s, off),
-            World::Zk(s) => collect(s, off),
-            World::Akka(s) => collect(s, off),
-        }
+        }))
     }
 
     /// The maximum number of view changes any live Rapid node has
     /// installed (`None` for systems without strongly consistent views).
     pub fn view_changes(&self) -> Option<u64> {
+        fn max_view_changes<A: RapidHost>(s: &Simulation<A>) -> u64 {
+            live_nodes(s)
+                .map(|n| n.metrics().view_changes)
+                .max()
+                .unwrap_or(0)
+        }
         match self {
-            World::Rapid(s) => {
-                let mut max = 0;
-                for i in 0..s.len() {
-                    if s.net.is_crashed(i) {
-                        continue;
-                    }
-                    if let Some(n) = s.actor(i).as_node() {
-                        max = max.max(n.metrics().view_changes);
-                    }
-                }
-                Some(max)
-            }
-            World::RapidKv(w) => {
-                let mut max = 0;
-                for i in 0..w.sim.len() {
-                    if w.sim.net.is_crashed(i) || w.sim.actor(i).is_client() {
-                        continue;
-                    }
-                    max = max.max(w.sim.actor(i).as_node().metrics().view_changes);
-                }
-                Some(max)
-            }
+            World::Rapid(s) => Some(max_view_changes(s)),
+            World::RapidKv(w) => Some(max_view_changes(&w.sim)),
             _ => None,
         }
     }
@@ -663,50 +556,43 @@ impl World {
     /// Whether every active Rapid node installed the same view-change
     /// sequence, prefix-wise (`None` for systems without view histories).
     pub fn consistent_histories(&self) -> Option<bool> {
-        let nodes: Vec<&Node> = match self {
-            World::Rapid(s) => (0..s.len())
-                .filter(|&i| !s.net.is_crashed(i))
-                .filter_map(|i| s.actor(i).as_node())
-                .collect(),
-            World::RapidKv(w) => (0..w.sim.len())
-                .filter(|&i| !w.sim.net.is_crashed(i) && !w.sim.actor(i).is_client())
-                .map(|i| w.sim.actor(i).as_node())
-                .collect(),
-            _ => return None,
-        };
-        let histories: Vec<&[ConfigId]> = nodes
-            .iter()
-            .filter(|node| node.status() == NodeStatus::Active)
-            .map(|node| node.view_history())
-            .collect();
-        Some(one_chain(&histories))
+        fn consistent<A: RapidHost>(s: &Simulation<A>) -> bool {
+            let histories: Vec<&[ConfigId]> = live_nodes(s)
+                .filter(|node| node.status() == NodeStatus::Active)
+                .map(|node| node.view_history())
+                .collect();
+            one_chain(&histories)
+        }
+        match self {
+            World::Rapid(s) => Some(consistent(s)),
+            World::RapidKv(w) => Some(consistent(&w.sim)),
+            _ => None,
+        }
     }
 
     /// Voluntary departure of cluster process `idx` (decentralized Rapid
     /// only).
     pub fn leave(&mut self, idx: usize) -> Result<(), String> {
-        match self {
-            World::Rapid(s) => {
-                let now = s.now();
-                s.with_actor(idx, |a, out| a.leave(now, out));
-                // The departed process terminates: its announcements are
-                // already in flight, and a terminated process must not
-                // keep ticking or block convergence checks.
-                s.net.crash(idx);
-                Ok(())
-            }
-            World::RapidKv(w) => {
-                let idx = w.actor_idx(idx);
-                let now = w.sim.now();
-                w.sim.with_actor(idx, |a, out| a.leave(now, out));
-                w.sim.net.crash(idx);
-                Ok(())
-            }
-            other => Err(format!(
-                "leave workload is not implemented for {}",
-                other.kind_label()
-            )),
+        fn leave_at<A: RapidHost>(s: &mut Simulation<A>, idx: usize) {
+            let now = s.now();
+            s.with_actor(idx, |a, out| a.leave(now, out));
+            // The departed process terminates: its announcements are
+            // already in flight, and a terminated process must not keep
+            // ticking or block convergence checks.
+            s.net.crash(idx);
         }
+        let idx = self.actor_index(idx);
+        match self {
+            World::Rapid(s) => leave_at(s, idx),
+            World::RapidKv(w) => leave_at(&mut w.sim, idx),
+            other => {
+                return Err(format!(
+                    "leave workload is not implemented for {}",
+                    other.kind_label()
+                ))
+            }
+        }
+        Ok(())
     }
 
     /// Starts `count` fresh processes that join through cluster process 0
@@ -714,46 +600,34 @@ impl World {
     /// cluster uses — a scenario's `[settings]` overrides apply to
     /// joiners too, not just the initial membership.
     pub fn join_cfg(&mut self, count: usize, settings: Option<Settings>) -> Result<(), String> {
+        fn join_with<A: Actor>(
+            s: &mut Simulation<A>,
+            count: usize,
+            settings: &Settings,
+            mut host: impl FnMut(usize, Node) -> A,
+        ) {
+            let seed_addr = sim_member(0).addr;
+            let base = s.len();
+            for i in base..base + count {
+                let m = sim_member(i);
+                let node = Node::new_joiner(m.clone(), settings.clone(), vec![seed_addr]);
+                s.add_actor(m.addr, host(i, node));
+            }
+        }
         let settings = settings.unwrap_or_default();
         match self {
-            World::Rapid(s) => {
-                let seed_addr = sim_member(0).addr;
-                let base = s.len();
-                for k in 0..count {
-                    let m = sim_member(base + k);
-                    let node = Node::new_joiner(
-                        m.clone(),
-                        settings.clone(),
-                        vec![seed_addr],
-                    );
-                    s.add_actor(m.addr, RapidActor::node(node));
-                }
-                Ok(())
+            World::Rapid(s) => join_with(s, count, &settings, |_, node| RapidActor::node(node)),
+            World::RapidKv(w) => join_with(&mut w.sim, count, &settings, |i, node| {
+                w.builder.member(i, node)
+            }),
+            other => {
+                return Err(format!(
+                    "join workload is not implemented for {}",
+                    other.kind_label()
+                ))
             }
-            World::RapidKv(w) => {
-                let seed_addr = sim_member(0).addr;
-                let base = w.sim.len();
-                for k in 0..count {
-                    let m = sim_member(base + k);
-                    let node = Node::new_joiner(m.clone(), settings.clone(), vec![seed_addr]);
-                    // Fresh caches are fine: placement is a pure function
-                    // of the view, caches only memoize it.
-                    let kv = rapid_route::KvNode::new(
-                        m.clone(),
-                        w.spec.placement(),
-                        w.spec.op_timeout_ms(),
-                        None,
-                    )
-                    .expect_initial_handoffs();
-                    w.sim.add_actor(m.addr, KvSimActor::new(node, kv));
-                }
-                Ok(())
-            }
-            other => Err(format!(
-                "join workload is not implemented for {}",
-                other.kind_label()
-            )),
         }
+        Ok(())
     }
 
     /// Starts `count` fresh processes with default protocol settings
@@ -870,19 +744,15 @@ impl World {
     /// runner subtracts the fault-injection instant from these to get the
     /// paper's convergence-latency samples.
     pub fn view_install_times(&self) -> Option<Vec<u64>> {
+        fn install_times<A: RapidHost>(s: &Simulation<A>) -> Vec<u64> {
+            (0..s.len())
+                .filter(|&i| !s.net.is_crashed(i))
+                .filter_map(|i| s.actor(i).log().views.last().map(|(t, _)| *t))
+                .collect()
+        }
         match self {
-            World::Rapid(s) | World::RapidC(s) => Some(
-                (0..s.len())
-                    .filter(|&i| !s.net.is_crashed(i))
-                    .filter_map(|i| s.actor(i).log.views.last().map(|(t, _)| *t))
-                    .collect(),
-            ),
-            World::RapidKv(w) => Some(
-                (0..w.sim.len())
-                    .filter(|&i| !w.sim.net.is_crashed(i) && !w.sim.actor(i).is_client())
-                    .filter_map(|i| w.sim.actor(i).log.views.last().map(|(t, _)| *t))
-                    .collect(),
-            ),
+            World::Rapid(s) | World::RapidC(s) => Some(install_times(s)),
+            World::RapidKv(w) => Some(install_times(&w.sim)),
             _ => None,
         }
     }
@@ -893,8 +763,8 @@ impl World {
     /// the sharded engine keeps bit-identical across thread counts.
     pub fn flight_dump(&self) -> Vec<String> {
         match self {
-            World::Rapid(s) | World::RapidC(s) => rapid_sim::cluster::trace_lines(s),
-            World::RapidKv(w) => rapid_route::sim::trace_lines(&w.sim),
+            World::Rapid(s) | World::RapidC(s) => cluster::trace_lines(s),
+            World::RapidKv(w) => cluster::trace_lines(&w.sim),
             _ => Vec::new(),
         }
     }
@@ -905,18 +775,18 @@ impl World {
     /// bit-identical across thread counts.
     pub fn metrics_dump(&self) -> Vec<String> {
         match self {
-            World::Rapid(s) | World::RapidC(s) => rapid_sim::cluster::timeline_lines(s),
-            World::RapidKv(w) => rapid_route::sim::timeline_lines(&w.sim),
+            World::Rapid(s) | World::RapidC(s) => cluster::timeline_lines(s),
+            World::RapidKv(w) => cluster::timeline_lines(&w.sim),
             _ => Vec::new(),
         }
     }
 
     /// Every held timeline point across the cluster as
     /// `(t_ms, actor_index, point)` in `(t, actor)` order.
-    pub fn timeline_points(&self) -> Vec<(u64, usize, rapid_core::obs::TimelinePoint)> {
+    pub fn timeline_points(&self) -> Vec<(u64, usize, TimelinePoint)> {
         match self {
-            World::Rapid(s) | World::RapidC(s) => rapid_sim::cluster::timeline_points(s),
-            World::RapidKv(w) => rapid_route::sim::timeline_points(&w.sim),
+            World::Rapid(s) | World::RapidC(s) => cluster::timeline_points(s),
+            World::RapidKv(w) => cluster::timeline_points(&w.sim),
             _ => Vec::new(),
         }
     }
@@ -924,14 +794,12 @@ impl World {
     /// Total events lost to bounded observability rings wrapping (trace
     /// rings + timelines), across all processes.
     pub fn obs_dropped(&self) -> u64 {
+        fn dropped<A: RapidHost>(s: &Simulation<A>) -> u64 {
+            cluster::trace_dropped(s) + cluster::timeline_dropped(s)
+        }
         match self {
-            World::Rapid(s) | World::RapidC(s) => {
-                rapid_sim::cluster::trace_dropped(s) + rapid_sim::cluster::timeline_dropped(s)
-            }
-            World::RapidKv(w) => {
-                rapid_route::sim::trace_dropped(&w.sim)
-                    + rapid_route::sim::timeline_dropped(&w.sim)
-            }
+            World::Rapid(s) | World::RapidC(s) => dropped(s),
+            World::RapidKv(w) => dropped(&w.sim),
             _ => 0,
         }
     }
@@ -947,6 +815,14 @@ impl World {
             World::Akka(_) => "akka",
         }
     }
+}
+
+/// The membership nodes of the live processes of a Rapid-hosting
+/// simulation (smart clients and the Rapid-C roles run none).
+fn live_nodes<A: RapidHost>(s: &Simulation<A>) -> impl Iterator<Item = &Node> {
+    (0..s.len())
+        .filter(|&i| !s.net.is_crashed(i))
+        .filter_map(|i| s.actor(i).rapid_node())
 }
 
 /// Whether every history is a contiguous window of one global
@@ -1071,6 +947,27 @@ mod tests {
         w.join(2).unwrap();
         assert!(w.converge(13, 240_000).is_some(), "joiners must be admitted");
         assert_eq!(w.consistent_histories(), Some(true));
+    }
+
+    #[test]
+    fn runtime_kv_joiners_record_a_kv_trace() {
+        let settings = Settings { obs_ring: 256, ..Settings::default() };
+        let spec = KvSpec { partitions: 16, ..KvSpec::default() };
+        let mut w = World::static_cfg(SystemKind::Rapid, 5, 3, Some(settings.clone()), Some(spec))
+            .unwrap();
+        w.run_until(2_000);
+        w.join_cfg(1, Some(settings)).unwrap();
+        assert!(w.converge(6, 240_000).is_some(), "joiner must be admitted");
+        let ops: Vec<KvOp> = (0..32)
+            .map(|i| KvOp { key: format!("j{i}"), put_val: Some("v".into()) })
+            .collect();
+        w.kv_batch(None, &ops).unwrap();
+        // The joiner is actor 6: after the five members and the client.
+        let joiner_kv = "\"node\":\"node-6\",\"plane\":\"kv\"";
+        assert!(
+            w.flight_dump().iter().any(|l| l.contains(joiner_kv)),
+            "a joined process records data-plane trace events"
+        );
     }
 
     #[test]

@@ -140,8 +140,8 @@ fn kv_churn_report_json_is_identical_across_sim_runs() {
 fn kv_churn_and_kv_rebalance_report_content_is_pinned() {
     use rapid_core::hash::StableHasher;
     for (stem, golden) in [
-        ("kv_churn", 0x9670_c5da_4c4e_ac97_u64),
-        ("kv_rebalance", 0xb605_7a54_1e4c_eef8),
+        ("kv_churn", 0xaf58_a9b5_deb2_24bc_u64),
+        ("kv_rebalance", 0xaa05_5262_183a_8941),
     ] {
         let scenario = shipped(stem);
         let mut driver = SimDriver::new(SystemKind::Rapid, &scenario).expect("sim driver");
@@ -205,6 +205,20 @@ fn kv_repair_recovers_lost_handoffs_on_the_sim_driver() {
         run_once().to_json_string(),
         "same seed must give byte-identical reports"
     );
+}
+
+/// `[kv] repair_interval_ms` reaches every simulated data plane: with
+/// repair disabled (0), `kv_repair` reports no repair pull in any phase.
+#[test]
+fn kv_repair_interval_zero_disables_repair_on_the_sim_driver() {
+    let mut scenario = shipped("kv_repair");
+    scenario.kv.as_mut().expect("[kv] table").repair_interval_ms = 0;
+    let mut driver = SimDriver::new(SystemKind::Rapid, &scenario).expect("sim driver");
+    let report = runner::run(&scenario, &mut driver).expect("run");
+    for p in &report.phases {
+        let kv = p.kv.expect("kv metrics");
+        assert_eq!(kv.repairs, 0, "phase {}: {kv:?}", p.name);
+    }
 }
 
 /// `kv_rebalance` exercises scale-out + scale-in handoff on the sim

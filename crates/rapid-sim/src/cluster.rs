@@ -14,8 +14,12 @@ use rapid_core::centralized::{EdgeAgent, EnsembleNode};
 use rapid_core::config::{Configuration, Member};
 use rapid_core::id::{Endpoint, NodeId};
 use rapid_core::membership::ViewChange;
+use rapid_core::metrics::NodeMetrics;
 use rapid_core::node::{Action, Event, Node, NodeStatus};
-use rapid_core::obs::{timeline_jsonl, LatencyHist, Timeline, TimelinePoint, DEFAULT_TIMELINE_CAP};
+use rapid_core::obs::{
+    event_jsonl, timeline_jsonl, LatencyHist, Timeline, TimelinePoint, TraceRing,
+    DEFAULT_TIMELINE_CAP,
+};
 use rapid_core::ring::TopologyCache;
 use rapid_core::settings::Settings;
 use rapid_core::wire::{self, Message};
@@ -33,6 +37,105 @@ pub struct ActorLog {
     pub kicked_at: Option<u64>,
 }
 
+/// The per-process metrics sampler behind every simulated Rapid host.
+///
+/// Each sweep pushes the *deltas* of the cumulative counters since the
+/// previous sweep plus the interval quantiles of one latency histogram.
+/// The ring is allocated lazily on the first sweep (sweeps only fire when
+/// `Settings::obs_sample_ms > 0`), so runs without sampling carry an
+/// empty disabled one.
+#[derive(Default)]
+pub struct TimelineSampler {
+    timeline: Timeline,
+    /// Cumulative counter values as of the last sweep, in point layout:
+    /// the next sweep's deltas are `current - cursor`.
+    cursor: TimelinePoint,
+    /// The histogram as of the last sweep (inline buckets — cloning never
+    /// allocates).
+    prev_hist: LatencyHist,
+}
+
+impl TimelineSampler {
+    /// The sampled metrics timeline.
+    pub fn timeline(&self) -> &Timeline {
+        &self.timeline
+    }
+
+    /// Cumulative counters as of the last sweep, in point layout. The sum
+    /// of all emitted point deltas equals this exactly (as long as the
+    /// ring never wrapped) — the property the delta-sampling tests pin.
+    pub fn totals(&self) -> &TimelinePoint {
+        &self.cursor
+    }
+
+    /// Records the sweep at `now_ms` and returns its interval `(p50,
+    /// p99)` of `hist`. `net` and `m` give the membership counters;
+    /// `data` gives the data-plane ones (`ops`, `handoff_bytes`,
+    /// `repair_bytes`; its other fields are ignored) and is all zero on a
+    /// membership-only host.
+    pub fn record(
+        &mut self,
+        now_ms: u64,
+        net: NetSample,
+        m: &NodeMetrics,
+        data: TimelinePoint,
+        hist: &LatencyHist,
+    ) -> (u64, u64) {
+        if !self.timeline.enabled() {
+            self.timeline = Timeline::new(DEFAULT_TIMELINE_CAP);
+        }
+        let (_, p50, p99) = hist.interval_quantiles(&self.prev_hist);
+        let now = TimelinePoint {
+            t_ms: now_ms,
+            msgs: net.msgs_out,
+            bytes: net.bytes_out,
+            alerts: m.alerts_applied,
+            view_changes: m.view_changes,
+            p50_ms: 0,
+            p99_ms: 0,
+            ..data
+        };
+        let c = &self.cursor;
+        self.timeline.push(TimelinePoint {
+            t_ms: now_ms,
+            msgs: now.msgs - c.msgs,
+            bytes: now.bytes - c.bytes,
+            alerts: now.alerts - c.alerts,
+            view_changes: now.view_changes - c.view_changes,
+            ops: now.ops - c.ops,
+            handoff_bytes: now.handoff_bytes - c.handoff_bytes,
+            repair_bytes: now.repair_bytes - c.repair_bytes,
+            p50_ms: p50,
+            p99_ms: p99,
+        });
+        self.cursor = now;
+        self.prev_hist = hist.clone();
+        (p50, p99)
+    }
+}
+
+/// A simulated process hosting Rapid, as the cluster-wide queries and
+/// the dump mergers read it: the membership-only [`RapidActor`], or a
+/// host that co-locates an application with the membership node (the KV
+/// data plane, whose smart-client processes run no node at all).
+pub trait RapidHost: Actor {
+    /// The decentralized membership node, if this process runs one.
+    fn rapid_node(&self) -> Option<&Node>;
+
+    /// Recorded protocol events.
+    fn log(&self) -> &ActorLog;
+
+    /// The metrics sampler (empty unless `Settings::obs_sample_ms > 0`).
+    fn sampler(&self) -> &TimelineSampler;
+
+    /// The process's flight-recorder rings with their plane labels, in
+    /// merge order: `"m"` (membership) first, then any application plane.
+    fn traces(&self) -> impl Iterator<Item = (&'static str, &TraceRing)>;
+
+    /// Announces a voluntary departure (scenario `leave` workloads).
+    fn leave(&mut self, now: u64, out: &mut Outbox<Self::Msg>);
+}
+
 enum Inner {
     Node(Box<Node>),
     Ensemble(Box<EnsembleNode>),
@@ -47,16 +150,7 @@ pub struct RapidActor {
     /// Reusable action buffer handed to the node on every event, so the
     /// steady-state delivery path allocates nothing in the harness.
     actions: Vec<Action>,
-    /// Sampled metrics timeline. Allocated lazily on the first sweep
-    /// (sweeps only fire when `Settings::obs_sample_ms > 0`), so runs
-    /// without sampling carry an empty disabled ring.
-    timeline: Timeline,
-    /// Cumulative counter values as of the last sweep, reusing the point
-    /// layout: the next sweep's deltas are `current - cursor`.
-    cursor: TimelinePoint,
-    /// Snapshot of `detect_to_install` at the last sweep, for interval
-    /// quantiles (inline buckets — cloning never allocates).
-    prev_hist: LatencyHist,
+    sampler: TimelineSampler,
 }
 
 impl RapidActor {
@@ -65,9 +159,7 @@ impl RapidActor {
             inner,
             log: ActorLog::default(),
             actions: Vec::new(),
-            timeline: Timeline::new(0),
-            cursor: TimelinePoint::default(),
-            prev_hist: LatencyHist::new(),
+            sampler: TimelineSampler::default(),
         }
     }
 
@@ -86,31 +178,9 @@ impl RapidActor {
         Self::wrap(Inner::Agent(Box::new(agent)))
     }
 
-    /// The sampled metrics timeline (empty unless the cluster ran with
-    /// `Settings::obs_sample_ms > 0`).
-    pub fn timeline(&self) -> &Timeline {
-        &self.timeline
-    }
-
-    /// Cumulative counters as of the last metrics sweep, in point
-    /// layout. The sum of all emitted point deltas equals this exactly
-    /// (as long as the ring never wrapped) — the property the
-    /// delta-sampling tests pin.
-    pub fn sampled_totals(&self) -> &TimelinePoint {
-        &self.cursor
-    }
-
     /// The wrapped decentralized node, if this actor is one.
     pub fn as_node(&self) -> Option<&Node> {
         match &self.inner {
-            Inner::Node(n) => Some(n),
-            _ => None,
-        }
-    }
-
-    /// Mutable access to the wrapped decentralized node.
-    pub fn as_node_mut(&mut self) -> Option<&mut Node> {
-        match &mut self.inner {
             Inner::Node(n) => Some(n),
             _ => None,
         }
@@ -120,14 +190,6 @@ impl RapidActor {
     pub fn as_ensemble(&self) -> Option<&EnsembleNode> {
         match &self.inner {
             Inner::Ensemble(e) => Some(e),
-            _ => None,
-        }
-    }
-
-    /// The wrapped edge agent, if this actor is one.
-    pub fn as_agent(&self) -> Option<&EdgeAgent> {
-        match &self.inner {
-            Inner::Agent(a) => Some(a),
             _ => None,
         }
     }
@@ -142,16 +204,6 @@ impl RapidActor {
         self.apply_actions(actions, now, out);
     }
 
-    /// Announces a voluntary departure (scenario `leave` workloads). Only
-    /// meaningful for decentralized nodes; other roles ignore it.
-    pub fn leave(&mut self, now: u64, out: &mut Outbox<Message>) {
-        let mut actions = std::mem::take(&mut self.actions);
-        if let Inner::Node(n) = &mut self.inner {
-            n.leave(&mut actions);
-        }
-        self.apply_actions(actions, now, out);
-    }
-
     fn apply_actions(&mut self, mut actions: Vec<Action>, now: u64, out: &mut Outbox<Message>) {
         for a in actions.drain(..) {
             match a {
@@ -162,6 +214,33 @@ impl RapidActor {
             }
         }
         self.actions = actions;
+    }
+}
+
+impl RapidHost for RapidActor {
+    fn rapid_node(&self) -> Option<&Node> {
+        self.as_node()
+    }
+
+    fn log(&self) -> &ActorLog {
+        &self.log
+    }
+
+    fn sampler(&self) -> &TimelineSampler {
+        &self.sampler
+    }
+
+    fn traces(&self) -> impl Iterator<Item = (&'static str, &TraceRing)> {
+        self.as_node().map(|n| ("m", n.trace())).into_iter()
+    }
+
+    /// Only meaningful for decentralized nodes; other roles ignore it.
+    fn leave(&mut self, now: u64, out: &mut Outbox<Message>) {
+        let mut actions = std::mem::take(&mut self.actions);
+        if let Inner::Node(n) = &mut self.inner {
+            n.leave(&mut actions);
+        }
+        self.apply_actions(actions, now, out);
     }
 }
 
@@ -245,28 +324,9 @@ impl Actor for RapidActor {
             Inner::Agent(a) => a.metrics(),
             Inner::Ensemble(_) => return,
         };
-        if !self.timeline.enabled() {
-            self.timeline = Timeline::new(DEFAULT_TIMELINE_CAP);
-        }
-        let (_, p50, p99) = m.detect_to_install.interval_quantiles(&self.prev_hist);
-        self.timeline.push(TimelinePoint {
-            t_ms: now_ms,
-            msgs: net.msgs_out - self.cursor.msgs,
-            bytes: net.bytes_out - self.cursor.bytes,
-            alerts: m.alerts_applied - self.cursor.alerts,
-            view_changes: m.view_changes - self.cursor.view_changes,
-            ops: 0,
-            handoff_bytes: 0,
-            repair_bytes: 0,
-            p50_ms: p50,
-            p99_ms: p99,
-        });
-        self.cursor.t_ms = now_ms;
-        self.cursor.msgs = net.msgs_out;
-        self.cursor.bytes = net.bytes_out;
-        self.cursor.alerts = m.alerts_applied;
-        self.cursor.view_changes = m.view_changes;
-        self.prev_hist = m.detect_to_install.clone();
+        let no_data = TimelinePoint::default();
+        self.sampler
+            .record(now_ms, net, m, no_data, &m.detect_to_install);
     }
 }
 
@@ -314,12 +374,27 @@ impl RapidClusterBuilder {
         self
     }
 
-    /// Decentralized bootstrap: actor 0 is the seed; actors `1..n` join
-    /// through it after `join_delay_ms` (Figures 5–7).
-    pub fn build_bootstrap(&self) -> Simulation<RapidActor> {
+    fn simulation<A: Actor>(&self) -> Simulation<A> {
         let mut sim = Simulation::new(self.seed, self.settings.tick_interval_ms);
         sim.set_threads(self.settings.threads);
         sim.set_metrics_interval(self.settings.obs_sample_ms);
+        sim
+    }
+
+    /// Decentralized bootstrap: actor 0 is the seed; actors `1..n` join
+    /// through it after `join_delay_ms` (Figures 5–7).
+    pub fn build_bootstrap(&self) -> Simulation<RapidActor> {
+        self.build_bootstrap_with(|_, node| RapidActor::node(node))
+    }
+
+    /// [`RapidClusterBuilder::build_bootstrap`] with each process's
+    /// membership node handed to `host`, with the process index, to wrap
+    /// into the simulated process (an application co-hosted with Rapid).
+    pub fn build_bootstrap_with<A: Actor>(
+        &self,
+        mut host: impl FnMut(usize, Node) -> A,
+    ) -> Simulation<A> {
+        let mut sim = self.simulation();
         let cache = TopologyCache::new();
         let seed_member = sim_member(0);
         let seed_node = Node::with_parts(
@@ -332,7 +407,7 @@ impl RapidClusterBuilder {
             Some(cache.clone()),
             Some(self.seed ^ 0xBEEF),
         );
-        sim.add_actor(seed_member.addr, RapidActor::node(seed_node));
+        sim.add_actor(seed_member.addr, host(0, seed_node));
         for i in 1..self.n {
             let m = sim_member(i);
             let node = Node::with_parts(
@@ -345,7 +420,7 @@ impl RapidClusterBuilder {
                 Some(cache.clone()),
                 Some(self.seed.wrapping_add(i as u64)),
             );
-            sim.add_actor_at(m.addr, RapidActor::node(node), self.join_delay_ms);
+            sim.add_actor_at(m.addr, host(i, node), self.join_delay_ms);
         }
         sim
     }
@@ -353,9 +428,16 @@ impl RapidClusterBuilder {
     /// Decentralized steady state: all `n` processes start as members of
     /// one static configuration (failure experiments, Figures 8–10).
     pub fn build_static(&self) -> Simulation<RapidActor> {
-        let mut sim = Simulation::new(self.seed, self.settings.tick_interval_ms);
-        sim.set_threads(self.settings.threads);
-        sim.set_metrics_interval(self.settings.obs_sample_ms);
+        self.build_static_with(|_, node| RapidActor::node(node))
+    }
+
+    /// [`RapidClusterBuilder::build_static`] with each membership node
+    /// handed to `host` (see [`RapidClusterBuilder::build_bootstrap_with`]).
+    pub fn build_static_with<A: Actor>(
+        &self,
+        mut host: impl FnMut(usize, Node) -> A,
+    ) -> Simulation<A> {
+        let mut sim = self.simulation();
         let members: Vec<Member> = (0..self.n).map(sim_member).collect();
         let cfg = Configuration::bootstrap(members.clone());
         let cache = TopologyCache::new();
@@ -370,7 +452,7 @@ impl RapidClusterBuilder {
                 Some(cache.clone()),
                 Some(self.seed.wrapping_add(i as u64)),
             );
-            sim.add_actor(m.addr, RapidActor::node(node));
+            sim.add_actor(m.addr, host(i, node));
         }
         sim
     }
@@ -380,9 +462,7 @@ impl RapidClusterBuilder {
     ///
     /// Returns the simulation and the index of the first agent.
     pub fn build_centralized(&self, ensemble_size: usize) -> (Simulation<RapidActor>, usize) {
-        let mut sim = Simulation::new(self.seed, self.settings.tick_interval_ms);
-        sim.set_threads(self.settings.threads);
-        sim.set_metrics_interval(self.settings.obs_sample_ms);
+        let mut sim = self.simulation();
         let ensemble_members: Vec<Member> =
             (0..ensemble_size).map(|i| {
                 Member::new(
@@ -413,8 +493,9 @@ impl RapidClusterBuilder {
 }
 
 /// Whether every non-crashed, active actor currently reports cluster size
-/// `target` (ensemble actors are skipped — they report no sample).
-pub fn all_report(sim: &Simulation<RapidActor>, target: usize) -> bool {
+/// `target` (actors that report no sample — the Rapid-C ensemble, smart
+/// clients — are skipped).
+pub fn all_report<A: Actor>(sim: &Simulation<A>, target: usize) -> bool {
     let mut reporters = 0;
     for i in 0..sim.len() {
         if sim.net.is_crashed(i) {
@@ -429,43 +510,45 @@ pub fn all_report(sim: &Simulation<RapidActor>, target: usize) -> bool {
     reporters > 0
 }
 
-/// Merged flight-recorder dump across every actor: one JSONL line per
-/// held trace event, ordered by `(t, node index, node-local seq)`.
+/// Merged flight-recorder dump across every actor and plane: one JSONL
+/// line per held trace event, ordered by `(t, actor index, plane,
+/// node-local seq)`, where the plane is the ring's position in
+/// [`RapidHost::traces`].
 ///
-/// Each node's ring is filled on its own event stream, which the engine
-/// keeps identical across `Settings::threads` values, and this merge
-/// order is a pure function of ring contents — so the dump is
-/// byte-identical across thread counts (pinned by a golden test).
+/// Each ring is filled on its own process's event stream, which the
+/// engine keeps identical across `Settings::threads` values, and this
+/// merge order is a pure function of ring contents — so the dump is
+/// byte-identical across thread counts (pinned by golden tests).
 /// Empty unless the cluster was built with `Settings::obs_ring > 0`.
-pub fn trace_lines(sim: &Simulation<RapidActor>) -> Vec<String> {
-    let mut tagged: Vec<(u64, usize, u32, String)> = Vec::new();
-    let mut dropped = 0u64;
+pub fn trace_lines<A: RapidHost>(sim: &Simulation<A>) -> Vec<String> {
+    let mut tagged: Vec<(u64, usize, usize, u32, String)> = Vec::new();
     for i in 0..sim.len() {
-        if let Some(n) = sim.actor(i).as_node() {
-            let label = sim.addr_of(i).host();
-            for ev in n.trace().iter_in_order() {
-                tagged.push((ev.t_ms, i, ev.seq, rapid_core::obs::event_jsonl(label, "m", ev)));
+        let label = sim.addr_of(i).host();
+        for (plane, (name, ring)) in sim.actor(i).traces().enumerate() {
+            for ev in ring.iter_in_order() {
+                tagged.push((ev.t_ms, i, plane, ev.seq, event_jsonl(label, name, ev)));
             }
-            dropped += n.trace().dropped();
         }
     }
-    tagged.sort_by_key(|a| (a.0, a.1, a.2));
-    let mut lines: Vec<String> = tagged.into_iter().map(|(_, _, _, line)| line).collect();
+    tagged.sort_by_key(|a| (a.0, a.1, a.2, a.3));
+    let mut lines: Vec<String> = tagged.into_iter().map(|(.., line)| line).collect();
     // Ring wrap-around loses the oldest events; the trailer keeps a
-    // truncated dump from reading as a complete record. Per-node push
+    // truncated dump from reading as a complete record. Per-ring push
     // counts are thread-count-independent, so emitting it never breaks
     // the byte-identity golden.
+    let dropped = trace_dropped(sim);
     if dropped > 0 {
         lines.push(format!("{{\"dropped\":{dropped}}}"));
     }
     lines
 }
 
-/// Total trace events lost to ring wrap-around across all actors.
-pub fn trace_dropped(sim: &Simulation<RapidActor>) -> u64 {
+/// Total trace events lost to ring wrap-around across all actors and
+/// planes.
+pub fn trace_dropped<A: RapidHost>(sim: &Simulation<A>) -> u64 {
     (0..sim.len())
-        .filter_map(|i| sim.actor(i).as_node())
-        .map(|n| n.trace().dropped())
+        .flat_map(|i| sim.actor(i).traces())
+        .map(|(_, ring)| ring.dropped())
         .sum()
 }
 
@@ -475,10 +558,10 @@ pub fn trace_dropped(sim: &Simulation<RapidActor>) -> u64 {
 /// number is needed. Sweeps are deterministic engine events, so the
 /// merge is byte-identical across `Settings::threads` values. Empty
 /// unless the cluster ran with `Settings::obs_sample_ms > 0`.
-pub fn timeline_points(sim: &Simulation<RapidActor>) -> Vec<(u64, usize, TimelinePoint)> {
+pub fn timeline_points<A: RapidHost>(sim: &Simulation<A>) -> Vec<(u64, usize, TimelinePoint)> {
     let mut tagged: Vec<(u64, usize, TimelinePoint)> = Vec::new();
     for i in 0..sim.len() {
-        for p in sim.actor(i).timeline().iter_in_order() {
+        for p in sim.actor(i).sampler().timeline().iter_in_order() {
             tagged.push((p.t_ms, i, *p));
         }
     }
@@ -487,14 +570,16 @@ pub fn timeline_points(sim: &Simulation<RapidActor>) -> Vec<(u64, usize, Timelin
 }
 
 /// Total timeline points lost to ring wrap-around across all actors.
-pub fn timeline_dropped(sim: &Simulation<RapidActor>) -> u64 {
-    (0..sim.len()).map(|i| sim.actor(i).timeline().dropped()).sum()
+pub fn timeline_dropped<A: RapidHost>(sim: &Simulation<A>) -> u64 {
+    (0..sim.len())
+        .map(|i| sim.actor(i).sampler().timeline().dropped())
+        .sum()
 }
 
 /// [`timeline_points`] rendered as JSONL (the `--metrics` /
 /// `--timeline` dump format), with a `{"dropped":N}` trailer when any
 /// ring wrapped.
-pub fn timeline_lines(sim: &Simulation<RapidActor>) -> Vec<String> {
+pub fn timeline_lines<A: RapidHost>(sim: &Simulation<A>) -> Vec<String> {
     let mut lines: Vec<String> = timeline_points(sim)
         .iter()
         .map(|(_, i, p)| timeline_jsonl(sim.addr_of(*i).host(), p))
@@ -504,13 +589,6 @@ pub fn timeline_lines(sim: &Simulation<RapidActor>) -> Vec<String> {
         lines.push(format!("{{\"dropped\":{dropped}}}"));
     }
     lines
-}
-
-/// The number of non-crashed actors that are active members right now.
-pub fn active_members(sim: &Simulation<RapidActor>) -> usize {
-    (0..sim.len())
-        .filter(|&i| !sim.net.is_crashed(i) && sim.actor(i).sample().is_some())
-        .count()
 }
 
 #[cfg(test)]
@@ -524,6 +602,13 @@ mod tests {
             consensus_fallback_jitter_ms: 1_000,
             ..Settings::default()
         }
+    }
+
+    /// The number of non-crashed actors that are active members.
+    fn active_members(sim: &Simulation<RapidActor>) -> usize {
+        (0..sim.len())
+            .filter(|&i| !sim.net.is_crashed(i) && sim.actor(i).sample().is_some())
+            .count()
     }
 
     #[test]
@@ -592,7 +677,7 @@ mod tests {
         // Delta-sampling sums exactly back to the cumulative counters at
         // the last sweep (the ring never wraps in 30 virtual seconds).
         for i in 0..seq.len() {
-            let a = seq.actor(i);
+            let a = seq.actor(i).sampler();
             assert_eq!(a.timeline().dropped(), 0);
             let (mut msgs, mut bytes, mut alerts, mut views) = (0u64, 0u64, 0u64, 0u64);
             for p in a.timeline().iter_in_order() {
@@ -601,7 +686,7 @@ mod tests {
                 alerts += p.alerts;
                 views += p.view_changes;
             }
-            let tot = a.sampled_totals();
+            let tot = a.totals();
             assert_eq!(
                 (msgs, bytes, alerts, views),
                 (tot.msgs, tot.bytes, tot.alerts, tot.view_changes),

@@ -6,7 +6,7 @@
 #
 #   scripts/equivalence.sh report    every shipped scenario plus smoke_crash on each
 #                                    baseline system, sim report JSON, --threads 1 vs 2
-#   scripts/equivalence.sh trace     smoke_crash flight-recorder trace,       --threads 1 vs 2
+#   scripts/equivalence.sh trace     smoke_crash + kv_churn flight-recorder trace, --threads 1 vs 2
 #   scripts/equivalence.sh metrics   every shipped scenario, metrics JSONL,   --threads 1 vs 2
 #   scripts/equivalence.sh shards    kv_churn + kv_overload real-driver verdicts, --shards 1 vs 2
 set -euo pipefail
@@ -54,9 +54,13 @@ case "${1:-}" in
     done
     ;;
   trace)
-    threads_1_vs_2 scenarios/smoke_crash.toml --json --trace OUT/trace.jsonl
-    test -s "$tmp/t1/trace.jsonl"
-    echo "smoke_crash: trace JSONL byte-identical ($(wc -l < "$tmp/t1/trace.jsonl") events)"
+    # smoke_crash is membership only; kv_churn merges two planes per
+    # member and hosts a client actor.
+    for f in scenarios/smoke_crash.toml scenarios/kv_churn.toml; do
+      threads_1_vs_2 "$f" --json --trace OUT/trace.jsonl
+      test -s "$tmp/t1/trace.jsonl"
+      echo "$f: trace JSONL byte-identical ($(wc -l < "$tmp/t1/trace.jsonl") events)"
+    done
     ;;
   metrics)
     for f in scenarios/*.toml; do
