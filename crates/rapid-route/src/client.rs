@@ -26,6 +26,14 @@
 //! re-queue the op after the node's suggested backoff instead of
 //! failing it — a burst degrades to queuing latency plus explicit
 //! retries, and the op only fails at its own deadline.
+//!
+//! A view push also settles the waits it makes hopeless: every op in
+//! flight to a process the new view removed goes back to the front of
+//! the queue and is re-sent, under the same request id, to its leader
+//! in the new view — a crashed leader costs the detection time, not the
+//! op timeout. A retryable verdict that arrives afterwards from the
+//! superseded target is dropped (the re-sent attempt owns the op); an
+//! ack or a found from it still completes the op.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -60,7 +68,8 @@ pub struct ClientStats {
     /// the node's suggested backoff).
     pub shed: u64,
     /// Re-sends after a retryable verdict (stale view, leader
-    /// mid-handoff, overload backoff expiring).
+    /// mid-handoff, overload backoff expiring) or after an adopted view
+    /// removed the process the op was in flight to.
     pub retries: u64,
     /// Data-plane messages this client put on the wire.
     pub msgs_sent: u64,
@@ -125,6 +134,8 @@ struct OpState {
     /// stale-view/any-replica fallback).
     attempts: u32,
     phase: OpPhase,
+    /// Where the latest attempt was sent (`None` until the first send).
+    target: Option<Endpoint>,
 }
 
 /// A view-subscribed smart client with a bounded in-flight window.
@@ -254,6 +265,7 @@ impl KvClient {
                 deadline: now + self.op_timeout_ms,
                 attempts: 0,
                 phase: OpPhase::Queued,
+                target: None,
             },
         );
         self.queue.push_back(req);
@@ -261,23 +273,22 @@ impl KvClient {
         req
     }
 
-    /// Handles a wire message (a view push or an op verdict). The
-    /// sender is irrelevant to the client state machine — verdicts are
-    /// keyed by request id and views by sequence — but the signature
-    /// mirrors [`crate::kv::KvNode::on_message`] so hosts drive both
-    /// identically.
-    pub fn on_message(&mut self, _from: Endpoint, msg: KvMsg, now: u64, out: &mut Vec<KvOut>) {
+    /// Handles a wire message (a view push or an op verdict) from
+    /// `from`. Verdicts are keyed by request id and views by sequence;
+    /// the sender only tells a verdict of the op's current attempt from
+    /// a late one answering an attempt a view change superseded.
+    pub fn on_message(&mut self, from: Endpoint, msg: KvMsg, now: u64, out: &mut Vec<KvOut>) {
         self.now = self.now.max(now);
-        self.handle_msg(msg, now, out);
+        self.handle_msg(from, msg, now, out);
         self.pump(out);
         self.flush(out);
     }
 
-    fn handle_msg(&mut self, msg: KvMsg, now: u64, out: &mut Vec<KvOut>) {
+    fn handle_msg(&mut self, from: Endpoint, msg: KvMsg, now: u64, out: &mut Vec<KvOut>) {
         match msg {
             KvMsg::Batch(msgs) => {
                 for m in msgs {
-                    self.handle_msg(m, now, out);
+                    self.handle_msg(from, m, now, out);
                 }
             }
             KvMsg::View {
@@ -290,14 +301,15 @@ impl KvClient {
                 code,
                 val,
                 version,
-            } => self.on_verdict(req, code, val, version, now, out),
+            } => self.on_verdict(from, req, code, val, version, now, out),
             _ => {} // Node-plane traffic; clients ignore.
         }
     }
 
     /// Adopts a pushed view if it is newer than the current one,
     /// reconstructing the exact server-side configuration so the cached
-    /// placement is identical to every node's.
+    /// placement is identical to every node's, then re-sends every op in
+    /// flight to a process the new view removed.
     fn adopt_view(&mut self, config_id: u64, seq: u64, members: Vec<(u128, Endpoint)>) {
         if members.is_empty() {
             return;
@@ -313,14 +325,38 @@ impl KvClient {
             .collect();
         let config = Configuration::from_parts(ConfigId(config_id), seq, members);
         let placement = self.cache.get(&config, &self.spec);
+        // No answer can come from a removed process: put its flyers back
+        // at the front of the queue, oldest first, for `pump` to send to
+        // their leaders in the new view under the same request ids.
+        // Flyers to surviving processes still answer, retryably if the
+        // view moved their partition.
+        let mut orphaned: Vec<u64> = self
+            .ops
+            .iter()
+            .filter(|(_, op)| {
+                op.phase == OpPhase::InFlight
+                    && op.target.is_some_and(|t| !config.contains_addr(&t))
+            })
+            .map(|(&req, _)| req)
+            .collect();
+        orphaned.sort_unstable();
+        for &req in orphaned.iter().rev() {
+            let op = self.ops.get_mut(&req).expect("collected above");
+            op.phase = OpPhase::Queued;
+            op.attempts = 0;
+            op.target = None;
+            self.inflight = self.inflight.saturating_sub(1);
+            self.stats.retries += 1;
+            self.queue.push_front(req);
+        }
         self.view = Some((config, placement));
         self.stats.views_adopted += 1;
-        // A fresh view means stale-routed flyers will answer retryably;
-        // nothing to do here — retries re-route through the new table.
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn on_verdict(
         &mut self,
+        from: Endpoint,
         req: u64,
         code: u8,
         val: String,
@@ -331,6 +367,20 @@ impl KvClient {
         let Some(op) = self.ops.get_mut(&req) else {
             return; // Already failed at its deadline.
         };
+        // Client-side read-your-writes: once this client acked a write
+        // for the key, a value below that floor is stale (mid-repair) and
+        // Missing is a stale replica mid-handoff. Retry, never return.
+        let completes = match code {
+            CRESP_ACKED => true,
+            CRESP_FOUND | CRESP_MISSING => {
+                let floor = self.floors.get(&op.key).copied().unwrap_or(0);
+                floor == 0 || (code == CRESP_FOUND && version >= floor)
+            }
+            _ => false,
+        };
+        if !completes && op.target != Some(from) {
+            return; // A late retry verdict for an attempt a view superseded.
+        }
         if op.phase == OpPhase::InFlight {
             self.inflight = self.inflight.saturating_sub(1);
         }
@@ -341,27 +391,13 @@ impl KvClient {
                 self.stats.acked += 1;
                 self.complete(req, KvOutcome::Acked { version }, now, out);
             }
-            CRESP_FOUND => {
-                // Client-side read-your-writes: a value below this
-                // client's acked floor is stale (mid-repair) — retry.
-                let floor = self.floors.get(&op.key).copied().unwrap_or(0);
-                if floor > 0 && version < floor {
-                    self.backoff(req, self.retry_delay(), now);
-                } else {
-                    self.stats.found += 1;
-                    self.complete(req, KvOutcome::Found { val, version }, now, out);
-                }
+            CRESP_FOUND if completes => {
+                self.stats.found += 1;
+                self.complete(req, KvOutcome::Found { val, version }, now, out);
             }
-            CRESP_MISSING => {
-                let floor = self.floors.get(&op.key).copied().unwrap_or(0);
-                if floor > 0 {
-                    // This client acked a write for the key; Missing is
-                    // a stale replica mid-handoff. Retry, never return.
-                    self.backoff(req, self.retry_delay(), now);
-                } else {
-                    self.stats.missing += 1;
-                    self.complete(req, KvOutcome::Missing, now, out);
-                }
+            CRESP_MISSING if completes => {
+                self.stats.missing += 1;
+                self.complete(req, KvOutcome::Missing, now, out);
             }
             CRESP_OVERLOADED => {
                 // The typed overload error: KvError::Overloaded on the
@@ -377,7 +413,8 @@ impl KvClient {
                 self.backoff(req, retry_after_ms + jitter, now);
             }
             _ => {
-                // CRESP_FAILED or unknown: retryable until the deadline.
+                // CRESP_FAILED, unknown, or a stale read: retryable until
+                // the deadline.
                 self.backoff(req, self.retry_delay(), now);
             }
         }
@@ -498,7 +535,9 @@ impl KvClient {
             if op.attempts > 0 {
                 self.stats.retries += 1;
             }
-            self.ops.get_mut(&req).expect("present").phase = OpPhase::InFlight;
+            let op = self.ops.get_mut(&req).expect("present");
+            op.phase = OpPhase::InFlight;
+            op.target = Some(target);
             self.inflight += 1;
             self.send(target, msg);
         }
@@ -809,5 +848,125 @@ mod tests {
         );
         assert_eq!(c.stats().failed, 1);
         assert_eq!(c.pending(), 0);
+    }
+
+    /// The view `cfg` with the member at `addr` removed.
+    fn without(cfg: &Configuration, addr: Endpoint) -> Arc<Configuration> {
+        let rest: Vec<Member> = cfg
+            .members()
+            .iter()
+            .filter(|m| m.addr != addr)
+            .cloned()
+            .collect();
+        Configuration::from_parts(ConfigId(cfg.id().0 + 1), cfg.seq() + 1, rest)
+    }
+
+    fn leader_of(cfg: &Configuration, key: &str) -> Endpoint {
+        let pl = Placement::compute(cfg, &spec());
+        cfg.members()[pl.leader(partition_of(key, spec().partitions)) as usize].addr
+    }
+
+    /// A client with view `cfg`, one get in flight to a key `victim`
+    /// leads and one to a key another member leads. Returns the client,
+    /// both reqs, and the keys.
+    fn two_flyers(
+        cfg: &Arc<Configuration>,
+        eps: &[Endpoint],
+        victim: Endpoint,
+    ) -> (KvClient, [(u64, String); 2]) {
+        let key_led_by = |pred: &dyn Fn(Endpoint) -> bool| {
+            (0..500)
+                .map(|i| format!("vk-{i}"))
+                .find(|k| pred(leader_of(cfg, k)))
+                .expect("some key")
+        };
+        let gone = key_led_by(&|l| l == victim);
+        let kept = key_led_by(&|l| l != victim);
+        let mut c = new_client(eps.to_vec(), 8);
+        let mut out = Vec::new();
+        c.on_message(eps[0], view_msg_of(cfg), 0, &mut out);
+        let mut out = Vec::new();
+        let r_gone = c.submit(ClientOp::Get { key: &gone }, 1, &mut out);
+        let r_kept = c.submit(ClientOp::Get { key: &kept }, 1, &mut out);
+        assert_eq!(sends(&out).len(), 2);
+        (c, [(r_gone, gone), (r_kept, kept)])
+    }
+
+    /// The client rule: adopting a view that removes an op's target
+    /// re-sends the op at once, with the same req, to its leader in the
+    /// new view; an op whose target stayed is left alone.
+    #[test]
+    fn ops_in_flight_to_a_removed_leader_are_resent_at_adoption() {
+        let (cfg, eps) = cluster(5);
+        let victim = eps[2];
+        let (mut c, [(r_gone, gone), (r_kept, _)]) = two_flyers(&cfg, &eps, victim);
+        let v2 = without(&cfg, victim);
+        let mut out = Vec::new();
+        c.on_message(eps[0], view_msg_of(&v2), 10, &mut out);
+        let wire = sends(&out);
+        assert_eq!(
+            wire,
+            vec![(
+                leader_of(&v2, &gone),
+                KvMsg::CGet {
+                    req: r_gone,
+                    key: gone.clone(),
+                    floor: 0,
+                }
+            )],
+            "only the orphaned op is re-sent, to the new leader"
+        );
+        assert!(!wire.iter().any(|(_, m)| matches!(m, KvMsg::CGet { req, .. } if *req == r_kept)));
+        assert_eq!(c.stats().retries, 1);
+        assert_eq!(c.pending(), 2);
+    }
+
+    /// A late retryable verdict from the superseded target neither fails
+    /// nor backs off the re-sent op; the new target's answer completes
+    /// it.
+    #[test]
+    fn a_late_failure_from_the_old_target_is_dropped() {
+        let (cfg, eps) = cluster(5);
+        let victim = eps[2];
+        let (mut c, [(r_gone, gone), _]) = two_flyers(&cfg, &eps, victim);
+        let v2 = without(&cfg, victim);
+        let mut out = Vec::new();
+        c.on_message(eps[0], view_msg_of(&v2), 10, &mut out);
+        let late = KvMsg::CResp {
+            req: r_gone,
+            code: CRESP_FAILED,
+            val: String::new(),
+            version: 0,
+        };
+        let mut out = Vec::new();
+        c.on_message(victim, late, 11, &mut out);
+        assert!(out.is_empty(), "{out:?}");
+        // Were the op backing off, it would be re-sent after the retry
+        // delay; it is still in flight to the new leader instead.
+        let mut out = Vec::new();
+        c.on_tick(11 + 2_000 / 8 + 1, &mut out);
+        assert!(
+            !sends(&out)
+                .iter()
+                .any(|(_, m)| matches!(m, KvMsg::CGet { req, .. } if *req == r_gone)),
+            "{out:?}"
+        );
+        let mut out = Vec::new();
+        c.on_message(
+            leader_of(&v2, &gone),
+            KvMsg::CResp {
+                req: r_gone,
+                code: CRESP_MISSING,
+                val: String::new(),
+                version: 0,
+            },
+            300,
+            &mut out,
+        );
+        assert!(out
+            .iter()
+            .any(|o| matches!(o, KvOut::Done(r, KvOutcome::Missing) if *r == r_gone)));
+        assert_eq!(c.stats().retries, 1);
+        assert_eq!(c.stats().failed, 0);
     }
 }

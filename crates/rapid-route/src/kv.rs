@@ -14,8 +14,11 @@
 //!   of the view, so there is no leader election and no lease.
 //! * **Writes** — the leader versions the write, applies it locally, and
 //!   replicates to every other replica; the client is acked only after
-//!   *all* replicas confirmed, so an acked write survives any failure
-//!   that leaves at least one replica alive.
+//!   every replica of the current view confirmed, so an acked write
+//!   survives any failure that leaves at least one replica alive. A view
+//!   change re-targets a round in flight: replicas the view removed stop
+//!   being waited for, replicas it added get the same write, and a
+//!   leader that lost the partition fails the round (retryable).
 //! * **Reads** — served by the leader (which holds every acked write).
 //! * **Rebalance** — on a view change every node recomputes placement,
 //!   diffs it against the previous one ([`RebalancePlan`]) and the
@@ -33,6 +36,11 @@
 //! * **Read-your-writes** — each coordinator remembers the highest
 //!   version it acked per key and refuses to complete a read below that
 //!   floor: a stale leader answer (mid-repair) is retried, not returned.
+//! * **Departures** — no answer can come from a process a view removed,
+//!   so installing the view settles what waits on one at once: a read a
+//!   coordinator forwarded to it goes to the new leader, a forwarded
+//!   write fails retryably (the client re-sends it), and replication
+//!   rounds re-target as above.
 
 use std::sync::Arc;
 
@@ -44,6 +52,7 @@ use rapid_core::outbox::Outbox;
 
 use crate::placement::{
     partition_of, shard_of, Placement, PlacementCache, PlacementConfig, RebalancePlan,
+    ReplicaMove,
 };
 use crate::store::Store;
 pub use crate::store::{digest_of, Entry, PartitionDigest};
@@ -82,7 +91,7 @@ impl std::fmt::Display for KvError {
 /// The final result of a client operation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum KvOutcome {
-    /// The write reached every replica.
+    /// The write reached every replica of the current view.
     Acked {
         /// Version assigned to the write.
         version: u64,
@@ -237,6 +246,9 @@ struct PendingClient {
     /// Set when a retryable/stale answer arrived; the next tick
     /// re-forwards the read to the (possibly new) leader.
     retry: bool,
+    /// The leader the op was last forwarded to (this node until it
+    /// forwards one). A view that removes it settles the op at once.
+    leader: Endpoint,
 }
 
 struct PendingPut {
@@ -245,6 +257,9 @@ struct PendingPut {
     /// keyed by a *leader-local* id — coordinator ids from different
     /// origins can collide).
     client_req: u64,
+    /// The written key: a view change re-sends the write to replicas it
+    /// added to the key's partition.
+    key: String,
     /// Replicas whose ack is still outstanding, by identity — a
     /// duplicated RepAck (the simulator's `duplicate` fault) must not
     /// satisfy the quorum early.
@@ -529,7 +544,7 @@ impl KvNode {
         self.flush(out);
     }
 
-    fn handle_view(&mut self, config: Arc<Configuration>, now: u64, _out: &mut Vec<KvOut>) {
+    fn handle_view(&mut self, config: Arc<Configuration>, now: u64, out: &mut Vec<KvOut>) {
         let placement = self.placement_for(&config);
         if self.view.is_none() && self.expect_initial_handoffs {
             // First view after joining an established cluster: everything
@@ -548,6 +563,10 @@ impl KvNode {
             }
             self.early_handoffs = DetHashSet::default();
         }
+        // The plan's moves (one per replica the view added to a
+        // partition), kept to re-target replication rounds once the view
+        // is installed.
+        let mut moves = None;
         if let Some((old_cfg, old_pl)) = self.view.take() {
             if old_cfg.id() == config.id() {
                 self.view = Some((old_cfg, old_pl));
@@ -612,6 +631,7 @@ impl KvNode {
                 self.awaiting.clear();
                 self.awaiting_since.clear();
             }
+            moves = Some(plan.moves);
         }
         self.view = Some((config, placement));
         // Push the new view to every subscribed smart client so their
@@ -629,6 +649,90 @@ impl KvNode {
         // it exists to cover.
         let deferral_cap = self.last_repair_at + 4 * self.repair_interval_ms;
         self.next_repair_at = (now + self.repair_interval_ms).min(deferral_cap);
+        if let Some(moves) = moves {
+            self.retarget_rounds(&moves, out);
+            self.reroute_orphans(out);
+        }
+    }
+
+    /// Re-targets every replication round this node leads at the view
+    /// just installed, whose rebalance `moves` name the replicas it added
+    /// to each partition: departed replicas are no longer waited for,
+    /// added ones get the same write under the same round, and the put
+    /// acks once every replica of the current view holds it. A round on
+    /// a partition this node no longer leads fails (retryable).
+    fn retarget_rounds(&mut self, moves: &[ReplicaMove], out: &mut Vec<KvOut>) {
+        let cfg = Arc::clone(&self.view.as_ref().expect("installed by the caller").0);
+        let mut reps: Vec<u64> = self.pending_rep.keys().copied().collect();
+        reps.sort_unstable();
+        for rep in reps {
+            let partition = partition_of(&self.pending_rep[&rep].key, self.spec.partitions);
+            if !self.is_leader(partition) {
+                let p = self.pending_rep.remove(&rep).expect("collected above");
+                self.put_fail(p.client_req, p.origin, out);
+                continue;
+            }
+            let added: Vec<Endpoint> = moves
+                .iter()
+                .filter(|mv| mv.partition == partition)
+                .map(|mv| mv.to)
+                .collect();
+            let p = self.pending_rep.get_mut(&rep).expect("collected above");
+            p.waiting.retain(|r| cfg.contains_addr(r));
+            p.waiting.extend_from_slice(&added);
+            if p.waiting.is_empty() {
+                let p = self.pending_rep.remove(&rep).expect("collected above");
+                self.put_ack(p.client_req, p.origin, p.version, out);
+                continue;
+            }
+            if added.is_empty() {
+                continue;
+            }
+            // The write as this leader holds it now: the round's own
+            // version, or a later write to the key that supersedes it.
+            let key = p.key.clone();
+            let Some((val, version)) = self.store.get(partition, &key).cloned() else {
+                let p = self.pending_rep.remove(&rep).expect("collected above");
+                self.put_fail(p.client_req, p.origin, out);
+                continue;
+            };
+            for to in added {
+                self.send(
+                    to,
+                    KvMsg::Replicate {
+                        partition,
+                        req: rep,
+                        leader: self.me.addr,
+                        key: key.clone(),
+                        val: val.clone(),
+                        version,
+                    },
+                );
+            }
+        }
+    }
+
+    /// Settles every pending client op this node forwarded to a leader
+    /// the view just installed removed: reads go to the new leader,
+    /// writes fail retryably (the client re-sends them; the value is not
+    /// kept here).
+    fn reroute_orphans(&mut self, out: &mut Vec<KvOut>) {
+        let (cfg, _) = self.view.as_ref().expect("installed by the caller");
+        let mut orphans: Vec<(u64, bool)> = self
+            .pending_client
+            .iter()
+            .filter(|(_, pc)| !cfg.contains_addr(&pc.leader))
+            .map(|(&req, pc)| (req, pc.is_put))
+            .collect();
+        orphans.sort_unstable();
+        for (req, is_put) in orphans {
+            if is_put {
+                self.resolve_client(req, KvOutcome::Failed, out);
+            } else {
+                let key = self.pending_client[&req].key.clone();
+                self.forward_get(req, &key, out);
+            }
+        }
     }
 
     /// The current view as a client push message.
@@ -792,6 +896,8 @@ impl KvNode {
         if matches!(origin, ClientOrigin::Remote { .. }) {
             self.remote_pending += 1;
         }
+        let partition = partition_of(key, self.spec.partitions);
+        let leader = self.leader_addr(partition);
         self.pending_client.insert(
             req,
             PendingClient {
@@ -801,10 +907,10 @@ impl KvNode {
                 key: key.to_string(),
                 floor: 0,
                 retry: false,
+                leader: leader.unwrap_or(self.me.addr),
             },
         );
-        let partition = partition_of(key, self.spec.partitions);
-        match self.leader_addr(partition) {
+        match leader {
             None => self.resolve_client(req, KvOutcome::Failed, out),
             Some(leader) if leader == self.me.addr => {
                 self.leader_put(req, self.me.addr, key, val, now, out);
@@ -857,6 +963,7 @@ impl KvNode {
                 key: key.to_string(),
                 floor,
                 retry: false,
+                leader: self.me.addr,
             },
         );
         self.forward_get(req, key, out);
@@ -930,14 +1037,19 @@ impl KvNode {
                 let resp = self.leader_get_resp(req, key);
                 self.finish_get(resp, out);
             }
-            Some(leader) => self.send(
-                leader,
-                KvMsg::Get {
-                    req,
-                    origin: self.me.addr,
-                    key: key.to_string(),
-                },
-            ),
+            Some(leader) => {
+                if let Some(pc) = self.pending_client.get_mut(&req) {
+                    pc.leader = leader;
+                }
+                self.send(
+                    leader,
+                    KvMsg::Get {
+                        req,
+                        origin: self.me.addr,
+                        key: key.to_string(),
+                    },
+                )
+            }
         }
     }
 
@@ -1005,17 +1117,7 @@ impl KvNode {
         // same leader.
         let rep = self.next_req;
         self.next_req += self.shard.1 as u64;
-        self.pending_rep.insert(
-            rep,
-            PendingPut {
-                origin,
-                client_req: req,
-                waiting: others.clone(),
-                version,
-                deadline: now + self.op_timeout_ms,
-            },
-        );
-        for r in others {
+        for &r in &others {
             self.send(
                 r,
                 KvMsg::Replicate {
@@ -1028,6 +1130,17 @@ impl KvNode {
                 },
             );
         }
+        self.pending_rep.insert(
+            rep,
+            PendingPut {
+                origin,
+                client_req: req,
+                key: key.to_string(),
+                waiting: others,
+                version,
+                deadline: now + self.op_timeout_ms,
+            },
+        );
     }
 
     fn leader_get_resp(&self, req: u64, key: &str) -> KvMsg {
@@ -1537,6 +1650,7 @@ fn split_list<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rapid_core::config::ConfigId;
     use rapid_core::id::NodeId;
 
     fn members(n: usize) -> Vec<Member> {
@@ -2235,5 +2349,167 @@ mod tests {
             }
             other => panic!("acked key must read back Found, got {other:?}"),
         }
+    }
+
+    /// The view `config` with the member at `addr` removed.
+    fn without(config: &Configuration, addr: Endpoint) -> Arc<Configuration> {
+        let rest: Vec<Member> = config
+            .members()
+            .iter()
+            .filter(|m| m.addr != addr)
+            .cloned()
+            .collect();
+        Configuration::from_parts(ConfigId(config.id().0 + 1), config.seq() + 1, rest)
+    }
+
+    fn replica_addrs(config: &Configuration, pl: &Placement, partition: u32) -> Vec<Endpoint> {
+        pl.replicas(partition)
+            .iter()
+            .map(|&r| config.members()[r as usize].addr)
+            .collect()
+    }
+
+    /// The leader rule: a replication round waiting on `[A, B]` where A
+    /// has acked and B departs is re-targeted at the replica the new
+    /// view added, with the same write, and acks once that replica
+    /// confirms — not at the round's deadline.
+    #[test]
+    fn a_departed_replica_is_replaced_in_the_round_and_the_put_acks() {
+        let sp = PlacementConfig {
+            partitions: 16,
+            replication: 3,
+        };
+        let cache = PlacementCache::new();
+        let v1 = Configuration::bootstrap(members(6));
+        let pl1 = cache.get(&v1, &sp);
+        // A key whose leader L keeps the partition when follower B
+        // departs, while follower A stays and some C is added.
+        let (key, leader, a, b, c) = (0..500)
+            .map(|i| format!("rt-{i}"))
+            .find_map(|key| {
+                let p = partition_of(&key, sp.partitions);
+                let old = replica_addrs(&v1, &pl1, p);
+                let leader = v1.members()[pl1.leader(p) as usize].addr;
+                let (a, b) = (old[1], old[2]);
+                let v2 = without(&v1, b);
+                let pl2 = cache.get(&v2, &sp);
+                let new = replica_addrs(&v2, &pl2, p);
+                let still_leads = v2.members()[pl2.leader(p) as usize].addr == leader;
+                let c = new.iter().copied().find(|r| !old.contains(r))?;
+                (still_leads && new.contains(&a)).then_some((key, leader, a, b, c))
+            })
+            .expect("some key keeps its leader and one follower");
+        let me = v1.member_by_addr(&leader).unwrap().clone();
+        let mut node = KvNode::new(me, sp, 1_000, Some(cache.clone()));
+        let mut out = Vec::new();
+        node.on_view(Arc::clone(&v1), 0, &mut out);
+        let mut out = Vec::new();
+        let req = node.client_put(&key, "val", 0, &mut out);
+        let sent = msgs_to(&out, a);
+        let [KvMsg::Replicate { req: rep, version, .. }] = sent[..] else {
+            panic!("one Replicate to A: {out:?}");
+        };
+        assert_eq!(msgs_to(&out, b).len(), 1, "B is waited for too");
+        let mut out = Vec::new();
+        node.on_message(a, KvMsg::RepAck { req: rep }, 1, &mut out);
+        assert!(out.is_empty(), "still waiting on B: {out:?}");
+
+        let mut out = Vec::new();
+        node.on_view(without(&v1, b), 2, &mut out);
+        assert!(
+            !out.iter().any(|o| matches!(o, KvOut::Done(..))),
+            "C does not hold the write yet: {out:?}"
+        );
+        // (Alongside C's rebalance handoff, which the leader may also
+        // be the source of.)
+        let replicates: Vec<KvMsg> = msgs_to(&out, c)
+            .into_iter()
+            .filter(|m| matches!(m, KvMsg::Replicate { .. }))
+            .collect();
+        assert_eq!(
+            replicates,
+            vec![KvMsg::Replicate {
+                partition: partition_of(&key, sp.partitions),
+                req: rep,
+                leader,
+                key: key.clone(),
+                val: "val".into(),
+                version,
+            }],
+            "the same write goes to the added replica"
+        );
+        let mut out = Vec::new();
+        node.on_message(c, KvMsg::RepAck { req: rep }, 3, &mut out);
+        assert!(
+            matches!(
+                &out[..],
+                [KvOut::Done(r, KvOutcome::Acked { version: v })] if *r == req && *v == version
+            ),
+            "{out:?}"
+        );
+        assert_eq!(node.stats().puts_acked, 1);
+    }
+
+    /// The coordinator rule: a get forwarded to a leader the new view
+    /// removes is forwarded again, at once, to the new leader; a
+    /// forwarded put fails retryably instead of waiting out its deadline.
+    #[test]
+    fn ops_forwarded_to_a_departed_leader_are_settled_at_the_view_change() {
+        let cache = PlacementCache::new();
+        let v1 = Configuration::bootstrap(members(5));
+        let pl1 = cache.get(&v1, &spec());
+        let coord = v1.members()[0].addr;
+        let leader_in = |cfg: &Configuration, pl: &Placement, key: &str| {
+            cfg.members()[pl.leader(partition_of(key, spec().partitions)) as usize].addr
+        };
+        // A key led by someone else, whose next leader is not the
+        // coordinator either (so the retry crosses the wire too).
+        let (key, old_leader, new_leader) = (0..500)
+            .map(|i| format!("fw-{i}"))
+            .find_map(|key| {
+                let x = leader_in(&v1, &pl1, &key);
+                let v2 = without(&v1, x);
+                let y = leader_in(&v2, &cache.get(&v2, &spec()), &key);
+                (x != coord && y != coord).then_some((key, x, y))
+            })
+            .expect("some key is led away from the coordinator twice");
+        let mut node = KvNode::new(v1.members()[0].clone(), spec(), 1_000, Some(cache.clone()));
+        let mut out = Vec::new();
+        node.on_view(Arc::clone(&v1), 0, &mut out);
+        let mut out = Vec::new();
+        let get = node.client_get(&key, 0, &mut out);
+        let put = node.client_put(&key, "v", 0, &mut out);
+        assert_eq!(msgs_to(&out, old_leader).len(), 2, "{out:?}");
+
+        let mut out = Vec::new();
+        node.on_view(without(&v1, old_leader), 5, &mut out);
+        assert!(
+            msgs_to(&out, new_leader)
+                .iter()
+                .any(|m| matches!(m, KvMsg::Get { req, key: k, .. } if *req == get && *k == key)),
+            "the get is re-forwarded to the new leader: {out:?}"
+        );
+        assert!(
+            out.iter()
+                .any(|o| matches!(o, KvOut::Done(r, KvOutcome::Failed) if *r == put)),
+            "the put fails retryably: {out:?}"
+        );
+        let mut out = Vec::new();
+        node.on_message(
+            new_leader,
+            KvMsg::GetResp {
+                req: get,
+                ok: true,
+                found: false,
+                val: String::new(),
+                version: 0,
+            },
+            6,
+            &mut out,
+        );
+        assert!(
+            matches!(&out[..], [KvOut::Done(r, KvOutcome::Missing)] if *r == get),
+            "{out:?}"
+        );
     }
 }

@@ -1192,6 +1192,102 @@ mod tests {
         seed.shutdown_now();
     }
 
+    /// The crash tail over real TCP: a smart client streams puts and
+    /// gets while one of four processes is hard-stopped. Ops in flight
+    /// to it (as leader, or waiting on it as a replica) settle when the
+    /// removal view lands, so none fails and none comes near the 4 s op
+    /// timeout.
+    #[test]
+    fn real_leader_crash_settles_in_flight_ops_at_the_view_change() {
+        const OP_TIMEOUT_MS: u64 = 4_000;
+        // 32 partitions over 4 processes: the victim leads some of them.
+        let route = PlacementConfig {
+            partitions: 32,
+            replication: 2,
+        };
+        let settings = fast_settings();
+        let seed = KvRuntime::start_seed(
+            Endpoint::new("127.0.0.1", 0),
+            settings.clone(),
+            route,
+            OP_TIMEOUT_MS,
+            500,
+        )
+        .unwrap();
+        let seed_addr = seed.addr();
+        let mut joiners: Vec<KvRuntime> = (0..3)
+            .map(|i| {
+                KvRuntime::start_joiner(
+                    Endpoint::new("127.0.0.1", 0),
+                    vec![seed_addr],
+                    settings.clone(),
+                    rapid_core::Metadata::with_entry("proc", format!("{i}")),
+                    route,
+                    OP_TIMEOUT_MS,
+                    500,
+                )
+                .unwrap()
+            })
+            .collect();
+        assert!(
+            wait_for(
+                || seed.view_len() == 4 && joiners.iter().all(|j| j.view_len() == 4),
+                Duration::from_secs(30)
+            ),
+            "4-node KV cluster must form"
+        );
+        let client = KvClientRuntime::start(vec![seed_addr], route, 64, OP_TIMEOUT_MS).unwrap();
+        assert!(wait_for(|| client.view_seq().is_some(), Duration::from_secs(10)));
+
+        let mut victim = joiners.pop();
+        let started = Instant::now();
+        let mut pending: Vec<(Instant, Receiver<KvOutcome>)> = Vec::new();
+        let mut latencies = Vec::new();
+        let mut i = 0;
+        while started.elapsed() < Duration::from_millis(4_000) || !pending.is_empty() {
+            assert!(
+                started.elapsed() < Duration::from_secs(20),
+                "{} ops never completed",
+                pending.len()
+            );
+            if started.elapsed() >= Duration::from_millis(500) {
+                if let Some(v) = victim.take() {
+                    v.shutdown_now();
+                }
+            }
+            if started.elapsed() < Duration::from_millis(4_000) {
+                let key = format!("ck{}", (i / 2) % 64);
+                let rx = if i % 2 == 0 {
+                    client.begin_put(&key, "cv")
+                } else {
+                    client.begin_get(&key)
+                };
+                pending.push((Instant::now(), rx));
+                i += 1;
+            }
+            pending.retain(|(at, rx)| match rx.try_recv() {
+                Ok(outcome) => {
+                    latencies.push((at.elapsed(), outcome));
+                    false
+                }
+                Err(_) => true,
+            });
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let cs = client.stats();
+        assert!(
+            latencies.iter().all(|(_, o)| *o != KvOutcome::Failed),
+            "no op may fail: {cs:?}"
+        );
+        let slowest = latencies.iter().map(|(l, _)| *l).max().unwrap();
+        assert!(slowest < Duration::from_secs(3), "slowest op {slowest:?}: {cs:?}");
+        client.shutdown_now();
+        for j in joiners {
+            j.shutdown_now();
+        }
+        seed.shutdown_now();
+    }
+
     #[test]
     fn start_seed_rejects_more_shards_than_partitions() {
         let settings = Settings {

@@ -456,6 +456,7 @@ impl KvClusterBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::placement::partition_of;
     use rapid_sim::cluster::{all_report, timeline_lines, timeline_points, trace_lines};
     use rapid_sim::Fault;
 
@@ -765,5 +766,67 @@ mod tests {
             one.1
         );
         assert_eq!(run(2), one, "two shards");
+    }
+
+    /// The crash tail, end to end: a client streams puts and gets every
+    /// 10 ms across the crash of a member that leads some of the keys'
+    /// partitions. Every op that waited on the victim — in flight to it
+    /// as leader, forwarded to it, or replicating to it — settles when
+    /// the removal view lands, so none fails and the slowest one takes
+    /// about the detection time, far below the (long) op timeout.
+    #[test]
+    fn a_leader_crash_costs_the_detection_time_not_the_op_timeout() {
+        const OP_TIMEOUT_MS: u64 = 30_000;
+        let mut sim = KvClusterBuilder::new(5, spec())
+            .settings(quick_settings())
+            .seed(61)
+            .op_timeout_ms(OP_TIMEOUT_MS)
+            .clients(1)
+            .build_static();
+        sim.run_until(2_000);
+        let client = 5;
+        let keys: Vec<String> = (0..64).map(|i| format!("ct{i}")).collect();
+        let victim = 2;
+        let victim_led = sim.actor(client).client().unwrap().placement().unwrap().clone();
+        let victim_led = keys
+            .iter()
+            .filter(|k| victim_led.leader(partition_of(k, spec().partitions)) as usize == victim)
+            .count();
+        assert!(victim_led > 0, "the victim leads some of the keys");
+        sim.schedule_fault(5_000, Fault::Crash(victim));
+        let mut submitted = std::collections::HashMap::new();
+        let mut slowest = 0;
+        let mut outcomes = Vec::new();
+        let mut i = 0;
+        while sim.now() < 25_000 || submitted.len() > outcomes.len() {
+            assert!(sim.now() < 25_000 + OP_TIMEOUT_MS, "ops never completed");
+            let now = sim.now();
+            if now < 25_000 {
+                let key = &keys[(i / 2) % keys.len()];
+                let op = if i % 2 == 0 {
+                    ClientOp::Put { key, val: "cv" }
+                } else {
+                    ClientOp::Get { key }
+                };
+                let reqs = sim.with_actor(client, |a, out| a.client_submit_ops(&[op], now, out));
+                submitted.insert(reqs[0], now);
+                i += 1;
+            }
+            sim.run_until(now + 10);
+            let done_at = sim.now();
+            for (req, outcome) in sim.actor_mut(client).completed.drain(..) {
+                slowest = slowest.max(done_at - submitted[&req]);
+                outcomes.push(outcome);
+            }
+        }
+        let cs = *sim.actor(client).client_stats().unwrap();
+        assert_eq!(cs.failed, 0, "{cs:?}");
+        assert!(!outcomes.contains(&KvOutcome::Failed));
+        assert!(cs.found > 0, "gets read the puts back: {cs:?}");
+        assert!(cs.retries > 0, "some ops waited on the victim: {cs:?}");
+        assert!(
+            slowest < OP_TIMEOUT_MS / 2,
+            "slowest op took {slowest} ms against a {OP_TIMEOUT_MS} ms timeout"
+        );
     }
 }

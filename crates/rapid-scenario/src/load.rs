@@ -457,6 +457,10 @@ fn expect_from_value(v: &Value, phase: usize, idx: usize) -> Result<Expect, Stri
         Ok(Expect::MaxSize(size_expr(m, "at_most", &ctx)?))
     } else if v.get("consistent_histories").is_some() {
         Ok(Expect::ConsistentHistories)
+    } else if let Some(c) = v.get("view_changes") {
+        Ok(Expect::ViewChanges {
+            at_most: req_uint(c, "at_most", &ctx)?,
+        })
     } else if v.get("kv_available").is_some() {
         Ok(Expect::KvAvailable)
     } else if v.get("no_lost_acked_writes").is_some() {
@@ -493,7 +497,8 @@ fn expect_from_value(v: &Value, phase: usize, idx: usize) -> Result<Expect, Stri
     } else {
         Err(format!(
             "{ctx}: expected converge/all_report/max_size/consistent_histories/\
-             kv_available/no_lost_acked_writes/kv_converged/shed_observed/ops_recover"
+             view_changes/kv_available/no_lost_acked_writes/kv_converged/shed_observed/\
+             ops_recover"
         ))
     }
 }

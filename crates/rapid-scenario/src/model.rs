@@ -508,6 +508,14 @@ pub enum Expect {
     /// Every active Rapid node installed the same view-change sequence
     /// (strong consistency). Unsupported drivers record a skip.
     ConsistentHistories,
+    /// The phase added at most `at_most` view changes: the increase, over
+    /// the phase, of the cumulative `view_changes` in the report (the
+    /// paper's "ten concurrent crashes, one view change"). Drivers that
+    /// do not track view changes record a skip.
+    ViewChanges {
+        /// Largest number of view changes the phase may add.
+        at_most: u64,
+    },
     /// Every key acked so far is currently readable (a `Found` answer)
     /// through a live coordinator. Requires `[kv]`.
     KvAvailable,

@@ -189,6 +189,7 @@ fn run_phase(
 ) -> Result<PhaseReport, String> {
     let start = driver.now_ms();
     let traffic_before = driver.traffic_totals();
+    let view_changes_before = driver.view_changes();
     let mut kv_puts = 0u64;
     let mut kv_acked = 0u64;
 
@@ -314,6 +315,23 @@ fn run_phase(
                 desc: "consistent_histories".to_string(),
                 passed: driver.consistent_histories(),
             },
+            Expect::ViewChanges { at_most } => {
+                // Saturating: the maximum is over live processes, so a
+                // crash can take the highest count with it.
+                match view_changes_before.zip(driver.view_changes()) {
+                    Some((before, after)) => {
+                        let added = after.saturating_sub(before);
+                        ExpectReport {
+                            desc: format!("view_changes({added}) at_most {at_most}"),
+                            passed: Some(added <= *at_most),
+                        }
+                    }
+                    None => ExpectReport {
+                        desc: format!("view_changes at_most {at_most}"),
+                        passed: None,
+                    },
+                }
+            }
             Expect::KvAvailable => {
                 let (total, failed) = sweep_ledger(ledger, driver, SweepKind::Available)
                     .map_err(|err| format!("phase {:?}: {err}", phase.name))?;

@@ -412,3 +412,47 @@ fn crash_phase_reports_convergence_samples() {
         "convergence samples are deterministic"
     );
 }
+
+/// `view_changes = { at_most }` judges the phase's own increase in the
+/// cumulative count. One crash adds one view change and passes; two
+/// crashes far enough apart to be detected separately add two and fail
+/// `at_most = 1`.
+#[test]
+fn view_changes_expectation_fails_a_two_change_phase() {
+    use rapid_scenario::model::{Expect, FaultSpec, Inject, Phase, SizeExpr, Target, Topology};
+    let one_change = |p: Phase| p.expect(Expect::ViewChanges { at_most: 1 });
+    let s = Scenario::build("two-changes", 8)
+        .seed(5)
+        .topology(Topology::Static)
+        .phase(Phase::new("steady").run_for(5_000))
+        .phase(one_change(
+            Phase::new("one-crash")
+                .inject(Inject::at(0, FaultSpec::Crash(Target::node(1))))
+                .run_for(60_000)
+                .expect(Expect::AllReport(SizeExpr::abs(7))),
+        ))
+        .phase(one_change(
+            Phase::new("two-crashes")
+                .inject(Inject::at(0, FaultSpec::Crash(Target::node(2))))
+                .inject(Inject::at(60_000, FaultSpec::Crash(Target::node(3))))
+                .run_for(120_000)
+                .expect(Expect::AllReport(SizeExpr::abs(5))),
+        ))
+        .finish();
+    let mut driver = SimDriver::new(SystemKind::Rapid, &s).expect("sim driver");
+    let report = runner::run(&s, &mut driver).expect("run");
+    let verdict = |phase: usize| {
+        let e = report.phases[phase].expects.last().expect("view_changes verdict");
+        (e.desc.clone(), e.passed)
+    };
+    assert_eq!(
+        verdict(1),
+        ("view_changes(1) at_most 1".to_string(), Some(true))
+    );
+    assert_eq!(
+        verdict(2),
+        ("view_changes(2) at_most 1".to_string(), Some(false))
+    );
+    assert!(report.phases[2].expects[0].passed == Some(true), "both crashes removed");
+    assert!(!report.passed);
+}
