@@ -97,13 +97,10 @@ pub struct Settings {
     /// driver it is wall time.
     pub obs_sample_ms: u64,
 
-    /// Real-driver KV data-plane shards: the `KvRuntime` splits its
-    /// per-partition state across `kv_shards` shard threads, each owning
-    /// the partitions a stable rendezvous hash assigns to it. `1` (the
-    /// default) is one shard that owns every partition.
-    /// Must not exceed the KV partition count. Ignored by the simulator,
-    /// whose actors are single-threaded by construction (use `threads`
-    /// to shard the simulation engine instead).
+    /// Retired: the real driver runs one KV host loop per process, so
+    /// this must be `1` (the default). The field stays only because the
+    /// out-of-workspace benchmark sets it; it goes with the next change
+    /// to that benchmark.
     pub kv_shards: usize,
 
     /// Smart-client pipelined flow control: maximum ops a `KvClient`
@@ -206,8 +203,11 @@ impl Settings {
         if self.client_window == 0 {
             return Err("client_window must be at least 1".into());
         }
-        if self.kv_shards == 0 {
-            return Err("kv_shards must be at least 1 (1 = one data-plane shard)".into());
+        if self.kv_shards != 1 {
+            return Err(format!(
+                "kv_shards must be 1 (one KV host loop per process), got {}",
+                self.kv_shards
+            ));
         }
         if self.peer_quota_interval_ms == 0
             && (self.peer_quota_frames > 0 || self.peer_quota_bytes > 0)
@@ -267,12 +267,14 @@ mod tests {
 
     #[test]
     fn validation_rejects_zero_kv_shards() {
-        let s = Settings {
-            kv_shards: 0,
-            ..Settings::default()
-        };
-        let err = s.validate().unwrap_err();
-        assert!(err.contains("kv_shards"), "diagnostic names the knob: {err}");
+        for kv_shards in [0, 2] {
+            let s = Settings {
+                kv_shards,
+                ..Settings::default()
+            };
+            let err = s.validate().unwrap_err();
+            assert!(err.contains("kv_shards"), "diagnostic names the knob: {err}");
+        }
     }
 
     #[test]

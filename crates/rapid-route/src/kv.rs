@@ -51,8 +51,7 @@ use rapid_core::obs::{EventKind, LatencyHist, TraceRing};
 use rapid_core::outbox::Outbox;
 
 use crate::placement::{
-    partition_of, shard_of, Placement, PlacementCache, PlacementConfig, RebalancePlan,
-    ReplicaMove,
+    partition_of, Placement, PlacementCache, PlacementConfig, RebalancePlan, ReplicaMove,
 };
 use crate::store::Store;
 pub use crate::store::{digest_of, Entry, PartitionDigest};
@@ -348,14 +347,6 @@ pub struct KvNode {
     /// Remote-origin entries currently in `pending_client` (tracked so
     /// `inbox_depth` is O(1), not a scan).
     remote_pending: usize,
-    /// Data-plane shard slice this instance owns, as `(index, count)`.
-    /// `(0, 1)` — the default — owns every partition: the single-threaded
-    /// oracle path, bit-identical to the pre-sharding behaviour. A
-    /// sharded host runs `count` instances per process, each restricted
-    /// to the partitions [`shard_of`] assigns to its index; request ids
-    /// are strided so `req % count == index` and hosts can route acks
-    /// back to the allocating shard without any shared map.
-    shard: (usize, usize),
 }
 
 /// Cap on subscribed clients per node; later subscriptions are refused
@@ -403,25 +394,7 @@ impl KvNode {
             shed_p99_ms: 0,
             last_interval_p99: 0,
             remote_pending: 0,
-            shard: (0, 1),
         }
-    }
-
-    /// Restricts this instance to the partitions [`shard_of`] assigns to
-    /// shard `index` of `count`, and strides its request-id space so ids
-    /// satisfy `req % count == index`. `(0, 1)` is the default unsharded
-    /// oracle. Must be set before the first view or op.
-    pub fn with_shard(mut self, index: usize, count: usize) -> KvNode {
-        assert!(count >= 1, "shard count must be at least 1");
-        assert!(index < count, "shard index {index} out of range 0..{count}");
-        self.shard = (index, count);
-        self.next_req = (count + index) as u64;
-        self
-    }
-
-    /// Whether this instance's shard slice covers `partition`.
-    fn owns_partition(&self, partition: u32) -> bool {
-        shard_of(partition, self.shard.1) == self.shard.0
     }
 
     /// Sets the flight-recorder ring capacity (`Settings::obs_ring`;
@@ -551,8 +524,7 @@ impl KvNode {
             // this node now owns may hold data elsewhere.
             if let Some(my_rank) = config.rank_of(self.me.id) {
                 for p in 0..placement.partitions() {
-                    if self.owns_partition(p)
-                        && placement.replicas(p).contains(&(my_rank as u32))
+                    if placement.replicas(p).contains(&(my_rank as u32))
                         && !self.early_handoffs.contains(&p)
                     {
                         self.awaiting.insert(p);
@@ -578,13 +550,6 @@ impl KvNode {
             self.stats.leader_changes += plan.leader_changes as u64;
             let mut last_partition = None;
             for mv in &plan.moves {
-                // Another shard's partition: its own thread acts on this
-                // same (identically recomputed) plan. Plan-level counters
-                // above stay unfiltered so per-shard stats agree and
-                // max-merging them reports whole-plan numbers.
-                if !self.owns_partition(mv.partition) {
-                    continue;
-                }
                 // Never push a partition this node is itself still
                 // awaiting: the plan cannot see local handoff progress,
                 // and pushing an empty store would clear the receiver's
@@ -619,7 +584,6 @@ impl KvNode {
             // Drop partitions this node no longer replicates.
             if let Some(my_rank) = config.rank_of(self.me.id) {
                 let keep: DetHashSet<u32> = (0..placement.partitions())
-                    .filter(|&p| self.owns_partition(p))
                     .filter(|&p| placement.replicas(p).contains(&(my_rank as u32)))
                     .collect();
                 self.store.retain(|p| keep.contains(&p));
@@ -891,7 +855,7 @@ impl KvNode {
         out: &mut Vec<KvOut>,
     ) -> u64 {
         let req = self.next_req;
-        self.next_req += self.shard.1 as u64;
+        self.next_req += 1;
         self.trace.push(now, EventKind::KvOpStart, req, 1);
         if matches!(origin, ClientOrigin::Remote { .. }) {
             self.remote_pending += 1;
@@ -941,7 +905,7 @@ impl KvNode {
         out: &mut Vec<KvOut>,
     ) -> u64 {
         let req = self.next_req;
-        self.next_req += self.shard.1 as u64;
+        self.next_req += 1;
         self.trace.push(now, EventKind::KvOpStart, req, 0);
         if matches!(origin, ClientOrigin::Remote { .. }) {
             self.remote_pending += 1;
@@ -1116,7 +1080,7 @@ impl KvNode {
         // ids are only unique per origin, and two origins can race the
         // same leader.
         let rep = self.next_req;
-        self.next_req += self.shard.1 as u64;
+        self.next_req += 1;
         for &r in &others {
             self.send(
                 r,
@@ -1328,13 +1292,8 @@ impl KvNode {
         }
     }
 
-    /// Whether this node instance replicates `partition` under its
-    /// current view — which under sharding also requires the partition
-    /// to fall in this instance's shard slice.
+    /// Whether this node replicates `partition` under its current view.
     fn replicates(&self, partition: u32) -> bool {
-        if !self.owns_partition(partition) {
-            return false;
-        }
         let Some((cfg, pl)) = self.view.as_ref() else {
             return false;
         };
@@ -1360,7 +1319,6 @@ impl KvNode {
             return Vec::new();
         };
         (0..pl.partitions())
-            .filter(|&p| self.owns_partition(p))
             .filter(|&p| pl.replicas(p).contains(&(my_rank as u32)))
             .map(|p| (p, self.partition_digest(p), !self.awaiting.contains(&p)))
             .collect()
@@ -1385,7 +1343,7 @@ impl KvNode {
         let mut pulls: DetHashMap<u32, Vec<u32>> = DetHashMap::default();
         let mut offers: DetHashMap<u32, Vec<(u32, PartitionDigest)>> = DetHashMap::default();
         for p in 0..pl.partitions() {
-            if !self.owns_partition(p) || !pl.replicas(p).contains(&(my_rank as u32)) {
+            if !pl.replicas(p).contains(&(my_rank as u32)) {
                 continue;
             }
             let others: Vec<u32> = pl
@@ -1559,94 +1517,6 @@ impl KvNode {
     }
 }
 
-/// Routes one inbound data-plane message to the shard instances of a
-/// host running `shards` [`KvNode`]s (see [`KvNode::with_shard`]),
-/// preserving arrival order within each shard:
-///
-/// * key- or partition-carrying messages go to the shard [`shard_of`]
-///   assigns that partition;
-/// * ack-style messages keyed only by a request id go to
-///   `req % shards` — request ids are strided per shard, so the id
-///   itself names the allocating shard;
-/// * digest/repair lists spanning shards are split into per-shard
-///   sublists;
-/// * client-plane control traffic (subscriptions, ignored client-bound
-///   frames) lands on shard 0, the designated view-push owner — exactly
-///   one shard answers a subscription, so clients never see duplicate
-///   view pushes;
-/// * batches are regrouped per shard, so one wire frame still costs one
-///   `on_message` (and one outbox flush) per shard it touches.
-///
-/// With `shards == 1` the message passes through untouched.
-pub fn shard_route(msg: KvMsg, partitions: u32, shards: usize) -> Vec<(usize, KvMsg)> {
-    if shards <= 1 {
-        return vec![(0, msg)];
-    }
-    let by_partition = |p: u32, msg: KvMsg| vec![(shard_of(p, shards), msg)];
-    match msg {
-        KvMsg::Batch(msgs) => {
-            let mut per: Vec<Vec<KvMsg>> = vec![Vec::new(); shards];
-            for m in msgs {
-                for (s, m) in shard_route(m, partitions, shards) {
-                    per[s].push(m);
-                }
-            }
-            per.into_iter()
-                .enumerate()
-                .filter(|(_, v)| !v.is_empty())
-                .map(|(s, mut v)| match v.len() {
-                    1 => (s, v.pop().expect("length checked")),
-                    _ => (s, KvMsg::Batch(v)),
-                })
-                .collect()
-        }
-        KvMsg::Put { ref key, .. }
-        | KvMsg::Get { ref key, .. }
-        | KvMsg::CPut { ref key, .. }
-        | KvMsg::CGet { ref key, .. } => {
-            let p = partition_of(key, partitions);
-            by_partition(p, msg)
-        }
-        KvMsg::PutAck { req, .. } | KvMsg::GetResp { req, .. } | KvMsg::RepAck { req } => {
-            vec![((req % shards as u64) as usize, msg)]
-        }
-        KvMsg::Replicate { partition, .. }
-        | KvMsg::Handoff { partition, .. }
-        | KvMsg::RepairPush { partition, .. } => by_partition(partition, msg),
-        KvMsg::DigestReq { digests } => split_list(digests, shards, |&(p, _)| p, |digests| {
-            KvMsg::DigestReq { digests }
-        }),
-        KvMsg::DigestResp { digests } => split_list(digests, shards, |&(p, _)| p, |digests| {
-            KvMsg::DigestResp { digests }
-        }),
-        KvMsg::RepairPull { partitions: ps } => split_list(ps, shards, |&p| p, |partitions| {
-            KvMsg::RepairPull { partitions }
-        }),
-        msg @ (KvMsg::Sub | KvMsg::View { .. } | KvMsg::CResp { .. }) => vec![(0, msg)],
-    }
-}
-
-/// Splits a per-partition list across shards, rebuilding one message per
-/// non-empty sublist.
-fn split_list<T>(
-    items: Vec<T>,
-    shards: usize,
-    partition: impl Fn(&T) -> u32,
-    rebuild: impl Fn(Vec<T>) -> KvMsg,
-) -> Vec<(usize, KvMsg)> {
-    let mut per: Vec<Vec<T>> = Vec::new();
-    per.resize_with(shards, Vec::new);
-    for item in items {
-        let s = shard_of(partition(&item), shards);
-        per[s].push(item);
-    }
-    per.into_iter()
-        .enumerate()
-        .filter(|(_, v)| !v.is_empty())
-        .map(|(s, v)| (s, rebuild(v)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1669,95 +1539,6 @@ mod tests {
             partitions: 16,
             replication: 2,
         }
-    }
-
-    #[test]
-    fn shard_assignment_is_stable_and_covers_every_shard() {
-        // A pure function of (partition, count): repeated evaluation —
-        // and therefore any number of view changes — never moves a
-        // partition between shards.
-        for w in [1usize, 2, 4, 7] {
-            let mut seen = vec![false; w];
-            for p in 0..256u32 {
-                let s = shard_of(p, w);
-                assert!(s < w);
-                assert_eq!(s, shard_of(p, w));
-                seen[s] = true;
-            }
-            assert!(
-                seen.iter().all(|&hit| hit),
-                "every shard owns some partition at w={w}"
-            );
-        }
-        assert!((0..256u32).all(|p| shard_of(p, 1) == 0));
-    }
-
-    #[test]
-    fn shard_route_splits_batches_digest_lists_and_req_acks() {
-        let shards = 4;
-        let partitions = 16u32;
-        // Partition-carrying messages land on exactly the owning shard.
-        let routed = shard_route(
-            KvMsg::Handoff {
-                partition: 9,
-                entries: Vec::new(),
-            },
-            partitions,
-            shards,
-        );
-        assert_eq!(routed.len(), 1);
-        assert_eq!(routed[0].0, shard_of(9, shards));
-        // Ack-style messages follow the strided request-id space.
-        for req in 1..=8u64 {
-            let routed = shard_route(KvMsg::RepAck { req }, partitions, shards);
-            let want = (req % shards as u64) as usize;
-            assert_eq!(routed, vec![(want, KvMsg::RepAck { req })]);
-        }
-        // A digest list spanning shards splits into per-shard sublists
-        // covering exactly the original partitions.
-        let digests: Vec<(u32, PartitionDigest)> = (0..partitions)
-            .map(|p| (p, PartitionDigest::default()))
-            .collect();
-        let mut covered = Vec::new();
-        for (s, msg) in shard_route(KvMsg::DigestReq { digests }, partitions, shards) {
-            let KvMsg::DigestReq { digests } = msg else {
-                panic!("splitting rebuilds the same variant");
-            };
-            for (p, _) in digests {
-                assert_eq!(shard_of(p, shards), s);
-                covered.push(p);
-            }
-        }
-        covered.sort_unstable();
-        assert_eq!(covered, (0..partitions).collect::<Vec<_>>());
-        // Batches regroup per shard, preserving order within each shard.
-        let batch = KvMsg::Batch(vec![
-            KvMsg::RepAck { req: 4 },
-            KvMsg::RepAck { req: 8 },
-            KvMsg::RepAck { req: 5 },
-        ]);
-        let routed = shard_route(batch, partitions, shards);
-        assert!(routed.contains(&(
-            0,
-            KvMsg::Batch(vec![KvMsg::RepAck { req: 4 }, KvMsg::RepAck { req: 8 }])
-        )));
-        assert!(routed.contains(&(1, KvMsg::RepAck { req: 5 })));
-        // shards == 1 passes everything through untouched.
-        assert_eq!(
-            shard_route(KvMsg::Sub, partitions, 1),
-            vec![(0, KvMsg::Sub)]
-        );
-    }
-
-    #[test]
-    fn with_shard_strides_request_ids() {
-        let m = members(1);
-        let a = KvNode::new(m[0].clone(), spec(), 1_000, None);
-        assert_eq!(a.shard, (0, 1));
-        let b = KvNode::new(m[0].clone(), spec(), 1_000, None).with_shard(1, 4);
-        assert_eq!(b.next_req % 4, 1);
-        let c = KvNode::new(m[0].clone(), spec(), 1_000, None).with_shard(0, 1);
-        assert_eq!(c.next_req, 1);
     }
 
     /// A little in-process cluster harness delivering KV messages

@@ -33,11 +33,9 @@
 //! * [`sim`] — the data plane co-hosted with membership inside the
 //!   deterministic simulator ([`sim::KvSimActor`]).
 //! * [`real`] — the data plane on real TCP ([`real::KvRuntime`]), riding
-//!   the transport's app frames. With `Settings::kv_shards > 1` it runs
-//!   thread-per-core: per-partition state splits across shard threads
-//!   chosen by the same rendezvous construction as placement
-//!   ([`placement::shard_of`]), the membership plane fans views out over
-//!   sequenced channels, and shards share no mutable state.
+//!   the transport's app frames: one [`KvNode`] per process on one host
+//!   loop, fed by the transport's readers and its node loop over one
+//!   FIFO channel.
 //!
 //! See `docs/ROUTING.md` for the algorithm, the plan format, and driver
 //! caveats.
@@ -55,10 +53,10 @@ pub mod store;
 
 pub use client::{ClientStats, KvClient};
 pub use kv::{
-    shard_route, ClientOp, KvError, KvMsg, KvNode, KvOut, KvOutcome, KvStats, PartitionDigest,
+    ClientOp, KvError, KvMsg, KvNode, KvOut, KvOutcome, KvStats, PartitionDigest,
 };
 pub use placement::{
-    partition_of, shard_of, Placement, PlacementCache, PlacementConfig, RebalancePlan, ReplicaMove,
+    partition_of, Placement, PlacementCache, PlacementConfig, RebalancePlan, ReplicaMove,
 };
 pub use real::KvRuntime;
 pub use sim::{KvClusterBuilder, KvSimActor, RouteMsg};

@@ -65,32 +65,6 @@ fn score(partition: u32, member: &Member) -> u64 {
         .finish()
 }
 
-/// The data-plane worker shard a partition belongs to on a host running
-/// `shards` shard threads — the same rendezvous construction as
-/// [`Placement`], but over `(partition, shard index)` pairs. A pure
-/// function of its arguments: it ignores the view entirely, so a
-/// partition never migrates between shards across view changes, and
-/// every process (whatever its own shard count) can route a peer's
-/// request-id space without coordination.
-pub fn shard_of(partition: u32, shards: usize) -> usize {
-    if shards <= 1 {
-        return 0;
-    }
-    let mut best = 0usize;
-    let mut best_score = 0u64;
-    for s in 0..shards {
-        let score = StableHasher::new("rapid-route-shard")
-            .write_u64(partition as u64)
-            .write_u64(s as u64)
-            .finish();
-        if s == 0 || score > best_score {
-            best = s;
-            best_score = score;
-        }
-    }
-    best
-}
-
 /// A complete replica map for one configuration.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Placement {

@@ -7,24 +7,21 @@
 //! the same state machine the simulator runs — only the clock and the
 //! wires differ.
 //!
-//! Every process has one shape: `Settings::kv_shards = W` shard threads,
-//! each hosting a [`KvNode`] restricted (via [`KvNode::with_shard`]) to
-//! the partitions [`shard_of`](crate::placement::shard_of) assigns it;
-//! `W = 1` (the default) is simply one shard that owns every partition.
-//! Every input reaches a shard in one hop over its one FIFO channel: the
-//! transport's readers hand it app frames (split by [`kv::shard_route`]
-//! at `W > 1`), and the transport's node loop queues each view to every
-//! shard before its next input and merges the shards' snapshots every
-//! 20 ms. Shards share no mutable state; each sends straight into the
-//! writer queues through its own [`AppSender`].
+//! Every process runs one [`KvNode`] on one host thread, fed over one
+//! FIFO channel: the transport's readers hand it app frames, the
+//! transport's node loop queues each installed view before it takes its
+//! next input, and [`KvRuntime`] queues client ops and digest requests. On
+//! its tick the host publishes the node's counters and, on the
+//! `obs_sample_ms` cadence, samples the metrics timeline and feeds the
+//! interval quantiles back to the node's admission controller. It sends
+//! straight into the writer queues through its [`AppSender`].
 //!
-//! A shard and a [`KvClientRuntime`] are the same host loop, [`pump`],
+//! The KV host and a [`KvClientRuntime`] are the same host loop, [`pump`],
 //! around a different sans-io core ([`KvNode`], [`KvClient`]): wait for
 //! input until the next timer is due, take the queued client ops plus
 //! one wire input, submit the ops as one burst, tick, publish, encode
 //! and dispatch.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -38,21 +35,21 @@ use rapid_core::membership::ViewChange;
 use rapid_core::node::{Node, NodeStatus};
 use rapid_core::obs::{LatencyHist, Timeline, TimelinePoint, DEFAULT_TIMELINE_CAP};
 use rapid_core::settings::Settings;
-use rapid_transport::{AppEvent, AppPeer, AppSender, Host, Runtime, TimerHook};
+use rapid_transport::{AppEvent, AppPeer, AppSender, Host, Runtime};
 
 use crate::client::{ClientStats, KvClient};
 use crate::kv::{self, ClientOp, KvMsg, KvNode, KvOut, KvOutcome, KvStats, PartitionDigest};
-use crate::placement::{partition_of, shard_of, PlacementConfig};
+use crate::placement::PlacementConfig;
 
 /// Slots in a host pump's input channel.
 const CHAN_CAP: usize = 16 * 1024;
 
-/// Host timer cadence: the cores' `on_tick`, the shards' snapshot
-/// publication and the node loop's merge.
+/// Host timer cadence: the cores' `on_tick` and the KV host's snapshot
+/// publication.
 const TICK: Duration = Duration::from_millis(20);
 
-/// How long [`KvRuntime::digest_snapshot`] waits for the shards to
-/// answer. A live shard answers as soon as it reaches the request in its
+/// How long [`KvRuntime::digest_snapshot`] waits for the KV host to
+/// answer. A live host answers as soon as it reaches the request in its
 /// FIFO input channel (at worst a channel's worth of inputs away).
 const DIGEST_WAIT: Duration = Duration::from_secs(1);
 
@@ -94,63 +91,28 @@ fn begin_op(tx: &Sender<PumpIn>, key: &str, val: Option<&str>) -> Receiver<KvOut
     rx
 }
 
-/// Asks every shard for its [`KvNode::digest_snapshot`] over its input
-/// channel and concatenates the answers in partition order. The request
-/// queues like a frame does (behind a full channel it waits for the pump
-/// to drain a slot); a shard whose pump has returned, or that does not
-/// answer within [`DIGEST_WAIT`], contributes nothing.
-fn ask_digests(shards: &[Sender<PumpIn>]) -> Digests {
-    let deadline = Instant::now() + DIGEST_WAIT;
-    // Ask everyone before waiting on anyone: the shards answer in parallel.
-    let asked: Vec<Receiver<Digests>> = shards
-        .iter()
-        .filter_map(|tx| {
-            let (reply, rx) = bounded(1);
-            tx.send(PumpIn::Digests(reply)).ok().map(|()| rx)
-        })
-        .collect();
-    let mut digests: Digests = asked
-        .iter()
-        .filter_map(|rx| {
-            let budget = deadline.saturating_duration_since(Instant::now());
-            rx.recv_timeout(budget).ok()
-        })
-        .flatten()
-        .collect();
-    digests.sort_unstable_by_key(|&(p, _, _)| p);
-    digests
+/// Asks the KV host for its [`KvNode::digest_snapshot`] over its input
+/// channel. The request queues like a frame does (behind a full channel
+/// it waits for the pump to drain a slot); a host whose pump has
+/// returned, or that does not answer within [`DIGEST_WAIT`], reports
+/// nothing.
+fn ask_digests(host: &Sender<PumpIn>) -> Digests {
+    let (reply, rx) = bounded(1);
+    if host.send(PumpIn::Digests(reply)).is_err() {
+        return Vec::new();
+    }
+    rx.recv_timeout(DIGEST_WAIT).unwrap_or_default()
 }
 
-/// One per-shard observability sample, taken on the `obs_sample_ms`
-/// cadence by the node loop's merge.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardPoint {
-    /// Sample time on the process wall clock (ms since start).
-    pub t_ms: u64,
-    /// Remote client ops pending in the shard's admission inbox.
-    pub depth: u64,
-    /// Successful client ops the shard completed during the interval.
-    pub ops: u64,
-}
-
-/// Input to a host pump. A shard has one FIFO channel of these, fed by
-/// the transport's readers (frames), the node loop (views, the latency
-/// signal), [`KvRuntime::begin_put`]/[`KvRuntime::begin_get`] (ops),
+/// Input to a host pump. The KV host has one FIFO channel of these, fed
+/// by the transport's readers (frames), the node loop (views),
+/// [`KvRuntime::begin_put`]/[`KvRuntime::begin_get`] (ops),
 /// [`KvRuntime::digest_snapshot`] (digest requests) and the stop, so it
-/// sleeps on a single receive and wakes for whichever comes first. The
-/// FIFO order also guarantees every shard adopts views in the same
-/// order, so all shards recompute the identical placement.
+/// sleeps on a single receive and wakes for whichever comes first.
 enum PumpIn {
     View(Arc<Configuration>),
     /// An app frame as it came off the wire; the pump decodes it.
     Frame(Endpoint, Vec<u8>),
-    /// The part of a decoded frame that [`kv::shard_route`] assigned to
-    /// this shard.
-    Msg(Endpoint, KvMsg),
-    /// The merged interval quantiles, fed back as the admission
-    /// controller's latency signal (the simulator's metrics sweep does
-    /// the same).
-    NoteInterval(u64, u64),
     Op(RealOp),
     /// A request for the core's digest snapshot, answered on the enclosed
     /// channel ([`KvRuntime::digest_snapshot`]).
@@ -167,7 +129,6 @@ trait Core {
     /// Membership-fed inputs. Only a [`KvNode`] is sent them: a client
     /// learns views from the wire and has no admission controller.
     fn on_view(&mut self, _config: Arc<Configuration>, _now: u64, _out: &mut Vec<KvOut>) {}
-    fn note_interval(&mut self, _p50_ms: u64, _p99_ms: u64) {}
     /// Only a [`KvNode`] holds partitions to digest.
     fn digest_snapshot(&self) -> Digests {
         Vec::new()
@@ -186,9 +147,6 @@ impl Core for KvNode {
     }
     fn on_view(&mut self, config: Arc<Configuration>, now: u64, out: &mut Vec<KvOut>) {
         KvNode::on_view(self, config, now, out)
-    }
-    fn note_interval(&mut self, p50_ms: u64, p99_ms: u64) {
-        KvNode::note_interval(self, p50_ms, p99_ms)
     }
     fn digest_snapshot(&self) -> Digests {
         KvNode::digest_snapshot(self)
@@ -218,7 +176,7 @@ fn pump<C: Core>(
     mut core: C,
     inputs: Receiver<PumpIn>,
     sender: AppSender,
-    mut publish: impl FnMut(&C, bool),
+    mut publish: impl FnMut(&mut C, bool),
 ) {
     let next = |budget| match inputs.recv_timeout(budget) {
         Ok(input) => Some(input),
@@ -254,8 +212,6 @@ fn pump<C: Core>(
                         core.on_message(from, msg, now, &mut out);
                     }
                 }
-                PumpIn::Msg(from, msg) => core.on_message(from, msg, now, &mut out),
-                PumpIn::NoteInterval(p50, p99) => core.note_interval(p50, p99),
                 // Hashes only the partitions written since they were last
                 // read; the asker may have given up waiting.
                 PumpIn::Digests(reply) => {
@@ -284,7 +240,7 @@ fn pump<C: Core>(
         if ticked {
             core.on_tick(now, &mut out);
         }
-        publish(&core, ticked);
+        publish(&mut core, ticked);
         if ticked {
             // Due `TICK` after this tick's work ended: a long tick (a
             // repair round rehashing freshly written partitions) stretches
@@ -308,8 +264,7 @@ fn pump<C: Core>(
     }
 }
 
-/// A data-plane snapshot: what a shard publishes on its tick, and —
-/// merged over the shards by the node loop — what the process reports.
+/// A data-plane snapshot: what the KV host publishes on its tick.
 #[derive(Clone, Debug, Default)]
 struct KvSnapshot {
     stats: KvStats,
@@ -323,14 +278,14 @@ struct KvSnapshot {
     op_hist: LatencyHist,
 }
 
-/// The node loop's published view of the process, for the scenario
-/// driver's polls.
-#[derive(Clone, Debug)]
+/// The process's published data-plane state, for the scenario driver's
+/// polls. Membership status and view come from the transport's
+/// [`Runtime`].
+#[derive(Clone, Debug, Default)]
 struct Mirror {
-    status: NodeStatus,
-    view_len: usize,
+    /// View changes observed so far, counted on the node loop.
     view_count: u64,
-    /// The shards' snapshots merged, refreshed on the merge cadence.
+    /// The KV host's snapshot, refreshed on its tick.
     kv: KvSnapshot,
     /// Sampled metrics timeline (interval deltas on the wall clock),
     /// republished in full on every sweep. Empty when `obs_sample_ms`
@@ -338,47 +293,17 @@ struct Mirror {
     timeline: Vec<TimelinePoint>,
     /// Sweeps lost to the bounded timeline ring wrapping.
     timeline_dropped: u64,
-    /// Latest `(admission-inbox depth, cumulative successful ops)` per
-    /// shard.
-    per_shard: Vec<(u64, u64)>,
-    /// Per-shard sampled series on the timeline cadence, oldest first.
-    shard_series: Vec<VecDeque<ShardPoint>>,
-}
-
-impl Mirror {
-    /// Empty until [`kv_host`] publishes the new node's membership.
-    fn new(shards: usize) -> Mirror {
-        Mirror {
-            status: NodeStatus::Joining,
-            view_len: 0,
-            view_count: 0,
-            kv: KvSnapshot::default(),
-            timeline: Vec::new(),
-            timeline_dropped: 0,
-            per_shard: vec![(0, 0); shards],
-            shard_series: vec![VecDeque::new(); shards],
-        }
-    }
-
-    /// Membership changes are published as they are handled, not on the
-    /// merge cadence: callers poll `view_len()` to learn a cluster formed.
-    fn publish_membership(&mut self, node: &Node) {
-        self.status = node.status();
-        self.view_len = node.configuration().len();
-    }
 }
 
 /// A real process running membership + the KV data plane.
 pub struct KvRuntime {
     addr: Endpoint,
-    /// The transport, whose node loop also runs the merge; taken on stop.
+    /// The transport (sockets and node loop); taken on stop.
     rt: Option<Runtime>,
-    /// One sender per data-plane shard, a clone of the shard's input
-    /// channel; ops route by `shard_of(partition_of(key))`, so the shard
-    /// that allocates a request id is the shard that completes it.
-    ops_txs: Vec<Sender<PumpIn>>,
-    shards: Vec<JoinHandle<()>>,
-    partitions: u32,
+    /// The KV host's input channel.
+    host_tx: Sender<PumpIn>,
+    /// The KV host's pump thread; taken on stop.
+    host: Option<JoinHandle<()>>,
     mirror: Arc<Mutex<Mirror>>,
     introspect_addr: Option<std::net::SocketAddr>,
 }
@@ -398,25 +323,10 @@ impl KvRuntime {
         Self::start_joiner(listen, Vec::new(), settings, metadata, route, timeout, repair)
     }
 
-    /// A shard with no partitions could never serve an op, so more
-    /// shards than partitions is a configuration error, caught before
-    /// any socket is bound.
-    fn check_shards(settings: &Settings, route: PlacementConfig) -> std::io::Result<()> {
-        if settings.kv_shards > route.partitions as usize {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "kv_shards = {} exceeds the {} KV partitions; every shard must \
-                     own at least one partition (lower kv_shards or raise partitions)",
-                    settings.kv_shards, route.partitions
-                ),
-            ));
-        }
-        Ok(())
-    }
-
     /// Starts a joining process with the data plane attached (a seed when
-    /// `seeds` is empty).
+    /// `seeds` is empty). Invalid `settings` are an
+    /// [`InvalidInput`](std::io::ErrorKind::InvalidInput) error, returned
+    /// before any socket is bound.
     pub fn start_joiner(
         listen: Endpoint,
         seeds: Vec<Endpoint>,
@@ -426,83 +336,50 @@ impl KvRuntime {
         op_timeout_ms: u64,
         repair_interval_ms: u64,
     ) -> std::io::Result<KvRuntime> {
-        Self::check_shards(&settings, route)?;
-        let w = settings.kv_shards.max(1);
         let joiner = !seeds.is_empty();
-        let (ops_txs, inputs): (Vec<_>, Vec<_>) = (0..w).map(|_| bounded(CHAN_CAP)).unzip();
-        let slots: Vec<Arc<Mutex<KvSnapshot>>> = (0..w).map(|_| Arc::default()).collect();
-        let mirror = Arc::new(Mutex::new(Mirror::new(w)));
-        let (partitions, sample_ms) = (route.partitions, settings.obs_sample_ms);
-        let host = |node: &Node| kv_host(node, &ops_txs, &slots, &mirror, partitions, sample_ms);
+        let (host_tx, inputs) = bounded(CHAN_CAP);
+        let mirror = Arc::new(Mutex::new(Mirror::default()));
+        let host = |node: &Node| kv_host(node, &host_tx, &mirror);
         let mut rt = Runtime::start_hosted(listen, settings.clone(), seeds, metadata, host)?;
         // Opt-in live introspection: with `RAPID_INTROSPECT=1` the
         // transport serves a one-line JSON status on a loopback side
         // listener, and the KV layer appends its published data-plane
-        // counters, op-latency quantiles, and per-shard depth/ops to
-        // that line.
+        // counters and op-latency quantiles to that line.
         let introspect_addr = if std::env::var("RAPID_INTROSPECT").as_deref() == Ok("1") {
             let probe_mirror = Arc::clone(&mirror);
             rt.serve_introspection(move |line| {
                 let m = probe_mirror.lock();
+                let kv = &m.kv;
                 let (p50, p99) = (
-                    m.kv.op_hist.quantile_ppm(500_000),
-                    m.kv.op_hist.quantile_ppm(990_000),
+                    kv.op_hist.quantile_ppm(500_000),
+                    kv.op_hist.quantile_ppm(990_000),
                 );
-                let join = |pick: fn(&(u64, u64)) -> u64| {
-                    let picked: Vec<String> =
-                        m.per_shard.iter().map(|s| pick(s).to_string()).collect();
-                    picked.join(",")
-                };
                 line.push_str(&format!(
-                    ",\"puts_acked\":{},\"gets_ok\":{},\"bytes_moved\":{},\"repair_bytes\":{},\"op_p50_ms\":{},\"op_p99_ms\":{},\"inbox_depth\":{},\"shed_ops\":{},\"client_conns\":{},\"shards\":{},\"shard_depth\":[{}],\"shard_ops\":[{}]",
-                    m.kv.stats.puts_acked, m.kv.stats.gets_ok, m.kv.stats.bytes_moved,
-                    m.kv.stats.repair_bytes, p50, p99,
-                    m.kv.inbox_depth, m.kv.stats.ops_shed, m.kv.client_conns,
-                    m.per_shard.len(), join(|s| s.0), join(|s| s.1),
+                    ",\"puts_acked\":{},\"gets_ok\":{},\"bytes_moved\":{},\"repair_bytes\":{},\"op_p50_ms\":{},\"op_p99_ms\":{},\"inbox_depth\":{},\"shed_ops\":{},\"client_conns\":{}",
+                    kv.stats.puts_acked, kv.stats.gets_ok, kv.stats.bytes_moved,
+                    kv.stats.repair_bytes, p50, p99,
+                    kv.inbox_depth, kv.stats.ops_shed, kv.client_conns,
                 ));
             })
             .ok()
         } else {
             None
         };
-        let me = rt.member().clone();
-        let shards = inputs
-            .into_iter()
-            .zip(slots)
-            .enumerate()
-            .map(|(i, (rx, slot))| {
-                let mut kv = KvNode::new(me.clone(), route, op_timeout_ms, None)
-                    .with_shard(i, w)
-                    .with_repair_interval(repair_interval_ms)
-                    .with_obs(settings.obs_ring)
-                    // Split the admission budget so the process-level
-                    // bound stays put (exact at W = 1).
-                    .with_admission(settings.kv_inbox.div_ceil(w), settings.kv_shed_p99_ms);
-                if joiner {
-                    kv = kv.expect_initial_handoffs();
-                }
-                let sender = rt.app_sender();
-                // Publishes on the tick cadence only: the merge reads no faster.
-                std::thread::spawn(move || {
-                    pump(kv, rx, sender, |kv, ticked| {
-                        if ticked {
-                            *slot.lock() = KvSnapshot {
-                                stats: *kv.stats(),
-                                inbox_depth: kv.inbox_depth(),
-                                client_conns: kv.client_conns(),
-                                op_hist: kv.op_hist().clone(),
-                            };
-                        }
-                    })
-                })
-            })
-            .collect();
+        let mut kv = KvNode::new(rt.member().clone(), route, op_timeout_ms, None)
+            .with_repair_interval(repair_interval_ms)
+            .with_obs(settings.obs_ring)
+            .with_admission(settings.kv_inbox, settings.kv_shed_p99_ms);
+        if joiner {
+            kv = kv.expect_initial_handoffs();
+        }
+        let sender = rt.app_sender();
+        let publish = publisher(Arc::clone(&mirror), settings.obs_sample_ms);
+        let host = std::thread::spawn(move || pump(kv, inputs, sender, publish));
         Ok(KvRuntime {
             addr: *rt.addr(),
             rt: Some(rt),
-            ops_txs,
-            shards,
-            partitions: route.partitions,
+            host_tx,
+            host: Some(host),
             mirror,
             introspect_addr,
         })
@@ -515,12 +392,12 @@ impl KvRuntime {
 
     /// Latest published lifecycle status.
     pub fn status(&self) -> NodeStatus {
-        self.mirror.lock().status
+        self.rt.as_ref().map_or(NodeStatus::Left, Runtime::status)
     }
 
     /// Latest published view size.
     pub fn view_len(&self) -> usize {
-        self.mirror.lock().view_len
+        self.rt.as_ref().map_or(0, |rt| rt.view().len())
     }
 
     /// View changes observed so far.
@@ -556,7 +433,7 @@ impl KvRuntime {
     }
 
     /// Events the transport dropped on a full `events()` channel: always
-    /// 0 here, where every frame goes straight to a shard.
+    /// 0 here, where every frame goes straight to the KV host.
     pub fn event_dropped(&self) -> u64 {
         self.rt.as_ref().map_or(0, Runtime::event_dropped)
     }
@@ -567,12 +444,12 @@ impl KvRuntime {
     }
 
     /// `(partition, digest, settled)` for every partition this process
-    /// replicates, in partition order — computed on demand by the shards
+    /// replicates, in partition order — computed on demand by the KV host
     /// (the scenario driver's `kv_converged` sweep compares these across
-    /// processes). Shards that do not answer in time are left out, so a
+    /// processes). Empty when the host does not answer in time, so a
     /// stopped process reports nothing.
     pub fn digest_snapshot(&self) -> Vec<(u32, PartitionDigest, bool)> {
-        ask_digests(&self.ops_txs)
+        ask_digests(&self.host_tx)
     }
 
     /// Latest published metrics timeline: one interval-delta point per
@@ -587,27 +464,10 @@ impl KvRuntime {
         self.mirror.lock().timeline_dropped
     }
 
-    /// Number of data-plane shard threads.
-    pub fn shards(&self) -> usize {
-        self.ops_txs.len()
-    }
-
-    /// Latest published per-shard admission-inbox depths, one entry per
-    /// shard.
+    /// [`Self::inbox_depth`] as a one-entry list, the shape the
+    /// benchmark harness reads.
     pub fn shard_depths(&self) -> Vec<u64> {
-        self.mirror.lock().per_shard.iter().map(|s| s.0).collect()
-    }
-
-    /// Latest published per-shard sampled series: one
-    /// `(t_ms, depth, ops)` point per elapsed `obs_sample_ms`, oldest
-    /// first, one series per shard. Rides the same cadence as
-    /// [`Self::timeline`] but is never part of any report schema.
-    pub fn shard_timeline(&self) -> Vec<Vec<ShardPoint>> {
-        let m = self.mirror.lock();
-        m.shard_series
-            .iter()
-            .map(|series| series.iter().copied().collect())
-            .collect()
+        vec![self.inbox_depth() as u64]
     }
 
     /// The loopback introspection listener's address, when enabled via
@@ -616,22 +476,15 @@ impl KvRuntime {
         self.introspect_addr
     }
 
-    /// Hands an op to the shard that coordinates `key`: the same
-    /// rendezvous function placement uses, over the key's partition.
-    fn begin(&self, key: &str, val: Option<&str>) -> Receiver<KvOutcome> {
-        let shard = shard_of(partition_of(key, self.partitions), self.ops_txs.len());
-        begin_op(&self.ops_txs[shard], key, val)
-    }
-
     /// Begins a write through this process; the outcome arrives on the
     /// returned channel (dropped channel = op abandoned).
     pub fn begin_put(&self, key: &str, val: &str) -> Receiver<KvOutcome> {
-        self.begin(key, Some(val))
+        begin_op(&self.host_tx, key, Some(val))
     }
 
     /// Begins a read through this process.
     pub fn begin_get(&self, key: &str) -> Receiver<KvOutcome> {
-        self.begin(key, None)
+        begin_op(&self.host_tx, key, None)
     }
 
     /// Announces a voluntary departure and stops the process.
@@ -644,22 +497,19 @@ impl KvRuntime {
         self.stop(false);
     }
 
-    /// Stops the transport (sockets and node loop), then the shards; a
+    /// Stops the transport (sockets and node loop), then the KV host; a
     /// no-op once stopped.
     fn stop(&mut self, leave: bool) {
         let Some(rt) = self.rt.take() else { return };
         if leave {
             rt.leave();
-            self.mirror.lock().status = NodeStatus::Left;
         } else {
             rt.shutdown_now();
         }
         // No reader or node loop is left to queue anything behind this.
-        for tx in &self.ops_txs {
-            let _ = tx.send(PumpIn::Stop);
-        }
-        for shard in self.shards.drain(..) {
-            let _ = shard.join();
+        let _ = self.host_tx.send(PumpIn::Stop);
+        if let Some(host) = self.host.take() {
+            let _ = host.join();
         }
     }
 }
@@ -670,87 +520,44 @@ impl Drop for KvRuntime {
     }
 }
 
-/// Appends a shard sample, bounding the series like the timeline ring.
-fn push_shard_point(series: &mut VecDeque<ShardPoint>, pt: ShardPoint) {
-    if series.len() >= DEFAULT_TIMELINE_CAP {
-        series.pop_front();
-    }
-    series.push_back(pt);
-}
-
-/// Queues a view adoption to every shard. Blocks on a full channel: a
-/// view is never dropped.
-fn fan_out(shards: &[Sender<PumpIn>], config: &Arc<Configuration>) {
-    for tx in shards {
-        let _ = tx.send(PumpIn::View(Arc::clone(config)));
-    }
-}
-
 /// The process's transport hooks: readers hand app frames straight to
-/// the owning shard, the node loop queues every membership event to each
-/// shard, and every [`TICK`] it runs [`merge_timer`].
-fn kv_host(
-    node: &Node,
-    shards: &[Sender<PumpIn>],
-    slots: &[Arc<Mutex<KvSnapshot>>],
-    mirror: &Arc<Mutex<Mirror>>,
-    partitions: u32,
-    obs_sample_ms: u64,
-) -> Host {
+/// the KV host, and the node loop queues every installed view to it and
+/// counts view changes.
+fn kv_host(node: &Node, host: &Sender<PumpIn>, mirror: &Arc<Mutex<Mirror>>) -> Host {
     // A seed's one-member view is installed already: queue it ahead of
-    // any frame or op, so every shard subscribes before it serves.
+    // any frame or op, so the host subscribes before it serves.
     if node.status() == NodeStatus::Active {
-        fan_out(shards, &node.configuration());
+        let _ = host.send(PumpIn::View(node.configuration()));
     }
-    mirror.lock().publish_membership(node);
-    let w = shards.len();
-    let frames = shards.to_vec();
-    // Sends block on a full shard channel — data frames are never
-    // silently dropped here; the reader pushes back on its connection. A
-    // lone shard needs no routing and decodes the frame itself: handing
-    // decoded 1 KiB-value batches across threads cost ~10 % of put
-    // throughput in the benchmark.
+    // Sends block on a full channel — neither a data frame nor a view is
+    // ever silently dropped here; a reader pushes back on its connection.
+    let frames = host.clone();
     let app = move |from: Endpoint, bytes: Vec<u8>| {
-        if w == 1 {
-            let _ = frames[0].send(PumpIn::Frame(from, bytes));
-        } else if let Ok(msg) = kv::decode(&bytes) {
-            for (idx, part) in kv::shard_route(msg, partitions, w) {
-                let _ = frames[idx].send(PumpIn::Msg(from, part));
-            }
-        }
+        let _ = frames.send(PumpIn::Frame(from, bytes));
     };
-    let (views, view_mirror) = (shards.to_vec(), Arc::clone(mirror));
-    let membership = move |node: &Node, event: AppEvent| {
+    let (views, mirror) = (host.clone(), Arc::clone(mirror));
+    let membership = move |_: &Node, event: AppEvent| {
         if let AppEvent::View(ViewChange { configuration, .. }) | AppEvent::Joined(configuration) =
             &event
         {
-            fan_out(&views, configuration);
+            let _ = views.send(PumpIn::View(Arc::clone(configuration)));
         }
-        let mut m = view_mirror.lock();
-        m.view_count += u64::from(matches!(event, AppEvent::View(_)));
-        m.publish_membership(node);
+        if matches!(event, AppEvent::View(_)) {
+            mirror.lock().view_count += 1;
+        }
     };
     Host {
         app: Box::new(app),
         membership: Box::new(membership),
-        timer: Some((
-            TICK,
-            merge_timer(shards.to_vec(), slots.to_vec(), Arc::clone(mirror), obs_sample_ms),
-        )),
     }
 }
 
-/// The node loop's merge: folds the shards' published snapshots into the
-/// process-level [`Mirror`] and, on the `obs_sample_ms` cadence, records
-/// the metrics timeline and the per-shard depth/ops series and feeds the
-/// interval quantiles back to every shard.
-fn merge_timer(
-    shards: Vec<Sender<PumpIn>>,
-    slots: Vec<Arc<Mutex<KvSnapshot>>>,
-    mirror: Arc<Mutex<Mirror>>,
-    obs_sample_ms: u64,
-) -> TimerHook {
-    let w = shards.len();
+/// The KV host's publish step: on each tick it writes the node's
+/// snapshot into the [`Mirror`] and, on the `obs_sample_ms` cadence,
+/// records the metrics timeline and feeds the interval quantiles back to
+/// the node's admission controller (the simulator's metrics sweep does
+/// the same).
+fn publisher(mirror: Arc<Mutex<Mirror>>, obs_sample_ms: u64) -> impl FnMut(&mut KvNode, bool) {
     let start = Instant::now();
     // Metrics timeline: the same delta sampler the simulator runs, on
     // the wall clock. Capacity 0 (`obs_sample_ms == 0`) disables it.
@@ -761,38 +568,32 @@ fn merge_timer(
     });
     // Cumulative totals as of the previous sample.
     let mut cursor = TimelinePoint::default();
-    let mut shard_ops_cursor = vec![0u64; w];
     let mut prev_hist = LatencyHist::new();
-    let mut next_sample = Instant::now() + Duration::from_millis(obs_sample_ms.max(1));
-    Box::new(move |node| {
-        let mut kv = KvSnapshot::default();
-        // (depth, cumulative ops) per shard.
-        let mut per_shard: Vec<(u64, u64)> = Vec::with_capacity(w);
-        for slot in &slots {
-            let p = slot.lock();
-            kv.stats.absorb(&p.stats);
-            kv.inbox_depth += p.inbox_depth;
-            kv.client_conns += p.client_conns;
-            kv.op_hist.merge(&p.op_hist);
-            per_shard.push((p.inbox_depth as u64, p.stats.puts_acked + p.stats.gets_ok));
+    let mut next_sample = start + Duration::from_millis(obs_sample_ms.max(1));
+    move |kv, ticked| {
+        if !ticked {
+            return;
         }
+        let snapshot = KvSnapshot {
+            stats: *kv.stats(),
+            inbox_depth: kv.inbox_depth(),
+            client_conns: kv.client_conns(),
+            op_hist: kv.op_hist().clone(),
+        };
+        let mut m = mirror.lock();
         // Metrics sweep: record the deltas since the previous sample. The
         // real-driver timeline carries the data plane (ops, handoff/repair
         // bytes, view changes) — the simulator fills the network columns.
-        let sampled = timeline.enabled() && Instant::now() >= next_sample;
-        if sampled {
-            let (_, p50, p99) = kv.op_hist.interval_quantiles(&prev_hist);
-            // Every shard's admission controller sees the same
-            // process-level latency signal.
-            for tx in &shards {
-                let _ = tx.send(PumpIn::NoteInterval(p50, p99));
-            }
+        if timeline.enabled() && Instant::now() >= next_sample {
+            let (_, p50, p99) = snapshot.op_hist.interval_quantiles(&prev_hist);
+            kv.note_interval(p50, p99);
+            let stats = &snapshot.stats;
             let total = TimelinePoint {
                 t_ms: start.elapsed().as_millis() as u64,
-                view_changes: mirror.lock().view_count,
-                ops: kv.stats.puts_acked + kv.stats.gets_ok,
-                handoff_bytes: kv.stats.bytes_moved,
-                repair_bytes: kv.stats.repair_bytes,
+                view_changes: m.view_count,
+                ops: stats.puts_acked + stats.gets_ok,
+                handoff_bytes: stats.bytes_moved,
+                repair_bytes: stats.repair_bytes,
                 ..TimelinePoint::default()
             };
             timeline.push(TimelinePoint {
@@ -805,28 +606,13 @@ fn merge_timer(
                 ..total
             });
             cursor = total;
-            prev_hist = kv.op_hist.clone();
+            prev_hist = snapshot.op_hist.clone();
             next_sample += Duration::from_millis(obs_sample_ms);
-        }
-        let mut m = mirror.lock();
-        m.publish_membership(node);
-        m.kv = kv;
-        if sampled {
             m.timeline = timeline.iter_in_order().copied().collect();
             m.timeline_dropped = timeline.dropped();
-            for (i, &(depth, ops)) in per_shard.iter().enumerate() {
-                // Series carry interval deltas, like the timeline.
-                let pt = ShardPoint {
-                    t_ms: cursor.t_ms,
-                    depth,
-                    ops: ops.saturating_sub(shard_ops_cursor[i]),
-                };
-                shard_ops_cursor[i] = ops;
-                push_shard_point(&mut m.shard_series[i], pt);
-            }
         }
-        m.per_shard = per_shard;
-    })
+        m.kv = snapshot;
+    }
 }
 
 /// A smart client hosted on the real transport: a [`KvClient`] state
@@ -1020,6 +806,7 @@ mod tests {
         conn.read_to_string(&mut body).unwrap();
         assert!(body.contains("\"status\":\"Active\""), "{body:?}");
         assert!(body.contains("\"puts_acked\":8"), "{body:?}");
+        assert!(body.contains("\"gets_ok\":0"), "{body:?}");
         assert!(body.contains("\"op_p99_ms\":"), "{body:?}");
         // Client-plane overload observability rides the same line.
         assert!(body.contains("\"inbox_depth\":"), "{body:?}");
@@ -1030,8 +817,6 @@ mod tests {
         assert!(body.contains("\"send_dropped\":0"), "{body:?}");
         assert!(body.contains("\"event_dropped\":0"), "{body:?}");
         assert_eq!((seed.send_dropped(), seed.event_dropped()), (0, 0));
-        // The default process is one shard.
-        assert!(body.contains("\"shards\":1"), "{body:?}");
         seed.shutdown_now();
     }
 
@@ -1289,32 +1074,24 @@ mod tests {
     }
 
     #[test]
-    fn start_seed_rejects_more_shards_than_partitions() {
+    fn start_seed_rejects_more_than_one_kv_shard() {
         let settings = Settings {
-            kv_shards: 9,
+            kv_shards: 2,
             ..fast_settings()
         };
         let err =
             match KvRuntime::start_seed(Endpoint::new("127.0.0.1", 0), settings, spec(), 2_000, 0)
             {
                 Err(e) => e,
-                Ok(_) => panic!("9 shards cannot cover 8 partitions"),
+                Ok(_) => panic!("a process runs one KV host loop"),
             };
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
         assert!(err.to_string().contains("kv_shards"), "{err}");
     }
 
     #[test]
-    fn real_sharded_runtime_serves_ops_and_publishes_per_shard_series() {
-        // W = 1 and W = 2 run the same pumps; only the shard count differs.
-        for w in [1, 2] {
-            sharded_runtime_serves_ops_and_publishes_per_shard_series(w);
-        }
-    }
-
-    fn sharded_runtime_serves_ops_and_publishes_per_shard_series(w: usize) {
+    fn real_two_process_runtime_serves_ops_and_lists_each_partition_once() {
         let settings = Settings {
-            kv_shards: w,
             obs_sample_ms: 100,
             ..fast_settings()
         };
@@ -1337,13 +1114,12 @@ mod tests {
             500,
         )
         .unwrap();
-        assert_eq!(seed.shards(), w);
         assert!(
             wait_for(
                 || seed.view_len() == 2 && joiner.view_len() == 2,
                 Duration::from_secs(30)
             ),
-            "2-node cluster of {w}-shard processes must form"
+            "2-node cluster must form"
         );
         // Writes through both coordinators, reads through the other.
         for i in 0..16 {
@@ -1354,47 +1130,34 @@ mod tests {
                     rx.recv_timeout(Duration::from_secs(5)),
                     Ok(KvOutcome::Acked { .. })
                 ),
-                "W={w}: put {i} must ack"
+                "put {i} must ack"
             );
         }
         for i in 0..16 {
             let rx = joiner.begin_get(&format!("shk{i}"));
             match rx.recv_timeout(Duration::from_secs(5)) {
                 Ok(KvOutcome::Found { val, .. }) => assert_eq!(val, format!("shv{i}")),
-                other => panic!("W={w}: get {i} failed: {other:?}"),
+                other => panic!("get {i} failed: {other:?}"),
             }
         }
-        // Merged stats must cover every acked op across both processes.
+        // Published stats must cover every acked op across both processes.
         assert!(
             wait_for(
                 || seed.stats().puts_acked + joiner.stats().puts_acked >= 16,
                 Duration::from_secs(5)
             ),
-            "merged per-shard stats must cover all acked puts"
+            "published stats must cover all acked puts"
         );
-        assert_eq!(seed.shard_depths().len(), w);
-        assert!(
-            wait_for(
-                || {
-                    let series = seed.shard_timeline();
-                    series.len() == w
-                        && series.iter().all(|s| !s.is_empty())
-                        && series.iter().flatten().map(|p| p.ops).sum::<u64>() >= 1
-                },
-                Duration::from_secs(10)
-            ),
-            "W={w}: every shard's series must fill and record completed ops"
-        );
-        // Asked on demand, the shards together list each partition once
-        // (RF = 2 over two members: both replicate all eight), and the
-        // written ones hash to something.
+        // Asked on demand, the host lists each partition once (RF = 2
+        // over two members: both replicate all eight), and the written
+        // ones hash to something.
         let d = seed.digest_snapshot();
         let parts: Vec<u32> = d.iter().map(|&(p, _, _)| p).collect();
-        assert_eq!(parts, (0..8).collect::<Vec<u32>>(), "W={w}: {d:?}");
+        assert_eq!(parts, (0..8).collect::<Vec<u32>>(), "{d:?}");
         assert_eq!(
             d.iter().map(|&(_, digest, _)| digest.count).sum::<u64>(),
             16,
-            "W={w}: the 16 written keys must show in the digests: {d:?}"
+            "the 16 written keys must show in the digests: {d:?}"
         );
         joiner.shutdown_now();
         seed.shutdown_now();
@@ -1406,49 +1169,27 @@ mod tests {
         // channel is full.
         let (tx, _rx) = bounded::<PumpIn>(CHAN_CAP);
         for _ in 0..CHAN_CAP {
-            tx.try_send(PumpIn::NoteInterval(0, 0)).unwrap();
+            tx.try_send(PumpIn::Stop).unwrap();
         }
         let rx = begin_op(&tx, "k", Some("v"));
         assert_eq!(rx.try_recv(), Ok(KvOutcome::Failed));
     }
 
     #[test]
-    fn digest_requests_to_a_stopped_or_stalled_shard_come_back_empty() {
-        // The shard's pump has returned: its receiver is gone.
+    fn digest_requests_to_a_stopped_or_stalled_host_come_back_empty() {
+        // The host's pump has returned: its receiver is gone.
         let (tx, rx) = bounded::<PumpIn>(CHAN_CAP);
         drop(rx);
         let asked = Instant::now();
-        assert!(ask_digests(&[tx]).is_empty());
+        assert!(ask_digests(&tx).is_empty());
         assert!(
             asked.elapsed() < DIGEST_WAIT,
-            "a stopped shard costs no wait"
+            "a stopped host costs no wait"
         );
         // The request is queued but never served: the wait is bounded.
         let (tx, _rx) = bounded::<PumpIn>(CHAN_CAP);
         let asked = Instant::now();
-        assert!(ask_digests(&[tx]).is_empty());
+        assert!(ask_digests(&tx).is_empty());
         assert!(asked.elapsed() < 2 * DIGEST_WAIT);
-    }
-
-    #[test]
-    fn shard_series_stays_at_the_cap_and_keeps_the_newest_points() {
-        let mut series = VecDeque::new();
-        let total = DEFAULT_TIMELINE_CAP as u64 + 10;
-        for t_ms in 0..total {
-            push_shard_point(
-                &mut series,
-                ShardPoint {
-                    t_ms,
-                    ..ShardPoint::default()
-                },
-            );
-        }
-        assert_eq!(series.len(), DEFAULT_TIMELINE_CAP);
-        assert_eq!(
-            series.front().map(|p| p.t_ms),
-            Some(10),
-            "oldest dropped first"
-        );
-        assert_eq!(series.back().map(|p| p.t_ms), Some(total - 1));
     }
 }

@@ -4,17 +4,12 @@
 //! cargo run --release -p rapid-scenario --bin scenario -- \
 //!     scenarios/smoke_crash.toml [--driver sim|real|both] \
 //!     [--system rapid|rapid-c|memberlist|zookeeper|akka] \
-//!     [--seed N] [--threads N] [--shards N] [--full] [--json] \
+//!     [--seed N] [--threads N] [--full] [--json] \
 //!     [--trace FILE] [--metrics FILE]
 //!
 //! `--threads N` overrides the simulator's shard count (the
 //! `[settings] threads` key) for every system, the baselines included;
 //! reports are bit-identical at any count.
-//! `--shards N` overrides the real driver's per-process KV shard count
-//! (the `[settings] kv_shards` key): N worker threads per process, each
-//! owning a rendezvous-assigned slice of the partitions. The sans-io
-//! state machine is shard-count-oblivious, so reports are equivalent at
-//! any count; the sim driver ignores the knob.
 //! `--trace FILE` writes the merged flight-recorder trace as JSONL
 //! (sim driver, rapid-family systems) — also bit-identical at any
 //! thread count. When an expectation fails, the recorder's tail is
@@ -36,7 +31,6 @@ struct Opts {
     system: SystemKind,
     seed: Option<u64>,
     threads: Option<usize>,
-    shards: Option<usize>,
     full: bool,
     json: bool,
     trace: Option<String>,
@@ -51,7 +45,6 @@ fn parse_args() -> Result<Opts, String> {
         system: SystemKind::Rapid,
         seed: None,
         threads: None,
-        shards: None,
         full: false,
         json: false,
         trace: None,
@@ -87,15 +80,6 @@ fn parse_args() -> Result<Opts, String> {
                         .ok_or("--threads needs a positive integer")?,
                 );
             }
-            "--shards" => {
-                i += 1;
-                opts.shards = Some(
-                    argv.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&t: &usize| t >= 1)
-                        .ok_or("--shards needs a positive integer")?,
-                );
-            }
             "--full" => opts.full = true,
             "--json" => opts.json = true,
             "--trace" => {
@@ -118,7 +102,7 @@ fn parse_args() -> Result<Opts, String> {
         i += 1;
     }
     if opts.path.is_empty() {
-        return Err("usage: scenario <file.toml> [--driver sim|real|both] [--system S] [--seed N] [--threads N] [--shards N] [--full] [--json] [--trace FILE] [--metrics FILE]".into());
+        return Err("usage: scenario <file.toml> [--driver sim|real|both] [--system S] [--seed N] [--threads N] [--full] [--json] [--trace FILE] [--metrics FILE]".into());
     }
     Ok(opts)
 }
@@ -210,12 +194,6 @@ fn main() {
         // Same effect as `[settings] threads = N` in the file; the sim
         // driver hands it to the engine, the real driver ignores it.
         scenario.settings.threads = Some(threads);
-    }
-    if let Some(shards) = opts.shards {
-        // Same effect as `[settings] kv_shards = N` in the file; the
-        // real driver spawns N data-plane workers per process, the sim
-        // driver (single sans-io node per process) ignores it.
-        scenario.settings.kv_shards = Some(shards);
     }
     if opts.full {
         scenario.apply_full();

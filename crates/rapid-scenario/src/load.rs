@@ -166,7 +166,6 @@ fn settings_from_value(v: &Value) -> Result<SettingsPatch, String> {
             "threads" => patch.threads = Some(req_usize(v, key, ctx)?),
             "obs_ring" => patch.obs_ring = Some(req_usize(v, key, ctx)?),
             "obs_sample_ms" => patch.obs_sample_ms = Some(req_uint(v, key, ctx)?),
-            "kv_shards" => patch.kv_shards = Some(req_usize(v, key, ctx)?),
             "client_window" => patch.client_window = Some(req_usize(v, key, ctx)?),
             "kv_inbox" => patch.kv_inbox = Some(req_usize(v, key, ctx)?),
             "kv_shed_p99_ms" => patch.kv_shed_p99_ms = Some(req_uint(v, key, ctx)?),

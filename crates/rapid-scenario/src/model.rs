@@ -126,9 +126,6 @@ pub struct SettingsPatch {
     /// default). When on, every report phase carries a `timeline`
     /// object and `--metrics FILE` exports the merged per-node series.
     pub obs_sample_ms: Option<u64>,
-    /// Real-driver KV data-plane shard count (`1` = one shard owning
-    /// every partition; ignored by the simulator).
-    pub kv_shards: Option<usize>,
     /// Smart-client in-flight op window.
     pub client_window: Option<usize>,
     /// KV node remote-op inbox bound (admission control hard limit).
@@ -163,7 +160,7 @@ impl SettingsPatch {
             fd_window, fd_fail_fraction, reinforce_timeout_ms, consensus_fallback_base_ms,
             consensus_fallback_jitter_ms, classic_round_timeout_ms, gossip_fanout,
             gossip_interval_ms, join_timeout_ms, bootstrap_batch, use_gossip_broadcast,
-            threads, obs_ring, obs_sample_ms, kv_shards, client_window, kv_inbox,
+            threads, obs_ring, obs_sample_ms, client_window, kv_inbox,
             kv_shed_p99_ms, peer_quota_frames, peer_quota_bytes, peer_quota_interval_ms
         );
         base.validate()

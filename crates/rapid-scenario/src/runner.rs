@@ -567,15 +567,6 @@ fn validate(scenario: &Scenario) -> Result<(), String> {
             }
         }
     }
-    if let (Some(shards), Some(kv)) = (scenario.settings.kv_shards, &scenario.kv) {
-        if shards > kv.partitions as usize {
-            return Err(format!(
-                "kv_shards = {shards} exceeds the {} KV partitions; a shard with no \
-                 partitions can never serve an op (lower kv_shards or raise partitions)",
-                kv.partitions
-            ));
-        }
-    }
     Ok(())
 }
 

@@ -346,9 +346,6 @@ type Deliver = dyn Fn(Endpoint, Frame, u64) + Send + Sync;
 /// [`Host::membership`]: a hook run on the node loop.
 pub type MembershipHook = Box<dyn FnMut(&Node, AppEvent) + Send>;
 
-/// [`Host::timer`]: a hook run on the node loop.
-pub type TimerHook = Box<dyn FnMut(&Node) + Send>;
-
 /// What a process runs beside its membership node, in place of the
 /// `events()` channel ([`Runtime::start_hosted`]).
 pub struct Host {
@@ -358,8 +355,6 @@ pub struct Host {
     /// Runs on the node loop for each view change, join and kick, before
     /// the loop takes its next input.
     pub membership: MembershipHook,
-    /// Runs on the node loop every `.0` after its previous run ended.
-    pub timer: Option<(Duration, TimerHook)>,
 }
 
 /// The node loop's input.
@@ -420,6 +415,11 @@ impl Runtime {
         metadata: rapid_core::Metadata,
         host: Option<impl FnOnce(&Node) -> Host>,
     ) -> std::io::Result<Runtime> {
+        // Checked before anything is bound: `Node` panics on invalid
+        // settings, and a caller's bad configuration is an error here.
+        settings
+            .validate()
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
         let listener = TcpListener::bind(format!("{listen}"))?;
         let actual: SocketAddr = listener.local_addr()?;
         let me_ep = Endpoint::new(listen.host(), actual.port());
@@ -448,7 +448,6 @@ impl Runtime {
                 let host = Host {
                     app: Box::new(move |from, p| offer(&app_tx, AppEvent::App(from, p), &d1.event)),
                     membership: Box::new(move |_, event| offer(&tx, event, &d2.event)),
-                    timer: None,
                 };
                 (host, rx)
             }
@@ -485,10 +484,8 @@ impl Runtime {
         let node_loop = {
             let shared = (Arc::clone(&view), Arc::clone(&status));
             let tick = Duration::from_millis(settings.tick_interval_ms);
-            let (out, membership, timer) = (peer.app_sender(), host.membership, host.timer);
-            std::thread::spawn(move || {
-                run_node(node, node_rx, tick, out, shared, membership, timer)
-            })
+            let (out, membership) = (peer.app_sender(), host.membership);
+            std::thread::spawn(move || run_node(node, node_rx, tick, out, shared, membership))
         };
         Ok(Runtime {
             me,
@@ -531,7 +528,8 @@ impl Runtime {
         &self.me.addr
     }
 
-    /// The latest installed configuration.
+    /// The latest installed configuration, published once the [`Host`]
+    /// (or [`Self::events`]) has been handed the change.
     pub fn view(&self) -> Arc<Configuration> {
         Arc::clone(&self.view.lock())
     }
@@ -555,7 +553,7 @@ impl Runtime {
     }
 
     /// A cloneable handle for sending app payloads from threads that do
-    /// not own the runtime (e.g. KV shard workers).
+    /// not own the runtime (e.g. a KV host loop).
     pub fn app_sender(&self) -> AppSender {
         self.peer.app_sender()
     }
@@ -627,8 +625,8 @@ impl Runtime {
 }
 
 /// The node loop: drives the [`Node`] from its input channel and its
-/// tick, queues what it sends, publishes view and status, and runs the
-/// host's hooks. Returns once every input sender is gone.
+/// tick, queues what it sends, runs the host's membership hook and then
+/// publishes view and status. Returns once every input sender is gone.
 fn run_node(
     mut node: Node,
     inputs: Receiver<NodeIn>,
@@ -636,15 +634,12 @@ fn run_node(
     out: AppSender,
     (view, status): (Arc<Mutex<Arc<Configuration>>>, Arc<Mutex<NodeStatus>>),
     mut membership: MembershipHook,
-    mut timer: Option<(Duration, TimerHook)>,
 ) {
     let start = Instant::now();
     let mut next_tick = start;
-    let mut next_timer = timer.as_ref().map(|(every, _)| start + *every);
     let mut actions = Vec::new();
     loop {
-        let due = next_timer.map_or(next_tick, |t| t.min(next_tick));
-        match inputs.recv_timeout(due.saturating_duration_since(Instant::now())) {
+        match inputs.recv_timeout(next_tick.saturating_duration_since(Instant::now())) {
             Ok(NodeIn::Receive(from, msg)) => {
                 node.handle(Event::Receive { from, msg }, &mut actions)
             }
@@ -663,26 +658,23 @@ fn run_node(
                     out.send(to, Frame::Proto(msg));
                     continue;
                 }
-                Action::View(vc) => {
-                    *view.lock() = Arc::clone(&vc.configuration);
-                    AppEvent::View(vc)
-                }
-                Action::Joined { config } => {
-                    *view.lock() = Arc::clone(&config);
-                    AppEvent::Joined(config)
-                }
+                Action::View(vc) => AppEvent::View(vc),
+                Action::Joined { config } => AppEvent::Joined(config),
                 Action::Kicked => AppEvent::Kicked,
             };
-            *status.lock() = node.status();
+            let installed = match &event {
+                AppEvent::View(ViewChange { configuration, .. })
+                | AppEvent::Joined(configuration) => Some(Arc::clone(configuration)),
+                _ => None,
+            };
+            // Published after the hook: whoever reads the new view or
+            // status finds the event already handed to the host.
             membership(&node, event);
-        }
-        *status.lock() = node.status();
-        if let (Some((every, run)), Some(at)) = (timer.as_mut(), next_timer) {
-            if Instant::now() >= at {
-                run(&node);
-                next_timer = Some(Instant::now() + *every);
+            if let Some(config) = installed {
+                *view.lock() = config;
             }
         }
+        *status.lock() = node.status();
     }
 }
 
@@ -872,6 +864,17 @@ mod tests {
             std::thread::sleep(Duration::from_millis(50));
         }
         false
+    }
+
+    #[test]
+    fn invalid_settings_are_an_error_not_a_panic() {
+        let bad = Settings::with_watermarks(10, 11, 3);
+        let err = match Runtime::start_seed(Endpoint::new("127.0.0.1", 0), bad) {
+            Err(e) => e,
+            Ok(_) => panic!("H > K must be refused"),
+        };
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("watermarks"), "{err}");
     }
 
     #[test]

@@ -8,7 +8,6 @@
 #                                    baseline system, sim report JSON, --threads 1 vs 2
 #   scripts/equivalence.sh trace     smoke_crash + kv_churn flight-recorder trace, --threads 1 vs 2
 #   scripts/equivalence.sh metrics   every shipped scenario, metrics JSONL,   --threads 1 vs 2
-#   scripts/equivalence.sh shards    kv_churn + kv_overload real-driver verdicts, --shards 1 vs 2
 set -euo pipefail
 
 cargo build --release -p rapid-scenario --bin scenario
@@ -69,31 +68,8 @@ case "${1:-}" in
       echo "$f: metrics JSONL and sampled report byte-identical ($(wc -l < "$tmp/t1/metrics.jsonl") samples)"
     done
     ;;
-  shards)
-    # Both counts run the same host loop; only the number of shard
-    # threads differs. Compare the timing-free skeleton: the overall
-    # result, phase names and expectation verdicts. Wall-clock leaves
-    # (durations, traffic bytes) and the acked-ledger counts embedded in
-    # expect descriptions legitimately vary run to run on a shared box
-    # (kv_overload sheds a timing-dependent share of the burst).
-    for f in scenarios/kv_churn.toml scenarios/kv_overload.toml; do
-      for w in 1 2; do
-        "$scenario" "$f" --driver real --shards "$w" --json | python3 -c '
-import json, sys
-r = json.load(sys.stdin)
-print(r["passed"])
-for p in r["phases"]:
-    for e in p["expects"]:
-        print(p["name"], e["desc"].split("(")[0], e["passed"])
-' > "$tmp/shards$w"
-      done
-      must_match "$f: real-driver verdicts diverge between --shards 1 and --shards 2" \
-        "$tmp/shards1" "$tmp/shards2"
-      echo "$f: --shards 2 verdicts identical to --shards 1"
-    done
-    ;;
   *)
-    echo "usage: $0 report|trace|metrics|shards" >&2
+    echo "usage: $0 report|trace|metrics" >&2
     exit 2
     ;;
 esac
