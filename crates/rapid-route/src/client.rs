@@ -228,23 +228,14 @@ impl KvClient {
         self.ops.len()
     }
 
-    /// Submits one op; the result arrives later as [`KvOut::Done`] with
-    /// the returned request id.
-    pub fn submit(&mut self, op: ClientOp<'_>, now: u64, out: &mut Vec<KvOut>) -> u64 {
-        self.now = self.now.max(now);
-        let req = self.enqueue(op, now);
-        self.pump(out);
-        self.flush(out);
-        req
-    }
-
     /// Submits a burst with one outbox flush: ops routed to the same
     /// leader share a wire frame (the pipelined fast path). Returns one
-    /// request id per op, in order.
+    /// request id per op, in order; each result arrives later as
+    /// [`KvOut::Done`] under its id.
     pub fn submit_ops(&mut self, ops: &[ClientOp<'_>], now: u64, out: &mut Vec<KvOut>) -> Vec<u64> {
         self.now = self.now.max(now);
         let reqs = ops.iter().map(|op| self.enqueue(*op, now)).collect();
-        self.pump(out);
+        self.pump();
         self.flush(out);
         reqs
     }
@@ -280,7 +271,7 @@ impl KvClient {
     pub fn on_message(&mut self, from: Endpoint, msg: KvMsg, now: u64, out: &mut Vec<KvOut>) {
         self.now = self.now.max(now);
         self.handle_msg(from, msg, now, out);
-        self.pump(out);
+        self.pump();
         self.flush(out);
     }
 
@@ -489,7 +480,7 @@ impl KvClient {
             self.ops.get_mut(&req).expect("collected above").phase = OpPhase::Queued;
             self.queue.push_back(req);
         }
-        self.pump(out);
+        self.pump();
         self.flush(out);
     }
 
@@ -497,7 +488,7 @@ impl KvClient {
     /// the placement leader (zero-hop); later attempts rotate through
     /// the partition's replica set — any replica coordinator-forwards,
     /// which is the stale-view fallback.
-    fn pump(&mut self, _out: &mut Vec<KvOut>) {
+    fn pump(&mut self) {
         if self.view.is_none() {
             return; // Nothing to route with until the first view push.
         }
@@ -626,7 +617,7 @@ mod tests {
         );
         // No view yet: submissions queue, nothing hits the wire.
         let mut out = Vec::new();
-        let req = c.submit(ClientOp::Put { key: "k", val: "v" }, 10, &mut out);
+        let req = c.submit_ops(&[ClientOp::Put { key: "k", val: "v" }], 10, &mut out)[0];
         assert!(sends(&out).is_empty(), "no view, no routing: {out:?}");
         assert_eq!(c.pending(), 1);
 
@@ -683,7 +674,7 @@ mod tests {
         let mut out = Vec::new();
         c.on_message(eps[0], view_msg_of(&cfg), 0, &mut out);
         let mut out = Vec::new();
-        let req = c.submit(ClientOp::Put { key: "k", val: "v" }, 0, &mut out);
+        let req = c.submit_ops(&[ClientOp::Put { key: "k", val: "v" }], 0, &mut out)[0];
         assert_eq!(sends(&out).len(), 1);
         let mut out = Vec::new();
         c.on_message(
@@ -753,7 +744,7 @@ mod tests {
         assert_eq!(c.stats().views_adopted, 1);
 
         let mut out = Vec::new();
-        let req = c.submit(ClientOp::Get { key: "rot" }, 0, &mut out);
+        let req = c.submit_ops(&[ClientOp::Get { key: "rot" }], 0, &mut out)[0];
         let first = sends(&out)[0].0;
         let p = partition_of("rot", spec().partitions);
         let pl = c.placement().unwrap().clone();
@@ -798,7 +789,7 @@ mod tests {
         c.on_message(eps[0], view_msg_of(&cfg), 0, &mut out);
         // Ack a write at version 9: the floor is recorded client-side.
         let mut out = Vec::new();
-        let w = c.submit(ClientOp::Put { key: "f", val: "v" }, 0, &mut out);
+        let w = c.submit_ops(&[ClientOp::Put { key: "f", val: "v" }], 0, &mut out)[0];
         let mut out = Vec::new();
         c.on_message(
             eps[0],
@@ -813,7 +804,7 @@ mod tests {
         );
         // A read now carries the floor on the wire…
         let mut out = Vec::new();
-        let r = c.submit(ClientOp::Get { key: "f" }, 2, &mut out);
+        let r = c.submit_ops(&[ClientOp::Get { key: "f" }], 2, &mut out)[0];
         assert!(
             sends(&out)
                 .iter()
@@ -886,8 +877,8 @@ mod tests {
         let mut out = Vec::new();
         c.on_message(eps[0], view_msg_of(cfg), 0, &mut out);
         let mut out = Vec::new();
-        let r_gone = c.submit(ClientOp::Get { key: &gone }, 1, &mut out);
-        let r_kept = c.submit(ClientOp::Get { key: &kept }, 1, &mut out);
+        let r_gone = c.submit_ops(&[ClientOp::Get { key: &gone }], 1, &mut out)[0];
+        let r_kept = c.submit_ops(&[ClientOp::Get { key: &kept }], 1, &mut out)[0];
         assert_eq!(sends(&out).len(), 2);
         (c, [(r_gone, gone), (r_kept, kept)])
     }

@@ -1,16 +1,19 @@
 //! The replicated in-memory KV data plane.
 //!
 //! [`KvNode`] is a sans-io state machine, like the membership node it
-//! rides on: it consumes view changes, peer messages, client operations
-//! and ticks, and emits [`KvOut`] actions (sends and client results).
+//! rides on: it consumes view changes, peer messages and ticks, and emits
+//! [`KvOut::Send`] actions. Client operations arrive as wire messages
+//! too — a smart client's [`KvMsg::CPut`]/[`KvMsg::CGet`] — and are
+//! answered with a [`KvMsg::CResp`].
 //! The same state machine runs under the deterministic simulator
 //! ([`crate::sim::KvSimActor`]) and the real TCP transport
 //! ([`crate::real::KvRuntime`]).
 //!
 //! Protocol (all placement-driven, zero coordination messages):
 //!
-//! * **Routing** — any node accepts a client op, computes the partition's
-//!   leader from its placement, and forwards. Leaders are a pure function
+//! * **Routing** — any node accepts a client op (a client with a stale
+//!   view may pick any), computes the partition's leader from its
+//!   placement, and forwards. Leaders are a pure function
 //!   of the view, so there is no leader election and no lease.
 //! * **Writes** — the leader versions the write, applies it locally, and
 //!   replicates to every other replica; the client is acked only after
@@ -113,13 +116,16 @@ pub enum KvOutcome {
 pub enum KvOut {
     /// Transmit a data-plane message.
     Send(Endpoint, KvMsg),
-    /// A client operation completed.
+    /// A client operation completed. Only a
+    /// [`KvClient`](crate::client::KvClient) emits it: a `KvNode` answers
+    /// its clients on the wire, as [`KvMsg::CResp`].
     Done(u64, KvOutcome),
 }
 
 /// One client operation, for batched submission through
-/// [`KvNode::client_ops`]: a whole burst shares one outbox flush, so ops
-/// routed to the same leader share a wire frame.
+/// [`KvClient::submit_ops`](crate::client::KvClient::submit_ops): a whole
+/// burst shares one outbox flush, so ops routed to the same leader share
+/// a wire frame.
 #[derive(Clone, Copy, Debug)]
 pub enum ClientOp<'a> {
     /// A write.
@@ -212,30 +218,15 @@ impl KvStats {
 // The state machine
 // ---------------------------------------------------------------------------
 
-/// Who to tell when a pending client op resolves: the local host (the
-/// legacy via-coordinator path, completed as [`KvOut::Done`]) or a
-/// remote smart client (completed as a [`KvMsg::CResp`] wire message).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ClientOrigin {
-    /// Submitted by this process's host; `req` is the host-visible id.
-    Local,
-    /// Submitted over the wire by a smart client.
-    Remote {
-        /// The client's endpoint.
-        ep: Endpoint,
-        /// The client's own request id (node-local ids can collide
-        /// across clients).
-        req: u64,
-    },
-}
-
 /// A client op in flight at its coordinator, keyed by request id in
 /// [`KvNode::pending_client`] so completions are O(1) instead of a scan.
 struct PendingClient {
     deadline: u64,
     is_put: bool,
-    /// Where the verdict goes.
-    origin: ClientOrigin,
+    /// The smart client that sent the op and its own request id, which
+    /// the [`KvMsg::CResp`] verdict goes back under (node-local ids can
+    /// collide across clients).
+    client: (Endpoint, u64),
     /// The key, kept for read retries and for recording acked floors.
     key: String,
     /// Read-your-writes floor captured when the get began: the highest
@@ -333,8 +324,7 @@ pub struct KvNode {
     /// Smart clients subscribed to view pushes, sorted for deterministic
     /// push order. Bounded by [`MAX_SUBS`].
     subs: Vec<Endpoint>,
-    /// Admission bound on `pending_client` entries with a remote origin;
-    /// 0 = unbounded (the pre-client-plane behaviour).
+    /// Admission bound on `pending_client` entries; 0 = unbounded.
     inbox_limit: usize,
     /// Soft-shed threshold: when the last sampled interval's op p99
     /// exceeded this *and* the inbox is more than half full, new client
@@ -344,9 +334,6 @@ pub struct KvNode {
     /// ([`KvNode::note_interval`]) — the PR 8 timeline signal the
     /// shedding decision keys off.
     last_interval_p99: u64,
-    /// Remote-origin entries currently in `pending_client` (tracked so
-    /// `inbox_depth` is O(1), not a scan).
-    remote_pending: usize,
 }
 
 /// Cap on subscribed clients per node; later subscriptions are refused
@@ -393,7 +380,6 @@ impl KvNode {
             inbox_limit: 0,
             shed_p99_ms: 0,
             last_interval_p99: 0,
-            remote_pending: 0,
         }
     }
 
@@ -433,9 +419,9 @@ impl KvNode {
         self.last_interval_p99 = p99_ms;
     }
 
-    /// Remote client ops currently pending at this coordinator.
+    /// Client ops currently pending at this coordinator.
     pub fn inbox_depth(&self) -> usize {
-        self.remote_pending
+        self.pending_client.len()
     }
 
     /// Smart clients currently subscribed to view pushes.
@@ -513,11 +499,11 @@ impl KvNode {
     /// per receiver: one wire frame however many partitions move).
     pub fn on_view(&mut self, config: Arc<Configuration>, now: u64, out: &mut Vec<KvOut>) {
         self.now = self.now.max(now);
-        self.handle_view(config, now, out);
+        self.handle_view(config, now);
         self.flush(out);
     }
 
-    fn handle_view(&mut self, config: Arc<Configuration>, now: u64, out: &mut Vec<KvOut>) {
+    fn handle_view(&mut self, config: Arc<Configuration>, now: u64) {
         let placement = self.placement_for(&config);
         if self.view.is_none() && self.expect_initial_handoffs {
             // First view after joining an established cluster: everything
@@ -614,8 +600,8 @@ impl KvNode {
         let deferral_cap = self.last_repair_at + 4 * self.repair_interval_ms;
         self.next_repair_at = (now + self.repair_interval_ms).min(deferral_cap);
         if let Some(moves) = moves {
-            self.retarget_rounds(&moves, out);
-            self.reroute_orphans(out);
+            self.retarget_rounds(&moves);
+            self.reroute_orphans();
         }
     }
 
@@ -625,7 +611,7 @@ impl KvNode {
     /// added ones get the same write under the same round, and the put
     /// acks once every replica of the current view holds it. A round on
     /// a partition this node no longer leads fails (retryable).
-    fn retarget_rounds(&mut self, moves: &[ReplicaMove], out: &mut Vec<KvOut>) {
+    fn retarget_rounds(&mut self, moves: &[ReplicaMove]) {
         let cfg = Arc::clone(&self.view.as_ref().expect("installed by the caller").0);
         let mut reps: Vec<u64> = self.pending_rep.keys().copied().collect();
         reps.sort_unstable();
@@ -633,7 +619,7 @@ impl KvNode {
             let partition = partition_of(&self.pending_rep[&rep].key, self.spec.partitions);
             if !self.is_leader(partition) {
                 let p = self.pending_rep.remove(&rep).expect("collected above");
-                self.put_fail(p.client_req, p.origin, out);
+                self.put_fail(p.client_req, p.origin);
                 continue;
             }
             let added: Vec<Endpoint> = moves
@@ -646,7 +632,7 @@ impl KvNode {
             p.waiting.extend_from_slice(&added);
             if p.waiting.is_empty() {
                 let p = self.pending_rep.remove(&rep).expect("collected above");
-                self.put_ack(p.client_req, p.origin, p.version, out);
+                self.put_ack(p.client_req, p.origin, p.version);
                 continue;
             }
             if added.is_empty() {
@@ -657,7 +643,7 @@ impl KvNode {
             let key = p.key.clone();
             let Some((val, version)) = self.store.get(partition, &key).cloned() else {
                 let p = self.pending_rep.remove(&rep).expect("collected above");
-                self.put_fail(p.client_req, p.origin, out);
+                self.put_fail(p.client_req, p.origin);
                 continue;
             };
             for to in added {
@@ -680,7 +666,7 @@ impl KvNode {
     /// the view just installed removed: reads go to the new leader,
     /// writes fail retryably (the client re-sends them; the value is not
     /// kept here).
-    fn reroute_orphans(&mut self, out: &mut Vec<KvOut>) {
+    fn reroute_orphans(&mut self) {
         let (cfg, _) = self.view.as_ref().expect("installed by the caller");
         let mut orphans: Vec<(u64, bool)> = self
             .pending_client
@@ -691,10 +677,10 @@ impl KvNode {
         orphans.sort_unstable();
         for (req, is_put) in orphans {
             if is_put {
-                self.resolve_client(req, KvOutcome::Failed, out);
+                self.resolve_client(req, KvOutcome::Failed);
             } else {
                 let key = self.pending_client[&req].key.clone();
-                self.forward_get(req, &key, out);
+                self.forward_get(req, &key);
             }
         }
     }
@@ -755,13 +741,11 @@ impl KvNode {
         stats.frames_sent = s.frames;
     }
 
-    fn resolve_client(&mut self, req: u64, outcome: KvOutcome, out: &mut Vec<KvOut>) {
+    /// Settles pending op `req` and queues its verdict to the client.
+    fn resolve_client(&mut self, req: u64, outcome: KvOutcome) {
         let Some(pc) = self.pending_client.remove(&req) else {
             return; // Already timed out.
         };
-        if matches!(pc.origin, ClientOrigin::Remote { .. }) {
-            self.remote_pending = self.remote_pending.saturating_sub(1);
-        }
         // The op started `op_timeout_ms` before its deadline; `self.now`
         // was refreshed by whichever entry point led here.
         let latency = self
@@ -783,83 +767,30 @@ impl KvNode {
             (_, false) => self.stats.gets_ok += 1,
             _ => {}
         }
-        match pc.origin {
-            ClientOrigin::Local => out.push(KvOut::Done(req, outcome)),
-            ClientOrigin::Remote { ep, req: creq } => {
-                let (code, val, version) = match outcome {
-                    KvOutcome::Acked { version } => (CRESP_ACKED, String::new(), version),
-                    KvOutcome::Found { val, version } => (CRESP_FOUND, val, version),
-                    KvOutcome::Missing => (CRESP_MISSING, String::new(), 0),
-                    KvOutcome::Failed => (CRESP_FAILED, String::new(), 0),
-                };
-                self.send(
-                    ep,
-                    KvMsg::CResp {
-                        req: creq,
-                        code,
-                        val,
-                        version,
-                    },
-                );
-            }
-        }
+        let (code, val, version) = match outcome {
+            KvOutcome::Acked { version } => (CRESP_ACKED, String::new(), version),
+            KvOutcome::Found { val, version } => (CRESP_FOUND, val, version),
+            KvOutcome::Missing => (CRESP_MISSING, String::new(), 0),
+            KvOutcome::Failed => (CRESP_FAILED, String::new(), 0),
+        };
+        let (ep, creq) = pc.client;
+        self.send(
+            ep,
+            KvMsg::CResp {
+                req: creq,
+                code,
+                val,
+                version,
+            },
+        );
     }
 
-    /// Begins a client write through this node as coordinator; the result
-    /// arrives later as [`KvOut::Done`] with the returned request id.
-    pub fn client_put(&mut self, key: &str, val: &str, now: u64, out: &mut Vec<KvOut>) -> u64 {
-        self.now = self.now.max(now);
-        let req = self.begin_put(key, val, now, out);
-        self.flush(out);
-        req
-    }
-
-    /// Begins a client read through this node as coordinator. The read
-    /// completes only at a version at or above every write this
-    /// coordinator has acked for the key (read-your-writes): stale or
-    /// retryable leader answers are retried until the op deadline.
-    pub fn client_get(&mut self, key: &str, now: u64, out: &mut Vec<KvOut>) -> u64 {
-        self.now = self.now.max(now);
-        let req = self.begin_get(key, now, out);
-        self.flush(out);
-        req
-    }
-
-    /// Begins a burst of client operations with a single outbox flush:
-    /// operations routed to the same leader leave in one wire frame (the
-    /// pipelined-client fast path). Returns one request id per op, in
-    /// order.
-    pub fn client_ops(&mut self, ops: &[ClientOp<'_>], now: u64, out: &mut Vec<KvOut>) -> Vec<u64> {
-        self.now = self.now.max(now);
-        let reqs = ops
-            .iter()
-            .map(|op| match *op {
-                ClientOp::Put { key, val } => self.begin_put(key, val, now, out),
-                ClientOp::Get { key } => self.begin_get(key, now, out),
-            })
-            .collect();
-        self.flush(out);
-        reqs
-    }
-
-    fn begin_put(&mut self, key: &str, val: &str, now: u64, out: &mut Vec<KvOut>) -> u64 {
-        self.begin_put_from(key, val, now, ClientOrigin::Local, out)
-    }
-
-    fn begin_put_from(
-        &mut self,
-        key: &str,
-        val: &str,
-        now: u64,
-        origin: ClientOrigin,
-        out: &mut Vec<KvOut>,
-    ) -> u64 {
+    /// Coordinates a client write: applies it here when this node leads
+    /// the key's partition, forwards it to the leader otherwise.
+    fn coordinate_put(&mut self, client: (Endpoint, u64), key: &str, val: &str, now: u64) {
         let req = self.next_req;
         self.next_req += 1;
         self.trace.push(now, EventKind::KvOpStart, req, 1);
-        if matches!(origin, ClientOrigin::Remote { .. }) {
-            self.remote_pending += 1;
-        }
         let partition = partition_of(key, self.spec.partitions);
         let leader = self.leader_addr(partition);
         self.pending_client.insert(
@@ -867,7 +798,7 @@ impl KvNode {
             PendingClient {
                 deadline: now + self.op_timeout_ms,
                 is_put: true,
-                origin,
+                client,
                 key: key.to_string(),
                 floor: 0,
                 retry: false,
@@ -875,9 +806,9 @@ impl KvNode {
             },
         );
         match leader {
-            None => self.resolve_client(req, KvOutcome::Failed, out),
+            None => self.resolve_client(req, KvOutcome::Failed),
             Some(leader) if leader == self.me.addr => {
-                self.leader_put(req, self.me.addr, key, val, now, out);
+                self.leader_put(req, self.me.addr, key, val, now);
             }
             Some(leader) => self.send(
                 leader,
@@ -889,27 +820,14 @@ impl KvNode {
                 },
             ),
         }
-        req
     }
 
-    fn begin_get(&mut self, key: &str, now: u64, out: &mut Vec<KvOut>) -> u64 {
-        self.begin_get_from(key, 0, now, ClientOrigin::Local, out)
-    }
-
-    fn begin_get_from(
-        &mut self,
-        key: &str,
-        floor_min: u64,
-        now: u64,
-        origin: ClientOrigin,
-        out: &mut Vec<KvOut>,
-    ) -> u64 {
+    /// Coordinates a client read: routes it to the key's leader and
+    /// retries below-floor or retryable answers until the deadline.
+    fn coordinate_get(&mut self, client: (Endpoint, u64), key: &str, floor_min: u64, now: u64) {
         let req = self.next_req;
         self.next_req += 1;
         self.trace.push(now, EventKind::KvOpStart, req, 0);
-        if matches!(origin, ClientOrigin::Remote { .. }) {
-            self.remote_pending += 1;
-        }
         // Read-your-writes across coordinators: honour both this node's
         // acked floor and the one the client carried in.
         let floor = self
@@ -923,15 +841,14 @@ impl KvNode {
             PendingClient {
                 deadline: now + self.op_timeout_ms,
                 is_put: false,
-                origin,
+                client,
                 key: key.to_string(),
                 floor,
                 retry: false,
                 leader: self.me.addr,
             },
         );
-        self.forward_get(req, key, out);
-        req
+        self.forward_get(req, key);
     }
 
     /// Admission decision for one arriving client op: `Err` when it must
@@ -939,13 +856,14 @@ impl KvNode {
     /// site.
     fn admit_client_op(&self) -> Result<(), KvError> {
         let retry_after_ms = (self.op_timeout_ms / 4).max(1);
-        if self.inbox_limit > 0 && self.remote_pending >= self.inbox_limit {
+        let depth = self.pending_client.len();
+        if self.inbox_limit > 0 && depth >= self.inbox_limit {
             return Err(KvError::Overloaded { retry_after_ms });
         }
         if self.shed_p99_ms > 0
             && self.last_interval_p99 > self.shed_p99_ms
             && self.inbox_limit > 0
-            && self.remote_pending > self.inbox_limit / 2
+            && depth > self.inbox_limit / 2
         {
             return Err(KvError::Overloaded { retry_after_ms });
         }
@@ -953,11 +871,10 @@ impl KvNode {
     }
 
     /// Handles one client-plane op arriving over the wire: shed under
-    /// overload (typed, counted, never acked) or coordinate it exactly
-    /// like a local submission with a remote completion route. When this
-    /// node leads the key's partition — the smart client's common case —
-    /// the op is zero-hop: no coordinator forward ever hits the wire.
-    #[allow(clippy::too_many_arguments)]
+    /// overload (typed, counted, never acked) or coordinate it, answering
+    /// the client with a [`KvMsg::CResp`]. When this node leads the key's
+    /// partition — the smart client's common case — the op is zero-hop:
+    /// no coordinator forward ever hits the wire.
     fn on_client_op(
         &mut self,
         from: Endpoint,
@@ -966,7 +883,6 @@ impl KvNode {
         val: Option<&str>,
         floor: u64,
         now: u64,
-        out: &mut Vec<KvOut>,
     ) {
         if let Err(KvError::Overloaded { retry_after_ms }) = self.admit_client_op() {
             self.stats.ops_shed += 1;
@@ -981,25 +897,20 @@ impl KvNode {
             );
             return;
         }
-        let origin = ClientOrigin::Remote { ep: from, req: creq };
         match val {
-            Some(v) => {
-                self.begin_put_from(key, v, now, origin, out);
-            }
-            None => {
-                self.begin_get_from(key, floor, now, origin, out);
-            }
+            Some(v) => self.coordinate_put((from, creq), key, v, now),
+            None => self.coordinate_get((from, creq), key, floor, now),
         }
     }
 
     /// Routes (or re-routes) a pending read to the key's current leader.
-    fn forward_get(&mut self, req: u64, key: &str, out: &mut Vec<KvOut>) {
+    fn forward_get(&mut self, req: u64, key: &str) {
         let partition = partition_of(key, self.spec.partitions);
         match self.leader_addr(partition) {
-            None => self.resolve_client(req, KvOutcome::Failed, out),
+            None => self.resolve_client(req, KvOutcome::Failed),
             Some(leader) if leader == self.me.addr => {
                 let resp = self.leader_get_resp(req, key);
-                self.finish_get(resp, out);
+                self.finish_get(resp);
             }
             Some(leader) => {
                 if let Some(pc) = self.pending_client.get_mut(&req) {
@@ -1017,9 +928,9 @@ impl KvNode {
         }
     }
 
-    fn put_fail(&mut self, req: u64, origin: Endpoint, out: &mut Vec<KvOut>) {
+    fn put_fail(&mut self, req: u64, origin: Endpoint) {
         if origin == self.me.addr {
-            self.resolve_client(req, KvOutcome::Failed, out);
+            self.resolve_client(req, KvOutcome::Failed);
         } else {
             self.send(
                 origin,
@@ -1032,9 +943,9 @@ impl KvNode {
         }
     }
 
-    fn put_ack(&mut self, req: u64, origin: Endpoint, version: u64, out: &mut Vec<KvOut>) {
+    fn put_ack(&mut self, req: u64, origin: Endpoint, version: u64) {
         if origin == self.me.addr {
-            self.resolve_client(req, KvOutcome::Acked { version }, out);
+            self.resolve_client(req, KvOutcome::Acked { version });
         } else {
             self.send(
                 origin,
@@ -1047,18 +958,10 @@ impl KvNode {
         }
     }
 
-    fn leader_put(
-        &mut self,
-        req: u64,
-        origin: Endpoint,
-        key: &str,
-        val: &str,
-        now: u64,
-        out: &mut Vec<KvOut>,
-    ) {
+    fn leader_put(&mut self, req: u64, origin: Endpoint, key: &str, val: &str, now: u64) {
         let partition = partition_of(key, self.spec.partitions);
         if !self.is_leader(partition) {
-            return self.put_fail(req, origin, out);
+            return self.put_fail(req, origin);
         }
         let config_seq = self.view.as_ref().map(|(c, _)| c.seq()).unwrap_or(0);
         // Versions are (config seq, per-partition counter); the counter
@@ -1074,7 +977,7 @@ impl KvNode {
             .put(partition, key.to_string(), val.to_string(), version);
         let others = self.replica_addrs_except_me(partition);
         if others.is_empty() {
-            return self.put_ack(req, origin, version, out);
+            return self.put_ack(req, origin, version);
         }
         // Leader-local id for the replication round: coordinator request
         // ids are only unique per origin, and two origins can race the
@@ -1136,7 +1039,7 @@ impl KvNode {
         }
     }
 
-    fn finish_get(&mut self, resp: KvMsg, out: &mut Vec<KvOut>) {
+    fn finish_get(&mut self, resp: KvMsg) {
         let KvMsg::GetResp {
             req,
             ok,
@@ -1165,7 +1068,7 @@ impl KvNode {
         } else {
             KvOutcome::Missing
         };
-        self.resolve_client(req, outcome, out);
+        self.resolve_client(req, outcome);
     }
 
     /// Handles a data-plane message from a peer. Everything the message
@@ -1174,15 +1077,15 @@ impl KvNode {
     /// carried.
     pub fn on_message(&mut self, from: Endpoint, msg: KvMsg, now: u64, out: &mut Vec<KvOut>) {
         self.now = self.now.max(now);
-        self.handle_msg(from, msg, now, out);
+        self.handle_msg(from, msg, now);
         self.flush(out);
     }
 
-    fn handle_msg(&mut self, from: Endpoint, msg: KvMsg, now: u64, out: &mut Vec<KvOut>) {
+    fn handle_msg(&mut self, from: Endpoint, msg: KvMsg, now: u64) {
         match msg {
             KvMsg::Batch(msgs) => {
                 for m in msgs {
-                    self.handle_msg(from, m, now, out);
+                    self.handle_msg(from, m, now);
                 }
             }
             KvMsg::Put {
@@ -1190,20 +1093,20 @@ impl KvNode {
                 origin,
                 key,
                 val,
-            } => self.leader_put(req, origin, &key, &val, now, out),
+            } => self.leader_put(req, origin, &key, &val, now),
             KvMsg::PutAck { req, ok, version } => {
                 let outcome = if ok {
                     KvOutcome::Acked { version }
                 } else {
                     KvOutcome::Failed
                 };
-                self.resolve_client(req, outcome, out);
+                self.resolve_client(req, outcome);
             }
             KvMsg::Get { req, origin, key } => {
                 let resp = self.leader_get_resp(req, &key);
                 self.send(origin, resp);
             }
-            resp @ KvMsg::GetResp { .. } => self.finish_get(resp, out),
+            resp @ KvMsg::GetResp { .. } => self.finish_get(resp),
             KvMsg::Replicate {
                 partition,
                 req,
@@ -1225,7 +1128,7 @@ impl KvNode {
                 };
                 if done {
                     let p = self.pending_rep.remove(&req).expect("checked above");
-                    self.put_ack(p.client_req, p.origin, p.version, out);
+                    self.put_ack(p.client_req, p.origin, p.version);
                 }
             }
             KvMsg::Handoff { partition, entries } => {
@@ -1256,17 +1159,13 @@ impl KvNode {
                     self.send(from, view);
                 }
             }
-            KvMsg::View { .. } => {} // Client-plane message; nodes ignore.
+            KvMsg::View { .. } => {}  // Client-plane message; nodes ignore.
             KvMsg::CResp { .. } => {} // Client-plane verdict; nodes ignore.
-            KvMsg::CPut { req, key, val } => {
-                self.on_client_op(from, req, &key, Some(&val), 0, now, out)
-            }
-            KvMsg::CGet { req, key, floor } => {
-                self.on_client_op(from, req, &key, None, floor, now, out)
-            }
-            KvMsg::DigestReq { digests } => self.on_digest_req(from, digests, out),
-            KvMsg::DigestResp { digests } => self.on_digest_resp(from, digests, out),
-            KvMsg::RepairPull { partitions } => self.on_repair_pull(from, partitions, out),
+            KvMsg::CPut { req, key, val } => self.on_client_op(from, req, &key, Some(&val), 0, now),
+            KvMsg::CGet { req, key, floor } => self.on_client_op(from, req, &key, None, floor, now),
+            KvMsg::DigestReq { digests } => self.on_digest_req(from, digests),
+            KvMsg::DigestResp { digests } => self.on_digest_resp(from, digests),
+            KvMsg::RepairPull { partitions } => self.on_repair_pull(from, partitions),
             KvMsg::RepairPush {
                 partition,
                 settled,
@@ -1329,7 +1228,7 @@ impl KvNode {
     /// either pull outright (partition still awaiting its handoff) or
     /// offer a digest for divergence detection. Messages are batched per
     /// peer.
-    fn run_repair(&mut self, _out: &mut Vec<KvOut>) {
+    fn run_repair(&mut self) {
         let Some((cfg, pl)) = self.view.clone() else {
             return;
         };
@@ -1385,12 +1284,7 @@ impl KvNode {
         }
     }
 
-    fn on_digest_req(
-        &mut self,
-        from: Endpoint,
-        digests: Vec<(u32, PartitionDigest)>,
-        _out: &mut Vec<KvOut>,
-    ) {
+    fn on_digest_req(&mut self, from: Endpoint, digests: Vec<(u32, PartitionDigest)>) {
         let mut mismatched = Vec::new();
         let mut pull = Vec::new();
         for (p, theirs) in digests {
@@ -1424,12 +1318,7 @@ impl KvNode {
         }
     }
 
-    fn on_digest_resp(
-        &mut self,
-        from: Endpoint,
-        digests: Vec<(u32, PartitionDigest)>,
-        _out: &mut Vec<KvOut>,
-    ) {
+    fn on_digest_resp(&mut self, from: Endpoint, digests: Vec<(u32, PartitionDigest)>) {
         let mut pull = Vec::new();
         for (p, theirs) in digests {
             if !self.replicates(p) {
@@ -1448,7 +1337,7 @@ impl KvNode {
         }
     }
 
-    fn on_repair_pull(&mut self, from: Endpoint, partitions: Vec<u32>, _out: &mut Vec<KvOut>) {
+    fn on_repair_pull(&mut self, from: Endpoint, partitions: Vec<u32>) {
         for p in partitions {
             if !self.replicates(p) {
                 continue;
@@ -1479,7 +1368,7 @@ impl KvNode {
             .collect();
         expired.sort_unstable();
         for req in expired {
-            self.resolve_client(req, KvOutcome::Failed, out);
+            self.resolve_client(req, KvOutcome::Failed);
         }
         let mut rep_expired: Vec<u64> = self
             .pending_rep
@@ -1490,7 +1379,7 @@ impl KvNode {
         rep_expired.sort_unstable();
         for req in rep_expired {
             if let Some(p) = self.pending_rep.remove(&req) {
-                self.put_fail(p.client_req, p.origin, out);
+                self.put_fail(p.client_req, p.origin);
             }
         }
         // One retry round per tick for reads whose last answer was
@@ -1506,12 +1395,12 @@ impl KvNode {
             if let Some(p) = self.pending_client.get_mut(&req) {
                 p.retry = false;
             }
-            self.forward_get(req, &key, out);
+            self.forward_get(req, &key);
         }
         if self.repair_interval_ms > 0 && now >= self.next_repair_at {
             self.next_repair_at = now + self.repair_interval_ms;
             self.last_repair_at = now;
-            self.run_repair(out);
+            self.run_repair();
         }
         self.flush(out);
     }
@@ -1539,6 +1428,58 @@ mod tests {
             partitions: 16,
             replication: 2,
         }
+    }
+
+    /// The smart client every test op comes from.
+    fn client() -> Endpoint {
+        Endpoint::new("client-mesh", 9000)
+    }
+
+    /// Delivers `op` to `node` as the wire `CPut`/`CGet` [`client`]
+    /// sends under request id `req` (reads carry no floor), returning
+    /// what the node emits.
+    fn client_op(node: &mut KvNode, req: u64, op: ClientOp<'_>, now: u64) -> Vec<KvOut> {
+        let msg = match op {
+            ClientOp::Put { key, val } => KvMsg::CPut {
+                req,
+                key: key.into(),
+                val: val.into(),
+            },
+            ClientOp::Get { key } => KvMsg::CGet {
+                req,
+                key: key.into(),
+                floor: 0,
+            },
+        };
+        let mut out = Vec::new();
+        node.on_message(client(), msg, now, &mut out);
+        out
+    }
+
+    /// The verdicts in `out` for [`client`], as `(req, outcome)`.
+    fn verdicts(out: &[KvOut]) -> Vec<(u64, KvOutcome)> {
+        msgs_to(out, client())
+            .into_iter()
+            .map(|msg| {
+                let KvMsg::CResp {
+                    req,
+                    code,
+                    val,
+                    version,
+                } = msg
+                else {
+                    panic!("a client is sent only verdicts here: {msg:?}");
+                };
+                let outcome = match code {
+                    CRESP_ACKED => KvOutcome::Acked { version },
+                    CRESP_FOUND => KvOutcome::Found { val, version },
+                    CRESP_MISSING => KvOutcome::Missing,
+                    CRESP_FAILED => KvOutcome::Failed,
+                    other => panic!("unexpected verdict code {other}"),
+                };
+                (req, outcome)
+            })
+            .collect()
     }
 
     /// A little in-process cluster harness delivering KV messages
@@ -1583,10 +1524,25 @@ mod tests {
                 .expect("addressed node exists")
         }
 
-        /// Runs the message pump to quiescence, returning client results.
-        /// `origin` is the node whose outputs seeded the queue (the real
-        /// hosts know the sender of every frame; RepAck quorums depend
-        /// on it).
+        /// Submits `op` at node `via` as [`client`]'s request `req` and
+        /// pumps to quiescence. Any node will do — a client with a stale
+        /// view sends exactly this — and a non-leader `via` coordinates
+        /// by forwarding to the leader.
+        fn op(
+            &mut self,
+            via: usize,
+            req: u64,
+            op: ClientOp<'_>,
+            now: u64,
+        ) -> Vec<(u64, KvOutcome)> {
+            let out = client_op(&mut self.nodes[via], req, op, now);
+            self.pump_from(via, out)
+        }
+
+        /// Runs the message pump to quiescence, returning the verdicts
+        /// sent to [`client`] as `(req, outcome)`. `origin` is the node
+        /// whose outputs seeded the queue (the real hosts know the sender
+        /// of every frame; RepAck quorums depend on it).
         fn pump_from(&mut self, origin: usize, seed: Vec<KvOut>) -> Vec<(u64, KvOutcome)> {
             let origin_addr = self.nodes[origin].me().addr;
             let mut queue: Vec<(Endpoint, KvOut)> =
@@ -1597,7 +1553,10 @@ mod tests {
                 hops += 1;
                 assert!(hops < 10_000, "message storm");
                 match item {
-                    KvOut::Done(req, outcome) => done.push((req, outcome)),
+                    KvOut::Done(..) => panic!("a node answers its clients on the wire"),
+                    KvOut::Send(to, msg) if to == client() => {
+                        done.extend(verdicts(&[KvOut::Send(to, msg)]));
+                    }
                     KvOut::Send(to, msg) => {
                         let idx = self.idx_of(to);
                         if self.crashed.contains(&idx) {
@@ -1631,40 +1590,35 @@ mod tests {
     #[test]
     fn put_then_get_roundtrip_through_any_coordinator() {
         let mut mesh = Mesh::new(4);
-        let mut out = Vec::new();
-        let req = mesh.nodes[0].client_put("user:7", "v1", 0, &mut out);
-        let results = mesh.pump_from(0, out);
+        let put = ClientOp::Put {
+            key: "user:7",
+            val: "v1",
+        };
+        let results = mesh.op(0, 1, put, 0);
         // The ack may have routed back through node 0's inbox; collect it.
         let acked = results
             .iter()
-            .any(|(r, o)| *r == req && matches!(o, KvOutcome::Acked { .. }));
+            .any(|(r, o)| *r == 1 && matches!(o, KvOutcome::Acked { .. }));
         assert!(acked, "put must ack: {results:?}");
 
         // Read through a different coordinator.
-        let mut out = Vec::new();
-        let req = mesh.nodes[3].client_get("user:7", 0, &mut out);
-        let results = mesh.pump_from(3, out);
+        let results = mesh.op(3, 2, ClientOp::Get { key: "user:7" }, 0);
         assert!(
-            results.iter().any(|(r, o)| *r == req
-                && matches!(o, KvOutcome::Found { val, .. } if val == "v1")),
+            results
+                .iter()
+                .any(|(r, o)| *r == 2 && matches!(o, KvOutcome::Found { val, .. } if val == "v1")),
             "get must find the value: {results:?}"
         );
 
         // A missing key reads as Missing, not Failed.
-        let mut out = Vec::new();
-        let req = mesh.nodes[2].client_get("user:unseen", 0, &mut out);
-        let results = mesh.pump_from(2, out);
-        assert!(results
-            .iter()
-            .any(|(r, o)| *r == req && *o == KvOutcome::Missing));
+        let results = mesh.op(2, 3, ClientOp::Get { key: "user:unseen" }, 0);
+        assert_eq!(results, vec![(3, KvOutcome::Missing)]);
     }
 
     #[test]
     fn acked_writes_reach_every_replica() {
         let mut mesh = Mesh::new(5);
-        let mut out = Vec::new();
-        mesh.nodes[1].client_put("k", "v", 0, &mut out);
-        let results = mesh.pump_from(1, out);
+        let results = mesh.op(1, 1, ClientOp::Put { key: "k", val: "v" }, 0);
         let version = match &results[..] {
             [(_, KvOutcome::Acked { version })] => *version,
             other => panic!("expected one ack, got {other:?}"),
@@ -1686,9 +1640,12 @@ mod tests {
         let mut mesh = Mesh::new(3);
         let mut versions = Vec::new();
         for i in 0..4 {
-            let mut out = Vec::new();
-            mesh.nodes[0].client_put("key", &format!("v{i}"), 0, &mut out);
-            for (_, o) in mesh.pump_from(0, out) {
+            let val = format!("v{i}");
+            let put = ClientOp::Put {
+                key: "key",
+                val: &val,
+            };
+            for (_, o) in mesh.op(0, i, put, 0) {
                 if let KvOutcome::Acked { version } = o {
                     versions.push(version);
                 }
@@ -1702,22 +1659,21 @@ mod tests {
     fn ops_without_a_view_fail_fast() {
         let m = members(1).remove(0);
         let mut kv = KvNode::new(m, spec(), 1_000, None);
-        let mut out = Vec::new();
-        let req = kv.client_put("k", "v", 0, &mut out);
-        assert!(matches!(&out[..], [KvOut::Done(r, KvOutcome::Failed)] if *r == req));
-        let mut out = Vec::new();
-        let req = kv.client_get("k", 0, &mut out);
-        assert!(matches!(&out[..], [KvOut::Done(r, KvOutcome::Failed)] if *r == req));
+        let out = client_op(&mut kv, 1, ClientOp::Put { key: "k", val: "v" }, 0);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(verdicts(&out), vec![(1, KvOutcome::Failed)]);
+        let out = client_op(&mut kv, 2, ClientOp::Get { key: "k" }, 0);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(verdicts(&out), vec![(2, KvOutcome::Failed)]);
         assert_eq!(kv.stats().puts_failed, 1);
         assert_eq!(kv.stats().gets_failed, 1);
     }
 
     #[test]
-    fn client_ops_time_out() {
+    fn forwarded_ops_time_out() {
         // A coordinator whose leader never answers (we just don't deliver
         // the forward) fails the op at its deadline.
         let mut mesh = Mesh::new(3);
-        let mut out = Vec::new();
         // Find a key whose leader is NOT node 0 so the op stays pending.
         let key = (0..100)
             .map(|i| format!("probe-{i}"))
@@ -1726,24 +1682,19 @@ mod tests {
                 mesh.nodes[0].leader_addr(p) != Some(mesh.nodes[0].me().addr)
             })
             .expect("some key routes away from node 0");
-        let req = mesh.nodes[0].client_put(&key, "v", 0, &mut out);
+        let put = ClientOp::Put {
+            key: &key,
+            val: "v",
+        };
+        let out = client_op(&mut mesh.nodes[0], 7, put, 0);
         assert!(matches!(&out[..], [KvOut::Send(..)]));
+        assert!(verdicts(&out).is_empty(), "forwarded: {out:?}");
         let mut tick_out = Vec::new();
         mesh.nodes[0].on_tick(999, &mut tick_out);
-        assert!(
-            !tick_out.iter().any(|o| matches!(o, KvOut::Done(..))),
-            "not expired yet: {tick_out:?}"
-        );
+        assert!(verdicts(&tick_out).is_empty(), "not expired: {tick_out:?}");
         tick_out.clear();
         mesh.nodes[0].on_tick(1_000, &mut tick_out);
-        let dones: Vec<_> = tick_out
-            .iter()
-            .filter(|o| matches!(o, KvOut::Done(..)))
-            .collect();
-        assert!(
-            matches!(&dones[..], [KvOut::Done(r, KvOutcome::Failed)] if *r == req),
-            "{tick_out:?}"
-        );
+        assert_eq!(verdicts(&tick_out), vec![(7, KvOutcome::Failed)]);
     }
 
     /// Satellite pin for the pending-client map: every client op is
@@ -1755,20 +1706,18 @@ mod tests {
         let (mut puts, mut gets) = (0u64, 0u64);
         for i in 0..40 {
             let key = format!("par-{i}");
-            let mut out = Vec::new();
-            mesh.nodes[i % 4].client_put(&key, "v", 0, &mut out);
+            let put = ClientOp::Put {
+                key: &key,
+                val: "v",
+            };
+            mesh.op(i % 4, puts + gets, put, 0);
             puts += 1;
-            mesh.pump_from(i % 4, out);
-            let mut out = Vec::new();
-            mesh.nodes[(i + 1) % 4].client_get(&key, 0, &mut out);
+            mesh.op((i + 1) % 4, puts + gets, ClientOp::Get { key: &key }, 0);
             gets += 1;
-            mesh.pump_from((i + 1) % 4, out);
         }
         // A read of a key that never existed also completes (Missing).
-        let mut out = Vec::new();
-        mesh.nodes[2].client_get("par-unseen", 0, &mut out);
+        mesh.op(2, puts + gets, ClientOp::Get { key: "par-unseen" }, 0);
         gets += 1;
-        mesh.pump_from(2, out);
         let mut totals = KvStats::default();
         for n in &mesh.nodes {
             totals.absorb(n.stats());
@@ -1779,6 +1728,7 @@ mod tests {
         assert_eq!(totals.gets_ok, gets, "healthy mesh completes every read");
         for n in &mesh.nodes {
             assert!(n.pending_client.is_empty(), "nothing may linger");
+            assert_eq!(n.inbox_depth(), 0, "a quiet mesh has an empty inbox");
         }
     }
 
@@ -2005,13 +1955,15 @@ mod tests {
             .expect("someone survives");
 
         // Ack a write through the surviving coordinator.
-        let mut out = Vec::new();
-        let req = mesh.nodes[coordinator].client_put(key, "precious", 0, &mut out);
-        let results = mesh.pump_from(coordinator, out);
+        let put = ClientOp::Put {
+            key,
+            val: "precious",
+        };
+        let results = mesh.op(coordinator, 1, put, 0);
         let acked_version = results
             .iter()
             .find_map(|(r, o)| match o {
-                KvOutcome::Acked { version } if *r == req => Some(*version),
+                KvOutcome::Acked { version } if *r == 1 => Some(*version),
                 _ => None,
             })
             .expect("healthy mesh must ack");
@@ -2049,13 +2001,11 @@ mod tests {
             "the awaiting guard must not expire on a timer"
         );
         // And a client read of the acked key must never answer Missing.
-        let mut out = Vec::new();
-        let req = mesh.nodes[coordinator].client_get(key, 10_000, &mut out);
-        let results = mesh.pump_from(coordinator, out);
+        let results = mesh.op(coordinator, 2, ClientOp::Get { key }, 10_000);
         assert!(
             !results
                 .iter()
-                .any(|(r, o)| *r == req && *o == KvOutcome::Missing),
+                .any(|(r, o)| *r == 2 && *o == KvOutcome::Missing),
             "acked key reported Missing: {results:?}"
         );
 
@@ -2108,9 +2058,8 @@ mod tests {
         for round in 0..6 {
             mesh.tick_all(21_000 + round * 1_000);
         }
-        let mut out = Vec::new();
-        let req = mesh.nodes[coordinator].client_get(key, 30_000, &mut out);
-        let mut results = mesh.pump_from(coordinator, out);
+        let req = 3;
+        let mut results = mesh.op(coordinator, req, ClientOp::Get { key }, 30_000);
         // A first answer may have been stale/retryable; drive retries.
         for extra in 1..=5 {
             if results.iter().any(|(r, _)| *r == req) {
@@ -2184,8 +2133,8 @@ mod tests {
         let mut node = KvNode::new(me, sp, 1_000, Some(cache.clone()));
         let mut out = Vec::new();
         node.on_view(Arc::clone(&v1), 0, &mut out);
-        let mut out = Vec::new();
-        let req = node.client_put(&key, "val", 0, &mut out);
+        let req = 1;
+        let out = client_op(&mut node, req, ClientOp::Put { key: &key, val: "val" }, 0);
         let sent = msgs_to(&out, a);
         let [KvMsg::Replicate { req: rep, version, .. }] = sent[..] else {
             panic!("one Replicate to A: {out:?}");
@@ -2197,10 +2146,7 @@ mod tests {
 
         let mut out = Vec::new();
         node.on_view(without(&v1, b), 2, &mut out);
-        assert!(
-            !out.iter().any(|o| matches!(o, KvOut::Done(..))),
-            "C does not hold the write yet: {out:?}"
-        );
+        assert!(verdicts(&out).is_empty(), "C does not hold the write yet: {out:?}");
         // (Alongside C's rebalance handoff, which the leader may also
         // be the source of.)
         let replicates: Vec<KvMsg> = msgs_to(&out, c)
@@ -2221,13 +2167,8 @@ mod tests {
         );
         let mut out = Vec::new();
         node.on_message(c, KvMsg::RepAck { req: rep }, 3, &mut out);
-        assert!(
-            matches!(
-                &out[..],
-                [KvOut::Done(r, KvOutcome::Acked { version: v })] if *r == req && *v == version
-            ),
-            "{out:?}"
-        );
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(verdicts(&out), vec![(req, KvOutcome::Acked { version })]);
         assert_eq!(node.stats().puts_acked, 1);
     }
 
@@ -2257,29 +2198,36 @@ mod tests {
         let mut node = KvNode::new(v1.members()[0].clone(), spec(), 1_000, Some(cache.clone()));
         let mut out = Vec::new();
         node.on_view(Arc::clone(&v1), 0, &mut out);
-        let mut out = Vec::new();
-        let get = node.client_get(&key, 0, &mut out);
-        let put = node.client_put(&key, "v", 0, &mut out);
-        assert_eq!(msgs_to(&out, old_leader).len(), 2, "{out:?}");
+        let (get, put) = (1, 2);
+        let mut out = client_op(&mut node, get, ClientOp::Get { key: &key }, 0);
+        out.extend(client_op(&mut node, put, ClientOp::Put { key: &key, val: "v" }, 0));
+        let forwarded = msgs_to(&out, old_leader);
+        assert_eq!(forwarded.len(), 2, "{out:?}");
+        assert_eq!(node.inbox_depth(), 2, "both forwarded ops are in flight");
+        // The coordinator forwards under its own request id.
+        let Some(&KvMsg::Get { req: fwd_get, .. }) = forwarded.first() else {
+            panic!("the get is forwarded first: {forwarded:?}");
+        };
 
         let mut out = Vec::new();
         node.on_view(without(&v1, old_leader), 5, &mut out);
         assert!(
-            msgs_to(&out, new_leader)
-                .iter()
-                .any(|m| matches!(m, KvMsg::Get { req, key: k, .. } if *req == get && *k == key)),
+            msgs_to(&out, new_leader).iter().any(
+                |m| matches!(m, KvMsg::Get { req, key: k, .. } if *req == fwd_get && *k == key)
+            ),
             "the get is re-forwarded to the new leader: {out:?}"
         );
-        assert!(
-            out.iter()
-                .any(|o| matches!(o, KvOut::Done(r, KvOutcome::Failed) if *r == put)),
-            "the put fails retryably: {out:?}"
+        assert_eq!(
+            verdicts(&out),
+            vec![(put, KvOutcome::Failed)],
+            "the put fails retryably"
         );
+        assert_eq!(node.inbox_depth(), 1, "only the re-forwarded get waits");
         let mut out = Vec::new();
         node.on_message(
             new_leader,
             KvMsg::GetResp {
-                req: get,
+                req: fwd_get,
                 ok: true,
                 found: false,
                 val: String::new(),
@@ -2288,9 +2236,7 @@ mod tests {
             6,
             &mut out,
         );
-        assert!(
-            matches!(&out[..], [KvOut::Done(r, KvOutcome::Missing)] if *r == get),
-            "{out:?}"
-        );
+        assert_eq!(verdicts(&out), vec![(get, KvOutcome::Missing)]);
+        assert_eq!(node.inbox_depth(), 0, "nothing waits once the get settles");
     }
 }

@@ -1,16 +1,18 @@
 //! Hosting the KV data plane on the real TCP transport.
 //!
 //! [`KvRuntime`] runs a [`rapid_transport::Runtime`] with a KV
-//! [`Host`]: view changes feed placement, app frames carry
-//! [`KvMsg`](crate::kv::KvMsg)s, and client operations arrive over
-//! channels and resolve through per-op reply channels. The data plane is
-//! the same state machine the simulator runs — only the clock and the
-//! wires differ.
+//! [`Host`]: view changes feed placement, and app frames carry
+//! [`KvMsg`](crate::kv::KvMsg)s — client operations included, which
+//! arrive from a smart client as `CPut`/`CGet` frames like any other
+//! peer traffic. [`KvClientRuntime`] hosts that client: its callers'
+//! operations arrive over a channel and resolve through per-op reply
+//! channels. The data plane is the same state machine the simulator
+//! runs — only the clock and the wires differ.
 //!
 //! Every process runs one [`KvNode`] on one host thread, fed over one
 //! FIFO channel: the transport's readers hand it app frames, the
 //! transport's node loop queues each installed view before it takes its
-//! next input, and [`KvRuntime`] queues client ops and digest requests. On
+//! next input, and [`KvRuntime`] queues digest requests. On
 //! its tick the host publishes the node's counters and, on the
 //! `obs_sample_ms` cadence, samples the metrics timeline and feeds the
 //! interval quantiles back to the node's admission controller. It sends
@@ -18,9 +20,9 @@
 //!
 //! The KV host and a [`KvClientRuntime`] are the same host loop, [`pump`],
 //! around a different sans-io core ([`KvNode`], [`KvClient`]): wait for
-//! input until the next timer is due, take the queued client ops plus
-//! one wire input, submit the ops as one burst, tick, publish, encode
-//! and dispatch.
+//! input until the next timer is due, take the queued client ops (only a
+//! client is sent any) plus one wire input, submit the ops as one burst,
+//! tick, publish, encode and dispatch.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -106,9 +108,11 @@ fn ask_digests(host: &Sender<PumpIn>) -> Digests {
 
 /// Input to a host pump. The KV host has one FIFO channel of these, fed
 /// by the transport's readers (frames), the node loop (views),
-/// [`KvRuntime::begin_put`]/[`KvRuntime::begin_get`] (ops),
 /// [`KvRuntime::digest_snapshot`] (digest requests) and the stop, so it
-/// sleeps on a single receive and wakes for whichever comes first.
+/// sleeps on a single receive and wakes for whichever comes first. A
+/// client pump's channel carries frames, ops
+/// ([`KvClientRuntime::begin_put`]/[`KvClientRuntime::begin_get`]) and
+/// the stop.
 enum PumpIn {
     View(Arc<Configuration>),
     /// An app frame as it came off the wire; the pump decodes it.
@@ -123,9 +127,12 @@ enum PumpIn {
 /// What [`pump`] needs of a sans-io core.
 trait Core {
     fn on_message(&mut self, from: Endpoint, msg: KvMsg, now: u64, out: &mut Vec<KvOut>);
-    /// Submits a burst through one outbox flush; one request id per op.
-    fn submit(&mut self, ops: &[ClientOp<'_>], now: u64, out: &mut Vec<KvOut>) -> Vec<u64>;
     fn on_tick(&mut self, now: u64, out: &mut Vec<KvOut>);
+    /// Submits a burst through one outbox flush; one request id per op.
+    /// Only a [`KvClient`] is sent ops: a node takes them off the wire.
+    fn submit(&mut self, _ops: &[ClientOp<'_>], _now: u64, _out: &mut Vec<KvOut>) -> Vec<u64> {
+        Vec::new()
+    }
     /// Membership-fed inputs. Only a [`KvNode`] is sent them: a client
     /// learns views from the wire and has no admission controller.
     fn on_view(&mut self, _config: Arc<Configuration>, _now: u64, _out: &mut Vec<KvOut>) {}
@@ -138,9 +145,6 @@ trait Core {
 impl Core for KvNode {
     fn on_message(&mut self, from: Endpoint, msg: KvMsg, now: u64, out: &mut Vec<KvOut>) {
         KvNode::on_message(self, from, msg, now, out)
-    }
-    fn submit(&mut self, ops: &[ClientOp<'_>], now: u64, out: &mut Vec<KvOut>) -> Vec<u64> {
-        self.client_ops(ops, now, out)
     }
     fn on_tick(&mut self, now: u64, out: &mut Vec<KvOut>) {
         KvNode::on_tick(self, now, out)
@@ -268,7 +272,7 @@ fn pump<C: Core>(
 #[derive(Clone, Debug, Default)]
 struct KvSnapshot {
     stats: KvStats,
-    /// Remote client ops currently pending in the admission-controlled
+    /// Client ops currently pending in the admission-controlled
     /// inbox.
     inbox_depth: usize,
     /// Subscribed smart clients.
@@ -410,7 +414,7 @@ impl KvRuntime {
         self.mirror.lock().kv.stats
     }
 
-    /// Latest published admission-inbox depth (remote client ops pending
+    /// Latest published admission-inbox depth (client ops pending
     /// on this coordinator).
     pub fn inbox_depth(&self) -> usize {
         self.mirror.lock().kv.inbox_depth
@@ -476,17 +480,6 @@ impl KvRuntime {
         self.introspect_addr
     }
 
-    /// Begins a write through this process; the outcome arrives on the
-    /// returned channel (dropped channel = op abandoned).
-    pub fn begin_put(&self, key: &str, val: &str) -> Receiver<KvOutcome> {
-        begin_op(&self.host_tx, key, Some(val))
-    }
-
-    /// Begins a read through this process.
-    pub fn begin_get(&self, key: &str) -> Receiver<KvOutcome> {
-        begin_op(&self.host_tx, key, None)
-    }
-
     /// Announces a voluntary departure and stops the process.
     pub fn leave(mut self) {
         self.stop(true);
@@ -525,7 +518,7 @@ impl Drop for KvRuntime {
 /// counts view changes.
 fn kv_host(node: &Node, host: &Sender<PumpIn>, mirror: &Arc<Mutex<Mirror>>) -> Host {
     // A seed's one-member view is installed already: queue it ahead of
-    // any frame or op, so the host subscribes before it serves.
+    // any frame, so the host subscribes before it serves.
     if node.status() == NodeStatus::Active {
         let _ = host.send(PumpIn::View(node.configuration()));
     }
@@ -691,19 +684,15 @@ impl KvClientRuntime {
         self.published.lock().2
     }
 
-    fn begin(&self, key: &str, val: Option<&str>) -> Receiver<KvOutcome> {
-        begin_op(&self.ops_tx, key, val)
-    }
-
     /// Begins a write through the smart client; the outcome arrives on
-    /// the returned channel.
+    /// the returned channel (dropped channel = op abandoned).
     pub fn begin_put(&self, key: &str, val: &str) -> Receiver<KvOutcome> {
-        self.begin(key, Some(val))
+        begin_op(&self.ops_tx, key, Some(val))
     }
 
     /// Begins a read through the smart client.
     pub fn begin_get(&self, key: &str) -> Receiver<KvOutcome> {
-        self.begin(key, None)
+        begin_op(&self.ops_tx, key, None)
     }
 
     /// Stops the peer's sockets and the pump.
@@ -746,6 +735,20 @@ mod tests {
         }
     }
 
+    /// A smart client subscribed through `seeds`, once it holds a view.
+    fn client_of(
+        seeds: Vec<Endpoint>,
+        route: PlacementConfig,
+        op_timeout_ms: u64,
+    ) -> KvClientRuntime {
+        let client = KvClientRuntime::start(seeds, route, 64, op_timeout_ms).unwrap();
+        assert!(
+            wait_for(|| client.view_seq().is_some(), Duration::from_secs(10)),
+            "client must adopt a pushed view"
+        );
+        client
+    }
+
     fn wait_for<F: FnMut() -> bool>(mut f: F, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         while Instant::now() < deadline {
@@ -780,8 +783,9 @@ mod tests {
             || seed.status() == NodeStatus::Active,
             Duration::from_secs(10)
         ));
+        let client = client_of(vec![seed.addr()], spec(), 2_000);
         for i in 0..8 {
-            let rx = seed.begin_put(&format!("tk{i}"), "tv");
+            let rx = client.begin_put(&format!("tk{i}"), "tv");
             assert!(matches!(
                 rx.recv_timeout(Duration::from_secs(5)),
                 Ok(KvOutcome::Acked { .. })
@@ -817,6 +821,7 @@ mod tests {
         assert!(body.contains("\"send_dropped\":0"), "{body:?}");
         assert!(body.contains("\"event_dropped\":0"), "{body:?}");
         assert_eq!((seed.send_dropped(), seed.event_dropped()), (0, 0));
+        client.shutdown_now();
         seed.shutdown_now();
     }
 
@@ -849,11 +854,7 @@ mod tests {
             ),
             "2-node cluster must form"
         );
-        let client = KvClientRuntime::start(vec![seed_addr], spec(), 64, 5_000).unwrap();
-        assert!(
-            wait_for(|| client.view_seq().is_some(), Duration::from_secs(10)),
-            "client must adopt a pushed view"
-        );
+        let client = client_of(vec![seed_addr], spec(), 5_000);
         for i in 0..10 {
             let rx = client.begin_put(&format!("sk{i}"), &format!("sv{i}"));
             assert!(
@@ -921,11 +922,11 @@ mod tests {
             seed.view_len()
         );
 
-        // Write through different coordinators, read through others.
+        // Write through a smart client; it routes to each key's leader.
+        let client = client_of(vec![seed_addr], spec(), 2_000);
         let mut acked = Vec::new();
         for i in 0..12 {
-            let via = if i % 2 == 0 { &seed } else { &joiners[i % 3] };
-            let rx = via.begin_put(&format!("rk{i}"), &format!("rv{i}"));
+            let rx = client.begin_put(&format!("rk{i}"), &format!("rv{i}"));
             match rx.recv_timeout(Duration::from_secs(5)) {
                 Ok(KvOutcome::Acked { version }) => acked.push((format!("rk{i}"), version)),
                 other => panic!("put {i} failed: {other:?}"),
@@ -947,7 +948,7 @@ mod tests {
         for (key, version) in &acked {
             let got = (|| {
                 for _ in 0..40 {
-                    let rx = joiners[0].begin_get(key);
+                    let rx = client.begin_get(key);
                     match rx.recv_timeout(Duration::from_secs(5)) {
                         Ok(KvOutcome::Found { val, version: v }) => return Some((val, v)),
                         _ => std::thread::sleep(Duration::from_millis(250)),
@@ -971,6 +972,7 @@ mod tests {
         }
         let stats = seed.stats();
         assert!(stats.rebalances >= 1, "seed must have rebalanced: {stats:?}");
+        client.shutdown_now();
         for j in joiners {
             j.shutdown_now();
         }
@@ -1021,8 +1023,7 @@ mod tests {
             ),
             "4-node KV cluster must form"
         );
-        let client = KvClientRuntime::start(vec![seed_addr], route, 64, OP_TIMEOUT_MS).unwrap();
-        assert!(wait_for(|| client.view_seq().is_some(), Duration::from_secs(10)));
+        let client = client_of(vec![seed_addr], route, OP_TIMEOUT_MS);
 
         let mut victim = joiners.pop();
         let started = Instant::now();
@@ -1121,10 +1122,11 @@ mod tests {
             ),
             "2-node cluster must form"
         );
-        // Writes through both coordinators, reads through the other.
+        // Writes and reads through a smart client, which spreads them
+        // over both processes by partition leader.
+        let client = client_of(vec![seed_addr], spec(), 2_000);
         for i in 0..16 {
-            let via = if i % 2 == 0 { &seed } else { &joiner };
-            let rx = via.begin_put(&format!("shk{i}"), &format!("shv{i}"));
+            let rx = client.begin_put(&format!("shk{i}"), &format!("shv{i}"));
             assert!(
                 matches!(
                     rx.recv_timeout(Duration::from_secs(5)),
@@ -1134,7 +1136,7 @@ mod tests {
             );
         }
         for i in 0..16 {
-            let rx = joiner.begin_get(&format!("shk{i}"));
+            let rx = client.begin_get(&format!("shk{i}"));
             match rx.recv_timeout(Duration::from_secs(5)) {
                 Ok(KvOutcome::Found { val, .. }) => assert_eq!(val, format!("shv{i}")),
                 other => panic!("get {i} failed: {other:?}"),
@@ -1159,6 +1161,7 @@ mod tests {
             16,
             "the 16 written keys must show in the digests: {d:?}"
         );
+        client.shutdown_now();
         joiner.shutdown_now();
         seed.shutdown_now();
     }

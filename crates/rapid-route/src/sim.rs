@@ -65,8 +65,8 @@ pub struct KvSimActor {
     /// Protocol events recorded for measurements (same shape as the
     /// membership-only actor's log). Always empty for clients.
     pub log: ActorLog,
-    /// Completed client operations issued through this process, drained
-    /// by the scenario driver.
+    /// Completed operations of the hosted smart client, drained by the
+    /// scenario driver. Always empty for cluster members.
     pub completed: Vec<(u64, KvOutcome)>,
     actions: Vec<Action>,
     kv_out: Vec<KvOut>,
@@ -134,30 +134,6 @@ impl KvSimActor {
     /// Data-plane counters (panics on client actors).
     pub fn kv_stats(&self) -> &KvStats {
         self.kv().stats()
-    }
-
-    /// Starts a client write with this process as coordinator (it
-    /// forwards to the partition leader when it is not one); the result
-    /// lands in [`KvSimActor::completed`].
-    pub fn begin_put(&mut self, key: &str, val: &str, now: u64, out: &mut Outbox<RouteMsg>) -> u64 {
-        let Plane::Node { kv, .. } = &mut self.plane else {
-            panic!("begin_put on a client actor");
-        };
-        let mut kv_out = std::mem::take(&mut self.kv_out);
-        let req = kv.client_put(key, val, now, &mut kv_out);
-        self.drain_kv(kv_out, out);
-        req
-    }
-
-    /// Starts a client read with this process as coordinator.
-    pub fn begin_get(&mut self, key: &str, now: u64, out: &mut Outbox<RouteMsg>) -> u64 {
-        let Plane::Node { kv, .. } = &mut self.plane else {
-            panic!("begin_get on a client actor");
-        };
-        let mut kv_out = std::mem::take(&mut self.kv_out);
-        let req = kv.client_get(key, now, &mut kv_out);
-        self.drain_kv(kv_out, out);
-        req
     }
 
     fn drain_kv(&mut self, mut kv_out: Vec<KvOut>, out: &mut Outbox<RouteMsg>) {
@@ -475,33 +451,33 @@ mod tests {
         }
     }
 
-    /// Issues a put via actor `via` and runs until it completes.
-    fn put(sim: &mut Simulation<KvSimActor>, via: usize, key: &str, val: &str) -> KvOutcome {
-        let now = sim.now();
-        let req = sim.with_actor(via, |a, out| a.begin_put(key, val, now, out));
-        run_op(sim, via, req)
+    /// Issues a put through the cluster's smart client (the last actor,
+    /// from `.clients(1)`) and runs until it completes.
+    fn put(sim: &mut Simulation<KvSimActor>, key: &str, val: &str) -> KvOutcome {
+        run_op(sim, ClientOp::Put { key, val })
     }
 
-    fn get(sim: &mut Simulation<KvSimActor>, via: usize, key: &str) -> KvOutcome {
-        let now = sim.now();
-        let req = sim.with_actor(via, |a, out| a.begin_get(key, now, out));
-        run_op(sim, via, req)
+    fn get(sim: &mut Simulation<KvSimActor>, key: &str) -> KvOutcome {
+        run_op(sim, ClientOp::Get { key })
     }
 
-    fn run_op(sim: &mut Simulation<KvSimActor>, via: usize, req: u64) -> KvOutcome {
+    fn run_op(sim: &mut Simulation<KvSimActor>, op: ClientOp<'_>) -> KvOutcome {
+        let client = sim.len() - 1;
+        let now = sim.now();
+        let req = sim.with_actor(client, |a, out| a.client_submit_ops(&[op], now, out))[0];
         let deadline = sim.now() + 5_000;
         while sim.now() < deadline {
             sim.run_until(sim.now() + 100);
             if let Some(pos) = sim
-                .actor(via)
+                .actor(client)
                 .completed
                 .iter()
                 .position(|(r, _)| *r == req)
             {
-                return sim.actor_mut(via).completed.swap_remove(pos).1;
+                return sim.actor_mut(client).completed.swap_remove(pos).1;
             }
         }
-        panic!("op {req} via {via} never completed");
+        panic!("op {req} never completed");
     }
 
     #[test]
@@ -509,20 +485,21 @@ mod tests {
         let mut sim = KvClusterBuilder::new(8, spec())
             .settings(quick_settings())
             .seed(21)
+            .clients(1)
             .build_static();
         sim.run_until(1_000);
         for i in 0..10 {
-            let outcome = put(&mut sim, i % 8, &format!("key-{i}"), &format!("val-{i}"));
+            let outcome = put(&mut sim, &format!("key-{i}"), &format!("val-{i}"));
             assert!(matches!(outcome, KvOutcome::Acked { .. }), "{outcome:?}");
         }
         for i in 0..10 {
-            let outcome = get(&mut sim, (i + 3) % 8, &format!("key-{i}"));
+            let outcome = get(&mut sim, &format!("key-{i}"));
             assert!(
                 matches!(&outcome, KvOutcome::Found { val, .. } if val == &format!("val-{i}")),
                 "{outcome:?}"
             );
         }
-        assert!(matches!(get(&mut sim, 0, "nope"), KvOutcome::Missing));
+        assert!(matches!(get(&mut sim, "nope"), KvOutcome::Missing));
     }
 
     #[test]
@@ -530,12 +507,13 @@ mod tests {
         let mut sim = KvClusterBuilder::new(10, spec())
             .settings(quick_settings())
             .seed(22)
+            .clients(1)
             .build_static();
         sim.run_until(1_000);
         let mut acked = Vec::new();
         for i in 0..24 {
             let key = format!("k{i}");
-            if let KvOutcome::Acked { version } = put(&mut sim, i % 10, &key, &format!("v{i}")) {
+            if let KvOutcome::Acked { version } = put(&mut sim, &key, &format!("v{i}")) {
                 acked.push((key, format!("v{i}"), version));
             }
         }
@@ -549,8 +527,7 @@ mod tests {
         sim.run_until(sim.now() + 10_000); // handoff settle
 
         for (key, val, version) in &acked {
-            let via = (0..10).find(|&i| !sim.net.is_crashed(i)).unwrap();
-            match get(&mut sim, via, key) {
+            match get(&mut sim, key) {
                 KvOutcome::Found { val: v, version: ver } => {
                     assert_eq!(&v, val, "value for {key}");
                     assert!(ver >= *version, "version went backwards for {key}");
@@ -575,13 +552,14 @@ mod tests {
         let mut sim = KvClusterBuilder::new(6, spec())
             .settings(quick_settings())
             .seed(23)
+            .clients(1)
             .build_bootstrap();
         let t = sim.run_until_pred(240_000, |s| all_report(s, 6));
         assert!(t.is_some(), "bootstrap must converge");
         sim.run_until(sim.now() + 10_000);
-        let outcome = put(&mut sim, 3, "boot-key", "boot-val");
+        let outcome = put(&mut sim, "boot-key", "boot-val");
         assert!(matches!(outcome, KvOutcome::Acked { .. }), "{outcome:?}");
-        let outcome = get(&mut sim, 5, "boot-key");
+        let outcome = get(&mut sim, "boot-key");
         assert!(
             matches!(&outcome, KvOutcome::Found { val, .. } if val == "boot-val"),
             "{outcome:?}"
@@ -598,10 +576,11 @@ mod tests {
                     ..quick_settings()
                 })
                 .seed(41)
+                .clients(1)
                 .build_static();
             sim.run_until(1_000);
             for i in 0..12 {
-                put(&mut sim, i % 6, &format!("k{i}"), "v");
+                put(&mut sim, &format!("k{i}"), "v");
             }
             sim.run_until(20_000);
             sim
@@ -692,10 +671,11 @@ mod tests {
             let mut sim = KvClusterBuilder::new(6, spec())
                 .settings(quick_settings())
                 .seed(31)
+                .clients(1)
                 .build_static();
             sim.run_until(1_000);
             for i in 0..8 {
-                put(&mut sim, i % 6, &format!("k{i}"), "v");
+                put(&mut sim, &format!("k{i}"), "v");
             }
             sim.schedule_fault(sim.now() + 50, Fault::Crash(1));
             sim.run_until(sim.now() + 60_000);

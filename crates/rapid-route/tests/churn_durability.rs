@@ -2,7 +2,10 @@
 //! one [`KvNode`] each, with synchronous message delivery, runs a
 //! generated op script, loses one host mid-script (its in-flight
 //! handoffs die with it) and heals through the removal view plus repair
-//! rounds. Every run must satisfy three properties:
+//! rounds. Each op enters as the `CPut`/`CGet` a smart client sends, at a
+//! drawn coordinator that is usually not the key's leader (as a client
+//! with a stale view would pick it), so coordinator forwarding runs
+//! under every crash point. Every run must satisfy three properties:
 //!
 //! * no op completes twice;
 //! * every acked key reads back at or above its acked version, and
@@ -21,7 +24,8 @@ use proptest::prelude::*;
 use rapid_core::config::{Configuration, Member};
 use rapid_core::id::{Endpoint, NodeId};
 use rapid_core::membership::Proposal;
-use rapid_route::{KvNode, KvOut, KvOutcome, PlacementConfig};
+use rapid_route::kv::{CRESP_ACKED, CRESP_FAILED, CRESP_FOUND, CRESP_MISSING};
+use rapid_route::{KvMsg, KvNode, KvOut, KvOutcome, PlacementConfig};
 
 fn members(n: usize) -> Vec<Member> {
     (0..n)
@@ -32,6 +36,11 @@ fn members(n: usize) -> Vec<Member> {
             )
         })
         .collect()
+}
+
+/// The smart client every op comes from; the script owns its request ids.
+fn client() -> Endpoint {
+    Endpoint::new("se-client", 9000)
 }
 
 /// A mesh of `n` hosts with synchronous message delivery. Crashed hosts
@@ -73,9 +82,29 @@ impl ChurnMesh {
             .expect("addressed node exists")
     }
 
-    /// Pumps to quiescence. Returns completed client operations as
-    /// `(host, req, outcome)`.
-    fn pump(&mut self, origin: usize, seed: Vec<KvOut>, now: u64) -> Vec<(usize, u64, KvOutcome)> {
+    /// Delivers op `req` to host `coord` as [`client`]'s `CPut` (when
+    /// `put` holds a value) or floor-less `CGet`, and pumps to quiescence.
+    fn submit(
+        &mut self,
+        coord: usize,
+        req: u64,
+        key: &str,
+        put: Option<String>,
+        now: u64,
+    ) -> Vec<(u64, KvOutcome)> {
+        let key = key.to_string();
+        let msg = match put {
+            Some(val) => KvMsg::CPut { req, key, val },
+            None => KvMsg::CGet { req, key, floor: 0 },
+        };
+        let mut out = Vec::new();
+        self.nodes[coord].on_message(client(), msg, now, &mut out);
+        self.pump(coord, out, now)
+    }
+
+    /// Pumps to quiescence. Returns the verdicts sent to [`client`] as
+    /// `(req, outcome)`.
+    fn pump(&mut self, origin: usize, seed: Vec<KvOut>, now: u64) -> Vec<(u64, KvOutcome)> {
         let origin_addr = self.addr(origin);
         let mut queue: Vec<(Endpoint, KvOut)> =
             seed.into_iter().map(|item| (origin_addr, item)).collect();
@@ -85,7 +114,8 @@ impl ChurnMesh {
             hops += 1;
             assert!(hops < 100_000, "message storm");
             match item {
-                KvOut::Done(req, outcome) => done.push((self.idx_of(from), req, outcome)),
+                KvOut::Done(..) => panic!("a node answers its clients on the wire"),
+                KvOut::Send(to, msg) if to == client() => collect_verdicts(msg, &mut done),
                 KvOut::Send(to, msg) => {
                     let idx = self.idx_of(to);
                     if self.crashed[idx] {
@@ -102,7 +132,7 @@ impl ChurnMesh {
 
     /// Broadcast-then-deliver view adoption: every live host adopts the
     /// view before any handoff traffic moves.
-    fn view_change(&mut self, cfg: &Arc<Configuration>, now: u64) -> Vec<(usize, u64, KvOutcome)> {
+    fn view_change(&mut self, cfg: &Arc<Configuration>, now: u64) -> Vec<(u64, KvOutcome)> {
         self.config = Arc::clone(cfg);
         let mut staged: Vec<(usize, Vec<KvOut>)> = Vec::new();
         for i in 0..self.nodes.len() {
@@ -120,7 +150,7 @@ impl ChurnMesh {
         done
     }
 
-    fn tick_all(&mut self, now: u64) -> Vec<(usize, u64, KvOutcome)> {
+    fn tick_all(&mut self, now: u64) -> Vec<(u64, KvOutcome)> {
         let mut done = Vec::new();
         for i in 0..self.nodes.len() {
             if self.crashed[i] {
@@ -131,6 +161,33 @@ impl ChurnMesh {
             done.extend(self.pump(i, out, now));
         }
         done
+    }
+}
+
+/// Appends the verdicts in `msg` (a batch frame or one `CResp`) to `done`.
+fn collect_verdicts(msg: KvMsg, done: &mut Vec<(u64, KvOutcome)>) {
+    match msg {
+        KvMsg::Batch(msgs) => {
+            for m in msgs {
+                collect_verdicts(m, done);
+            }
+        }
+        KvMsg::CResp {
+            req,
+            code,
+            val,
+            version,
+        } => done.push((
+            req,
+            match code {
+                CRESP_ACKED => KvOutcome::Acked { version },
+                CRESP_FOUND => KvOutcome::Found { val, version },
+                CRESP_MISSING => KvOutcome::Missing,
+                CRESP_FAILED => KvOutcome::Failed,
+                other => panic!("unexpected verdict code {other}"),
+            },
+        )),
+        other => panic!("a client is sent only verdicts here: {other:?}"),
     }
 }
 
@@ -147,21 +204,16 @@ struct Op {
 /// `cut` ops, and asserts the three properties in the module doc.
 fn run_script(n: usize, spec: PlacementConfig, ops: &[Op], cut: usize, victim: usize) {
     let mut mesh = ChurnMesh::new(n, spec);
+    // Indexed by request id: op `i` is request `i`.
     let mut outcomes: Vec<Option<KvOutcome>> = vec![None; ops.len()];
-    // (host, req) -> op index; request ids are per-host counters, so the
-    // pair is unique even though two coordinators can issue the same id.
-    let mut pending: BTreeMap<(usize, u64), usize> = BTreeMap::new();
     // key -> (value, version) of the last *acked* write, submission order.
     let mut ledger: BTreeMap<String, (String, u64)> = BTreeMap::new();
 
-    let record = |results: Vec<(usize, u64, KvOutcome)>,
-                  outcomes: &mut Vec<Option<KvOutcome>>,
-                  pending: &BTreeMap<(usize, u64), usize>| {
-        for (host, req, outcome) in results {
-            if let Some(&op) = pending.get(&(host, req)) {
-                assert!(outcomes[op].is_none(), "op {op} completed twice");
-                outcomes[op] = Some(outcome);
-            }
+    let record = |results: Vec<(u64, KvOutcome)>, outcomes: &mut Vec<Option<KvOutcome>>| {
+        for (req, outcome) in results {
+            let op = req as usize;
+            assert!(outcomes[op].is_none(), "op {op} completed twice");
+            outcomes[op] = Some(outcome);
         }
     };
 
@@ -169,27 +221,20 @@ fn run_script(n: usize, spec: PlacementConfig, ops: &[Op], cut: usize, victim: u
                   op_idx: usize,
                   op: Op,
                   now: u64,
-                  outcomes: &mut Vec<Option<KvOutcome>>,
-                  pending: &mut BTreeMap<(usize, u64), usize>| {
+                  outcomes: &mut Vec<Option<KvOutcome>>| {
         let mut coord = op.coord as usize % n;
         if mesh.crashed[coord] {
             coord = (coord + 1) % n;
         }
         let key = format!("user:{}", op.key);
-        let mut out = Vec::new();
-        let req = if op.is_put {
-            mesh.nodes[coord].client_put(&key, &format!("v{op_idx}"), now, &mut out)
-        } else {
-            mesh.nodes[coord].client_get(&key, now, &mut out)
-        };
-        pending.insert((coord, req), op_idx);
-        let results = mesh.pump(coord, out, now);
-        record(results, outcomes, pending);
+        let put = op.is_put.then(|| format!("v{op_idx}"));
+        let results = mesh.submit(coord, op_idx as u64, &key, put, now);
+        record(results, outcomes);
     };
 
     // Phase 1: healthy mesh.
     for (i, &op) in ops[..cut].iter().enumerate() {
-        submit(&mut mesh, i, op, i as u64, &mut outcomes, &mut pending);
+        submit(&mut mesh, i, op, i as u64, &mut outcomes);
         if let (true, Some(KvOutcome::Acked { version })) = (op.is_put, &outcomes[i]) {
             ledger.insert(format!("user:{}", op.key), (format!("v{i}"), *version));
         }
@@ -206,44 +251,38 @@ fn run_script(n: usize, spec: PlacementConfig, ops: &[Op], cut: usize, victim: u
     let removal = Proposal::from_items(old_cfg.id(), vec![old_cfg.removal_item(rank)]);
     let new_cfg = old_cfg.apply(&removal);
     let late = mesh.view_change(&new_cfg, 1_000);
-    record(late, &mut outcomes, &pending);
+    record(late, &mut outcomes);
     for round in 0..6u64 {
         let late = mesh.tick_all(2_000 + round * 1_000);
-        record(late, &mut outcomes, &pending);
+        record(late, &mut outcomes);
     }
 
     // Phase 2: ops against the healed, shrunken view.
     for (i, &op) in ops[cut..].iter().enumerate() {
         let idx = cut + i;
-        submit(
-            &mut mesh,
-            idx,
-            op,
-            8_000 + i as u64,
-            &mut outcomes,
-            &mut pending,
-        );
+        submit(&mut mesh, idx, op, 8_000 + i as u64, &mut outcomes);
         if let (true, Some(KvOutcome::Acked { version })) = (op.is_put, &outcomes[idx]) {
             ledger.insert(format!("user:{}", op.key), (format!("v{idx}"), *version));
         }
     }
     for round in 0..6u64 {
         let late = mesh.tick_all(9_000 + round * 1_000);
-        record(late, &mut outcomes, &pending);
+        record(late, &mut outcomes);
     }
 
     // Durability sweep: every acked key must read back at-or-above its
-    // acked version, and never as Missing — on any live coordinator.
+    // acked version, and never as Missing — on any live coordinator. The
+    // reads carry no floor, so a below-acked answer is returned (and
+    // fails the check) instead of being retried.
     let reader = (0..n)
         .find(|&i| !mesh.crashed[i])
         .expect("someone survives");
-    for (key, (val, version)) in &ledger {
-        let mut out = Vec::new();
-        let req = mesh.nodes[reader].client_get(key, 20_000, &mut out);
-        let results = mesh.pump(reader, out, 20_000);
+    for (sweep, (key, (val, version))) in ledger.iter().enumerate() {
+        let req = (ops.len() + sweep) as u64;
+        let results = mesh.submit(reader, req, key, None, 20_000);
         let outcome = results
             .into_iter()
-            .find_map(|(host, r, o)| (host == reader && r == req).then_some(o))
+            .find_map(|(r, o)| (r == req).then_some(o))
             .expect("sweep read must complete on a healthy mesh");
         match &outcome {
             KvOutcome::Found {

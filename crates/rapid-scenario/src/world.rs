@@ -651,7 +651,7 @@ impl World {
             ));
         };
         let now = w.sim.now();
-        let client_ops: Vec<rapid_route::ClientOp<'_>> = ops
+        let burst: Vec<rapid_route::ClientOp<'_>> = ops
             .iter()
             .map(|op| match &op.put_val {
                 Some(v) => rapid_route::ClientOp::Put { key: &op.key, val: v },
@@ -663,7 +663,7 @@ impl World {
         // sharing a destination into single wire frames.
         let reqs: Vec<u64> = w
             .sim
-            .with_actor(submitter, |a, out| a.client_submit_ops(&client_ops, now, out));
+            .with_actor(submitter, |a, out| a.client_submit_ops(&burst, now, out));
         w.sim.run_until(now + w.spec.op_window_ms);
         let completed = std::mem::take(&mut w.sim.actor_mut(submitter).completed);
         Ok(reqs
