@@ -107,8 +107,8 @@ pub struct Settings {
     /// keeps in flight at once. Further submissions queue client-side.
     pub client_window: usize,
 
-    /// KV admission control: maximum coordinator-pending client ops a
-    /// node accepts before shedding new arrivals with a typed
+    /// KV admission control: how many client ops a node may have pending
+    /// as leader before it sheds new arrivals with a typed
     /// `Overloaded { retry_after_ms }` error. `0` disables the bound
     /// (the pre-client-plane behaviour).
     pub kv_inbox: usize,

@@ -23,7 +23,7 @@
 /// Membership-only nodes leave the KV fields (`ops`, `handoff_bytes`,
 /// `repair_bytes`) at zero; `p50_ms`/`p99_ms` are the interval quantiles
 /// of the node's primary latency histogram (detection→install for
-/// membership nodes, coordinator op latency for KV nodes).
+/// membership nodes, leader op latency for KV nodes).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TimelinePoint {
     /// Clock reading of the sweep that produced this point (ms).

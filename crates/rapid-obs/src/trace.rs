@@ -38,7 +38,7 @@ pub enum EventKind {
     Kicked = 9,
     /// This node completed a join (`a` = config id).
     Joined = 10,
-    /// KV coordinator accepted a client op (`a` = req id, `b` = 1 if put).
+    /// KV leader accepted a client op (`a` = req id, `b` = 1 if put).
     KvOpStart = 11,
     /// KV op resolved back to the client (`a` = req id, `b` = latency ms).
     KvOpDone = 12,

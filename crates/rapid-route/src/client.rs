@@ -14,15 +14,20 @@
 //! [`Configuration`] from each push (same id, same seq, same member
 //! order) and caches the placement function's output — so its routing
 //! table is byte-for-byte the servers' (pinned by a proptest), and every
-//! op goes **directly to the partition leader**: zero forwarding hops in
-//! the common case. Only a stale view (the window between a server-side
-//! install and the push arriving) falls back to any-replica routing,
-//! where the receiving replica coordinator-forwards like the legacy
-//! path.
+//! attempt goes **directly to the partition leader** of the client's
+//! view. Only leaders serve, and no node forwards: a node that does not
+//! lead the key's partition answers [`CRESP_NOT_LEADER`] with its view
+//! seq. The client re-routes at once when its own view names another
+//! leader. Otherwise the node leads the key in the client's view, so the
+//! two views differ: the op parks until a push of the newer view
+//! arrives, and the client subscribes to that node with one
+//! [`KvMsg::Sub`]. A node ahead of the client answers with its view; a
+//! node behind it pushes the client's view once it installs it.
 //!
 //! Flow control is a bounded in-flight window: at most `window` ops on
 //! the wire per client, the rest queue client-side. Overload verdicts
-//! ([`CRESP_OVERLOADED`], the wire form of [`KvError::Overloaded`])
+//! ([`CRESP_OVERLOADED`], the wire form of
+//! [`KvError::Overloaded`](crate::kv::KvError::Overloaded))
 //! re-queue the op after the node's suggested backoff instead of
 //! failing it — a burst degrades to queuing latency plus explicit
 //! retries, and the op only fails at its own deadline.
@@ -45,7 +50,7 @@ use rapid_core::obs::LatencyHist;
 use rapid_core::outbox::Outbox;
 
 use crate::kv::{
-    ClientOp, KvError, KvMsg, KvOut, KvOutcome, CRESP_ACKED, CRESP_FOUND, CRESP_MISSING,
+    ClientOp, KvMsg, KvOut, KvOutcome, CRESP_ACKED, CRESP_FOUND, CRESP_MISSING, CRESP_NOT_LEADER,
     CRESP_OVERLOADED,
 };
 use crate::placement::{partition_of, Placement, PlacementCache, PlacementConfig};
@@ -67,7 +72,7 @@ pub struct ClientStats {
     /// Typed `Overloaded` verdicts received (each re-queues the op after
     /// the node's suggested backoff).
     pub shed: u64,
-    /// Re-sends after a retryable verdict (stale view, leader
+    /// Re-sends after a retryable verdict (`NotLeader`, leader
     /// mid-handoff, overload backoff expiring) or after an adopted view
     /// removed the process the op was in flight to.
     pub retries: u64,
@@ -120,6 +125,13 @@ enum OpPhase {
         /// When the op may be re-sent.
         due: u64,
     },
+    /// Answered `NotLeader` by the leader of the client's view, whose
+    /// own view differs; re-queued when a view push with at least this
+    /// seq arrives.
+    Parked {
+        /// The newer of the two views' seqs.
+        seq: u64,
+    },
 }
 
 struct OpState {
@@ -129,10 +141,9 @@ struct OpState {
     /// When submission happened (drives the latency histogram).
     started: u64,
     deadline: u64,
-    /// Routing attempts so far; attempt 0 targets the leader, later
-    /// attempts rotate through the partition's replicas (the
-    /// stale-view/any-replica fallback).
-    attempts: u32,
+    /// Whether an attempt went out already: every later send counts in
+    /// [`ClientStats::retries`].
+    sent: bool,
     phase: OpPhase,
     /// Where the latest attempt was sent (`None` until the first send).
     target: Option<Endpoint>,
@@ -149,6 +160,9 @@ pub struct KvClient {
     seeds: Vec<Endpoint>,
     seed_cursor: usize,
     next_sub_at: u64,
+    /// The node and view seq the last `NotLeader` [`KvMsg::Sub`] went
+    /// out for: one view request per pair, however many ops it parks.
+    asked: Option<(Endpoint, u64)>,
     window: usize,
     op_timeout_ms: u64,
     next_req: u64,
@@ -157,7 +171,7 @@ pub struct KvClient {
     ops: DetHashMap<u64, OpState>,
     inflight: usize,
     /// Client-side read-your-writes floors, carried on [`KvMsg::CGet`]
-    /// so they hold across whichever node coordinates.
+    /// so they hold across leader changes.
     floors: DetHashMap<String, u64>,
     stats: ClientStats,
     /// Latency of definitive completions (acked/found/missing), ms.
@@ -184,6 +198,7 @@ impl KvClient {
             seeds,
             seed_cursor: 0,
             next_sub_at: 0,
+            asked: None,
             window: window.max(1),
             op_timeout_ms,
             next_req: 1,
@@ -254,7 +269,7 @@ impl KvClient {
                 val,
                 started: now,
                 deadline: now + self.op_timeout_ms,
-                attempts: 0,
+                sent: false,
                 phase: OpPhase::Queued,
                 target: None,
             },
@@ -286,7 +301,7 @@ impl KvClient {
                 config_id,
                 seq,
                 members,
-            } => self.adopt_view(config_id, seq, members),
+            } => self.on_view_push(config_id, seq, members),
             KvMsg::CResp {
                 req,
                 code,
@@ -297,51 +312,56 @@ impl KvClient {
         }
     }
 
-    /// Adopts a pushed view if it is newer than the current one,
+    /// Handles a view push: re-queues every op parked for a view this
+    /// new, and adopts the view if it is newer than the current one —
     /// reconstructing the exact server-side configuration so the cached
-    /// placement is identical to every node's, then re-sends every op in
+    /// placement is identical to every node's — re-sending every op in
     /// flight to a process the new view removed.
-    fn adopt_view(&mut self, config_id: u64, seq: u64, members: Vec<(u128, Endpoint)>) {
+    fn on_view_push(&mut self, config_id: u64, seq: u64, members: Vec<(u128, Endpoint)>) {
         if members.is_empty() {
             return;
         }
-        if let Some((cfg, _)) = &self.view {
-            if seq <= cfg.seq() {
-                return;
-            }
-        }
-        let members: Vec<Member> = members
-            .into_iter()
-            .map(|(id, ep)| Member::new(NodeId::from_u128(id), ep))
-            .collect();
-        let config = Configuration::from_parts(ConfigId(config_id), seq, members);
-        let placement = self.cache.get(&config, &self.spec);
+        let adopt = self.view.as_ref().is_none_or(|(cfg, _)| seq > cfg.seq());
+        let config = adopt.then(|| {
+            let members: Vec<Member> = members
+                .into_iter()
+                .map(|(id, ep)| Member::new(NodeId::from_u128(id), ep))
+                .collect();
+            Configuration::from_parts(ConfigId(config_id), seq, members)
+        });
         // No answer can come from a removed process: put its flyers back
         // at the front of the queue, oldest first, for `pump` to send to
-        // their leaders in the new view under the same request ids.
-        // Flyers to surviving processes still answer, retryably if the
-        // view moved their partition.
-        let mut orphaned: Vec<u64> = self
+        // their leaders in the new view under the same request ids. Ops
+        // parked for a view this new go with them. Flyers to surviving
+        // processes still answer, with `NotLeader` if the view moved
+        // their partition.
+        let mut resend: Vec<u64> = self
             .ops
             .iter()
-            .filter(|(_, op)| {
-                op.phase == OpPhase::InFlight
-                    && op.target.is_some_and(|t| !config.contains_addr(&t))
+            .filter(|(_, op)| match op.phase {
+                OpPhase::InFlight => config.as_ref().is_some_and(|cfg| {
+                    op.target.is_some_and(|t| !cfg.contains_addr(&t))
+                }),
+                OpPhase::Parked { seq: wanted } => wanted <= seq,
+                _ => false,
             })
             .map(|(&req, _)| req)
             .collect();
-        orphaned.sort_unstable();
-        for &req in orphaned.iter().rev() {
+        resend.sort_unstable();
+        for &req in resend.iter().rev() {
             let op = self.ops.get_mut(&req).expect("collected above");
+            if op.phase == OpPhase::InFlight {
+                self.inflight = self.inflight.saturating_sub(1);
+            }
             op.phase = OpPhase::Queued;
-            op.attempts = 0;
             op.target = None;
-            self.inflight = self.inflight.saturating_sub(1);
-            self.stats.retries += 1;
             self.queue.push_front(req);
         }
-        self.view = Some((config, placement));
-        self.stats.views_adopted += 1;
+        if let Some(config) = config {
+            let placement = self.cache.get(&config, &self.spec);
+            self.view = Some((config, placement));
+            self.stats.views_adopted += 1;
+        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -397,17 +417,43 @@ impl KvClient {
                 // half the hint: a whole fleet shed at the same instant
                 // must not retry in one synchronized herd, but replaying
                 // the same client still backs off identically.
-                let KvError::Overloaded { retry_after_ms } =
-                    KvError::Overloaded { retry_after_ms: version.max(1) };
+                let retry_after_ms = version.max(1);
                 let jitter = backoff_jitter(self.me, req, retry_after_ms);
                 self.stats.shed += 1;
                 self.backoff(req, retry_after_ms + jitter, now);
             }
+            CRESP_NOT_LEADER => self.on_not_leader(from, req, version),
             _ => {
                 // CRESP_FAILED, unknown, or a stale read: retryable until
                 // the deadline.
                 self.backoff(req, self.retry_delay(), now);
             }
+        }
+    }
+
+    /// Re-routes op `req` after its target `from` answered that it does
+    /// not lead the op's partition in its view `seq`. When this client's
+    /// view names another leader, the op goes there at once. Otherwise
+    /// `from` leads the partition in the client's view, so the two views
+    /// differ: the op parks until a push of the newer one arrives, and
+    /// `from` is asked for its view with one [`KvMsg::Sub`]. A node ahead
+    /// of the client answers with the newer view; a node behind it pushes
+    /// the client's view to its subscribers once it installs it.
+    fn on_not_leader(&mut self, from: Endpoint, req: u64, seq: u64) {
+        let (cfg, pl) = self.view.as_ref().expect("an op went out, so a view exists");
+        let op = self.ops.get_mut(&req).expect("checked by the caller");
+        let partition = partition_of(&op.key, self.spec.partitions);
+        let leader = cfg.members()[pl.leader(partition) as usize].addr;
+        if leader != from {
+            op.phase = OpPhase::Queued;
+            self.queue.push_front(req);
+            return;
+        }
+        let wanted = seq.max(cfg.seq());
+        op.phase = OpPhase::Parked { seq: wanted };
+        if self.asked != Some((from, wanted)) {
+            self.asked = Some((from, wanted));
+            self.send(from, KvMsg::Sub);
         }
     }
 
@@ -429,7 +475,6 @@ impl KvClient {
             op.phase = OpPhase::Backoff {
                 due: now + delay,
             };
-            op.attempts += 1;
         }
     }
 
@@ -484,10 +529,8 @@ impl KvClient {
         self.flush(out);
     }
 
-    /// Fills the in-flight window from the queue. Routing: attempt 0 is
-    /// the placement leader (zero-hop); later attempts rotate through
-    /// the partition's replica set — any replica coordinator-forwards,
-    /// which is the stale-view fallback.
+    /// Fills the in-flight window from the queue. Every attempt goes to
+    /// the key's partition leader in the client's current view.
     fn pump(&mut self) {
         if self.view.is_none() {
             return; // Nothing to route with until the first view push.
@@ -504,13 +547,7 @@ impl KvClient {
             }
             let partition = partition_of(&op.key, self.spec.partitions);
             let (cfg, pl) = self.view.as_ref().expect("checked above");
-            let replicas = pl.replicas(partition);
-            let target_rank = if op.attempts == 0 || replicas.is_empty() {
-                pl.leader(partition)
-            } else {
-                replicas[op.attempts as usize % replicas.len()]
-            };
-            let target = cfg.members()[target_rank as usize].addr;
+            let target = cfg.members()[pl.leader(partition) as usize].addr;
             let msg = match &op.val {
                 Some(val) => KvMsg::CPut {
                     req,
@@ -523,10 +560,11 @@ impl KvClient {
                     floor: self.floors.get(&op.key).copied().unwrap_or(0),
                 },
             };
-            if op.attempts > 0 {
+            if op.sent {
                 self.stats.retries += 1;
             }
             let op = self.ops.get_mut(&req).expect("present");
+            op.sent = true;
             op.phase = OpPhase::InFlight;
             op.target = Some(target);
             self.inflight += 1;
@@ -732,7 +770,7 @@ mod tests {
     }
 
     #[test]
-    fn stale_views_are_ignored_and_retries_rotate_replicas() {
+    fn stale_views_are_ignored_and_retries_go_to_the_leader() {
         let (cfg, eps) = cluster(5);
         let mut c = new_client(eps.clone(), 4);
         let mut out = Vec::new();
@@ -749,7 +787,8 @@ mod tests {
         let p = partition_of("rot", spec().partitions);
         let pl = c.placement().unwrap().clone();
         assert_eq!(first, cfg.members()[pl.leader(p) as usize].addr);
-        // A Failed verdict retries on a *replica* (any-replica fallback).
+        // A Failed verdict retries after the retry delay, at the leader
+        // again: no attempt goes to a follower.
         let mut out = Vec::new();
         c.on_message(
             first,
@@ -769,16 +808,8 @@ mod tests {
             .filter(|(_, m)| matches!(m, KvMsg::CGet { req: r, .. } if *r == req))
             .map(|(to, _)| *to)
             .collect();
-        assert_eq!(retry_targets.len(), 1, "{out:?}");
-        let replica_addrs: Vec<Endpoint> = pl
-            .replicas(p)
-            .iter()
-            .map(|&r| cfg.members()[r as usize].addr)
-            .collect();
-        assert!(
-            replica_addrs.contains(&retry_targets[0]),
-            "retries stay within the replica set"
-        );
+        assert_eq!(retry_targets, vec![first], "{out:?}");
+        assert_eq!(c.stats().retries, 1);
     }
 
     #[test]
@@ -959,5 +990,144 @@ mod tests {
             .any(|o| matches!(o, KvOut::Done(r, KvOutcome::Missing) if *r == r_gone)));
         assert_eq!(c.stats().retries, 1);
         assert_eq!(c.stats().failed, 0);
+    }
+
+    /// `NotLeader { seq }` for op `req`.
+    fn not_leader(req: u64, seq: u64) -> KvMsg {
+        KvMsg::CResp {
+            req,
+            code: CRESP_NOT_LEADER,
+            val: String::new(),
+            version: seq,
+        }
+    }
+
+    /// A client on view `cfg` with one get in flight to `key`'s leader.
+    fn one_flyer(cfg: &Arc<Configuration>, eps: &[Endpoint], key: &str) -> (KvClient, u64) {
+        let mut c = new_client(eps.to_vec(), 8);
+        let mut out = Vec::new();
+        c.on_message(eps[0], view_msg_of(cfg), 0, &mut out);
+        let mut out = Vec::new();
+        let req = c.submit_ops(&[ClientOp::Get { key }], 1, &mut out)[0];
+        assert_eq!(sends(&out)[0].0, leader_of(cfg, key));
+        (c, req)
+    }
+
+    /// A key `victim` leads in `cfg`, so removing `victim` moves it.
+    fn key_led_by(cfg: &Configuration, victim: Endpoint) -> String {
+        (0..500)
+            .map(|i| format!("nl-{i}"))
+            .find(|k| leader_of(cfg, k) == victim)
+            .expect("some key")
+    }
+
+    /// `NotLeader` from the op's target after the client adopted a view
+    /// naming another leader: the op goes out again at once, to that
+    /// leader, with no back-off.
+    #[test]
+    fn not_leader_requeues_at_once_when_the_clients_view_names_another_leader() {
+        let (all, _) = cluster(6);
+        let joiner = all.members()[5].clone();
+        let cfg = Configuration::bootstrap(all.members()[..5].to_vec());
+        let eps: Vec<Endpoint> = cfg.members().iter().map(|m| m.addr).collect();
+        // A view that adds a member leading the key; the old leader stays.
+        let v2 = Configuration::from_parts(
+            ConfigId(cfg.id().0 + 1),
+            cfg.seq() + 1,
+            all.members().to_vec(),
+        );
+        let key = (0..500)
+            .map(|i| format!("nl-{i}"))
+            .find(|k| leader_of(&v2, k) == joiner.addr)
+            .expect("the joiner leads some key");
+        let (mut c, req) = one_flyer(&cfg, &eps, &key);
+        let old_leader = leader_of(&cfg, &key);
+        let mut out = Vec::new();
+        c.on_message(eps[0], view_msg_of(&v2), 2, &mut out);
+        assert!(sends(&out).is_empty(), "the old leader stayed: {out:?}");
+        let mut out = Vec::new();
+        c.on_message(old_leader, not_leader(req, v2.seq()), 3, &mut out);
+        let get = KvMsg::CGet {
+            req,
+            key,
+            floor: 0,
+        };
+        assert_eq!(sends(&out), vec![(joiner.addr, get)]);
+        assert_eq!(c.stats().retries, 1);
+    }
+
+    /// `NotLeader` from a node whose view is newer than the client's: the
+    /// op parks, the client asks that node for its view with one `Sub`
+    /// (one per node and seq, however many ops park), and adopting the view
+    /// re-sends the op to its leader there.
+    #[test]
+    fn not_leader_from_a_newer_view_parks_until_the_client_adopts_it() {
+        let (cfg, eps) = cluster(5);
+        let victim = eps[2];
+        let key = key_led_by(&cfg, victim);
+        let (mut c, req) = one_flyer(&cfg, &eps, &key);
+        let mut out = Vec::new();
+        let other = c.submit_ops(&[ClientOp::Get { key: &key }], 1, &mut out)[0];
+        let v2 = without(&cfg, victim);
+        let mut out = Vec::new();
+        c.on_message(victim, not_leader(req, v2.seq()), 2, &mut out);
+        assert_eq!(sends(&out), vec![(victim, KvMsg::Sub)], "one view request");
+        let mut out = Vec::new();
+        c.on_message(victim, not_leader(other, v2.seq()), 2, &mut out);
+        assert!(sends(&out).is_empty(), "one Sub per node and seq: {out:?}");
+        // Parked, not backing off: the retry delay passes quietly.
+        let mut out = Vec::new();
+        c.on_tick(2 + 2_000 / 8 + 1, &mut out);
+        assert!(
+            !sends(&out).iter().any(|(_, m)| matches!(m, KvMsg::CGet { .. })),
+            "{out:?}"
+        );
+        let mut out = Vec::new();
+        c.on_message(victim, view_msg_of(&v2), 300, &mut out);
+        let get = |req| KvMsg::CGet {
+            req,
+            key: key.clone(),
+            floor: 0,
+        };
+        let to = leader_of(&v2, &key);
+        assert_eq!(sends(&out), vec![(to, get(req)), (to, get(other))]);
+        assert_eq!(c.stats().retries, 2);
+        assert_eq!(c.stats().failed, 0);
+    }
+
+    /// `NotLeader` from the leader of the client's view with an older
+    /// seq: the node is behind, so the op parks instead of looping and
+    /// the node is asked for its view. Its answer, the old view, releases
+    /// nothing; its push of the client's view, once it installs it, sends
+    /// the op back to it.
+    #[test]
+    fn not_leader_from_a_node_behind_the_client_waits_for_its_push() {
+        let (v0, eps) = cluster(5);
+        // The client's view: the same members, one configuration later.
+        let members = v0.members().to_vec();
+        let cfg = Configuration::from_parts(ConfigId(v0.id().0 + 1), v0.seq() + 1, members);
+        let key = "behind";
+        let (mut c, req) = one_flyer(&cfg, &eps, key);
+        let leader = leader_of(&cfg, key);
+        let mut out = Vec::new();
+        c.on_message(leader, not_leader(req, v0.seq()), 2, &mut out);
+        assert_eq!(sends(&out), vec![(leader, KvMsg::Sub)], "no hot loop: {out:?}");
+        let mut out = Vec::new();
+        c.on_message(leader, view_msg_of(&v0), 3, &mut out);
+        c.on_tick(2 + 2_000 / 8, &mut out);
+        let resent = sends(&out)
+            .into_iter()
+            .any(|(_, m)| matches!(m, KvMsg::CGet { .. }));
+        assert!(!resent, "the old view and the retry delay release nothing: {out:?}");
+        let mut out = Vec::new();
+        c.on_message(leader, view_msg_of(&cfg), 4, &mut out);
+        let get = KvMsg::CGet {
+            req,
+            key: key.into(),
+            floor: 0,
+        };
+        assert_eq!(sends(&out), vec![(leader, get)]);
+        assert_eq!(c.stats().retries, 1);
+        assert_eq!(c.stats().views_adopted, 1, "the push re-sends, it adopts nothing");
     }
 }

@@ -16,49 +16,6 @@ use crate::store::PartitionDigest;
 /// simulated network with membership traffic.
 #[derive(Clone, Debug, PartialEq)]
 pub enum KvMsg {
-    /// Client write, forwarded from the coordinator to the leader.
-    Put {
-        /// Coordinator-local request id.
-        req: u64,
-        /// The coordinator to ack.
-        origin: Endpoint,
-        /// Key.
-        key: String,
-        /// Value.
-        val: String,
-    },
-    /// Leader's write verdict, routed back to the coordinator.
-    PutAck {
-        /// Request id.
-        req: u64,
-        /// Whether the write was fully replicated.
-        ok: bool,
-        /// Version assigned to the write (0 when `!ok`).
-        version: u64,
-    },
-    /// Client read, forwarded from the coordinator to the leader.
-    Get {
-        /// Coordinator-local request id.
-        req: u64,
-        /// The coordinator to answer.
-        origin: Endpoint,
-        /// Key.
-        key: String,
-    },
-    /// Leader's read answer.
-    GetResp {
-        /// Request id.
-        req: u64,
-        /// `false` when the receiver could not serve (not the leader, or
-        /// still awaiting a handoff) — a retryable failure, not a miss.
-        ok: bool,
-        /// Whether the key exists.
-        found: bool,
-        /// The value (empty when absent).
-        val: String,
-        /// The value's version (0 when absent).
-        version: u64,
-    },
     /// Leader-to-replica write propagation.
     Replicate {
         /// Partition of the key.
@@ -137,8 +94,8 @@ pub enum KvMsg {
         /// placement so it stays off the client wire.
         members: Vec<(u128, Endpoint)>,
     },
-    /// A client write, routed directly to the partition leader (or to
-    /// any replica on a stale view — the receiver coordinator-forwards).
+    /// A client write, sent to the key's partition leader in the
+    /// client's view. Any other node answers [`CRESP_NOT_LEADER`].
     CPut {
         /// Client-local request id, echoed in [`KvMsg::CResp`].
         req: u64,
@@ -147,8 +104,9 @@ pub enum KvMsg {
         /// Value.
         val: String,
     },
-    /// A client read. Carries the client's acked-version floor so
-    /// read-your-writes holds across whichever node coordinates.
+    /// A client read, routed like [`KvMsg::CPut`]. Carries the client's
+    /// acked-version floor so read-your-writes holds across leader
+    /// changes.
     CGet {
         /// Client-local request id.
         req: u64,
@@ -165,8 +123,9 @@ pub enum KvMsg {
         code: u8,
         /// The value (reads that found the key; empty otherwise).
         val: String,
-        /// The version (acked writes / found reads), or the suggested
-        /// retry delay in ms when `code` is [`CRESP_OVERLOADED`].
+        /// The version (acked writes / found reads), the suggested retry
+        /// delay in ms when `code` is [`CRESP_OVERLOADED`], or the
+        /// node's view seq when `code` is [`CRESP_NOT_LEADER`].
         version: u64,
     },
     /// Several data-plane messages for one destination, coalesced into a
@@ -188,6 +147,10 @@ pub const CRESP_FAILED: u8 = 3;
 /// `version` carries the suggested retry delay in ms. Shed ops are
 /// never applied, so they can never be acked.
 pub const CRESP_OVERLOADED: u8 = 4;
+/// [`KvMsg::CResp`] code: the node does not lead the key's partition in
+/// its view, whose seq `version` carries; it kept no state for the op.
+/// The client re-routes by its own view, or by one at least that new.
+pub const CRESP_NOT_LEADER: u8 = 5;
 
 impl BatchMessage for KvMsg {
     fn batch(msgs: Vec<KvMsg>) -> KvMsg {
@@ -199,10 +162,9 @@ impl BatchMessage for KvMsg {
     }
 }
 
-const TAG_PUT: u8 = 1;
-const TAG_PUT_ACK: u8 = 2;
-const TAG_GET: u8 = 3;
-const TAG_GET_RESP: u8 = 4;
+// Tags 1–4 carried the retired coordinator forwards (`Put`, `PutAck`,
+// `Get`, `GetResp`). They stay unassigned, so they decode to
+// `DecodeError::UnknownTag`.
 const TAG_REPLICATE: u8 = 5;
 const TAG_REP_ACK: u8 = 6;
 const TAG_HANDOFF: u8 = 7;
@@ -234,12 +196,6 @@ pub fn encoded_len(msg: &KvMsg) -> usize {
             .sum::<usize>()
     };
     1 + match msg {
-        KvMsg::Put {
-            origin, key, val, ..
-        } => 8 + endpoint_len(origin) + str32_len(key) + str32_len(val),
-        KvMsg::PutAck { .. } => 8 + 1 + 8,
-        KvMsg::Get { origin, key, .. } => 8 + endpoint_len(origin) + str32_len(key),
-        KvMsg::GetResp { val, .. } => 8 + 1 + 1 + str32_len(val) + 8,
         KvMsg::Replicate {
             leader, key, val, ..
         } => 4 + 8 + endpoint_len(leader) + str32_len(key) + str32_len(val) + 8,
@@ -289,44 +245,6 @@ fn put_digests(buf: &mut Vec<u8>, tag: u8, digests: &[(u32, PartitionDigest)]) {
 /// Encodes a message into `buf` (appended).
 pub fn encode(msg: &KvMsg, buf: &mut Vec<u8>) {
     match msg {
-        KvMsg::Put {
-            req,
-            origin,
-            key,
-            val,
-        } => {
-            buf.push(TAG_PUT);
-            buf.extend_from_slice(&req.to_le_bytes());
-            put_endpoint(buf, origin);
-            put_str32(buf, key);
-            put_str32(buf, val);
-        }
-        KvMsg::PutAck { req, ok, version } => {
-            buf.push(TAG_PUT_ACK);
-            buf.extend_from_slice(&req.to_le_bytes());
-            buf.push(*ok as u8);
-            buf.extend_from_slice(&version.to_le_bytes());
-        }
-        KvMsg::Get { req, origin, key } => {
-            buf.push(TAG_GET);
-            buf.extend_from_slice(&req.to_le_bytes());
-            put_endpoint(buf, origin);
-            put_str32(buf, key);
-        }
-        KvMsg::GetResp {
-            req,
-            ok,
-            found,
-            val,
-            version,
-        } => {
-            buf.push(TAG_GET_RESP);
-            buf.extend_from_slice(&req.to_le_bytes());
-            buf.push(*ok as u8);
-            buf.push(*found as u8);
-            put_str32(buf, val);
-            buf.extend_from_slice(&version.to_le_bytes());
-        }
         KvMsg::Replicate {
             partition,
             req,
@@ -455,29 +373,6 @@ fn digests(r: &mut Reader<'_>) -> Result<Vec<(u32, PartitionDigest)>, DecodeErro
 /// (batches never nest).
 fn decode_one(r: &mut Reader<'_>, nested: bool) -> Result<KvMsg, DecodeError> {
     let msg = match r.u8()? {
-        TAG_PUT => KvMsg::Put {
-            req: r.u64()?,
-            origin: r.endpoint()?,
-            key: string(r)?,
-            val: string(r)?,
-        },
-        TAG_PUT_ACK => KvMsg::PutAck {
-            req: r.u64()?,
-            ok: r.u8()? == 1,
-            version: r.u64()?,
-        },
-        TAG_GET => KvMsg::Get {
-            req: r.u64()?,
-            origin: r.endpoint()?,
-            key: string(r)?,
-        },
-        TAG_GET_RESP => KvMsg::GetResp {
-            req: r.u64()?,
-            ok: r.u8()? == 1,
-            found: r.u8()? == 1,
-            val: string(r)?,
-            version: r.u64()?,
-        },
         TAG_REPLICATE => KvMsg::Replicate {
             partition: r.u32()?,
             req: r.u64()?,
@@ -552,29 +447,6 @@ mod tests {
     #[test]
     fn codec_roundtrips_and_sizes_match() {
         let msgs = vec![
-            KvMsg::Put {
-                req: 9,
-                origin: Endpoint::new("kv-0", 7100),
-                key: "k".into(),
-                val: "v".into(),
-            },
-            KvMsg::PutAck {
-                req: 9,
-                ok: true,
-                version: 77,
-            },
-            KvMsg::Get {
-                req: 10,
-                origin: Endpoint::new("kv-1", 7100),
-                key: "k".into(),
-            },
-            KvMsg::GetResp {
-                req: 10,
-                ok: true,
-                found: false,
-                val: String::new(),
-                version: 0,
-            },
             KvMsg::Replicate {
                 partition: 3,
                 req: 11,

@@ -11,17 +11,20 @@
 //!
 //! Protocol (all placement-driven, zero coordination messages):
 //!
-//! * **Routing** — any node accepts a client op (a client with a stale
-//!   view may pick any), computes the partition's leader from its
-//!   placement, and forwards. Leaders are a pure function
-//!   of the view, so there is no leader election and no lease.
+//! * **Routing** — only the leader of a key's partition serves an op on
+//!   it. Leaders are a pure function of the view, so there is no leader
+//!   election and no lease, and a node that does not lead the partition
+//!   in its view answers [`CRESP_NOT_LEADER`] with its view seq at once,
+//!   keeping no state: the client re-routes with its own view, or waits
+//!   for one at least that new. No node relays an op to another.
 //! * **Writes** — the leader versions the write, applies it locally, and
 //!   replicates to every other replica; the client is acked only after
 //!   every replica of the current view confirmed, so an acked write
 //!   survives any failure that leaves at least one replica alive. A view
 //!   change re-targets a round in flight: replicas the view removed stop
 //!   being waited for, replicas it added get the same write, and a
-//!   leader that lost the partition fails the round (retryable).
+//!   leader that lost the partition answers the round's client
+//!   [`CRESP_NOT_LEADER`].
 //! * **Reads** — served by the leader (which holds every acked write).
 //! * **Rebalance** — on a view change every node recomputes placement,
 //!   diffs it against the previous one ([`RebalancePlan`]) and the
@@ -36,14 +39,14 @@
 //!   "serve empty after a grace period" escape hatch: an awaiting
 //!   partition keeps failing reads retryably until a settled replica
 //!   confirms its contents.
-//! * **Read-your-writes** — each coordinator remembers the highest
-//!   version it acked per key and refuses to complete a read below that
-//!   floor: a stale leader answer (mid-repair) is retried, not returned.
+//! * **Read-your-writes** — each leader remembers the highest version it
+//!   acked per key and refuses to answer a read below that floor (or
+//!   below the floor the client carried in): a stale answer (mid-repair)
+//!   is retried, not returned.
 //! * **Departures** — no answer can come from a process a view removed,
-//!   so installing the view settles what waits on one at once: a read a
-//!   coordinator forwarded to it goes to the new leader, a forwarded
-//!   write fails retryably (the client re-sends it), and replication
-//!   rounds re-target as above.
+//!   so installing the view settles what waits on one at once:
+//!   replication rounds re-target as above, and the client re-sends its
+//!   ops in flight to a removed leader to the new one.
 
 use std::sync::Arc;
 
@@ -61,7 +64,7 @@ pub use crate::store::{digest_of, Entry, PartitionDigest};
 // The wire vocabulary and its codec live in `codec.rs`.
 pub use crate::codec::{
     decode, encode, encoded_len, KvMsg, CRESP_ACKED, CRESP_FAILED, CRESP_FOUND, CRESP_MISSING,
-    CRESP_OVERLOADED,
+    CRESP_NOT_LEADER, CRESP_OVERLOADED,
 };
 
 /// Typed data-plane errors surfaced to clients.
@@ -150,13 +153,15 @@ pub enum ClientOp<'a> {
 /// plan) and aggregate by max — [`KvStats::absorb`] applies those rules.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KvStats {
-    /// Writes acked to clients by this coordinator.
+    /// Writes this node acked to clients as their partition's leader.
     pub puts_acked: u64,
-    /// Writes failed/timed out at this coordinator.
+    /// Writes this node admitted as leader that failed, timed out, or
+    /// lost their partition to a view change.
     pub puts_failed: u64,
-    /// Reads completed (found or missing) at this coordinator.
+    /// Reads this node completed (found or missing) as leader.
     pub gets_ok: u64,
-    /// Reads failed/timed out at this coordinator.
+    /// Reads this node admitted as leader that failed, timed out, or
+    /// lost their partition to a view change.
     pub gets_failed: u64,
     /// View changes processed by the data plane.
     pub rebalances: u64,
@@ -218,44 +223,45 @@ impl KvStats {
 // The state machine
 // ---------------------------------------------------------------------------
 
-/// A client op in flight at its coordinator, keyed by request id in
-/// [`KvNode::pending_client`] so completions are O(1) instead of a scan.
-struct PendingClient {
-    deadline: u64,
-    is_put: bool,
+/// The client side of an op this node serves as leader.
+struct ClientReq {
     /// The smart client that sent the op and its own request id, which
     /// the [`KvMsg::CResp`] verdict goes back under (node-local ids can
     /// collide across clients).
     client: (Endpoint, u64),
-    /// The key, kept for read retries and for recording acked floors.
+    /// The key: it picks the partition, and a view change re-sends a
+    /// write to the replicas it added there.
     key: String,
-    /// Read-your-writes floor captured when the get began: the highest
-    /// version this coordinator has acked for the key. A leader answer
-    /// below it is stale (mid-repair) and is retried, never returned.
-    floor: u64,
-    /// Set when a retryable/stale answer arrived; the next tick
-    /// re-forwards the read to the (possibly new) leader.
-    retry: bool,
-    /// The leader the op was last forwarded to (this node until it
-    /// forwards one). A view that removes it settles the op at once.
-    leader: Endpoint,
+    deadline: u64,
 }
 
+/// A write's replication round, the only pending entry a put has.
 struct PendingPut {
-    origin: Endpoint,
-    /// The coordinator's request id (leader-side replication waits are
-    /// keyed by a *leader-local* id — coordinator ids from different
-    /// origins can collide).
-    client_req: u64,
-    /// The written key: a view change re-sends the write to replicas it
-    /// added to the key's partition.
-    key: String,
+    op: ClientReq,
     /// Replicas whose ack is still outstanding, by identity — a
     /// duplicated RepAck (the simulator's `duplicate` fault) must not
     /// satisfy the quorum early.
     waiting: Vec<Endpoint>,
     version: u64,
-    deadline: u64,
+}
+
+/// A read waiting on a retry: the partition is awaiting its handoff, or
+/// the store is below the read's floor. Each tick retries it.
+struct PendingGet {
+    op: ClientReq,
+    /// Read-your-writes floor: the highest version this leader acked for
+    /// the key, or the client's own floor if higher. An answer below it
+    /// is stale (mid-repair) and is retried, never returned.
+    floor: u64,
+}
+
+/// A verdict [`KvNode::resolve`] sends a client.
+enum Verdict {
+    /// The op's final result.
+    Done(KvOutcome),
+    /// This node no longer leads the op's partition; the client
+    /// re-routes.
+    NotLeader,
 }
 
 /// The per-process replicated-KV state machine.
@@ -282,7 +288,7 @@ pub struct KvNode {
     /// handoff lands or repair confirms the contents from a settled
     /// replica. There is deliberately no time-based escape hatch.
     awaiting: DetHashSet<u32>,
-    /// Highest acked version per key at this coordinator — the
+    /// Highest version this node acked per key as leader — the
     /// read-your-writes floor.
     acked_floors: DetHashMap<String, u64>,
     /// Set on processes that join an *established* cluster: their first
@@ -294,7 +300,9 @@ pub struct KvNode {
     /// push as soon as they install the new view, which can race the
     /// joiner's own install) — these partitions are already served.
     early_handoffs: DetHashSet<u32>,
-    pending_client: DetHashMap<u64, PendingClient>,
+    /// Gets waiting on a retry, keyed by request id.
+    pending_gets: DetHashMap<u64, PendingGet>,
+    /// Puts' replication rounds, keyed by request id.
     pending_rep: DetHashMap<u64, PendingPut>,
     seqs: DetHashMap<u32, u64>,
     next_req: u64,
@@ -307,7 +315,7 @@ pub struct KvNode {
     /// threading `now` through every call chain.
     now: u64,
     /// Latency of *successful* client ops (acked puts + completed gets),
-    /// coordinator-side, ms on whatever clock drives this node.
+    /// leader-side, ms on whatever clock drives this node.
     op_hist: LatencyHist,
     /// How long partitions spent awaiting a rebalance handoff before the
     /// handoff landed.
@@ -324,7 +332,7 @@ pub struct KvNode {
     /// Smart clients subscribed to view pushes, sorted for deterministic
     /// push order. Bounded by [`MAX_SUBS`].
     subs: Vec<Endpoint>,
-    /// Admission bound on `pending_client` entries; 0 = unbounded.
+    /// Admission bound on [`KvNode::inbox_depth`]; 0 = unbounded.
     inbox_limit: usize,
     /// Soft-shed threshold: when the last sampled interval's op p99
     /// exceeded this *and* the inbox is more than half full, new client
@@ -364,7 +372,7 @@ impl KvNode {
             acked_floors: DetHashMap::default(),
             expect_initial_handoffs: false,
             early_handoffs: DetHashSet::default(),
-            pending_client: DetHashMap::default(),
+            pending_gets: DetHashMap::default(),
             pending_rep: DetHashMap::default(),
             seqs: DetHashMap::default(),
             next_req: 1,
@@ -398,8 +406,8 @@ impl KvNode {
         self
     }
 
-    /// Configures admission control for remote client ops: a hard bound
-    /// of `inbox` coordinator-pending ops (0 = unbounded), plus an
+    /// Configures admission control for client ops: a hard bound of
+    /// `inbox` pending ops (0 = unbounded), plus an
     /// optional latency-keyed soft shed — when the last metrics-interval
     /// op p99 (fed by [`KvNode::note_interval`]) exceeds `shed_p99_ms`
     /// and the inbox is more than half full, arrivals are shed early.
@@ -415,13 +423,14 @@ impl KvNode {
     /// Feeds the latest metrics-interval op quantiles (the PR 8 timeline
     /// signal) into the shedding decision. Hosts call this from the same
     /// sweep that records the timeline sample.
-    pub fn note_interval(&mut self, _p50_ms: u64, p99_ms: u64) {
+    pub fn note_interval(&mut self, p99_ms: u64) {
         self.last_interval_p99 = p99_ms;
     }
 
-    /// Client ops currently pending at this coordinator.
+    /// Client ops currently pending at this leader: replication rounds
+    /// plus gets waiting on a retry.
     pub fn inbox_depth(&self) -> usize {
-        self.pending_client.len()
+        self.pending_rep.len() + self.pending_gets.len()
     }
 
     /// Smart clients currently subscribed to view pushes.
@@ -451,7 +460,7 @@ impl KvNode {
         &self.stats
     }
 
-    /// Coordinator-side latency of successful client ops (ms).
+    /// Leader-side latency of successful client ops (ms).
     pub fn op_hist(&self) -> &LatencyHist {
         &self.op_hist
     }
@@ -601,7 +610,6 @@ impl KvNode {
         self.next_repair_at = (now + self.repair_interval_ms).min(deferral_cap);
         if let Some(moves) = moves {
             self.retarget_rounds(&moves);
-            self.reroute_orphans();
         }
     }
 
@@ -610,16 +618,17 @@ impl KvNode {
     /// to each partition: departed replicas are no longer waited for,
     /// added ones get the same write under the same round, and the put
     /// acks once every replica of the current view holds it. A round on
-    /// a partition this node no longer leads fails (retryable).
+    /// a partition this node no longer leads answers its client
+    /// [`CRESP_NOT_LEADER`].
     fn retarget_rounds(&mut self, moves: &[ReplicaMove]) {
         let cfg = Arc::clone(&self.view.as_ref().expect("installed by the caller").0);
         let mut reps: Vec<u64> = self.pending_rep.keys().copied().collect();
         reps.sort_unstable();
         for rep in reps {
-            let partition = partition_of(&self.pending_rep[&rep].key, self.spec.partitions);
+            let partition = partition_of(&self.pending_rep[&rep].op.key, self.spec.partitions);
             if !self.is_leader(partition) {
                 let p = self.pending_rep.remove(&rep).expect("collected above");
-                self.put_fail(p.client_req, p.origin);
+                self.resolve(rep, p.op, true, Verdict::NotLeader);
                 continue;
             }
             let added: Vec<Endpoint> = moves
@@ -632,7 +641,8 @@ impl KvNode {
             p.waiting.extend_from_slice(&added);
             if p.waiting.is_empty() {
                 let p = self.pending_rep.remove(&rep).expect("collected above");
-                self.put_ack(p.client_req, p.origin, p.version);
+                let version = p.version;
+                self.resolve(rep, p.op, true, Verdict::Done(KvOutcome::Acked { version }));
                 continue;
             }
             if added.is_empty() {
@@ -640,10 +650,10 @@ impl KvNode {
             }
             // The write as this leader holds it now: the round's own
             // version, or a later write to the key that supersedes it.
-            let key = p.key.clone();
+            let key = p.op.key.clone();
             let Some((val, version)) = self.store.get(partition, &key).cloned() else {
                 let p = self.pending_rep.remove(&rep).expect("collected above");
-                self.put_fail(p.client_req, p.origin);
+                self.resolve(rep, p.op, true, Verdict::Done(KvOutcome::Failed));
                 continue;
             };
             for to in added {
@@ -662,29 +672,6 @@ impl KvNode {
         }
     }
 
-    /// Settles every pending client op this node forwarded to a leader
-    /// the view just installed removed: reads go to the new leader,
-    /// writes fail retryably (the client re-sends them; the value is not
-    /// kept here).
-    fn reroute_orphans(&mut self) {
-        let (cfg, _) = self.view.as_ref().expect("installed by the caller");
-        let mut orphans: Vec<(u64, bool)> = self
-            .pending_client
-            .iter()
-            .filter(|(_, pc)| !cfg.contains_addr(&pc.leader))
-            .map(|(&req, pc)| (req, pc.is_put))
-            .collect();
-        orphans.sort_unstable();
-        for (req, is_put) in orphans {
-            if is_put {
-                self.resolve_client(req, KvOutcome::Failed);
-            } else {
-                let key = self.pending_client[&req].key.clone();
-                self.forward_get(req, &key);
-            }
-        }
-    }
-
     /// The current view as a client push message.
     fn view_msg(&self) -> KvMsg {
         let (cfg, _) = self.view.as_ref().expect("view installed");
@@ -697,12 +684,6 @@ impl KvNode {
                 .map(|m| (m.id.as_u128(), m.addr))
                 .collect(),
         }
-    }
-
-    fn leader_addr(&self, partition: u32) -> Option<Endpoint> {
-        let (cfg, pl) = self.view.as_ref()?;
-        let rank = pl.leader(partition) as usize;
-        Some(cfg.members()[rank].addr)
     }
 
     fn is_leader(&self, partition: u32) -> bool {
@@ -741,39 +722,44 @@ impl KvNode {
         stats.frames_sent = s.frames;
     }
 
-    /// Settles pending op `req` and queues its verdict to the client.
-    fn resolve_client(&mut self, req: u64, outcome: KvOutcome) {
-        let Some(pc) = self.pending_client.remove(&req) else {
-            return; // Already timed out.
+    /// The installed view's seq (0 before the first view).
+    fn view_seq(&self) -> u64 {
+        self.view.as_ref().map_or(0, |(cfg, _)| cfg.seq())
+    }
+
+    /// Settles client op `req`, already taken off its pending map:
+    /// records its latency and counters and queues its verdict to the
+    /// client.
+    fn resolve(&mut self, req: u64, op: ClientReq, is_put: bool, verdict: Verdict) {
+        let (code, val, version) = match verdict {
+            Verdict::Done(KvOutcome::Acked { version }) => (CRESP_ACKED, String::new(), version),
+            Verdict::Done(KvOutcome::Found { val, version }) => (CRESP_FOUND, val, version),
+            Verdict::Done(KvOutcome::Missing) => (CRESP_MISSING, String::new(), 0),
+            Verdict::Done(KvOutcome::Failed) => (CRESP_FAILED, String::new(), 0),
+            Verdict::NotLeader => (CRESP_NOT_LEADER, String::new(), self.view_seq()),
         };
+        let ok = matches!(code, CRESP_ACKED | CRESP_FOUND | CRESP_MISSING);
         // The op started `op_timeout_ms` before its deadline; `self.now`
         // was refreshed by whichever entry point led here.
         let latency = self
             .now
-            .saturating_sub(pc.deadline.saturating_sub(self.op_timeout_ms));
-        if !matches!(outcome, KvOutcome::Failed) {
+            .saturating_sub(op.deadline.saturating_sub(self.op_timeout_ms));
+        if ok {
             self.op_hist.record(latency);
         }
         self.trace.push(self.now, EventKind::KvOpDone, req, latency);
-        match (&outcome, pc.is_put) {
-            (KvOutcome::Acked { version }, _) => {
+        match (is_put, ok) {
+            (true, true) => {
                 self.stats.puts_acked += 1;
-                // Record the read-your-writes floor for this coordinator.
-                let floor = self.acked_floors.entry(pc.key).or_insert(0);
-                *floor = (*floor).max(*version);
+                // Record the read-your-writes floor for this leader.
+                let floor = self.acked_floors.entry(op.key).or_insert(0);
+                *floor = (*floor).max(version);
             }
-            (KvOutcome::Failed, true) => self.stats.puts_failed += 1,
-            (KvOutcome::Failed, false) => self.stats.gets_failed += 1,
-            (_, false) => self.stats.gets_ok += 1,
-            _ => {}
+            (true, false) => self.stats.puts_failed += 1,
+            (false, true) => self.stats.gets_ok += 1,
+            (false, false) => self.stats.gets_failed += 1,
         }
-        let (code, val, version) = match outcome {
-            KvOutcome::Acked { version } => (CRESP_ACKED, String::new(), version),
-            KvOutcome::Found { val, version } => (CRESP_FOUND, val, version),
-            KvOutcome::Missing => (CRESP_MISSING, String::new(), 0),
-            KvOutcome::Failed => (CRESP_FAILED, String::new(), 0),
-        };
-        let (ep, creq) = pc.client;
+        let (ep, creq) = op.client;
         self.send(
             ep,
             KvMsg::CResp {
@@ -785,78 +771,12 @@ impl KvNode {
         );
     }
 
-    /// Coordinates a client write: applies it here when this node leads
-    /// the key's partition, forwards it to the leader otherwise.
-    fn coordinate_put(&mut self, client: (Endpoint, u64), key: &str, val: &str, now: u64) {
-        let req = self.next_req;
-        self.next_req += 1;
-        self.trace.push(now, EventKind::KvOpStart, req, 1);
-        let partition = partition_of(key, self.spec.partitions);
-        let leader = self.leader_addr(partition);
-        self.pending_client.insert(
-            req,
-            PendingClient {
-                deadline: now + self.op_timeout_ms,
-                is_put: true,
-                client,
-                key: key.to_string(),
-                floor: 0,
-                retry: false,
-                leader: leader.unwrap_or(self.me.addr),
-            },
-        );
-        match leader {
-            None => self.resolve_client(req, KvOutcome::Failed),
-            Some(leader) if leader == self.me.addr => {
-                self.leader_put(req, self.me.addr, key, val, now);
-            }
-            Some(leader) => self.send(
-                leader,
-                KvMsg::Put {
-                    req,
-                    origin: self.me.addr,
-                    key: key.to_string(),
-                    val: val.to_string(),
-                },
-            ),
-        }
-    }
-
-    /// Coordinates a client read: routes it to the key's leader and
-    /// retries below-floor or retryable answers until the deadline.
-    fn coordinate_get(&mut self, client: (Endpoint, u64), key: &str, floor_min: u64, now: u64) {
-        let req = self.next_req;
-        self.next_req += 1;
-        self.trace.push(now, EventKind::KvOpStart, req, 0);
-        // Read-your-writes across coordinators: honour both this node's
-        // acked floor and the one the client carried in.
-        let floor = self
-            .acked_floors
-            .get(key)
-            .copied()
-            .unwrap_or(0)
-            .max(floor_min);
-        self.pending_client.insert(
-            req,
-            PendingClient {
-                deadline: now + self.op_timeout_ms,
-                is_put: false,
-                client,
-                key: key.to_string(),
-                floor,
-                retry: false,
-                leader: self.me.addr,
-            },
-        );
-        self.forward_get(req, key);
-    }
-
     /// Admission decision for one arriving client op: `Err` when it must
     /// be shed. Pure check — counting and answering happen at the call
     /// site.
     fn admit_client_op(&self) -> Result<(), KvError> {
         let retry_after_ms = (self.op_timeout_ms / 4).max(1);
-        let depth = self.pending_client.len();
+        let depth = self.inbox_depth();
         if self.inbox_limit > 0 && depth >= self.inbox_limit {
             return Err(KvError::Overloaded { retry_after_ms });
         }
@@ -870,20 +790,30 @@ impl KvNode {
         Ok(())
     }
 
-    /// Handles one client-plane op arriving over the wire: shed under
-    /// overload (typed, counted, never acked) or coordinate it, answering
-    /// the client with a [`KvMsg::CResp`]. When this node leads the key's
-    /// partition — the smart client's common case — the op is zero-hop:
-    /// no coordinator forward ever hits the wire.
+    /// Handles one client-plane op arriving over the wire. A node that
+    /// does not lead the key's partition in its view answers
+    /// [`CRESP_NOT_LEADER`] with its view seq and keeps nothing. The
+    /// leader sheds the op under overload (typed, counted, never acked)
+    /// or serves it, answering the client with a [`KvMsg::CResp`]. Before
+    /// the first view every op fails.
     fn on_client_op(
         &mut self,
         from: Endpoint,
         creq: u64,
-        key: &str,
-        val: Option<&str>,
+        key: String,
+        val: Option<String>,
         floor: u64,
         now: u64,
     ) {
+        if self.view.is_some() && !self.is_leader(partition_of(&key, self.spec.partitions)) {
+            let msg = KvMsg::CResp {
+                req: creq,
+                code: CRESP_NOT_LEADER,
+                val: String::new(),
+                version: self.view_seq(),
+            };
+            return self.send(from, msg);
+        }
         if let Err(KvError::Overloaded { retry_after_ms }) = self.admit_client_op() {
             self.stats.ops_shed += 1;
             self.send(
@@ -897,73 +827,42 @@ impl KvNode {
             );
             return;
         }
+        let req = self.next_req;
+        self.next_req += 1;
+        self.trace
+            .push(now, EventKind::KvOpStart, req, val.is_some() as u64);
+        let op = ClientReq {
+            client: (from, creq),
+            key,
+            deadline: now + self.op_timeout_ms,
+        };
+        if self.view.is_none() {
+            let is_put = val.is_some();
+            return self.resolve(req, op, is_put, Verdict::Done(KvOutcome::Failed));
+        }
         match val {
-            Some(v) => self.coordinate_put((from, creq), key, v, now),
-            None => self.coordinate_get((from, creq), key, floor, now),
-        }
-    }
-
-    /// Routes (or re-routes) a pending read to the key's current leader.
-    fn forward_get(&mut self, req: u64, key: &str) {
-        let partition = partition_of(key, self.spec.partitions);
-        match self.leader_addr(partition) {
-            None => self.resolve_client(req, KvOutcome::Failed),
-            Some(leader) if leader == self.me.addr => {
-                let resp = self.leader_get_resp(req, key);
-                self.finish_get(resp);
-            }
-            Some(leader) => {
-                if let Some(pc) = self.pending_client.get_mut(&req) {
-                    pc.leader = leader;
-                }
-                self.send(
-                    leader,
-                    KvMsg::Get {
-                        req,
-                        origin: self.me.addr,
-                        key: key.to_string(),
-                    },
-                )
+            Some(val) => self.leader_put(req, op, val),
+            None => {
+                // Read-your-writes across leaders: honour both this
+                // node's acked floor and the one the client carried in.
+                let floor = self
+                    .acked_floors
+                    .get(&op.key)
+                    .copied()
+                    .unwrap_or(0)
+                    .max(floor);
+                self.serve_get(req, PendingGet { op, floor });
             }
         }
     }
 
-    fn put_fail(&mut self, req: u64, origin: Endpoint) {
-        if origin == self.me.addr {
-            self.resolve_client(req, KvOutcome::Failed);
-        } else {
-            self.send(
-                origin,
-                KvMsg::PutAck {
-                    req,
-                    ok: false,
-                    version: 0,
-                },
-            );
-        }
-    }
-
-    fn put_ack(&mut self, req: u64, origin: Endpoint, version: u64) {
-        if origin == self.me.addr {
-            self.resolve_client(req, KvOutcome::Acked { version });
-        } else {
-            self.send(
-                origin,
-                KvMsg::PutAck {
-                    req,
-                    ok: true,
-                    version,
-                },
-            );
-        }
-    }
-
-    fn leader_put(&mut self, req: u64, origin: Endpoint, key: &str, val: &str, now: u64) {
-        let partition = partition_of(key, self.spec.partitions);
-        if !self.is_leader(partition) {
-            return self.put_fail(req, origin);
-        }
-        let config_seq = self.view.as_ref().map(|(c, _)| c.seq()).unwrap_or(0);
+    /// Serves a client write as the key's leader: versions it, applies it
+    /// here and replicates it to every other replica. Its replication
+    /// round, under the op's own request id, answers the client once
+    /// every replica confirmed.
+    fn leader_put(&mut self, req: u64, op: ClientReq, val: String) {
+        let config_seq = self.view_seq();
+        let partition = partition_of(&op.key, self.spec.partitions);
         // Versions are (config seq, per-partition counter); the counter
         // saturates rather than wrapping into the seq bits, so an absurd
         // write volume stalls (newer writes refused as stale) instead of
@@ -974,101 +873,59 @@ impl KvNode {
         }
         let version = (config_seq << 32) | *seq;
         self.store
-            .put(partition, key.to_string(), val.to_string(), version);
+            .put(partition, op.key.clone(), val.clone(), version);
         let others = self.replica_addrs_except_me(partition);
         if others.is_empty() {
-            return self.put_ack(req, origin, version);
+            return self.resolve(req, op, true, Verdict::Done(KvOutcome::Acked { version }));
         }
-        // Leader-local id for the replication round: coordinator request
-        // ids are only unique per origin, and two origins can race the
-        // same leader.
-        let rep = self.next_req;
-        self.next_req += 1;
         for &r in &others {
             self.send(
                 r,
                 KvMsg::Replicate {
                     partition,
-                    req: rep,
+                    req,
                     leader: self.me.addr,
-                    key: key.to_string(),
-                    val: val.to_string(),
+                    key: op.key.clone(),
+                    val: val.clone(),
                     version,
                 },
             );
         }
         self.pending_rep.insert(
-            rep,
+            req,
             PendingPut {
-                origin,
-                client_req: req,
-                key: key.to_string(),
+                op,
                 waiting: others,
                 version,
-                deadline: now + self.op_timeout_ms,
             },
         );
     }
 
-    fn leader_get_resp(&self, req: u64, key: &str) -> KvMsg {
-        let partition = partition_of(key, self.spec.partitions);
-        if !self.is_leader(partition) || self.awaiting.contains(&partition) {
-            return KvMsg::GetResp {
-                req,
-                ok: false,
-                found: false,
-                val: String::new(),
-                version: 0,
-            };
+    /// Serves a client read as the key's leader, or keeps it for the next
+    /// tick's retry while the partition awaits its handoff or the store
+    /// is below the read's floor: a stale answer (mid-repair) is never
+    /// returned. A read whose partition a view moved away answers
+    /// [`CRESP_NOT_LEADER`].
+    fn serve_get(&mut self, req: u64, get: PendingGet) {
+        let partition = partition_of(&get.op.key, self.spec.partitions);
+        if !self.is_leader(partition) {
+            return self.resolve(req, get.op, false, Verdict::NotLeader);
         }
-        match self.store.get(partition, key) {
-            Some((val, version)) => KvMsg::GetResp {
-                req,
-                ok: true,
-                found: true,
+        let outcome = match self.store.get(partition, &get.op.key) {
+            _ if self.awaiting.contains(&partition) => None,
+            Some((val, version)) if *version >= get.floor => Some(KvOutcome::Found {
                 val: val.clone(),
                 version: *version,
-            },
-            None => KvMsg::GetResp {
-                req,
-                ok: true,
-                found: false,
-                val: String::new(),
-                version: 0,
-            },
+            }),
+            None if get.floor == 0 => Some(KvOutcome::Missing),
+            _ => None,
+        };
+        match outcome {
+            Some(outcome) => self.resolve(req, get.op, false, Verdict::Done(outcome)),
+            None => {
+                self.pending_gets.insert(req, get);
+            }
         }
-    }
-
-    fn finish_get(&mut self, resp: KvMsg) {
-        let KvMsg::GetResp {
-            req,
-            ok,
-            found,
-            val,
-            version,
-        } = resp
-        else {
-            unreachable!("finish_get only consumes GetResp");
-        };
-        let Some(pc) = self.pending_client.get_mut(&req) else {
-            return; // Already timed out.
-        };
-        // A retryable failure (leader mid-handoff, stale route) or an
-        // answer below this coordinator's acked floor is never returned:
-        // the next tick re-forwards, and the op fails only at its
-        // deadline. The floor check is what makes acked-then-read safe
-        // while repair is still converging a new leader.
-        let below_floor = pc.floor > 0 && version < pc.floor;
-        if !ok || below_floor {
-            pc.retry = true;
-            return;
-        }
-        let outcome = if found {
-            KvOutcome::Found { val, version }
-        } else {
-            KvOutcome::Missing
-        };
-        self.resolve_client(req, outcome);
     }
 
     /// Handles a data-plane message from a peer. Everything the message
@@ -1088,25 +945,6 @@ impl KvNode {
                     self.handle_msg(from, m, now);
                 }
             }
-            KvMsg::Put {
-                req,
-                origin,
-                key,
-                val,
-            } => self.leader_put(req, origin, &key, &val, now),
-            KvMsg::PutAck { req, ok, version } => {
-                let outcome = if ok {
-                    KvOutcome::Acked { version }
-                } else {
-                    KvOutcome::Failed
-                };
-                self.resolve_client(req, outcome);
-            }
-            KvMsg::Get { req, origin, key } => {
-                let resp = self.leader_get_resp(req, &key);
-                self.send(origin, resp);
-            }
-            resp @ KvMsg::GetResp { .. } => self.finish_get(resp),
             KvMsg::Replicate {
                 partition,
                 req,
@@ -1128,7 +966,8 @@ impl KvNode {
                 };
                 if done {
                     let p = self.pending_rep.remove(&req).expect("checked above");
-                    self.put_ack(p.client_req, p.origin, p.version);
+                    let version = p.version;
+                    self.resolve(req, p.op, true, Verdict::Done(KvOutcome::Acked { version }));
                 }
             }
             KvMsg::Handoff { partition, entries } => {
@@ -1161,8 +1000,8 @@ impl KvNode {
             }
             KvMsg::View { .. } => {}  // Client-plane message; nodes ignore.
             KvMsg::CResp { .. } => {} // Client-plane verdict; nodes ignore.
-            KvMsg::CPut { req, key, val } => self.on_client_op(from, req, &key, Some(&val), 0, now),
-            KvMsg::CGet { req, key, floor } => self.on_client_op(from, req, &key, None, floor, now),
+            KvMsg::CPut { req, key, val } => self.on_client_op(from, req, key, Some(val), 0, now),
+            KvMsg::CGet { req, key, floor } => self.on_client_op(from, req, key, None, floor, now),
             KvMsg::DigestReq { digests } => self.on_digest_req(from, digests),
             KvMsg::DigestResp { digests } => self.on_digest_resp(from, digests),
             KvMsg::RepairPull { partitions } => self.on_repair_pull(from, partitions),
@@ -1360,42 +1199,35 @@ impl KvNode {
     /// clears it.
     pub fn on_tick(&mut self, now: u64, out: &mut Vec<KvOut>) {
         self.now = self.now.max(now);
+        // Expire client ops in request order, whichever map holds them.
         let mut expired: Vec<u64> = self
-            .pending_client
+            .pending_gets
             .iter()
-            .filter(|(_, p)| p.deadline <= now)
+            .filter(|(_, g)| g.op.deadline <= now)
             .map(|(&req, _)| req)
+            .chain(
+                self.pending_rep
+                    .iter()
+                    .filter(|(_, p)| p.op.deadline <= now)
+                    .map(|(&req, _)| req),
+            )
             .collect();
         expired.sort_unstable();
         for req in expired {
-            self.resolve_client(req, KvOutcome::Failed);
-        }
-        let mut rep_expired: Vec<u64> = self
-            .pending_rep
-            .iter()
-            .filter(|(_, p)| p.deadline <= now)
-            .map(|(&req, _)| req)
-            .collect();
-        rep_expired.sort_unstable();
-        for req in rep_expired {
-            if let Some(p) = self.pending_rep.remove(&req) {
-                self.put_fail(p.client_req, p.origin);
+            let failed = Verdict::Done(KvOutcome::Failed);
+            if let Some(g) = self.pending_gets.remove(&req) {
+                self.resolve(req, g.op, false, failed);
+            } else if let Some(p) = self.pending_rep.remove(&req) {
+                self.resolve(req, p.op, true, failed);
             }
         }
-        // One retry round per tick for reads whose last answer was
-        // retryable or stale — bounded traffic, no hot loops.
-        let mut retries: Vec<(u64, String)> = self
-            .pending_client
-            .iter()
-            .filter(|(_, p)| p.retry && !p.is_put)
-            .map(|(&req, p)| (req, p.key.clone()))
-            .collect();
+        // One retry round per tick for reads waiting on a handoff or a
+        // floor — bounded traffic, no hot loops.
+        let mut retries: Vec<u64> = self.pending_gets.keys().copied().collect();
         retries.sort_unstable();
-        for (req, key) in retries {
-            if let Some(p) = self.pending_client.get_mut(&req) {
-                p.retry = false;
-            }
-            self.forward_get(req, &key);
+        for req in retries {
+            let get = self.pending_gets.remove(&req).expect("collected above");
+            self.serve_get(req, get);
         }
         if self.repair_interval_ms > 0 && now >= self.next_repair_at {
             self.next_repair_at = now + self.repair_interval_ms;
@@ -1475,7 +1307,7 @@ mod tests {
                     CRESP_FOUND => KvOutcome::Found { val, version },
                     CRESP_MISSING => KvOutcome::Missing,
                     CRESP_FAILED => KvOutcome::Failed,
-                    other => panic!("unexpected verdict code {other}"),
+                    other => panic!("unexpected verdict code {other} for {req}"),
                 };
                 (req, outcome)
             })
@@ -1524,19 +1356,26 @@ mod tests {
                 .expect("addressed node exists")
         }
 
-        /// Submits `op` at node `via` as [`client`]'s request `req` and
-        /// pumps to quiescence. Any node will do — a client with a stale
-        /// view sends exactly this — and a non-leader `via` coordinates
-        /// by forwarding to the leader.
-        fn op(
-            &mut self,
-            via: usize,
-            req: u64,
-            op: ClientOp<'_>,
-            now: u64,
-        ) -> Vec<(u64, KvOutcome)> {
-            let out = client_op(&mut self.nodes[via], req, op, now);
-            self.pump_from(via, out)
+        /// The node leading `key`'s partition in the view of the first
+        /// live node — where a smart client with that view sends the op.
+        fn leader_of(&self, key: &str) -> usize {
+            let live = (0..self.nodes.len())
+                .find(|i| !self.crashed.contains(i))
+                .expect("someone is alive");
+            let (cfg, pl) = self.nodes[live].view.as_ref().expect("view installed");
+            let rank = pl.leader(partition_of(key, pl.partitions()));
+            self.idx_of(cfg.members()[rank as usize].addr)
+        }
+
+        /// Submits `op` at its key's leader as [`client`]'s request `req`
+        /// and pumps to quiescence.
+        fn op(&mut self, req: u64, op: ClientOp<'_>, now: u64) -> Vec<(u64, KvOutcome)> {
+            let key = match op {
+                ClientOp::Put { key, .. } | ClientOp::Get { key } => key,
+            };
+            let leader = self.leader_of(key);
+            let out = client_op(&mut self.nodes[leader], req, op, now);
+            self.pump_from(leader, out)
         }
 
         /// Runs the message pump to quiescence, returning the verdicts
@@ -1588,21 +1427,19 @@ mod tests {
     }
 
     #[test]
-    fn put_then_get_roundtrip_through_any_coordinator() {
+    fn put_then_get_roundtrip_at_the_leader() {
         let mut mesh = Mesh::new(4);
         let put = ClientOp::Put {
             key: "user:7",
             val: "v1",
         };
-        let results = mesh.op(0, 1, put, 0);
-        // The ack may have routed back through node 0's inbox; collect it.
+        let results = mesh.op(1, put, 0);
         let acked = results
             .iter()
             .any(|(r, o)| *r == 1 && matches!(o, KvOutcome::Acked { .. }));
         assert!(acked, "put must ack: {results:?}");
 
-        // Read through a different coordinator.
-        let results = mesh.op(3, 2, ClientOp::Get { key: "user:7" }, 0);
+        let results = mesh.op(2, ClientOp::Get { key: "user:7" }, 0);
         assert!(
             results
                 .iter()
@@ -1611,14 +1448,14 @@ mod tests {
         );
 
         // A missing key reads as Missing, not Failed.
-        let results = mesh.op(2, 3, ClientOp::Get { key: "user:unseen" }, 0);
+        let results = mesh.op(3, ClientOp::Get { key: "user:unseen" }, 0);
         assert_eq!(results, vec![(3, KvOutcome::Missing)]);
     }
 
     #[test]
     fn acked_writes_reach_every_replica() {
         let mut mesh = Mesh::new(5);
-        let results = mesh.op(1, 1, ClientOp::Put { key: "k", val: "v" }, 0);
+        let results = mesh.op(1, ClientOp::Put { key: "k", val: "v" }, 0);
         let version = match &results[..] {
             [(_, KvOutcome::Acked { version })] => *version,
             other => panic!("expected one ack, got {other:?}"),
@@ -1645,7 +1482,7 @@ mod tests {
                 key: "key",
                 val: &val,
             };
-            for (_, o) in mesh.op(0, i, put, 0) {
+            for (_, o) in mesh.op(i, put, 0) {
                 if let KvOutcome::Acked { version } = o {
                     versions.push(version);
                 }
@@ -1669,39 +1506,50 @@ mod tests {
         assert_eq!(kv.stats().gets_failed, 1);
     }
 
+    /// A node that does not lead the key's partition answers at once
+    /// with `NotLeader` and its view seq, relays nothing to the leader
+    /// and keeps no state for the op.
     #[test]
-    fn forwarded_ops_time_out() {
-        // A coordinator whose leader never answers (we just don't deliver
-        // the forward) fails the op at its deadline.
+    fn a_non_leader_answers_not_leader_and_keeps_nothing() {
         let mut mesh = Mesh::new(3);
-        // Find a key whose leader is NOT node 0 so the op stays pending.
         let key = (0..100)
             .map(|i| format!("probe-{i}"))
-            .find(|k| {
-                let p = partition_of(k, spec().partitions);
-                mesh.nodes[0].leader_addr(p) != Some(mesh.nodes[0].me().addr)
-            })
-            .expect("some key routes away from node 0");
-        let put = ClientOp::Put {
-            key: &key,
-            val: "v",
+            .find(|k| mesh.leader_of(k) != 0)
+            .expect("some key is led away from node 0");
+        let mut out = client_op(&mut mesh.nodes[0], 7, ClientOp::Put { key: &key, val: "v" }, 0);
+        out.extend(client_op(&mut mesh.nodes[0], 8, ClientOp::Get { key: &key }, 0));
+        let seq = mesh.config.seq();
+        let not_leader = |req| KvMsg::CResp {
+            req,
+            code: CRESP_NOT_LEADER,
+            val: String::new(),
+            version: seq,
         };
-        let out = client_op(&mut mesh.nodes[0], 7, put, 0);
-        assert!(matches!(&out[..], [KvOut::Send(..)]));
-        assert!(verdicts(&out).is_empty(), "forwarded: {out:?}");
-        let mut tick_out = Vec::new();
-        mesh.nodes[0].on_tick(999, &mut tick_out);
-        assert!(verdicts(&tick_out).is_empty(), "not expired: {tick_out:?}");
-        tick_out.clear();
-        mesh.nodes[0].on_tick(1_000, &mut tick_out);
-        assert_eq!(verdicts(&tick_out), vec![(7, KvOutcome::Failed)]);
+        assert_eq!(msgs_to(&out, client()), vec![not_leader(7), not_leader(8)]);
+        assert!(
+            out.iter().all(|o| matches!(o, KvOut::Send(to, _) if *to == client())),
+            "nothing goes to another node: {out:?}"
+        );
+        let node = &mesh.nodes[0];
+        assert_eq!(node.inbox_depth(), 0);
+        let counted = KvStats {
+            msgs_sent: 0,
+            frames_sent: 0,
+            wire_bytes: 0,
+            ..*node.stats()
+        };
+        assert_eq!(counted, KvStats::default(), "the op is not counted here");
+        assert_eq!(
+            node.store.get(partition_of(&key, spec().partitions), &key),
+            None,
+            "a non-leader never applies the write"
+        );
     }
 
-    /// Satellite pin for the pending-client map: every client op is
-    /// accounted exactly once in the coordinator counters, with no O(n)
-    /// scan resolving them.
+    /// Every client op is accounted exactly once in the leaders'
+    /// counters, and nothing lingers in either pending map.
     #[test]
-    fn pending_client_map_keeps_stats_parity() {
+    fn pending_maps_keep_stats_parity() {
         let mut mesh = Mesh::new(4);
         let (mut puts, mut gets) = (0u64, 0u64);
         for i in 0..40 {
@@ -1710,13 +1558,13 @@ mod tests {
                 key: &key,
                 val: "v",
             };
-            mesh.op(i % 4, puts + gets, put, 0);
+            mesh.op(puts + gets, put, 0);
             puts += 1;
-            mesh.op((i + 1) % 4, puts + gets, ClientOp::Get { key: &key }, 0);
+            mesh.op(puts + gets, ClientOp::Get { key: &key }, 0);
             gets += 1;
         }
         // A read of a key that never existed also completes (Missing).
-        mesh.op(2, puts + gets, ClientOp::Get { key: "par-unseen" }, 0);
+        mesh.op(puts + gets, ClientOp::Get { key: "par-unseen" }, 0);
         gets += 1;
         let mut totals = KvStats::default();
         for n in &mesh.nodes {
@@ -1727,7 +1575,7 @@ mod tests {
         assert_eq!(totals.puts_acked, puts, "healthy mesh acks everything");
         assert_eq!(totals.gets_ok, gets, "healthy mesh completes every read");
         for n in &mesh.nodes {
-            assert!(n.pending_client.is_empty(), "nothing may linger");
+            assert!(n.pending_gets.is_empty() && n.pending_rep.is_empty());
             assert_eq!(n.inbox_depth(), 0, "a quiet mesh has an empty inbox");
         }
     }
@@ -1850,7 +1698,7 @@ mod tests {
             assert!(msgs_to(&out, client).is_empty(), "under both thresholds");
         }
         assert_eq!(soft.inbox_depth(), 3);
-        soft.note_interval(5, 50); // timeline interval p99 breaches 10ms
+        soft.note_interval(50); // timeline interval p99 breaches 10ms
         let mut out = Vec::new();
         soft.on_message(
             client,
@@ -1870,6 +1718,78 @@ mod tests {
             "p99 over threshold with a half-full inbox must shed"
         );
         assert_eq!(soft.stats().ops_shed, 1);
+    }
+
+    /// A leader at its `kv_inbox` bound sheds a `CPut` whoever sends it,
+    /// and no other message starts a replication round: every write a
+    /// leader serves passed admission.
+    #[test]
+    fn a_leader_at_its_bound_sheds_and_nothing_bypasses_admission() {
+        let ms = members(3);
+        let config = Configuration::bootstrap(ms.clone());
+        let mut node = KvNode::new(ms[0].clone(), spec(), 1_000, None).with_admission(2, 0);
+        let mut out = Vec::new();
+        node.on_view(Arc::clone(&config), 0, &mut out);
+        let led: Vec<String> = (0..200)
+            .map(|i| format!("bound-{i}"))
+            .filter(|k| node.is_leader(partition_of(k, spec().partitions)))
+            .take(3)
+            .collect();
+        let cput = |req: u64, key: &str| KvMsg::CPut {
+            req,
+            key: key.into(),
+            val: "v".into(),
+        };
+        // Two rounds wait on RepAcks that never come: the inbox is full.
+        for (req, key) in led[..2].iter().enumerate() {
+            node.on_message(client(), cput(req as u64, key), 0, &mut out);
+        }
+        assert_eq!(node.inbox_depth(), 2);
+        let partition = partition_of(&led[2], spec().partitions);
+        let peer = ms[1].addr;
+        // The client's op, the same op relayed by a peer, and every
+        // peer-plane message a follower sends its leader.
+        let arrivals = [
+            (client(), cput(10, &led[2])),
+            (peer, cput(11, &led[2])),
+            (peer, KvMsg::RepAck { req: 99 }),
+            (
+                peer,
+                KvMsg::Replicate {
+                    partition,
+                    req: 12,
+                    leader: peer,
+                    key: "stray".into(),
+                    val: "v".into(),
+                    version: 1,
+                },
+            ),
+            (
+                peer,
+                KvMsg::Handoff {
+                    partition,
+                    entries: Vec::new(),
+                },
+            ),
+        ];
+        let mut shed = Vec::new();
+        for (from, msg) in arrivals {
+            let mut out = Vec::new();
+            node.on_message(from, msg, 1, &mut out);
+            shed.extend(msgs_to(&out, from).into_iter().filter_map(|m| match m {
+                KvMsg::CResp { req, code, .. } => Some((req, code)),
+                _ => None,
+            }));
+            let replicated = ms[1..]
+                .iter()
+                .flat_map(|m| msgs_to(&out, m.addr))
+                .any(|m| matches!(m, KvMsg::Replicate { .. }));
+            assert!(!replicated, "no new round: {out:?}");
+        }
+        assert_eq!(shed, vec![(10, CRESP_OVERLOADED), (11, CRESP_OVERLOADED)]);
+        assert_eq!(node.stats().ops_shed, 2);
+        assert_eq!(node.inbox_depth(), 2, "nothing started a round");
+        assert_eq!(node.store.get(partition, &led[2]), None, "the shed write never applied");
     }
 
     /// Subscribed clients get the current view immediately and every
@@ -1932,8 +1852,7 @@ mod tests {
 
         // Placement is a pure function of the view, so the whole failure
         // can be planned up front: remove one replica of the key's
-        // partition, read off the plan's source and receiver, and pick a
-        // coordinator that survives both crashes.
+        // partition and read off the plan's source and receiver.
         let old_cfg = Arc::clone(&mesh.config);
         let old_pl = Placement::compute(&old_cfg, &sp);
         let victim_rank = old_pl.replicas(partition)[0] as usize;
@@ -1950,16 +1869,13 @@ mod tests {
             .expect("removing a replica must move the partition");
         let source_idx = mesh.idx_of(mv.source);
         let receiver_idx = mesh.idx_of(mv.to);
-        let coordinator = (0..mesh.nodes.len())
-            .find(|&i| i != victim_idx && i != source_idx)
-            .expect("someone survives");
 
-        // Ack a write through the surviving coordinator.
+        // Ack a write at the key's leader.
         let put = ClientOp::Put {
             key,
             val: "precious",
         };
-        let results = mesh.op(coordinator, 1, put, 0);
+        let results = mesh.op(1, put, 0);
         let acked_version = results
             .iter()
             .find_map(|(r, o)| match o {
@@ -2001,7 +1917,7 @@ mod tests {
             "the awaiting guard must not expire on a timer"
         );
         // And a client read of the acked key must never answer Missing.
-        let results = mesh.op(coordinator, 2, ClientOp::Get { key }, 10_000);
+        let results = mesh.op(2, ClientOp::Get { key }, 10_000);
         assert!(
             !results
                 .iter()
@@ -2035,8 +1951,8 @@ mod tests {
         assert!(totals.repair_bytes > 0, "repair must have moved bytes");
 
         // Remove the dead source from the view too; the cluster heals
-        // fully and the acked key reads back at or above its version
-        // through the original coordinator (read-your-writes floor).
+        // fully and the acked key reads back at or above its version at
+        // its leader (read-your-writes floor).
         let src_rank = new_cfg
             .rank_of_addr(&mv.source)
             .expect("source was in the view");
@@ -2059,7 +1975,7 @@ mod tests {
             mesh.tick_all(21_000 + round * 1_000);
         }
         let req = 3;
-        let mut results = mesh.op(coordinator, req, ClientOp::Get { key }, 30_000);
+        let mut results = mesh.op(req, ClientOp::Get { key }, 30_000);
         // A first answer may have been stale/retryable; drive retries.
         for extra in 1..=5 {
             if results.iter().any(|(r, _)| *r == req) {
@@ -2172,71 +2088,61 @@ mod tests {
         assert_eq!(node.stats().puts_acked, 1);
     }
 
-    /// The coordinator rule: a get forwarded to a leader the new view
-    /// removes is forwarded again, at once, to the new leader; a
-    /// forwarded put fails retryably instead of waiting out its deadline.
+    /// A leader that loses a partition at a view change answers the
+    /// client of its replication round there with `NotLeader` and the
+    /// new view's seq at once, and a get it kept for a retry at its next
+    /// tick. Nothing waits on the partition afterwards.
     #[test]
-    fn ops_forwarded_to_a_departed_leader_are_settled_at_the_view_change() {
+    fn a_leader_that_loses_a_partition_answers_not_leader() {
         let cache = PlacementCache::new();
-        let v1 = Configuration::bootstrap(members(5));
-        let pl1 = cache.get(&v1, &spec());
-        let coord = v1.members()[0].addr;
+        let all = members(6);
+        let v1 = Configuration::bootstrap(all[..5].to_vec());
+        let v2 = Configuration::from_parts(ConfigId(v1.id().0 + 1), v1.seq() + 1, all.clone());
+        let (pl1, pl2) = (cache.get(&v1, &spec()), cache.get(&v2, &spec()));
         let leader_in = |cfg: &Configuration, pl: &Placement, key: &str| {
             cfg.members()[pl.leader(partition_of(key, spec().partitions)) as usize].addr
         };
-        // A key led by someone else, whose next leader is not the
-        // coordinator either (so the retry crosses the wire too).
-        let (key, old_leader, new_leader) = (0..500)
-            .map(|i| format!("fw-{i}"))
+        // A key whose partition the joiner takes over from its leader.
+        let joiner = all[5].addr;
+        let (key, leader) = (0..500)
+            .map(|i| format!("lose-{i}"))
             .find_map(|key| {
-                let x = leader_in(&v1, &pl1, &key);
-                let v2 = without(&v1, x);
-                let y = leader_in(&v2, &cache.get(&v2, &spec()), &key);
-                (x != coord && y != coord).then_some((key, x, y))
+                let old = leader_in(&v1, &pl1, &key);
+                (leader_in(&v2, &pl2, &key) == joiner).then_some((key, old))
             })
-            .expect("some key is led away from the coordinator twice");
-        let mut node = KvNode::new(v1.members()[0].clone(), spec(), 1_000, Some(cache.clone()));
+            .expect("the joiner leads some key");
+        let me = v1.member_by_addr(&leader).unwrap().clone();
+        let mut node = KvNode::new(me, spec(), 1_000, Some(cache.clone()));
         let mut out = Vec::new();
         node.on_view(Arc::clone(&v1), 0, &mut out);
-        let (get, put) = (1, 2);
-        let mut out = client_op(&mut node, get, ClientOp::Get { key: &key }, 0);
-        out.extend(client_op(&mut node, put, ClientOp::Put { key: &key, val: "v" }, 0));
-        let forwarded = msgs_to(&out, old_leader);
-        assert_eq!(forwarded.len(), 2, "{out:?}");
-        assert_eq!(node.inbox_depth(), 2, "both forwarded ops are in flight");
-        // The coordinator forwards under its own request id.
-        let Some(&KvMsg::Get { req: fwd_get, .. }) = forwarded.first() else {
-            panic!("the get is forwarded first: {forwarded:?}");
+        // The put waits on a RepAck that never comes; the get carries a
+        // floor no write reaches, so it waits for a retry.
+        let (put, get) = (1, 2);
+        let out = client_op(&mut node, put, ClientOp::Put { key: &key, val: "v" }, 0);
+        assert!(verdicts(&out).is_empty(), "{out:?}");
+        let mut out = Vec::new();
+        let read = KvMsg::CGet {
+            req: get,
+            key: key.clone(),
+            floor: u64::MAX,
         };
+        node.on_message(client(), read, 0, &mut out);
+        assert!(verdicts(&out).is_empty(), "{out:?}");
+        assert_eq!(node.inbox_depth(), 2, "the round and the get wait");
 
+        let not_leader = |req| KvMsg::CResp {
+            req,
+            code: CRESP_NOT_LEADER,
+            val: String::new(),
+            version: v2.seq(),
+        };
         let mut out = Vec::new();
-        node.on_view(without(&v1, old_leader), 5, &mut out);
-        assert!(
-            msgs_to(&out, new_leader).iter().any(
-                |m| matches!(m, KvMsg::Get { req, key: k, .. } if *req == fwd_get && *k == key)
-            ),
-            "the get is re-forwarded to the new leader: {out:?}"
-        );
-        assert_eq!(
-            verdicts(&out),
-            vec![(put, KvOutcome::Failed)],
-            "the put fails retryably"
-        );
-        assert_eq!(node.inbox_depth(), 1, "only the re-forwarded get waits");
+        node.on_view(Arc::clone(&v2), 5, &mut out);
+        assert_eq!(msgs_to(&out, client()), vec![not_leader(put)], "the round answers at once");
         let mut out = Vec::new();
-        node.on_message(
-            new_leader,
-            KvMsg::GetResp {
-                req: fwd_get,
-                ok: true,
-                found: false,
-                val: String::new(),
-                version: 0,
-            },
-            6,
-            &mut out,
-        );
-        assert_eq!(verdicts(&out), vec![(get, KvOutcome::Missing)]);
-        assert_eq!(node.inbox_depth(), 0, "nothing waits once the get settles");
+        node.on_tick(6, &mut out);
+        assert_eq!(msgs_to(&out, client()), vec![not_leader(get)], "the get at its retry");
+        assert_eq!(node.inbox_depth(), 0, "nothing waits once both settle");
+        assert_eq!((node.stats().puts_failed, node.stats().gets_failed), (1, 1));
     }
 }

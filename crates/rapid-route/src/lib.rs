@@ -13,12 +13,13 @@
 //!   function of the [`Configuration`](rapid_core::config::Configuration)
 //!   every member already agrees on; plus the minimal
 //!   [`RebalancePlan`] between two placements.
-//! * [`kv`] — a sans-io replicated KV state machine: any node
-//!   coordinates, leaders version and replicate, acked writes survive
+//! * [`kv`] — a sans-io replicated KV state machine: only a partition's
+//!   leader serves its ops (any other node answers `NotLeader` with its
+//!   view seq), leaders version and replicate, acked writes survive
 //!   any failure leaving one replica alive, view changes trigger
 //!   deterministic push handoffs, and periodic anti-entropy repair
 //!   (digest exchange + rendezvous-ranked re-pull) recovers handoffs
-//!   lost to mid-push source crashes. Coordinators enforce
+//!   lost to mid-push source crashes. Leaders enforce
 //!   read-your-writes via per-key acked version floors. Its wire
 //!   vocabulary ([`kv::KvMsg`], [`kv::encode`] / [`kv::decode`]) is built
 //!   from the [`rapid_core::codec`] kit in the private `codec` module.
@@ -28,8 +29,8 @@
 //! * [`client`] — the smart-client plane ([`client::KvClient`]): a
 //!   sans-io state machine that subscribes to view pushes, caches the
 //!   placement function's output, and routes each op directly to the
-//!   partition leader with a bounded in-flight window — zero forwarding
-//!   hops in the common case, any-replica fallback on a stale view.
+//!   partition leader with a bounded in-flight window; on `NotLeader` it
+//!   re-routes by its view, or by the newer view it asks the node for.
 //! * [`sim`] — the data plane co-hosted with membership inside the
 //!   deterministic simulator ([`sim::KvSimActor`]).
 //! * [`real`] — the data plane on real TCP ([`real::KvRuntime`]), riding

@@ -277,7 +277,7 @@ struct KvSnapshot {
     inbox_depth: usize,
     /// Subscribed smart clients.
     client_conns: usize,
-    /// Coordinator-side latency histogram of successful client ops, on
+    /// Leader-side latency histogram of successful client ops, on
     /// the process wall clock (ms).
     op_hist: LatencyHist,
 }
@@ -415,7 +415,7 @@ impl KvRuntime {
     }
 
     /// Latest published admission-inbox depth (client ops pending
-    /// on this coordinator).
+    /// at this leader).
     pub fn inbox_depth(&self) -> usize {
         self.mirror.lock().kv.inbox_depth
     }
@@ -579,7 +579,7 @@ fn publisher(mirror: Arc<Mutex<Mirror>>, obs_sample_ms: u64) -> impl FnMut(&mut 
         // bytes, view changes) — the simulator fills the network columns.
         if timeline.enabled() && Instant::now() >= next_sample {
             let (_, p50, p99) = snapshot.op_hist.interval_quantiles(&prev_hist);
-            kv.note_interval(p50, p99);
+            kv.note_interval(p99);
             let stats = &snapshot.stats;
             let total = TimelinePoint {
                 t_ms: start.elapsed().as_millis() as u64,

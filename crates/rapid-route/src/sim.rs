@@ -286,14 +286,14 @@ impl Actor for KvSimActor {
             repair_bytes: s.repair_bytes,
             ..TimelinePoint::default()
         };
-        // KV actors report coordinator op latency as the interval
+        // KV actors report leader-side op latency as the interval
         // quantiles (the data-plane signal); membership-only actors
         // report detection→install instead. The same interval p99 feeds
         // the admission controller's shedding threshold.
-        let (p50, p99) = self
+        let (_, p99) = self
             .sampler
             .record(now_ms, net, node.metrics(), data, kv.op_hist());
-        kv.note_interval(p50, p99);
+        kv.note_interval(p99);
     }
 }
 
@@ -697,7 +697,7 @@ mod tests {
     /// each fold to a recorded fingerprint at one shard and at two.
     #[test]
     fn kv_trace_and_timeline_dumps_are_pinned() {
-        const GOLDEN_TRACE: u64 = 0x1503_d7ac_bc50_4a0c;
+        const GOLDEN_TRACE: u64 = 0x5ea8_8bf1_901d_4a10;
         const GOLDEN_TIMELINE: u64 = 0xfdbc_175b_5d28_2b69;
         let fold = |lines: Vec<String>| {
             assert!(!lines.is_empty());
@@ -751,7 +751,7 @@ mod tests {
     /// The crash tail, end to end: a client streams puts and gets every
     /// 10 ms across the crash of a member that leads some of the keys'
     /// partitions. Every op that waited on the victim — in flight to it
-    /// as leader, forwarded to it, or replicating to it — settles when
+    /// as leader, or replicating to it — settles when
     /// the removal view lands, so none fails and the slowest one takes
     /// about the detection time, far below the (long) op timeout.
     #[test]

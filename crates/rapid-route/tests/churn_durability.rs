@@ -2,10 +2,14 @@
 //! one [`KvNode`] each, with synchronous message delivery, runs a
 //! generated op script, loses one host mid-script (its in-flight
 //! handoffs die with it) and heals through the removal view plus repair
-//! rounds. Each op enters as the `CPut`/`CGet` a smart client sends, at a
-//! drawn coordinator that is usually not the key's leader (as a client
-//! with a stale view would pick it), so coordinator forwarding runs
-//! under every crash point. Every run must satisfy three properties:
+//! rounds. Each op enters as the `CPut`/`CGet` a smart client sends, to a
+//! target drawn from a possibly stale view: a member of the initial view
+//! or of the current one, usually not the key's leader. A non-leader
+//! answers `NotLeader`, and the harness — playing the client — re-sends
+//! the op to the key's leader in the current view, so the re-route runs
+//! under every drawn crash point. A target the crash took is skipped for
+//! the current leader, as a client adopting the removal view does. Every
+//! run must satisfy three properties:
 //!
 //! * no op completes twice;
 //! * every acked key reads back at or above its acked version, and
@@ -16,7 +20,7 @@
 //! `kv.rs`'s own `Mesh` tests pin fixed timelines; this file is the one
 //! that draws the crash point, the victim and the op mix at random.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -24,8 +28,8 @@ use proptest::prelude::*;
 use rapid_core::config::{Configuration, Member};
 use rapid_core::id::{Endpoint, NodeId};
 use rapid_core::membership::Proposal;
-use rapid_route::kv::{CRESP_ACKED, CRESP_FAILED, CRESP_FOUND, CRESP_MISSING};
-use rapid_route::{KvMsg, KvNode, KvOut, KvOutcome, PlacementConfig};
+use rapid_route::kv::{CRESP_ACKED, CRESP_FAILED, CRESP_FOUND, CRESP_MISSING, CRESP_NOT_LEADER};
+use rapid_route::{partition_of, KvMsg, KvNode, KvOut, KvOutcome, Placement, PlacementConfig};
 
 fn members(n: usize) -> Vec<Member> {
     (0..n)
@@ -47,8 +51,16 @@ fn client() -> Endpoint {
 /// silently eat every frame, like the `Mesh` harness in `kv.rs`.
 struct ChurnMesh {
     nodes: Vec<KvNode>,
+    spec: PlacementConfig,
+    /// The first view, which stale targets are drawn from.
+    initial: Arc<Configuration>,
     config: Arc<Configuration>,
     crashed: Vec<bool>,
+    /// The client's ops awaiting a verdict, by request id, so a
+    /// `NotLeader` can be re-sent.
+    open: HashMap<u64, KvMsg>,
+    /// `NotLeader` verdicts re-sent to the current leader.
+    reroutes: u64,
 }
 
 impl ChurnMesh {
@@ -66,8 +78,12 @@ impl ChurnMesh {
         assert!(out.is_empty(), "initial view must not emit traffic");
         ChurnMesh {
             nodes,
+            spec,
+            initial: Arc::clone(&config),
             config,
             crashed: vec![false; n],
+            open: HashMap::new(),
+            reroutes: 0,
         }
     }
 
@@ -82,32 +98,51 @@ impl ChurnMesh {
             .expect("addressed node exists")
     }
 
-    /// Delivers op `req` to host `coord` as [`client`]'s `CPut` (when
-    /// `put` holds a value) or floor-less `CGet`, and pumps to quiescence.
+    /// The host leading `key`'s partition in the current view.
+    fn leader_of(&self, key: &str) -> usize {
+        let pl = Placement::compute(&self.config, &self.spec);
+        let rank = pl.leader(partition_of(key, self.spec.partitions));
+        self.idx_of(self.config.members()[rank as usize].addr)
+    }
+
+    /// Sends op `req` as [`client`]'s `CPut` (when `put` holds a value)
+    /// or floor-less `CGet` to the member at index `pick` of the initial
+    /// view (`stale`) or of the current one — the current leader if that
+    /// member crashed — and pumps to quiescence.
     fn submit(
         &mut self,
-        coord: usize,
+        pick: usize,
+        stale: bool,
         req: u64,
         key: &str,
         put: Option<String>,
         now: u64,
     ) -> Vec<(u64, KvOutcome)> {
+        let view = if stale { &self.initial } else { &self.config };
+        let mut target = self.idx_of(view.members()[pick % view.len()].addr);
+        if self.crashed[target] {
+            target = self.leader_of(key);
+        }
         let key = key.to_string();
         let msg = match put {
             Some(val) => KvMsg::CPut { req, key, val },
             None => KvMsg::CGet { req, key, floor: 0 },
         };
-        let mut out = Vec::new();
-        self.nodes[coord].on_message(client(), msg, now, &mut out);
-        self.pump(coord, out, now)
+        self.open.insert(req, msg.clone());
+        let to = self.addr(target);
+        self.pump_queue(vec![(client(), KvOut::Send(to, msg))], now)
     }
 
-    /// Pumps to quiescence. Returns the verdicts sent to [`client`] as
-    /// `(req, outcome)`.
+    /// Pumps `seed`, emitted by host `origin`, to quiescence. Returns the
+    /// final verdicts sent to [`client`] as `(req, outcome)`.
     fn pump(&mut self, origin: usize, seed: Vec<KvOut>, now: u64) -> Vec<(u64, KvOutcome)> {
         let origin_addr = self.addr(origin);
-        let mut queue: Vec<(Endpoint, KvOut)> =
-            seed.into_iter().map(|item| (origin_addr, item)).collect();
+        self.pump_queue(seed.into_iter().map(|item| (origin_addr, item)).collect(), now)
+    }
+
+    /// Delivers `(sender, item)` pairs to quiescence, re-sending every op
+    /// answered `NotLeader` to the key's leader in the current view.
+    fn pump_queue(&mut self, mut queue: Vec<(Endpoint, KvOut)>, now: u64) -> Vec<(u64, KvOutcome)> {
         let mut done = Vec::new();
         let mut hops = 0;
         while let Some((from, item)) = queue.pop() {
@@ -115,7 +150,26 @@ impl ChurnMesh {
             assert!(hops < 100_000, "message storm");
             match item {
                 KvOut::Done(..) => panic!("a node answers its clients on the wire"),
-                KvOut::Send(to, msg) if to == client() => collect_verdicts(msg, &mut done),
+                KvOut::Send(to, msg) if to == client() => {
+                    let mut verdicts = Vec::new();
+                    collect_verdicts(msg, &mut verdicts);
+                    for (req, verdict) in verdicts {
+                        let op = self.open.remove(&req).expect("one verdict per attempt");
+                        match verdict {
+                            Some(outcome) => done.push((req, outcome)),
+                            None => {
+                                self.reroutes += 1;
+                                let key = match &op {
+                                    KvMsg::CPut { key, .. } | KvMsg::CGet { key, .. } => key,
+                                    other => unreachable!("not a client op: {other:?}"),
+                                };
+                                let leader = self.addr(self.leader_of(key));
+                                self.open.insert(req, op.clone());
+                                queue.push((client(), KvOut::Send(leader, op)));
+                            }
+                        }
+                    }
+                }
                 KvOut::Send(to, msg) => {
                     let idx = self.idx_of(to);
                     if self.crashed[idx] {
@@ -164,8 +218,9 @@ impl ChurnMesh {
     }
 }
 
-/// Appends the verdicts in `msg` (a batch frame or one `CResp`) to `done`.
-fn collect_verdicts(msg: KvMsg, done: &mut Vec<(u64, KvOutcome)>) {
+/// Appends the verdicts in `msg` (a batch frame or one `CResp`) to `done`
+/// as `(req, outcome)`, with `None` for `NotLeader`.
+fn collect_verdicts(msg: KvMsg, done: &mut Vec<(u64, Option<KvOutcome>)>) {
     match msg {
         KvMsg::Batch(msgs) => {
             for m in msgs {
@@ -180,10 +235,11 @@ fn collect_verdicts(msg: KvMsg, done: &mut Vec<(u64, KvOutcome)>) {
         } => done.push((
             req,
             match code {
-                CRESP_ACKED => KvOutcome::Acked { version },
-                CRESP_FOUND => KvOutcome::Found { val, version },
-                CRESP_MISSING => KvOutcome::Missing,
-                CRESP_FAILED => KvOutcome::Failed,
+                CRESP_ACKED => Some(KvOutcome::Acked { version }),
+                CRESP_FOUND => Some(KvOutcome::Found { val, version }),
+                CRESP_MISSING => Some(KvOutcome::Missing),
+                CRESP_FAILED => Some(KvOutcome::Failed),
+                CRESP_NOT_LEADER => None,
                 other => panic!("unexpected verdict code {other}"),
             },
         )),
@@ -192,17 +248,20 @@ fn collect_verdicts(msg: KvMsg, done: &mut Vec<(u64, KvOutcome)>) {
 }
 
 /// One scripted operation: `key` indexes a small hot keyspace so
-/// overwrites and cross-partition traffic both occur.
+/// overwrites and cross-partition traffic both occur; `target` picks the
+/// member it is sent to, from the initial view when `stale`.
 #[derive(Clone, Copy, Debug)]
 struct Op {
     key: u8,
     is_put: bool,
-    coord: u8,
+    target: u8,
+    stale: bool,
 }
 
 /// Runs `ops` over `n` hosts, crashing host `victim` after the first
 /// `cut` ops, and asserts the three properties in the module doc.
-fn run_script(n: usize, spec: PlacementConfig, ops: &[Op], cut: usize, victim: usize) {
+/// Returns how many `NotLeader` verdicts were re-routed.
+fn run_script(n: usize, spec: PlacementConfig, ops: &[Op], cut: usize, victim: usize) -> u64 {
     let mut mesh = ChurnMesh::new(n, spec);
     // Indexed by request id: op `i` is request `i`.
     let mut outcomes: Vec<Option<KvOutcome>> = vec![None; ops.len()];
@@ -222,13 +281,10 @@ fn run_script(n: usize, spec: PlacementConfig, ops: &[Op], cut: usize, victim: u
                   op: Op,
                   now: u64,
                   outcomes: &mut Vec<Option<KvOutcome>>| {
-        let mut coord = op.coord as usize % n;
-        if mesh.crashed[coord] {
-            coord = (coord + 1) % n;
-        }
         let key = format!("user:{}", op.key);
         let put = op.is_put.then(|| format!("v{op_idx}"));
-        let results = mesh.submit(coord, op_idx as u64, &key, put, now);
+        let pick = op.target as usize;
+        let results = mesh.submit(pick, op.stale, op_idx as u64, &key, put, now);
         record(results, outcomes);
     };
 
@@ -271,15 +327,12 @@ fn run_script(n: usize, spec: PlacementConfig, ops: &[Op], cut: usize, victim: u
     }
 
     // Durability sweep: every acked key must read back at-or-above its
-    // acked version, and never as Missing — on any live coordinator. The
-    // reads carry no floor, so a below-acked answer is returned (and
-    // fails the check) instead of being retried.
-    let reader = (0..n)
-        .find(|&i| !mesh.crashed[i])
-        .expect("someone survives");
+    // acked version, and never as Missing, wherever the read is sent
+    // first. The reads carry no floor, so a below-acked answer is
+    // returned (and fails the check) instead of being retried.
     for (sweep, (key, (val, version))) in ledger.iter().enumerate() {
         let req = (ops.len() + sweep) as u64;
-        let results = mesh.submit(reader, req, key, None, 20_000);
+        let results = mesh.submit(sweep, false, req, key, None, 20_000);
         let outcome = results
             .into_iter()
             .find_map(|(r, o)| (r == req).then_some(o))
@@ -308,6 +361,28 @@ fn run_script(n: usize, spec: PlacementConfig, ops: &[Op], cut: usize, victim: u
             );
         }
     }
+    mesh.reroutes
+}
+
+/// A fixed script that sends every op to one member of the initial view
+/// re-routes before and after the crash.
+#[test]
+fn not_leader_verdicts_are_rerouted_on_both_sides_of_the_crash() {
+    let spec = PlacementConfig {
+        partitions: 16,
+        replication: 3,
+    };
+    let ops: Vec<Op> = (0..16)
+        .map(|i| Op {
+            key: i,
+            is_put: i % 3 != 2,
+            target: 0,
+            stale: true,
+        })
+        .collect();
+    let before = run_script(5, spec, &ops[..8], 8, 4);
+    let after = run_script(5, spec, &ops, 0, 4);
+    assert!(before > 0 && after > 0, "re-routes: {before} before, {after} after");
 }
 
 proptest! {
@@ -317,14 +392,14 @@ proptest! {
     fn acked_writes_survive_a_random_crash(
         n in 4usize..7,
         partitions in 8u32..25,
-        raw_ops in prop::collection::vec((0u8..16, any::<bool>(), 0u8..8), 4..20),
+        raw_ops in prop::collection::vec((0u8..16, any::<bool>(), 0u8..8, any::<bool>()), 4..20),
         cut_pct in 0usize..100,
         victim in 0usize..8,
     ) {
         let spec = PlacementConfig { partitions, replication: 3 };
         let ops: Vec<Op> = raw_ops
             .into_iter()
-            .map(|(key, is_put, coord)| Op { key, is_put, coord })
+            .map(|(key, is_put, target, stale)| Op { key, is_put, target, stale })
             .collect();
         let cut = ops.len() * cut_pct / 100;
         run_script(n, spec, &ops, cut, victim);

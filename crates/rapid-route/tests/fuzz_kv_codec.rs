@@ -1,18 +1,32 @@
 //! Robustness properties of the KV wire codec (the data-plane sibling of
 //! `rapid-core/tests/fuzz_codec.rs`): decoding never panics on arbitrary
 //! or mutated input, every message family round-trips exactly with
-//! `encoded_len` in lockstep, batches never nest, and the batch caps of
-//! `DecodeLimits` apply before anything nested is decoded.
+//! `encoded_len` in lockstep, batches never nest, the batch caps of
+//! `DecodeLimits` apply before anything nested is decoded, and the tags
+//! of the retired coordinator forwards decode to a typed error.
 
 use proptest::prelude::*;
 
 use rapid_core::codec::{DecodeError, DecodeLimits};
 use rapid_core::id::Endpoint;
 use rapid_core::rng::Xoshiro256;
-use rapid_route::kv::{self, KvMsg, PartitionDigest};
+use rapid_route::kv::{
+    self, KvMsg, PartitionDigest, CRESP_ACKED, CRESP_FAILED, CRESP_FOUND, CRESP_MISSING,
+    CRESP_NOT_LEADER, CRESP_OVERLOADED,
+};
 
 /// Non-batch message families `sample_message` cycles through.
-const FAMILIES: u64 = 16;
+const FAMILIES: u64 = 12;
+
+/// Every `CResp` verdict code.
+const CRESP_CODES: [u8; 6] = [
+    CRESP_ACKED,
+    CRESP_FOUND,
+    CRESP_MISSING,
+    CRESP_FAILED,
+    CRESP_OVERLOADED,
+    CRESP_NOT_LEADER,
+];
 
 fn encode_to_vec(msg: &KvMsg) -> Vec<u8> {
     let mut bytes = Vec::new();
@@ -56,6 +70,24 @@ proptest! {
         let bytes = encode_to_vec(&msg);
         prop_assert_eq!(kv::encoded_len(&msg), bytes.len());
         prop_assert_eq!(kv::decode(&bytes), Ok(msg));
+    }
+
+    /// Tags 1–4 carried the retired coordinator forwards (`Put`,
+    /// `PutAck`, `Get`, `GetResp`) and stay unassigned: a frame starting
+    /// with one, alone or inside a batch, is an unknown tag, whatever
+    /// follows it.
+    #[test]
+    fn retired_tags_decode_to_a_typed_error(
+        tag in 1u8..5,
+        bytes in prop::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let mut frame = vec![tag];
+        frame.extend_from_slice(&bytes);
+        prop_assert_eq!(kv::decode(&frame), Err(DecodeError::UnknownTag(tag)));
+        let mut batch = vec![batch_tag()];
+        batch.extend_from_slice(&1u32.to_le_bytes());
+        batch.extend_from_slice(&frame);
+        prop_assert_eq!(kv::decode(&batch), Err(DecodeError::UnknownTag(tag)));
     }
 
     /// Any mix of families coalesced into one `Batch` frame round-trips
@@ -162,30 +194,7 @@ fn sample_message(seed: u64) -> KvMsg {
             .collect()
     };
     match seed % FAMILIES {
-        0 => KvMsg::Put {
-            req: rng.next_u64(),
-            origin: ep(&mut rng),
-            key: text(&mut rng),
-            val: text(&mut rng),
-        },
-        1 => KvMsg::PutAck {
-            req: rng.next_u64(),
-            ok: rng.gen_bool(0.5),
-            version: rng.next_u64(),
-        },
-        2 => KvMsg::Get {
-            req: rng.next_u64(),
-            origin: ep(&mut rng),
-            key: text(&mut rng),
-        },
-        3 => KvMsg::GetResp {
-            req: rng.next_u64(),
-            ok: rng.gen_bool(0.5),
-            found: rng.gen_bool(0.5),
-            val: text(&mut rng),
-            version: rng.next_u64(),
-        },
-        4 => KvMsg::Replicate {
+        0 => KvMsg::Replicate {
             partition: rng.next_u64() as u32,
             req: rng.next_u64(),
             leader: ep(&mut rng),
@@ -193,31 +202,31 @@ fn sample_message(seed: u64) -> KvMsg {
             val: text(&mut rng),
             version: rng.next_u64(),
         },
-        5 => KvMsg::RepAck {
+        1 => KvMsg::RepAck {
             req: rng.next_u64(),
         },
-        6 => KvMsg::Handoff {
+        2 => KvMsg::Handoff {
             partition: rng.next_u64() as u32,
             entries: entries(&mut rng),
         },
-        7 => KvMsg::DigestReq {
+        3 => KvMsg::DigestReq {
             digests: digests(&mut rng),
         },
-        8 => KvMsg::DigestResp {
+        4 => KvMsg::DigestResp {
             digests: digests(&mut rng),
         },
-        9 => KvMsg::RepairPull {
+        5 => KvMsg::RepairPull {
             partitions: (0..rng.gen_range(9))
                 .map(|_| rng.next_u64() as u32)
                 .collect(),
         },
-        10 => KvMsg::RepairPush {
+        6 => KvMsg::RepairPush {
             partition: rng.next_u64() as u32,
             settled: rng.gen_bool(0.5),
             entries: entries(&mut rng),
         },
-        11 => KvMsg::Sub,
-        12 => KvMsg::View {
+        7 => KvMsg::Sub,
+        8 => KvMsg::View {
             config_id: rng.next_u64(),
             seq: rng.next_u64(),
             members: (0..rng.gen_range(6))
@@ -227,19 +236,19 @@ fn sample_message(seed: u64) -> KvMsg {
                 })
                 .collect(),
         },
-        13 => KvMsg::CPut {
+        9 => KvMsg::CPut {
             req: rng.next_u64(),
             key: text(&mut rng),
             val: text(&mut rng),
         },
-        14 => KvMsg::CGet {
+        10 => KvMsg::CGet {
             req: rng.next_u64(),
             key: text(&mut rng),
             floor: rng.next_u64(),
         },
         _ => KvMsg::CResp {
             req: rng.next_u64(),
-            code: rng.gen_range(5) as u8,
+            code: CRESP_CODES[rng.gen_range(CRESP_CODES.len() as u64) as usize],
             val: text(&mut rng),
             version: rng.next_u64(),
         },

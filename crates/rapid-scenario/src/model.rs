@@ -514,7 +514,7 @@ pub enum Expect {
         at_most: u64,
     },
     /// Every key acked so far is currently readable (a `Found` answer)
-    /// through a live coordinator. Requires `[kv]`.
+    /// at its leader. Requires `[kv]`.
     KvAvailable,
     /// Every key acked so far reads back at a version at least as new as
     /// its last acked write — no acknowledged write was lost to churn or

@@ -349,7 +349,7 @@ fn shipped_scenario_metrics_are_identical_across_thread_counts() {
     );
 }
 
-/// The admission-control pin: `kv_overload` floods tiny coordinator
+/// The admission-control pin: `kv_overload` floods tiny leader
 /// inboxes with a burst beyond capacity. The cluster must shed with
 /// typed overload verdicts (never ack-then-drop: `no_lost_acked_writes`
 /// holds while shedding), throughput must recover per the metrics-plane
