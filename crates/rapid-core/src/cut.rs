@@ -201,12 +201,6 @@ impl CutDetector {
         self.unstable_count
     }
 
-    /// Whether any REMOVE-tracked subject has reached the `L` watermark,
-    /// i.e. whether the implicit-alert rule can fire at all.
-    pub fn has_faulty_observers(&self) -> bool {
-        self.faulty_observer_count > 0
-    }
-
     /// Number of subjects in stable report mode.
     pub fn stable_count(&self) -> usize {
         self.stable_count

@@ -157,17 +157,6 @@ impl Node {
         Self::with_parts(me, settings, NodeStatus::Active, cfg, None, None, None, None)
     }
 
-    /// Creates an active member of a known static configuration (tests,
-    /// ensemble bootstraps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `me` is not a member of `config`.
-    pub fn new_with_config(me: Member, settings: Settings, config: Arc<Configuration>) -> Node {
-        assert!(config.contains(me.id), "node must be in its configuration");
-        Self::with_parts(me, settings, NodeStatus::Active, config, None, None, None, None)
-    }
-
     /// Creates a joiner that will execute the two-phase join protocol
     /// against the given seed addresses.
     pub fn new_joiner(me: Member, settings: Settings, seeds: Vec<Endpoint>) -> Node {
@@ -277,11 +266,6 @@ impl Node {
         &self.metrics
     }
 
-    /// Mutable protocol counters (hosts fill in byte counts).
-    pub fn metrics_mut(&mut self) -> &mut NodeMetrics {
-        &mut self.metrics
-    }
-
     /// The current monitoring topology (for tests and analysis).
     pub fn topology(&self) -> Arc<Topology> {
         Arc::clone(&self.topology)
@@ -290,11 +274,6 @@ impl Node {
     /// The protocol settings.
     pub fn settings(&self) -> &Settings {
         &self.settings
-    }
-
-    /// Read access to the cut detector (diagnostics and tests).
-    pub fn cut_state(&self) -> &CutDetector {
-        &self.cut
     }
 
     /// The flight-recorder ring (empty unless `Settings::obs_ring > 0`).

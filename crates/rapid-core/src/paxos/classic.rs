@@ -236,16 +236,6 @@ impl ClassicPaxos {
     pub fn decided(&self) -> Option<Arc<Proposal>> {
         self.decided.clone()
     }
-
-    /// Highest rank this acceptor has promised.
-    pub fn promised_rank(&self) -> Rank {
-        self.promised
-    }
-
-    /// This acceptor's current `(vrnd, vval)`.
-    pub fn accepted_value(&self) -> Option<(Rank, Arc<Proposal>)> {
-        self.accepted.clone()
-    }
 }
 
 #[cfg(test)]

@@ -397,8 +397,13 @@ impl KvClient {
         }
         match code {
             CRESP_ACKED => {
-                let floor = self.floors.entry(op.key.clone()).or_insert(0);
-                *floor = (*floor).max(version);
+                // Looked up first: a key already present costs no clone.
+                match self.floors.get_mut(&op.key) {
+                    Some(floor) => *floor = (*floor).max(version),
+                    None => {
+                        self.floors.insert(op.key.clone(), version);
+                    }
+                }
                 self.stats.acked += 1;
                 self.complete(req, KvOutcome::Acked { version }, now, out);
             }

@@ -485,16 +485,6 @@ impl KvNode {
         self.view.as_ref().map(|(_, p)| p)
     }
 
-    /// Number of keys currently stored locally (all partitions).
-    pub fn local_keys(&self) -> usize {
-        self.store.key_count()
-    }
-
-    /// Whether any partition is still awaiting a rebalance handoff.
-    pub fn rebalance_settled(&self) -> bool {
-        self.awaiting.is_empty()
-    }
-
     fn placement_for(&self, config: &Arc<Configuration>) -> Arc<Placement> {
         match &self.cache {
             Some(c) => c.get(config, &self.spec),

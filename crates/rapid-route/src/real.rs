@@ -16,7 +16,9 @@
 //! its tick the host publishes the node's counters and, on the
 //! `obs_sample_ms` cadence, samples the metrics timeline and feeds the
 //! interval quantiles back to the node's admission controller. It sends
-//! straight into the writer queues through its [`AppSender`].
+//! through its [`AppSender`], which writes each frame on the host thread
+//! when the peer's lane is idle and queues it for the peer's writer
+//! otherwise.
 //!
 //! The KV host and a [`KvClientRuntime`] are the same host loop, [`pump`],
 //! around a different sans-io core ([`KvNode`], [`KvClient`]): wait for
@@ -170,8 +172,9 @@ impl Core for KvClient {
 }
 
 /// The one host loop: drives `core` from its input channel until
-/// [`PumpIn::Stop`] (or until every sender is gone), pushing each frame
-/// it emits straight into the destination's writer queue.
+/// [`PumpIn::Stop`] (or until every sender is gone), handing each frame
+/// it emits straight to the destination's lane (written inline when the
+/// lane is idle, queued for its writer otherwise).
 ///
 /// `publish(core, ticked)` runs every pass, after the timers and before
 /// any outcome is delivered, so whoever receives an outcome already
@@ -431,7 +434,7 @@ impl KvRuntime {
     }
 
     /// Outbound frames the transport dropped so far on a full per-peer
-    /// writer queue.
+    /// lane.
     pub fn send_dropped(&self) -> u64 {
         self.rt.as_ref().map_or(0, Runtime::send_dropped)
     }
@@ -1072,6 +1075,48 @@ mod tests {
             j.shutdown_now();
         }
         seed.shutdown_now();
+    }
+
+    /// Formation is the first thing every live cluster does, and it is
+    /// where a sender first meets each peer: the first frame to a peer
+    /// connects on its writer thread, and the frames after it are
+    /// written inline. It also needs five distinct node ids from five
+    /// runtimes started at once in one process. A seed and four
+    /// concurrent joiners must form, 20 times over, each within 5 s.
+    #[test]
+    fn a_seed_and_four_concurrent_joiners_form_twenty_times() {
+        let any = Endpoint::new("127.0.0.1", 0);
+        for round in 0..20 {
+            let started = Instant::now();
+            let seed = KvRuntime::start_seed(any, fast_settings(), spec(), 2_000, 500).unwrap();
+            let mut nodes = vec![seed];
+            for _ in 0..4 {
+                let seeds = vec![nodes[0].addr()];
+                let metadata = rapid_core::Metadata::new();
+                let joiner = KvRuntime::start_joiner(
+                    any,
+                    seeds,
+                    fast_settings(),
+                    metadata,
+                    spec(),
+                    2_000,
+                    500,
+                );
+                nodes.push(joiner.unwrap());
+            }
+            let formed = wait_for(
+                || nodes.iter().all(|n| n.view_len() == 5),
+                Duration::from_secs(5).saturating_sub(started.elapsed()),
+            );
+            let views: Vec<usize> = nodes.iter().map(KvRuntime::view_len).collect();
+            assert!(
+                formed,
+                "round {round}: no 5-node view within 5 s, views {views:?}"
+            );
+            for node in nodes {
+                node.shutdown_now();
+            }
+        }
     }
 
     #[test]

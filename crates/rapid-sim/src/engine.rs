@@ -498,11 +498,6 @@ impl<A: Actor> Simulation<A> {
         &self.slots[idx].addr
     }
 
-    /// Index of the actor listening on `addr`.
-    pub fn index_of(&self, addr: &Endpoint) -> Option<usize> {
-        self.by_addr.get(addr).copied()
-    }
-
     /// Traffic counters of an actor.
     pub fn traffic(&self, idx: usize) -> &Traffic {
         &self.slots[idx].traffic

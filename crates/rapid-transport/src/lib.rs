@@ -3,16 +3,19 @@
 //! The paper's implementation runs over gRPC/Netty; this crate provides the
 //! equivalent plumbing with `std::net` TCP and threads, with no async
 //! runtime dependency. It is a socket layer ([`AppPeer`]): one accept
-//! loop spawning a reader thread per inbound connection, and one writer
-//! thread per peer fed by a bounded queue behind one cloneable handle
-//! ([`AppSender`]), so a slow or dead peer backs up only its own queue.
-//! A reader hands each frame straight to its consumer and every sender
-//! pushes straight into the peer's queue. A [`Runtime`] adds the node
-//! loop, which drives the sans-io [`Node`]: readers give it membership
-//! frames, and app payloads go to the sink chosen at start (a [`Host`]
-//! or `events()`). Only the node loop wakes on a timer; stopping is
-//! channel disconnect plus `TcpStream::shutdown`, and queued frames are
-//! discarded rather than drained to a stalled peer.
+//! loop spawning a reader thread per inbound connection, and one lane per
+//! peer behind one cloneable handle ([`AppSender`]), so a slow or dead
+//! peer backs up only its own lane. A reader cuts frames out of a 64 KiB
+//! buffer and hands each straight to its consumer. A sender writes its
+//! frame itself, with one nonblocking `writev`, when the peer's lane is
+//! idle (connected, nothing queued, its writer not draining); otherwise
+//! the frame joins the lane's bounded queue, and the peer's writer thread
+//! connects and drains it, many frames to a `writev`. A [`Runtime`] adds
+//! the node loop, which drives the sans-io [`Node`]: readers give it
+//! membership frames, and app payloads go to the sink chosen at start (a
+//! [`Host`] or `events()`). Only the node loop wakes on a timer; stopping
+//! is channel disconnect plus `TcpStream::shutdown`, and queued frames
+//! are discarded rather than drained to a stalled peer.
 //!
 //! Framing: every message is `[u32 total_len][u16 host_len][host bytes]
 //! [u16 port][rapid_core::wire body]`, where `host:port` is the *logical*
@@ -25,16 +28,21 @@
 //! failed connect or write simply drops the message — Rapid's dissemination
 //! and failure detection are built to tolerate exactly that. A frame
 //! dropped on a full queue is counted (`send_dropped`, `event_dropped`).
+//! Neither a connect nor a write ever blocks a sender's thread: connects
+//! happen on the writer, and an inline write that the socket takes only
+//! part of leaves the rest at the head of the lane for the writer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasher, Hasher};
 use std::io::{IoSlice, Read, Write};
 use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
@@ -76,19 +84,19 @@ const MAX_FRAME: u32 = 32 * 1024 * 1024;
 /// or vice versa.
 const APP_FRAME_TAG: u8 = 0xA5;
 
-/// Depth of each per-peer send queue — the backpressure bound. At the
-/// default tick cadence this is several seconds of protocol traffic;
-/// overflowing it means the peer is effectively unreachable, so further
-/// frames are dropped exactly as a write timeout would have dropped
-/// them.
+/// Depth of each per-peer lane (frames queued plus the frames its writer
+/// holds) — the backpressure bound. At the default tick cadence this is
+/// several seconds of protocol traffic; overflowing it means the peer is
+/// effectively unreachable, so further frames are dropped exactly as a
+/// write timeout would have dropped them.
 const PEER_QUEUE_DEPTH: usize = 4 * 1024;
 
 /// Slots in the node loop's input channel, all allocated up front. It
 /// carries membership frames only, so one peer queue's worth is ample.
 const NODE_QUEUE_DEPTH: usize = PEER_QUEUE_DEPTH;
 
-/// How long a connect, and one frame's write, may take before the frame
-/// is dropped.
+/// How long a writer's connect, and one of its writes that makes no
+/// progress, may take before the frames it carries are dropped.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
 const WRITE_TIMEOUT: Duration = Duration::from_millis(500);
 
@@ -100,47 +108,100 @@ enum Frame {
     App(Vec<u8>),
 }
 
-/// Encodes `[u32 len][sender endpoint][body]` into `buf` (cleared first),
-/// except an app payload: that is returned to be written from its own
-/// buffer, so the writer's `buf` never grows to the largest payload.
-fn encode_head<'f>(from: &Endpoint, frame: &'f Frame, buf: &mut Vec<u8>) -> &'f [u8] {
-    buf.clear();
-    buf.extend_from_slice(&[0u8; 4]); // Length placeholder, patched below.
-    codec::put_endpoint(buf, from);
-    let tail: &[u8] = match frame {
-        Frame::Proto(msg) => {
-            wire::encode(msg, buf);
-            &[]
-        }
-        Frame::App(payload) => {
-            buf.push(APP_FRAME_TAG);
-            payload
-        }
-    };
-    let total = (buf.len() - 4 + tail.len()) as u32;
-    buf[..4].copy_from_slice(&total.to_le_bytes());
-    tail
+/// The part of a frame written from the frame's own buffer: an app
+/// payload. A membership message is encoded whole into its head.
+fn payload(frame: &Frame) -> &[u8] {
+    match frame {
+        Frame::Proto(_) => &[],
+        Frame::App(payload) => payload,
+    }
 }
 
-/// Writes one frame, head and payload in one `writev` when they fit.
-fn write_frame(
-    stream: &mut TcpStream,
+/// Appends `[u32 len][sender endpoint][body]` to `buf`, less the
+/// [`payload`]: that is written from its own buffer, so `buf` never grows
+/// to the largest payload.
+fn encode_head(from: &Endpoint, frame: &Frame, buf: &mut Vec<u8>) {
+    let start = buf.len();
+    buf.extend_from_slice(&[0u8; 4]); // Length placeholder, patched below.
+    codec::put_endpoint(buf, from);
+    match frame {
+        Frame::Proto(msg) => wire::encode(msg, buf),
+        Frame::App(_) => buf.push(APP_FRAME_TAG),
+    }
+    let total = (buf.len() - start - 4 + payload(frame).len()) as u32;
+    buf[start..start + 4].copy_from_slice(&total.to_le_bytes());
+}
+
+/// Frames per `writev` batch: two slices each stay within Linux's
+/// `IOV_MAX` of 1024.
+const FRAMES_PER_WRITE: usize = 512;
+
+/// Writes `frames` in order on a blocking stream, in as few `writev`
+/// calls as fit, less the first `sent` bytes (already on the wire). The
+/// heads of a batch are encoded back to back into `heads`.
+fn write_frames(
+    mut stream: &TcpStream,
+    from: &Endpoint,
+    frames: &[Frame],
+    mut sent: usize,
+    heads: &mut Vec<u8>,
+) -> std::io::Result<()> {
+    for batch in frames.chunks(FRAMES_PER_WRITE) {
+        heads.clear();
+        for frame in batch {
+            encode_head(from, frame, heads);
+        }
+        let mut slices = Vec::with_capacity(2 * batch.len());
+        // Walk the heads by their length prefixes; a run of heads with no
+        // payload between them goes out as one slice.
+        let (mut run, mut at) = (0, 0);
+        for frame in batch {
+            let total = u32::from_le_bytes(heads[at..at + 4].try_into().expect("4 bytes")) as usize;
+            let tail = payload(frame);
+            at += 4 + total - tail.len();
+            if !tail.is_empty() {
+                slices.push(IoSlice::new(&heads[run..at]));
+                slices.push(IoSlice::new(tail));
+                run = at;
+            }
+        }
+        if run < at {
+            slices.push(IoSlice::new(&heads[run..at]));
+        }
+        let mut left = &mut slices[..];
+        IoSlice::advance_slices(&mut left, std::mem::take(&mut sent));
+        while !left.is_empty() {
+            match stream.write_vectored(left) {
+                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut left, n),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+    Ok(())
+}
+
+/// One `writev` of one frame on a nonblocking stream: `None` when it took
+/// the whole frame, else how many bytes it took (none on `WouldBlock`).
+fn write_once(
+    mut stream: &TcpStream,
     from: &Endpoint,
     frame: &Frame,
     buf: &mut Vec<u8>,
-) -> std::io::Result<()> {
-    let tail = encode_head(from, frame, buf);
-    let mut parts = [IoSlice::new(buf), IoSlice::new(tail)];
-    let mut left = &mut parts[..];
-    while !left.is_empty() {
-        match stream.write_vectored(left) {
-            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-            Ok(n) => IoSlice::advance_slices(&mut left, n),
+) -> std::io::Result<Option<usize>> {
+    buf.clear();
+    encode_head(from, frame, buf);
+    let tail = payload(frame);
+    loop {
+        match stream.write_vectored(&[IoSlice::new(buf), IoSlice::new(tail)]) {
+            Ok(n) if n == buf.len() + tail.len() => return Ok(None),
+            Ok(n) => return Ok(Some(n)),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(Some(0)),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
-    Ok(())
 }
 
 /// Decodes one frame read off the socket (everything after the length
@@ -172,27 +233,80 @@ fn decode_frame(
     Ok((from, decoded))
 }
 
-/// Reads one frame, returning the sender, the decoded body, and the
-/// frame's wire size in bytes (header included — the unit the per-peer
-/// byte quota meters).
-fn read_frame(stream: &mut TcpStream) -> std::io::Result<(Endpoint, Frame, u64)> {
-    let mut len_buf = [0u8; 4];
-    stream.read_exact(&mut len_buf)?;
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "frame too large",
-        ));
-    }
-    let mut frame = vec![0u8; len as usize];
-    stream.read_exact(&mut frame)?;
-    let (from, decoded) = decode_frame(frame, DecodeLimits::default())
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    Ok((from, decoded, 4 + len as u64))
+/// Bytes a reader asks the socket for at once.
+const READ_BUF: usize = 64 * 1024;
+
+/// A connection's read side. Frames are cut out of one buffer, so a burst
+/// of small frames costs one `read`, and each frame is copied once, into
+/// an allocation of exactly its length.
+struct FrameReader<R> {
+    stream: R,
+    buf: Box<[u8]>,
+    /// The bytes read but not yet parsed: `buf[start..end]`.
+    start: usize,
+    end: usize,
 }
 
-/// Frames dropped: by the decode quota, on a full writer queue, on a
+impl<R: Read> FrameReader<R> {
+    fn new(stream: R) -> FrameReader<R> {
+        FrameReader {
+            stream,
+            buf: vec![0; READ_BUF].into_boxed_slice(),
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// Moves the unparsed bytes to the front and reads more behind them.
+    fn fill(&mut self) -> std::io::Result<()> {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        loop {
+            match self.stream.read(&mut self.buf[self.end..]) {
+                Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(());
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Reads one frame, returning the sender, the decoded body, and the
+    /// frame's wire size in bytes (header included — the unit the
+    /// per-peer byte quota meters).
+    fn read_frame(&mut self) -> std::io::Result<(Endpoint, Frame, u64)> {
+        while self.end - self.start < 4 {
+            self.fill()?;
+        }
+        let prefix = &self.buf[self.start..self.start + 4];
+        let len = u32::from_le_bytes(prefix.try_into().expect("4 bytes"));
+        if len > MAX_FRAME {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "frame too large",
+            ));
+        }
+        self.start += 4;
+        let mut frame = Vec::with_capacity(len as usize);
+        while frame.len() < len as usize {
+            if self.start == self.end {
+                self.fill()?;
+            }
+            let n = (len as usize - frame.len()).min(self.end - self.start);
+            frame.extend_from_slice(&self.buf[self.start..self.start + n]);
+            self.start += n;
+        }
+        let (from, decoded) = decode_frame(frame, DecodeLimits::default())
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        Ok((from, decoded, 4 + len as u64))
+    }
+}
+
+/// Frames dropped: by the decode quota, on a full lane, on a
 /// full `events()` channel.
 #[derive(Default)]
 struct Drops {
@@ -208,58 +322,127 @@ fn offer<T>(tx: &Sender<T>, item: T, dropped: &AtomicU64) {
     }
 }
 
-/// The per-peer writer queues behind one cloneable handle, which every
-/// sender of a process pushes into. A push never blocks: the first frame
-/// to a peer spawns its writer thread, and a full queue drops the frame
-/// and counts it — the same best-effort contract as a failed write.
+/// The per-peer lanes behind one cloneable handle, which every sender of
+/// a process sends through. A send never blocks on a peer. When the
+/// peer's lane is idle (connected, nothing queued, its writer thread not
+/// draining) the frame is written on the caller's thread with one
+/// nonblocking `writev`; otherwise it joins the lane's bounded queue,
+/// which the peer's writer thread connects for and drains. A full queue
+/// drops the frame and counts it — the same best-effort contract as a
+/// failed write.
 #[derive(Clone)]
 pub struct AppSender(Arc<Writers>);
 
 struct Writers {
     me: Endpoint,
     drops: Arc<Drops>,
-    /// `None` once the process stopped: later frames are discarded.
+    /// `None` once the process stopped: later frames are discarded. Held
+    /// only to look a lane up, never across a write.
     peers: Mutex<Option<HashMap<Endpoint, Writer>>>,
 }
 
-/// One peer's queue, a clone of its writer's current stream (so a stop
-/// can shut the socket down under a blocked write), and the writer.
+/// One peer's lane and the writer thread that serves it.
 struct Writer {
-    queue: Sender<Frame>,
-    stream: Option<TcpStream>,
+    lane: Arc<Mutex<Lane>>,
     thread: JoinHandle<()>,
 }
 
+/// One peer's outbound side. While `busy` is false the lane is idle: the
+/// queue is empty, the writer holds no frame, and the stream (if any) is
+/// nonblocking, so a sender may write to it. While `busy` is true the
+/// writer owns the lane, and senders only queue. A frame is written
+/// inline only under this lock and only when the lane is idle, and the
+/// writer takes its backlog under the same lock: frames leave in the
+/// order they were sent.
+#[derive(Default)]
+struct Lane {
+    stream: Option<Arc<TcpStream>>,
+    queue: VecDeque<Frame>,
+    /// Bytes of `queue`'s first frame already on the wire: an inline
+    /// write that the socket took only part of.
+    sent: usize,
+    /// Frames the writer took and has not finished writing; they count
+    /// against `PEER_QUEUE_DEPTH` with the queue.
+    held: usize,
+    busy: bool,
+    stopped: bool,
+    writer: Option<Thread>,
+    /// Encoding scratch for inline writes.
+    buf: Vec<u8>,
+}
+
+impl Lane {
+    /// Hands the lane to its writer.
+    fn hand_over(&mut self) {
+        self.busy = true;
+        if let Some(writer) = &self.writer {
+            writer.unpark();
+        }
+    }
+}
+
 impl AppSender {
-    /// Queues an app payload for best-effort delivery to `to`.
+    /// Sends an app payload, best effort, to `to`.
     pub fn send_app(&self, to: Endpoint, payload: Vec<u8>) {
         self.send(to, Frame::App(payload));
     }
 
     fn send(&self, to: Endpoint, frame: Frame) {
-        let mut peers = self.0.peers.lock();
-        let Some(peers) = peers.as_mut() else { return };
-        let writer = peers.entry(to).or_insert_with(|| {
-            let (queue, frames) = bounded(PEER_QUEUE_DEPTH);
-            let writers = Arc::clone(&self.0);
-            let thread = std::thread::spawn(move || write_loop(&writers, to, frames));
-            Writer {
-                queue,
-                stream: None,
-                thread,
+        let lane = {
+            let mut peers = self.0.peers.lock();
+            let Some(peers) = peers.as_mut() else { return };
+            let writer = peers.entry(to).or_insert_with(|| {
+                let lane = Arc::new(Mutex::new(Lane::default()));
+                let (me, served) = (self.0.me, Arc::clone(&lane));
+                let thread = std::thread::spawn(move || write_loop(&served, me, to));
+                lane.lock().writer = Some(thread.thread().clone());
+                Writer { lane, thread }
+            });
+            Arc::clone(&writer.lane)
+        };
+        let mut lane = lane.lock();
+        let lane = &mut *lane;
+        if lane.stopped {
+            return;
+        }
+        if let (false, Some(stream)) = (lane.busy, &lane.stream) {
+            match write_once(stream, &self.0.me, &frame, &mut lane.buf) {
+                Ok(None) => {}
+                // The socket is full: the rest waits for the writer.
+                Ok(Some(sent)) => {
+                    lane.sent = sent;
+                    lane.queue.push_back(frame);
+                    lane.hand_over();
+                }
+                // The frame goes with the stream; the next one reconnects.
+                Err(_) => lane.stream = None,
             }
-        });
-        offer(&writer.queue, frame, &self.0.drops.send);
+            return;
+        }
+        if lane.queue.len() + lane.held >= PEER_QUEUE_DEPTH {
+            self.0.drops.send.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        lane.queue.push_back(frame);
+        if !lane.busy {
+            lane.hand_over();
+        }
     }
 
     /// Stops every writer without draining its queue, and joins them.
     fn close(&self) {
         let peers = self.0.peers.lock().take().unwrap_or_default();
-        for stream in peers.values().filter_map(|w| w.stream.as_ref()) {
-            let _ = stream.shutdown(Shutdown::Both);
+        for writer in peers.values() {
+            let mut lane = writer.lane.lock();
+            lane.stopped = true;
+            if let Some(stream) = &lane.stream {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+            if let Some(thread) = &lane.writer {
+                thread.unpark();
+            }
         }
         for writer in peers.into_values() {
-            drop(writer.queue);
             let _ = writer.thread.join();
         }
     }
@@ -275,27 +458,71 @@ fn connect(to: &Endpoint) -> Option<TcpStream> {
     Some(stream)
 }
 
-/// One peer's writer: connects lazily; an error drops the frame and the
-/// stream, and the next frame reconnects. Returns when the queue
-/// disconnects, or at its first connect or failed write after a stop.
-fn write_loop(writers: &Writers, to: Endpoint, frames: Receiver<Frame>) {
-    let mut stream: Option<TcpStream> = None;
-    let mut buf = Vec::new();
-    while let Ok(frame) = frames.recv() {
-        if stream.is_none() {
-            stream = connect(&to);
-            let mut peers = writers.peers.lock();
-            let Some(writer) = peers.as_mut().and_then(|p| p.get_mut(&to)) else {
-                return;
-            };
-            writer.stream = stream.as_ref().and_then(|s| s.try_clone().ok());
-        }
-        let Some(s) = stream.as_mut() else { continue };
-        if write_frame(s, &writers.me, &frame, &mut buf).is_err() {
-            stream = None;
-            if writers.peers.lock().is_none() {
+/// One peer's writer. Parked while its lane is idle; once handed the lane
+/// it connects if it must, then writes the whole backlog on a blocking
+/// stream, and when nothing is left it makes the stream nonblocking again
+/// and marks the lane idle. A failed connect or write drops the frames
+/// it was writing (and the stream); the next frame reconnects. Returns
+/// once the lane is stopped.
+fn write_loop(lane: &Mutex<Lane>, me: Endpoint, to: Endpoint) {
+    let mut backlog = VecDeque::new();
+    let mut heads = Vec::new();
+    // Whether the lane's stream is in blocking mode.
+    let mut blocking = false;
+    loop {
+        let (stream, sent) = {
+            let mut guard = lane.lock();
+            guard.held = 0;
+            while guard.stopped || guard.queue.is_empty() {
+                if guard.stopped {
+                    return;
+                }
+                if guard.busy {
+                    if let Some(stream) = guard.stream.as_ref().filter(|_| blocking) {
+                        if stream.set_nonblocking(true).is_err() {
+                            guard.stream = None;
+                        }
+                        blocking = false;
+                    }
+                    guard.busy = false;
+                }
+                drop(guard);
+                std::thread::park();
+                guard = lane.lock();
+            }
+            std::mem::swap(&mut guard.queue, &mut backlog);
+            guard.held = backlog.len();
+            (guard.stream.clone(), std::mem::take(&mut guard.sent))
+        };
+        let stream = match stream {
+            Some(stream) => stream,
+            None => match connect(&to) {
+                Some(stream) => {
+                    let stream = Arc::new(stream);
+                    let mut guard = lane.lock();
+                    if guard.stopped {
+                        return;
+                    }
+                    guard.stream = Some(Arc::clone(&stream));
+                    blocking = true;
+                    stream
+                }
+                None => {
+                    backlog.clear();
+                    continue;
+                }
+            },
+        };
+        blocking = blocking || stream.set_nonblocking(false).is_ok();
+        let written = blocking
+            && write_frames(&stream, &me, backlog.make_contiguous(), sent, &mut heads).is_ok();
+        backlog.clear();
+        if !written {
+            let mut guard = lane.lock();
+            if guard.stopped {
                 return;
             }
+            guard.stream = None;
         }
     }
 }
@@ -423,14 +650,7 @@ impl Runtime {
         let listener = TcpListener::bind(format!("{listen}"))?;
         let actual: SocketAddr = listener.local_addr()?;
         let me_ep = Endpoint::new(listen.host(), actual.port());
-        // Fresh logical id per join, seeded from OS entropy via the
-        // address of a stack local + time (no extra dependencies).
-        let seed_entropy = Instant::now().elapsed().as_nanos() as u64
-            ^ std::process::id() as u64
-            ^ me_ep.digest();
-        let mut rng = Xoshiro256::seed_from_u64(seed_entropy);
-        let id = NodeId::random(&mut rng);
-        let me = Member::with_metadata(id, me_ep, metadata);
+        let me = Member::with_metadata(fresh_id(&me_ep), me_ep, metadata);
 
         let node = if seeds.is_empty() {
             Node::new_seed(me.clone(), settings.clone())
@@ -506,7 +726,7 @@ impl Runtime {
         self.peer.drops.quota.load(Ordering::Relaxed)
     }
 
-    /// Outbound frames dropped so far because their peer's writer queue
+    /// Outbound frames dropped so far because their peer's lane queue
     /// was full.
     pub fn send_dropped(&self) -> u64 {
         self.peer.send_dropped()
@@ -546,7 +766,7 @@ impl Runtime {
     }
 
     /// Sends an opaque application payload to a peer runtime, best
-    /// effort, via the peer's writer queue. The peer surfaces it as
+    /// effort, through the peer's lane. The peer surfaces it as
     /// [`AppEvent::App`] (or hands it to its [`Host`]).
     pub fn send_app(&self, to: Endpoint, payload: Vec<u8>) {
         self.peer.send_app(to, payload);
@@ -624,8 +844,21 @@ impl Runtime {
     }
 }
 
+/// A fresh logical id for a node starting on `addr`, seeded from OS
+/// entropy: `RandomState` keys are drawn from the OS and differ on every
+/// call, so runtimes started together in one process never share an id.
+/// (A seed of clock, process id and port can repeat: the port enters the
+/// endpoint digest by XOR, and two ports that differ only where the
+/// clock's nanoseconds differ gave two nodes one id, so the second could
+/// never join.)
+fn fresh_id(addr: &Endpoint) -> NodeId {
+    let mut entropy = RandomState::new().build_hasher();
+    entropy.write_u64(addr.digest());
+    NodeId::random(&mut Xoshiro256::seed_from_u64(entropy.finish()))
+}
+
 /// The node loop: drives the [`Node`] from its input channel and its
-/// tick, queues what it sends, runs the host's membership hook and then
+/// tick, sends what it emits, runs the host's membership hook and then
 /// publishes view and status. Returns once every input sender is gone.
 fn run_node(
     mut node: Node,
@@ -682,7 +915,7 @@ fn run_node(
 /// membership — the smart-client plane's transport, and the socket layer
 /// under every [`Runtime`]. It speaks only the opaque app-frame subset of
 /// the wire format (inbound protocol frames are ignored), sends through
-/// the per-peer writer queues, and surfaces every received app payload
+/// the per-peer lanes, and surfaces every received app payload
 /// as `(sender, payload)` on [`AppPeer::events`] or to the sink given to
 /// [`AppPeer::start_with`].
 ///
@@ -750,7 +983,7 @@ impl AppPeer {
     ) -> std::io::Result<AppPeer> {
         let readers: Arc<Readers> = Arc::default();
         let registry = Arc::clone(&readers);
-        let acceptor = Acceptor::spawn(listener, move |mut stream| {
+        let acceptor = Acceptor::spawn(listener, move |stream| {
             let Ok(handle) = stream.try_clone() else {
                 return;
             };
@@ -758,7 +991,8 @@ impl AppPeer {
             let deliver = Arc::clone(&deliver);
             // Blocks with no timeout: a stop shuts the socket down.
             let reader = std::thread::spawn(move || {
-                while let Ok((from, frame, size)) = read_frame(&mut stream) {
+                let mut frames = FrameReader::new(stream);
+                while let Ok((from, frame, size)) = frames.read_frame() {
                     deliver(from, frame, size);
                 }
             });
@@ -798,8 +1032,8 @@ impl AppPeer {
         &self.events_rx
     }
 
-    /// Queues an app payload for best-effort delivery over the pooled
-    /// per-peer stream.
+    /// Sends an app payload, best effort, over the pooled per-peer
+    /// stream.
     pub fn send_app(&self, to: Endpoint, payload: Vec<u8>) {
         self.out.send_app(to, payload);
     }
@@ -809,7 +1043,7 @@ impl AppPeer {
         self.out.clone()
     }
 
-    /// Outbound frames dropped so far because their peer's writer queue
+    /// Outbound frames dropped so far because their peer's lane queue
     /// was full.
     pub fn send_dropped(&self) -> u64 {
         self.drops.send.load(Ordering::Relaxed)
@@ -838,8 +1072,13 @@ mod tests {
 
     /// The whole frame in one buffer, as the wire carries it.
     fn encode_frame(from: &Endpoint, frame: &Frame, buf: &mut Vec<u8>) {
-        let tail = encode_head(from, frame, buf);
-        buf.extend_from_slice(tail);
+        encode_head(from, frame, buf);
+        buf.extend_from_slice(payload(frame));
+    }
+
+    /// Writes one frame on a blocking stream.
+    fn write_frame(stream: &TcpStream, from: &Endpoint, frame: Frame) -> std::io::Result<()> {
+        write_frames(stream, from, &[frame], 0, &mut Vec::new())
     }
 
     fn fast_settings() -> Settings {
@@ -875,6 +1114,13 @@ mod tests {
         };
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
         assert!(err.to_string().contains("watermarks"), "{err}");
+    }
+
+    #[test]
+    fn ids_drawn_for_one_address_never_repeat() {
+        let addr = Endpoint::new("127.0.0.1", 40_000);
+        let ids: std::collections::HashSet<NodeId> = (0..1_000).map(|_| fresh_id(&addr)).collect();
+        assert_eq!(ids.len(), 1_000);
     }
 
     #[test]
@@ -922,17 +1168,16 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let sender = std::thread::spawn(move || {
-            let mut stream = TcpStream::connect(addr).unwrap();
+            let stream = TcpStream::connect(addr).unwrap();
             write_frame(
-                &mut stream,
+                &stream,
                 &Endpoint::new("me", 42),
-                &Frame::Proto(Message::Probe { seq: 7 }),
-                &mut Vec::new(),
+                Frame::Proto(Message::Probe { seq: 7 }),
             )
             .unwrap();
         });
-        let (mut conn, _) = listener.accept().unwrap();
-        let (from, inbound, _) = read_frame(&mut conn).unwrap();
+        let (conn, _) = listener.accept().unwrap();
+        let (from, inbound, _) = FrameReader::new(conn).read_frame().unwrap();
         assert_eq!(from, Endpoint::new("me", 42));
         assert!(matches!(inbound, Frame::Proto(Message::Probe { seq: 7 })));
         sender.join().unwrap();
@@ -946,23 +1191,22 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let sender = std::thread::spawn(move || {
-            let mut stream = TcpStream::connect(addr).unwrap();
+            let stream = TcpStream::connect(addr).unwrap();
             write_frame(
-                &mut stream,
+                &stream,
                 &Endpoint::new("me", 44),
-                &Frame::Proto(Message::Batch {
+                Frame::Proto(Message::Batch {
                     msgs: vec![
                         Message::Probe { seq: 1 },
                         Message::ProbeAck { seq: 2, config_seq: 3 },
                         Message::ConfigPull { have_seq: 4 },
                     ],
                 }),
-                &mut Vec::new(),
             )
             .unwrap();
         });
-        let (mut conn, _) = listener.accept().unwrap();
-        let (from, inbound, _) = read_frame(&mut conn).unwrap();
+        let (conn, _) = listener.accept().unwrap();
+        let (from, inbound, _) = FrameReader::new(conn).read_frame().unwrap();
         assert_eq!(from, Endpoint::new("me", 44));
         match inbound {
             Frame::Proto(Message::Batch { msgs }) => {
@@ -981,17 +1225,16 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let sender = std::thread::spawn(move || {
-            let mut stream = TcpStream::connect(addr).unwrap();
+            let stream = TcpStream::connect(addr).unwrap();
             write_frame(
-                &mut stream,
+                &stream,
                 &Endpoint::new("me", 43),
-                &Frame::App(b"kv: hello".to_vec()),
-                &mut Vec::new(),
+                Frame::App(b"kv: hello".to_vec()),
             )
             .unwrap();
         });
-        let (mut conn, _) = listener.accept().unwrap();
-        let (from, inbound, _) = read_frame(&mut conn).unwrap();
+        let (conn, _) = listener.accept().unwrap();
+        let (from, inbound, _) = FrameReader::new(conn).read_frame().unwrap();
         assert_eq!(from, Endpoint::new("me", 43));
         match inbound {
             Frame::App(payload) => assert_eq!(payload, b"kv: hello"),
@@ -1006,7 +1249,7 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        /// A frame as `read_frame` hands it to `decode_frame`: what
+        /// A frame as `FrameReader` hands it to `decode_frame`: what
         /// `encode_frame` wrote, length prefix stripped.
         fn framed(from: &Endpoint, frame: &Frame) -> Vec<u8> {
             let mut buf = Vec::new();
@@ -1434,5 +1677,212 @@ mod tests {
         listener.set_nonblocking(true).unwrap();
         let conns = std::iter::from_fn(|| listener.accept().ok()).count();
         assert_eq!(conns, 1, "the writer reconnected after the stop");
+    }
+
+    /// `peer`'s lane to `to` (created by the first send to `to`).
+    fn lane_to(peer: &AppPeer, to: Endpoint) -> Arc<Mutex<Lane>> {
+        let peers = peer.out.0.peers.lock();
+        Arc::clone(&peers.as_ref().unwrap()[&to].lane)
+    }
+
+    /// Idle: connected, nothing queued, the writer not draining — the
+    /// state in which the next send is written inline.
+    fn idle(lane: &Mutex<Lane>) -> bool {
+        let lane = lane.lock();
+        !lane.busy && lane.queue.is_empty() && lane.stream.is_some()
+    }
+
+    /// A payload of `len` bytes that starts with its sequence number.
+    fn numbered(i: u32, len: usize) -> Vec<u8> {
+        let mut payload = vec![0xAB; len];
+        payload[..4].copy_from_slice(&i.to_le_bytes());
+        payload
+    }
+
+    /// The sequence number of the next app frame read from `frames`.
+    fn next_number(frames: &mut FrameReader<TcpStream>) -> u32 {
+        match frames.read_frame().unwrap() {
+            (_, Frame::App(payload), _) => u32::from_le_bytes(payload[..4].try_into().unwrap()),
+            (_, Frame::Proto(_), _) => panic!("expected an app frame"),
+        }
+    }
+
+    #[test]
+    fn a_lane_keeps_fifo_from_inline_through_its_queue_and_back() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let to = Endpoint::new("127.0.0.1", listener.local_addr().unwrap().port());
+        let peer = AppPeer::start(Endpoint::new("127.0.0.1", 0)).unwrap();
+        // The first frame connects, on the writer.
+        peer.send_app(to, numbered(0, 64));
+        let (conn, _) = listener.accept().unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut frames = FrameReader::new(conn);
+        assert_eq!(next_number(&mut frames), 0);
+        let lane = lane_to(&peer, to);
+        assert!(wait_for(|| idle(&lane), Duration::from_secs(5)));
+        // An idle lane: the frame is written before `send_app` returns.
+        peer.send_app(to, numbered(1, 64));
+        assert!(idle(&lane), "a send on an idle lane is written inline");
+        assert_eq!(next_number(&mut frames), 1);
+        // The peer stops reading: the socket fills, an inline write comes
+        // up short or would block, and the rest queues for the writer.
+        // One queue's worth never overflows it.
+        let burst = PEER_QUEUE_DEPTH as u32;
+        let mut queued = false;
+        for i in 2..2 + burst {
+            peer.send_app(to, numbered(i, 2048));
+            queued |= lane.lock().busy;
+        }
+        assert!(queued, "the full socket must hand the lane to its writer");
+        // The peer resumes: every frame arrives once, in order.
+        for i in 2..2 + burst {
+            assert_eq!(next_number(&mut frames), i);
+        }
+        assert_eq!(peer.send_dropped(), 0);
+        // Drained, the lane is idle again and writes inline again.
+        assert!(wait_for(|| idle(&lane), Duration::from_secs(5)));
+        for i in 2 + burst..2 + burst + 8 {
+            peer.send_app(to, numbered(i, 64));
+            assert!(idle(&lane), "a drained lane writes inline again");
+            assert_eq!(next_number(&mut frames), i);
+        }
+        peer.shutdown_now();
+    }
+
+    #[test]
+    fn sends_to_a_stalled_peer_return_at_once_and_count_what_overflows() {
+        let (listener, stalled) = stalled_peer();
+        let peer = AppPeer::start(Endpoint::new("127.0.0.1", 0)).unwrap();
+        let sends = 3 * PEER_QUEUE_DEPTH as u32;
+        let mut slowest = Duration::ZERO;
+        for i in 0..sends {
+            let payload = numbered(i, 1024);
+            let sent = Instant::now();
+            peer.send_app(stalled, payload);
+            slowest = slowest.max(sent.elapsed());
+        }
+        assert!(
+            slowest < Duration::from_millis(10),
+            "a send took {slowest:?}"
+        );
+        let dropped = peer.send_dropped();
+        assert!(
+            dropped > 0,
+            "frames beyond the queue's depth must be dropped"
+        );
+        // The peer reads at last: each frame that was not counted as
+        // dropped arrives, in order.
+        let (conn, _) = listener.accept().unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut frames = FrameReader::new(conn);
+        let delivered = sends - dropped as u32;
+        let mut last = None;
+        for _ in 0..delivered {
+            let i = next_number(&mut frames);
+            assert!(last < Some(i), "frame {i} after {last:?}");
+            last = Some(i);
+        }
+        peer.shutdown_now();
+    }
+
+    #[test]
+    fn a_peer_restarted_on_its_port_is_reconnected() {
+        let sender = AppPeer::start(Endpoint::new("127.0.0.1", 0)).unwrap();
+        let first = AppPeer::start(Endpoint::new("127.0.0.1", 0)).unwrap();
+        let to = *first.addr();
+        let recv = |p: &AppPeer| p.events().recv_timeout(Duration::from_secs(5));
+        sender.send_app(to, b"connect".to_vec());
+        assert_eq!(recv(&first), Ok((*sender.addr(), b"connect".to_vec())));
+        let lane = lane_to(&sender, to);
+        assert!(wait_for(|| idle(&lane), Duration::from_secs(5)));
+        sender.send_app(to, b"inline".to_vec());
+        assert_eq!(recv(&first), Ok((*sender.addr(), b"inline".to_vec())));
+        // The peer restarts on the same port. The old stream is dead: an
+        // inline write on it fails (the kernel may still take the first
+        // one), and a later frame reconnects through the writer.
+        first.shutdown_now();
+        let second = AppPeer::start(to).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut arrived = None;
+        for i in 0u8.. {
+            assert!(
+                Instant::now() < deadline,
+                "no frame reached the restarted peer"
+            );
+            sender.send_app(to, vec![i]);
+            if let Ok((_, payload)) = second.events().recv_timeout(Duration::from_millis(50)) {
+                arrived = Some(payload[0]);
+                break;
+            }
+        }
+        let arrived = arrived.unwrap();
+        // Later frames follow on the new stream, in order.
+        for i in arrived + 1..arrived + 4 {
+            sender.send_app(to, vec![i]);
+        }
+        for i in arrived + 1..arrived + 4 {
+            let (_, payload) = recv(&second).unwrap();
+            assert_eq!(payload, vec![i]);
+        }
+        sender.shutdown_now();
+        second.shutdown_now();
+    }
+
+    /// Hands out `data` at most `step` bytes per `read`.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.step).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn frames_split_across_and_packed_within_one_buffered_read_decode() {
+        let from = Endpoint::new("127.0.0.1", 7);
+        let head = {
+            let mut buf = Vec::new();
+            encode_frame(&from, &Frame::App(Vec::new()), &mut buf);
+            buf.len()
+        };
+        // A frame that ends two bytes short of the read buffer, so that
+        // the next length prefix straddles its end; tiny frames packed
+        // many to a read; one frame larger than the buffer.
+        let sizes: Vec<usize> = [READ_BUF - 2 - head]
+            .into_iter()
+            .chain((0..300).map(|i| 4 + i % 9))
+            .chain([READ_BUF + READ_BUF / 2])
+            .chain((0..300).map(|i| 4 + i % 5))
+            .collect();
+        let mut wire = Vec::new();
+        for (i, &len) in sizes.iter().enumerate() {
+            encode_frame(&from, &Frame::App(numbered(i as u32, len)), &mut wire);
+        }
+        for step in [1, 3, 7, 4096, usize::MAX] {
+            let mut frames = FrameReader::new(Trickle { data: &wire, step });
+            for (i, &len) in sizes.iter().enumerate() {
+                let (got, frame, size) = frames.read_frame().unwrap();
+                assert_eq!(got, from);
+                match frame {
+                    Frame::App(payload) => assert_eq!(payload, numbered(i as u32, len)),
+                    Frame::Proto(_) => panic!("frame {i} decoded as a protocol frame"),
+                }
+                assert_eq!(size, (head + len) as u64);
+            }
+            let end = frames.read_frame().map(|_| ()).unwrap_err();
+            assert_eq!(
+                end.kind(),
+                std::io::ErrorKind::UnexpectedEof,
+                "reads of {step}"
+            );
+        }
     }
 }
