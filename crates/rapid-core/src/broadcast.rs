@@ -59,7 +59,8 @@ pub struct Disseminator {
     rng: Xoshiro256,
     /// Dedup filter over alert item keys for the current configuration.
     seen: DetHashSet<u64>,
-    /// Gossip relay buffer: `(alert, remaining transmissions)`.
+    /// Gossip relay buffer: `(alert, remaining transmissions)`. Each
+    /// round rotates it in place: the items it sends move to the back.
     buffer: VecDeque<(Alert, u32)>,
     /// Keys of alerts currently in `buffer`. Today every push is already
     /// gated by a first-time `seen` insert, so this set is defense in
@@ -67,9 +68,6 @@ pub struct Disseminator {
     /// structural invariant rather than a property of the callers, and
     /// keeps it true if a future entry point bypasses `seen`.
     in_flight: DetHashSet<u64>,
-    /// Spare deque swapped with `buffer` during rotation (no per-round
-    /// allocation).
-    rotation_spare: VecDeque<(Alert, u32)>,
     /// Alerts queued since the last flush (unicast mode).
     outbox: Vec<Alert>,
     next_gossip_at: u64,
@@ -96,7 +94,6 @@ impl Disseminator {
             seen: DetHashSet::default(),
             buffer: VecDeque::new(),
             in_flight: DetHashSet::default(),
-            rotation_spare: VecDeque::new(),
             outbox: Vec::new(),
             next_gossip_at: 0,
             retransmit_rounds: 1,
@@ -109,15 +106,18 @@ impl Disseminator {
     }
 
     /// Installs a new configuration; all dissemination state is reset
-    /// (alerts are scoped to one configuration).
+    /// (alerts are scoped to one configuration). The relay buffer and
+    /// the dedup sets are released rather than cleared: they grow to a
+    /// view change's alert count, which the next configuration seldom
+    /// needs again.
     pub fn set_view(&mut self, config: &Arc<Configuration>, self_addr: &Endpoint) {
         self.self_rank = config.rank_of_addr(self_addr).unwrap_or(config.len());
         self.config = Arc::clone(config);
         self.config_id = config.id();
         self.config_seq = config.seq();
-        self.seen.clear();
-        self.buffer.clear();
-        self.in_flight.clear();
+        self.seen = DetHashSet::default();
+        self.buffer = VecDeque::new();
+        self.in_flight = DetHashSet::default();
         self.outbox.clear();
         let n = config.len().max(2);
         self.retransmit_rounds =
@@ -206,25 +206,26 @@ impl Disseminator {
                 }
                 self.next_gossip_at = now + self.interval_ms;
                 // Collect up to a message worth of active items, decrement
-                // their budgets, and drop exhausted ones. The spare deque is
-                // swapped in so rotation allocates nothing in steady state.
-                let mut batch = Vec::new();
-                let mut rotated = std::mem::take(&mut self.rotation_spare);
-                rotated.clear();
-                while let Some((alert, remaining)) = self.buffer.pop_front() {
+                // their budgets, and drop exhausted ones. One pass over
+                // the items queued now, each popped from the front and the
+                // live ones pushed to the back, rotates the buffer in
+                // place.
+                let queued = self.buffer.len();
+                let mut batch = Vec::with_capacity(queued.min(MAX_ALERTS_PER_MESSAGE));
+                for _ in 0..queued {
+                    let (alert, remaining) = self.buffer.pop_front().expect("counted");
                     if batch.len() < MAX_ALERTS_PER_MESSAGE {
                         if remaining > 1 {
                             batch.push(alert.clone());
-                            rotated.push_back((alert, remaining - 1));
+                            self.buffer.push_back((alert, remaining - 1));
                         } else {
                             self.in_flight.remove(&alert.dedup_key());
                             batch.push(alert);
                         }
                     } else {
-                        rotated.push_back((alert, remaining));
+                        self.buffer.push_back((alert, remaining));
                     }
                 }
-                self.rotation_spare = std::mem::replace(&mut self.buffer, rotated);
                 if batch.is_empty() && votes.is_empty() {
                     return; // Quiescent: nothing to gossip.
                 }
@@ -419,6 +420,79 @@ mod tests {
         // (which resets dedup) may enqueue it again.
         d.set_view(&cfg, &Endpoint::new("n1", 1));
         assert!(d.queue_alert(a), "fresh after view reset");
+    }
+
+    /// Subjects of the alerts `d` relays in its next gossip round (at
+    /// `now`), in batch order.
+    fn round_subjects(d: &mut Disseminator, now: u64) -> Vec<u128> {
+        match tick_drain(d, now, &[]).first() {
+            Some((_, Message::Gossip { alerts, .. })) => {
+                alerts.iter().map(|a| a.subject_id.as_u128()).collect()
+            }
+            Some((_, other)) => panic!("expected Gossip, got {}", other.kind()),
+            None => Vec::new(),
+        }
+    }
+
+    /// `(subject, remaining transmissions)` of every queued relay item.
+    fn relay_queue(d: &Disseminator) -> Vec<(u128, u32)> {
+        d.buffer
+            .iter()
+            .map(|(a, r)| (a.subject_id.as_u128(), *r))
+            .collect()
+    }
+
+    #[test]
+    fn rotation_past_one_message_keeps_the_two_deque_order() {
+        // Two items more than a message carries, two transmissions each
+        // (n = 4). The sequences below are what the rotation through a
+        // second deque produced: each round sends the first
+        // MAX_ALERTS_PER_MESSAGE items in queue order, and every item
+        // keeps its place in the queue (sent ones with one transmission
+        // fewer, expired ones dropped).
+        assert_eq!(MAX_ALERTS_PER_MESSAGE, 2048, "the sequences below assume it");
+        let cfg = config(4);
+        let mut d = Disseminator::new(&settings(true), 1);
+        d.set_view(&cfg, &Endpoint::new("n1", 1));
+        for s in 0..2050 {
+            assert!(d.queue_alert(alert(&cfg, 1, s, 0)));
+        }
+
+        assert_eq!(round_subjects(&mut d, 0), (0..2048).collect::<Vec<_>>());
+        let after_one: Vec<(u128, u32)> = (0..2048)
+            .map(|s| (s, 1))
+            .chain([(2048, 2), (2049, 2)])
+            .collect();
+        assert_eq!(relay_queue(&d), after_one);
+
+        // Items queued between rounds go behind the rotated ones.
+        assert!(d.queue_alert(alert(&cfg, 1, 2050, 0)));
+        assert_eq!(round_subjects(&mut d, 100), (0..2048).collect::<Vec<_>>());
+        assert_eq!(relay_queue(&d), vec![(2048, 2), (2049, 2), (2050, 2)]);
+
+        assert_eq!(round_subjects(&mut d, 200), vec![2048, 2049, 2050]);
+        assert_eq!(relay_queue(&d), vec![(2048, 1), (2049, 1), (2050, 1)]);
+        assert_eq!(round_subjects(&mut d, 300), vec![2048, 2049, 2050]);
+        assert!(relay_queue(&d).is_empty());
+        assert!(d.in_flight.is_empty(), "every expired item left in_flight");
+        assert!(round_subjects(&mut d, 400).is_empty());
+    }
+
+    #[test]
+    fn set_view_releases_the_relay_state() {
+        let cfg = config(8);
+        let me = Endpoint::new("n1", 1);
+        let mut d = Disseminator::new(&settings(true), 1);
+        d.set_view(&cfg, &me);
+        for s in 0..100 {
+            d.queue_alert(alert(&cfg, 1, s, 0));
+        }
+        let _ = tick_drain(&mut d, 0, &[]);
+        assert!(d.buffer.capacity() > 0 && d.seen.capacity() > 0 && d.in_flight.capacity() > 0);
+        d.set_view(&cfg, &me);
+        assert_eq!(d.buffer.capacity(), 0);
+        assert_eq!(d.seen.capacity(), 0);
+        assert_eq!(d.in_flight.capacity(), 0);
     }
 
     #[test]

@@ -60,6 +60,12 @@ impl BatchMessage for crate::wire::Message {
 /// path would have done with it.
 pub const MAX_FRAME_BATCH_BYTES: usize = 4 * 1024 * 1024;
 
+/// Most recycled lane buffers an outbox keeps: above a node's steady
+/// lane count per flush (gossip fan-out plus probes and their acks), so
+/// steady flushes still allocate nothing, while a flush to every member
+/// (unicast broadcast) does not leave one buffer per member behind.
+const MAX_SPARE_LANES: usize = 64;
+
 /// Cumulative traffic counters of one outbox.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OutboxStats {
@@ -79,8 +85,9 @@ pub struct Outbox<M> {
     index: DetHashMap<Endpoint, usize>,
     /// Per-destination buffers in first-touch order.
     lanes: Vec<(Endpoint, Vec<M>)>,
-    /// Recycled lane buffers (only singleton lanes return their buffer;
-    /// a batched lane's buffer leaves inside the batch message).
+    /// Recycled lane buffers, at most [`MAX_SPARE_LANES`] (only
+    /// singleton lanes return their buffer; a batched lane's buffer
+    /// leaves inside the batch message).
     spare: Vec<Vec<M>>,
     stats: OutboxStats,
 }
@@ -157,7 +164,9 @@ impl<M: BatchMessage> Outbox<M> {
                     // pre-batching wire format and recycles its buffer.
                     frames += 1;
                     emit(to, lane.pop().expect("len checked"));
-                    self.spare.push(lane);
+                    if self.spare.len() < MAX_SPARE_LANES {
+                        self.spare.push(lane);
+                    }
                 } else {
                     frames += Self::emit_lane(to, lane, &mut emit);
                 }
@@ -339,6 +348,26 @@ mod tests {
             out.iter().all(|(_, m)| matches!(m, Message::AlertBatch { .. })),
             "each split run of one message rides unwrapped"
         );
+    }
+
+    #[test]
+    fn flush_to_every_member_keeps_a_bounded_spare_list() {
+        // A unicast broadcast opens one lane per member; the flush must
+        // not keep all of their buffers for the outbox's lifetime.
+        let mut ob = Outbox::new(true);
+        for i in 0..1_000u16 {
+            ob.push(ep(i), Message::Probe { seq: i as u64 });
+        }
+        assert_eq!(flush_all(&mut ob).len(), 1_000);
+        assert!(
+            ob.spare.len() <= MAX_SPARE_LANES,
+            "{} spare lanes kept, cap {MAX_SPARE_LANES}",
+            ob.spare.len()
+        );
+        // The kept buffers still serve the next flush.
+        ob.push(ep(1), Message::Probe { seq: 1 });
+        assert_eq!(ob.spare.len(), MAX_SPARE_LANES - 1);
+        assert_eq!(flush_all(&mut ob).len(), 1);
     }
 
     #[test]

@@ -205,6 +205,13 @@ impl<M> Ord for QueueItem<M> {
 /// as the cursor approaches.
 const WHEEL_SLOTS: u64 = 4_096;
 
+/// A drained bucket keeps a buffer of up to this many entries in place;
+/// a larger one is handed back when the cursor leaves the bucket.
+const RECYCLE_MIN_CAP: usize = 64;
+
+/// Most handed-back bucket buffers the wheel keeps for reuse.
+const MAX_SPARE_BUCKETS: usize = 4;
+
 /// The event queue: a calendar/timing wheel over virtual milliseconds.
 ///
 /// The engine processes events in exactly `(time, seq)` order, where
@@ -229,6 +236,16 @@ const WHEEL_SLOTS: u64 = 4_096;
 ///   millisecond (e.g. `schedule_fault(now)` between two `run_until`
 ///   calls), in a (time, seq) heap popped before anything else. The old
 ///   heap served these first for the same reason.
+///
+/// Bucket buffers are recycled, so the wheel's memory follows the events
+/// in flight rather than the largest burst each slot has ever held (a
+/// burst lands on a new slot as the wheel turns, so retained capacity
+/// would keep growing for as long as a run lasts). When the cursor
+/// leaves a drained bucket whose buffer has grown past
+/// [`RECYCLE_MIN_CAP`], the buffer moves to `spare` (at most
+/// [`MAX_SPARE_BUCKETS`] of them; any further one is freed), and a bucket
+/// that fills while holding no buffer takes one from `spare` first.
+/// Recycling moves buffers, never entries, so the pop order is untouched.
 struct EventQueue<M> {
     /// Next millisecond to drain; every event at `t < cursor` has been
     /// delivered (or sits in `overdue`).
@@ -238,6 +255,8 @@ struct EventQueue<M> {
     in_wheel: usize,
     overflow: BinaryHeap<QueueItem<M>>,
     overdue: BinaryHeap<QueueItem<M>>,
+    /// Empty bucket buffers given back by drained buckets.
+    spare: Vec<VecDeque<Entry<M>>>,
     seq: u64,
 }
 
@@ -249,8 +268,38 @@ impl<M> EventQueue<M> {
             in_wheel: 0,
             overflow: BinaryHeap::new(),
             overdue: BinaryHeap::new(),
+            spare: Vec::new(),
             seq: 0,
         }
+    }
+
+    /// The bucket of time `at`, about to receive an event: a bucket that
+    /// holds no buffer takes a recycled one, if any.
+    fn bucket(&mut self, at: u64) -> &mut VecDeque<Entry<M>> {
+        let bucket = &mut self.buckets[(at % WHEEL_SLOTS) as usize];
+        if bucket.capacity() == 0 {
+            if let Some(buf) = self.spare.pop() {
+                *bucket = buf;
+            }
+        }
+        bucket
+    }
+
+    /// Moves the cursor to `to` (> cursor) and migrates what the move
+    /// brought inside the horizon. The bucket the cursor leaves is
+    /// drained; its buffer is recycled if it has grown past
+    /// [`RECYCLE_MIN_CAP`].
+    fn advance(&mut self, to: u64) {
+        let left = &mut self.buckets[(self.cursor % WHEEL_SLOTS) as usize];
+        debug_assert!(left.is_empty(), "the cursor leaves only drained buckets");
+        if left.capacity() > RECYCLE_MIN_CAP {
+            let buf = std::mem::take(left);
+            if self.spare.len() < MAX_SPARE_BUCKETS {
+                self.spare.push(buf);
+            }
+        }
+        self.cursor = to;
+        self.migrate();
     }
 
     fn push(&mut self, at: u64, entry: Entry<M>) {
@@ -261,7 +310,7 @@ impl<M> EventQueue<M> {
                 entry,
             });
         } else if at < self.cursor + WHEEL_SLOTS {
-            self.buckets[(at % WHEEL_SLOTS) as usize].push_back(entry);
+            self.bucket(at).push_back(entry);
             self.in_wheel += 1;
         } else {
             self.overflow.push(QueueItem {
@@ -282,7 +331,7 @@ impl<M> EventQueue<M> {
                 break;
             }
             let item = self.overflow.pop().expect("peeked");
-            self.buckets[(item.key.0 % WHEEL_SLOTS) as usize].push_back(item.entry);
+            self.bucket(item.key.0).push_back(item.entry);
             self.in_wheel += 1;
         }
     }
@@ -313,12 +362,10 @@ impl<M> EventQueue<M> {
                 if top.key.0 > until {
                     return None;
                 }
-                self.cursor = top.key.0;
-                self.migrate();
+                self.advance(top.key.0);
                 continue;
             }
-            self.cursor += 1;
-            self.migrate();
+            self.advance(self.cursor + 1);
         }
         None
     }
@@ -1094,6 +1141,107 @@ mod tests {
             );
         }
         sim
+    }
+
+    /// Pushes event `id` at `at` onto a queue whose messages are ids.
+    fn push_id(q: &mut EventQueue<u64>, at: u64, id: u64) {
+        q.push(
+            at,
+            Entry::Deliver {
+                dst: 0,
+                src: 0,
+                size: 0,
+                msg: id,
+            },
+        );
+    }
+
+    fn id_of(entry: &Entry<u64>) -> u64 {
+        match entry {
+            Entry::Deliver { msg, .. } => *msg,
+            _ => unreachable!("the queue under test holds only ids"),
+        }
+    }
+
+    /// Entries the wheel's bucket buffers can hold, spare list included.
+    fn wheel_capacity<M>(q: &EventQueue<M>) -> usize {
+        q.buckets.iter().chain(&q.spare).map(VecDeque::capacity).sum()
+    }
+
+    #[test]
+    fn event_queue_pops_in_time_seq_order_across_recycled_buffers() {
+        // Bursts above the recycling threshold land on shifting slots, so
+        // buckets keep trading buffers through the spare list; scattered
+        // pushes fall behind the cursor (overdue), inside the horizon and
+        // beyond it (overflow), and some pops are undone and redone. The
+        // queue must match a global (time, seq) order throughout.
+        let mut rng = rapid_core::rng::Xoshiro256::seed_from_u64(11);
+        let mut q = EventQueue::new();
+        let mut model = std::collections::BTreeSet::new();
+        let mut seq = 0u64;
+        let mut push = |q: &mut EventQueue<u64>, model: &mut std::collections::BTreeSet<_>, at| {
+            seq += 1;
+            push_id(q, at, seq);
+            model.insert((at, seq));
+        };
+        let mut now = 0u64;
+        let mut recycled = 0usize;
+        while now < 4 * WHEEL_SLOTS {
+            let burst_at = now + rng.gen_range(2 * WHEEL_SLOTS);
+            for _ in 0..2 * RECYCLE_MIN_CAP {
+                push(&mut q, &mut model, burst_at);
+            }
+            for _ in 0..50 {
+                let at = (now + rng.gen_range(3 * WHEEL_SLOTS)).saturating_sub(20);
+                push(&mut q, &mut model, at);
+            }
+            now += 1 + rng.gen_range(1_500);
+            while let Some((at, entry, src)) = q.pop(now) {
+                if rng.gen_bool(0.125) {
+                    q.unpop(at, entry, src);
+                    continue;
+                }
+                let expected = model.pop_first().expect("the model holds the event");
+                assert_eq!((at, id_of(&entry)), expected);
+            }
+            assert!(model.first().is_none_or(|&(at, _)| at > now));
+            recycled = recycled.max(q.spare.len());
+        }
+        assert!(recycled > 0, "the run must exercise the spare list");
+        while let Some((at, entry, _)) = q.pop(u64::MAX) {
+            assert_eq!(Some((at, id_of(&entry))), model.pop_first());
+        }
+        assert!(model.is_empty());
+    }
+
+    #[test]
+    fn wheel_capacity_follows_what_is_in_flight() {
+        // 5,000-event bursts, one at a time, on a slot that shifts by 97
+        // ms each burst, for more than three revolutions: without
+        // recycling every slot would keep its burst's buffer.
+        const BURST: u64 = 5_000;
+        let bound = (MAX_SPARE_BUCKETS + 1) * (BURST as usize).next_power_of_two();
+        let mut q = EventQueue::new();
+        let mut id = 0u64;
+        let mut at = 0u64;
+        while at < 3 * WHEEL_SLOTS + 97 {
+            for _ in 0..BURST {
+                id += 1;
+                push_id(&mut q, at, id);
+            }
+            let mut next = id - BURST + 1;
+            while let Some((t, entry, _)) = q.pop(at) {
+                assert_eq!((t, id_of(&entry)), (at, next));
+                next += 1;
+            }
+            assert_eq!(next, id + 1, "the burst drained");
+            let capacity = wheel_capacity(&q);
+            assert!(
+                capacity <= bound,
+                "{capacity} entries of bucket capacity at {at} ms, bound {bound}"
+            );
+            at += 97;
+        }
     }
 
     #[test]

@@ -1,0 +1,123 @@
+//! Live-heap guard for the simulator: its memory must follow what is in
+//! flight now, not the largest burst a run has ever seen.
+//!
+//! A counting global allocator tracks live heap bytes. A 1024-member Rapid
+//! cluster bootstraps through one seed, holds steady for 120 s of virtual
+//! time, then loses 10 members at once. Two bounds hold:
+//!
+//! * the live heap grows by at most [`MAX_STEADY_GROWTH`] from 20 s to
+//!   120 s into the steady phase (the timing wheel's buckets once kept the
+//!   capacity of every burst that landed on their slot, ≈ 43 MiB here);
+//! * once the crash has settled, the live heap is at most
+//!   [`MAX_CRASH_OVER_BOOT`] times what it was after the bootstrap (each
+//!   node's gossip relay deques once kept the crash's alert count, ≈ 6×).
+//!
+//! The counter is process-global, so this file holds no other test:
+//!
+//! ```text
+//! cargo test -p rapid-sim --test mem_guard -- --nocapture
+//! ```
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use rapid_sim::cluster::all_report;
+use rapid_sim::{Fault, RapidClusterBuilder};
+
+/// Live-bytes counting allocator wrapping the system one.
+struct LiveBytes;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+// SAFETY: every method delegates directly to `System` with the caller's
+// arguments; the counters are statistics that publish no other data, so
+// `Relaxed` suffices.
+unsafe impl GlobalAlloc for LiveBytes {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let ptr = System.alloc(layout);
+        if !ptr.is_null() {
+            grew(layout.size());
+        }
+        ptr
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let new = System.realloc(ptr, layout, new_size);
+        if !new.is_null() {
+            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+            grew(new_size);
+        }
+        new
+    }
+}
+
+#[global_allocator]
+static GLOBAL: LiveBytes = LiveBytes;
+
+const N: usize = 1024;
+const CRASHES: usize = 10;
+
+/// Most the live heap may grow from 20 s to 120 s of steady time.
+const MAX_STEADY_GROWTH: usize = 16 << 20;
+
+/// Most the live heap after the crash may be, as a multiple of the live
+/// heap after the bootstrap.
+const MAX_CRASH_OVER_BOOT: f64 = 2.5;
+
+fn mib(bytes: usize) -> f64 {
+    bytes as f64 / (1 << 20) as f64
+}
+
+#[test]
+fn live_heap_follows_what_is_in_flight() {
+    let mut sim = RapidClusterBuilder::new(N).seed(3).build_bootstrap();
+    sim.run_until_pred(1_200_000, |s| all_report(s, N))
+        .expect("the cluster converges");
+    let boot = LIVE.load(Ordering::Relaxed);
+
+    let steady_from = sim.now();
+    sim.run_until(steady_from + 20_000);
+    let steady_20 = LIVE.load(Ordering::Relaxed);
+    sim.run_until(steady_from + 120_000);
+    let steady_120 = LIVE.load(Ordering::Relaxed);
+
+    PEAK.store(steady_120, Ordering::Relaxed);
+    let crash_at = sim.now() + 1;
+    for i in 0..CRASHES {
+        sim.schedule_fault(crash_at, Fault::Crash(1 + i * (N / CRASHES)));
+    }
+    sim.run_until_pred(crash_at + 300_000, |s| all_report(s, N - CRASHES))
+        .expect("the survivors install the smaller view");
+    let crash_peak = PEAK.load(Ordering::Relaxed);
+    let settled = LIVE.load(Ordering::Relaxed);
+
+    println!(
+        "live heap MiB: boot {:.1}, +20 s {:.1}, +120 s {:.1}, crash peak {:.1}, after crash {:.1}",
+        mib(boot),
+        mib(steady_20),
+        mib(steady_120),
+        mib(crash_peak),
+        mib(settled)
+    );
+    let growth = steady_120.saturating_sub(steady_20);
+    assert!(
+        growth <= MAX_STEADY_GROWTH,
+        "the live heap grew {:.1} MiB from 20 s to 120 s of steady time (bound {:.1} MiB)",
+        mib(growth),
+        mib(MAX_STEADY_GROWTH)
+    );
+    let ratio = settled as f64 / boot as f64;
+    assert!(
+        ratio <= MAX_CRASH_OVER_BOOT,
+        "the live heap after the crash is {ratio:.2}x the one after the bootstrap (bound {MAX_CRASH_OVER_BOOT}x)"
+    );
+}
