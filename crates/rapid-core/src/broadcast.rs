@@ -58,18 +58,18 @@ pub struct Disseminator {
     config_seq: u64,
     rng: Xoshiro256,
     /// Dedup filter over alert item keys for the current configuration.
+    /// It is the gate of every queue: an alert enters `buffer` or
+    /// `outbox` only on the first insert of its key here, and `set_view`
+    /// resets `seen` and both queues together, so neither queue ever
+    /// holds two alerts with the same key.
     seen: DetHashSet<u64>,
-    /// Gossip relay buffer: `(alert, remaining transmissions)`. Each
-    /// round rotates it in place: the items it sends move to the back.
-    buffer: VecDeque<(Alert, u32)>,
-    /// Keys of alerts currently in `buffer`. Today every push is already
-    /// gated by a first-time `seen` insert, so this set is defense in
-    /// depth: it makes "no duplicate keys in the retransmit queue" a
-    /// structural invariant rather than a property of the callers, and
-    /// keeps it true if a future entry point bypasses `seen`.
-    in_flight: DetHashSet<u64>,
+    /// Gossip relay buffer: `(alert, remaining transmissions)`, in queue
+    /// order. The alert is the allocation its originator or the decoder
+    /// made, shared with every batch that carries it, so a relay holds a
+    /// pointer rather than a copy.
+    buffer: VecDeque<(Arc<Alert>, u32)>,
     /// Alerts queued since the last flush (unicast mode).
-    outbox: Vec<Alert>,
+    outbox: Vec<Arc<Alert>>,
     next_gossip_at: u64,
     retransmit_rounds: u32,
 }
@@ -93,7 +93,6 @@ impl Disseminator {
             rng: Xoshiro256::seed_from_u64(rng_seed),
             seen: DetHashSet::default(),
             buffer: VecDeque::new(),
-            in_flight: DetHashSet::default(),
             outbox: Vec::new(),
             next_gossip_at: 0,
             retransmit_rounds: 1,
@@ -107,7 +106,7 @@ impl Disseminator {
 
     /// Installs a new configuration; all dissemination state is reset
     /// (alerts are scoped to one configuration). The relay buffer and
-    /// the dedup sets are released rather than cleared: they grow to a
+    /// the dedup set are released rather than cleared: they grow to a
     /// view change's alert count, which the next configuration seldom
     /// needs again.
     pub fn set_view(&mut self, config: &Arc<Configuration>, self_addr: &Endpoint) {
@@ -117,7 +116,6 @@ impl Disseminator {
         self.config_seq = config.seq();
         self.seen = DetHashSet::default();
         self.buffer = VecDeque::new();
-        self.in_flight = DetHashSet::default();
         self.outbox.clear();
         let n = config.len().max(2);
         self.retransmit_rounds =
@@ -136,25 +134,21 @@ impl Disseminator {
         self.config.member_at(rank).addr
     }
 
-    /// Pushes an alert onto the gossip relay buffer unless a copy of the
-    /// same item is already in flight.
-    fn push_relay(&mut self, alert: Alert) {
-        if self.in_flight.insert(alert.dedup_key()) {
-            self.buffer.push_back((alert, self.retransmit_rounds));
-        }
-    }
-
-    /// Queues a locally originated alert for dissemination. Returns `false`
-    /// if the alert was already seen (and is therefore not re-queued).
-    pub fn queue_alert(&mut self, alert: Alert) -> bool {
+    /// Queues a locally originated alert for dissemination. Returns the
+    /// queued alert, now shared with the queue, or `None` if the alert was
+    /// already seen (and is therefore not re-queued).
+    pub fn queue_alert(&mut self, alert: Alert) -> Option<Arc<Alert>> {
         if !self.seen.insert(alert.dedup_key()) {
-            return false;
+            return None;
         }
+        let alert = Arc::new(alert);
         match self.mode {
-            BroadcastMode::UnicastAll => self.outbox.push(alert),
-            BroadcastMode::Gossip => self.push_relay(alert),
+            BroadcastMode::UnicastAll => self.outbox.push(Arc::clone(&alert)),
+            BroadcastMode::Gossip => self
+                .buffer
+                .push_back((Arc::clone(&alert), self.retransmit_rounds)),
         }
-        true
+        Some(alert)
     }
 
     /// Filters received alerts to fresh ones (never seen before), marking
@@ -162,16 +156,16 @@ impl Disseminator {
     /// of each fresh alert is pushed into `fresh` (cleared first), so the
     /// caller applies fresh alerts straight from the received batch
     /// without cloning them.
-    pub fn ingest_alerts(&mut self, alerts: &[Alert], fresh: &mut Vec<u32>) {
+    pub fn ingest_alerts(&mut self, alerts: &[Arc<Alert>], fresh: &mut Vec<u32>) {
         fresh.clear();
         for (i, a) in alerts.iter().enumerate() {
             if a.config_id != self.config_id {
                 continue;
             }
-            let key = a.dedup_key();
-            if self.seen.insert(key) {
-                if self.mode == BroadcastMode::Gossip && self.in_flight.insert(key) {
-                    self.buffer.push_back((a.clone(), self.retransmit_rounds));
+            if self.seen.insert(a.dedup_key()) {
+                if self.mode == BroadcastMode::Gossip {
+                    self.buffer
+                        .push_back((Arc::clone(a), self.retransmit_rounds));
                 }
                 fresh.push(i as u32);
             }
@@ -188,7 +182,10 @@ impl Disseminator {
                 if self.outbox.is_empty() {
                     return;
                 }
-                let alerts: Arc<[Alert]> = std::mem::take(&mut self.outbox).into();
+                // The queue holds the only reference by now (the node has
+                // applied its alerts), so each alert moves into the batch.
+                let alerts: Arc<[Alert]> =
+                    self.outbox.drain(..).map(Arc::unwrap_or_clone).collect();
                 for i in 0..self.peer_count() {
                     out.push(
                         self.peer_at(i),
@@ -205,31 +202,23 @@ impl Disseminator {
                     return;
                 }
                 self.next_gossip_at = now + self.interval_ms;
-                // Collect up to a message worth of active items, decrement
-                // their budgets, and drop exhausted ones. One pass over
-                // the items queued now, each popped from the front and the
-                // live ones pushed to the back, rotates the buffer in
-                // place.
-                let queued = self.buffer.len();
-                let mut batch = Vec::with_capacity(queued.min(MAX_ALERTS_PER_MESSAGE));
-                for _ in 0..queued {
-                    let (alert, remaining) = self.buffer.pop_front().expect("counted");
-                    if batch.len() < MAX_ALERTS_PER_MESSAGE {
-                        if remaining > 1 {
-                            batch.push(alert.clone());
-                            self.buffer.push_back((alert, remaining - 1));
-                        } else {
-                            self.in_flight.remove(&alert.dedup_key());
-                            batch.push(alert);
-                        }
-                    } else {
-                        self.buffer.push_back((alert, remaining));
-                    }
-                }
-                if batch.is_empty() && votes.is_empty() {
+                // Send up to a message worth of items from the front of the
+                // queue, decrement their budgets, and drop exhausted ones;
+                // the rest keep their place.
+                let sent = self.buffer.len().min(MAX_ALERTS_PER_MESSAGE);
+                if sent == 0 && votes.is_empty() {
                     return; // Quiescent: nothing to gossip.
                 }
-                let alerts: Arc<[Alert]> = batch.into();
+                let alerts: Arc<[Arc<Alert>]> = self
+                    .buffer
+                    .iter_mut()
+                    .take(sent)
+                    .map(|(alert, remaining)| {
+                        *remaining -= 1;
+                        Arc::clone(alert)
+                    })
+                    .collect();
+                self.buffer.retain(|&(_, remaining)| remaining > 0);
                 let votes: Arc<[VoteState]> = votes.to_vec().into();
                 let fanout = self.fanout.min(peer_count);
                 let picks = self.rng.choose_indices(peer_count, fanout);
@@ -303,8 +292,8 @@ mod tests {
         let cfg = config(5);
         let mut d = Disseminator::new(&settings(false), 1);
         d.set_view(&cfg, &Endpoint::new("n1", 1));
-        assert!(d.queue_alert(alert(&cfg, 1, 2, 0)));
-        assert!(d.queue_alert(alert(&cfg, 1, 2, 1)));
+        assert!(d.queue_alert(alert(&cfg, 1, 2, 0)).is_some());
+        assert!(d.queue_alert(alert(&cfg, 1, 2, 1)).is_some());
         let out = tick_drain(&mut d, 0, &[]);
         assert_eq!(out.len(), 4, "one batch per peer");
         match &out[0].1 {
@@ -320,8 +309,8 @@ mod tests {
         let cfg = config(3);
         let mut d = Disseminator::new(&settings(false), 1);
         d.set_view(&cfg, &Endpoint::new("n1", 1));
-        assert!(d.queue_alert(alert(&cfg, 1, 2, 0)));
-        assert!(!d.queue_alert(alert(&cfg, 1, 2, 0)));
+        assert!(d.queue_alert(alert(&cfg, 1, 2, 0)).is_some());
+        assert!(d.queue_alert(alert(&cfg, 1, 2, 0)).is_none());
     }
 
     #[test]
@@ -371,9 +360,9 @@ mod tests {
         let cfg = config(8);
         let mut d = Disseminator::new(&settings(true), 1);
         d.set_view(&cfg, &Endpoint::new("n1", 1));
-        let a = alert(&cfg, 1, 2, 0);
+        let a = Arc::new(alert(&cfg, 1, 2, 0));
         let mut fresh = Vec::new();
-        d.ingest_alerts(&[a.clone(), a.clone()], &mut fresh);
+        d.ingest_alerts(&[Arc::clone(&a), Arc::clone(&a)], &mut fresh);
         assert_eq!(fresh, vec![0], "first copy fresh, duplicate filtered");
         d.ingest_alerts(std::slice::from_ref(&a), &mut fresh);
         assert!(fresh.is_empty());
@@ -385,12 +374,54 @@ mod tests {
     }
 
     #[test]
+    fn relayed_alerts_share_the_received_allocation() {
+        // A relay forwards the alert it received, not a copy of it: the
+        // queue and every batch it sends point at one allocation.
+        let cfg = config(8);
+        let mut d = Disseminator::new(&settings(true), 1);
+        d.set_view(&cfg, &Endpoint::new("n1", 1));
+        let received: Arc<[Arc<Alert>]> = vec![
+            Arc::new(alert(&cfg, 2, 3, 0)),
+            Arc::new(alert(&cfg, 2, 3, 1)),
+        ]
+        .into();
+        let mut fresh = Vec::new();
+        d.ingest_alerts(&received, &mut fresh);
+        assert_eq!(fresh, vec![0, 1]);
+        let out = tick_drain(&mut d, 0, &[]);
+        assert_eq!(out.len(), 3, "fanout peers");
+        for (_, m) in &out {
+            match m {
+                Message::Gossip { alerts, .. } => {
+                    assert_eq!(alerts.len(), 2);
+                    for (sent, got) in alerts.iter().zip(received.iter()) {
+                        assert!(Arc::ptr_eq(sent, got), "relayed a copy, not the alert");
+                    }
+                }
+                other => panic!("expected Gossip, got {}", other.kind()),
+            }
+        }
+    }
+
+    #[test]
+    fn originated_alert_is_the_queued_one() {
+        let cfg = config(8);
+        let mut d = Disseminator::new(&settings(true), 1);
+        d.set_view(&cfg, &Endpoint::new("n1", 1));
+        let queued = d.queue_alert(alert(&cfg, 1, 2, 0)).expect("fresh");
+        match &tick_drain(&mut d, 0, &[])[0].1 {
+            Message::Gossip { alerts, .. } => assert!(Arc::ptr_eq(&alerts[0], &queued)),
+            other => panic!("expected Gossip, got {}", other.kind()),
+        }
+    }
+
+    #[test]
     fn ingest_rejects_other_configurations() {
         let cfg = config(8);
         let other = config(9);
         let mut d = Disseminator::new(&settings(true), 1);
         d.set_view(&cfg, &Endpoint::new("n1", 1));
-        let a = alert(&other, 1, 2, 0);
+        let a = Arc::new(alert(&other, 1, 2, 0));
         let mut fresh = Vec::new();
         d.ingest_alerts(&[a], &mut fresh);
         assert!(fresh.is_empty());
@@ -404,9 +435,9 @@ mod tests {
         let mut d = Disseminator::new(&settings(true), 1);
         d.set_view(&cfg, &Endpoint::new("n1", 1));
         let a = alert(&cfg, 1, 2, 0);
-        assert!(d.queue_alert(a.clone()));
+        assert!(d.queue_alert(a.clone()).is_some());
         let mut fresh = Vec::new();
-        d.ingest_alerts(std::slice::from_ref(&a), &mut fresh);
+        d.ingest_alerts(&[Arc::new(a.clone())], &mut fresh);
         assert!(fresh.is_empty());
         // Count items carried by the first gossip round: exactly one copy.
         let out = tick_drain(&mut d, 0, &[]);
@@ -416,10 +447,9 @@ mod tests {
             }
             other => panic!("expected Gossip, got {}", other.kind()),
         }
-        // Once the budget expires the key is released and a fresh view
-        // (which resets dedup) may enqueue it again.
+        // Only a fresh view (which resets dedup) may enqueue it again.
         d.set_view(&cfg, &Endpoint::new("n1", 1));
-        assert!(d.queue_alert(a), "fresh after view reset");
+        assert!(d.queue_alert(a).is_some(), "fresh after view reset");
     }
 
     /// Subjects of the alerts `d` relays in its next gossip round (at
@@ -455,7 +485,7 @@ mod tests {
         let mut d = Disseminator::new(&settings(true), 1);
         d.set_view(&cfg, &Endpoint::new("n1", 1));
         for s in 0..2050 {
-            assert!(d.queue_alert(alert(&cfg, 1, s, 0)));
+            assert!(d.queue_alert(alert(&cfg, 1, s, 0)).is_some());
         }
 
         assert_eq!(round_subjects(&mut d, 0), (0..2048).collect::<Vec<_>>());
@@ -466,7 +496,7 @@ mod tests {
         assert_eq!(relay_queue(&d), after_one);
 
         // Items queued between rounds go behind the rotated ones.
-        assert!(d.queue_alert(alert(&cfg, 1, 2050, 0)));
+        assert!(d.queue_alert(alert(&cfg, 1, 2050, 0)).is_some());
         assert_eq!(round_subjects(&mut d, 100), (0..2048).collect::<Vec<_>>());
         assert_eq!(relay_queue(&d), vec![(2048, 2), (2049, 2), (2050, 2)]);
 
@@ -474,7 +504,6 @@ mod tests {
         assert_eq!(relay_queue(&d), vec![(2048, 1), (2049, 1), (2050, 1)]);
         assert_eq!(round_subjects(&mut d, 300), vec![2048, 2049, 2050]);
         assert!(relay_queue(&d).is_empty());
-        assert!(d.in_flight.is_empty(), "every expired item left in_flight");
         assert!(round_subjects(&mut d, 400).is_empty());
     }
 
@@ -488,11 +517,10 @@ mod tests {
             d.queue_alert(alert(&cfg, 1, s, 0));
         }
         let _ = tick_drain(&mut d, 0, &[]);
-        assert!(d.buffer.capacity() > 0 && d.seen.capacity() > 0 && d.in_flight.capacity() > 0);
+        assert!(d.buffer.capacity() > 0 && d.seen.capacity() > 0);
         d.set_view(&cfg, &me);
         assert_eq!(d.buffer.capacity(), 0);
         assert_eq!(d.seen.capacity(), 0);
-        assert_eq!(d.in_flight.capacity(), 0);
     }
 
     #[test]
@@ -501,9 +529,9 @@ mod tests {
         let mut d = Disseminator::new(&settings(true), 1);
         d.set_view(&cfg, &Endpoint::new("n1", 1));
         let a = alert(&cfg, 1, 2, 0);
-        assert!(d.queue_alert(a.clone()));
+        assert!(d.queue_alert(a.clone()).is_some());
         d.set_view(&cfg, &Endpoint::new("n1", 1));
-        assert!(d.queue_alert(a), "fresh after reset");
+        assert!(d.queue_alert(a).is_some(), "fresh after reset");
     }
 
     #[test]

@@ -47,8 +47,8 @@ struct Tracker {
     addr: Endpoint,
     status: EdgeStatus,
     metadata: Metadata,
-    /// `slots[ring] = Some(observer)` once an alert for that ring arrived.
-    slots: Vec<Option<NodeId>>,
+    /// `slots[ring]` is set once an alert for that ring arrived.
+    slots: Vec<bool>,
     tally: usize,
     /// Virtual time at which the subject entered the unstable region.
     unstable_since: Option<u64>,
@@ -138,7 +138,7 @@ impl CutDetector {
             addr: alert.subject_addr,
             status: alert.status,
             metadata: alert.metadata.clone(),
-            slots: vec![None; k],
+            slots: vec![false; k],
             tally: 0,
             unstable_since: None,
         });
@@ -152,10 +152,10 @@ impl CutDetector {
             tracker.metadata = alert.metadata.clone();
         }
         let slot = &mut tracker.slots[alert.ring as usize];
-        if slot.is_some() {
+        if *slot {
             return false;
         }
-        *slot = Some(alert.observer);
+        *slot = true;
         let old = tracker.tally;
         tracker.tally += 1;
         let new = tracker.tally;
@@ -249,7 +249,7 @@ impl CutDetector {
                     .slots
                     .iter()
                     .enumerate()
-                    .filter(|(_, s)| s.is_none())
+                    .filter(|(_, &filled)| !filled)
                     .map(|(r, _)| r as u8)
                     .collect(),
             })

@@ -498,9 +498,9 @@ impl Node {
 
     /// Queues an alert locally (dedup, local application, dissemination).
     fn enqueue_alert(&mut self, alert: Alert) -> bool {
-        if !self.diss.queue_alert(alert.clone()) {
+        let Some(alert) = self.diss.queue_alert(alert) else {
             return false;
-        }
+        };
         self.metrics.alerts_originated += 1;
         self.trace.push(
             self.now,
@@ -1175,7 +1175,7 @@ impl Node {
         from: Endpoint,
         config_id: ConfigId,
         config_seq: u64,
-        alerts: &[Alert],
+        alerts: &[Arc<Alert>],
         votes: &[crate::paxos::VoteState],
         out: &mut Vec<Action>,
     ) {

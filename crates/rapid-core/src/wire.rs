@@ -106,8 +106,10 @@ pub enum Message {
         config_id: ConfigId,
         /// Sender's configuration sequence number (laggard detection).
         config_seq: u64,
-        /// Relayed alert items.
-        alerts: Arc<[Alert]>,
+        /// Relayed alert items. Each is shared with the relay queues and
+        /// batches that carry it, from the originating observer (or the
+        /// decoder) on.
+        alerts: Arc<[Arc<Alert>]>,
         /// Aggregated fast-path vote states.
         votes: Arc<[VoteState]>,
     },
@@ -620,7 +622,7 @@ pub fn encoded_len(msg: &Message) -> usize {
         Message::Gossip { alerts, votes, .. } => {
             8 + 8
                 + 4
-                + alerts.iter().map(alert_len).sum::<usize>()
+                + alerts.iter().map(|a| alert_len(a)).sum::<usize>()
                 + 2
                 + votes.iter().map(vote_state_len).sum::<usize>()
         }
@@ -819,10 +821,12 @@ fn alert(r: &mut Reader<'_>) -> Result<Alert, DecodeError> {
     })
 }
 
-fn alerts(r: &mut Reader<'_>) -> Result<Arc<[Alert]>, DecodeError> {
+/// A counted alert list, each alert passed through `wrap` (the identity
+/// for an `AlertBatch`, `Arc::new` for a gossip batch).
+fn alerts<T>(r: &mut Reader<'_>, wrap: impl Fn(Alert) -> T) -> Result<Arc<[T]>, DecodeError> {
     let n = r.u32()? as usize;
     // two ids + empty endpoint + status + config + ring + empty metadata
-    Ok(items(r, n, 48, alert)?.into())
+    Ok(items(r, n, 48, |r| alert(r).map(&wrap))?.into())
 }
 
 fn rank(r: &mut Reader<'_>) -> Result<Rank, DecodeError> {
@@ -920,12 +924,12 @@ fn decode_one(r: &mut Reader<'_>, nested: bool) -> Result<Message, DecodeError> 
         },
         TAG_ALERT_BATCH => Message::AlertBatch {
             config_id: ConfigId(r.u64()?),
-            alerts: alerts(r)?,
+            alerts: alerts(r, |a| a)?,
         },
         TAG_GOSSIP => {
             let config_id = ConfigId(r.u64()?);
             let config_seq = r.u64()?;
-            let alerts = alerts(r)?;
+            let alerts = alerts(r, Arc::new)?;
             let n = r.u16()? as usize;
             // proposal hash + empty bitmap
             let votes = r.list(n, 12, vote_state)?;
@@ -1113,10 +1117,18 @@ mod tests {
         let mut bitmap = BitVec::new(100);
         bitmap.set(3);
         bitmap.set(99);
+        let alert = Alert::join(
+            NodeId::from_u128(5),
+            NodeId::from_u128(6),
+            Endpoint::new("j", 9),
+            ConfigId(1),
+            7,
+            Metadata::with_entry("role", "db"),
+        );
         let msg = Message::Gossip {
             config_id: ConfigId(1),
             config_seq: 12,
-            alerts: Vec::new().into(),
+            alerts: vec![Arc::new(alert.clone())].into(),
             votes: vec![VoteState {
                 hash: p.hash(),
                 bitmap: bitmap.clone(),
@@ -1125,9 +1137,14 @@ mod tests {
         };
         match roundtrip(&msg) {
             Message::Gossip {
-                config_seq, votes, ..
+                config_seq,
+                alerts,
+                votes,
+                ..
             } => {
                 assert_eq!(config_seq, 12);
+                assert_eq!(alerts.len(), 1);
+                assert_eq!(*alerts[0], alert);
                 assert_eq!(votes[0].hash, p.hash());
                 assert_eq!(votes[0].bitmap, bitmap);
             }
@@ -1265,7 +1282,7 @@ mod tests {
             Message::Gossip {
                 config_id: ConfigId(1),
                 config_seq: 12,
-                alerts,
+                alerts: alerts.iter().cloned().map(Arc::new).collect(),
                 votes: vec![vote.clone()].into(),
             },
             Message::Vote {
@@ -1519,7 +1536,7 @@ mod tests {
             Message::Gossip {
                 config_id: ConfigId(1),
                 config_seq: 12,
-                alerts,
+                alerts: alerts.iter().cloned().map(Arc::new).collect(),
                 votes: vec![vote.clone()].into(),
             },
             Message::Vote {

@@ -187,7 +187,7 @@ fn sample_message(seed: u64) -> Message {
                 config_id: ConfigId(rng.next_u64()),
                 config_seq: rng.next_u64(),
                 alerts: (0..rng.gen_range(4))
-                    .map(|_| alert(&mut rng))
+                    .map(|_| std::sync::Arc::new(alert(&mut rng)))
                     .collect::<Vec<_>>()
                     .into(),
                 votes: vec![VoteState {

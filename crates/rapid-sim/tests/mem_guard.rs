@@ -3,11 +3,16 @@
 //!
 //! A counting global allocator tracks live heap bytes. A 1024-member Rapid
 //! cluster bootstraps through one seed, holds steady for 120 s of virtual
-//! time, then loses 10 members at once. Two bounds hold:
+//! time, then loses 10 members at once. Three bounds hold:
 //!
 //! * the live heap grows by at most [`MAX_STEADY_GROWTH`] from 20 s to
 //!   120 s into the steady phase (the timing wheel's buckets once kept the
 //!   capacity of every burst that landed on their slot, ≈ 43 MiB here);
+//! * while the crash is being detected, the live heap peaks at most at
+//!   [`MAX_PEAK_OVER_BOOT`] times what it was after the bootstrap (each
+//!   node once held its own copy of every alert it relayed and the
+//!   observer of every cut-detector slot, ≈ 2.7×; ≈ 2.0× with the alerts
+//!   shared and the slots as flags);
 //! * once the crash has settled, the live heap is at most
 //!   [`MAX_CRASH_OVER_BOOT`] times what it was after the bootstrap (each
 //!   node's gossip relay deques once kept the crash's alert count, ≈ 6×).
@@ -69,6 +74,10 @@ const CRASHES: usize = 10;
 /// Most the live heap may grow from 20 s to 120 s of steady time.
 const MAX_STEADY_GROWTH: usize = 16 << 20;
 
+/// Most the live heap may peak at during the crash, as a multiple of the
+/// live heap after the bootstrap.
+const MAX_PEAK_OVER_BOOT: f64 = 2.3;
+
 /// Most the live heap after the crash may be, as a multiple of the live
 /// heap after the bootstrap.
 const MAX_CRASH_OVER_BOOT: f64 = 2.5;
@@ -114,6 +123,11 @@ fn live_heap_follows_what_is_in_flight() {
         "the live heap grew {:.1} MiB from 20 s to 120 s of steady time (bound {:.1} MiB)",
         mib(growth),
         mib(MAX_STEADY_GROWTH)
+    );
+    let peak_ratio = crash_peak as f64 / boot as f64;
+    assert!(
+        peak_ratio <= MAX_PEAK_OVER_BOOT,
+        "the live heap peaked during the crash at {peak_ratio:.2}x the one after the bootstrap (bound {MAX_PEAK_OVER_BOOT}x)"
     );
     let ratio = settled as f64 / boot as f64;
     assert!(
