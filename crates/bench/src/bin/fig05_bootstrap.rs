@@ -5,7 +5,7 @@
 //! and 3.23-5.81x faster than ZooKeeper; ZooKeeper's latency grows ~4x
 //! from N=1000 to N=2000 (watch herd).
 //!
-//! Default: N ∈ {100, 150, 200} × 2 repetitions. `--full`: N ∈ {1000,
+//! Default: N ∈ {200, 350, 500} × 2 repetitions. `--full`: N ∈ {1000,
 //! 1500, 2000} × 5 repetitions (paper scale).
 
 use bench::{print_csv, Args, SystemKind, World};

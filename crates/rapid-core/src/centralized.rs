@@ -37,14 +37,6 @@ use crate::rng::Xoshiro256;
 use crate::settings::Settings;
 use crate::wire::{ConfigSnapshot, JoinStatus, Message};
 
-fn snapshot_of(cfg: &Configuration) -> ConfigSnapshot {
-    ConfigSnapshot {
-        id: cfg.id(),
-        seq: cfg.seq(),
-        members: Arc::new(cfg.members().to_vec()),
-    }
-}
-
 // ===========================================================================
 // Ensemble node
 // ===========================================================================
@@ -262,7 +254,7 @@ impl EnsembleNode {
                 }
             Message::ConfigPull { have_seq }
                 if self.managed.seq() > have_seq => {
-                    let snapshot = snapshot_of(&self.managed);
+                    let snapshot = ConfigSnapshot::of(&self.managed);
                     self.send(out, from, Message::ConfigPush { snapshot });
                 }
             Message::Probe { seq } => {
@@ -296,7 +288,7 @@ impl EnsembleNode {
 
     fn on_pre_join_req(&mut self, from: Endpoint, joiner: Member, out: &mut Vec<Action>) {
         if self.managed.contains_addr(&joiner.addr) || self.managed.contains(joiner.id) {
-            let snapshot = snapshot_of(&self.managed);
+            let snapshot = ConfigSnapshot::of(&self.managed);
             self.send(
                 out,
                 from,
@@ -350,7 +342,7 @@ impl EnsembleNode {
         out: &mut Vec<Action>,
     ) {
         if self.managed.contains_addr(&joiner.addr) {
-            let snapshot = snapshot_of(&self.managed);
+            let snapshot = ConfigSnapshot::of(&self.managed);
             self.send(
                 out,
                 from,
@@ -566,7 +558,7 @@ impl EnsembleNode {
             removed,
         }));
         // Notify the managed cluster (§5: "notifications from S").
-        let snapshot = snapshot_of(&new_cfg);
+        let snapshot = ConfigSnapshot::of(&new_cfg);
         for m in new_cfg.members() {
             self.send(
                 out,
@@ -865,7 +857,7 @@ impl EdgeAgent {
                     return;
                 }
                 if self.managed.contains_addr(&joiner.addr) {
-                    let snapshot = snapshot_of(&self.managed);
+                    let snapshot = ConfigSnapshot::of(&self.managed);
                     self.send(
                         out,
                         from,
@@ -971,7 +963,7 @@ impl EdgeAgent {
             });
         }
         // Confirm joiners that reached us and made it into the view.
-        let snapshot = snapshot_of(&cfg);
+        let snapshot = ConfigSnapshot::of(&cfg);
         let pending = std::mem::take(&mut self.pending_joiners);
         for (jid, member) in pending {
             let msg = if cfg.contains(jid) {
@@ -1138,6 +1130,71 @@ mod tests {
             })
             .collect();
         assert!(ids.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    #[test]
+    fn ensemble_pushes_share_the_managed_members() {
+        let mut h = Harness::new(3, 6);
+        assert!(h.run_until(120_000, |h| {
+            let sizes = h.agent_view_sizes();
+            sizes.len() == 6 && sizes.iter().all(|&s| s == 6)
+        }));
+        let managed: Vec<Arc<Configuration>> = h
+            .procs
+            .iter()
+            .filter_map(|p| match p {
+                Proc::Ensemble(e) => Some(e.managed_configuration()),
+                _ => None,
+            })
+            .collect();
+        // Each agent installed a pushed view without copying its members.
+        for p in &h.procs {
+            if let Proc::Agent(a) = p {
+                let view = a.configuration();
+                assert!(managed
+                    .iter()
+                    .any(|m| Arc::ptr_eq(view.shared_members(), m.shared_members())));
+            }
+        }
+        // Catch-up and `AlreadyMember` answers share them too.
+        let Proc::Ensemble(e) = &mut h.procs[0] else {
+            unreachable!("the ensemble comes first");
+        };
+        let agent = managed[0].member_at(0).clone();
+        let pull = Message::ConfigPull { have_seq: 0 };
+        let pre_join = Message::PreJoinReq {
+            joiner: agent.clone(),
+        };
+        for msg in [pull, pre_join] {
+            let mut out = Vec::new();
+            e.handle(
+                Event::Receive {
+                    from: agent.addr,
+                    msg,
+                },
+                &mut out,
+            );
+            let snapshots: Vec<&ConfigSnapshot> = out
+                .iter()
+                .filter_map(|a| match a {
+                    Action::Send {
+                        msg:
+                            Message::ConfigPush { snapshot }
+                            | Message::PreJoinResp {
+                                snapshot: Some(snapshot),
+                                ..
+                            },
+                        ..
+                    } => Some(snapshot),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(snapshots.len(), 1);
+            assert!(Arc::ptr_eq(
+                &snapshots[0].members,
+                managed[0].shared_members()
+            ));
+        }
     }
 
     #[test]

@@ -70,13 +70,16 @@ impl Member {
 /// Members are stored sorted by [`NodeId`]; the index of a member in this
 /// order is its *rank*, used for vote bitmaps and Paxos coordinator
 /// rotation. `Configuration` values are shared via [`Arc`] because, at
-/// N=2000, thousands of simulated nodes hold the same view.
+/// N=2000, thousands of simulated nodes hold the same view; the member
+/// list is an `Arc` of its own, so the snapshots a node sends
+/// ([`ConfigSnapshot`](crate::wire::ConfigSnapshot)) and the views
+/// rebuilt from received snapshots share it too instead of copying it.
 #[derive(Clone, Debug)]
 pub struct Configuration {
     id: ConfigId,
     /// Sequence number of this configuration (bootstrap = 0), for display.
     seq: u64,
-    members: Vec<Member>,
+    members: Arc<Vec<Member>>,
     by_id: DetHashMap<NodeId, usize>,
     by_addr: DetHashMap<Endpoint, usize>,
 }
@@ -97,7 +100,6 @@ impl Configuration {
     }
 
     fn assemble(prev: ConfigId, seq: u64, members: Vec<Member>) -> Self {
-        debug_assert!(members.windows(2).all(|w| w[0].id < w[1].id));
         let mut hasher = StableHasher::new("rapid-config");
         hasher.write_u64(prev.0);
         for m in &members {
@@ -107,6 +109,12 @@ impl Configuration {
             m.metadata.hash_into(&mut hasher);
         }
         let id = ConfigId(hasher.finish() | 1); // never collides with ConfigId::NONE
+        Self::index(id, seq, Arc::new(members))
+    }
+
+    /// Builds the rank lookups over an already sorted, deduplicated list.
+    fn index(id: ConfigId, seq: u64, members: Arc<Vec<Member>>) -> Self {
+        debug_assert!(is_strictly_sorted(&members));
         let by_id = members.iter().enumerate().map(|(i, m)| (m.id, i)).collect();
         let by_addr = members
             .iter()
@@ -155,23 +163,28 @@ impl Configuration {
 
     /// Reconstructs a configuration from a wire snapshot, trusting the
     /// carried identifier (it is the hash chained over the view history,
-    /// which the receiver has not necessarily observed).
-    pub fn from_parts(id: ConfigId, seq: u64, mut members: Vec<Member>) -> Arc<Self> {
-        members.sort_by_key(|a| a.id);
-        members.dedup_by(|a, b| a.id == b.id);
-        let by_id = members.iter().enumerate().map(|(i, m)| (m.id, i)).collect();
-        let by_addr = members
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.addr, i))
-            .collect();
-        Arc::new(Configuration {
-            id,
-            seq,
-            members,
-            by_id,
-            by_addr,
-        })
+    /// which the receiver has not necessarily observed). The members are
+    /// sorted and deduplicated by [`NodeId`].
+    pub fn from_parts(id: ConfigId, seq: u64, members: Vec<Member>) -> Arc<Self> {
+        Self::from_shared_parts(id, seq, Arc::new(members))
+    }
+
+    /// [`Configuration::from_parts`] over a shared member list: a list that
+    /// is already strictly increasing by [`NodeId`] is adopted as is, so a
+    /// view rebuilt from a received snapshot shares the snapshot's list;
+    /// any other list (the wire is untrusted) is sorted and deduplicated in
+    /// a private copy.
+    pub(crate) fn from_shared_parts(
+        id: ConfigId,
+        seq: u64,
+        mut members: Arc<Vec<Member>>,
+    ) -> Arc<Self> {
+        if !is_strictly_sorted(&members) {
+            let list = Arc::make_mut(&mut members);
+            list.sort_by_key(|a| a.id);
+            list.dedup_by(|a, b| a.id == b.id);
+        }
+        Arc::new(Self::index(id, seq, members))
     }
 
     /// The configuration identifier.
@@ -196,6 +209,12 @@ impl Configuration {
 
     /// The members, sorted by [`NodeId`].
     pub fn members(&self) -> &[Member] {
+        &self.members
+    }
+
+    /// The sorted member list itself, for handing the view on without
+    /// copying it (snapshots clone this `Arc`).
+    pub fn shared_members(&self) -> &Arc<Vec<Member>> {
         &self.members
     }
 
@@ -256,6 +275,10 @@ impl Configuration {
     }
 }
 
+fn is_strictly_sorted(members: &[Member]) -> bool {
+    members.windows(2).all(|w| w[0].id < w[1].id)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,6 +294,27 @@ mod tests {
         assert_eq!(cfg.member_at(0).id, NodeId::from_u128(1));
         assert_eq!(cfg.member_at(2).id, NodeId::from_u128(3));
         assert_eq!(cfg.seq(), 0);
+    }
+
+    #[test]
+    fn shared_parts_adopt_a_sorted_list_and_sort_any_other() {
+        let sorted = Arc::new(vec![member(1), member(2), member(5)]);
+        let cfg = Configuration::from_shared_parts(ConfigId(7), 3, Arc::clone(&sorted));
+        assert!(
+            Arc::ptr_eq(cfg.shared_members(), &sorted),
+            "copied a sorted list"
+        );
+
+        let messy = Arc::new(vec![member(5), member(1), member(5), member(2), member(1)]);
+        let cfg = Configuration::from_shared_parts(ConfigId(7), 3, Arc::clone(&messy));
+        let ids: Vec<NodeId> = cfg.members().iter().map(|m| m.id).collect();
+        assert_eq!(ids, [1, 2, 5].map(NodeId::from_u128));
+        assert_eq!(cfg.rank_of(NodeId::from_u128(5)), Some(2));
+        assert_eq!(messy.len(), 5, "the caller's list is left as it was");
+
+        let cfg = Configuration::from_parts(ConfigId(7), 3, vec![member(2), member(2)]);
+        assert_eq!(cfg.len(), 1);
+        assert_eq!((cfg.id(), cfg.seq()), (ConfigId(7), 3));
     }
 
     #[test]

@@ -344,14 +344,6 @@ impl Node {
         }
     }
 
-    fn snapshot(&self) -> ConfigSnapshot {
-        ConfigSnapshot {
-            id: self.config.id(),
-            seq: self.config.seq(),
-            members: Arc::new(self.config.members().to_vec()),
-        }
-    }
-
     // ------------------------------------------------------------------
     // Join client (§4.1)
     // ------------------------------------------------------------------
@@ -789,7 +781,7 @@ impl Node {
             removed,
         }));
         // Confirm or bounce the joiners that contacted this node.
-        let snapshot = self.snapshot();
+        let snapshot = ConfigSnapshot::of(&self.config);
         for (jid, member) in pending {
             let msg = if new_cfg.contains(jid) {
                 Message::JoinResp {
@@ -1056,7 +1048,7 @@ impl Node {
             // ---- Configuration catch-up ----
             Message::ConfigPull { have_seq } => {
                 if self.status == NodeStatus::Active && self.config.seq() > have_seq {
-                    let snapshot = self.snapshot();
+                    let snapshot = ConfigSnapshot::of(&self.config);
                     self.send(out, from, Message::ConfigPush { snapshot });
                 }
             }
@@ -1083,7 +1075,7 @@ impl Node {
             return;
         }
         if self.config.contains_addr(&joiner.addr) || self.config.contains(joiner.id) {
-            let snapshot = self.snapshot();
+            let snapshot = ConfigSnapshot::of(&self.config);
             self.send(
                 out,
                 from,
@@ -1135,7 +1127,7 @@ impl Node {
             return;
         }
         if self.config.contains_addr(&joiner.addr) {
-            let snapshot = self.snapshot();
+            let snapshot = ConfigSnapshot::of(&self.config);
             self.send(
                 out,
                 from,
@@ -1188,7 +1180,7 @@ impl Node {
                 let have_seq = self.config.seq();
                 self.send(out, from, Message::ConfigPull { have_seq });
             } else if config_seq < self.config.seq() {
-                let snapshot = self.snapshot();
+                let snapshot = ConfigSnapshot::of(&self.config);
                 self.send(out, from, Message::ConfigPush { snapshot });
             }
             return;
@@ -1338,6 +1330,79 @@ mod tests {
             consensus_fallback_jitter_ms: 500,
             reinforce_timeout_ms: 5_000,
             ..Settings::default()
+        }
+    }
+
+    /// An active node of a four-member view at sequence 3, and that view.
+    fn node_of_seq_3_view() -> (Node, Arc<Configuration>) {
+        let cfg = Configuration::from_parts(ConfigId(0xC0F), 3, (1..=4).map(member).collect());
+        let me = cfg.member_at(0).clone();
+        let node = Node::with_parts(
+            me,
+            settings(),
+            NodeStatus::Active,
+            Arc::clone(&cfg),
+            None,
+            None,
+            None,
+            None,
+        );
+        (node, cfg)
+    }
+
+    /// The snapshot carried by the one message `node` answers `msg` with.
+    fn answered_snapshot(node: &mut Node, msg: Message) -> ConfigSnapshot {
+        let mut out = Vec::new();
+        let from = Endpoint::new("peer", 1);
+        node.handle(Event::Receive { from, msg }, &mut out);
+        match out.as_slice() {
+            [Action::Send {
+                msg:
+                    Message::ConfigPush { snapshot }
+                    | Message::PreJoinResp {
+                        snapshot: Some(snapshot),
+                        ..
+                    }
+                    | Message::JoinResp {
+                        snapshot: Some(snapshot),
+                        ..
+                    },
+                ..
+            }] => snapshot.clone(),
+            other => panic!("expected one snapshot-carrying send, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn catch_up_snapshots_share_the_view_members() {
+        // A laggard's gossip and a ConfigPull are answered with the
+        // sender's member list, not a copy of it.
+        let (mut node, cfg) = node_of_seq_3_view();
+        let gossip = Message::Gossip {
+            config_id: ConfigId(0xB0B),
+            config_seq: 1,
+            alerts: Vec::new().into(),
+            votes: Vec::new().into(),
+        };
+        for msg in [gossip, Message::ConfigPull { have_seq: 2 }] {
+            let snapshot = answered_snapshot(&mut node, msg);
+            assert_eq!((snapshot.id, snapshot.seq), (cfg.id(), 3));
+            assert!(Arc::ptr_eq(&snapshot.members, cfg.shared_members()));
+        }
+    }
+
+    #[test]
+    fn already_member_snapshots_share_the_view_members() {
+        let (mut node, cfg) = node_of_seq_3_view();
+        let pre_join = Message::PreJoinReq { joiner: member(2) };
+        let join = Message::JoinReq {
+            joiner: member(3),
+            config_id: cfg.id(),
+            ring: 0,
+        };
+        for msg in [pre_join, join] {
+            let snapshot = answered_snapshot(&mut node, msg);
+            assert!(Arc::ptr_eq(&snapshot.members, cfg.shared_members()));
         }
     }
 

@@ -225,14 +225,20 @@ impl TopologyCache {
     /// on miss. Snapshot identifiers are the content hash chained over the
     /// view history and every receiver already trusts them as-is, so
     /// `(id, seq)` keys the memo; a join herd then reconstructs the new
-    /// view once instead of once per joiner.
+    /// view once instead of once per joiner. The configuration adopts the
+    /// snapshot's member list when it is sorted, so sender, snapshot and
+    /// receiver hold one copy of it.
     pub fn from_snapshot(&self, snapshot: &crate::wire::ConfigSnapshot) -> Arc<Configuration> {
         let key = (snapshot.id, snapshot.seq);
         let mut map = self.snapshots.lock();
         if let Some(c) = map.get(&key) {
             return Arc::clone(c);
         }
-        let cfg = Configuration::from_parts(snapshot.id, snapshot.seq, snapshot.members.to_vec());
+        let cfg = Configuration::from_shared_parts(
+            snapshot.id,
+            snapshot.seq,
+            Arc::clone(&snapshot.members),
+        );
         if map.len() > 64 {
             map.clear();
         }
@@ -371,5 +377,35 @@ mod tests {
         let a = cache.get(&cfg, 10);
         let b = cache.get(&cfg, 10);
         assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn view_from_a_sorted_snapshot_shares_its_members() {
+        let snapshot = crate::wire::ConfigSnapshot::of(&config(8));
+        let view = TopologyCache::new().from_snapshot(&snapshot);
+        assert!(Arc::ptr_eq(view.shared_members(), &snapshot.members));
+    }
+
+    #[test]
+    fn view_from_a_decoded_snapshot_is_sorted_and_deduplicated() {
+        use crate::wire::{self, ConfigSnapshot, Message};
+        let cfg = config(4);
+        let m = |rank: usize| cfg.member_at(rank).clone();
+        let msg = Message::ConfigPush {
+            snapshot: ConfigSnapshot {
+                id: cfg.id(),
+                seq: 9,
+                members: Arc::new(vec![m(3), m(0), m(2), m(0), m(1), m(3)]),
+            },
+        };
+        let mut buf = Vec::new();
+        wire::encode(&msg, &mut buf);
+        let Ok(Message::ConfigPush { snapshot }) = wire::decode(&buf) else {
+            panic!("expected a ConfigPush");
+        };
+        let view = TopologyCache::new().from_snapshot(&snapshot);
+        assert_eq!(view.members(), cfg.members());
+        assert_eq!(view.rank_of(cfg.member_at(3).id), Some(3));
+        assert_eq!((view.id(), view.seq()), (cfg.id(), 9));
     }
 }

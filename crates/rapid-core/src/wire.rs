@@ -22,7 +22,7 @@ use crate::codec::{
     endpoint_len, put_bytes32, put_endpoint, put_str16, str16_len, DecodeError, DecodeLimits,
     Reader,
 };
-use crate::config::{ConfigId, Member};
+use crate::config::{ConfigId, Configuration, Member};
 use crate::id::{Endpoint, NodeId};
 use crate::membership::{Proposal, ProposalHash, ProposalItem};
 use crate::metadata::Metadata;
@@ -40,6 +40,18 @@ pub struct ConfigSnapshot {
     pub seq: u64,
     /// The sorted member list.
     pub members: Arc<Vec<Member>>,
+}
+
+impl ConfigSnapshot {
+    /// The snapshot of `config`. It shares the configuration's member list
+    /// instead of copying it.
+    pub fn of(config: &Configuration) -> Self {
+        ConfigSnapshot {
+            id: config.id(),
+            seq: config.seq(),
+            members: Arc::clone(config.shared_members()),
+        }
+    }
 }
 
 /// Outcome of a join phase reported by a cluster member.
