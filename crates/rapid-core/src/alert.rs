@@ -5,9 +5,14 @@
 //! Alerts are **irrevocable** within a configuration: Rapid never spreads a
 //! retraction, which is what prevents the accusation/refutation flapping of
 //! gossip-based membership.
+//!
+//! The topology fixes the observer of each `(subject, ring)` pair, so the
+//! K alerts about one subject in one configuration differ only in their
+//! ring. Gossip therefore carries them as one [`GossipItem`] per subject
+//! whose ring set is a K-bit mask (§6: "Rapid batches multiple alerts into
+//! a single message"); items about the same subject merge by bitwise OR.
 
 use crate::config::ConfigId;
-use crate::hash::StableHasher;
 use crate::id::{Endpoint, NodeId};
 use crate::metadata::Metadata;
 
@@ -86,19 +91,59 @@ impl Alert {
             metadata,
         }
     }
+}
 
-    /// A stable 64-bit key identifying this alert for gossip deduplication.
-    ///
-    /// Two alerts from the same observer about the same subject/ring/status
-    /// in the same configuration are the same item.
-    pub fn dedup_key(&self) -> u64 {
-        let mut h = StableHasher::new("rapid-alert");
-        h.write_u64(self.config_id.0)
-            .write_u128(self.observer.as_u128())
-            .write_u128(self.subject_id.as_u128())
-            .write_u64(self.ring as u64)
-            .write_u64(matches!(self.status, EdgeStatus::Up) as u64);
-        h.finish()
+/// The alerts about one subject in one configuration, as gossip carries,
+/// relays and merges them: bit `r` of `rings` stands for the alert of the
+/// subject's observer on ring `r`.
+///
+/// An item names no observer and no configuration: the topology fixes the
+/// observer of every `(subject, ring)` pair, and the enclosing
+/// [`crate::wire::Message::Gossip`] header scopes every item it carries to
+/// the sender's configuration.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct GossipItem {
+    /// The subject the alerts are about.
+    pub subject_id: NodeId,
+    /// The subject's listen address.
+    pub subject_addr: Endpoint,
+    /// JOIN (`Up`) or REMOVE (`Down`).
+    pub status: EdgeStatus,
+    /// The rings whose alert this item carries, one bit per ring.
+    pub rings: u64,
+    /// Joiner metadata (empty for REMOVE items).
+    pub metadata: Metadata,
+}
+
+impl GossipItem {
+    /// Whether this item carries everything `other` does: every ring of
+    /// `other`, and metadata whenever `other` has some.
+    pub fn covers(&self, other: &GossipItem) -> bool {
+        other.rings & !self.rings == 0 && (other.metadata.is_empty() || !self.metadata.is_empty())
+    }
+
+    /// The union of two items about the same subject: the OR of their
+    /// rings, and `self`'s metadata unless only `other` has some.
+    pub fn merged(&self, other: &GossipItem) -> GossipItem {
+        debug_assert_eq!(self.subject_id, other.subject_id);
+        GossipItem {
+            rings: self.rings | other.rings,
+            metadata: if self.metadata.is_empty() {
+                other.metadata.clone()
+            } else {
+                self.metadata.clone()
+            },
+            ..self.clone()
+        }
+    }
+}
+
+/// The mask of the valid ring bits for `k` rings (`k <= 64`).
+pub fn ring_mask(k: usize) -> u64 {
+    if k >= 64 {
+        u64::MAX
+    } else {
+        (1 << k) - 1
     }
 }
 
@@ -108,33 +153,6 @@ mod tests {
 
     fn ep() -> Endpoint {
         Endpoint::new("s", 1)
-    }
-
-    #[test]
-    fn dedup_key_identifies_same_alert() {
-        let a = Alert::remove(NodeId::from_u128(1), NodeId::from_u128(2), ep(), ConfigId(5), 3);
-        let b = Alert::remove(NodeId::from_u128(1), NodeId::from_u128(2), ep(), ConfigId(5), 3);
-        assert_eq!(a.dedup_key(), b.dedup_key());
-    }
-
-    #[test]
-    fn dedup_key_varies() {
-        let base = Alert::remove(NodeId::from_u128(1), NodeId::from_u128(2), ep(), ConfigId(5), 3);
-        let other_ring = Alert::remove(NodeId::from_u128(1), NodeId::from_u128(2), ep(), ConfigId(5), 4);
-        let other_observer =
-            Alert::remove(NodeId::from_u128(9), NodeId::from_u128(2), ep(), ConfigId(5), 3);
-        let other_cfg = Alert::remove(NodeId::from_u128(1), NodeId::from_u128(2), ep(), ConfigId(6), 3);
-        let join = Alert::join(
-            NodeId::from_u128(1),
-            NodeId::from_u128(2),
-            ep(),
-            ConfigId(5),
-            3,
-            Metadata::new(),
-        );
-        for o in [&other_ring, &other_observer, &other_cfg, &join] {
-            assert_ne!(base.dedup_key(), o.dedup_key());
-        }
     }
 
     #[test]
@@ -150,5 +168,37 @@ mod tests {
         );
         assert_eq!(a.metadata, md);
         assert_eq!(a.status, EdgeStatus::Up);
+    }
+
+    fn item(rings: u64, metadata: Metadata) -> GossipItem {
+        GossipItem {
+            subject_id: NodeId::from_u128(2),
+            subject_addr: ep(),
+            status: EdgeStatus::Up,
+            rings,
+            metadata,
+        }
+    }
+
+    #[test]
+    fn items_merge_by_or_and_keep_metadata() {
+        let md = Metadata::with_entry("role", "backend");
+        let a = item(0b0011, Metadata::new());
+        let b = item(0b0110, md.clone());
+        let m = a.merged(&b);
+        assert_eq!(m.rings, 0b0111);
+        assert_eq!(m.metadata, md);
+        assert!(m.covers(&a) && m.covers(&b));
+        assert!(!a.covers(&b) && !b.covers(&a));
+        assert!(!item(0b0110, Metadata::new()).covers(&b), "metadata counts");
+        assert!(b.covers(&item(0b0100, Metadata::new())));
+    }
+
+    #[test]
+    fn ring_mask_has_k_bits() {
+        assert_eq!(ring_mask(0), 0);
+        assert_eq!(ring_mask(1), 1);
+        assert_eq!(ring_mask(10), 0x3ff);
+        assert_eq!(ring_mask(64), u64::MAX);
     }
 }

@@ -13,14 +13,40 @@
 //!
 //! Alerts are batched per tick in both modes (§6: "Rapid batches multiple
 //! alerts into a single message").
+//!
+//! # One gossip item per subject
+//!
+//! Gossip carries a subject's alerts as one [`GossipItem`] whose ring mask
+//! is the set of rings alerted so far, and the relay queue holds one
+//! `(item, remaining rounds)` entry per subject. The node passes an item
+//! on only when it brings rings the node had not heard (the cut detector's
+//! per-subject mask is the dedup gate). The entry then takes the OR of
+//! both masks, and its budget is reset to `retransmit_rounds`: a subject is
+//! relayed for `retransmit_rounds` rounds after the round in which its
+//! mask last gained a ring.
+//!
+//! This delivers every alert at least as often as relaying each alert on
+//! its own for `retransmit_rounds` transmissions from its arrival would.
+//! A budget counts the rounds in which its entry is sent (an entry past a
+//! message's worth waits with its budget intact). Take any ring `r` a
+//! node hears first in round `t`: its subject's entry then holds `r` with
+//! a budget of exactly `retransmit_rounds`. From `t` on the entry's mask
+//! only grows, so `r` stays in it, and the budget only falls by one per
+//! round in which the entry, `r` included, is sent to `gossip_fanout`
+//! random peers, or is reset to `retransmit_rounds` when a later ring
+//! arrives. So `r` is sent in at least `retransmit_rounds` rounds, as its
+//! own alert was, and often more: later rings extend earlier ones.
+//!
+//! On receipt, an entry adopts the received item itself when that item
+//! covers the queued one (so relays forward the decoder's allocation), and
+//! a merged item is allocated only when each side has a ring the other
+//! lacks.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::alert::Alert;
+use crate::alert::{Alert, GossipItem};
 use crate::config::{ConfigId, Configuration};
-use crate::hash::DetHashSet;
-use crate::id::Endpoint;
+use crate::id::{Endpoint, NodeId};
 use crate::outbox::Outbox;
 use crate::paxos::VoteState;
 use crate::rng::Xoshiro256;
@@ -36,8 +62,8 @@ pub enum BroadcastMode {
     Gossip,
 }
 
-/// Maximum alert items carried by a single gossip message.
-const MAX_ALERTS_PER_MESSAGE: usize = 2048;
+/// Maximum items carried by a single gossip message.
+const MAX_ITEMS_PER_MESSAGE: usize = 2048;
 
 /// The dissemination component owned by each node.
 ///
@@ -57,19 +83,13 @@ pub struct Disseminator {
     config_id: ConfigId,
     config_seq: u64,
     rng: Xoshiro256,
-    /// Dedup filter over alert item keys for the current configuration.
-    /// It is the gate of every queue: an alert enters `buffer` or
-    /// `outbox` only on the first insert of its key here, and `set_view`
-    /// resets `seen` and both queues together, so neither queue ever
-    /// holds two alerts with the same key.
-    seen: DetHashSet<u64>,
-    /// Gossip relay buffer: `(alert, remaining transmissions)`, in queue
-    /// order. The alert is the allocation its originator or the decoder
-    /// made, shared with every batch that carries it, so a relay holds a
-    /// pointer rather than a copy.
-    buffer: VecDeque<(Arc<Alert>, u32)>,
+    /// Gossip relay queue: one `(item, remaining transmissions)` per
+    /// subject, sorted by subject id (the order items are sent in). The
+    /// item is the allocation its originator or the decoder made, shared
+    /// with every batch that carries it, until a merge needs a new one.
+    relay: Vec<(Arc<GossipItem>, u32)>,
     /// Alerts queued since the last flush (unicast mode).
-    outbox: Vec<Arc<Alert>>,
+    outbox: Vec<Alert>,
     next_gossip_at: u64,
     retransmit_rounds: u32,
 }
@@ -91,8 +111,7 @@ impl Disseminator {
             config_id: ConfigId::NONE,
             config_seq: 0,
             rng: Xoshiro256::seed_from_u64(rng_seed),
-            seen: DetHashSet::default(),
-            buffer: VecDeque::new(),
+            relay: Vec::new(),
             outbox: Vec::new(),
             next_gossip_at: 0,
             retransmit_rounds: 1,
@@ -105,17 +124,15 @@ impl Disseminator {
     }
 
     /// Installs a new configuration; all dissemination state is reset
-    /// (alerts are scoped to one configuration). The relay buffer and
-    /// the dedup set are released rather than cleared: they grow to a
-    /// view change's alert count, which the next configuration seldom
-    /// needs again.
+    /// (alerts are scoped to one configuration). The relay queue is
+    /// released rather than cleared: it grows to a view change's subject
+    /// count, which the next configuration seldom needs again.
     pub fn set_view(&mut self, config: &Arc<Configuration>, self_addr: &Endpoint) {
         self.self_rank = config.rank_of_addr(self_addr).unwrap_or(config.len());
         self.config = Arc::clone(config);
         self.config_id = config.id();
         self.config_seq = config.seq();
-        self.seen = DetHashSet::default();
-        self.buffer = VecDeque::new();
+        self.relay = Vec::new();
         self.outbox.clear();
         let n = config.len().max(2);
         self.retransmit_rounds =
@@ -134,40 +151,52 @@ impl Disseminator {
         self.config.member_at(rank).addr
     }
 
-    /// Queues a locally originated alert for dissemination. Returns the
-    /// queued alert, now shared with the queue, or `None` if the alert was
-    /// already seen (and is therefore not re-queued).
-    pub fn queue_alert(&mut self, alert: Alert) -> Option<Arc<Alert>> {
-        if !self.seen.insert(alert.dedup_key()) {
-            return None;
-        }
-        let alert = Arc::new(alert);
+    /// Queues the alerts `observer` (this node) originates about one
+    /// subject: in gossip mode as one item, in unicast mode as one
+    /// [`Alert`] per ring. The caller passes only rings it had not heard.
+    pub fn originate(&mut self, observer: NodeId, item: GossipItem) {
         match self.mode {
-            BroadcastMode::UnicastAll => self.outbox.push(Arc::clone(&alert)),
-            BroadcastMode::Gossip => self
-                .buffer
-                .push_back((Arc::clone(&alert), self.retransmit_rounds)),
+            BroadcastMode::Gossip => self.relay(&Arc::new(item)),
+            BroadcastMode::UnicastAll => {
+                let mut rings = item.rings;
+                while rings != 0 {
+                    let ring = rings.trailing_zeros() as u8;
+                    rings &= rings - 1;
+                    self.outbox.push(Alert {
+                        observer,
+                        subject_id: item.subject_id,
+                        subject_addr: item.subject_addr,
+                        status: item.status,
+                        config_id: self.config_id,
+                        ring,
+                        metadata: item.metadata.clone(),
+                    });
+                }
+            }
         }
-        Some(alert)
     }
 
-    /// Filters received alerts to fresh ones (never seen before), marking
-    /// them seen and scheduling them for relay in gossip mode. The index
-    /// of each fresh alert is pushed into `fresh` (cleared first), so the
-    /// caller applies fresh alerts straight from the received batch
-    /// without cloning them.
-    pub fn ingest_alerts(&mut self, alerts: &[Arc<Alert>], fresh: &mut Vec<u32>) {
-        fresh.clear();
-        for (i, a) in alerts.iter().enumerate() {
-            if a.config_id != self.config_id {
-                continue;
-            }
-            if self.seen.insert(a.dedup_key()) {
-                if self.mode == BroadcastMode::Gossip {
-                    self.buffer
-                        .push_back((Arc::clone(a), self.retransmit_rounds));
+    /// Merges a gossip item into its subject's relay entry. If the item
+    /// adds a ring (or the subject has no entry) the entry's budget is
+    /// reset to `retransmit_rounds`; otherwise nothing changes.
+    pub fn relay(&mut self, item: &Arc<GossipItem>) {
+        let rounds = self.retransmit_rounds;
+        match self
+            .relay
+            .binary_search_by(|(queued, _)| queued.subject_id.cmp(&item.subject_id))
+        {
+            Err(at) => self.relay.insert(at, (Arc::clone(item), rounds)),
+            Ok(at) => {
+                let (queued, remaining) = &mut self.relay[at];
+                if item.rings & !queued.rings == 0 {
+                    return;
                 }
-                fresh.push(i as u32);
+                *queued = if item.covers(queued) {
+                    Arc::clone(item)
+                } else {
+                    Arc::new(queued.merged(item))
+                };
+                *remaining = rounds;
             }
         }
     }
@@ -182,10 +211,7 @@ impl Disseminator {
                 if self.outbox.is_empty() {
                     return;
                 }
-                // The queue holds the only reference by now (the node has
-                // applied its alerts), so each alert moves into the batch.
-                let alerts: Arc<[Alert]> =
-                    self.outbox.drain(..).map(Arc::unwrap_or_clone).collect();
+                let alerts: Arc<[Alert]> = self.outbox.drain(..).collect();
                 for i in 0..self.peer_count() {
                     out.push(
                         self.peer_at(i),
@@ -202,23 +228,22 @@ impl Disseminator {
                     return;
                 }
                 self.next_gossip_at = now + self.interval_ms;
-                // Send up to a message worth of items from the front of the
-                // queue, decrement their budgets, and drop exhausted ones;
-                // the rest keep their place.
-                let sent = self.buffer.len().min(MAX_ALERTS_PER_MESSAGE);
+                // Send up to a message worth of items in subject order,
+                // decrement their budgets, and drop exhausted ones.
+                let sent = self.relay.len().min(MAX_ITEMS_PER_MESSAGE);
                 if sent == 0 && votes.is_empty() {
                     return; // Quiescent: nothing to gossip.
                 }
-                let alerts: Arc<[Arc<Alert>]> = self
-                    .buffer
+                let items: Arc<[Arc<GossipItem>]> = self
+                    .relay
                     .iter_mut()
                     .take(sent)
-                    .map(|(alert, remaining)| {
+                    .map(|(item, remaining)| {
                         *remaining -= 1;
-                        Arc::clone(alert)
+                        Arc::clone(item)
                     })
                     .collect();
-                self.buffer.retain(|&(_, remaining)| remaining > 0);
+                self.relay.retain(|&(_, remaining)| remaining > 0);
                 let votes: Arc<[VoteState]> = votes.to_vec().into();
                 let fanout = self.fanout.min(peer_count);
                 let picks = self.rng.choose_indices(peer_count, fanout);
@@ -228,7 +253,7 @@ impl Disseminator {
                         Message::Gossip {
                             config_id: self.config_id,
                             config_seq: self.config_seq,
-                            alerts: Arc::clone(&alerts),
+                            items: Arc::clone(&items),
                             votes: Arc::clone(&votes),
                         },
                     );
@@ -247,8 +272,9 @@ impl Disseminator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alert::EdgeStatus;
     use crate::config::Member;
-    use crate::id::NodeId;
+    use crate::metadata::Metadata;
 
     fn config(n: u128) -> std::sync::Arc<Configuration> {
         Configuration::bootstrap(
@@ -258,14 +284,14 @@ mod tests {
         )
     }
 
-    fn alert(cfg: &Configuration, observer: u128, subject: u128, ring: u8) -> Alert {
-        Alert::remove(
-            NodeId::from_u128(observer),
-            NodeId::from_u128(subject),
-            Endpoint::new(format!("n{subject}"), 1),
-            cfg.id(),
-            ring,
-        )
+    fn item(subject: u128, rings: u64) -> GossipItem {
+        GossipItem {
+            subject_id: NodeId::from_u128(subject),
+            subject_addr: Endpoint::new(format!("n{subject}"), 1),
+            status: EdgeStatus::Down,
+            rings,
+            metadata: Metadata::new(),
+        }
     }
 
     /// Ticks the disseminator through a fresh unbatched outbox,
@@ -287,17 +313,43 @@ mod tests {
         }
     }
 
+    fn gossip(n: u128) -> Disseminator {
+        let mut d = Disseminator::new(&settings(true), 1);
+        d.set_view(&config(n), &Endpoint::new("n1", 1));
+        d
+    }
+
+    /// The relay entry of `subject`.
+    fn entry(d: &Disseminator, subject: u128) -> &(Arc<GossipItem>, u32) {
+        let id = NodeId::from_u128(subject);
+        d.relay.iter().find(|(i, _)| i.subject_id == id).expect("queued")
+    }
+
+    /// The items `d` relays in its next gossip round (at `now`).
+    fn round_items(d: &mut Disseminator, now: u64) -> Vec<Arc<GossipItem>> {
+        match tick_drain(d, now, &[]).first() {
+            Some((_, Message::Gossip { items, .. })) => items.to_vec(),
+            Some((_, other)) => panic!("expected Gossip, got {}", other.kind()),
+            None => Vec::new(),
+        }
+    }
+
     #[test]
-    fn unicast_sends_batch_to_all_peers() {
+    fn unicast_sends_one_alert_per_ring_to_all_peers() {
         let cfg = config(5);
         let mut d = Disseminator::new(&settings(false), 1);
         d.set_view(&cfg, &Endpoint::new("n1", 1));
-        assert!(d.queue_alert(alert(&cfg, 1, 2, 0)).is_some());
-        assert!(d.queue_alert(alert(&cfg, 1, 2, 1)).is_some());
+        d.originate(NodeId::from_u128(1), item(2, 0b101));
         let out = tick_drain(&mut d, 0, &[]);
         assert_eq!(out.len(), 4, "one batch per peer");
         match &out[0].1 {
-            Message::AlertBatch { alerts, .. } => assert_eq!(alerts.len(), 2),
+            Message::AlertBatch { config_id, alerts } => {
+                assert_eq!(*config_id, cfg.id());
+                let rings: Vec<u8> = alerts.iter().map(|a| a.ring).collect();
+                assert_eq!(rings, vec![0, 2]);
+                assert!(alerts.iter().all(|a| a.observer == NodeId::from_u128(1)
+                    && a.config_id == cfg.id()));
+            }
             other => panic!("expected AlertBatch, got {}", other.kind()),
         }
         let out = tick_drain(&mut d, 100, &[]);
@@ -305,20 +357,9 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_alerts_not_requeued() {
-        let cfg = config(3);
-        let mut d = Disseminator::new(&settings(false), 1);
-        d.set_view(&cfg, &Endpoint::new("n1", 1));
-        assert!(d.queue_alert(alert(&cfg, 1, 2, 0)).is_some());
-        assert!(d.queue_alert(alert(&cfg, 1, 2, 0)).is_none());
-    }
-
-    #[test]
     fn gossip_respects_interval_and_fanout() {
-        let cfg = config(10);
-        let mut d = Disseminator::new(&settings(true), 1);
-        d.set_view(&cfg, &Endpoint::new("n1", 1));
-        d.queue_alert(alert(&cfg, 1, 2, 0));
+        let mut d = gossip(10);
+        d.originate(NodeId::from_u128(1), item(2, 1));
         let out = tick_drain(&mut d, 0, &[]);
         assert_eq!(out.len(), 3, "fanout peers");
         let out = tick_drain(&mut d, 50, &[]);
@@ -329,74 +370,49 @@ mod tests {
 
     #[test]
     fn gossip_quiescent_sends_nothing() {
-        let cfg = config(10);
-        let mut d = Disseminator::new(&settings(true), 1);
-        d.set_view(&cfg, &Endpoint::new("n1", 1));
+        let mut d = gossip(10);
         let out = tick_drain(&mut d, 0, &[]);
         assert!(out.is_empty());
     }
 
     #[test]
     fn gossip_items_expire_after_budget() {
-        let cfg = config(4); // retransmit_rounds = ceil(log2(4)) = 2
-        let mut d = Disseminator::new(&settings(true), 1);
-        d.set_view(&cfg, &Endpoint::new("n1", 1));
-        d.queue_alert(alert(&cfg, 1, 2, 0));
-        let mut rounds_with_items = 0;
-        for t in 0..10u64 {
-            let out = tick_drain(&mut d, t * 100, &[]);
-            if out
-                .iter()
-                .any(|(_, m)| matches!(m, Message::Gossip { alerts, .. } if !alerts.is_empty()))
-            {
-                rounds_with_items += 1;
-            }
-        }
+        let mut d = gossip(4); // retransmit_rounds = ceil(log2(4)) = 2
+        d.originate(NodeId::from_u128(1), item(2, 1));
+        let rounds_with_items = (0..10u64)
+            .filter(|t| !round_items(&mut d, t * 100).is_empty())
+            .count();
         assert_eq!(rounds_with_items, 2, "budget of log2(n) rounds");
     }
 
     #[test]
-    fn ingest_filters_fresh_and_requeues_for_relay() {
-        let cfg = config(8);
-        let mut d = Disseminator::new(&settings(true), 1);
-        d.set_view(&cfg, &Endpoint::new("n1", 1));
-        let a = Arc::new(alert(&cfg, 1, 2, 0));
-        let mut fresh = Vec::new();
-        d.ingest_alerts(&[Arc::clone(&a), Arc::clone(&a)], &mut fresh);
-        assert_eq!(fresh, vec![0], "first copy fresh, duplicate filtered");
-        d.ingest_alerts(std::slice::from_ref(&a), &mut fresh);
-        assert!(fresh.is_empty());
-        // The fresh item is relayed on the next round.
-        let out = tick_drain(&mut d, 0, &[]);
-        assert!(out
-            .iter()
-            .any(|(_, m)| matches!(m, Message::Gossip { alerts, .. } if alerts.len() == 1)));
+    fn one_entry_per_subject_carries_the_or_of_its_masks() {
+        let mut d = gossip(8);
+        d.relay(&Arc::new(item(3, 0b0001)));
+        d.relay(&Arc::new(item(3, 0b0100)));
+        d.relay(&Arc::new(item(4, 0b0010)));
+        let sent = round_items(&mut d, 0);
+        let got: Vec<(u128, u64)> =
+            sent.iter().map(|i| (i.subject_id.as_u128(), i.rings)).collect();
+        assert_eq!(got, vec![(3, 0b0101), (4, 0b0010)]);
     }
 
     #[test]
-    fn relayed_alerts_share_the_received_allocation() {
-        // A relay forwards the alert it received, not a copy of it: the
-        // queue and every batch it sends point at one allocation.
-        let cfg = config(8);
-        let mut d = Disseminator::new(&settings(true), 1);
-        d.set_view(&cfg, &Endpoint::new("n1", 1));
-        let received: Arc<[Arc<Alert>]> = vec![
-            Arc::new(alert(&cfg, 2, 3, 0)),
-            Arc::new(alert(&cfg, 2, 3, 1)),
-        ]
-        .into();
-        let mut fresh = Vec::new();
-        d.ingest_alerts(&received, &mut fresh);
-        assert_eq!(fresh, vec![0, 1]);
+    fn relayed_item_is_the_received_allocation_when_it_covers_the_local_mask() {
+        // A relay forwards the item it received, not a copy of it: the
+        // queue and every batch it sends point at one allocation, also
+        // when the received item replaces a smaller queued one.
+        let mut d = gossip(8);
+        d.relay(&Arc::new(item(3, 0b0001)));
+        let received = Arc::new(item(3, 0b0011));
+        d.relay(&received);
         let out = tick_drain(&mut d, 0, &[]);
         assert_eq!(out.len(), 3, "fanout peers");
         for (_, m) in &out {
             match m {
-                Message::Gossip { alerts, .. } => {
-                    assert_eq!(alerts.len(), 2);
-                    for (sent, got) in alerts.iter().zip(received.iter()) {
-                        assert!(Arc::ptr_eq(sent, got), "relayed a copy, not the alert");
-                    }
+                Message::Gossip { items, .. } => {
+                    assert_eq!(items.len(), 1);
+                    assert!(Arc::ptr_eq(&items[0], &received), "relayed a copy");
                 }
                 other => panic!("expected Gossip, got {}", other.kind()),
             }
@@ -404,134 +420,77 @@ mod tests {
     }
 
     #[test]
-    fn originated_alert_is_the_queued_one() {
-        let cfg = config(8);
-        let mut d = Disseminator::new(&settings(true), 1);
-        d.set_view(&cfg, &Endpoint::new("n1", 1));
-        let queued = d.queue_alert(alert(&cfg, 1, 2, 0)).expect("fresh");
-        match &tick_drain(&mut d, 0, &[])[0].1 {
-            Message::Gossip { alerts, .. } => assert!(Arc::ptr_eq(&alerts[0], &queued)),
-            other => panic!("expected Gossip, got {}", other.kind()),
-        }
+    fn a_merge_allocates_only_when_both_sides_add_a_ring() {
+        let mut d = gossip(8);
+        let queued = Arc::new(item(3, 0b0011));
+        d.relay(&queued);
+        // Covered by the queued item: nothing changes.
+        d.relay(&Arc::new(item(3, 0b0001)));
+        assert!(Arc::ptr_eq(&entry(&d, 3).0, &queued));
+        // Each side has a ring the other lacks: a merged item.
+        let other = Arc::new(item(3, 0b0100));
+        d.relay(&other);
+        let merged = &entry(&d, 3).0;
+        assert!(!Arc::ptr_eq(merged, &queued) && !Arc::ptr_eq(merged, &other));
+        assert_eq!(merged.rings, 0b0111);
     }
 
     #[test]
-    fn ingest_rejects_other_configurations() {
-        let cfg = config(8);
-        let other = config(9);
-        let mut d = Disseminator::new(&settings(true), 1);
-        d.set_view(&cfg, &Endpoint::new("n1", 1));
-        let a = Arc::new(alert(&other, 1, 2, 0));
-        let mut fresh = Vec::new();
-        d.ingest_alerts(&[a], &mut fresh);
-        assert!(fresh.is_empty());
-    }
-
-    #[test]
-    fn relay_buffer_never_holds_duplicate_keys() {
-        // Two alerts with the same dedup identity must never coexist in
-        // the retransmit queue, whatever mix of entry points queued them.
-        let cfg = config(8);
-        let mut d = Disseminator::new(&settings(true), 1);
-        d.set_view(&cfg, &Endpoint::new("n1", 1));
-        let a = alert(&cfg, 1, 2, 0);
-        assert!(d.queue_alert(a.clone()).is_some());
-        let mut fresh = Vec::new();
-        d.ingest_alerts(&[Arc::new(a.clone())], &mut fresh);
-        assert!(fresh.is_empty());
-        // Count items carried by the first gossip round: exactly one copy.
-        let out = tick_drain(&mut d, 0, &[]);
-        match &out[0].1 {
-            Message::Gossip { alerts, .. } => {
-                assert_eq!(alerts.len(), 1, "one in-flight copy, not two")
-            }
-            other => panic!("expected Gossip, got {}", other.kind()),
-        }
-        // Only a fresh view (which resets dedup) may enqueue it again.
-        d.set_view(&cfg, &Endpoint::new("n1", 1));
-        assert!(d.queue_alert(a).is_some(), "fresh after view reset");
-    }
-
-    /// Subjects of the alerts `d` relays in its next gossip round (at
-    /// `now`), in batch order.
-    fn round_subjects(d: &mut Disseminator, now: u64) -> Vec<u128> {
-        match tick_drain(d, now, &[]).first() {
-            Some((_, Message::Gossip { alerts, .. })) => {
-                alerts.iter().map(|a| a.subject_id.as_u128()).collect()
-            }
-            Some((_, other)) => panic!("expected Gossip, got {}", other.kind()),
-            None => Vec::new(),
-        }
-    }
-
-    /// `(subject, remaining transmissions)` of every queued relay item.
-    fn relay_queue(d: &Disseminator) -> Vec<(u128, u32)> {
-        d.buffer
-            .iter()
-            .map(|(a, r)| (a.subject_id.as_u128(), *r))
-            .collect()
-    }
-
-    #[test]
-    fn rotation_past_one_message_keeps_the_two_deque_order() {
-        // Two items more than a message carries, two transmissions each
-        // (n = 4). The sequences below are what the rotation through a
-        // second deque produced: each round sends the first
-        // MAX_ALERTS_PER_MESSAGE items in queue order, and every item
-        // keeps its place in the queue (sent ones with one transmission
-        // fewer, expired ones dropped).
-        assert_eq!(MAX_ALERTS_PER_MESSAGE, 2048, "the sequences below assume it");
-        let cfg = config(4);
-        let mut d = Disseminator::new(&settings(true), 1);
-        d.set_view(&cfg, &Endpoint::new("n1", 1));
-        for s in 0..2050 {
-            assert!(d.queue_alert(alert(&cfg, 1, s, 0)).is_some());
-        }
-
-        assert_eq!(round_subjects(&mut d, 0), (0..2048).collect::<Vec<_>>());
-        let after_one: Vec<(u128, u32)> = (0..2048)
-            .map(|s| (s, 1))
-            .chain([(2048, 2), (2049, 2)])
+    fn a_mask_gaining_a_ring_gets_a_fresh_relay_budget() {
+        let mut d = gossip(4); // two transmissions per budget
+        d.relay(&Arc::new(item(3, 0b01)));
+        assert_eq!(round_items(&mut d, 0).len(), 1);
+        assert_eq!(entry(&d, 3).1, 1, "one transmission left");
+        // A covered item changes nothing; a new ring resets the budget.
+        d.relay(&Arc::new(item(3, 0b01)));
+        assert_eq!(entry(&d, 3).1, 1);
+        d.relay(&Arc::new(item(3, 0b10)));
+        assert_eq!(entry(&d, 3).1, 2);
+        let rings: Vec<u64> = (1..5u64)
+            .map(|t| round_items(&mut d, t * 100).iter().map(|i| i.rings).sum())
             .collect();
-        assert_eq!(relay_queue(&d), after_one);
-
-        // Items queued between rounds go behind the rotated ones.
-        assert!(d.queue_alert(alert(&cfg, 1, 2050, 0)).is_some());
-        assert_eq!(round_subjects(&mut d, 100), (0..2048).collect::<Vec<_>>());
-        assert_eq!(relay_queue(&d), vec![(2048, 2), (2049, 2), (2050, 2)]);
-
-        assert_eq!(round_subjects(&mut d, 200), vec![2048, 2049, 2050]);
-        assert_eq!(relay_queue(&d), vec![(2048, 1), (2049, 1), (2050, 1)]);
-        assert_eq!(round_subjects(&mut d, 300), vec![2048, 2049, 2050]);
-        assert!(relay_queue(&d).is_empty());
-        assert!(round_subjects(&mut d, 400).is_empty());
+        assert_eq!(rings, vec![0b11, 0b11, 0, 0], "both rings ride two more rounds");
     }
 
     #[test]
-    fn set_view_releases_the_relay_state() {
+    fn originated_item_is_the_queued_one() {
+        let mut d = gossip(8);
+        d.originate(NodeId::from_u128(1), item(2, 0b10));
+        let sent = round_items(&mut d, 0);
+        assert_eq!(*sent[0], item(2, 0b10));
+    }
+
+    #[test]
+    fn rotation_past_one_message_keeps_subject_order() {
+        // Two subjects more than a message carries, two transmissions
+        // each (n = 4): each round sends the first MAX_ITEMS_PER_MESSAGE
+        // entries in subject order, and the rest wait for those to expire.
+        assert_eq!(MAX_ITEMS_PER_MESSAGE, 2048, "the sequences below assume it");
+        let mut d = gossip(4);
+        for s in 0..2050 {
+            d.relay(&Arc::new(item(s, 1)));
+        }
+        let subjects = |items: Vec<Arc<GossipItem>>| -> Vec<u128> {
+            items.iter().map(|i| i.subject_id.as_u128()).collect()
+        };
+        assert_eq!(subjects(round_items(&mut d, 0)), (0..2048).collect::<Vec<_>>());
+        assert_eq!(subjects(round_items(&mut d, 100)), (0..2048).collect::<Vec<_>>());
+        assert_eq!(subjects(round_items(&mut d, 200)), vec![2048, 2049]);
+        assert_eq!(subjects(round_items(&mut d, 300)), vec![2048, 2049]);
+        assert!(round_items(&mut d, 400).is_empty());
+    }
+
+    #[test]
+    fn set_view_releases_the_relay_queue() {
         let cfg = config(8);
         let me = Endpoint::new("n1", 1);
-        let mut d = Disseminator::new(&settings(true), 1);
-        d.set_view(&cfg, &me);
+        let mut d = gossip(8);
         for s in 0..100 {
-            d.queue_alert(alert(&cfg, 1, s, 0));
+            d.relay(&Arc::new(item(s, 1)));
         }
-        let _ = tick_drain(&mut d, 0, &[]);
-        assert!(d.buffer.capacity() > 0 && d.seen.capacity() > 0);
         d.set_view(&cfg, &me);
-        assert_eq!(d.buffer.capacity(), 0);
-        assert_eq!(d.seen.capacity(), 0);
-    }
-
-    #[test]
-    fn set_view_resets_dedup() {
-        let cfg = config(4);
-        let mut d = Disseminator::new(&settings(true), 1);
-        d.set_view(&cfg, &Endpoint::new("n1", 1));
-        let a = alert(&cfg, 1, 2, 0);
-        assert!(d.queue_alert(a.clone()).is_some());
-        d.set_view(&cfg, &Endpoint::new("n1", 1));
-        assert!(d.queue_alert(a).is_some(), "fresh after reset");
+        assert_eq!(d.relay.capacity(), 0, "released, not cleared");
+        assert!(round_items(&mut d, 0).is_empty());
     }
 
     #[test]

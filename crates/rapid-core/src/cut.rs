@@ -22,7 +22,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::alert::{Alert, EdgeStatus};
+use crate::alert::{ring_mask, Alert, EdgeStatus, GossipItem};
 use crate::config::ConfigId;
 use crate::id::{Endpoint, NodeId};
 use crate::membership::{Proposal, ProposalItem};
@@ -41,17 +41,39 @@ pub enum ReportMode {
     Stable,
 }
 
-/// Per-subject aggregation state.
+/// Per-subject aggregation state: the node's one record per subject in
+/// the current configuration.
 #[derive(Clone, Debug)]
 struct Tracker {
     addr: Endpoint,
     status: EdgeStatus,
-    metadata: Metadata,
-    /// `slots[ring]` is set once an alert for that ring arrived.
-    slots: Vec<bool>,
-    tally: usize,
-    /// Virtual time at which the subject entered the unstable region.
-    unstable_since: Option<u64>,
+    /// JOIN metadata, boxed: most subjects are REMOVEs and carry none.
+    metadata: Option<Box<Metadata>>,
+    /// Ring slots filled by an alert this node heard or originated (bit
+    /// `r` for ring `r`). It is the gossip dedup gate: only bits new to
+    /// it are applied and relayed.
+    heard: u64,
+    /// Ring slots filled only by the implicit-alert rule. They count
+    /// towards the tally but are never relayed, and they do not stop the
+    /// real alert for the slot from being heard and relayed later.
+    implicit: u64,
+    /// Virtual time at which the subject last entered the unstable region
+    /// (read only while it is unstable).
+    unstable_since: u64,
+}
+
+impl Tracker {
+    fn filled(&self) -> u64 {
+        self.heard | self.implicit
+    }
+
+    fn tally(&self) -> usize {
+        self.filled().count_ones() as usize
+    }
+
+    fn metadata(&self) -> Metadata {
+        self.metadata.as_deref().cloned().unwrap_or_default()
+    }
 }
 
 /// A snapshot of one unstable subject, for the reinforcement rule.
@@ -65,8 +87,45 @@ pub struct UnstableSubject {
     pub status: EdgeStatus,
     /// When the subject entered the unstable region.
     pub since: u64,
-    /// Rings whose alert slot is still unfilled.
-    pub missing_rings: Vec<u8>,
+    /// Rings whose alert slot is still unfilled, one bit per ring.
+    pub missing: u64,
+}
+
+/// How many subjects are in each region, kept incrementally as tallies
+/// rise.
+#[derive(Clone, Debug, Default)]
+struct Regions {
+    unstable: usize,
+    stable: usize,
+    /// REMOVE-tracked subjects with `tally >= L`: the only processes that
+    /// can act as *faulty observers* for the implicit-alert rule. Kept
+    /// incrementally so the rule short-circuits to O(1) when none exist
+    /// (the common case during join herds).
+    faulty_observers: usize,
+}
+
+impl Regions {
+    /// Counts the watermarks `tracker`'s tally crossed on its way up from
+    /// `old` (one item may cross several), and stamps when the subject
+    /// entered the unstable region.
+    fn rise(&mut self, tracker: &mut Tracker, old: usize, l: usize, h: usize, now: u64) {
+        let new = tracker.tally();
+        // Note when L == H the unstable region is empty.
+        let was_unstable = old >= l && old < h;
+        let is_unstable = new >= l && new < h;
+        if !was_unstable && is_unstable {
+            self.unstable += 1;
+            tracker.unstable_since = now;
+        } else if was_unstable && !is_unstable {
+            self.unstable -= 1;
+        }
+        if old < h && new >= h {
+            self.stable += 1;
+        }
+        if tracker.status == EdgeStatus::Down && old < l && new >= l {
+            self.faulty_observers += 1;
+        }
+    }
 }
 
 /// The multi-process cut detector: integer tallies plus two thresholds.
@@ -77,13 +136,7 @@ pub struct CutDetector {
     l: usize,
     config_id: ConfigId,
     trackers: BTreeMap<NodeId, Tracker>,
-    unstable_count: usize,
-    stable_count: usize,
-    /// REMOVE-tracked subjects with `tally >= L`: the only processes that
-    /// can act as *faulty observers* for the implicit-alert rule. Kept
-    /// incrementally so the rule short-circuits to O(1) when none exist
-    /// (the common case during join herds).
-    faulty_observer_count: usize,
+    regions: Regions,
 }
 
 impl CutDetector {
@@ -104,9 +157,7 @@ impl CutDetector {
             l,
             config_id,
             trackers: BTreeMap::new(),
-            unstable_count: 0,
-            stable_count: 0,
-            faulty_observer_count: 0,
+            regions: Regions::default(),
         }
     }
 
@@ -115,9 +166,7 @@ impl CutDetector {
     pub fn reset(&mut self, config_id: ConfigId) {
         self.config_id = config_id;
         self.trackers.clear();
-        self.unstable_count = 0;
-        self.stable_count = 0;
-        self.faulty_observer_count = 0;
+        self.regions = Regions::default();
     }
 
     /// The configuration this detector is aggregating for.
@@ -125,61 +174,78 @@ impl CutDetector {
         self.config_id
     }
 
-    /// Records one alert. Returns `true` if it filled a new `(subject,
-    /// ring)` slot (duplicates, stale configurations, and out-of-range
-    /// rings are ignored — alerts are irrevocable, so conflicting status
-    /// for a known subject is also ignored).
+    /// Records one alert: the one-ring form of [`CutDetector::record_mask`].
+    /// Returns `true` if the alert was new to this detector (alerts of
+    /// other configurations and out-of-range rings are ignored).
     pub fn record(&mut self, alert: &Alert, now: u64) -> bool {
         if alert.config_id != self.config_id || alert.ring as usize >= self.k {
             return false;
         }
-        let k = self.k;
-        let tracker = self.trackers.entry(alert.subject_id).or_insert_with(|| Tracker {
-            addr: alert.subject_addr,
-            status: alert.status,
-            metadata: alert.metadata.clone(),
-            slots: vec![false; k],
-            tally: 0,
-            unstable_since: None,
+        let rings = 1 << alert.ring;
+        let (id, addr, status) = (alert.subject_id, alert.subject_addr, alert.status);
+        self.hear(id, addr, status, &alert.metadata, rings, now) != 0
+    }
+
+    /// Records the alerts of one gossip item (which the caller has scoped
+    /// to this detector's configuration). Returns the item's *fresh*
+    /// rings, those this detector had not heard yet: they are what the
+    /// caller counts and relays, and `0` means the item is a duplicate.
+    /// An item with a ring outside `0..K`, or whose status conflicts with
+    /// the subject's first one (alerts are irrevocable, §4.2), records
+    /// nothing and returns `0`.
+    pub fn record_mask(&mut self, item: &GossipItem, now: u64) -> u64 {
+        if item.rings & !ring_mask(self.k) != 0 {
+            return 0;
+        }
+        let (id, addr, status) = (item.subject_id, item.subject_addr, item.status);
+        self.hear(id, addr, status, &item.metadata, item.rings, now)
+    }
+
+    /// Marks `rings` of `subject` heard; returns the ones that were not.
+    fn hear(
+        &mut self,
+        subject: NodeId,
+        addr: Endpoint,
+        status: EdgeStatus,
+        metadata: &Metadata,
+        rings: u64,
+        now: u64,
+    ) -> u64 {
+        let tracker = self.trackers.entry(subject).or_insert_with(|| Tracker {
+            addr,
+            status,
+            metadata: None,
+            heard: 0,
+            implicit: 0,
+            unstable_since: 0,
         });
-        if tracker.status != alert.status {
+        if tracker.status != status {
             // A subject cannot be both joining and being removed within one
             // configuration (§4.2); first status wins, later conflicting
             // alerts are dropped.
-            return false;
+            return 0;
         }
-        if tracker.metadata.is_empty() && !alert.metadata.is_empty() {
-            tracker.metadata = alert.metadata.clone();
+        if tracker.metadata.is_none() && !metadata.is_empty() {
+            tracker.metadata = Some(Box::new(metadata.clone()));
         }
-        let slot = &mut tracker.slots[alert.ring as usize];
-        if *slot {
-            return false;
-        }
-        *slot = true;
-        let old = tracker.tally;
-        tracker.tally += 1;
-        let new = tracker.tally;
-        // Region transitions. Note when L == H the unstable region is empty.
-        let was_unstable = old >= self.l && old < self.h;
-        let is_unstable = new >= self.l && new < self.h;
-        if !was_unstable && is_unstable {
-            self.unstable_count += 1;
-            tracker.unstable_since = Some(now);
-        } else if was_unstable && !is_unstable {
-            self.unstable_count -= 1;
-        }
-        if old < self.h && new >= self.h {
-            self.stable_count += 1;
-        }
-        if tracker.status == EdgeStatus::Down && old < self.l && new >= self.l {
-            self.faulty_observer_count += 1;
-        }
-        true
+        let fresh = rings & !tracker.heard;
+        let old = tracker.tally();
+        tracker.heard |= fresh;
+        self.regions.rise(tracker, old, self.l, self.h, now);
+        fresh
+    }
+
+    /// The metadata recorded for a subject (empty if it is untracked or
+    /// no alert carried any).
+    pub fn metadata(&self, subject: NodeId) -> Metadata {
+        self.trackers
+            .get(&subject)
+            .map_or_else(Metadata::new, Tracker::metadata)
     }
 
     /// The alert tally for a subject.
     pub fn tally(&self, subject: NodeId) -> usize {
-        self.trackers.get(&subject).map_or(0, |t| t.tally)
+        self.trackers.get(&subject).map_or(0, Tracker::tally)
     }
 
     /// The report mode of a subject.
@@ -198,18 +264,18 @@ impl CutDetector {
 
     /// Number of subjects currently in the unstable region.
     pub fn unstable_count(&self) -> usize {
-        self.unstable_count
+        self.regions.unstable
     }
 
     /// Number of subjects in stable report mode.
     pub fn stable_count(&self) -> usize {
-        self.stable_count
+        self.regions.stable
     }
 
     /// Whether the aggregation rule currently permits a proposal: at least
     /// one subject stable, none unstable.
     pub fn has_proposal(&self) -> bool {
-        self.stable_count > 0 && self.unstable_count == 0
+        self.regions.stable > 0 && self.regions.unstable == 0
     }
 
     /// Returns the current proposal (all subjects in stable report mode) if
@@ -224,9 +290,9 @@ impl CutDetector {
         }
         let mut p = Proposal::new(self.config_id);
         for (&id, t) in &self.trackers {
-            if t.tally >= self.h {
+            if t.tally() >= self.h {
                 p.push(match t.status {
-                    EdgeStatus::Up => ProposalItem::join(id, t.addr, t.metadata.clone()),
+                    EdgeStatus::Up => ProposalItem::join(id, t.addr, t.metadata()),
                     EdgeStatus::Down => ProposalItem::remove(id, t.addr),
                 });
             }
@@ -239,19 +305,13 @@ impl CutDetector {
     pub fn unstable_subjects(&self) -> Vec<UnstableSubject> {
         self.trackers
             .iter()
-            .filter(|(_, t)| t.tally >= self.l && t.tally < self.h)
+            .filter(|(_, t)| (self.l..self.h).contains(&t.tally()))
             .map(|(&id, t)| UnstableSubject {
                 id,
                 addr: t.addr,
                 status: t.status,
-                since: t.unstable_since.unwrap_or(0),
-                missing_rings: t
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &filled)| !filled)
-                    .map(|(r, _)| r as u8)
-                    .collect(),
+                since: t.unstable_since,
+                missing: ring_mask(self.k) & !t.filled(),
             })
             .collect()
     }
@@ -273,12 +333,14 @@ impl CutDetector {
     /// edges (in-configuration predecessors for removals, temporary
     /// observers for joiners).
     ///
-    /// Returns the number of implicit alerts applied.
+    /// Implicit alerts fill slots locally and are never relayed (see
+    /// `Tracker::implicit`). Returns the number of implicit alerts
+    /// applied.
     pub fn apply_implicit_alerts<F>(&mut self, observers_of: F, now: u64) -> usize
     where
         F: Fn(NodeId) -> Vec<(u8, NodeId)>,
     {
-        if self.faulty_observer_count == 0 {
+        if self.regions.faulty_observers == 0 {
             // No REMOVE-tracked subject has reached L: no observer can be
             // faulty, so no implicit alert can fire. Skipping the scan here
             // is exact (not an approximation) and keeps join herds O(1).
@@ -289,40 +351,33 @@ impl CutDetector {
             // An observer counts as "faulty" only for REMOVE tracking (a
             // joining process is not a member and observes nobody), and
             // qualifies from the unstable region onwards (see above).
-            let unstable_observers: crate::hash::DetHashSet<NodeId> = self
+            let faulty_observers: crate::hash::DetHashSet<NodeId> = self
                 .trackers
                 .iter()
-                .filter(|(_, t)| t.status == EdgeStatus::Down && t.tally >= self.l)
+                .filter(|(_, t)| t.status == EdgeStatus::Down && t.tally() >= self.l)
                 .map(|(&id, _)| id)
                 .collect();
-            let mut pending: Vec<Alert> = Vec::new();
-            for s in self.unstable_subjects() {
-                for (ring, o) in observers_of(s.id) {
-                    if !unstable_observers.contains(&o) || !s.missing_rings.contains(&ring) {
-                        continue;
-                    }
-                    pending.push(match s.status {
-                        EdgeStatus::Down => {
-                            Alert::remove(o, s.id, s.addr, self.config_id, ring)
-                        }
-                        EdgeStatus::Up => Alert::join(
-                            o,
-                            s.id,
-                            s.addr,
-                            self.config_id,
-                            ring,
-                            Metadata::new(),
-                        ),
-                    });
-                }
-            }
-            let mut progressed = false;
-            for a in &pending {
-                progressed |= self.record(a, now);
-            }
-            applied += pending.len();
-            if !progressed {
+            let pending: Vec<(NodeId, u64)> = self
+                .unstable_subjects()
+                .into_iter()
+                .map(|s| {
+                    let rings = observers_of(s.id)
+                        .into_iter()
+                        .filter(|(_, o)| faulty_observers.contains(o))
+                        .fold(0u64, |m, (ring, _)| m | 1u64.checked_shl(ring as u32).unwrap_or(0));
+                    (s.id, rings & s.missing)
+                })
+                .filter(|&(_, rings)| rings != 0)
+                .collect();
+            if pending.is_empty() {
                 return applied;
+            }
+            for (subject, rings) in pending {
+                let tracker = self.trackers.get_mut(&subject).expect("unstable subject");
+                let old = tracker.tally();
+                tracker.implicit |= rings;
+                applied += rings.count_ones() as usize;
+                self.regions.rise(tracker, old, self.l, self.h, now);
             }
         }
     }
@@ -496,9 +551,68 @@ mod tests {
         assert_eq!(u.len(), 1);
         assert_eq!(u[0].id, NodeId::from_u128(50));
         assert_eq!(u[0].since, 43, "entered unstable at second alert");
-        assert_eq!(u[0].missing_rings.len(), 8);
-        assert!(!u[0].missing_rings.contains(&0));
-        assert!(!u[0].missing_rings.contains(&1));
+        assert_eq!(u[0].missing, 0b11_1111_1100);
+    }
+
+    fn remove_item(subject: u128, rings: u64) -> GossipItem {
+        GossipItem {
+            subject_id: NodeId::from_u128(subject),
+            subject_addr: ep(subject),
+            status: EdgeStatus::Down,
+            rings,
+            metadata: Metadata::new(),
+        }
+    }
+
+    #[test]
+    fn record_mask_returns_the_fresh_rings() {
+        let mut cd = detector();
+        assert_eq!(cd.record_mask(&remove_item(50, 0b0011), 0), 0b0011);
+        assert_eq!(cd.record_mask(&remove_item(50, 0b0110), 0), 0b0100);
+        assert_eq!(cd.record_mask(&remove_item(50, 0b0110), 0), 0, "duplicate");
+        assert!(!cd.record(&remove_alert(3, 50, 2), 0), "ring 2 arrived in a mask");
+        assert_eq!(cd.tally(NodeId::from_u128(50)), 3);
+        // Rings outside 0..K and conflicting statuses record nothing.
+        assert_eq!(cd.record_mask(&remove_item(50, 1 << 10), 0), 0);
+        let mut join = remove_item(50, 0b1000);
+        join.status = EdgeStatus::Up;
+        assert_eq!(cd.record_mask(&join, 0), 0);
+        assert_eq!(cd.tally(NodeId::from_u128(50)), 3);
+    }
+
+    #[test]
+    fn a_mask_may_cross_both_watermarks_at_once() {
+        let mut cd = detector();
+        cd.record_mask(&remove_item(50, 0b1), 0);
+        assert_eq!(cd.mode(NodeId::from_u128(50)), ReportMode::Noise);
+        cd.record_mask(&remove_item(50, 0b111_1111), 0);
+        assert_eq!(cd.mode(NodeId::from_u128(50)), ReportMode::Stable);
+        assert_eq!(cd.unstable_count(), 0);
+        assert!(cd.has_proposal());
+    }
+
+    #[test]
+    fn implicit_slots_count_but_leave_the_real_alert_fresh() {
+        let mut cd = detector();
+        for r in 0..4u8 {
+            cd.record(&remove_alert(r as u128 + 1, 50, r), 0);
+        }
+        for r in 0..3u8 {
+            cd.record(&remove_alert(r as u128 + 1, 51, r), 0);
+        }
+        let observers_of = |s: NodeId| -> Vec<(u8, NodeId)> {
+            if s == NodeId::from_u128(50) {
+                vec![(4, NodeId::from_u128(51))]
+            } else {
+                Vec::new()
+            }
+        };
+        assert_eq!(cd.apply_implicit_alerts(observers_of, 5), 1);
+        assert_eq!(cd.tally(NodeId::from_u128(50)), 5);
+        // The real alert for ring 4 is still new (so it is relayed), but
+        // it fills no slot twice.
+        assert_eq!(cd.record_mask(&remove_item(50, 0b1_0000), 6), 0b1_0000);
+        assert_eq!(cd.tally(NodeId::from_u128(50)), 5);
     }
 
     #[test]

@@ -24,6 +24,13 @@ pub struct NodeMetrics {
     pub alerts_originated: u64,
     /// Alerts applied to the cut detector (own + received).
     pub alerts_applied: u64,
+    /// Gossip items refused at ingest and never relayed: an empty ring
+    /// mask, a ring `>= K`, or a status contradicting the subject's
+    /// membership (JOIN for a member, REMOVE for a non-member).
+    pub gossip_items_refused: u64,
+    /// `ConfigPush`es that reached this node when it already held their
+    /// configuration or a later one (the push was wasted).
+    pub config_pushes_stale: u64,
     /// Implicit alerts applied by the liveness rule.
     pub implicit_alerts: u64,
     /// Reinforcement echoes this node broadcast.

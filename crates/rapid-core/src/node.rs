@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use rapid_obs::{EventKind, TraceRing};
 
-use crate::alert::{Alert, EdgeStatus};
+use crate::alert::{ring_mask, Alert, EdgeStatus, GossipItem};
 use crate::broadcast::{BroadcastMode, Disseminator};
 use crate::config::{ConfigId, Configuration, Member};
 use crate::cut::CutDetector;
@@ -138,9 +138,6 @@ pub struct Node {
     /// messages here, and each `handle` call flushes at most one wire
     /// frame per destination.
     outbox: Outbox<Message>,
-    /// Reusable fresh-alert index buffer for gossip ingest (no per-message
-    /// allocation).
-    scratch_fresh: Vec<u32>,
     /// Flight recorder: the last `settings.obs_ring` protocol events
     /// (capacity 0 = recording off). Filled on this node's own event
     /// stream, which is identical across `threads` values.
@@ -220,7 +217,6 @@ impl Node {
             metrics: NodeMetrics::default(),
             view_log: Vec::new(),
             outbox: Outbox::new(true),
-            scratch_fresh: Vec::new(),
             trace: TraceRing::new(settings.obs_ring),
             first_alert_at: None,
             config: Arc::clone(&config),
@@ -482,25 +478,36 @@ impl Node {
         let Some(rank) = self.config.rank_of(id) else {
             return;
         };
-        for ring in self.topology.rings_observing(self.my_rank, rank as u32) {
-            let alert = Alert::remove(self.me.id, id, addr, self.config.id(), ring);
-            self.enqueue_alert(alert);
-        }
+        let rings = self.topology.rings_observing(self.my_rank, rank as u32);
+        self.originate(GossipItem {
+            subject_id: id,
+            subject_addr: addr,
+            status: EdgeStatus::Down,
+            rings: rings.iter().fold(0, |m, &r| m | 1 << r),
+            metadata: crate::metadata::Metadata::new(),
+        });
     }
 
-    /// Queues an alert locally (dedup, local application, dissemination).
-    fn enqueue_alert(&mut self, alert: Alert) -> bool {
-        let Some(alert) = self.diss.queue_alert(alert) else {
+    /// Applies and queues for dissemination this node's own alerts about
+    /// one subject. Returns whether any of its rings was new.
+    fn originate(&mut self, item: GossipItem) -> bool {
+        if !self.admissible(&item) {
             return false;
-        };
-        self.metrics.alerts_originated += 1;
+        }
+        let fresh = self.cut.record_mask(&item, self.now);
+        if fresh == 0 {
+            return false;
+        }
+        self.metrics.alerts_originated += fresh.count_ones() as u64;
         self.trace.push(
             self.now,
             EventKind::AlertOriginated,
-            alert.subject_id.digest(),
-            (alert.status == EdgeStatus::Up) as u64,
+            item.subject_id.digest(),
+            (item.status == EdgeStatus::Up) as u64,
         );
-        self.apply_alert(&alert);
+        self.note_applied(item.subject_id, item.status, fresh);
+        let me = self.me.id;
+        self.diss.originate(me, GossipItem { rings: fresh, ..item });
         true
     }
 
@@ -526,26 +533,21 @@ impl Node {
                     .map(|e| e.ring)
                     .collect(),
             };
-            let mut echoed = false;
-            for ring in my_rings {
-                if !s.missing_rings.contains(&ring) {
-                    continue;
-                }
-                let alert = match s.status {
-                    EdgeStatus::Down => {
-                        Alert::remove(self.me.id, s.id, s.addr, self.config.id(), ring)
-                    }
-                    EdgeStatus::Up => Alert::join(
-                        self.me.id,
-                        s.id,
-                        s.addr,
-                        self.config.id(),
-                        ring,
-                        crate::metadata::Metadata::new(),
-                    ),
-                };
-                echoed |= self.enqueue_alert(alert);
+            let rings = my_rings.iter().fold(0u64, |m, &r| m | 1 << r) & s.missing;
+            if rings == 0 {
+                continue;
             }
+            let metadata = match s.status {
+                EdgeStatus::Up => self.cut.metadata(s.id),
+                EdgeStatus::Down => crate::metadata::Metadata::new(),
+            };
+            let echoed = self.originate(GossipItem {
+                subject_id: s.id,
+                subject_addr: s.addr,
+                status: s.status,
+                rings,
+                metadata,
+            });
             if echoed {
                 self.metrics.reinforcements += 1;
                 self.trace.push(self.now, EventKind::Reinforce, s.id.digest(), 0);
@@ -553,7 +555,23 @@ impl Node {
         }
     }
 
-    /// Validates and records one alert into the cut detector.
+    /// Whether a gossip item may be applied in the current configuration:
+    /// its mask names at least one ring and only rings `< K`, and its
+    /// status matches the subject's membership (JOIN for a non-member,
+    /// REMOVE for a member).
+    ///
+    /// Nothing here checks who alerted. An item names no observer, and
+    /// neither check would stop a forger: before items, an alert's
+    /// `observer` was only checked to be a member, so any member could
+    /// forge any alert, and a ring index `< K` is no weaker.
+    fn admissible(&self, item: &GossipItem) -> bool {
+        let subject_is_member = self.config.contains(item.subject_id);
+        item.rings != 0
+            && item.rings & !ring_mask(self.settings.k) == 0
+            && subject_is_member == (item.status == EdgeStatus::Down)
+    }
+
+    /// Validates and records one alert of a unicast `AlertBatch`.
     fn apply_alert(&mut self, alert: &Alert) {
         if alert.config_id != self.config.id() {
             return;
@@ -570,15 +588,21 @@ impl Node {
             return;
         }
         if self.cut.record(alert, self.now) {
-            self.metrics.alerts_applied += 1;
-            self.first_alert_at.get_or_insert(self.now);
-            self.trace.push(
-                self.now,
-                EventKind::AlertApplied,
-                alert.subject_id.digest(),
-                (alert.status == EdgeStatus::Up) as u64,
-            );
+            self.note_applied(alert.subject_id, alert.status, 1);
         }
+    }
+
+    /// Counts the `fresh` rings about `subject` the cut detector just
+    /// applied.
+    fn note_applied(&mut self, subject: NodeId, status: EdgeStatus, fresh: u64) {
+        self.metrics.alerts_applied += fresh.count_ones() as u64;
+        self.first_alert_at.get_or_insert(self.now);
+        self.trace.push(
+            self.now,
+            EventKind::AlertApplied,
+            subject.digest(),
+            (status == EdgeStatus::Up) as u64,
+        );
     }
 
     /// Implicit alerts, proposal emission, fast-path voting, and decision
@@ -914,9 +938,9 @@ impl Node {
             Message::Gossip {
                 config_id,
                 config_seq,
-                alerts,
+                items,
                 votes,
-            } => self.on_gossip(from, config_id, config_seq, &alerts, &votes, out),
+            } => self.on_gossip(from, config_id, config_seq, &items, &votes, out),
             Message::Vote {
                 config_id,
                 state,
@@ -1054,6 +1078,9 @@ impl Node {
             }
             Message::ConfigPush { snapshot } => {
                 if self.status == NodeStatus::Active {
+                    if snapshot.seq <= self.config.seq() {
+                        self.metrics.config_pushes_stale += 1;
+                    }
                     self.install_snapshot(snapshot, out);
                 }
             }
@@ -1150,15 +1177,13 @@ impl Node {
             return;
         }
         self.pending_joiners.insert(joiner.id, joiner.clone());
-        let alert = Alert::join(
-            self.me.id,
-            joiner.id,
-            joiner.addr,
-            config_id,
-            ring,
-            joiner.metadata.clone(),
-        );
-        self.enqueue_alert(alert);
+        self.originate(GossipItem {
+            subject_id: joiner.id,
+            subject_addr: joiner.addr,
+            status: EdgeStatus::Up,
+            rings: 1u64.checked_shl(ring as u32).unwrap_or(0),
+            metadata: joiner.metadata.clone(),
+        });
         self.post_process(out);
     }
 
@@ -1167,7 +1192,7 @@ impl Node {
         from: Endpoint,
         config_id: ConfigId,
         config_seq: u64,
-        alerts: &[Arc<Alert>],
+        items: &[Arc<GossipItem>],
         votes: &[crate::paxos::VoteState],
         out: &mut Vec<Action>,
     ) {
@@ -1185,12 +1210,20 @@ impl Node {
             }
             return;
         }
-        let mut fresh = std::mem::take(&mut self.scratch_fresh);
-        self.diss.ingest_alerts(alerts, &mut fresh);
-        for &i in &fresh {
-            self.apply_alert(&alerts[i as usize]);
+        // An item's rings this node had not heard are both what it applies
+        // and what makes it relay the item; a malformed item is neither
+        // applied nor relayed.
+        for item in items {
+            if !self.admissible(item) {
+                self.metrics.gossip_items_refused += 1;
+                continue;
+            }
+            let fresh = self.cut.record_mask(item, self.now);
+            if fresh != 0 {
+                self.note_applied(item.subject_id, item.status, fresh);
+                self.diss.relay(item);
+            }
         }
-        self.scratch_fresh = fresh;
         if !votes.is_empty() {
             for v in votes {
                 self.fast.merge(v.hash, &v.bitmap, None);
@@ -1381,7 +1414,7 @@ mod tests {
         let gossip = Message::Gossip {
             config_id: ConfigId(0xB0B),
             config_seq: 1,
-            alerts: Vec::new().into(),
+            items: Vec::new().into(),
             votes: Vec::new().into(),
         };
         for msg in [gossip, Message::ConfigPull { have_seq: 2 }] {
@@ -1389,6 +1422,106 @@ mod tests {
             assert_eq!((snapshot.id, snapshot.seq), (cfg.id(), 3));
             assert!(Arc::ptr_eq(&snapshot.members, cfg.shared_members()));
         }
+    }
+
+    fn gossip_item(subject: u128, status: EdgeStatus, rings: u64) -> Arc<GossipItem> {
+        Arc::new(GossipItem {
+            subject_id: NodeId::from_u128(subject),
+            subject_addr: Endpoint::new(format!("n{subject}"), 1),
+            status,
+            rings,
+            metadata: crate::metadata::Metadata::new(),
+        })
+    }
+
+    /// Delivers one gossip message in `cfg` carrying `items` to `node`.
+    fn deliver_items(node: &mut Node, cfg: &Configuration, items: Vec<Arc<GossipItem>>) {
+        let msg = Message::Gossip {
+            config_id: cfg.id(),
+            config_seq: cfg.seq(),
+            items: items.into(),
+            votes: Vec::new().into(),
+        };
+        let from = Endpoint::new("n2", 1);
+        node.handle(Event::Receive { from, msg }, &mut Vec::new());
+    }
+
+    /// The gossip items `node` sends on a tick at `now_ms`.
+    fn relayed_items(node: &mut Node, now_ms: u64) -> Vec<Arc<GossipItem>> {
+        let mut out = Vec::new();
+        node.handle(Event::Tick { now_ms }, &mut out);
+        let mut items = Vec::new();
+        let mut note = |m: &Message| {
+            if let Message::Gossip { items: sent, .. } = m {
+                items.extend(sent.iter().cloned());
+            }
+        };
+        for a in &out {
+            match a {
+                Action::Send { msg: Message::Batch { msgs }, .. } => msgs.iter().for_each(&mut note),
+                Action::Send { msg, .. } => note(msg),
+                _ => {}
+            }
+        }
+        items
+    }
+
+    #[test]
+    fn malformed_gossip_items_are_refused_counted_and_never_relayed() {
+        let (mut node, cfg) = node_of_seq_3_view();
+        let k = node.settings().k;
+        let refused = vec![
+            gossip_item(2, EdgeStatus::Down, 0),      // no ring
+            gossip_item(2, EdgeStatus::Down, 1 << k), // a ring >= K
+            gossip_item(3, EdgeStatus::Up, 0b1),      // JOIN for a member
+            gossip_item(99, EdgeStatus::Down, 0b1),   // REMOVE for a non-member
+        ];
+        deliver_items(&mut node, &cfg, refused);
+        assert_eq!(node.metrics().gossip_items_refused, 4);
+        assert_eq!(node.metrics().alerts_applied, 0);
+        assert!(relayed_items(&mut node, 0).is_empty(), "a refused item is not relayed");
+
+        // A well-formed item is applied and relayed as received.
+        let good = gossip_item(2, EdgeStatus::Down, 0b101);
+        deliver_items(&mut node, &cfg, vec![Arc::clone(&good)]);
+        assert_eq!(node.metrics().alerts_applied, 2);
+        assert_eq!(node.metrics().gossip_items_refused, 4);
+        let relayed = relayed_items(&mut node, 1_000);
+        assert!(!relayed.is_empty() && relayed.iter().all(|i| Arc::ptr_eq(i, &good)));
+    }
+
+    #[test]
+    fn duplicate_rings_are_neither_applied_nor_relayed_again() {
+        let (mut node, cfg) = node_of_seq_3_view();
+        deliver_items(&mut node, &cfg, vec![gossip_item(2, EdgeStatus::Down, 0b011)]);
+        let _ = relayed_items(&mut node, 0);
+        // Only ring 2 is new: the entry gains it, ring 0 and 1 are not
+        // applied twice.
+        deliver_items(&mut node, &cfg, vec![gossip_item(2, EdgeStatus::Down, 0b110)]);
+        assert_eq!(node.metrics().alerts_applied, 3);
+        let relayed = relayed_items(&mut node, 1_000);
+        assert!(relayed.iter().all(|i| i.rings == 0b111));
+    }
+
+    #[test]
+    fn config_pushes_at_or_behind_the_view_are_counted() {
+        let (mut node, cfg) = node_of_seq_3_view();
+        let push = |seq: u64| Message::ConfigPush {
+            snapshot: ConfigSnapshot {
+                id: ConfigId(0xC0F + seq),
+                seq,
+                members: Arc::clone(cfg.shared_members()),
+            },
+        };
+        for seq in [2, 3, 4, 4] {
+            let from = Endpoint::new("n2", 1);
+            node.handle(Event::Receive { from, msg: push(seq) }, &mut Vec::new());
+        }
+        // seq 2 and 3 reach a node at seq 3; seq 4 installs once, then is
+        // stale itself.
+        assert_eq!(node.metrics().config_pushes_stale, 3);
+        assert_eq!(node.configuration().seq(), 4);
+        assert_eq!(node.view_history().len(), 2);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 /// All tunable parameters of a Rapid node.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Settings {
-    /// Number of monitoring rings / observers per subject (paper `K`).
+    /// Number of monitoring rings / observers per subject (paper `K`),
+    /// at most 64: gossip carries a subject's rings as a 64-bit mask.
     pub k: usize,
     /// High watermark: a subject with `tally >= H` is in stable report mode.
     pub h: usize,
@@ -179,6 +180,10 @@ impl Settings {
         if self.k == 0 {
             return Err("K must be at least 1".into());
         }
+        if self.k > 64 {
+            // A gossip item carries a subject's rings as a u64 mask.
+            return Err(format!("K must be at most 64 (the ring-mask width), got {}", self.k));
+        }
         if !(1 <= self.l && self.l <= self.h && self.h <= self.k) {
             return Err(format!(
                 "watermarks must satisfy 1 <= L <= H <= K, got K={} H={} L={}",
@@ -245,6 +250,13 @@ mod tests {
         assert!(Settings::with_watermarks(10, 9, 0).validate().is_err());
         assert!(Settings::with_watermarks(10, 3, 9).validate().is_err());
         assert!(Settings::with_watermarks(0, 0, 0).validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_more_rings_than_the_mask_holds() {
+        assert!(Settings::with_watermarks(64, 60, 3).validate().is_ok());
+        let err = Settings::with_watermarks(65, 60, 3).validate().unwrap_err();
+        assert!(err.contains("at most 64"), "diagnostic names the limit: {err}");
     }
 
     #[test]

@@ -12,12 +12,32 @@
 //! Large payloads (alert batches, proposal bodies) are wrapped in [`Arc`]
 //! so that broadcasting to thousands of simulated recipients clones a
 //! pointer, not a vector.
+//!
+//! # Layouts of the alert-carrying messages
+//!
+//! Integers are little-endian; an endpoint is a `u16` host length, the
+//! host bytes and a `u16` port; metadata is a `u16` entry count, then per
+//! entry a `u16`-prefixed key and a `u32`-prefixed value.
+//!
+//! * `AlertBatch` (unicast mode): tag 5, `u64` config id, `u32` count,
+//!   then per alert: `u128` observer, `u128` subject id, endpoint, `u8`
+//!   status (1 = JOIN), `u64` config id, `u8` ring, metadata.
+//! * `Gossip`: tag 6, `u64` config id, `u64` config seq, `u32` item
+//!   count, then per [`GossipItem`]: `u128` subject id, endpoint (the
+//!   subject's address), `u8` status (1 = JOIN), `u64` ring mask (bit `r`
+//!   = the alert of the subject's ring-`r` observer), metadata; then a
+//!   `u16` vote count and the vote states. An item carries no observer
+//!   and no config id: the topology fixes the observer of each
+//!   `(subject, ring)`, and the header's config id scopes every item. The
+//!   decoder accepts any mask; the receiving node refuses an item whose
+//!   mask is empty or names a ring `>= K` (it knows `K`, the codec does
+//!   not).
 
 use std::sync::Arc;
 
 use bytes::BufMut;
 
-use crate::alert::{Alert, EdgeStatus};
+use crate::alert::{Alert, EdgeStatus, GossipItem};
 use crate::codec::{
     endpoint_len, put_bytes32, put_endpoint, put_str16, str16_len, DecodeError, DecodeLimits,
     Reader,
@@ -111,17 +131,17 @@ pub enum Message {
         /// The alerts.
         alerts: Arc<[Alert]>,
     },
-    /// One epidemic gossip round: fresh alert items plus the sender's
-    /// aggregated vote bitmaps.
+    /// One epidemic gossip round: the sender's live alert items, one per
+    /// subject, plus its aggregated vote bitmaps.
     Gossip {
-        /// Sender's configuration.
+        /// Sender's configuration; it scopes every item.
         config_id: ConfigId,
         /// Sender's configuration sequence number (laggard detection).
         config_seq: u64,
-        /// Relayed alert items. Each is shared with the relay queues and
-        /// batches that carry it, from the originating observer (or the
-        /// decoder) on.
-        alerts: Arc<[Arc<Alert>]>,
+        /// Relayed alert items, one per subject. Each is shared with the
+        /// relay queues and batches that carry it, from the originating
+        /// observer (or the decoder) on.
+        items: Arc<[Arc<GossipItem>]>,
         /// Aggregated fast-path vote states.
         votes: Arc<[VoteState]>,
     },
@@ -288,6 +308,14 @@ fn put_alert(buf: &mut Vec<u8>, a: &Alert) {
     put_metadata(buf, &a.metadata);
 }
 
+fn put_item(buf: &mut Vec<u8>, it: &GossipItem) {
+    buf.put_u128_le(it.subject_id.as_u128());
+    put_endpoint(buf, &it.subject_addr);
+    buf.put_u8(matches!(it.status, EdgeStatus::Up) as u8);
+    buf.put_u64_le(it.rings);
+    put_metadata(buf, &it.metadata);
+}
+
 fn put_rank(buf: &mut Vec<u8>, r: Rank) {
     buf.put_u32_le(r.round);
     buf.put_u32_le(r.coordinator);
@@ -428,15 +456,15 @@ pub fn encode(msg: &Message, buf: &mut Vec<u8>) {
         Message::Gossip {
             config_id,
             config_seq,
-            alerts,
+            items,
             votes,
         } => {
             buf.put_u8(TAG_GOSSIP);
             buf.put_u64_le(config_id.0);
             buf.put_u64_le(*config_seq);
-            buf.put_u32_le(alerts.len() as u32);
-            for a in alerts.iter() {
-                put_alert(buf, a);
+            buf.put_u32_le(items.len() as u32);
+            for it in items.iter() {
+                put_item(buf, it);
             }
             buf.put_u16_le(votes.len() as u16);
             for v in votes.iter() {
@@ -583,6 +611,10 @@ fn alert_len(a: &Alert) -> usize {
     16 + 16 + endpoint_len(&a.subject_addr) + 1 + 8 + 1 + metadata_len(&a.metadata)
 }
 
+fn item_len(it: &GossipItem) -> usize {
+    16 + endpoint_len(&it.subject_addr) + 1 + 8 + metadata_len(&it.metadata)
+}
+
 const RANK_LEN: usize = 8;
 
 fn proposal_len(p: &Proposal) -> usize {
@@ -631,10 +663,10 @@ pub fn encoded_len(msg: &Message) -> usize {
         Message::AlertBatch { alerts, .. } => {
             8 + 4 + alerts.iter().map(alert_len).sum::<usize>()
         }
-        Message::Gossip { alerts, votes, .. } => {
+        Message::Gossip { items, votes, .. } => {
             8 + 8
                 + 4
-                + alerts.iter().map(|a| alert_len(a)).sum::<usize>()
+                + items.iter().map(|it| item_len(it)).sum::<usize>()
                 + 2
                 + votes.iter().map(vote_state_len).sum::<usize>()
         }
@@ -822,23 +854,29 @@ fn alert(r: &mut Reader<'_>) -> Result<Alert, DecodeError> {
         observer: NodeId::from_u128(r.u128()?),
         subject_id: NodeId::from_u128(r.u128()?),
         subject_addr: r.endpoint()?,
-        status: if r.u8()? == 1 {
-            EdgeStatus::Up
-        } else {
-            EdgeStatus::Down
-        },
+        status: status(r)?,
         config_id: ConfigId(r.u64()?),
         ring: r.u8()?,
         metadata: metadata(r)?,
     })
 }
 
-/// A counted alert list, each alert passed through `wrap` (the identity
-/// for an `AlertBatch`, `Arc::new` for a gossip batch).
-fn alerts<T>(r: &mut Reader<'_>, wrap: impl Fn(Alert) -> T) -> Result<Arc<[T]>, DecodeError> {
-    let n = r.u32()? as usize;
-    // two ids + empty endpoint + status + config + ring + empty metadata
-    Ok(items(r, n, 48, |r| alert(r).map(&wrap))?.into())
+fn status(r: &mut Reader<'_>) -> Result<EdgeStatus, DecodeError> {
+    Ok(if r.u8()? == 1 {
+        EdgeStatus::Up
+    } else {
+        EdgeStatus::Down
+    })
+}
+
+fn gossip_item(r: &mut Reader<'_>) -> Result<GossipItem, DecodeError> {
+    Ok(GossipItem {
+        subject_id: NodeId::from_u128(r.u128()?),
+        subject_addr: r.endpoint()?,
+        status: status(r)?,
+        rings: r.u64()?,
+        metadata: metadata(r)?,
+    })
 }
 
 fn rank(r: &mut Reader<'_>) -> Result<Rank, DecodeError> {
@@ -934,21 +972,29 @@ fn decode_one(r: &mut Reader<'_>, nested: bool) -> Result<Message, DecodeError> 
             status: join_status_from_u8(r.u8()?)?,
             snapshot: r.opt(snapshot)?,
         },
-        TAG_ALERT_BATCH => Message::AlertBatch {
-            config_id: ConfigId(r.u64()?),
-            alerts: alerts(r, |a| a)?,
-        },
+        TAG_ALERT_BATCH => {
+            let config_id = ConfigId(r.u64()?);
+            let n = r.u32()? as usize;
+            // two ids + empty endpoint + status + config + ring + empty metadata
+            let alerts = items(r, n, 48, alert)?;
+            Message::AlertBatch {
+                config_id,
+                alerts: alerts.into(),
+            }
+        }
         TAG_GOSSIP => {
             let config_id = ConfigId(r.u64()?);
             let config_seq = r.u64()?;
-            let alerts = alerts(r, Arc::new)?;
+            let n = r.u32()? as usize;
+            // id + empty endpoint + status + mask + empty metadata
+            let gossip_items = items(r, n, 31, |r| gossip_item(r).map(Arc::new))?;
             let n = r.u16()? as usize;
             // proposal hash + empty bitmap
             let votes = r.list(n, 12, vote_state)?;
             Message::Gossip {
                 config_id,
                 config_seq,
-                alerts,
+                items: gossip_items.into(),
                 votes: votes.into(),
             }
         }
@@ -1041,6 +1087,17 @@ mod tests {
         )
     }
 
+    /// The one-ring gossip item of an alert.
+    fn item_of(a: &Alert) -> Arc<GossipItem> {
+        Arc::new(GossipItem {
+            subject_id: a.subject_id,
+            subject_addr: a.subject_addr,
+            status: a.status,
+            rings: 1 << a.ring,
+            metadata: a.metadata.clone(),
+        })
+    }
+
     fn roundtrip(msg: &Message) -> Message {
         let bytes = encode_to_vec(msg);
         decode(&bytes).expect("decode must succeed")
@@ -1129,18 +1186,17 @@ mod tests {
         let mut bitmap = BitVec::new(100);
         bitmap.set(3);
         bitmap.set(99);
-        let alert = Alert::join(
-            NodeId::from_u128(5),
-            NodeId::from_u128(6),
-            Endpoint::new("j", 9),
-            ConfigId(1),
-            7,
-            Metadata::with_entry("role", "db"),
-        );
+        let item = GossipItem {
+            subject_id: NodeId::from_u128(6),
+            subject_addr: Endpoint::new("j", 9),
+            status: EdgeStatus::Up,
+            rings: 1 << 7 | 1 << 63,
+            metadata: Metadata::with_entry("role", "db"),
+        };
         let msg = Message::Gossip {
             config_id: ConfigId(1),
             config_seq: 12,
-            alerts: vec![Arc::new(alert.clone())].into(),
+            items: vec![Arc::new(item.clone())].into(),
             votes: vec![VoteState {
                 hash: p.hash(),
                 bitmap: bitmap.clone(),
@@ -1150,13 +1206,13 @@ mod tests {
         match roundtrip(&msg) {
             Message::Gossip {
                 config_seq,
-                alerts,
+                items,
                 votes,
                 ..
             } => {
                 assert_eq!(config_seq, 12);
-                assert_eq!(alerts.len(), 1);
-                assert_eq!(*alerts[0], alert);
+                assert_eq!(items.len(), 1);
+                assert_eq!(*items[0], item);
                 assert_eq!(votes[0].hash, p.hash());
                 assert_eq!(votes[0].bitmap, bitmap);
             }
@@ -1294,7 +1350,7 @@ mod tests {
             Message::Gossip {
                 config_id: ConfigId(1),
                 config_seq: 12,
-                alerts: alerts.iter().cloned().map(Arc::new).collect(),
+                items: alerts.iter().map(item_of).collect(),
                 votes: vec![vote.clone()].into(),
             },
             Message::Vote {
@@ -1464,6 +1520,21 @@ mod tests {
             }
         );
 
+        // Gossip item counts too, at 31 bytes per item (id, empty
+        // endpoint, status, mask, empty metadata).
+        let mut bytes = vec![TAG_GOSSIP];
+        bytes.extend_from_slice(&7u64.to_le_bytes()); // config_id
+        bytes.extend_from_slice(&1u64.to_le_bytes()); // config_seq
+        bytes.extend_from_slice(&1_000u32.to_le_bytes()); // item count
+        bytes.extend_from_slice(&[0u8; 32]);
+        assert_eq!(
+            decode(&bytes).unwrap_err(),
+            DecodeError::Truncated {
+                need: 1_000 * 31,
+                have: 32
+            }
+        );
+
         // Snapshot member counts get the same treatment.
         let mut bytes = vec![TAG_CONFIG_PUSH];
         bytes.extend_from_slice(&7u64.to_le_bytes()); // id
@@ -1476,7 +1547,7 @@ mod tests {
         let mut bytes = vec![TAG_GOSSIP];
         bytes.extend_from_slice(&7u64.to_le_bytes()); // config_id
         bytes.extend_from_slice(&1u64.to_le_bytes()); // config_seq
-        bytes.extend_from_slice(&0u32.to_le_bytes()); // no alerts
+        bytes.extend_from_slice(&0u32.to_le_bytes()); // no items
         bytes.extend_from_slice(&u16::MAX.to_le_bytes()); // vote count
         bytes.extend_from_slice(&[0u8; 12]); // one vote's worth
         assert_eq!(
@@ -1548,7 +1619,7 @@ mod tests {
             Message::Gossip {
                 config_id: ConfigId(1),
                 config_seq: 12,
-                alerts: alerts.iter().cloned().map(Arc::new).collect(),
+                items: alerts.iter().map(item_of).collect(),
                 votes: vec![vote.clone()].into(),
             },
             Message::Vote {

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use rapid_core::alert::Alert;
+use rapid_core::alert::{Alert, EdgeStatus, GossipItem};
 use rapid_core::config::{ConfigId, Member};
 use rapid_core::id::{Endpoint, NodeId};
 use rapid_core::membership::{Proposal, ProposalItem};
@@ -89,6 +89,32 @@ proptest! {
         prop_assert_eq!(wire::encode_to_vec(&decoded), bytes);
     }
 
+    /// Gossip items round-trip field for field, whatever their mask,
+    /// status or metadata, and the size accounting matches the encoder.
+    #[test]
+    fn gossip_items_roundtrip(seed in 0u64..100_000, n in 0usize..40) {
+        let mut rng = rapid_core::rng::Xoshiro256::seed_from_u64(seed);
+        let items: Vec<GossipItem> = (0..n).map(|_| gossip_item(&mut rng)).collect();
+        let msg = Message::Gossip {
+            config_id: ConfigId(seed),
+            config_seq: seed ^ 0x5eed,
+            items: items.iter().cloned().map(std::sync::Arc::new).collect(),
+            votes: Vec::new().into(),
+        };
+        let bytes = wire::encode_to_vec(&msg);
+        prop_assert_eq!(wire::encoded_len(&msg), bytes.len() + 4);
+        match wire::decode(&bytes).expect("valid gossip must decode") {
+            Message::Gossip { config_id, config_seq, items: decoded, votes } => {
+                prop_assert_eq!(config_id, ConfigId(seed));
+                prop_assert_eq!(config_seq, seed ^ 0x5eed);
+                prop_assert!(votes.is_empty());
+                let decoded: Vec<GossipItem> = decoded.iter().map(|i| (**i).clone()).collect();
+                prop_assert_eq!(decoded, items);
+            }
+            other => prop_assert!(false, "wrong variant {}", other.kind()),
+        }
+    }
+
     /// Any mix of message families coalesced into a `Batch` frame
     /// round-trips bit-exactly — order preserved — and the batch's
     /// arithmetic size accounting agrees with the real encoder.
@@ -108,6 +134,28 @@ proptest! {
             }
             other => prop_assert!(false, "expected Batch, got {}", other.kind()),
         }
+    }
+}
+
+/// A gossip item with any ring mask (the decoder accepts every mask; the
+/// node refuses the empty one and rings `>= K`), either status, and
+/// metadata on about half of them.
+fn gossip_item(rng: &mut rapid_core::rng::Xoshiro256) -> GossipItem {
+    let rings = match rng.gen_range(4) {
+        0 => 0,
+        1 => u64::MAX,
+        _ => rng.next_u64(),
+    };
+    GossipItem {
+        subject_id: NodeId::from_u128(rng.next_u64() as u128),
+        subject_addr: Endpoint::new(format!("s{}", rng.gen_range(100)), rng.gen_range(65_535) as u16 + 1),
+        status: if rng.gen_bool(0.5) { EdgeStatus::Up } else { EdgeStatus::Down },
+        rings,
+        metadata: if rng.gen_bool(0.5) {
+            Metadata::with_entry("role", format!("r{}", rng.gen_range(10)))
+        } else {
+            Metadata::new()
+        },
     }
 }
 
@@ -186,8 +234,8 @@ fn sample_message(seed: u64) -> Message {
             Message::Gossip {
                 config_id: ConfigId(rng.next_u64()),
                 config_seq: rng.next_u64(),
-                alerts: (0..rng.gen_range(4))
-                    .map(|_| std::sync::Arc::new(alert(&mut rng)))
+                items: (0..rng.gen_range(4))
+                    .map(|_| std::sync::Arc::new(gossip_item(&mut rng)))
                     .collect::<Vec<_>>()
                     .into(),
                 votes: vec![VoteState {

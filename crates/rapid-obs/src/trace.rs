@@ -18,9 +18,12 @@
 pub enum EventKind {
     /// Failure detector gave up on a subject (`a` = subject endpoint id).
     ProbeTimeout = 0,
-    /// This node originated a REMOVE/JOIN alert (`a` = subject, `b` = 1 if join).
+    /// This node originated REMOVE/JOIN alerts about one subject, one
+    /// event per gossip item (`a` = subject, `b` = 1 if join).
     AlertOriginated = 1,
-    /// An alert crossed this node's high watermark (`a` = subject, `b` = 1 if join).
+    /// New alerts about one subject reached this node's cut detector, one
+    /// event per gossip item or unicast alert (`a` = subject, `b` = 1 if
+    /// join).
     AlertApplied = 2,
     /// Cut detector implicated subjects implicitly (`a` = how many).
     ImplicitAlert = 3,

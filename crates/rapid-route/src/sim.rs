@@ -697,8 +697,8 @@ mod tests {
     /// each fold to a recorded fingerprint at one shard and at two.
     #[test]
     fn kv_trace_and_timeline_dumps_are_pinned() {
-        const GOLDEN_TRACE: u64 = 0x5ea8_8bf1_901d_4a10;
-        const GOLDEN_TIMELINE: u64 = 0xfdbc_175b_5d28_2b69;
+        const GOLDEN_TRACE: u64 = 0x0af7_9a95_5f56_a33e;
+        const GOLDEN_TIMELINE: u64 = 0x9740_045f_3633_64ec;
         let fold = |lines: Vec<String>| {
             assert!(!lines.is_empty());
             let mut fp = rapid_core::hash::StableHasher::new("kv-dump");

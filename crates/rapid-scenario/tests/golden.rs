@@ -140,8 +140,8 @@ fn kv_churn_report_json_is_identical_across_sim_runs() {
 fn kv_churn_and_kv_rebalance_report_content_is_pinned() {
     use rapid_core::hash::StableHasher;
     for (stem, golden) in [
-        ("kv_churn", 0xaf58_a9b5_deb2_24bc_u64),
-        ("kv_rebalance", 0xaa05_5262_183a_8941),
+        ("kv_churn", 0x62e9_a406_ee0c_d8af_u64),
+        ("kv_rebalance", 0x7e46_f14f_b62f_2cf5),
     ] {
         let scenario = shipped(stem);
         let mut driver = SimDriver::new(SystemKind::Rapid, &scenario).expect("sim driver");

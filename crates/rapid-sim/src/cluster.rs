@@ -271,8 +271,8 @@ impl Actor for RapidActor {
                 Message::AlertBatch { alerts: y, .. },
             ) => std::ptr::eq(x.as_ptr(), y.as_ptr()),
             (
-                Message::Gossip { alerts: xa, votes: xv, .. },
-                Message::Gossip { alerts: ya, votes: yv, .. },
+                Message::Gossip { items: xa, votes: xv, .. },
+                Message::Gossip { items: ya, votes: yv, .. },
             ) => std::ptr::eq(xa.as_ptr(), ya.as_ptr()) && std::ptr::eq(xv.as_ptr(), yv.as_ptr()),
             (Message::Phase1a { .. }, Message::Phase1a { .. })
             | (Message::Phase2b { .. }, Message::Phase2b { .. })

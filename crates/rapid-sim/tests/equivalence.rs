@@ -100,6 +100,9 @@ fn churn_64_trace_is_stable_across_repeated_runs() {
 const GOLDEN_VIEWS: usize = 3;
 const GOLDEN_VIEW_CHAIN: u64 = 0xfcc0_5f43_eb5b_530a;
 
-// Recorded from the same scenario with the per-peer outbox batching.
+// Recorded from the same scenario with the per-peer outbox batching. The
+// traffic fingerprint was re-recorded when gossip began to carry one
+// ring-mask item per subject instead of one alert per (observer, ring):
+// the same events, smaller frames.
 const GOLDEN_EVENTS_BATCHED: u64 = 109_799;
-const GOLDEN_TRAFFIC_BATCHED: u64 = 9_025_459_585_269_083_488;
+const GOLDEN_TRAFFIC_BATCHED: u64 = 18_081_814_467_318_225_480;

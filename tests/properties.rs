@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use rapid::core::alert::Alert;
+use rapid::core::alert::{Alert, EdgeStatus, GossipItem};
 use rapid::core::config::{ConfigId, Configuration, Member};
 use rapid::core::cut::CutDetector;
 use rapid::core::membership::{Proposal, ProposalItem};
@@ -41,7 +41,9 @@ proptest! {
 
     /// Almost-everywhere agreement seed property: whatever order alerts
     /// arrive in, once the full alert set is ingested the proposal is
-    /// identical (same hash) at every process.
+    /// identical (same hash) at every process — also when the same rings
+    /// arrive as gossip items: random per-subject groupings, merged ring
+    /// masks, and duplicates, in random order.
     #[test]
     fn cut_detection_is_order_independent(
         subjects in prop::collection::btree_set(0u128..50, 1..6),
@@ -73,9 +75,53 @@ proptest! {
         for alert in alerts.iter().rev() {
             cd2.record(alert, 0);
         }
+        // The same rings as items: each subject's K rings split into
+        // random masks, some merged by OR before they arrive and some
+        // sent twice.
+        let mut items: Vec<GossipItem> = Vec::new();
+        for &s in &subjects {
+            let mut left = (1u64 << k) - 1;
+            while left != 0 {
+                let take = left & rng.next_u64();
+                let rings = if take == 0 { left & left.wrapping_neg() } else { take };
+                left &= !rings;
+                items.push(GossipItem {
+                    subject_id: NodeId::from_u128(s + 1),
+                    subject_addr: Endpoint::new(format!("m{s}"), 4000),
+                    status: EdgeStatus::Down,
+                    rings,
+                    metadata: Metadata::new(),
+                });
+            }
+        }
+        // A relay ORs masks: a merged item replaces both halves, so their
+        // rings arrive only through the merge.
+        let mut i = 0;
+        while i + 1 < items.len() {
+            if items[i].subject_id == items[i + 1].subject_id && rng.gen_bool(0.5) {
+                items[i] = items[i].merged(&items[i + 1]);
+                items.remove(i + 1);
+            } else {
+                i += 1;
+            }
+        }
+        for i in 0..items.len() {
+            if rng.gen_bool(0.3) {
+                items.push(items[i].clone());
+            }
+        }
+        rng.shuffle(&mut items);
+        let mut cd3 = CutDetector::new(ConfigId(9), k, 9, 3);
+        let mut fresh_total = 0;
+        for item in &items {
+            fresh_total += cd3.record_mask(item, 0).count_ones() as usize;
+        }
+        prop_assert_eq!(fresh_total, alerts.len(), "each ring is fresh exactly once");
         let p1 = cd1.proposal().expect("full tallies must propose");
         let p2 = cd2.proposal().expect("full tallies must propose");
+        let p3 = cd3.proposal().expect("full tallies must propose");
         prop_assert_eq!(p1.hash(), p2.hash());
+        prop_assert_eq!(p1.hash(), p3.hash());
         prop_assert_eq!(p1.len(), subjects.len());
     }
 
