@@ -1231,19 +1231,8 @@ impl KvNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mesh::{members, Flight, Mesh};
     use rapid_core::config::ConfigId;
-    use rapid_core::id::NodeId;
-
-    fn members(n: usize) -> Vec<Member> {
-        (0..n)
-            .map(|i| {
-                Member::new(
-                    NodeId::from_u128(i as u128 + 1),
-                    Endpoint::new(format!("kv-{i}"), 7100),
-                )
-            })
-            .collect()
-    }
 
     fn spec() -> PlacementConfig {
         PlacementConfig {
@@ -1257,11 +1246,10 @@ mod tests {
         Endpoint::new("client-mesh", 9000)
     }
 
-    /// Delivers `op` to `node` as the wire `CPut`/`CGet` [`client`]
-    /// sends under request id `req` (reads carry no floor), returning
-    /// what the node emits.
-    fn client_op(node: &mut KvNode, req: u64, op: ClientOp<'_>, now: u64) -> Vec<KvOut> {
-        let msg = match op {
+    /// `op` as the wire `CPut`/`CGet` [`client`] sends under request id
+    /// `req`; reads carry no floor.
+    fn wire(req: u64, op: ClientOp<'_>) -> KvMsg {
+        match op {
             ClientOp::Put { key, val } => KvMsg::CPut {
                 req,
                 key: key.into(),
@@ -1272,164 +1260,54 @@ mod tests {
                 key: key.into(),
                 floor: 0,
             },
-        };
-        let mut out = Vec::new();
-        node.on_message(client(), msg, now, &mut out);
-        out
+        }
     }
 
-    /// The verdicts in `out` for [`client`], as `(req, outcome)`.
-    fn verdicts(out: &[KvOut]) -> Vec<(u64, KvOutcome)> {
-        msgs_to(out, client())
-            .into_iter()
-            .map(|msg| {
-                let KvMsg::CResp {
-                    req,
-                    code,
-                    val,
-                    version,
-                } = msg
-                else {
-                    panic!("a client is sent only verdicts here: {msg:?}");
-                };
-                let outcome = match code {
-                    CRESP_ACKED => KvOutcome::Acked { version },
-                    CRESP_FOUND => KvOutcome::Found { val, version },
-                    CRESP_MISSING => KvOutcome::Missing,
-                    CRESP_FAILED => KvOutcome::Failed,
-                    other => panic!("unexpected verdict code {other} for {req}"),
-                };
-                (req, outcome)
+    /// Sends `op` to its key's leader as [`client`]'s request `req`, runs
+    /// the mesh to quiescence and returns the verdicts [`client`] got.
+    fn op(mesh: &mut Mesh, req: u64, op: ClientOp<'_>) -> Vec<(u64, KvOutcome)> {
+        let key = match op {
+            ClientOp::Put { key, .. } | ClientOp::Get { key } => key,
+        };
+        let leader = mesh.nodes[mesh.leader_of(key)].me().addr;
+        mesh.send(client(), leader, wire(req, op));
+        mesh.run_to_quiescence();
+        verdicts(mesh)
+    }
+
+    /// The verdicts delivered to [`client`] since the last call; every
+    /// op here goes to its key's leader, so none is `NotLeader`.
+    fn verdicts(mesh: &mut Mesh) -> Vec<(u64, KvOutcome)> {
+        let replies = mesh.take_replies(client()).into_iter();
+        replies.map(|(req, v)| (req, v.expect("the leader serves"))).collect()
+    }
+
+    /// The messages in `flights` addressed to `to`, batch frames flattened.
+    fn sent_to(flights: &[Flight], to: Endpoint) -> Vec<KvMsg> {
+        flights
+            .iter()
+            .filter(|(_, dest, _)| *dest == to)
+            .flat_map(|(_, _, msg)| match msg {
+                KvMsg::Batch(inner) => inner.clone(),
+                other => vec![other.clone()],
             })
             .collect()
     }
 
-    /// A little in-process cluster harness delivering KV messages
-    /// synchronously, for unit-testing the state machine without a
-    /// simulator. Nodes in `crashed` silently eat every message — the
-    /// harness-level model of a dead process.
-    struct Mesh {
-        nodes: Vec<KvNode>,
-        config: Arc<Configuration>,
-        crashed: Vec<usize>,
-    }
-
-    impl Mesh {
-        fn new(n: usize) -> Mesh {
-            Mesh::with_spec(n, spec())
-        }
-
-        fn with_spec(n: usize, sp: PlacementConfig) -> Mesh {
-            let ms = members(n);
-            let config = Configuration::bootstrap(ms.clone());
-            let cache = PlacementCache::new();
-            let mut nodes: Vec<KvNode> = ms
-                .into_iter()
-                .map(|m| KvNode::new(m, sp, 1_000, Some(cache.clone())))
-                .collect();
-            let mut out = Vec::new();
-            for node in &mut nodes {
-                node.on_view(Arc::clone(&config), 0, &mut out);
-            }
-            assert!(out.is_empty(), "initial view must not emit traffic");
-            Mesh {
-                nodes,
-                config,
-                crashed: Vec::new(),
-            }
-        }
-
-        fn idx_of(&self, addr: Endpoint) -> usize {
-            self.nodes
-                .iter()
-                .position(|n| n.me().addr == addr)
-                .expect("addressed node exists")
-        }
-
-        /// The node leading `key`'s partition in the view of the first
-        /// live node — where a smart client with that view sends the op.
-        fn leader_of(&self, key: &str) -> usize {
-            let live = (0..self.nodes.len())
-                .find(|i| !self.crashed.contains(i))
-                .expect("someone is alive");
-            let (cfg, pl) = self.nodes[live].view.as_ref().expect("view installed");
-            let rank = pl.leader(partition_of(key, pl.partitions()));
-            self.idx_of(cfg.members()[rank as usize].addr)
-        }
-
-        /// Submits `op` at its key's leader as [`client`]'s request `req`
-        /// and pumps to quiescence.
-        fn op(&mut self, req: u64, op: ClientOp<'_>, now: u64) -> Vec<(u64, KvOutcome)> {
-            let key = match op {
-                ClientOp::Put { key, .. } | ClientOp::Get { key } => key,
-            };
-            let leader = self.leader_of(key);
-            let out = client_op(&mut self.nodes[leader], req, op, now);
-            self.pump_from(leader, out)
-        }
-
-        /// Runs the message pump to quiescence, returning the verdicts
-        /// sent to [`client`] as `(req, outcome)`. `origin` is the node
-        /// whose outputs seeded the queue (the real hosts know the sender
-        /// of every frame; RepAck quorums depend on it).
-        fn pump_from(&mut self, origin: usize, seed: Vec<KvOut>) -> Vec<(u64, KvOutcome)> {
-            let origin_addr = self.nodes[origin].me().addr;
-            let mut queue: Vec<(Endpoint, KvOut)> =
-                seed.into_iter().map(|item| (origin_addr, item)).collect();
-            let mut done = Vec::new();
-            let mut hops = 0;
-            while let Some((from, item)) = queue.pop() {
-                hops += 1;
-                assert!(hops < 10_000, "message storm");
-                match item {
-                    KvOut::Done(..) => panic!("a node answers its clients on the wire"),
-                    KvOut::Send(to, msg) if to == client() => {
-                        done.extend(verdicts(&[KvOut::Send(to, msg)]));
-                    }
-                    KvOut::Send(to, msg) => {
-                        let idx = self.idx_of(to);
-                        if self.crashed.contains(&idx) {
-                            continue; // Dead processes receive nothing.
-                        }
-                        let mut out = Vec::new();
-                        self.nodes[idx].on_message(from, msg, 0, &mut out);
-                        queue.extend(out.into_iter().map(|item| (to, item)));
-                    }
-                }
-            }
-            done
-        }
-
-        /// Ticks every live node at `now` and pumps the resulting
-        /// traffic (repair rounds included).
-        fn tick_all(&mut self, now: u64) -> Vec<(u64, KvOutcome)> {
-            let mut done = Vec::new();
-            for i in 0..self.nodes.len() {
-                if self.crashed.contains(&i) {
-                    continue;
-                }
-                let mut out = Vec::new();
-                self.nodes[i].on_tick(now, &mut out);
-                done.extend(self.pump_from(i, out));
-            }
-            done
-        }
-    }
-
     #[test]
     fn put_then_get_roundtrip_at_the_leader() {
-        let mut mesh = Mesh::new(4);
+        let mut mesh = Mesh::new(4, spec());
         let put = ClientOp::Put {
             key: "user:7",
             val: "v1",
         };
-        let results = mesh.op(1, put, 0);
+        let results = op(&mut mesh, 1, put);
         let acked = results
             .iter()
             .any(|(r, o)| *r == 1 && matches!(o, KvOutcome::Acked { .. }));
         assert!(acked, "put must ack: {results:?}");
 
-        let results = mesh.op(2, ClientOp::Get { key: "user:7" }, 0);
+        let results = op(&mut mesh, 2, ClientOp::Get { key: "user:7" });
         assert!(
             results
                 .iter()
@@ -1438,14 +1316,14 @@ mod tests {
         );
 
         // A missing key reads as Missing, not Failed.
-        let results = mesh.op(3, ClientOp::Get { key: "user:unseen" }, 0);
+        let results = op(&mut mesh, 3, ClientOp::Get { key: "user:unseen" });
         assert_eq!(results, vec![(3, KvOutcome::Missing)]);
     }
 
     #[test]
     fn acked_writes_reach_every_replica() {
-        let mut mesh = Mesh::new(5);
-        let results = mesh.op(1, ClientOp::Put { key: "k", val: "v" }, 0);
+        let mut mesh = Mesh::new(5, spec());
+        let results = op(&mut mesh, 1, ClientOp::Put { key: "k", val: "v" });
         let version = match &results[..] {
             [(_, KvOutcome::Acked { version })] => *version,
             other => panic!("expected one ack, got {other:?}"),
@@ -1464,7 +1342,7 @@ mod tests {
 
     #[test]
     fn overwrites_bump_versions_monotonically() {
-        let mut mesh = Mesh::new(3);
+        let mut mesh = Mesh::new(3, spec());
         let mut versions = Vec::new();
         for i in 0..4 {
             let val = format!("v{i}");
@@ -1472,7 +1350,7 @@ mod tests {
                 key: "key",
                 val: &val,
             };
-            for (_, o) in mesh.op(i, put, 0) {
+            for (_, o) in op(&mut mesh, i, put) {
                 if let KvOutcome::Acked { version } = o {
                     versions.push(version);
                 }
@@ -1484,14 +1362,19 @@ mod tests {
 
     #[test]
     fn ops_without_a_view_fail_fast() {
-        let m = members(1).remove(0);
-        let mut kv = KvNode::new(m, spec(), 1_000, None);
-        let out = client_op(&mut kv, 1, ClientOp::Put { key: "k", val: "v" }, 0);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert_eq!(verdicts(&out), vec![(1, KvOutcome::Failed)]);
-        let out = client_op(&mut kv, 2, ClientOp::Get { key: "k" }, 0);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert_eq!(verdicts(&out), vec![(2, KvOutcome::Failed)]);
+        let mut mesh = Mesh::new(1, spec());
+        let me = mesh.nodes[0].me().clone();
+        let addr = me.addr;
+        mesh.nodes[0] = KvNode::new(me, spec(), 1_000, None); // No view installed.
+        let ops = [(1, ClientOp::Put { key: "k", val: "v" }), (2, ClientOp::Get { key: "k" })];
+        for (req, op) in ops {
+            mesh.send(client(), addr, wire(req, op));
+            mesh.deliver(0);
+            assert_eq!(mesh.pending().len(), 1, "{:?}", mesh.pending());
+            mesh.run_to_quiescence();
+            assert_eq!(verdicts(&mut mesh), vec![(req, KvOutcome::Failed)]);
+        }
+        let kv = &mesh.nodes[0];
         assert_eq!(kv.stats().puts_failed, 1);
         assert_eq!(kv.stats().gets_failed, 1);
     }
@@ -1501,13 +1384,16 @@ mod tests {
     /// and keeps no state for the op.
     #[test]
     fn a_non_leader_answers_not_leader_and_keeps_nothing() {
-        let mut mesh = Mesh::new(3);
+        let mut mesh = Mesh::new(3, spec());
         let key = (0..100)
             .map(|i| format!("probe-{i}"))
             .find(|k| mesh.leader_of(k) != 0)
             .expect("some key is led away from node 0");
-        let mut out = client_op(&mut mesh.nodes[0], 7, ClientOp::Put { key: &key, val: "v" }, 0);
-        out.extend(client_op(&mut mesh.nodes[0], 8, ClientOp::Get { key: &key }, 0));
+        let to = mesh.nodes[0].me().addr;
+        mesh.send(client(), to, wire(7, ClientOp::Put { key: &key, val: "v" }));
+        mesh.send(client(), to, wire(8, ClientOp::Get { key: &key }));
+        mesh.deliver(0);
+        mesh.deliver(0);
         let seq = mesh.config.seq();
         let not_leader = |req| KvMsg::CResp {
             req,
@@ -1515,10 +1401,11 @@ mod tests {
             val: String::new(),
             version: seq,
         };
-        assert_eq!(msgs_to(&out, client()), vec![not_leader(7), not_leader(8)]);
+        assert_eq!(sent_to(mesh.pending(), client()), vec![not_leader(7), not_leader(8)]);
         assert!(
-            out.iter().all(|o| matches!(o, KvOut::Send(to, _) if *to == client())),
-            "nothing goes to another node: {out:?}"
+            mesh.pending().iter().all(|(_, to, _)| *to == client()),
+            "nothing goes to another node: {:?}",
+            mesh.pending()
         );
         let node = &mesh.nodes[0];
         assert_eq!(node.inbox_depth(), 0);
@@ -1540,7 +1427,7 @@ mod tests {
     /// counters, and nothing lingers in either pending map.
     #[test]
     fn pending_maps_keep_stats_parity() {
-        let mut mesh = Mesh::new(4);
+        let mut mesh = Mesh::new(4, spec());
         let (mut puts, mut gets) = (0u64, 0u64);
         for i in 0..40 {
             let key = format!("par-{i}");
@@ -1548,13 +1435,13 @@ mod tests {
                 key: &key,
                 val: "v",
             };
-            mesh.op(puts + gets, put, 0);
+            op(&mut mesh, puts + gets, put);
             puts += 1;
-            mesh.op(puts + gets, ClientOp::Get { key: &key }, 0);
+            op(&mut mesh, puts + gets, ClientOp::Get { key: &key });
             gets += 1;
         }
         // A read of a key that never existed also completes (Missing).
-        mesh.op(puts + gets, ClientOp::Get { key: "par-unseen" }, 0);
+        op(&mut mesh, puts + gets, ClientOp::Get { key: "par-unseen" });
         gets += 1;
         let mut totals = KvStats::default();
         for n in &mesh.nodes {
@@ -1570,23 +1457,6 @@ mod tests {
         }
     }
 
-    /// Flattens batch frames and returns every message addressed to `to`.
-    fn msgs_to(out: &[KvOut], to: Endpoint) -> Vec<KvMsg> {
-        let mut v = Vec::new();
-        for item in out {
-            if let KvOut::Send(dest, msg) = item {
-                if *dest != to {
-                    continue;
-                }
-                match msg {
-                    KvMsg::Batch(inner) => v.extend(inner.iter().cloned()),
-                    other => v.push(other.clone()),
-                }
-            }
-        }
-        v
-    }
-
     /// The admission-control pin (satellite): ops over the inbox bound —
     /// or over the timeline-keyed p99 threshold — are answered with a
     /// typed `Overloaded` verdict before any state changes, so a shed op
@@ -1594,43 +1464,28 @@ mod tests {
     /// under shedding.
     #[test]
     fn shed_ops_are_typed_and_never_acked() {
-        let ms = members(3);
-        let config = Configuration::bootstrap(ms.clone());
         let sp = spec();
-        let cache = PlacementCache::new();
-        let mut node = KvNode::new(ms[0].clone(), sp, 1_000, Some(cache.clone()))
-            .with_admission(2, 0);
-        let mut out = Vec::new();
-        node.on_view(Arc::clone(&config), 0, &mut out);
-        assert!(out.is_empty());
+        let mut mesh = Mesh::with(3, sp, |node| node.with_admission(2, 0));
+        let n0 = mesh.nodes[0].me().addr;
         let client = Endpoint::new("client-x", 9000);
-        // Keys this node leads: replication needs RepAcks we never
-        // deliver, so admitted ops stay pending and fill the inbox.
+        // Keys node 0 leads: replication needs RepAcks, and the
+        // Replicates stay in flight, so admitted ops stay pending and
+        // fill the inbox.
         let led: Vec<String> = (0..200)
             .map(|i| format!("shed-{i}"))
-            .filter(|k| node.is_leader(partition_of(k, sp.partitions)))
+            .filter(|k| mesh.nodes[0].is_leader(partition_of(k, sp.partitions)))
             .take(3)
             .collect();
         assert_eq!(led.len(), 3, "enough keys led by node 0");
-        let mut answers = Vec::new();
         for (i, key) in led.iter().enumerate() {
-            let mut out = Vec::new();
-            node.on_message(
-                client,
-                KvMsg::CPut {
-                    req: i as u64,
-                    key: key.clone(),
-                    val: "v".into(),
-                },
-                0,
-                &mut out,
-            );
-            answers.extend(msgs_to(&out, client));
+            mesh.send(client, n0, wire(i as u64, ClientOp::Put { key, val: "v" }));
+            mesh.deliver(mesh.pending().len() - 1);
         }
+        let node = &mesh.nodes[0];
         assert_eq!(node.inbox_depth(), 2, "two admitted, one shed");
         assert_eq!(node.stats().ops_shed, 1);
         assert_eq!(
-            answers,
+            sent_to(mesh.pending(), client),
             vec![KvMsg::CResp {
                 req: 2,
                 code: CRESP_OVERLOADED,
@@ -1648,10 +1503,9 @@ mod tests {
         // Drive the admitted ops to their deadline: they fail (their
         // RepAcks never arrive), the shed op stays shed — no CResp for
         // req 2 ever says Acked.
-        let mut out = Vec::new();
-        node.on_tick(1_000, &mut out);
-        answers.extend(msgs_to(&out, client));
-        assert_eq!(node.inbox_depth(), 0, "deadline clears the inbox");
+        mesh.tick(1_000);
+        let answers = sent_to(mesh.pending(), client);
+        assert_eq!(mesh.nodes[0].inbox_depth(), 0, "deadline clears the inbox");
         assert!(
             !answers
                 .iter()
@@ -1669,45 +1523,24 @@ mod tests {
 
         // The latency-keyed soft shed: under the hard bound but past the
         // interval-p99 threshold with a half-full inbox, arrivals shed.
-        let mut soft = KvNode::new(ms[0].clone(), sp, 1_000, Some(cache))
-            .with_admission(4, 10);
-        let mut out = Vec::new();
-        soft.on_view(Arc::clone(&config), 0, &mut out);
+        let mut soft = Mesh::with(3, sp, |node| node.with_admission(4, 10));
         for (i, key) in led.iter().enumerate() {
-            let mut out = Vec::new();
-            soft.on_message(
-                client,
-                KvMsg::CPut {
-                    req: i as u64,
-                    key: key.clone(),
-                    val: "v".into(),
-                },
-                0,
-                &mut out,
-            );
-            assert!(msgs_to(&out, client).is_empty(), "under both thresholds");
+            soft.send(client, n0, wire(i as u64, ClientOp::Put { key, val: "v" }));
+            soft.deliver(soft.pending().len() - 1);
+            assert!(sent_to(soft.pending(), client).is_empty(), "under both thresholds");
         }
-        assert_eq!(soft.inbox_depth(), 3);
-        soft.note_interval(50); // timeline interval p99 breaches 10ms
-        let mut out = Vec::new();
-        soft.on_message(
-            client,
-            KvMsg::CPut {
-                req: 99,
-                key: led[0].clone(),
-                val: "v2".into(),
-            },
-            0,
-            &mut out,
-        );
+        assert_eq!(soft.nodes[0].inbox_depth(), 3);
+        soft.nodes[0].note_interval(50); // timeline interval p99 breaches 10ms
+        soft.send(client, n0, wire(99, ClientOp::Put { key: &led[0], val: "v2" }));
+        soft.deliver(soft.pending().len() - 1);
         assert!(
             matches!(
-                &msgs_to(&out, client)[..],
+                &sent_to(soft.pending(), client)[..],
                 [KvMsg::CResp { req: 99, code, .. }] if *code == CRESP_OVERLOADED
             ),
             "p99 over threshold with a half-full inbox must shed"
         );
-        assert_eq!(soft.stats().ops_shed, 1);
+        assert_eq!(soft.nodes[0].stats().ops_shed, 1);
     }
 
     /// A leader at its `kv_inbox` bound sheds a `CPut` whoever sends it,
@@ -1716,32 +1549,27 @@ mod tests {
     #[test]
     fn a_leader_at_its_bound_sheds_and_nothing_bypasses_admission() {
         let ms = members(3);
-        let config = Configuration::bootstrap(ms.clone());
-        let mut node = KvNode::new(ms[0].clone(), spec(), 1_000, None).with_admission(2, 0);
-        let mut out = Vec::new();
-        node.on_view(Arc::clone(&config), 0, &mut out);
+        let mut mesh = Mesh::with(3, spec(), |node| node.with_admission(2, 0));
+        let me = ms[0].addr;
         let led: Vec<String> = (0..200)
             .map(|i| format!("bound-{i}"))
-            .filter(|k| node.is_leader(partition_of(k, spec().partitions)))
+            .filter(|k| mesh.nodes[0].is_leader(partition_of(k, spec().partitions)))
             .take(3)
             .collect();
-        let cput = |req: u64, key: &str| KvMsg::CPut {
-            req,
-            key: key.into(),
-            val: "v".into(),
-        };
-        // Two rounds wait on RepAcks that never come: the inbox is full.
+        // Two rounds wait on RepAcks that never come (their Replicates
+        // stay in flight): the inbox is full.
         for (req, key) in led[..2].iter().enumerate() {
-            node.on_message(client(), cput(req as u64, key), 0, &mut out);
+            mesh.send(client(), me, wire(req as u64, ClientOp::Put { key, val: "v" }));
+            mesh.deliver(mesh.pending().len() - 1);
         }
-        assert_eq!(node.inbox_depth(), 2);
+        assert_eq!(mesh.nodes[0].inbox_depth(), 2);
         let partition = partition_of(&led[2], spec().partitions);
         let peer = ms[1].addr;
         // The client's op, the same op relayed by a peer, and every
         // peer-plane message a follower sends its leader.
         let arrivals = [
-            (client(), cput(10, &led[2])),
-            (peer, cput(11, &led[2])),
+            (client(), wire(10, ClientOp::Put { key: &led[2], val: "v" })),
+            (peer, wire(11, ClientOp::Put { key: &led[2], val: "v" })),
             (peer, KvMsg::RepAck { req: 99 }),
             (
                 peer,
@@ -1764,19 +1592,22 @@ mod tests {
         ];
         let mut shed = Vec::new();
         for (from, msg) in arrivals {
-            let mut out = Vec::new();
-            node.on_message(from, msg, 1, &mut out);
-            shed.extend(msgs_to(&out, from).into_iter().filter_map(|m| match m {
+            let held = mesh.pending().len();
+            mesh.send(from, me, msg);
+            mesh.deliver(held);
+            let out = &mesh.pending()[held..];
+            shed.extend(sent_to(out, from).into_iter().filter_map(|m| match m {
                 KvMsg::CResp { req, code, .. } => Some((req, code)),
                 _ => None,
             }));
             let replicated = ms[1..]
                 .iter()
-                .flat_map(|m| msgs_to(&out, m.addr))
+                .flat_map(|m| sent_to(out, m.addr))
                 .any(|m| matches!(m, KvMsg::Replicate { .. }));
             assert!(!replicated, "no new round: {out:?}");
         }
         assert_eq!(shed, vec![(10, CRESP_OVERLOADED), (11, CRESP_OVERLOADED)]);
+        let node = &mesh.nodes[0];
         assert_eq!(node.stats().ops_shed, 2);
         assert_eq!(node.inbox_depth(), 2, "nothing started a round");
         assert_eq!(node.store.get(partition, &led[2]), None, "the shed write never applied");
@@ -1789,11 +1620,11 @@ mod tests {
     fn subscriptions_push_views_to_clients() {
         use rapid_core::membership::Proposal;
 
-        let mut mesh = Mesh::new(4);
+        let mut mesh = Mesh::new(4, spec());
         let client = Endpoint::new("client-sub", 9000);
-        let mut out = Vec::new();
-        mesh.nodes[1].on_message(client, KvMsg::Sub, 0, &mut out);
-        let pushed = msgs_to(&out, client);
+        mesh.send(client, mesh.nodes[1].me().addr, KvMsg::Sub);
+        mesh.deliver(0);
+        let pushed = sent_to(mesh.pending(), client);
         match &pushed[..] {
             [KvMsg::View { config_id, seq, members }] => {
                 assert_eq!(*config_id, mesh.config.id().0);
@@ -1806,14 +1637,14 @@ mod tests {
         assert_eq!(mesh.nodes[0].client_conns(), 0);
 
         // A view change pushes the new view to the subscriber.
+        mesh.run_to_quiescence();
         let removal = Proposal::from_items(
             mesh.config.id(),
             vec![mesh.config.removal_item(3)],
         );
         let new_cfg = mesh.config.apply(&removal);
-        let mut out = Vec::new();
-        mesh.nodes[1].on_view(Arc::clone(&new_cfg), 1_000, &mut out);
-        let pushed = msgs_to(&out, client);
+        mesh.install(Arc::clone(&new_cfg), &[1]);
+        let pushed = sent_to(mesh.pending(), client);
         assert!(
             pushed
                 .iter()
@@ -1836,7 +1667,7 @@ mod tests {
             partitions: 16,
             replication: 3,
         };
-        let mut mesh = Mesh::with_spec(6, sp);
+        let mut mesh = Mesh::new(6, sp);
         let key = "repair-key";
         let partition = partition_of(key, sp.partitions);
 
@@ -1865,7 +1696,7 @@ mod tests {
             key,
             val: "precious",
         };
-        let results = mesh.op(1, put, 0);
+        let results = op(&mut mesh, 1, put);
         let acked_version = results
             .iter()
             .find_map(|(r, o)| match o {
@@ -1876,21 +1707,13 @@ mod tests {
 
         // Install the new view everywhere that is alive — but the source
         // crashes mid-push: none of its handoffs ever leave the host.
-        mesh.crashed = vec![victim_idx, source_idx];
-        let mut outs: Vec<(usize, Vec<KvOut>)> = Vec::new();
-        for i in 0..mesh.nodes.len() {
-            if i == victim_idx {
-                continue;
-            }
-            let mut out = Vec::new();
-            mesh.nodes[i].on_view(Arc::clone(&new_cfg), 1_000, &mut out);
-            if i != source_idx {
-                outs.push((i, out));
-            } // The source's pushes die with it.
+        mesh.crash(victim_idx);
+        mesh.install(Arc::clone(&new_cfg), &mesh.live());
+        mesh.crash(source_idx);
+        while let Some(i) = mesh.pending().iter().position(|(from, ..)| *from == mv.source) {
+            mesh.drop(i);
         }
-        for (i, out) in outs {
-            mesh.pump_from(i, out);
-        }
+        mesh.run_to_quiescence();
         assert!(
             mesh.nodes[receiver_idx].awaiting.contains(&partition),
             "receiver must be guarding the unarrived handoff"
@@ -1899,15 +1722,16 @@ mod tests {
         // The old-bug pin: far past the retired two-op-timeout budget,
         // with the receiver's repair traffic lost too, the guard must
         // still hold — time alone never clears it.
-        let mut lost = Vec::new();
-        mesh.nodes[receiver_idx].on_tick(10_000, &mut lost);
-        drop(lost);
+        mesh.tick(10_000);
+        while !mesh.pending().is_empty() {
+            mesh.drop(0);
+        }
         assert!(
             mesh.nodes[receiver_idx].awaiting.contains(&partition),
             "the awaiting guard must not expire on a timer"
         );
         // And a client read of the acked key must never answer Missing.
-        let results = mesh.op(2, ClientOp::Get { key }, 10_000);
+        let results = op(&mut mesh, 2, ClientOp::Get { key });
         assert!(
             !results
                 .iter()
@@ -1919,7 +1743,8 @@ mod tests {
         // so the receiver reaches a live, settled replica within a few
         // rounds and recovers the partition.
         for round in 0..6 {
-            mesh.tick_all(11_000 + round * 1_000);
+            mesh.tick(11_000 + round * 1_000);
+            mesh.run_to_quiescence();
         }
         assert!(
             !mesh.nodes[receiver_idx].awaiting.contains(&partition),
@@ -1932,10 +1757,8 @@ mod tests {
         assert_eq!(entry.0, "precious");
         assert!(entry.1 >= acked_version, "version went backwards");
         let mut totals = KvStats::default();
-        for (i, n) in mesh.nodes.iter().enumerate() {
-            if !mesh.crashed.contains(&i) {
-                totals.absorb(n.stats());
-            }
+        for i in mesh.live() {
+            totals.absorb(mesh.nodes[i].stats());
         }
         assert!(totals.repairs_triggered >= 1, "repair must have fired");
         assert!(totals.repair_bytes > 0, "repair must have moved bytes");
@@ -1949,29 +1772,22 @@ mod tests {
         let removal2 =
             Proposal::from_items(new_cfg.id(), vec![new_cfg.removal_item(src_rank)]);
         let final_cfg = new_cfg.apply(&removal2);
-        let mut outs: Vec<(usize, Vec<KvOut>)> = Vec::new();
-        for i in 0..mesh.nodes.len() {
-            if mesh.crashed.contains(&i) {
-                continue;
-            }
-            let mut out = Vec::new();
-            mesh.nodes[i].on_view(Arc::clone(&final_cfg), 20_000, &mut out);
-            outs.push((i, out));
-        }
-        for (i, out) in outs {
-            mesh.pump_from(i, out);
-        }
+        mesh.install(Arc::clone(&final_cfg), &mesh.live());
+        mesh.run_to_quiescence();
         for round in 0..6 {
-            mesh.tick_all(21_000 + round * 1_000);
+            mesh.tick(21_000 + round * 1_000);
+            mesh.run_to_quiescence();
         }
         let req = 3;
-        let mut results = mesh.op(req, ClientOp::Get { key }, 30_000);
+        let mut results = op(&mut mesh, req, ClientOp::Get { key });
         // A first answer may have been stale/retryable; drive retries.
         for extra in 1..=5 {
             if results.iter().any(|(r, _)| *r == req) {
                 break;
             }
-            results.extend(mesh.tick_all(30_000 + extra * 100));
+            mesh.tick(30_000 + extra * 100);
+            mesh.run_to_quiescence();
+            results.extend(verdicts(&mut mesh));
         }
         let outcome = results
             .iter()
@@ -2016,7 +1832,8 @@ mod tests {
             replication: 3,
         };
         let cache = PlacementCache::new();
-        let v1 = Configuration::bootstrap(members(6));
+        let mut mesh = Mesh::new(6, sp);
+        let v1 = Arc::clone(&mesh.config);
         let pl1 = cache.get(&v1, &sp);
         // A key whose leader L keeps the partition when follower B
         // departs, while follower A stays and some C is added.
@@ -2035,27 +1852,32 @@ mod tests {
                 (still_leads && new.contains(&a)).then_some((key, leader, a, b, c))
             })
             .expect("some key keeps its leader and one follower");
-        let me = v1.member_by_addr(&leader).unwrap().clone();
-        let mut node = KvNode::new(me, sp, 1_000, Some(cache.clone()));
-        let mut out = Vec::new();
-        node.on_view(Arc::clone(&v1), 0, &mut out);
         let req = 1;
-        let out = client_op(&mut node, req, ClientOp::Put { key: &key, val: "val" }, 0);
-        let sent = msgs_to(&out, a);
+        mesh.send(client(), leader, wire(req, ClientOp::Put { key: &key, val: "val" }));
+        mesh.deliver(0);
+        let sent = sent_to(mesh.pending(), a);
         let [KvMsg::Replicate { req: rep, version, .. }] = sent[..] else {
-            panic!("one Replicate to A: {out:?}");
+            panic!("one Replicate to A: {:?}", mesh.pending());
         };
-        assert_eq!(msgs_to(&out, b).len(), 1, "B is waited for too");
-        let mut out = Vec::new();
-        node.on_message(a, KvMsg::RepAck { req: rep }, 1, &mut out);
-        assert!(out.is_empty(), "still waiting on B: {out:?}");
+        assert_eq!(sent_to(mesh.pending(), b).len(), 1, "B is waited for too");
+        // A applies the write and acks; B's copy stays in flight, so its
+        // RepAck is held back.
+        let to_a = mesh.pending().iter().position(|(_, to, _)| *to == a);
+        mesh.deliver(to_a.expect("A's copy in flight"));
+        let held = mesh.pending().len();
+        mesh.deliver(held - 1); // A's RepAck.
+        assert_eq!(mesh.pending().len(), held - 1, "still waiting on B: {:?}", mesh.pending());
 
-        let mut out = Vec::new();
-        node.on_view(without(&v1, b), 2, &mut out);
-        assert!(verdicts(&out).is_empty(), "C does not hold the write yet: {out:?}");
+        mesh.crash(mesh.idx_of(b));
+        mesh.install(without(&v1, b), &[mesh.idx_of(leader)]);
+        assert!(
+            sent_to(mesh.pending(), client()).is_empty(),
+            "C does not hold the write yet: {:?}",
+            mesh.pending()
+        );
         // (Alongside C's rebalance handoff, which the leader may also
         // be the source of.)
-        let replicates: Vec<KvMsg> = msgs_to(&out, c)
+        let replicates: Vec<KvMsg> = sent_to(mesh.pending(), c)
             .into_iter()
             .filter(|m| matches!(m, KvMsg::Replicate { .. }))
             .collect();
@@ -2071,11 +1893,14 @@ mod tests {
             }],
             "the same write goes to the added replica"
         );
-        let mut out = Vec::new();
-        node.on_message(c, KvMsg::RepAck { req: rep }, 3, &mut out);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert_eq!(verdicts(&out), vec![(req, KvOutcome::Acked { version })]);
-        assert_eq!(node.stats().puts_acked, 1);
+        let to_c = mesh.pending().iter().position(|(_, to, _)| *to == c);
+        mesh.deliver(to_c.expect("C's copy in flight"));
+        let held = mesh.pending().len();
+        mesh.deliver(held - 1); // C's RepAck.
+        assert_eq!(mesh.pending().len(), held, "one frame out: {:?}", mesh.pending());
+        mesh.deliver(held - 1);
+        assert_eq!(verdicts(&mut mesh), vec![(req, KvOutcome::Acked { version })]);
+        assert_eq!(mesh.nodes[mesh.idx_of(leader)].stats().puts_acked, 1);
     }
 
     /// A leader that loses a partition at a view change answers the
@@ -2086,7 +1911,8 @@ mod tests {
     fn a_leader_that_loses_a_partition_answers_not_leader() {
         let cache = PlacementCache::new();
         let all = members(6);
-        let v1 = Configuration::bootstrap(all[..5].to_vec());
+        let mut mesh = Mesh::new(5, spec());
+        let v1 = Arc::clone(&mesh.config);
         let v2 = Configuration::from_parts(ConfigId(v1.id().0 + 1), v1.seq() + 1, all.clone());
         let (pl1, pl2) = (cache.get(&v1, &spec()), cache.get(&v2, &spec()));
         let leader_in = |cfg: &Configuration, pl: &Placement, key: &str| {
@@ -2101,24 +1927,22 @@ mod tests {
                 (leader_in(&v2, &pl2, &key) == joiner).then_some((key, old))
             })
             .expect("the joiner leads some key");
-        let me = v1.member_by_addr(&leader).unwrap().clone();
-        let mut node = KvNode::new(me, spec(), 1_000, Some(cache.clone()));
-        let mut out = Vec::new();
-        node.on_view(Arc::clone(&v1), 0, &mut out);
-        // The put waits on a RepAck that never comes; the get carries a
-        // floor no write reaches, so it waits for a retry.
+        let l = mesh.idx_of(leader);
+        // The put waits on RepAcks held back in flight; the get carries
+        // a floor no write reaches, so it waits for a retry.
         let (put, get) = (1, 2);
-        let out = client_op(&mut node, put, ClientOp::Put { key: &key, val: "v" }, 0);
-        assert!(verdicts(&out).is_empty(), "{out:?}");
-        let mut out = Vec::new();
+        mesh.send(client(), leader, wire(put, ClientOp::Put { key: &key, val: "v" }));
+        mesh.deliver(0);
+        assert!(sent_to(mesh.pending(), client()).is_empty(), "{:?}", mesh.pending());
         let read = KvMsg::CGet {
             req: get,
             key: key.clone(),
             floor: u64::MAX,
         };
-        node.on_message(client(), read, 0, &mut out);
-        assert!(verdicts(&out).is_empty(), "{out:?}");
-        assert_eq!(node.inbox_depth(), 2, "the round and the get wait");
+        mesh.send(client(), leader, read);
+        mesh.deliver(mesh.pending().len() - 1);
+        assert!(sent_to(mesh.pending(), client()).is_empty(), "{:?}", mesh.pending());
+        assert_eq!(mesh.nodes[l].inbox_depth(), 2, "the round and the get wait");
 
         let not_leader = |req| KvMsg::CResp {
             req,
@@ -2126,12 +1950,15 @@ mod tests {
             val: String::new(),
             version: v2.seq(),
         };
-        let mut out = Vec::new();
-        node.on_view(Arc::clone(&v2), 5, &mut out);
-        assert_eq!(msgs_to(&out, client()), vec![not_leader(put)], "the round answers at once");
-        let mut out = Vec::new();
-        node.on_tick(6, &mut out);
-        assert_eq!(msgs_to(&out, client()), vec![not_leader(get)], "the get at its retry");
+        let held = mesh.pending().len();
+        mesh.install(Arc::clone(&v2), &[l]);
+        let out = &mesh.pending()[held..];
+        assert_eq!(sent_to(out, client()), vec![not_leader(put)], "the round answers at once");
+        let held = mesh.pending().len();
+        mesh.tick(6);
+        let out = &mesh.pending()[held..];
+        assert_eq!(sent_to(out, client()), vec![not_leader(get)], "the get at its retry");
+        let node = &mesh.nodes[l];
         assert_eq!(node.inbox_depth(), 0, "nothing waits once both settle");
         assert_eq!((node.stats().puts_failed, node.stats().gets_failed), (1, 1));
     }

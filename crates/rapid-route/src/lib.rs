@@ -47,6 +47,8 @@
 pub mod client;
 mod codec;
 pub mod kv;
+#[doc(hidden)]
+pub mod mesh;
 pub mod placement;
 pub mod real;
 pub mod sim;

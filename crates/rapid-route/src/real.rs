@@ -295,11 +295,9 @@ struct Mirror {
     /// The KV host's snapshot, refreshed on its tick.
     kv: KvSnapshot,
     /// Sampled metrics timeline (interval deltas on the wall clock),
-    /// republished in full on every sweep. Empty when `obs_sample_ms`
-    /// is 0.
-    timeline: Vec<TimelinePoint>,
-    /// Sweeps lost to the bounded timeline ring wrapping.
-    timeline_dropped: u64,
+    /// written in place by each sweep. Disabled (capacity 0) when
+    /// `obs_sample_ms` is 0.
+    timeline: Timeline,
 }
 
 /// A real process running membership + the KV data plane.
@@ -463,12 +461,12 @@ impl KvRuntime {
     /// elapsed `obs_sample_ms` on the process wall clock, oldest first.
     /// Empty when sampling is disabled (`obs_sample_ms == 0`).
     pub fn timeline(&self) -> Vec<TimelinePoint> {
-        self.mirror.lock().timeline.clone()
+        self.mirror.lock().timeline.iter_in_order().copied().collect()
     }
 
     /// Timeline sweeps lost to the bounded ring wrapping.
     pub fn timeline_dropped(&self) -> u64 {
-        self.mirror.lock().timeline_dropped
+        self.mirror.lock().timeline.dropped()
     }
 
     /// [`Self::inbox_depth`] as a one-entry list, the shape the
@@ -557,15 +555,13 @@ fn publisher(mirror: Arc<Mutex<Mirror>>, obs_sample_ms: u64) -> impl FnMut(&mut 
     let start = Instant::now();
     // Metrics timeline: the same delta sampler the simulator runs, on
     // the wall clock. Capacity 0 (`obs_sample_ms == 0`) disables it.
-    let mut timeline = Timeline::new(if obs_sample_ms > 0 {
-        DEFAULT_TIMELINE_CAP
-    } else {
-        0
-    });
+    let cap = if obs_sample_ms > 0 { DEFAULT_TIMELINE_CAP } else { 0 };
+    mirror.lock().timeline = Timeline::new(cap);
     // Cumulative totals as of the previous sample.
     let mut cursor = TimelinePoint::default();
     let mut prev_hist = LatencyHist::new();
-    let mut next_sample = start + Duration::from_millis(obs_sample_ms.max(1));
+    let period = Duration::from_millis(obs_sample_ms.max(1));
+    let mut next_sample = start + period;
     move |kv, ticked| {
         if !ticked {
             return;
@@ -580,7 +576,8 @@ fn publisher(mirror: Arc<Mutex<Mirror>>, obs_sample_ms: u64) -> impl FnMut(&mut 
         // Metrics sweep: record the deltas since the previous sample. The
         // real-driver timeline carries the data plane (ops, handoff/repair
         // bytes, view changes) — the simulator fills the network columns.
-        if timeline.enabled() && Instant::now() >= next_sample {
+        let due = m.timeline.enabled().then(Instant::now);
+        if let Some(now) = due.filter(|now| *now >= next_sample) {
             let (_, p50, p99) = snapshot.op_hist.interval_quantiles(&prev_hist);
             kv.note_interval(p99);
             let stats = &snapshot.stats;
@@ -592,7 +589,7 @@ fn publisher(mirror: Arc<Mutex<Mirror>>, obs_sample_ms: u64) -> impl FnMut(&mut 
                 repair_bytes: stats.repair_bytes,
                 ..TimelinePoint::default()
             };
-            timeline.push(TimelinePoint {
+            m.timeline.push(TimelinePoint {
                 view_changes: total.view_changes - cursor.view_changes,
                 ops: total.ops - cursor.ops,
                 handoff_bytes: total.handoff_bytes - cursor.handoff_bytes,
@@ -603,9 +600,11 @@ fn publisher(mirror: Arc<Mutex<Mirror>>, obs_sample_ms: u64) -> impl FnMut(&mut 
             });
             cursor = total;
             prev_hist = snapshot.op_hist.clone();
-            next_sample += Duration::from_millis(obs_sample_ms);
-            m.timeline = timeline.iter_in_order().copied().collect();
-            m.timeline_dropped = timeline.dropped();
+            // The first slot after `now`: slots a stall skipped are not
+            // replayed as a run of near-empty intervals.
+            while next_sample <= now {
+                next_sample += period;
+            }
         }
         m.kv = snapshot;
     }
